@@ -113,6 +113,19 @@ def _config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _scale(text: Optional[str], flag: str) -> Optional[Fraction]:
+    """A scale parameter from the command line: an exact value >= 0."""
+    if text is None:
+        return None
+    try:
+        x = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"not an exact number: {text!r}", flag)
+    if x < 0:
+        raise SchemaError(f"scale must be >= 0, got {text}", flag)
+    return x
+
+
 def _load_inputs(args, cfg: RunConfig, need_height=False, need_module=False,
                  need_module2=False):
     poset = load_poset(_read_json(args.poset))
@@ -174,8 +187,8 @@ def _cmd_validate(args, cfg: RunConfig) -> int:
 
 
 def _cmd_functor(args, cfg: RunConfig) -> int:
+    r = _scale(args.r, "--r")
     poset, rho, m, _ = _load_inputs(args, cfg, need_height=True, need_module=True)
-    r = Fraction(args.r)
     kind = args.kind
     if kind == "L":
         out = _app_to_json(apply_L(rho, r, m))
@@ -184,7 +197,7 @@ def _cmd_functor(args, cfg: RunConfig) -> int:
     elif kind == "T":
         if args.s is None:
             raise SchemaError("T needs --s", "--s")
-        out = _app_to_json(apply_T(rho, Fraction(args.s), r, m, args.direction))
+        out = _app_to_json(apply_T(rho, _scale(args.s, "--s"), r, m, args.direction))
     elif kind == "E":
         res = erosion_E(rho, r, m)
         out = {"module": module_to_json(res.module),
@@ -205,9 +218,8 @@ def _cmd_functor(args, cfg: RunConfig) -> int:
 
 
 def _cmd_nat(args, cfg: RunConfig) -> int:
+    r, s = _scale(args.r, "--r"), _scale(args.s, "--s")
     poset, rho, m, _ = _load_inputs(args, cfg, need_height=True, need_module=True)
-    r = Fraction(args.r)
-    s = Fraction(args.s) if args.s is not None else None
     c = Fraction(args.c) if args.c is not None else None
     name = args.name
     if name == "e":
@@ -247,9 +259,10 @@ def _cmd_nat(args, cfg: RunConfig) -> int:
 
 
 def _cmd_interleave(args, cfg: RunConfig) -> int:
+    r = _scale(args.r, "--r")
     poset, rho, m, n = _load_inputs(args, cfg, need_height=True, need_module=True,
                                     need_module2=True)
-    res = find_interleaving(rho, Fraction(args.r), m, n, budget=cfg.budget)
+    res = find_interleaving(rho, r, m, n, budget=cfg.budget)
     out: Dict[str, Any] = {"r": args.r, "verdict": res.verdict,
                            "candidates_tried": res.candidates_tried}
     if res.certificate:

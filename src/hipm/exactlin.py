@@ -11,6 +11,7 @@ rational matrices are object arrays of `fractions.Fraction`.  No floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -26,6 +27,8 @@ __all__ = [
     "kernel_basis",
     "image_basis",
     "solve",
+    "compressed_family",
+    "batch_consistent",
     "quotient_map",
 ]
 
@@ -372,6 +375,68 @@ def solve(a: Mat, b: Mat) -> Optional[Mat]:
     for i, p in enumerate(res.pivots):
         x.a[p, :] = r[i, a.cols :]
     return x
+
+
+def compressed_family(tensor: np.ndarray, rhs: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """The systems sum_i c_i tensor[:, i, :]^T x = rhs, c in GF(p)^h1, cut to R rows.
+
+    `tensor` is (h2, h1, L) and `rhs` has length L.  Returns the (h1 + 1, R, h2 + 1)
+    int64 array whose contraction with [c | 1] is the augmented system of c cut
+    to R of its L rows.  Row l of every system is one fixed linear form of column
+    l of W = [tensor rows | rhs], so keeping the rows at a column basis of W keeps
+    the solutions of every system.
+    """
+    h2, h1, L = tensor.shape
+    rows = list(rref(Mat(field, np.vstack([tensor.reshape(h2 * h1, L), rhs]))).pivots)
+    out = np.zeros((h1 + 1, len(rows), h2 + 1), dtype=np.int64)
+    out[:h1, :, :h2] = tensor[:, :, rows].transpose(1, 2, 0)
+    out[h1, :, h2] = rhs[rows]
+    return out
+
+
+@lru_cache(maxsize=8)
+def _inverse_table(p: int) -> np.ndarray:
+    """x -> x^(p-2) mod p on 0..p-1: the inverse of every unit of GF(p), and 0 at 0."""
+    x = np.arange(p, dtype=np.int64)
+    inv = np.ones(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            inv = inv * x % p
+        x = x * x % p
+        e >>= 1
+    inv[0] = 0
+    inv.flags.writeable = False  # shared by every caller through the cache
+    return inv
+
+
+def batch_consistent(stack: np.ndarray, p: int) -> np.ndarray:
+    """Which systems of a batch over GF(p) have a solution.
+
+    `stack` is a (B, R, c + 1) int64 array with entries in [0, p); slice b is an
+    augmented system [A_b | y_b].  Returns a (B,) bool array that is True where
+    A_b x = y_b is consistent, the verdict `solve` gives without a solution.
+    Elimination runs on the whole batch at once.  Per column j each system takes
+    its first row with a nonzero entry as the pivot, scales it by the inverse
+    table and subtracts it from every row, itself included.  That row is then
+    zero: its equation fixes x_j, which no other row uses any more, so dropping
+    it keeps the verdict.  Only the column and the pivot row are reduced mod p
+    at each step; the rest of the array just stays congruent.  Each step adds
+    less than p**2 to any entry, so with p <= 2**20 and c < 2**22 no int64 entry
+    overflows.
+    """
+    a = np.array(stack, dtype=np.int64)
+    nb, nr, width = a.shape
+    inv = _inverse_table(p)
+    every = np.arange(nb)
+    for j in range(width - 1 if nr else 0):
+        col = a[:, :, j] % p
+        piv = (col != 0).argmax(axis=1)
+        lead = col[every, piv]  # 0 where column j is zero in every row
+        row = a[every, piv, j:] % p * inv[lead][:, None] % p
+        a[:, :, j:] -= col[:, :, None] * row[:, None, :]
+    # every row is now zero left of the bar: consistent iff it is zero right of it
+    return ~(a[:, :, -1] % p != 0).any(axis=1)
 
 
 def quotient_map(field: FieldSpec, ambient_dim: int, subspace: Mat) -> tuple:

@@ -15,24 +15,23 @@ integer coefficient lattice is probed; failures come back "unknown".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactlin import Mat, rref, solve, vstack
-from .height import INF, ExtVal, HeightDiff, Stratum, critical_values, rho_diag, strata
-from .functors import apply_L, apply_R, e_r, sharp
+from .exactlin import Mat, batch_consistent, compressed_family, solve
+from .height import INF, ExtVal, HeightDiff, Stratum, rho_diag, strata
+from .functors import apply_R, e_r, sharp
 from .pmod import (
-    IsoResult,
     ModuleMorphism,
     PersistenceModule,
     hom_basis,
     is_isomorphic,
     morphism_from_coeffs,
 )
-from .poset import FinitePoset, PosetError
+from .poset import PosetError
 
 __all__ = [
     "Certificate",
@@ -86,84 +85,109 @@ def _vec_of(mor: ModuleMorphism) -> np.ndarray:
     return np.zeros(0, dtype=np.int64)
 
 
+def _bilinear_tensor(p_basis: Sequence[ModuleMorphism], q_basis: Sequence[ModuleMorphism],
+                     p_sharps: Sequence[ModuleMorphism], q_sharps: Sequence[ModuleMorphism],
+                     em: ModuleMorphism, en: ModuleMorphism, F) -> Tuple[np.ndarray, np.ndarray]:
+    """tensor[j, i, :] and rhs, laid out like `_vec_of`, of the two identities
+    sum_{i,j} c_i d_j Q_j o P_i# = e_m and sum_{i,j} c_i d_j P_i o Q_j# = e_n."""
+    rhs = np.concatenate([_vec_of(em), _vec_of(en)])
+    h1, h2 = len(p_basis), len(q_basis)
+    if not (h1 and h2):
+        return np.zeros((h2, h1, len(rhs)), dtype=np.int64 if F.is_prime_field else object), rhs
+
+    def products(left, right, swap):  # per element, every left o right in one matmul
+        for a in range(len(em.components)):
+            prod = (np.stack([f.components[a].a for f in left])[:, None]
+                    @ np.stack([f.components[a].a for f in right])[None])
+            yield (prod.swapaxes(0, 1) if swap else prod).reshape(h2, h1, -1)
+
+    tensor = np.concatenate([*products(q_basis, p_sharps, False),
+                             *products(p_basis, q_sharps, True)], axis=2)
+    if F.is_prime_field:
+        tensor %= F.p
+    return tensor, rhs
+
+
+_BATCH_BYTES = 1 << 18  # cap on one batch's (B, R, h2 + 1) int64 stack
+
+
+def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
+    """(verdict, c, x, candidates tried) for the first c in lexicographic order
+    such that sum_i c_i tensor[:, i, :]^T x = rhs is solvable; x comes from `solve`.
+
+    Over GF(p) the search is exhaustive, so running out of candidates proves "no".
+    Batches of `compressed_family` systems go to `batch_consistent`, growing 1, 2,
+    4, ... up to _BATCH_BYTES, so a first-candidate witness costs one candidate.
+    Over the rationals a small integer lattice is probed and a miss is "unknown".
+    """
+    h2, h1, L = tensor.shape
+
+    def solve_at(coeffs) -> Optional[Mat]:
+        cols = np.tensordot(tensor, np.array(coeffs, dtype=tensor.dtype), axes=([1], [0]))
+        return solve(Mat(F, cols.T.copy()), Mat(F, rhs.reshape(L, 1).copy()))
+
+    if not F.is_prime_field:
+        lattice = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]
+        for tried, coeffs in enumerate(itertools.product(lattice, repeat=h1)):
+            if tried >= budget:
+                return "unknown", None, None, tried
+            x = solve_at(coeffs)
+            if x is not None:
+                return "yes", coeffs, x, tried + 1
+        return "unknown", None, None, 4 ** h1
+
+    p, total = F.p, F.p ** h1
+    limit = max(0, min(budget, total))
+    family = compressed_family(tensor, rhs, F)
+    shape, family = family.shape[1:], family.reshape(h1 + 1, -1)
+    cap = max(1, _BATCH_BYTES // (8 * max(1, family.shape[1])))
+    # base-p digits of each candidate index; indices stay below 2**62, so capped
+    # place values leave the high digits 0
+    places = np.array([min(p ** e, 1 << 62) for e in range(h1 - 1, -1, -1)], dtype=np.int64)
+    start, size = 0, 1
+    while start < limit:
+        stop = min(start + size, limit)
+        coeffs = np.ones((stop - start, h1 + 1), dtype=np.int64)
+        coeffs[:, :h1] = np.arange(start, stop, dtype=np.int64)[:, None] // places % p
+        ok = batch_consistent((coeffs @ family % p).reshape(stop - start, *shape), p)
+        if ok.any():
+            hit = int(ok.argmax())
+            c = tuple(int(x) for x in coeffs[hit, :h1])
+            return "yes", c, solve_at(c), start + hit + 1
+        start, size = stop, min(2 * size, cap)
+    return ("no" if limit == total else "unknown"), None, None, limit
+
+
 def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
                       budget: int = DEFAULT_BUDGET) -> InterleaveResult:
     """Search for an r-interleaving between m and n.
 
     Enumerates p over Hom(m, R_r n) in lexicographic coefficient order; the two
-    defining identities are linear in q once p is fixed, so q is found by one
-    exact linear solve per candidate.  Exhausting the Hom space proves "no"
-    (prime fields); hitting the budget first yields "unknown".
+    defining identities are linear in q once p is fixed.  Over GF(p) candidates
+    are tested in batches (`_bilinear_search`) in that same order, so the first
+    witness, its q (one exact `solve`) and `candidates_tried` (up to and
+    including the witness) are those of a one-at-a-time scan.  Exhausting the
+    Hom space proves "no" (prime fields); hitting the budget first yields
+    "unknown" with `candidates_tried` equal to the budget.
     """
     r = Fraction(r)
     F = m.field
     app_rm = apply_R(rho, r, m)
     app_rn = apply_R(rho, r, n)
-    em = e_r(rho, r, m)
-    en = e_r(rho, r, n)
     p_basis = hom_basis(m, app_rn.module)
     q_basis = hom_basis(n, app_rm.module)
-    h1, h2 = len(p_basis), len(q_basis)
-    p_sharps = [sharp(rho, r, n, pb) for pb in p_basis]
-    q_sharps = [sharp(rho, r, m, qb) for qb in q_basis]
-
-    # bilinear data: cond1(c, d) = sum_{i,j} c_i d_j  Q_j o P_i#  must equal e_m,
-    # cond2 likewise with P_i o Q_j#; both live in one stacked coefficient space.
-    rhs = np.concatenate([_vec_of(em), _vec_of(en)])
-    L = rhs.shape[0]
-    tensor = np.zeros((h2, h1, L), dtype=object if not F.is_prime_field else np.int64)
-    for j in range(h2):
-        for i in range(h1):
-            v1 = _vec_of(q_basis[j].compose(p_sharps[i]))
-            v2 = _vec_of(p_basis[i].compose(q_sharps[j]))
-            tensor[j, i, :] = np.concatenate([v1, v2])
-
-    def try_p(coeffs) -> Optional[Certificate]:
-        if h1:
-            carr = np.array(coeffs, dtype=tensor.dtype)
-            cols = np.tensordot(tensor, carr, axes=([1], [0]))  # (h2, L)
-            if F.is_prime_field:
-                cols %= F.p
-        else:
-            cols = np.zeros((h2, L), dtype=tensor.dtype)
-        system = Mat(F, cols.T.copy()) if L else Mat.zeros(F, 0, h2)
-        target = Mat(F, rhs.reshape(L, 1).copy()) if L else Mat.zeros(F, 0, 1)
-        sol = solve(system, target)
-        if sol is None:
-            return None
-        if h1:
-            p = morphism_from_coeffs(p_basis, list(coeffs))
-        else:
-            p = ModuleMorphism.zero(m, app_rn.module)
-        if h2:
-            q = morphism_from_coeffs(q_basis, [sol.a[j, 0] for j in range(h2)])
-        else:
-            q = ModuleMorphism.zero(n, app_rm.module)
-        return Certificate(r, p, q)
-
-    if F.is_prime_field:
-        total = F.p ** h1
-        tried = 0
-        for coeffs in itertools.product(range(F.p), repeat=h1):
-            if tried >= budget:
-                return InterleaveResult("unknown", candidates_tried=tried)
-            tried += 1
-            cert = try_p(coeffs)
-            if cert is not None:
-                return InterleaveResult("yes", cert, tried)
-        return InterleaveResult("no", candidates_tried=tried)
-
-    # rational field: bounded integer lattice, never a proof of absence
-    lattice = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]
-    tried = 0
-    for coeffs in itertools.product(lattice, repeat=h1):
-        if tried >= budget:
-            break
-        tried += 1
-        cert = try_p(coeffs)
-        if cert is not None:
-            return InterleaveResult("yes", cert, tried)
-    return InterleaveResult("unknown", candidates_tried=tried)
+    tensor, rhs = _bilinear_tensor(p_basis, q_basis,
+                                   [sharp(rho, r, n, pb) for pb in p_basis],
+                                   [sharp(rho, r, m, qb) for qb in q_basis],
+                                   e_r(rho, r, m), e_r(rho, r, n), F)
+    verdict, coeffs, sol, tried = _bilinear_search(tensor, rhs, F, budget)
+    if verdict != "yes":
+        return InterleaveResult(verdict, candidates_tried=tried)
+    p = (morphism_from_coeffs(p_basis, list(coeffs)) if p_basis
+         else ModuleMorphism.zero(m, app_rn.module))
+    q = (morphism_from_coeffs(q_basis, list(sol.a[:, 0])) if q_basis
+         else ModuleMorphism.zero(n, app_rm.module))
+    return InterleaveResult("yes", Certificate(r, p, q), tried)
 
 
 @dataclass
@@ -192,10 +216,6 @@ class StrataReport:
             if sv.stratum.contains(r):
                 return sv.verdict.replace("implied-", "")
         raise ValueError(f"no stratum contains {r}")
-
-
-def _stratum_left_endpoint(st: Stratum) -> Fraction:
-    return st.lo
 
 
 def distance(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
@@ -271,7 +291,7 @@ def distance(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
 
     decided = first_yes == last_no + 1
     if first_yes < K:
-        dist: ExtVal = _stratum_left_endpoint(sts[first_yes])
+        dist: ExtVal = sts[first_yes].lo
         hi_bound: ExtVal = dist
     else:
         dist = INF
@@ -347,40 +367,17 @@ def _shift_sharp(p: ModuleMorphism, k: int, lm_src: PersistenceModule,
 def _shift_interleaving(m: PersistenceModule, n: PersistenceModule, k: int,
                         budget: int) -> str:
     F = m.field
-    lm, rm = _shift_module(m, -k), _shift_module(m, k)
-    ln, rn = _shift_module(n, -k), _shift_module(n, k)
-    em = _shift_e(m, k, lm, rm)
-    en = _shift_e(n, k, ln, rn)
-    p_basis = hom_basis(m, rn)
-    q_basis = hom_basis(n, rm)
-    h1, h2 = len(p_basis), len(q_basis)
-    rhs = np.concatenate([_vec_of(em), _vec_of(en)])
-    L = rhs.shape[0]
-    tensor = np.zeros((h2, h1, L), dtype=np.int64 if F.is_prime_field else object)
-    for j in range(h2):
-        qsj = _shift_sharp(q_basis[j], k, ln, m)
-        for i in range(h1):
-            psi = _shift_sharp(p_basis[i], k, lm, n)
-            v1 = _vec_of(q_basis[j].compose(psi))
-            v2 = _vec_of(p_basis[i].compose(qsj))
-            tensor[j, i, :] = np.concatenate([v1, v2])
-    tried = 0
     if not F.is_prime_field:
         raise ValueError("shift oracle is exhaustive only over prime fields")
-    for coeffs in itertools.product(range(F.p), repeat=h1):
-        if tried >= budget:
-            return "unknown"
-        tried += 1
-        if h1:
-            carr = np.array(coeffs, dtype=tensor.dtype)
-            cols = np.tensordot(tensor, carr, axes=([1], [0])) % F.p
-        else:
-            cols = np.zeros((h2, L), dtype=tensor.dtype)
-        system = Mat(F, cols.T.copy()) if L else Mat.zeros(F, 0, h2)
-        target = Mat(F, rhs.reshape(L, 1).copy()) if L else Mat.zeros(F, 0, 1)
-        if solve(system, target) is not None:
-            return "yes"
-    return "no"
+    lm, rm = _shift_module(m, -k), _shift_module(m, k)
+    ln, rn = _shift_module(n, -k), _shift_module(n, k)
+    p_basis = hom_basis(m, rn)
+    q_basis = hom_basis(n, rm)
+    tensor, rhs = _bilinear_tensor(p_basis, q_basis,
+                                   [_shift_sharp(pb, k, lm, n) for pb in p_basis],
+                                   [_shift_sharp(qb, k, ln, m) for qb in q_basis],
+                                   _shift_e(m, k, lm, rm), _shift_e(n, k, ln, rn), F)
+    return _bilinear_search(tensor, rhs, F, budget)[0]
 
 
 def shift_oracle_distance(m: PersistenceModule, n: PersistenceModule,

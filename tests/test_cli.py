@@ -188,6 +188,19 @@ def test_cli_interleave_exit_codes(capsys, chain_files):
     assert code == 2 and rep["verdict"] == "unknown"
 
 
+@pytest.mark.parametrize("r", ["-1", "abc"])
+def test_cli_interleave_rejects_bad_scale(capsys, chain_files, r):
+    code = main([
+        "interleave", "--poset", str(chain_files["poset"]),
+        "--height", str(chain_files["phi"]),
+        "--module", str(chain_files["M"]), "--module2", str(chain_files["N"]),
+        "--r", r,
+    ])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"].startswith("--r: ")
+
+
 def test_cli_budget_env_override(capsys, chain_files, monkeypatch):
     monkeypatch.setenv("HINT_BUDGET", "1")
     code, rep = _run(capsys, [

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hipm.exactlin import (
     GF2,
     QQ,
     FieldSpec,
     Mat,
+    batch_consistent,
     hstack,
     image_basis,
     kernel_basis,
@@ -166,3 +167,55 @@ def test_solve_verifies(m):
     x = solve(m, rhs)
     assert x is not None
     assert m @ x == rhs
+
+
+@st.composite
+def system_batches(draw):
+    """(p, kind, stack): a (B, R, c + 1) stack of augmented systems over a small
+    prime field that is random, all zero, or of full row rank R <= c."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    nb, nr, nc = draw(st.integers(0, 4)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(("random", "zero", "full")))
+    if kind == "full":
+        nr = min(nr, nc)
+    size = nb * nr * (nc + 1)
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    stack = np.array(entries, dtype=np.int64).reshape(nb, nr, nc + 1)
+    if kind == "zero":
+        stack[:] = 0
+    elif kind == "full":  # an identity block in permuted columns
+        stack[:, :, :nr] = np.eye(nr, dtype=np.int64)
+        perm = draw(st.permutations(range(nc)))
+        stack[:, :, :nc] = stack[:, :, perm]
+    return p, kind, stack
+
+
+@given(system_batches())
+@example((2, "random", np.ones((0, 3, 3), dtype=np.int64)))  # B = 0
+@example((3, "zero", np.zeros((2, 0, 4), dtype=np.int64)))  # R = 0
+@example((5, "random", np.array([[[0], [4]], [[0], [0]]], dtype=np.int64)))  # no unknowns
+@settings(max_examples=300, deadline=None)
+def test_batch_consistent_matches_solve(case):
+    p, kind, stack = case
+    field = FieldSpec("gfp", p)
+    got = batch_consistent(stack, p)
+    assert got.shape == stack.shape[:1]
+    for b in range(stack.shape[0]):
+        a, y = Mat(field, stack[b, :, :-1].copy()), Mat(field, stack[b, :, -1:].copy())
+        assert bool(got[b]) == (solve(a, y) is not None)
+    if kind != "random":
+        assert got.all()
+
+
+def test_batch_consistent_large_prime():
+    p = 1048573  # the largest prime below the supported bound 2**20
+    field = FieldSpec("gfp", p)
+    rng = np.random.default_rng(5)
+    stack = rng.integers(0, p, size=(6, 9, 6), dtype=np.int64)  # 9 equations, 5 unknowns
+    stack[3:, :, -1] = np.einsum("brc,bc->br", stack[3:, :, :-1],
+                                 rng.integers(0, p, size=(3, 5))) % p  # planted solutions
+    got = batch_consistent(stack, p)
+    for b in range(6):
+        a, y = Mat(field, stack[b, :, :-1].copy()), Mat(field, stack[b, :, -1:].copy())
+        assert bool(got[b]) == (solve(a, y) is not None)
+    assert got[3:].all() and not got[:3].any()
