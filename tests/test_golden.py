@@ -1,0 +1,35 @@
+"""Replay the golden CLI corpus (`tests/golden/`) and require byte-identical reports.
+
+Every command runs with a cold functor cache, so a report cannot lean on values
+a previous command left behind.  Regenerate with `tests/golden/make_golden.py`
+only when a change of report is intended.
+"""
+
+import difflib
+import json
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+sys.path.insert(0, str(GOLDEN))
+
+from make_golden import EXPECTED, resolve, run  # noqa: E402
+
+
+def test_golden_reports_are_byte_identical(monkeypatch):
+    monkeypatch.delenv("HINT_BUDGET", raising=False)
+    corpus = json.loads(EXPECTED.read_text())
+    assert len(corpus) > 900
+    bad = []
+    for case in corpus:
+        got = run(resolve(case["argv"]))
+        if got != (case["exit"], case["stdout"]):
+            bad.append((case, got))
+    if bad:
+        case, got = bad[0]
+        diff = "" if got is None else "".join(difflib.unified_diff(
+            case["stdout"].splitlines(True), got[1].splitlines(True), "expected", "got", n=2))
+        raise AssertionError(
+            f"{len(bad)} of {len(corpus)} golden reports differ; first: "
+            f"{' '.join(case['argv'])}\nexit {case['exit']} -> "
+            f"{None if got is None else got[0]}\n{diff[:4000]}")
