@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from .exactlin import Mat, image_basis, kernel_basis, rref, solve
+from .exactlin import Mat, rref, solve
 from .height import (
     HeightDiff,
     check_ivc,
@@ -24,11 +24,12 @@ from .height import (
     nbhd_up_idx,
     pullback_rho,
 )
-from .kan import ColimResult, LimResult, colim_over, factor_from_colim, factor_into_lim, lim_over
+from .kan import ColimResult, colim_over, factor_from_colim, factor_into_lim, lim_over
 from .pmod import (
     ModuleMorphism,
     PersistenceModule,
     Submodule,
+    pullback_module,
     quotient_by_submodule,
     submodule_image,
     submodule_intersection,
@@ -97,13 +98,10 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def _cached(key_parts, build):
-    key = tuple(key_parts)
-    hit = _CACHE.get(key)
-    if hit is None:
-        hit = build()
-        _CACHE[key] = hit
-    return hit
+def _cached(key: tuple, build):
+    if key not in _CACHE:
+        _CACHE[key] = build()
+    return _CACHE[key]
 
 
 def _r(x) -> Fraction:
@@ -113,99 +111,124 @@ def _r(x) -> Fraction:
     return x
 
 
+def _functor(direction: str):
+    """apply_L or apply_R for a direction 'L' or 'R'."""
+    if direction == "L":
+        return apply_L
+    if direction == "R":
+        return apply_R
+    raise ValueError("direction must be 'L' or 'R'")
+
+
+def _factor(res, blocks: Dict[int, Mat], dim: int) -> Mat:
+    """The unique map out of a colimit, or into a limit, with the given leg composites."""
+    if isinstance(res, ColimResult):
+        return factor_from_colim(res, blocks, dim)
+    return factor_into_lim(res, blocks, dim)
+
+
+def _compare(small, big) -> Mat:
+    """The map induced by nested neighborhoods, small <= big: colim over small ->
+    colim over big, or lim over big -> lim over small."""
+    return _factor(small, {x: big.legs[x] for x in small.nodes}, big.dim)
+
+
+def _oriented(app: FunctorApplication, other: PersistenceModule, comps) -> ModuleMorphism:
+    """app.module -> other for latching kinds, other -> app.module for matching ones."""
+    if app.kind[-1] == "L":
+        return ModuleMorphism(app.module, other, comps)
+    return ModuleMorphism(other, app.module, comps)
+
+
+def _between(small: FunctorApplication, big: FunctorApplication) -> ModuleMorphism:
+    """_compare at every element: small -> big (latching), big -> small (matching)."""
+    comps = [_compare(small.data[a], big.data[a]) for a in range(len(small.module.poset))]
+    return _oriented(small, big.module, comps)
+
+
+def _nested(outer: FunctorApplication, inner: FunctorApplication,
+            big: FunctorApplication) -> ModuleMorphism:
+    """The two-level factorization: each leg of `outer` at a is the (co)limit of
+    `inner` at that node, compared into big's value at a."""
+    comps = [
+        _factor(outer.data[a],
+                {x: _compare(inner.data[x], big.data[a]) for x in outer.data[a].nodes},
+                big.data[a].dim)
+        for a in range(len(big.module.poset))
+    ]
+    return _oriented(outer, big.module, comps)
+
+
+def _after(direction: str, g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
+    """g o f along the latching arrows, f o g along the reversed matching ones."""
+    return g.compose(f) if direction == "L" else f.compose(g)
+
+
+def _apply(kind: str, params: tuple, rho: HeightDiff, m: PersistenceModule,
+           nbhd_of) -> FunctorApplication:
+    """Pointwise colimits (kind 'L', 'TL') or limits ('R', 'TR') over nbhd_of(a),
+    with the inclusion-induced structure maps."""
+    latching = kind[-1] == "L"
+
+    def build():
+        P = m.poset
+        nbhd = {a: tuple(nbhd_of(a)) for a in range(len(P))}
+        data = {a: (colim_over if latching else lim_over)(m, nbhd[a]) for a in range(len(P))}
+        maps = {(a, b): _compare(data[a], data[b]) if latching else _compare(data[b], data[a])
+                for (a, b) in P.covers}
+        out = PersistenceModule(P, m.field, [data[a].dim for a in range(len(P))], maps)
+        return FunctorApplication(kind, params, rho, m, out, nbhd, data)
+
+    return _cached((kind, rho.key(), *params, m.key()), build)
+
+
 def apply_L(rho: HeightDiff, r, m: PersistenceModule) -> FunctorApplication:
     """The r-latching functor value: pointwise colimits over the lower
     r-neighborhoods, with the inclusion-induced structure maps."""
     r = _r(r)
-
-    def build():
-        P = m.poset
-        nbhd = {a: tuple(nbhd_down_idx(rho, a, r)) for a in range(len(P))}
-        data = {a: colim_over(m, nbhd[a]) for a in range(len(P))}
-        dims = [data[a].dim for a in range(len(P))]
-        maps = {}
-        for (a, b) in P.covers:
-            maps[(a, b)] = factor_from_colim(
-                data[a], {x: data[b].legs[x] for x in data[a].nodes}, data[b].dim
-            )
-        out = PersistenceModule(P, m.field, dims, maps)
-        return FunctorApplication("L", (r,), rho, m, out, nbhd, data)
-
-    return _cached(("L", rho.key(), r, m.key()), build)
+    return _apply("L", (r,), rho, m, lambda a: nbhd_down_idx(rho, a, r))
 
 
 def apply_R(rho: HeightDiff, r, m: PersistenceModule) -> FunctorApplication:
     """The r-matching functor value: pointwise limits over the upper
     r-neighborhoods."""
     r = _r(r)
-
-    def build():
-        P = m.poset
-        nbhd = {a: tuple(nbhd_up_idx(rho, a, r)) for a in range(len(P))}
-        data = {a: lim_over(m, nbhd[a]) for a in range(len(P))}
-        dims = [data[a].dim for a in range(len(P))]
-        maps = {}
-        for (a, b) in P.covers:
-            maps[(a, b)] = factor_into_lim(
-                data[b], {y: data[a].legs[y] for y in data[b].nodes}, data[a].dim
-            )
-        out = PersistenceModule(P, m.field, dims, maps)
-        return FunctorApplication("R", (r,), rho, m, out, nbhd, data)
-
-    return _cached(("R", rho.key(), r, m.key()), build)
+    return _apply("R", (r,), rho, m, lambda a: nbhd_up_idx(rho, a, r))
 
 
 def apply_T(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> FunctorApplication:
     """Iterated-neighborhood functor: colim over a's lower-s-then-lower-r union
     (direction 'L'), or lim over the upper-r-then-upper-s union ('R')."""
     s, r = _r(s), _r(r)
-    if direction not in ("L", "R"):
-        raise ValueError("direction must be 'L' or 'R'")
+    _functor(direction)
+    way = "down" if direction == "L" else "up"
+    return _apply("T" + direction, (s, r), rho, m,
+                  lambda a: nbhd_iterated_idx(rho, a, s, r, way))
 
-    def build():
-        P = m.poset
-        if direction == "L":
-            nbhd = {a: tuple(nbhd_iterated_idx(rho, a, s, r, "down")) for a in range(len(P))}
-            data = {a: colim_over(m, nbhd[a]) for a in range(len(P))}
-            dims = [data[a].dim for a in range(len(P))]
-            maps = {
-                (a, b): factor_from_colim(data[a], {x: data[b].legs[x] for x in data[a].nodes},
-                                          data[b].dim)
-                for (a, b) in P.covers
-            }
-            out = PersistenceModule(P, m.field, dims, maps)
-            return FunctorApplication("TL", (s, r), rho, m, out, nbhd, data)
-        nbhd = {a: tuple(nbhd_iterated_idx(rho, a, s, r, "up")) for a in range(len(P))}
-        data = {a: lim_over(m, nbhd[a]) for a in range(len(P))}
-        dims = [data[a].dim for a in range(len(P))]
-        maps = {
-            (a, b): factor_into_lim(data[b], {y: data[a].legs[y] for y in data[b].nodes},
-                                    data[a].dim)
-            for (a, b) in P.covers
-        }
-        out = PersistenceModule(P, m.field, dims, maps)
-        return FunctorApplication("TR", (s, r), rho, m, out, nbhd, data)
 
-    return _cached(("T" + direction, rho.key(), s, r, m.key()), build)
+def _apply_mor(direction: str, rho: HeightDiff, r, f: ModuleMorphism) -> ModuleMorphism:
+    apply = _functor(direction)
+    am, an = apply(rho, r, f.source), apply(rho, r, f.target)
+    lat = direction == "L"
+    # factor out of the colimit of f.source, or into the limit of f.target
+    here, there = (am, an) if lat else (an, am)
+    comps = [
+        _factor(here.data[a],
+                {x: there.data[a].legs[x] @ f.components[x] if lat
+                 else f.components[x] @ there.data[a].legs[x] for x in here.data[a].nodes},
+                there.data[a].dim)
+        for a in range(len(f.source.poset))
+    ]
+    return ModuleMorphism(am.module, an.module, comps)
 
 
 def apply_L_mor(rho: HeightDiff, r, f: ModuleMorphism) -> ModuleMorphism:
     """Functoriality of the latching functor on a morphism."""
-    am, an = apply_L(rho, r, f.source), apply_L(rho, r, f.target)
-    comps = []
-    for a in range(len(f.source.poset)):
-        blocks = {x: an.data[a].legs[x] @ f.components[x] for x in am.data[a].nodes}
-        comps.append(factor_from_colim(am.data[a], blocks, an.data[a].dim))
-    return ModuleMorphism(am.module, an.module, comps)
+    return _apply_mor("L", rho, r, f)
 
 
 def apply_R_mor(rho: HeightDiff, r, f: ModuleMorphism) -> ModuleMorphism:
-    am, an = apply_R(rho, r, f.source), apply_R(rho, r, f.target)
-    comps = []
-    for a in range(len(f.source.poset)):
-        blocks = {y: f.components[y] @ am.data[a].legs[y] for y in an.data[a].nodes}
-        comps.append(factor_into_lim(an.data[a], blocks, am.data[a].dim))
-    return ModuleMorphism(am.module, an.module, comps)
+    return _apply_mor("R", rho, r, f)
 
 
 # ---------------------------------------------------------------------------
@@ -213,72 +236,51 @@ def apply_R_mor(rho: HeightDiff, r, f: ModuleMorphism) -> ModuleMorphism:
 # ---------------------------------------------------------------------------
 
 
-def eta_L(rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
-    """The comparison L_s M -> L_r M induced by shrinking neighborhoods (s >= r)."""
+def _eta(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
+    """L_s M -> L_r M, or R_r M -> R_s M, for s >= r."""
     s, r = _r(s), _r(r)
     if s < r:
-        raise ValueError("eta_L needs s >= r")
+        raise ValueError(f"eta_{direction} needs s >= r")
+    apply = _functor(direction)
+    scales = (s, r) if direction == "L" else (r, s)
+    return _cached(("eta" + direction, rho.key(), *scales, m.key()),
+                   lambda: _between(apply(rho, s, m), apply(rho, r, m)))
 
-    def build():
-        hi, lo = apply_L(rho, s, m), apply_L(rho, r, m)
-        comps = [
-            factor_from_colim(hi.data[a], {x: lo.data[a].legs[x] for x in hi.data[a].nodes},
-                              lo.data[a].dim)
-            for a in range(len(m.poset))
-        ]
-        return ModuleMorphism(hi.module, lo.module, comps)
 
-    return _cached(("etaL", rho.key(), s, r, m.key()), build)
+def eta_L(rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
+    """The comparison L_s M -> L_r M induced by shrinking neighborhoods (s >= r)."""
+    return _eta("L", rho, s, r, m)
 
 
 def eta_R(rho: HeightDiff, r, s, m: PersistenceModule) -> ModuleMorphism:
     """The comparison R_r M -> R_s M (s >= r)."""
-    r, s = _r(r), _r(s)
-    if s < r:
-        raise ValueError("eta_R needs s >= r")
+    return _eta("R", rho, s, r, m)
+
+
+def _eta_id(direction: str, rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
+    """L_r M -> M or M -> R_r M, assembled from the structure maps of M."""
+    r = _r(r)
 
     def build():
-        lo, hi = apply_R(rho, r, m), apply_R(rho, s, m)
+        app = _functor(direction)(rho, r, m)
         comps = [
-            factor_into_lim(hi.data[a], {y: lo.data[a].legs[y] for y in hi.data[a].nodes},
-                            lo.data[a].dim)
+            _factor(app.data[a], {x: m.map_for_idx(x, a) if direction == "L" else m.map_for_idx(a, x)
+                                  for x in app.data[a].nodes}, m.dims[a])
             for a in range(len(m.poset))
         ]
-        return ModuleMorphism(lo.module, hi.module, comps)
+        return _oriented(app, m, comps)
 
-    return _cached(("etaR", rho.key(), r, s, m.key()), build)
+    return _cached((f"eta{direction}-id", rho.key(), r, m.key()), build)
 
 
 def eta_L_to_id(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
     """The counit-style map L_r M -> M, assembled from the structure-map cocone."""
-    r = _r(r)
-
-    def build():
-        app = apply_L(rho, r, m)
-        comps = [
-            factor_from_colim(app.data[a], {x: m.map_for_idx(x, a) for x in app.data[a].nodes},
-                              m.dims[a])
-            for a in range(len(m.poset))
-        ]
-        return ModuleMorphism(app.module, m, comps)
-
-    return _cached(("etaL-id", rho.key(), r, m.key()), build)
+    return _eta_id("L", rho, r, m)
 
 
 def eta_R_from_id(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
     """The unit-style map M -> R_r M."""
-    r = _r(r)
-
-    def build():
-        app = apply_R(rho, r, m)
-        comps = [
-            factor_into_lim(app.data[a], {y: m.map_for_idx(a, y) for y in app.data[a].nodes},
-                            m.dims[a])
-            for a in range(len(m.poset))
-        ]
-        return ModuleMorphism(m, app.module, comps)
-
-    return _cached(("etaR-id", rho.key(), r, m.key()), build)
+    return _eta_id("R", rho, r, m)
 
 
 def e_r(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
@@ -294,50 +296,34 @@ def e_r(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
 # ---------------------------------------------------------------------------
 
 
-def mu_L(rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
-    """The canonical L_s(L_r M) -> L_{s+r} M."""
+def _iterated(direction: str, rho: HeightDiff, s, r,
+              m: PersistenceModule) -> Tuple[FunctorApplication, FunctorApplication]:
+    """(outer, inner) of L_s(L_r M), or of R_r(R_s M)."""
+    apply = _functor(direction)
+    inner = apply(rho, r if direction == "L" else s, m)
+    return apply(rho, s if direction == "L" else r, inner.module), inner
+
+
+def _mu(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
+    """L_s L_r M -> L_{s+r} M, or R_{s+r} M -> R_r R_s M."""
     s, r = _r(s), _r(r)
 
     def build():
-        inner = apply_L(rho, r, m)
-        outer = apply_L(rho, s, inner.module)
-        big = apply_L(rho, s + r, m)
-        comps = []
-        for a in range(len(m.poset)):
-            blocks = {}
-            for x in outer.data[a].nodes:
-                blocks[x] = factor_from_colim(
-                    inner.data[x],
-                    {w: big.data[a].legs[w] for w in inner.data[x].nodes},
-                    big.data[a].dim,
-                )
-            comps.append(factor_from_colim(outer.data[a], blocks, big.data[a].dim))
-        return ModuleMorphism(outer.module, big.module, comps)
+        outer, inner = _iterated(direction, rho, s, r, m)
+        return _nested(outer, inner, _functor(direction)(rho, s + r, m))
 
-    return _cached(("muL", rho.key(), s, r, m.key()), build)
+    scales = (s, r) if direction == "L" else (r, s)
+    return _cached(("mu" + direction, rho.key(), *scales, m.key()), build)
+
+
+def mu_L(rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
+    """The canonical L_s(L_r M) -> L_{s+r} M."""
+    return _mu("L", rho, s, r, m)
 
 
 def mu_R(rho: HeightDiff, r, s, m: PersistenceModule) -> ModuleMorphism:
     """The canonical R_{s+r} M -> R_r(R_s M)."""
-    r, s = _r(r), _r(s)
-
-    def build():
-        inner = apply_R(rho, s, m)
-        outer = apply_R(rho, r, inner.module)
-        big = apply_R(rho, s + r, m)
-        comps = []
-        for a in range(len(m.poset)):
-            blocks = {}
-            for y in outer.data[a].nodes:
-                blocks[y] = factor_into_lim(
-                    inner.data[y],
-                    {w: big.data[a].legs[w] for w in inner.data[y].nodes},
-                    big.data[a].dim,
-                )
-            comps.append(factor_into_lim(outer.data[a], blocks, big.data[a].dim))
-        return ModuleMorphism(big.module, outer.module, comps)
-
-    return _cached(("muR", rho.key(), r, s, m.key()), build)
+    return _mu("R", rho, s, r, m)
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +363,12 @@ def flat(rho: HeightDiff, r, m: PersistenceModule, f: ModuleMorphism) -> ModuleM
 
 def unit(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
     """M -> R_r L_r M."""
-    app_l = apply_L(rho, r, m)
-    return flat(rho, r, m, ModuleMorphism.identity(app_l.module))
+    return flat(rho, r, m, ModuleMorphism.identity(apply_L(rho, r, m).module))
 
 
 def counit(rho: HeightDiff, r, n: PersistenceModule) -> ModuleMorphism:
     """L_r R_r N -> N."""
-    app_r = apply_R(rho, r, n)
-    return sharp(rho, r, n, ModuleMorphism.identity(app_r.module))
+    return sharp(rho, r, n, ModuleMorphism.identity(apply_R(rho, r, n).module))
 
 
 def mate_of_eta_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism:
@@ -394,8 +378,7 @@ def mate_of_eta_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism
     two one-adjunction transpositions.
     """
     s, r = _r(s), _r(r)
-    app_r = apply_R(rho, r, n)
-    x = app_r.module
+    x = apply_R(rho, r, n).module
     u = unit(rho, s, x)  # R_rN -> R_s L_s R_rN
     e = eta_L(rho, s, r, x)  # L_s R_rN -> L_r R_rN
     c = counit(rho, r, n)  # L_r R_rN -> N
@@ -432,60 +415,15 @@ def mate_of_mu_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism:
 def kappa(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> ModuleMorphism:
     """The Fubini comparison: L_s L_r M -> T^L_{s,r} M, or T^R_{r,s} M -> R_r R_s M."""
     s, r = _r(s), _r(r)
-    if direction == "L":
-        inner = apply_L(rho, r, m)
-        outer = apply_L(rho, s, inner.module)
-        t = apply_T(rho, s, r, m, "L")
-        comps = []
-        for a in range(len(m.poset)):
-            blocks = {
-                x: factor_from_colim(inner.data[x],
-                                     {w: t.data[a].legs[w] for w in inner.data[x].nodes},
-                                     t.data[a].dim)
-                for x in outer.data[a].nodes
-            }
-            comps.append(factor_from_colim(outer.data[a], blocks, t.data[a].dim))
-        return ModuleMorphism(outer.module, t.module, comps)
-    if direction == "R":
-        inner = apply_R(rho, s, m)
-        outer = apply_R(rho, r, inner.module)
-        t = apply_T(rho, s, r, m, "R")
-        comps = []
-        for a in range(len(m.poset)):
-            blocks = {
-                y: factor_into_lim(inner.data[y],
-                                   {w: t.data[a].legs[w] for w in inner.data[y].nodes},
-                                   t.data[a].dim)
-                for y in outer.data[a].nodes
-            }
-            comps.append(factor_into_lim(outer.data[a], blocks, t.data[a].dim))
-        return ModuleMorphism(t.module, outer.module, comps)
-    raise ValueError("direction must be 'L' or 'R'")
+    outer, inner = _iterated(direction, rho, s, r, m)
+    return _nested(outer, inner, apply_T(rho, s, r, m, direction))
 
 
 def tau(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> ModuleMorphism:
     """The inclusion-induced comparison T^L_{s,r} M -> L_{s+r} M (or
     R_{s+r} M -> T^R_{r,s} M), second factor of the mu factorization."""
     s, r = _r(s), _r(r)
-    if direction == "L":
-        t = apply_T(rho, s, r, m, "L")
-        big = apply_L(rho, s + r, m)
-        comps = [
-            factor_from_colim(t.data[a], {w: big.data[a].legs[w] for w in t.data[a].nodes},
-                              big.data[a].dim)
-            for a in range(len(m.poset))
-        ]
-        return ModuleMorphism(t.module, big.module, comps)
-    if direction == "R":
-        t = apply_T(rho, s, r, m, "R")
-        big = apply_R(rho, s + r, m)
-        comps = [
-            factor_into_lim(t.data[a], {w: big.data[a].legs[w] for w in t.data[a].nodes},
-                            big.data[a].dim)
-            for a in range(len(m.poset))
-        ]
-        return ModuleMorphism(big.module, t.module, comps)
-    raise ValueError("direction must be 'L' or 'R'")
+    return _between(apply_T(rho, s, r, m, direction), _functor(direction)(rho, s + r, m))
 
 
 class IntermediateValueError(ValueError):
@@ -505,40 +443,15 @@ def theta(rho: HeightDiff, s, r, c, m: PersistenceModule, direction: str) -> Mod
         raise IntermediateValueError(
             f"intermediate-value property fails at tolerance {c}: witness {ivc.witness}"
         )
-    P = m.poset
-    if direction == "L":
-        big = apply_L(rho, s + r + c, m)
-        t = apply_T(rho, s, r, m, "L")
-        for a in range(len(P)):
-            if not set(big.nbhd[a]) <= set(t.nbhd[a]):
-                raise IntermediateValueError(
-                    f"neighborhood inclusion fails at {P.elements[a]!r}"
-                )
-        comps = [
-            factor_from_colim(big.data[a], {w: t.data[a].legs[w] for w in big.data[a].nodes},
-                              t.data[a].dim)
-            for a in range(len(P))
-        ]
-        out = ModuleMorphism(big.module, t.module, comps)
-        assert tau(rho, s, r, m, "L").compose(out) == eta_L(rho, s + r + c, s + r, m)
-        return out
-    if direction == "R":
-        big = apply_R(rho, s + r + c, m)
-        t = apply_T(rho, s, r, m, "R")
-        for a in range(len(P)):
-            if not set(big.nbhd[a]) <= set(t.nbhd[a]):
-                raise IntermediateValueError(
-                    f"neighborhood inclusion fails at {P.elements[a]!r}"
-                )
-        comps = [
-            factor_into_lim(big.data[a], {w: t.data[a].legs[w] for w in big.data[a].nodes},
-                            t.data[a].dim)
-            for a in range(len(P))
-        ]
-        out = ModuleMorphism(t.module, big.module, comps)
-        assert out.compose(tau(rho, s, r, m, "R")) == eta_R(rho, s + r, s + r + c, m)
-        return out
-    raise ValueError("direction must be 'L' or 'R'")
+    big = _functor(direction)(rho, s + r + c, m)
+    t = apply_T(rho, s, r, m, direction)
+    for a, name in enumerate(m.poset.elements):
+        if not set(big.nbhd[a]) <= set(t.nbhd[a]):
+            raise IntermediateValueError(f"neighborhood inclusion fails at {name!r}")
+    out = _between(big, t)
+    assert (_after(direction, tau(rho, s, r, m, direction), out)
+            == _eta(direction, rho, s + r + c, s + r, m))
+    return out
 
 
 class FubiniComparisonError(ValueError):
@@ -556,34 +469,21 @@ def sigma(rho: HeightDiff, s, r, c, m: PersistenceModule, direction: str) -> Mod
     k = kappa(rho, s, r, m, direction)
     th = theta(rho, s, r, c, m, direction)
     P = m.poset
-    if direction == "L":
-        comps = []
-        for a in range(len(P)):
-            ka = k.components[a]
-            if ka.rows != ka.cols or rref(ka).rank != ka.rows:
-                raise FubiniComparisonError(
-                    f"iterated-colimit comparison not invertible at {P.elements[a]!r}"
-                )
-            sol = solve(ka, th.components[a])
-            comps.append(sol)
-        out = ModuleMorphism(th.source, k.source, comps)
-        assert mu_L(rho, s, r, m).compose(out) == eta_L(rho, s + r + c, s + r, m)
-        return out
-    if direction == "R":
-        comps = []
-        for a in range(len(P)):
-            ka = k.components[a]
-            if ka.rows != ka.cols or rref(ka).rank != ka.rows:
-                raise FubiniComparisonError(
-                    f"iterated-limit comparison not invertible at {P.elements[a]!r}"
-                )
-            # sigma_a = theta_a o kappa_a^{-1}: solve X @ ka = theta_a
-            sol = solve(ka.T, th.components[a].T)
-            comps.append(sol.T)
-        out = ModuleMorphism(k.target, th.target, comps)
-        assert out.compose(mu_R(rho, r, s, m)) == eta_R(rho, s + r, s + r + c, m)
-        return out
-    raise ValueError("direction must be 'L' or 'R'")
+    lat = direction == "L"
+    comps = []
+    for a in range(len(P)):
+        ka = k.components[a]
+        if ka.rows != ka.cols or rref(ka).rank != ka.rows:
+            raise FubiniComparisonError(f"iterated-{'colimit' if lat else 'limit'} comparison "
+                                        f"not invertible at {P.elements[a]!r}")
+        # sigma_a = kappa_a^{-1} theta_a, or theta_a kappa_a^{-1} (solve X @ ka = theta_a)
+        comps.append(solve(ka, th.components[a]) if lat
+                     else solve(ka.T, th.components[a].T).T)
+    out = (ModuleMorphism(th.source, k.source, comps) if lat
+           else ModuleMorphism(k.target, th.target, comps))
+    assert (_after(direction, _mu(direction, rho, s, r, m), out)
+            == _eta(direction, rho, s + r + c, s + r, m))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -635,18 +535,13 @@ def _verify_erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule, esub: 
     inter = submodule_intersection(imr, kerr)
     quot, proj = quotient_by_submodule(imr, inter)
     eta_r_mor = eta_R_from_id(rho, r, m)
-    # canonical map im_r -> erosion: push the image generators through M -> R_rM
-    phi = []
     for a in range(len(m.poset)):
-        pushed = eta_r_mor.components[a] @ imr.bases[a]
-        x = solve(esub.bases[a], pushed)
-        if x is None:
+        # canonical map im_r -> erosion: push the image generators through M -> R_rM
+        phi = solve(esub.bases[a], eta_r_mor.components[a] @ imr.bases[a])
+        if phi is None:
             raise AssertionError("image of im_r must land in the erosion")
-        phi.append(x)
-    # the map descends to the quotient and the induced map must be an iso
-    for a in range(len(m.poset)):
-        qa = proj.components[a]
-        psi = solve(qa.T, phi[a].T)
+        # the map descends to the quotient and the induced map must be an iso
+        psi = solve(proj.components[a].T, phi.T)
         if psi is None:
             raise AssertionError("canonical map does not descend to the subquotient")
         psi = psi.T
@@ -669,31 +564,17 @@ def xi_pullback(f: OrderMap, rho: HeightDiff, r, m: PersistenceModule,
     'L': latching of the pulled-back data -> pullback of the latching value;
     'R': pullback of the matching value -> matching of the pulled-back data.
     """
-    from .pmod import pullback_module
-
     r = _r(r)
     if rho.poset.key() != f.target.key():
         raise PosetError("rho must live on the target of f")
     rho_q = pullback_rho(f, rho)
     mq = pullback_module(f, m)
-    if direction == "L":
-        src = apply_L(rho_q, r, mq)
-        tgt_app = apply_L(rho, r, m)
-        tgt = pullback_module(f, tgt_app.module)
-        comps = []
-        for q in range(len(f.source)):
-            fa = f.apply_idx(q)
-            blocks = {y: tgt_app.data[fa].legs[f.apply_idx(y)] for y in src.data[q].nodes}
-            comps.append(factor_from_colim(src.data[q], blocks, tgt_app.data[fa].dim))
-        return ModuleMorphism(src.module, tgt, comps)
-    if direction == "R":
-        tgt = apply_R(rho_q, r, mq)
-        src_app = apply_R(rho, r, m)
-        src = pullback_module(f, src_app.module)
-        comps = []
-        for q in range(len(f.source)):
-            fa = f.apply_idx(q)
-            blocks = {y: src_app.data[fa].legs[f.apply_idx(y)] for y in tgt.data[q].nodes}
-            comps.append(factor_into_lim(tgt.data[q], blocks, src_app.data[fa].dim))
-        return ModuleMorphism(src, tgt.module, comps)
-    raise ValueError("direction must be 'L' or 'R'")
+    apply = _functor(direction)
+    here = apply(rho_q, r, mq)
+    there = apply(rho, r, m)
+    comps = []
+    for q in range(len(f.source)):
+        fa = f.apply_idx(q)
+        blocks = {y: there.data[fa].legs[f.apply_idx(y)] for y in here.data[q].nodes}
+        comps.append(_factor(here.data[q], blocks, there.data[fa].dim))
+    return _oriented(here, pullback_module(f, there.module), comps)
