@@ -17,8 +17,10 @@ from typing import Any, Dict, Optional
 
 from . import fixtures
 from .erosion import d_en
-from .exactlin import FieldSpec, GF2
+from .exactlin import FieldSpec
 from .functors import (
+    FubiniComparisonError,
+    IntermediateValueError,
     apply_L,
     apply_R,
     apply_T,
@@ -37,7 +39,6 @@ from .functors import (
     xi_pullback,
 )
 from .height import (
-    HeightDiff,
     c_rho,
     check_cip,
     check_ivc,
@@ -47,22 +48,25 @@ from .height import (
     pullback_rho,
     rho_diag,
 )
-from .interleave import Certificate, DEFAULT_BUDGET, distance, find_interleaving, shift_oracle_distance
-from .pmod import ModuleMorphism, hom_basis, is_isomorphic, pullback_module, validate_module
+from .interleave import (
+    DEFAULT_BUDGET,
+    UndecidedError,
+    distance,
+    find_interleaving,
+    shift_oracle_distance,
+)
+from .pmod import PersistenceModule, hom_basis, is_isomorphic, pullback_module, validate_module
 from .poset import FinitePoset, PosetError, check_galois_insertion, check_order_map, is_diamond_free
 from .serde import (
     SchemaError,
     en_report_to_json,
-    field_to_json,
     load_height,
     load_module,
-    load_morphism,
     load_order_map,
     load_poset,
     module_to_json,
     morphism_to_json,
     parse_field,
-    poset_to_json,
     strata_report_to_json,
 )
 
@@ -126,12 +130,23 @@ def _scale(text: Optional[str], flag: str) -> Optional[Fraction]:
     return x
 
 
+def _load_module(path: str, poset: FinitePoset, cfg: RunConfig) -> PersistenceModule:
+    """A module file, rejected unless its structure maps commute (a functor)."""
+    m = load_module(_read_json(path), poset, cfg.field)
+    bad = validate_module(m).commutativity_violations
+    if bad:
+        a, b, h1, h2 = bad[0]
+        raise SchemaError(f"not a functor: the paths {a} < {h1} <= {b} and {a} < {h2} <= {b} "
+                          f"give different maps", path)
+    return m
+
+
 def _load_inputs(args, cfg: RunConfig, need_height=False, need_module=False,
                  need_module2=False):
     poset = load_poset(_read_json(args.poset))
     rho = load_height(_read_json(args.height), poset) if need_height else None
-    m = load_module(_read_json(args.module), poset, cfg.field) if need_module else None
-    n = load_module(_read_json(args.module2), poset, cfg.field) if need_module2 else None
+    m = _load_module(args.module, poset, cfg) if need_module else None
+    n = _load_module(args.module2, poset, cfg) if need_module2 else None
     return poset, rho, m, n
 
 
@@ -220,7 +235,7 @@ def _cmd_functor(args, cfg: RunConfig) -> int:
 def _cmd_nat(args, cfg: RunConfig) -> int:
     r, s = _scale(args.r, "--r"), _scale(args.s, "--s")
     poset, rho, m, _ = _load_inputs(args, cfg, need_height=True, need_module=True)
-    c = Fraction(args.c) if args.c is not None else None
+    c = _scale(args.c, "--c")
     name = args.name
     if name == "e":
         mor = e_r(rho, r, m)
@@ -241,6 +256,8 @@ def _cmd_nat(args, cfg: RunConfig) -> int:
     elif name == "sigma":
         mor = sigma(rho, s or 0, r, c or 0, m, args.direction)
     elif name == "xi":
+        if args.poset2 is None or args.map is None:
+            raise SchemaError("xi needs --poset2 and --map", "--name")
         other = load_poset(_read_json(args.poset2))
         f = load_order_map(_read_json(args.map), other, poset)
         mor = xi_pullback(f, rho, r, m, args.direction)
@@ -345,7 +362,7 @@ def _cmd_pullback(args, cfg: RunConfig) -> int:
         out["rho"] = [[source.elements[i], source.elements[j], format_ext(v)]
                       for (i, j), v in sorted(pulled.values.items()) if i != j]
     if args.module:
-        m = load_module(_read_json(args.module), target, cfg.field)
+        m = _load_module(args.module, target, cfg)
         out["module"] = module_to_json(pullback_module(f, m))
     _emit(cfg, out)
     return EXIT_OK
@@ -370,16 +387,19 @@ def _cmd_oracle_grid(args, cfg: RunConfig) -> int:
     poset = load_poset(_read_json(args.poset))
     if poset.coords is None:
         raise SchemaError("oracle-grid needs a grid poset", "--poset")
-    m = load_module(_read_json(args.module), poset, cfg.field)
-    n = load_module(_read_json(args.module2), poset, cfg.field)
-    rho = rho_diag(poset)
-    rep = distance(rho, m, n, budget=cfg.budget)
-    oracle = shift_oracle_distance(m, n, budget=cfg.budget)
-    _emit(cfg, {
-        "distance": format_ext(rep.distance),
-        "oracle_distance": format_ext(oracle),
-        "agree": rep.distance == oracle,
-    })
+    m = _load_module(args.module, poset, cfg)
+    n = _load_module(args.module2, poset, cfg)
+    rep = distance(rho_diag(poset), m, n, budget=cfg.budget)
+    out: Dict[str, Any] = {"distance": format_ext(rep.distance)}
+    try:
+        oracle = shift_oracle_distance(m, n, budget=cfg.budget)
+    except UndecidedError as e:
+        out.update(oracle_undecided=str(e), oracle_distance_lo=format_ext(e.lo),
+                   oracle_distance_hi=format_ext(e.hi))
+        _emit(cfg, out)
+        return EXIT_UNDECIDED
+    out.update(oracle_distance=format_ext(oracle), agree=rep.distance == oracle)
+    _emit(cfg, out)
     return EXIT_OK if rep.decided else EXIT_UNDECIDED
 
 
@@ -544,10 +564,8 @@ def main(argv=None) -> int:
     try:
         cfg = _config(args)
         return args.fn(args, cfg)
-    except SchemaError as e:
-        print(json.dumps({"error": str(e)}), file=sys.stderr)
-        return EXIT_INVALID
-    except PosetError as e:
+    except (SchemaError, PosetError, IntermediateValueError, FubiniComparisonError) as e:
+        # bad input, or a transformation whose precondition fails on it
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return EXIT_INVALID
 

@@ -11,28 +11,31 @@ intermediate-value defect.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .exactlin import FieldSpec, Mat, hstack, image_basis, kernel_basis, rref, solve, vstack
-from .height import ExtVal, HeightDiff, INF, Stratum, strata
-from .functors import apply_L, apply_R, e_r, eta_L_to_id, eta_R_from_id, erosion_E, im_r, ker_r, sharp, flat
-from .interleave import Certificate, InterleaveResult, find_interleaving, DEFAULT_BUDGET
+from .exactlin import FieldSpec, Mat, hstack, image_basis, kernel_basis, solve, vstack
+from .height import ExtVal, HeightDiff, Stratum, strata
+from .functors import eta_L_to_id, eta_R_from_id, erosion_E, flat, im_r, ker_r, sharp
+from .interleave import (
+    DEFAULT_BUDGET,
+    Certificate,
+    _bracket,
+    _labels,
+    find_interleaving,
+    stratified_search,
+)
 from .pmod import (
-    IsoResult,
     ModuleMorphism,
     PersistenceModule,
     Submodule,
     _factor_through_surjection,
     is_isomorphic,
-    morphism_preimage,
     quotient_by_submodule,
     submodule_from_bases,
-    submodule_full,
     submodule_intersection,
     submodule_sum,
-    submodule_zero,
 )
 
 __all__ = [
@@ -406,67 +409,22 @@ def d_en(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
     enumerations degrade the verdict to unknown and the distance to a bracket.
     """
     sts = strata(rho)
-    K = len(sts)
     memo: Dict[int, Tuple[str, Optional[str], Optional[Subquotient]]] = {}
 
     def evaluate(i: int) -> str:
-        if i not in memo:
-            memo[i] = _en_stratum_test(rho, sts[i].rep, m, n, budget)
+        memo[i] = _en_stratum_test(rho, sts[i].rep, m, n, budget)
         return memo[i][0]
 
-    last_no = -1
-    first_yes = K
-    lo, hi = 0, K - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        v = evaluate(mid)
-        if v == "yes":
-            first_yes = min(first_yes, mid)
-            hi = mid - 1
-        elif v == "no":
-            last_no = max(last_no, mid)
-            lo = mid + 1
-        else:
-            resolved = False
-            for j in range(lo, hi + 1):
-                if j == mid:
-                    continue
-                vj = evaluate(j)
-                if vj == "yes":
-                    first_yes = min(first_yes, j)
-                    hi = j - 1
-                    resolved = True
-                    break
-                if vj == "no":
-                    last_no = max(last_no, j)
-                    lo = j + 1
-                    resolved = True
-                    break
-            if not resolved:
-                break
-
-    verdicts = []
-    for i, st in enumerate(sts):
-        if i in memo:
-            verdicts.append(EnStratumVerdict(st, memo[i][0], memo[i][1]))
-        elif i >= first_yes:
-            verdicts.append(EnStratumVerdict(st, "implied-yes"))
-        elif i <= last_no:
-            verdicts.append(EnStratumVerdict(st, "implied-no"))
-        else:
-            verdicts.append(EnStratumVerdict(st, "skipped"))
+    first_yes, last_no = stratified_search(len(sts), evaluate)
+    labels = _labels(len(sts), {i: t[0] for i, t in memo.items()}, first_yes, last_no)
+    lo, dist = _bracket(sts, first_yes, last_no)
     decided = first_yes == last_no + 1
-    if first_yes < K:
-        dist: ExtVal = sts[first_yes].lo
-    else:
-        dist = INF
-    lo_bound: ExtVal = sts[last_no + 1].lo if last_no + 1 < K else dist
-    witness = memo[first_yes][2] if first_yes in memo else None
     return EnDistanceReport(
-        strata=verdicts,
+        strata=[EnStratumVerdict(st, v, memo[i][1] if i in memo else None)
+                for i, (st, v) in enumerate(zip(sts, labels))],
         distance=dist,
-        distance_lo=lo_bound if not decided else dist,
+        distance_lo=dist if decided else lo,
         distance_hi=dist,
         decided=decided,
-        witness=witness,
+        witness=memo[first_yes][2] if first_yes in memo else None,
     )

@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exactlin import Mat, batch_consistent, compressed_family, solve
-from .height import INF, ExtVal, HeightDiff, Stratum, rho_diag, strata
+from .height import INF, ExtVal, HeightDiff, Stratum, format_ext, rho_diag, strata
 from .functors import apply_R, e_r, sharp
 from .pmod import (
     ModuleMorphism,
@@ -42,6 +42,8 @@ __all__ = [
     "StrataReport",
     "StratumVerdict",
     "shift_oracle_distance",
+    "stratified_search",
+    "UndecidedError",
     "DEFAULT_BUDGET",
 ]
 
@@ -218,95 +220,90 @@ class StrataReport:
         raise ValueError(f"no stratum contains {r}")
 
 
+def stratified_search(K: int, evaluate: Callable[[int], str]) -> Tuple[int, int]:
+    """(first_yes, last_no) over strata 0..K-1 whose verdicts are monotone in r.
+
+    `evaluate(i)` returns "yes", "no" or anything else for undecided, and is
+    called at most once per index.  The search bisects on decided verdicts; at
+    an undecided stratum it scans the rest of the window linearly for the
+    nearest decided one, and stops when there is none.  first_yes is K when no
+    yes was found and last_no is -1 when no no was found; the verdict is decided
+    exactly when first_yes == last_no + 1.  An evaluated yes below an evaluated
+    no raises AssertionError.  Bisection keeps every evaluation inside the
+    window the decided verdicts leave, so that check guards the search's own
+    bookkeeping; only evaluating every stratum shows that a verdict is monotone.
+    """
+    seen: Dict[int, str] = {}
+
+    def verdict(i: int) -> str:
+        if i not in seen:
+            seen[i] = evaluate(i)
+        return seen[i]
+
+    first_yes, last_no = K, -1
+    lo, hi = 0, K - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        # at an undecided mid, the nearest decided stratum of the window stands in
+        for j in [mid] if verdict(mid) in ("yes", "no") else range(lo, hi + 1):
+            v = verdict(j)
+            if v == "yes":
+                first_yes, hi = min(first_yes, j), j - 1
+                break
+            if v == "no":
+                last_no, lo = max(last_no, j), j + 1
+                break
+        else:
+            break
+    yes = [i for i, v in seen.items() if v == "yes"]
+    if yes and any(v == "no" and i > min(yes) for i, v in seen.items()):
+        raise AssertionError("verdict monotonicity violated: internal error")
+    return first_yes, last_no
+
+
+def _bracket(sts: Sequence[Stratum], first_yes: int, last_no: int) -> Tuple[ExtVal, ExtVal]:
+    """[lo, hi] for the distance: hi is the left end of the first yes stratum
+    (oo when none), lo that of the first stratum above the last no."""
+    hi = sts[first_yes].lo if first_yes < len(sts) else INF
+    return (sts[last_no + 1].lo if last_no + 1 < len(sts) else hi), hi
+
+
+def _labels(K: int, seen: Dict[int, str], first_yes: int, last_no: int) -> List[str]:
+    """Per-stratum verdicts: evaluated ones as they came, the rest implied or skipped."""
+    return [seen[i] if i in seen else "implied-yes" if i >= first_yes
+            else "implied-no" if i <= last_no else "skipped" for i in range(K)]
+
+
 def distance(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
              budget: int = DEFAULT_BUDGET) -> StrataReport:
     """The exact interleaving distance as a stratified search.
 
     The zero stratum is decided by the isomorphism test (a 0-interleaving is an
     isomorphism); every other stratum by the exhaustive search at its
-    representative.  Verdict monotonicity drives a binary search; an evaluated
-    yes below an evaluated no is an internal consistency failure.
+    representative.  Verdict monotonicity drives `stratified_search`.
     """
     sts = strata(rho)
-    K = len(sts)
     memo: Dict[int, InterleaveResult] = {}
 
     def evaluate(i: int) -> str:
-        if i in memo:
-            return memo[i].verdict
         if sts[i].kind == "zero":
-            res = InterleaveResult(is_isomorphic(m, n, budget=budget).verdict)
+            memo[i] = InterleaveResult(is_isomorphic(m, n, budget=budget).verdict)
         else:
-            res = find_interleaving(rho, sts[i].rep, m, n, budget=budget)
-        memo[i] = res
-        return res.verdict
+            memo[i] = find_interleaving(rho, sts[i].rep, m, n, budget=budget)
+        return memo[i].verdict
 
-    last_no = -1
-    first_yes = K  # sentinel: none found
-    lo, hi = 0, K - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        v = evaluate(mid)
-        if v == "yes":
-            first_yes = min(first_yes, mid)
-            hi = mid - 1
-        elif v == "no":
-            last_no = max(last_no, mid)
-            lo = mid + 1
-        else:
-            # cannot bisect on unknown: resolve the remaining window linearly
-            resolved = False
-            for j in range(lo, hi + 1):
-                if j == mid:
-                    continue
-                vj = evaluate(j)
-                if vj == "yes":
-                    first_yes = min(first_yes, j)
-                    hi = j - 1
-                    resolved = True
-                    break
-                if vj == "no":
-                    last_no = max(last_no, j)
-                    lo = j + 1
-                    resolved = True
-                    break
-            if not resolved:
-                break
-    for i, res in memo.items():
-        if res.verdict == "yes" and any(
-            memo[j].verdict == "no" for j in memo if j > i
-        ):
-            raise AssertionError("verdict monotonicity violated: internal error")
-
-    verdicts: List[StratumVerdict] = []
-    for i, st in enumerate(sts):
-        if i in memo:
-            verdicts.append(StratumVerdict(st, memo[i].verdict))
-        elif i >= first_yes:
-            verdicts.append(StratumVerdict(st, "implied-yes"))
-        elif i <= last_no:
-            verdicts.append(StratumVerdict(st, "implied-no"))
-        else:
-            verdicts.append(StratumVerdict(st, "skipped"))
-
+    first_yes, last_no = stratified_search(len(sts), evaluate)
+    labels = _labels(len(sts), {i: res.verdict for i, res in memo.items()}, first_yes, last_no)
+    lo, dist = _bracket(sts, first_yes, last_no)
     decided = first_yes == last_no + 1
-    if first_yes < K:
-        dist: ExtVal = sts[first_yes].lo
-        hi_bound: ExtVal = dist
-    else:
-        dist = INF
-        hi_bound = INF
-    lo_bound: ExtVal = sts[last_no + 1].lo if last_no + 1 < K else dist
-    attained = decided and first_yes == 0
-    cert = memo[first_yes].certificate if first_yes < K and first_yes in memo else None
     return StrataReport(
-        strata=verdicts,
+        strata=[StratumVerdict(st, v) for st, v in zip(sts, labels)],
         distance=dist,
-        distance_lo=lo_bound if not decided else dist,
-        distance_hi=hi_bound,
-        attained=attained,
+        distance_lo=dist if decided else lo,
+        distance_hi=dist,
+        attained=decided and first_yes == 0,
         decided=decided,
-        certificate=cert,
+        certificate=memo[first_yes].certificate if first_yes in memo else None,
     )
 
 
@@ -380,6 +377,14 @@ def _shift_interleaving(m: PersistenceModule, n: PersistenceModule, k: int,
     return _bilinear_search(tensor, rhs, F, budget)[0]
 
 
+class UndecidedError(Exception):
+    """A search ran out of budget: the value is only bracketed by [lo, hi]."""
+
+    def __init__(self, message: str, lo: ExtVal, hi: ExtVal):
+        super().__init__(message)
+        self.lo, self.hi = lo, hi
+
+
 def shift_oracle_distance(m: PersistenceModule, n: PersistenceModule,
                           budget: int = DEFAULT_BUDGET) -> ExtVal:
     """Interleaving distance on a grid computed from literal diagonal shifts.
@@ -387,40 +392,25 @@ def shift_oracle_distance(m: PersistenceModule, n: PersistenceModule,
     Same stratified search as `distance`, but the matching/latching values are
     assembled as shifted copies of the module (zero past the boundary, matching
     the empty-neighborhood convention) rather than through the (co)limit engine.
-    Used to cross-check the two descriptions against each other.
+    Used to cross-check the two descriptions against each other.  Raises
+    UndecidedError when the budget leaves the distance undecided.
     """
     if m.poset.coords is None:
         raise PosetError("shift oracle needs a grid poset")
-    rho = rho_diag(m.poset)
-    sts = strata(rho)
-    last_no = -1
-    lo, hi = 0, len(sts) - 1
-    memo: Dict[int, str] = {}
+    sts = strata(rho_diag(m.poset))
 
     def evaluate(i: int) -> str:
-        if i not in memo:
-            st = sts[i]
-            if st.kind == "zero":
-                memo[i] = is_isomorphic(m, n, budget=budget).verdict
-            else:
-                k = int(st.rep)
-                assert Fraction(k) == st.rep, "grid strata representatives are integers"
-                memo[i] = _shift_interleaving(m, n, k, budget)
-        return memo[i]
+        st = sts[i]
+        if st.kind == "zero":
+            return is_isomorphic(m, n, budget=budget).verdict
+        k = int(st.rep)
+        assert Fraction(k) == st.rep, "grid strata representatives are integers"
+        return _shift_interleaving(m, n, k, budget)
 
-    K = len(sts)
-    first_yes = K
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        v = evaluate(mid)
-        if v == "yes":
-            first_yes = min(first_yes, mid)
-            hi = mid - 1
-        elif v == "no":
-            last_no = max(last_no, mid)
-            lo = mid + 1
-        else:
-            raise AssertionError("shift oracle could not decide a stratum within budget")
-    if first_yes == K:
-        return INF
-    return sts[first_yes].lo
+    first_yes, last_no = stratified_search(len(sts), evaluate)
+    lo, hi = _bracket(sts, first_yes, last_no)
+    if first_yes != last_no + 1:
+        raise UndecidedError(
+            f"shift oracle could not decide within budget {budget}: distance in "
+            f"[{format_ext(lo)}, {format_ext(hi)}]", lo, hi)
+    return hi

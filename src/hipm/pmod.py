@@ -128,7 +128,9 @@ def validate_module(m: PersistenceModule) -> ModuleReport:
         composites = []
         for (lo, hi) in P.covers:
             if lo == a and P.leq[hi, b]:
-                composites.append((hi, m.map_for_idx(hi, b) @ m.maps[(a, hi)]))
+                # the first branch is map_for_idx's own path: reuse and cache it
+                composites.append((hi, m.map_for_idx(hi, b) @ m.maps[(a, hi)] if composites
+                                   else m.map_for_idx(a, b)))
         for (h1, c1), (h2, c2) in zip(composites, composites[1:]):
             if c1 != c2:
                 comm_bad.append((P.elements[a], P.elements[b], P.elements[h1], P.elements[h2]))

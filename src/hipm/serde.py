@@ -61,16 +61,23 @@ def parse_field(spec: Any) -> FieldSpec:
         if s == "gf3":
             return FieldSpec("gfp", 3)
         if s.startswith("gfp:"):
-            return FieldSpec("gfp", int(s.split(":", 1)[1]))
+            return _prime_field(s.split(":", 1)[1], "$.field")
         raise SchemaError(f"unknown field spec {spec!r}", "$.field")
     if isinstance(spec, dict):
         kind = spec.get("kind")
         if kind in ("gfp", "prime-field"):
-            return FieldSpec("gfp", int(spec["p"]))
+            return _prime_field(spec.get("p"), "$.field.p")
         if kind == "rational":
             return FieldSpec("rational")
         raise SchemaError(f"unknown field kind {kind!r}", "$.field.kind")
     raise SchemaError("field must be a string or object", "$.field")
+
+
+def _prime_field(p: Any, location: str) -> FieldSpec:
+    try:
+        return FieldSpec("gfp", int(p))
+    except (TypeError, ValueError) as e:  # not an integer, or not a supported prime
+        raise SchemaError(f"bad modulus {p!r}: {e}", location)
 
 
 def field_to_json(f: FieldSpec) -> Dict[str, Any]:
@@ -139,10 +146,12 @@ def load_height(doc: Dict[str, Any], poset: FinitePoset) -> HeightDiff:
     raise SchemaError("height document needs 'phi', 'rho', or 'diag'", "$")
 
 
-def _parse_entry(field: FieldSpec, v: Any):
-    if field.is_prime_field:
-        return int(v)
-    return Fraction(v)
+def _parse_entry(field: FieldSpec, v: Any, location: str):
+    try:
+        return int(v) if field.is_prime_field else Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        kind = "an integer" if field.is_prime_field else "an exact number"
+        raise SchemaError(f"entry {v!r} is not {kind}", location)
 
 
 def load_module(doc: Dict[str, Any], poset: FinitePoset,
@@ -154,7 +163,14 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
     dims_doc = doc.get("dims", {})
     dims = []
     for e in poset.elements:
-        dims.append(int(dims_doc.get(e, 0)))
+        try:
+            d = int(dims_doc.get(e, 0))
+        except (TypeError, ValueError):
+            d = -1
+        if d < 0:
+            raise SchemaError(f"dimension must be an integer >= 0, got {dims_doc[e]!r}",
+                              f"$.dims[{e!r}]")
+        dims.append(d)
     maps = {}
     for key, rows in doc.get("maps", {}).items():
         if "|" not in key:
@@ -169,7 +185,7 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
                 f"matrix must be {want_rows}x{want_cols}", f"$.maps[{key!r}]"
             )
         maps[(a, b)] = Mat.from_rows(
-            fieldspec, [[_parse_entry(fieldspec, v) for v in r] for r in rows],
+            fieldspec, [[_parse_entry(fieldspec, v, f"$.maps[{key!r}]") for v in r] for r in rows],
             cols=want_cols,
         )
     return PersistenceModule(poset, fieldspec, dims, maps)
@@ -200,7 +216,7 @@ def load_morphism(doc: Dict[str, Any], source: PersistenceModule,
         else:
             comps.append(Mat.from_rows(
                 source.field,
-                [[_parse_entry(source.field, v) for v in r] for r in rows],
+                [[_parse_entry(source.field, v, f"$.components[{e!r}]") for v in r] for r in rows],
                 cols=source.dims[i],
             ))
     return ModuleMorphism(source, target, comps)

@@ -327,3 +327,104 @@ def test_console_entry_point():
     rep = json.loads(out.stdout)
     assert rep["d_M_N"]["distance"] == "3"
     assert rep["c_rho"] == "3"
+
+
+def _error(capsys, argv):
+    """Exit code and the JSON error of a call that must fail cleanly."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, json.loads(captured.err)["error"]
+
+
+def _distance_argv(files, module="M"):
+    return ["distance", "--poset", str(files["poset"]), "--height", str(files["phi"]),
+            "--module", str(files[module]), "--module2", str(files["N"])]
+
+
+def test_cli_rejects_a_composite_modulus(capsys, chain_files):
+    code, err = _error(capsys, ["--field", "gfp:4"] + _distance_argv(chain_files))
+    assert code == 1 and "prime" in err
+
+
+def test_cli_rejects_a_fraction_entry_over_gfp(capsys, chain_files, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"field": "gf2", "dims": {"a": 1, "b": 1},
+                               "maps": {"a|b": [["1/2"]]}}))
+    chain_files["bad"] = bad
+    code, err = _error(capsys, _distance_argv(chain_files, "bad"))
+    assert code == 1 and "a|b" in err and "'1/2'" in err
+
+
+def test_cli_rejects_a_negative_dimension(capsys, chain_files, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"field": "gf2", "dims": {"a": -1}, "maps": {}}))
+    chain_files["bad"] = bad
+    code, err = _error(capsys, _distance_argv(chain_files, "bad"))
+    assert code == 1 and "dims['a']" in err
+
+
+def test_cli_xi_needs_poset2_and_map(capsys, chain_files):
+    code, err = _error(capsys, [
+        "nat", "--poset", str(chain_files["poset"]), "--height", str(chain_files["phi"]),
+        "--module", str(chain_files["M"]), "--name", "xi", "--r", "1"])
+    assert code == 1 and "--poset2" in err
+
+
+@pytest.mark.parametrize("name, direction, needle", [
+    ("theta", "L", "intermediate-value"),  # IV_c fails on the grid at c = 0
+    ("sigma", "L", "iterated-colimit comparison not invertible"),
+    ("sigma", "R", "iterated-limit comparison not invertible"),
+])
+def test_cli_nat_precondition_failures(capsys, tmp_path, name, direction, needle):
+    ex = grid_example()
+    files = {}
+    for key, doc in (("poset", poset_to_json(ex.poset)), ("module", module_to_json(ex.module)),
+                     ("height", {"phi": {e: str(v) for e, v in ex.phi.phi.items()}})):
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(doc))
+    c = "0" if name == "theta" else "1"
+    code, err = _error(capsys, [
+        "nat", "--poset", str(files["poset"]), "--height", str(files["height"]),
+        "--module", str(files["module"]), "--name", name, "--s", "1/2", "--r", "1",
+        "--c", c, "--direction", direction])
+    assert code == 1 and needle in err
+
+
+def test_cli_rejects_a_non_functorial_module(capsys, tmp_path):
+    poset = tmp_path / "diamond.json"
+    poset.write_text(json.dumps({"elements": ["a", "b", "c", "d"],
+                                 "covers": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]}))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"phi": {"a": "0", "b": "1", "c": "1", "d": "2"}}))
+    bad = tmp_path / "bad.json"  # a -> b -> d is the identity, a -> c -> d is zero
+    bad.write_text(json.dumps({"field": "gf2", "dims": {"a": 1, "b": 1, "c": 1, "d": 1},
+                               "maps": {"a|b": [[1]], "a|c": [[1]], "b|d": [[1]],
+                                        "c|d": [[0]]}}))
+    files = ["--poset", str(poset), "--height", str(phi), "--module", str(bad),
+             "--module2", str(bad)]
+    for argv in (["interleave"] + files + ["--r", "2"], ["distance"] + files,
+                 ["functor"] + files[:6] + ["--kind", "L", "--r", "1"]):
+        code, err = _error(capsys, argv)
+        assert code == 1 and "not a functor" in err
+
+
+def test_cli_oracle_grid_undecided_within_budget(capsys, tmp_path):
+    # 4 copies of [v_1, v_4] against 4 copies of [v_2, v_5] on an 8-chain over GF(3):
+    # neither search decides the shift-1 stratum within 5000 candidates
+    def copies(lo):
+        elements = [f"v_{i}" for i in range(lo, lo + 4)]
+        eye = [[int(i == j) for j in range(4)] for i in range(4)]
+        return {"field": "gf3", "dims": {e: 4 for e in elements},
+                "maps": {f"{a}|{b}": eye for a, b in zip(elements, elements[1:])}}
+
+    files = {"poset": {"grid": [8]}, "m": copies(1), "n": copies(2)}
+    for key, doc in files.items():
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(doc))
+    code, rep = _run(capsys, ["--field", "gf3", "--budget", "5000", "oracle-grid",
+                              "--poset", str(files["poset"]), "--module", str(files["m"]),
+                              "--module2", str(files["n"])])
+    assert code == 2
+    assert "within budget 5000" in rep["oracle_undecided"]
+    assert (rep["oracle_distance_lo"], rep["oracle_distance_hi"]) == ("0", "1")
