@@ -200,7 +200,7 @@ def apply_T(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> Func
     """Iterated-neighborhood functor: colim over a's lower-s-then-lower-r union
     (direction 'L'), or lim over the upper-r-then-upper-s union ('R')."""
     s, r = _r(s), _r(r)
-    _functor(direction)
+    _functor(direction)  # rejects any other direction
     way = "down" if direction == "L" else "up"
     return _apply("T" + direction, (s, r), rho, m,
                   lambda a: nbhd_iterated_idx(rho, a, s, r, way))

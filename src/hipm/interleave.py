@@ -226,7 +226,7 @@ def stratified_search(K: int, evaluate: Callable[[int], str]) -> Tuple[int, int]
     `evaluate(i)` returns "yes", "no" or anything else for undecided, and is
     called at most once per index.  The search bisects on decided verdicts; at
     an undecided stratum it scans the rest of the window linearly for the
-    nearest decided one, and stops when there is none.  first_yes is K when no
+    first decided one, and stops when there is none.  first_yes is K when no
     yes was found and last_no is -1 when no no was found; the verdict is decided
     exactly when first_yes == last_no + 1.  An evaluated yes below an evaluated
     no raises AssertionError.  Bisection keeps every evaluation inside the
@@ -240,21 +240,21 @@ def stratified_search(K: int, evaluate: Callable[[int], str]) -> Tuple[int, int]
             seen[i] = evaluate(i)
         return seen[i]
 
+    def decided(i: int) -> bool:
+        return verdict(i) in ("yes", "no")
+
     first_yes, last_no = K, -1
-    lo, hi = 0, K - 1
+    lo, hi = 0, K - 1  # the window: last_no < lo and hi < first_yes throughout
     while lo <= hi:
-        mid = (lo + hi) // 2
-        # at an undecided mid, the nearest decided stratum of the window stands in
-        for j in [mid] if verdict(mid) in ("yes", "no") else range(lo, hi + 1):
-            v = verdict(j)
-            if v == "yes":
-                first_yes, hi = min(first_yes, j), j - 1
+        j = (lo + hi) // 2
+        if not decided(j):  # cannot bisect here: the first decided stratum stands in
+            j = next((i for i in range(lo, hi + 1) if decided(i)), None)
+            if j is None:
                 break
-            if v == "no":
-                last_no, lo = max(last_no, j), j + 1
-                break
+        if verdict(j) == "yes":
+            first_yes, hi = j, j - 1
         else:
-            break
+            last_no, lo = j, j + 1
     yes = [i for i, v in seen.items() if v == "yes"]
     if yes and any(v == "no" and i > min(yes) for i, v in seen.items()):
         raise AssertionError("verdict monotonicity violated: internal error")

@@ -18,7 +18,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
