@@ -122,15 +122,16 @@ def validate_module(m: PersistenceModule) -> ModuleReport:
     if shape_bad:
         return ModuleReport(valid=False, shape_violations=shape_bad)
     comm_bad = []
+    ups: Dict[int, List[int]] = {}
+    for (lo, hi) in P.covers:
+        ups.setdefault(lo, []).append(hi)
     for a, b in P.comparable_pairs():
-        if a == b:
+        branches = [hi for hi in ups.get(a, ()) if P.leq[hi, b]]
+        if len(branches) < 2:  # every path takes the same first step: nothing to compare
             continue
-        composites = []
-        for (lo, hi) in P.covers:
-            if lo == a and P.leq[hi, b]:
-                # the first branch is map_for_idx's own path: reuse and cache it
-                composites.append((hi, m.map_for_idx(hi, b) @ m.maps[(a, hi)] if composites
-                                   else m.map_for_idx(a, b)))
+        # the first branch is map_for_idx's own path: reuse and cache it
+        composites = [(hi, m.map_for_idx(hi, b) @ m.maps[(a, hi)] if i else m.map_for_idx(a, b))
+                      for i, hi in enumerate(branches)]
         for (h1, c1), (h2, c2) in zip(composites, composites[1:]):
             if c1 != c2:
                 comm_bad.append((P.elements[a], P.elements[b], P.elements[h1], P.elements[h2]))

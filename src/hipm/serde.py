@@ -147,11 +147,13 @@ def load_height(doc: Dict[str, Any], poset: FinitePoset) -> HeightDiff:
 
 
 def _parse_entry(field: FieldSpec, v: Any, location: str):
-    try:
-        return int(v) if field.is_prime_field else Fraction(v)
-    except (TypeError, ValueError, ZeroDivisionError):
-        kind = "an integer" if field.is_prime_field else "an exact number"
-        raise SchemaError(f"entry {v!r} is not {kind}", location)
+    if not isinstance(v, (bool, float)):  # a float is inexact, and int() would truncate it
+        try:
+            return int(v) if field.is_prime_field else Fraction(v)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    kind = "an integer" if field.is_prime_field else "an exact number"
+    raise SchemaError(f"entry {v!r} is not {kind}", location)
 
 
 def load_module(doc: Dict[str, Any], poset: FinitePoset,
@@ -163,14 +165,10 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
     dims_doc = doc.get("dims", {})
     dims = []
     for e in poset.elements:
-        try:
-            d = int(dims_doc.get(e, 0))
-        except (TypeError, ValueError):
-            d = -1
-        if d < 0:
-            raise SchemaError(f"dimension must be an integer >= 0, got {dims_doc[e]!r}",
-                              f"$.dims[{e!r}]")
-        dims.append(d)
+        d = dims_doc.get(e, 0)
+        if isinstance(d, (bool, float)) or not str(d).isdecimal():
+            raise SchemaError(f"dimension must be an integer >= 0, got {d!r}", f"$.dims[{e!r}]")
+        dims.append(int(d))
     maps = {}
     for key, rows in doc.get("maps", {}).items():
         if "|" not in key:
@@ -184,8 +182,9 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
             raise SchemaError(
                 f"matrix must be {want_rows}x{want_cols}", f"$.maps[{key!r}]"
             )
+        where = f"$.maps[{key!r}]"
         maps[(a, b)] = Mat.from_rows(
-            fieldspec, [[_parse_entry(fieldspec, v, f"$.maps[{key!r}]") for v in r] for r in rows],
+            fieldspec, [[_parse_entry(fieldspec, v, where) for v in r] for r in rows],
             cols=want_cols,
         )
     return PersistenceModule(poset, fieldspec, dims, maps)

@@ -347,18 +347,20 @@ def test_cli_rejects_a_composite_modulus(capsys, chain_files):
     assert code == 1 and "prime" in err
 
 
-def test_cli_rejects_a_fraction_entry_over_gfp(capsys, chain_files, tmp_path):
+@pytest.mark.parametrize("entry", ["1/2", 0.5])  # a float would be truncated to 0
+def test_cli_rejects_a_non_integer_entry_over_gfp(capsys, chain_files, tmp_path, entry):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"field": "gf2", "dims": {"a": 1, "b": 1},
-                               "maps": {"a|b": [["1/2"]]}}))
+                               "maps": {"a|b": [[entry]]}}))
     chain_files["bad"] = bad
     code, err = _error(capsys, _distance_argv(chain_files, "bad"))
-    assert code == 1 and "a|b" in err and "'1/2'" in err
+    assert code == 1 and "a|b" in err and repr(entry) in err
 
 
-def test_cli_rejects_a_negative_dimension(capsys, chain_files, tmp_path):
+@pytest.mark.parametrize("dim", [-1, 1.5])
+def test_cli_rejects_a_bad_dimension(capsys, chain_files, tmp_path, dim):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"field": "gf2", "dims": {"a": -1}, "maps": {}}))
+    bad.write_text(json.dumps({"field": "gf2", "dims": {"a": dim}, "maps": {}}))
     chain_files["bad"] = bad
     code, err = _error(capsys, _distance_argv(chain_files, "bad"))
     assert code == 1 and "dims['a']" in err
