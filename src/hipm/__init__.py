@@ -56,6 +56,7 @@ from .interleave import (
     distance,
     find_interleaving,
     shift_oracle_distance,
+    stratified_report,
     stratified_search,
 )
 from .kan import check_universal, colim_induced, colim_over, fubini_compare, lim_induced, lim_over

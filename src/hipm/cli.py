@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,7 +79,6 @@ class RunConfig:
     field: FieldSpec
     budget: int
     output: Optional[str]
-    seed: int
 
 
 def _read_json(path: str) -> Any:
@@ -103,18 +101,9 @@ def _emit(cfg: RunConfig, payload: Dict[str, Any]) -> None:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    budget = args.budget
-    env = os.environ.get("HINT_BUDGET")
-    if env:
-        budget = int(env)
-    if budget < 1:
+    if args.budget < 1:
         raise SchemaError("budget must be >= 1", "--budget")
-    return RunConfig(
-        field=parse_field(args.field),
-        budget=budget,
-        output=args.output,
-        seed=args.seed,
-    )
+    return RunConfig(field=parse_field(args.field), budget=args.budget, output=args.output)
 
 
 def _scale(text: Optional[str], flag: str) -> Optional[Fraction]:
@@ -486,15 +475,18 @@ def _cmd_repro(args, cfg: RunConfig) -> int:
     raise SchemaError(f"unknown example {name!r}", "repro")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is bad input (exit 1), not "undecided" (exit 2)
+        raise SchemaError(message, self.prog)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hipm",
         description="Exact height-interleaving distances for persistence modules over finite posets",
     )
     ap.add_argument("--field", default="gf2", help="gf2 | gf3 | gfp:P | rational")
-    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="candidate cap for searches (HINT_BUDGET env overrides)")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="candidate cap for searches")
     ap.add_argument("--output", default="-", help="report path, '-' for stdout")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -559,9 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _config(args)
         return args.fn(args, cfg)
     except (SchemaError, PosetError, IntermediateValueError, FubiniComparisonError) as e:

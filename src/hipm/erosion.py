@@ -13,19 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .exactlin import FieldSpec, Mat, hstack, image_basis, kernel_basis, solve, vstack
-from .height import ExtVal, HeightDiff, Stratum, strata
+from .height import HeightDiff
 from .functors import eta_L_to_id, eta_R_from_id, erosion_E, flat, im_r, ker_r, sharp
-from .interleave import (
-    DEFAULT_BUDGET,
-    Certificate,
-    _bracket,
-    _labels,
-    find_interleaving,
-    stratified_search,
-)
+from .interleave import DEFAULT_BUDGET, Certificate, StrataReport, find_interleaving, stratified_report
 from .pmod import (
     ModuleMorphism,
     PersistenceModule,
@@ -47,7 +40,6 @@ __all__ = [
     "en_interleaving_certificate",
     "en_mediate",
     "d_en",
-    "EnDistanceReport",
 ]
 
 
@@ -357,25 +349,9 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EnStratumVerdict:
-    stratum: Stratum
-    verdict: str  # "yes" | "no" | "unknown" | "implied-yes" | "implied-no" | "skipped"
-    via: Optional[str] = None  # "erosion-iso" | "certificate" | "enumeration"
-
-
-@dataclass
-class EnDistanceReport:
-    strata: List[EnStratumVerdict]
-    distance: ExtVal
-    distance_lo: ExtVal
-    distance_hi: ExtVal
-    decided: bool
-    witness: Optional[Subquotient] = None
-
-
 def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule,
                      n: PersistenceModule, budget: int) -> Tuple[str, Optional[str], Optional[Subquotient]]:
+    """(verdict, via, witness) at one scale; via is "erosion-iso", "certificate" or "enumeration"."""
     em = erosion_E(rho, rep, m, verify=False)
     en_ = erosion_E(rho, rep, n, verify=False)
     if is_isomorphic(em.module, en_.module, budget=budget).verdict == "yes":
@@ -387,6 +363,8 @@ def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule,
     if res.verdict == "yes":
         qm, _ = en_canonical_Q(rho, rep, m, n, res.certificate)
         return "yes", "certificate", qm
+    if not m.field.is_prime_field:  # neighborhoods cannot be enumerated over Q
+        return "unknown", "enumeration", None
     enum_m = en_enumerate(rho, rep, m, budget=budget)
     enum_n = en_enumerate(rho, rep, n, budget=budget)
     for sm in enum_m.members:
@@ -400,31 +378,13 @@ def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule,
 
 
 def d_en(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
-         budget: int = DEFAULT_BUDGET) -> EnDistanceReport:
+         budget: int = DEFAULT_BUDGET) -> StrataReport:
     """The erosion-neighborhood distance by stratified search.
 
     Stratum verdict: do the r-erosion-neighborhood classes of m and n intersect?
     Canonical candidates (the erosions themselves, then the certificate-derived
     neighborhood) are tried before full cross-enumeration.  Incomplete
-    enumerations degrade the verdict to unknown and the distance to a bracket.
+    enumerations, and any over the rationals, degrade the verdict to unknown
+    and the distance to a bracket.
     """
-    sts = strata(rho)
-    memo: Dict[int, Tuple[str, Optional[str], Optional[Subquotient]]] = {}
-
-    def evaluate(i: int) -> str:
-        memo[i] = _en_stratum_test(rho, sts[i].rep, m, n, budget)
-        return memo[i][0]
-
-    first_yes, last_no = stratified_search(len(sts), evaluate)
-    labels = _labels(len(sts), {i: t[0] for i, t in memo.items()}, first_yes, last_no)
-    lo, dist = _bracket(sts, first_yes, last_no)
-    decided = first_yes == last_no + 1
-    return EnDistanceReport(
-        strata=[EnStratumVerdict(st, v, memo[i][1] if i in memo else None)
-                for i, (st, v) in enumerate(zip(sts, labels))],
-        distance=dist,
-        distance_lo=dist if decided else lo,
-        distance_hi=dist,
-        decided=decided,
-        witness=memo[first_yes][2] if first_yes in memo else None,
-    )
+    return stratified_report(rho, lambda st: _en_stratum_test(rho, st.rep, m, n, budget))

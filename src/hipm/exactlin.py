@@ -94,14 +94,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of 0")
         return Fraction(1) / Fraction(x)
 
-    def format_scalar(self, x) -> str:
-        return str(int(x)) if self.is_prime_field else str(Fraction(x))
-
-    def parse_scalar(self, s):
-        if self.is_prime_field:
-            return int(s) % self.p
-        return Fraction(s)
-
 
 GF2 = FieldSpec("gfp", 2)
 QQ = FieldSpec("rational")
@@ -272,18 +264,6 @@ def vstack(field: FieldSpec, mats: Sequence[Mat], cols: Optional[int] = None) ->
     if not mats:
         return Mat.zeros(field, 0, cols if cols is not None else 0)
     return Mat(field, np.concatenate([m.a for m in mats], axis=0))
-
-
-def block_diag(field: FieldSpec, mats: Sequence[Mat]) -> Mat:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = Mat.zeros(field, rows, cols)
-    i = j = 0
-    for m in mats:
-        out.a[i : i + m.rows, j : j + m.cols] = m.a
-        i += m.rows
-        j += m.cols
-    return out
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .poset import Connectivity, FinitePoset, OrderMap, PosetError, _is_connected_idx
 
@@ -81,10 +81,6 @@ class _Infinity:
 
 INF = _Infinity()
 ExtVal = Union[Fraction, _Infinity]
-
-
-def is_inf(x: ExtVal) -> bool:
-    return x is INF
 
 
 def ext_add(a: ExtVal, b: ExtVal) -> ExtVal:

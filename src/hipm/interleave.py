@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "StrataReport",
     "StratumVerdict",
     "shift_oracle_distance",
+    "stratified_report",
     "stratified_search",
     "UndecidedError",
     "DEFAULT_BUDGET",
@@ -196,13 +197,16 @@ def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
 class StratumVerdict:
     stratum: Stratum
     verdict: str  # "yes" | "no" | "unknown" | "implied-yes" | "implied-no" | "skipped"
+    via: Optional[str] = None  # what decided an evaluated stratum, when the test says
 
 
 @dataclass
 class StrataReport:
     """Stratified distance verdicts.  `distance` equals the left endpoint of the
     earliest yes stratum (oo when none); with undecided strata the exact value is
-    only bracketed by [distance_lo, distance_hi] and `decided` is False."""
+    only bracketed by [distance_lo, distance_hi] and `decided` is False.
+    `witness` is what the test returned with the earliest yes: a Certificate for
+    `distance`, a Subquotient for `erosion.d_en`."""
 
     strata: List[StratumVerdict]
     distance: ExtVal
@@ -210,7 +214,7 @@ class StrataReport:
     distance_hi: ExtVal
     attained: bool
     decided: bool
-    certificate: Optional[Certificate] = None
+    witness: Any = None
 
     def verdict_at(self, r) -> str:
         r = Fraction(r)
@@ -261,17 +265,35 @@ def stratified_search(K: int, evaluate: Callable[[int], str]) -> Tuple[int, int]
     return first_yes, last_no
 
 
-def _bracket(sts: Sequence[Stratum], first_yes: int, last_no: int) -> Tuple[ExtVal, ExtVal]:
-    """[lo, hi] for the distance: hi is the left end of the first yes stratum
-    (oo when none), lo that of the first stratum above the last no."""
-    hi = sts[first_yes].lo if first_yes < len(sts) else INF
-    return (sts[last_no + 1].lo if last_no + 1 < len(sts) else hi), hi
+def stratified_report(rho: HeightDiff,
+                      evaluate: Callable[[Stratum], Tuple[str, Optional[str], Any]]) -> StrataReport:
+    """`stratified_search` over `strata(rho)`, written up as a report.
 
+    `evaluate(stratum)` returns (verdict, via, witness).  Strata that were not
+    evaluated are labelled implied-yes, implied-no or skipped; the distance is
+    bracketed by the left ends of the strata just above the last no and at the
+    first yes (oo past the last stratum), and the witness is the first yes's.
+    """
+    sts = strata(rho)
+    seen: Dict[int, Tuple[str, Optional[str], Any]] = {}
 
-def _labels(K: int, seen: Dict[int, str], first_yes: int, last_no: int) -> List[str]:
-    """Per-stratum verdicts: evaluated ones as they came, the rest implied or skipped."""
-    return [seen[i] if i in seen else "implied-yes" if i >= first_yes
-            else "implied-no" if i <= last_no else "skipped" for i in range(K)]
+    def verdict(i: int) -> str:
+        seen[i] = evaluate(sts[i])
+        return seen[i][0]
+
+    first_yes, last_no = stratified_search(len(sts), verdict)
+
+    def label(i: int) -> str:
+        return "implied-yes" if i >= first_yes else "implied-no" if i <= last_no else "skipped"
+
+    left = [st.lo for st in sts] + [INF]  # left[i]: the distance if stratum i is the first yes
+    decided = first_yes == last_no + 1
+    return StrataReport(
+        strata=[StratumVerdict(st, *seen[i][:2]) if i in seen else StratumVerdict(st, label(i))
+                for i, st in enumerate(sts)],
+        distance=left[first_yes], distance_lo=left[last_no + 1], distance_hi=left[first_yes],
+        attained=decided and first_yes == 0, decided=decided,
+        witness=seen[first_yes][2] if first_yes in seen else None)
 
 
 def distance(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
@@ -280,31 +302,15 @@ def distance(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
 
     The zero stratum is decided by the isomorphism test (a 0-interleaving is an
     isomorphism); every other stratum by the exhaustive search at its
-    representative.  Verdict monotonicity drives `stratified_search`.
+    representative.  The witness is the certificate of the earliest yes.
     """
-    sts = strata(rho)
-    memo: Dict[int, InterleaveResult] = {}
+    def evaluate(st: Stratum):
+        if st.kind == "zero":
+            return is_isomorphic(m, n, budget=budget).verdict, None, None
+        res = find_interleaving(rho, st.rep, m, n, budget=budget)
+        return res.verdict, None, res.certificate
 
-    def evaluate(i: int) -> str:
-        if sts[i].kind == "zero":
-            memo[i] = InterleaveResult(is_isomorphic(m, n, budget=budget).verdict)
-        else:
-            memo[i] = find_interleaving(rho, sts[i].rep, m, n, budget=budget)
-        return memo[i].verdict
-
-    first_yes, last_no = stratified_search(len(sts), evaluate)
-    labels = _labels(len(sts), {i: res.verdict for i, res in memo.items()}, first_yes, last_no)
-    lo, dist = _bracket(sts, first_yes, last_no)
-    decided = first_yes == last_no + 1
-    return StrataReport(
-        strata=[StratumVerdict(st, v) for st, v in zip(sts, labels)],
-        distance=dist,
-        distance_lo=dist if decided else lo,
-        distance_hi=dist,
-        attained=decided and first_yes == 0,
-        decided=decided,
-        certificate=memo[first_yes].certificate if first_yes in memo else None,
-    )
+    return stratified_report(rho, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +403,18 @@ def shift_oracle_distance(m: PersistenceModule, n: PersistenceModule,
     """
     if m.poset.coords is None:
         raise PosetError("shift oracle needs a grid poset")
-    sts = strata(rho_diag(m.poset))
 
-    def evaluate(i: int) -> str:
-        st = sts[i]
+    def evaluate(st: Stratum):
         if st.kind == "zero":
-            return is_isomorphic(m, n, budget=budget).verdict
+            return is_isomorphic(m, n, budget=budget).verdict, None, None
         k = int(st.rep)
         assert Fraction(k) == st.rep, "grid strata representatives are integers"
-        return _shift_interleaving(m, n, k, budget)
+        return _shift_interleaving(m, n, k, budget), None, None
 
-    first_yes, last_no = stratified_search(len(sts), evaluate)
-    lo, hi = _bracket(sts, first_yes, last_no)
-    if first_yes != last_no + 1:
+    rep = stratified_report(rho_diag(m.poset), evaluate)
+    if not rep.decided:
         raise UndecidedError(
             f"shift oracle could not decide within budget {budget}: distance in "
-            f"[{format_ext(lo)}, {format_ext(hi)}]", lo, hi)
-    return hi
+            f"[{format_ext(rep.distance_lo)}, {format_ext(rep.distance_hi)}]",
+            rep.distance_lo, rep.distance_hi)
+    return rep.distance

@@ -9,12 +9,12 @@ map and canonical transformation downstream is assembled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactlin import FieldSpec, Mat, hstack, image_basis, kernel_basis, quotient_map, rref, solve, vstack
+from .exactlin import FieldSpec, Mat, hstack, kernel_basis, quotient_map, rref, solve, vstack
 from .pmod import PersistenceModule
-from .poset import Connectivity, FinitePoset, _is_connected_idx
+from .poset import Connectivity, _is_connected_idx
 
 __all__ = [
     "ColimResult",

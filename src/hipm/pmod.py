@@ -57,9 +57,6 @@ class PersistenceModule:
         self._pair_maps: Dict[Tuple[int, int], Mat] = {}
         self._key = None
 
-    def dim(self, e: str) -> int:
-        return self.dims[self.poset.idx(e)]
-
     def total_dim(self) -> int:
         return sum(self.dims)
 
@@ -81,9 +78,6 @@ class PersistenceModule:
         out = self.map_for_idx(step, b) @ self.maps[(a, step)]
         self._pair_maps[(a, b)] = out
         return out
-
-    def map_for(self, a: str, b: str) -> Mat:
-        return self.map_for_idx(self.poset.idx(a), self.poset.idx(b))
 
     def key(self) -> tuple:
         if self._key is None:
@@ -256,12 +250,6 @@ class ModuleMorphism:
     def is_iso(self) -> bool:
         return all(c.rows == c.cols and rref(c).rank == c.rows for c in self.components)
 
-    def is_mono(self) -> bool:
-        return all(rref(c).rank == c.cols for c in self.components)
-
-    def is_epi(self) -> bool:
-        return all(rref(c).rank == c.rows for c in self.components)
-
     @staticmethod
     def identity(m: PersistenceModule) -> "ModuleMorphism":
         return ModuleMorphism(m, m, [Mat.eye(m.field, d) for d in m.dims], check=False)
@@ -355,9 +343,6 @@ class Submodule:
     bases: Tuple[Mat, ...]
     module: PersistenceModule
     incl: ModuleMorphism
-
-    def dim(self, i: int) -> int:
-        return self.bases[i].cols
 
     def contains(self, other: "Submodule") -> bool:
         return all(
@@ -482,8 +467,7 @@ class IsoResult:
     witness: Optional[ModuleMorphism] = None
 
 
-def is_isomorphic(m: PersistenceModule, n: PersistenceModule, budget: int = 1 << 20,
-                  seed: int = 0) -> IsoResult:
+def is_isomorphic(m: PersistenceModule, n: PersistenceModule, budget: int = 1 << 20) -> IsoResult:
     """Search for an isomorphism m ~ n.
 
     Over GF(p) the Hom space is enumerated exhaustively (up to `budget`
@@ -525,7 +509,7 @@ def is_isomorphic(m: PersistenceModule, n: PersistenceModule, budget: int = 1 <<
             if cand is not None:
                 return IsoResult("yes", cand)
         return IsoResult("no" if exhausted else "unknown")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for trial in range(min(budget, 4096)):
         if trial < 1:
             coeffs = [Fraction(1)] * h

@@ -128,9 +128,6 @@ class FinitePoset:
     def le(self, a: str, b: str) -> bool:
         return bool(self.leq[self.idx(a), self.idx(b)])
 
-    def le_idx(self, i: int, j: int) -> bool:
-        return bool(self.leq[i, j])
-
     def comparable_pairs(self) -> List[Tuple[int, int]]:
         """All (i, j) with element i <= element j, including i == j, in index order."""
         return [(int(i), int(j)) for i, j in np.argwhere(self.leq)]

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .exactlin import FieldSpec, Mat, rref
-from .height import HeightDiff, HeightFunction, from_phi
+from .height import HeightFunction
 from .pmod import ModuleMorphism, PersistenceModule, direct_sum, interval_module, zero_module
 from .poset import FinitePoset
 

@@ -7,23 +7,21 @@ through these loaders.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from .exactlin import FieldSpec, Mat
 from .height import (
     HeightDiff,
     HeightFunction,
-    INF,
     format_ext,
     from_phi,
     parse_ext,
     rho_diag,
     validate_rho,
 )
-from .interleave import Certificate, StrataReport
-from .erosion import EnDistanceReport, Subquotient
+from .interleave import StrataReport
+from .erosion import Subquotient
 from .pmod import ModuleMorphism, PersistenceModule
 from .poset import FinitePoset, OrderMap
 
@@ -125,7 +123,8 @@ def load_height(doc: Dict[str, Any], poset: FinitePoset) -> HeightDiff:
         table = doc["phi"]
         if not isinstance(table, dict):
             raise SchemaError("phi must be an object", "$.phi")
-        phi = HeightFunction(poset, {k: Fraction(v) for k, v in table.items()})
+        phi = HeightFunction(poset, {k: _exact(Fraction, v, f"$.phi[{k!r}]")
+                                     for k, v in table.items()})
         return from_phi(phi)
     if "rho" in doc:
         entries = doc["rho"]
@@ -133,7 +132,7 @@ def load_height(doc: Dict[str, Any], poset: FinitePoset) -> HeightDiff:
         for i, ent in enumerate(entries):
             if not (isinstance(ent, list) and len(ent) == 3):
                 raise SchemaError("rho entry must be [a, b, value]", f"$.rho[{i}]")
-            table[(ent[0], ent[1])] = parse_ext(ent[2])
+            table[(ent[0], ent[1])] = _exact(parse_ext, ent[2], f"$.rho[{i}]")
         validation = validate_rho(poset, table)
         if not validation.ok:
             raise SchemaError(
@@ -146,14 +145,15 @@ def load_height(doc: Dict[str, Any], poset: FinitePoset) -> HeightDiff:
     raise SchemaError("height document needs 'phi', 'rho', or 'diag'", "$")
 
 
-def _parse_entry(field: FieldSpec, v: Any, location: str):
+def _exact(parse: Callable[[Any], Any], v: Any, location: str):
+    """parse(v) for an int or an exact string such as "3/2"."""
     if not isinstance(v, (bool, float)):  # a float is inexact, and int() would truncate it
         try:
-            return int(v) if field.is_prime_field else Fraction(v)
+            return parse(v)
         except (TypeError, ValueError, ZeroDivisionError):
             pass
-    kind = "an integer" if field.is_prime_field else "an exact number"
-    raise SchemaError(f"entry {v!r} is not {kind}", location)
+    raise SchemaError(f"{v!r} is not {'an integer' if parse is int else 'an exact number'}",
+                      location)
 
 
 def load_module(doc: Dict[str, Any], poset: FinitePoset,
@@ -162,6 +162,7 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
     fieldspec = parse_field(doc["field"]) if "field" in doc else default_field
     if fieldspec is None:
         raise SchemaError("module needs a field", "$.field")
+    parse = int if fieldspec.is_prime_field else Fraction
     dims_doc = doc.get("dims", {})
     dims = []
     for e in poset.elements:
@@ -184,9 +185,7 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
             )
         where = f"$.maps[{key!r}]"
         maps[(a, b)] = Mat.from_rows(
-            fieldspec, [[_parse_entry(fieldspec, v, where) for v in r] for r in rows],
-            cols=want_cols,
-        )
+            fieldspec, [[_exact(parse, v, where) for v in r] for r in rows], cols=want_cols)
     return PersistenceModule(poset, fieldspec, dims, maps)
 
 
@@ -208,6 +207,7 @@ def load_morphism(doc: Dict[str, Any], source: PersistenceModule,
     """{"components": {"a": [[...]], ...}}; omitted elements mean zero blocks."""
     comps = []
     table = doc.get("components", {})
+    parse = int if source.field.is_prime_field else Fraction
     for i, e in enumerate(source.poset.elements):
         rows = table.get(e)
         if rows is None:
@@ -215,7 +215,7 @@ def load_morphism(doc: Dict[str, Any], source: PersistenceModule,
         else:
             comps.append(Mat.from_rows(
                 source.field,
-                [[_parse_entry(source.field, v, f"$.components[{e!r}]") for v in r] for r in rows],
+                [[_exact(parse, v, f"$.components[{e!r}]") for v in r] for r in rows],
                 cols=source.dims[i],
             ))
     return ModuleMorphism(source, target, comps)
@@ -238,38 +238,8 @@ def _stratum_interval(st) -> List[str]:
     return [str(st.lo), "inf" if st.hi is None else str(st.hi)]
 
 
-def strata_report_to_json(rep: StrataReport) -> Dict[str, Any]:
-    out: Dict[str, Any] = {
-        "strata": [
-            {"interval": _stratum_interval(sv.stratum), "verdict": sv.verdict}
-            for sv in rep.strata
-        ],
-        "distance": format_ext(rep.distance),
-        "attained": rep.attained,
-        "decided": rep.decided,
-    }
-    if not rep.decided:
-        out["distance_lo"] = format_ext(rep.distance_lo)
-        out["distance_hi"] = format_ext(rep.distance_hi)
-    if rep.certificate is not None:
-        out["certificate"] = {
-            "r": str(rep.certificate.r),
-            "p": morphism_to_json(rep.certificate.p),
-            "q": morphism_to_json(rep.certificate.q),
-        }
-    return out
-
-
-def _subquotient_to_json(sq: Subquotient) -> Dict[str, Any]:
-    P = sq.parent.poset
-    return {
-        "M1": {e: sq.sub1.bases[i].tolists() for i, e in enumerate(P.elements) if sq.sub1.bases[i].cols},
-        "M2": {e: sq.sub2.bases[i].tolists() for i, e in enumerate(P.elements) if sq.sub2.bases[i].cols},
-        "quotient": module_to_json(sq.quotient),
-    }
-
-
-def en_report_to_json(rep: EnDistanceReport) -> Dict[str, Any]:
+def _strata_to_json(rep: StrataReport) -> Dict[str, Any]:
+    """The part every stratified report shares: strata, distance, decided, bracket."""
     out: Dict[str, Any] = {
         "strata": [
             {
@@ -285,6 +255,35 @@ def en_report_to_json(rep: EnDistanceReport) -> Dict[str, Any]:
     if not rep.decided:
         out["distance_lo"] = format_ext(rep.distance_lo)
         out["distance_hi"] = format_ext(rep.distance_hi)
+    return out
+
+
+def strata_report_to_json(rep: StrataReport) -> Dict[str, Any]:
+    """A `distance` report: its witness is a Certificate."""
+    out = _strata_to_json(rep)
+    out["attained"] = rep.attained
+    if rep.witness is not None:
+        cert = rep.witness
+        out["certificate"] = {
+            "r": str(cert.r),
+            "p": morphism_to_json(cert.p),
+            "q": morphism_to_json(cert.q),
+        }
+    return out
+
+
+def _subquotient_to_json(sq: Subquotient) -> Dict[str, Any]:
+    P = sq.parent.poset
+    return {
+        "M1": {e: sq.sub1.bases[i].tolists() for i, e in enumerate(P.elements) if sq.sub1.bases[i].cols},
+        "M2": {e: sq.sub2.bases[i].tolists() for i, e in enumerate(P.elements) if sq.sub2.bases[i].cols},
+        "quotient": module_to_json(sq.quotient),
+    }
+
+
+def en_report_to_json(rep: StrataReport) -> Dict[str, Any]:
+    """An `erosion.d_en` report: its witness is a Subquotient."""
+    out = _strata_to_json(rep)
     if rep.witness is not None:
         out["witness"] = _subquotient_to_json(rep.witness)
     return out

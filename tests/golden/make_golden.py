@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import random
 import sys
 from pathlib import Path
@@ -197,5 +196,4 @@ def build():
 
 
 if __name__ == "__main__":
-    os.environ.pop("HINT_BUDGET", None)
     build()

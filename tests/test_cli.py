@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,10 +202,9 @@ def test_cli_interleave_rejects_bad_scale(capsys, chain_files, r):
     assert json.loads(captured.err)["error"].startswith("--r: ")
 
 
-def test_cli_budget_env_override(capsys, chain_files, monkeypatch):
-    monkeypatch.setenv("HINT_BUDGET", "1")
+def test_cli_budget_caps_the_search(capsys, chain_files):
     code, rep = _run(capsys, [
-        "interleave", "--poset", str(chain_files["poset"]),
+        "--budget", "1", "interleave", "--poset", str(chain_files["poset"]),
         "--height", str(chain_files["phi"]),
         "--module", str(chain_files["M"]), "--module2", str(chain_files["M"]),
         "--r", "1",
@@ -430,3 +430,42 @@ def test_cli_oracle_grid_undecided_within_budget(capsys, tmp_path):
     assert code == 2
     assert "within budget 5000" in rep["oracle_undecided"]
     assert (rep["oracle_distance_lo"], rep["oracle_distance_hi"]) == ("0", "1")
+
+
+def test_cli_en_distance_over_the_rationals_is_undecided(capsys):
+    # erosion neighborhoods are enumerated only over GF(p): over Q such a stratum is unknown
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    code = main(["--field", "rational", "en-distance",
+                 "--poset", str(inputs / "ratdag_poset.json"),
+                 "--height", str(inputs / "ratdag_height.json"),
+                 "--module", str(inputs / "ratdag_M.json"),
+                 "--module2", str(inputs / "ratdag_N.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    rep = json.loads(captured.out)
+    assert not rep["decided"]
+    assert [(sv["verdict"], sv.get("via")) for sv in rep["strata"]] == [
+        ("unknown", "enumeration"), ("yes", "erosion-iso"), ("implied-yes", None)]
+
+
+@pytest.mark.parametrize("height", [
+    {"phi": {"a": 0, "b": 0.1, "c": 1, "d": 2}},  # 0.1 would become a binary fraction
+    {"rho": [["a", "b", 0.5], ["b", "c", 1], ["c", "d", 1],
+             ["a", "c", "3/2"], ["b", "d", 2], ["a", "d", "5/2"]]},
+])
+def test_cli_rejects_a_float_height(capsys, chain_files, tmp_path, height):
+    chain_files["phi"] = tmp_path / "height.json"
+    chain_files["phi"].write_text(json.dumps(height))
+    code, err = _error(capsys, _distance_argv(chain_files))
+    assert code == 1 and "not an exact number" in err
+    assert ("$.phi['b']" if "phi" in height else "$.rho[0]") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["distance", "--poset", "p.json"],  # required flags missing
+    ["--budget", "x", "c-rho", "--poset", "p.json", "--height", "h.json"],
+    [],  # no command
+])
+def test_cli_usage_errors_are_invalid_input(capsys, argv):
+    code, err = _error(capsys, argv)
+    assert code == 1 and err.startswith("hipm")

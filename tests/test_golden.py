@@ -16,8 +16,7 @@ sys.path.insert(0, str(GOLDEN))
 from make_golden import EXPECTED, resolve, run  # noqa: E402
 
 
-def test_golden_reports_are_byte_identical(monkeypatch):
-    monkeypatch.delenv("HINT_BUDGET", raising=False)
+def test_golden_reports_are_byte_identical():
     corpus = json.loads(EXPECTED.read_text())
     assert len(corpus) > 900
     bad = []

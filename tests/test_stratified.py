@@ -1,4 +1,4 @@
-"""stratified_search against a full scan of every stratum.
+"""stratified_search and stratified_report against a full scan of every stratum.
 
 The search assumes verdicts are monotone in r and evaluates only a few strata.
 The reference here evaluates all of them: first on synthetic verdict sequences,
@@ -6,14 +6,16 @@ then on real modules, where it also checks the monotonicity the search assumes.
 """
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from hipm.erosion import _en_stratum_test, d_en
 from hipm.exactlin import GF2, FieldSpec
-from hipm.height import INF, from_phi, strata
-from hipm.interleave import distance, find_interleaving, stratified_search
+from hipm.height import INF, HeightFunction, from_phi, strata
+from hipm.interleave import distance, find_interleaving, stratified_report, stratified_search
 from hipm.pmod import is_isomorphic
+from hipm.poset import FinitePoset
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
 
 
@@ -83,6 +85,57 @@ def test_evaluations_stay_inside_the_window(verdicts):
                for j, w in seen.items() if w == "no")
     assert first_yes == min([i for i, v in seen.items() if v == "yes"], default=len(verdicts))
     assert last_no == max([i for i, v in seen.items() if v == "no"], default=-1)
+
+
+def chain_rho(K):
+    """Heights 0, 1, ..., K on a chain: the strata are {0}, (0, 1], ..., (K-1, K], (K, oo)."""
+    P = FinitePoset.chain([f"c{i}" for i in range(K + 1)])
+    return from_phi(HeightFunction(P, {f"c{i}": Fraction(i) for i in range(K + 1)}))
+
+
+@given(st.integers(0, 12), st.data())
+@settings(max_examples=300, deadline=None)
+def test_report_agrees_with_a_full_scan(K, data):
+    rho = chain_rho(K)
+    sts = strata(rho)
+    assert len(sts) == K + 2
+    boundary = data.draw(st.integers(0, K + 2))
+    hidden = data.draw(st.lists(st.booleans(), min_size=K + 2, max_size=K + 2))
+    verdicts = ["unknown" if h else "no" if i < boundary else "yes"
+                for i, h in enumerate(hidden)]
+    vias = data.draw(st.lists(st.sampled_from([None, "iso", "search"]),
+                              min_size=K + 2, max_size=K + 2))
+    witnesses = [object() for _ in sts]
+    calls = []
+
+    def evaluate(stratum):
+        i = sts.index(stratum)
+        calls.append(i)
+        return verdicts[i], vias[i], witnesses[i]
+
+    rep = stratified_report(rho, evaluate)
+
+    # reference: what the evaluated strata and the full scan say
+    assert len(calls) == len(set(calls))
+    first_yes = min([i for i in calls if verdicts[i] == "yes"], default=K + 2)
+    last_no = max([i for i in calls if verdicts[i] == "no"], default=-1)
+    left = [st_.lo for st_ in sts] + [INF]
+    want = [verdicts[i] if i in calls else "implied-yes" if i >= first_yes
+            else "implied-no" if i <= last_no else "skipped" for i in range(K + 2)]
+    assert [sv.verdict for sv in rep.strata] == want
+    assert [sv.stratum for sv in rep.strata] == sts
+    assert [sv.via for sv in rep.strata] == [vias[i] if i in calls else None
+                                             for i in range(K + 2)]
+    scan_yes, scan_no = full_scan(verdicts)
+    assert rep.decided == (scan_yes == scan_no + 1)
+    assert (rep.distance_lo, rep.distance, rep.distance_hi) == (
+        left[last_no + 1], left[first_yes], left[first_yes])
+    assert rep.distance_lo <= left[boundary] <= rep.distance_hi  # the true distance
+    if rep.decided:
+        assert rep.distance_lo == rep.distance == left[boundary]
+        assert "skipped" not in want
+    assert rep.attained == (rep.decided and boundary == 0)
+    assert rep.witness is (witnesses[first_yes] if first_yes < K + 2 else None)
 
 
 def _instances(count, field=GF2, size=(4, 6)):
