@@ -119,15 +119,24 @@ class Mat:
         self.field = field
         self.a = a
 
+    @classmethod
+    def _canonical(cls, field: FieldSpec, a: np.ndarray) -> "Mat":
+        """Wrap an array that is already canonical (2-d; int64 in [0, p), or
+        Fractions) without the normalising pass of __init__."""
+        m = object.__new__(cls)
+        m.field = field
+        m.a = a
+        return m
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Mat":
         if field.is_prime_field:
-            return cls(field, np.zeros((rows, cols), dtype=np.int64))
+            return cls._canonical(field, np.zeros((rows, cols), dtype=np.int64))
         a = np.empty((rows, cols), dtype=object)
         a[:] = Fraction(0)
-        return cls(field, a)
+        return cls._canonical(field, a)
 
     @classmethod
     def eye(cls, field: FieldSpec, n: int) -> "Mat":
@@ -159,7 +168,7 @@ class Mat:
         return self.a.shape[1]
 
     def copy(self) -> "Mat":
-        return Mat(self.field, self.a.copy())
+        return Mat._canonical(self.field, self.a.copy())
 
     # -- arithmetic ---------------------------------------------------
 
@@ -178,7 +187,7 @@ class Mat:
         c = np.dot(self.a, other.a)
         if self.field.is_prime_field:
             c = c % self.field.p
-        return Mat(self.field, c)
+        return Mat._canonical(self.field, c)
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check(other)
@@ -224,16 +233,22 @@ class Mat:
 
     @property
     def T(self) -> "Mat":
-        return Mat(self.field, self.a.T.copy())
+        return Mat._canonical(self.field, self.a.T.copy())
 
     def col(self, j: int) -> "Mat":
-        return Mat(self.field, self.a[:, j : j + 1].copy())
+        return Mat._canonical(self.field, self.a[:, j : j + 1].copy())
 
     def take_cols(self, idx: Iterable[int]) -> "Mat":
         idx = list(idx)
         if not idx:
             return Mat.zeros(self.field, self.rows, 0)
-        return Mat(self.field, self.a[:, idx].copy())
+        return Mat._canonical(self.field, self.a[:, idx])
+
+    def take_rows(self, idx: Iterable[int]) -> "Mat":
+        idx = list(idx)
+        if not idx:
+            return Mat.zeros(self.field, 0, self.cols)
+        return Mat._canonical(self.field, self.a[idx, :])
 
     def entries(self) -> tuple:
         """Hashable content key (shape + all entries)."""
@@ -256,14 +271,14 @@ def hstack(field: FieldSpec, mats: Sequence[Mat], rows: Optional[int] = None) ->
     mats = list(mats)
     if not mats:
         return Mat.zeros(field, rows if rows is not None else 0, 0)
-    return Mat(field, np.concatenate([m.a for m in mats], axis=1))
+    return Mat._canonical(field, np.concatenate([m.a for m in mats], axis=1))
 
 
 def vstack(field: FieldSpec, mats: Sequence[Mat], cols: Optional[int] = None) -> Mat:
     mats = list(mats)
     if not mats:
         return Mat.zeros(field, 0, cols if cols is not None else 0)
-    return Mat(field, np.concatenate([m.a for m in mats], axis=0))
+    return Mat._canonical(field, np.concatenate([m.a for m in mats], axis=0))
 
 
 @dataclass(frozen=True)
@@ -312,24 +327,33 @@ def rref(m: Mat, pivot_limit: Optional[int] = None) -> RrefResult:
     return RrefResult(Mat(field, a), tuple(pivots), len(pivots))
 
 
+def _null_space(m: Mat) -> tuple:
+    """The kernel basis of `m` and its free coordinates, as (basis, free).
+
+    One column per free (non-pivot) column f of rref(m), in increasing order:
+    the unit vector at f, completed at the pivot coordinates so that m kills
+    it.  So basis[free, :] is the identity, which makes the basis canonical.
+    """
+    field = m.field
+    res = rref(m)
+    pivots = list(res.pivots)
+    pivot_set = set(pivots)
+    free = tuple(j for j in range(m.cols) if j not in pivot_set)
+    out = Mat.zeros(field, m.cols, len(free))
+    if free:
+        out.a[free, range(len(free))] = field.one()
+        neg = -res.matrix.a[: res.rank][:, free]
+        out.a[pivots, :] = neg % field.p if field.is_prime_field else neg
+    return out, free
+
+
 def kernel_basis(m: Mat) -> Mat:
     """Basis of the right null space, one column per free variable.
 
     Free columns are extended by unit vectors in increasing column order, so the
     basis is canonical.
     """
-    field = m.field
-    res = rref(m)
-    r = res.matrix.a
-    pivots = list(res.pivots)
-    free = [j for j in range(m.cols) if j not in set(pivots)]
-    out = Mat.zeros(field, m.cols, len(free))
-    for k, f in enumerate(free):
-        out.a[f, k] = field.one()
-        for i, p in enumerate(pivots):
-            v = -r[i, f]
-            out.a[p, k] = v % field.p if field.is_prime_field else v
-    return out
+    return _null_space(m)[0]
 
 
 def image_basis(m: Mat) -> Mat:
@@ -422,19 +446,10 @@ def batch_consistent(stack: np.ndarray, p: int) -> np.ndarray:
 def quotient_map(field: FieldSpec, ambient_dim: int, subspace: Mat) -> tuple:
     """Surjection q onto ambient/span(columns of subspace), plus the quotient dimension.
 
-    The pivot coordinates of the subspace are completed by the remaining unit
-    vectors; q reads off the unit-vector coefficients, so ker q = the span.
+    q is kernel_basis(subspace.T) transposed: it reads off the coordinates that
+    are not pivots of the subspace's rref, so ker q = the span.
     """
     if subspace.rows != ambient_dim:
         raise ValueError("subspace columns must live in the ambient dimension")
-    res = rref(subspace.T)
-    r = res.matrix.a
-    pivots = list(res.pivots)
-    free = [j for j in range(ambient_dim) if j not in set(pivots)]
-    q = Mat.zeros(field, len(free), ambient_dim)
-    for k, f in enumerate(free):
-        q.a[k, f] = field.one()
-        for i, p in enumerate(pivots):
-            v = -r[i, f]
-            q.a[k, p] = v % field.p if field.is_prime_field else v
-    return q, len(free)
+    basis, free = _null_space(subspace.T)
+    return basis.T, len(free)

@@ -204,14 +204,13 @@ class StratumVerdict:
 class StrataReport:
     """Stratified distance verdicts.  `distance` equals the left endpoint of the
     earliest yes stratum (oo when none); with undecided strata the exact value is
-    only bracketed by [distance_lo, distance_hi] and `decided` is False.
+    only bracketed by [distance_lo, distance] and `decided` is False.
     `witness` is what the test returned with the earliest yes: a Certificate for
     `distance`, a Subquotient for `erosion.d_en`."""
 
     strata: List[StratumVerdict]
     distance: ExtVal
     distance_lo: ExtVal
-    distance_hi: ExtVal
     attained: bool
     decided: bool
     witness: Any = None
@@ -291,7 +290,7 @@ def stratified_report(rho: HeightDiff,
     return StrataReport(
         strata=[StratumVerdict(st, *seen[i][:2]) if i in seen else StratumVerdict(st, label(i))
                 for i, st in enumerate(sts)],
-        distance=left[first_yes], distance_lo=left[last_no + 1], distance_hi=left[first_yes],
+        distance=left[first_yes], distance_lo=left[last_no + 1],
         attained=decided and first_yes == 0, decided=decided,
         witness=seen[first_yes][2] if first_yes in seen else None)
 
@@ -415,6 +414,6 @@ def shift_oracle_distance(m: PersistenceModule, n: PersistenceModule,
     if not rep.decided:
         raise UndecidedError(
             f"shift oracle could not decide within budget {budget}: distance in "
-            f"[{format_ext(rep.distance_lo)}, {format_ext(rep.distance_hi)}]",
-            rep.distance_lo, rep.distance_hi)
+            f"[{format_ext(rep.distance_lo)}, {format_ext(rep.distance)}]",
+            rep.distance_lo, rep.distance)
     return rep.distance

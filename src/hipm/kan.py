@@ -5,6 +5,14 @@ subposet (relations along the subposet's own Hasse covers), limits dually as
 equalizer kernels.  `factor_from_colim` / `factor_into_lim` then produce the
 unique comparison maps out of / into these objects, which is how every induced
 map and canonical transformation downstream is assembled.
+
+Both objects come in coordinates: the projection of a colimit is the identity
+on its free coordinates of the block sum (`ColimResult.free`), and so is the
+inclusion of a limit (`LimResult.free`).  A factorization is therefore read off
+those coordinates of the stacked family, and one matmul checks that the family
+is a (co)cone; no system is solved.  `colim_over` / `lim_over` build each
+(co)limit once per module object and node set, and return the same result on
+every later call.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactlin import FieldSpec, Mat, hstack, kernel_basis, quotient_map, rref, solve, vstack
+from .exactlin import FieldSpec, Mat, _null_space, hstack, kernel_basis, rref, solve, vstack
 from .pmod import PersistenceModule
 from .poset import Connectivity, _is_connected_idx
 
@@ -67,6 +75,7 @@ class ColimResult:
     proj: Mat  # dim x total, surjective
     legs: Dict[int, Mat]
     relations: Mat  # total x (#relations); ker(proj) = span(relations)
+    free: Tuple[int, ...]  # proj[:, free] is the identity
 
 
 @dataclass
@@ -81,6 +90,7 @@ class LimResult:
     dim: int
     incl: Mat  # total x dim, injective
     legs: Dict[int, Mat]
+    free: Tuple[int, ...]  # incl[free, :] is the identity
 
 
 def _offsets(diag: _Diagram) -> Tuple[Dict[int, int], int]:
@@ -106,9 +116,10 @@ def _colim_diagram(diag: _Diagram) -> ColimResult:
                 col.a %= F.p
             cols.append(col)
     rel = hstack(F, cols, rows=total)
-    proj, dim = quotient_map(F, total, rel)
+    basis, free = _null_space(rel.T)  # the quotient map by span(rel), transposed
+    proj = basis.T
     legs = {x: proj.take_cols(range(offs[x], offs[x] + diag.dims[x])) for x in diag.nodes}
-    return ColimResult(F, diag.nodes, offs, total, dim, proj, legs, rel)
+    return ColimResult(F, diag.nodes, offs, total, len(free), proj, legs, rel, free)
 
 
 def _lim_diagram(diag: _Diagram) -> LimResult:
@@ -125,48 +136,63 @@ def _lim_diagram(diag: _Diagram) -> LimResult:
             block.a %= F.p
         rows.append(block)
     eq = vstack(F, rows, cols=total)
-    incl = kernel_basis(eq)
-    legs = {
-        x: Mat(F, incl.a[offs[x] : offs[x] + diag.dims[x], :].copy())
-        for x in diag.nodes
-    }
-    return LimResult(F, diag.nodes, offs, total, incl.cols, incl, legs)
+    incl, free = _null_space(eq)
+    legs = {x: incl.take_rows(range(offs[x], offs[x] + diag.dims[x])) for x in diag.nodes}
+    return LimResult(F, diag.nodes, offs, total, len(free), incl, legs, free)
+
+
+def _memo(kind: str, build, m: PersistenceModule, subset: Sequence[int]):
+    """build(M restricted to subset), made once per module object and node set."""
+    nodes = tuple(sorted(subset))
+    key = (kind, nodes)
+    res = m.limits.get(key)
+    if res is None:
+        res = m.limits[key] = build(_module_diagram(m, nodes))
+    return res
 
 
 def colim_over(m: PersistenceModule, subset: Sequence[int]) -> ColimResult:
     """colim of M restricted to the full subposet on `subset` (ambient indices).
 
-    The empty subset yields the zero object.
+    The empty subset yields the zero object.  The result is shared by every
+    call with the same module and node set; treat it as read-only.
     """
-    return _colim_diagram(_module_diagram(m, subset))
+    return _memo("colim", _colim_diagram, m, subset)
 
 
 def lim_over(m: PersistenceModule, subset: Sequence[int]) -> LimResult:
-    return _lim_diagram(_module_diagram(m, subset))
+    """lim of M restricted to the full subposet on `subset`; shared like colim_over."""
+    return _memo("lim", _lim_diagram, m, subset)
 
 
 def factor_from_colim(col: ColimResult, blocks: Dict[int, Mat], target_rows: int) -> Mat:
     """The unique map out of the colimit whose composites with the legs are `blocks`.
 
     `blocks[x]` must form a cocone; inconsistency raises (it would mean the
-    caller's family does not respect the diagram's relations).
+    caller's family does not respect the diagram's relations).  The factor is
+    the stacked family at the free coordinates, where the projection is the
+    identity.
     """
     F = col.fieldspec
     stacked = hstack(F, [blocks[x] for x in col.nodes], rows=target_rows)
-    sol = solve(col.proj.T, stacked.T)
-    if sol is None:
+    f = stacked.take_cols(col.free)
+    if f @ col.proj != stacked:
         raise ValueError("family is not a cocone: no factorization through the colimit")
-    return sol.T
+    return f
 
 
 def factor_into_lim(lim: LimResult, blocks: Dict[int, Mat], source_cols: int) -> Mat:
-    """The unique map into the limit whose composites with the legs are `blocks`."""
+    """The unique map into the limit whose composites with the legs are `blocks`.
+
+    Dual to factor_from_colim: the stacked family at the rows where the
+    inclusion is the identity.
+    """
     F = lim.fieldspec
     stacked = vstack(F, [blocks[x] for x in lim.nodes], cols=source_cols)
-    sol = solve(lim.incl, stacked)
-    if sol is None:
+    f = stacked.take_rows(lim.free)
+    if lim.incl @ f != stacked:
         raise ValueError("family is not a cone: no factorization through the limit")
-    return sol
+    return f
 
 
 def colim_induced(m: PersistenceModule, small: Sequence[int], big: Sequence[int],

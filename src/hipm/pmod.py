@@ -36,7 +36,7 @@ __all__ = [
 class PersistenceModule:
     """A functor from a finite poset to vector spaces, stored on Hasse covers."""
 
-    __slots__ = ("poset", "field", "dims", "maps", "_pair_maps", "_key")
+    __slots__ = ("poset", "field", "dims", "maps", "_pair_maps", "_key", "limits")
 
     def __init__(self, poset: FinitePoset, fieldspec: FieldSpec, dims: Sequence[int],
                  maps: Dict[Tuple[int, int], Mat]):
@@ -56,6 +56,8 @@ class PersistenceModule:
         self.maps = full
         self._pair_maps: Dict[Tuple[int, int], Mat] = {}
         self._key = None
+        # (co)limits of restrictions by (kind, sorted nodes), filled by kan.colim_over/lim_over
+        self.limits: Dict[tuple, object] = {}
 
     def total_dim(self) -> int:
         return sum(self.dims)

@@ -254,7 +254,7 @@ def _strata_to_json(rep: StrataReport) -> Dict[str, Any]:
     }
     if not rep.decided:
         out["distance_lo"] = format_ext(rep.distance_lo)
-        out["distance_hi"] = format_ext(rep.distance_hi)
+        out["distance_hi"] = format_ext(rep.distance)  # the bracket's upper end
     return out
 
 

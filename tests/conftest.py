@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from hipm.exactlin import GF2, FieldSpec, Mat
 from hipm.height import HeightFunction, from_phi
 from hipm.poset import FinitePoset
 

@@ -6,10 +6,8 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from hipm.erosion import d_en, en_enumerate, en_interleaving_certificate
-from hipm.exactlin import GF2, Mat, rref
+from hipm.exactlin import GF2
 from hipm.fixtures import bipath_example, chain_example, grid_example
 from hipm.functors import (
     apply_L,
@@ -19,9 +17,7 @@ from hipm.functors import (
     erosion_E,
     eta_R,
     flat,
-    im_r,
     kappa,
-    ker_r,
     mate_of_eta_L,
     sharp,
 )
@@ -39,14 +35,7 @@ from hipm.height import (
 )
 from hipm.interleave import check_certificate, distance, find_interleaving, shift_oracle_distance
 from hipm.kan import check_universal, colim_over, lim_over
-from hipm.pmod import (
-    direct_sum,
-    hom_basis,
-    interval_module,
-    is_isomorphic,
-    pullback_module,
-    submodule_intersection,
-)
+from hipm.pmod import direct_sum, hom_basis, interval_module, is_isomorphic, pullback_module
 from hipm.poset import FinitePoset, OrderMap, check_galois_insertion
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
 

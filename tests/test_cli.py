@@ -7,8 +7,7 @@ import pytest
 
 from hipm.cli import main
 from hipm.exactlin import GF2
-from hipm.fixtures import chain_example, grid_example
-from hipm.poset import FinitePoset
+from hipm.fixtures import grid_example
 from hipm.serde import (
     load_height,
     load_module,

@@ -1,11 +1,9 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from hipm.erosion import (
     ErosionNeighborhoodError,
-    Subquotient,
     d_en,
     en_canonical_Q,
     en_construct,
@@ -13,13 +11,12 @@ from hipm.erosion import (
     en_interleaving_certificate,
     en_mediate,
 )
-from hipm.exactlin import GF2, Mat
+from hipm.exactlin import GF2
 from hipm.fixtures import chain_example
 from hipm.functors import erosion_E, im_r, ker_r
 from hipm.height import HeightFunction, c_rho, ext_add, from_phi
 from hipm.interleave import check_certificate, distance, find_interleaving
 from hipm.pmod import (
-    ModuleMorphism,
     interval_module,
     is_isomorphic,
     morphism_preimage,

@@ -3,12 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from sympy import GF as SympyGF, QQ as SympyQQ
+from sympy.polys.matrices import DomainMatrix
 
 from hipm.exactlin import (
     GF2,
     QQ,
     FieldSpec,
     Mat,
+    _null_space,
     batch_consistent,
     hstack,
     image_basis,
@@ -16,6 +19,7 @@ from hipm.exactlin import (
     quotient_map,
     rref,
     solve,
+    vstack,
 )
 
 GF3 = FieldSpec("gfp", 3)
@@ -219,3 +223,107 @@ def test_batch_consistent_large_prime():
         a, y = Mat(field, stack[b, :, :-1].copy()), Mat(field, stack[b, :, -1:].copy())
         assert bool(got[b]) == (solve(a, y) is not None)
     assert got[3:].all() and not got[:3].any()
+
+
+# ---------------------------------------------------------------------------
+# differential tests against sympy's DomainMatrix, and canonical outputs
+# ---------------------------------------------------------------------------
+
+
+SYMPY_FIELDS = (GF2, GF3, FieldSpec("gfp", 7), QQ)
+
+
+def _to_sympy(m: Mat) -> DomainMatrix:
+    K = SympyGF(m.field.p) if m.field.is_prime_field else SympyQQ
+    if m.field.is_prime_field:
+        rows = [[K(int(x)) for x in row] for row in m.a]
+    else:
+        rows = [[K(x.numerator, x.denominator) for x in row] for row in m.a]
+    return DomainMatrix(rows, m.a.shape, K)
+
+
+def _from_sympy(d: DomainMatrix, field) -> Mat:
+    out = Mat.zeros(field, *d.shape)
+    for i, row in enumerate(d.to_list()):
+        for j, x in enumerate(row):
+            out.a[i, j] = (int(x) % field.p if field.is_prime_field
+                           else Fraction(int(x.numerator), int(x.denominator)))
+    return out
+
+
+def _canonical(m: Mat) -> bool:
+    """int64 entries in [0, p) over GF(p), Fraction objects over Q."""
+    if m.a.ndim != 2:
+        return False
+    if m.field.is_prime_field:
+        return m.a.dtype == np.int64 and bool(((m.a >= 0) & (m.a < m.field.p)).all())
+    return m.a.dtype == object and all(type(x) is Fraction for x in m.a.ravel())
+
+
+@st.composite
+def products(draw, fields=SYMPY_FIELDS, max_dim=4):
+    """(a, b) over one field with a.cols == b.rows, zero sizes included."""
+    field = draw(st.sampled_from(fields))
+    n, k, m = (draw(st.integers(0, max_dim)) for _ in range(3))
+    return _random_mat(draw, field, n, k), _random_mat(draw, field, k, m)
+
+
+@given(matrices(fields=SYMPY_FIELDS))
+@settings(max_examples=200, deadline=None)
+def test_rref_and_kernel_match_sympy(m):
+    ref, pivots = _to_sympy(m).rref()
+    res = rref(m)
+    assert res.matrix == _from_sympy(ref, m.field)
+    assert res.pivots == tuple(pivots) and res.rank == len(pivots)
+    # sympy scales its null vectors differently; the canonical basis is the one
+    # that m kills and that is the identity on the non-pivot columns
+    basis, free = _null_space(m)
+    assert kernel_basis(m) == basis
+    assert free == tuple(j for j in range(m.cols) if j not in pivots)
+    assert basis.take_rows(free) == Mat.eye(m.field, len(free))
+    assert (_to_sympy(m) * _to_sympy(basis)).is_zero_matrix
+    assert len(free) == _to_sympy(m).nullspace().shape[0]
+
+
+@given(matrices(fields=SYMPY_FIELDS), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_matches_sympy(a, consistent, data):
+    """solve returns None exactly when sympy's ranks of A and [A | b] differ;
+    otherwise it returns the solution that is zero off A's pivot columns."""
+    width = data.draw(st.integers(0, 2))
+    rhs = _random_mat(data.draw, a.field, a.cols if consistent else a.rows, width)
+    b = a @ rhs if consistent else rhs
+    x = solve(a, b)
+    rank_a = _to_sympy(a).rank()
+    rank_ab = _to_sympy(hstack(a.field, [a, b], rows=a.rows)).rank()
+    assert (x is None) == (rank_ab > rank_a)
+    if x is not None:
+        assert a @ x == b
+        _, pivots = _to_sympy(a).rref()
+        off = [j for j in range(a.cols) if j not in pivots]
+        assert x.take_rows(off).is_zero()
+
+
+@given(products())
+@settings(max_examples=200, deadline=None)
+def test_matmul_matches_sympy(pair):
+    a, b = pair
+    prod = a @ b
+    assert _canonical(prod)
+    assert prod == _from_sympy(_to_sympy(a) * _to_sympy(b), a.field)
+
+
+@given(products())
+@settings(max_examples=200, deadline=None)
+def test_unnormalised_ops_return_canonical_arrays(pair):
+    """The ops that skip Mat's normalising pass still return canonical arrays."""
+    a, b = pair
+    F = a.field
+    outs = [Mat.zeros(F, a.rows, a.cols), Mat.eye(F, a.cols), a.T, a.copy(), a @ b,
+            a.take_cols(range(0, a.cols, 2)), a.take_rows(range(1, a.rows, 2)),
+            hstack(F, [a, a], rows=a.rows), vstack(F, [b, b], cols=b.cols),
+            hstack(F, [], rows=a.rows), vstack(F, [], cols=b.cols),
+            kernel_basis(a), _null_space(a)[0], quotient_map(F, a.rows, a)[0],
+            image_basis(a), rref(a).matrix]
+    outs += [a.col(j) for j in range(a.cols)]
+    assert all(_canonical(m) for m in outs)

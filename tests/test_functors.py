@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +5,6 @@ import pytest
 from hipm.exactlin import GF2, Mat, rref, solve
 from hipm.fixtures import bipath_example, chain_example, grid_example
 from hipm.functors import (
-    FubiniComparisonError,
     IntermediateValueError,
     apply_L,
     apply_L_mor,
@@ -43,7 +41,6 @@ from hipm.pmod import (
     is_isomorphic,
     submodule_image,
     validate_module,
-    zero_module,
 )
 from hipm.poset import FinitePoset, OrderMap
 from hipm.randgen import random_forest_poset, random_module, random_mono_epi, random_phi

@@ -1,8 +1,7 @@
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import strategies as st
 
 from hipm.height import (
     INF,

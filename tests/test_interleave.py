@@ -1,11 +1,8 @@
-import random
 from fractions import Fraction
 
-import pytest
-
 from hipm.exactlin import GF2, QQ, Mat
-from hipm.fixtures import bipath_example, chain_example
-from hipm.functors import apply_L, apply_R, e_r, flat, unit
+from hipm.fixtures import chain_example
+from hipm.functors import apply_L, apply_R, e_r, flat
 from hipm.height import (
     INF,
     HeightDiff,
@@ -18,13 +15,7 @@ from hipm.height import (
     rho_diag,
     strata,
 )
-from hipm.interleave import (
-    Certificate,
-    check_certificate,
-    distance,
-    find_interleaving,
-    shift_oracle_distance,
-)
+from hipm.interleave import check_certificate, distance, find_interleaving, shift_oracle_distance
 from hipm.pmod import ModuleMorphism, interval_module, pullback_module, zero_module
 from hipm.poset import FinitePoset, OrderMap
 from hipm.randgen import random_forest_poset, random_module, random_phi

@@ -3,24 +3,30 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hipm.exactlin import GF2, Mat, rref
+from hipm.exactlin import GF2, QQ, FieldSpec, Mat, hstack, rref, solve, vstack
 from hipm.fixtures import chain_example, grid_example
 from hipm.height import nbhd_down_idx
 from hipm.kan import (
     ColimResult,
-    LimResult,
+    _colim_diagram,
+    _lim_diagram,
+    _module_diagram,
     check_universal,
     colim_induced,
     colim_over,
     factor_from_colim,
+    factor_into_lim,
     fubini_compare,
     lim_induced,
     lim_over,
 )
-from hipm.pmod import PersistenceModule, interval_module, validate_module
+from hipm.pmod import PersistenceModule, interval_module
 from hipm.poset import FinitePoset
 from hipm.randgen import random_module, random_poset
+
+GF3 = FieldSpec("gfp", 3)
 
 
 def _edge_module(field=GF2):
@@ -106,14 +112,14 @@ def test_check_universal_accepts_and_rejects(chain4, rng):
             Mat(GF2, __import__("numpy").vstack([col.proj.a, col.proj.a[:1] * 0])),
             {x: Mat(GF2, __import__("numpy").vstack([col.legs[x].a, col.legs[x].a[:1] * 0]))
              for x in col.nodes},
-            col.relations,
+            col.relations, col.free,
         )
         assert not check_universal(m, [0, 1], truncated)
         zero_cand = ColimResult(
             col.fieldspec, col.nodes, col.offsets, col.total, 0,
             Mat.zeros(GF2, 0, col.total),
             {x: Mat.zeros(GF2, 0, m.dims[x]) for x in col.nodes},
-            col.relations,
+            col.relations, (),
         )
         assert not check_universal(m, [0, 1], zero_cand)
 
@@ -185,3 +191,115 @@ def test_fubini_validates_family(chain4, rng):
         fubini_compare(m, [0, 1], {0: [0, 1], 1: [1]})
     with pytest.raises(ValueError, match="downset"):
         fubini_compare(m, [0, 1], {0: [1], 1: [0, 1, 2]})  # {1} misses 0 below it
+
+
+# ---------------------------------------------------------------------------
+# factorization by coordinate selection, and the per-module memo
+# ---------------------------------------------------------------------------
+
+
+def _random_matrix(rng, field, rows, cols):
+    if field.is_prime_field:
+        return Mat.from_rows(field, [[rng.randrange(field.p) for _ in range(cols)]
+                                     for _ in range(rows)], cols=cols)
+    return Mat.from_rows(field, [[Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                                  for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+@st.composite
+def restrictions(draw):
+    """(module, subset, rng): a random module over GF(2), GF(3) or Q on a random
+    poset with 0-5 elements, pointwise dimension 0-2, and a subset of its elements."""
+    field = draw(st.sampled_from((GF2, GF3, QQ)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    poset = random_poset(rng, draw(st.integers(0, 5)))
+    m = random_module(rng, poset, field, draw(st.integers(0, 2)))
+    subset = draw(st.lists(st.integers(0, len(poset) - 1), unique=True)) if len(poset) else []
+    return m, subset, rng
+
+
+@given(restrictions(), st.booleans(), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_factor_from_colim_agrees_with_solve(case, cocone, rows):
+    """The selected factor equals solve(proj.T, stacked.T).T; where that has
+    no solution the family is not a cocone and the factor raises."""
+    m, subset, rng = case
+    col = colim_over(m, subset)
+    if cocone:  # g composed with the legs: the unique factor is g itself
+        g = _random_matrix(rng, m.field, rows, col.dim)
+        blocks = {x: g @ col.legs[x] for x in col.nodes}
+    else:
+        blocks = {x: _random_matrix(rng, m.field, rows, m.dims[x]) for x in col.nodes}
+    old = solve(col.proj.T, hstack(m.field, [blocks[x] for x in col.nodes], rows=rows).T)
+    if old is None:
+        assert not cocone
+        with pytest.raises(ValueError, match="not a cocone"):
+            factor_from_colim(col, blocks, rows)
+        return
+    got = factor_from_colim(col, blocks, rows)
+    assert got == old.T
+    if cocone:
+        assert got == g
+
+
+@given(restrictions(), st.booleans(), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_factor_into_lim_agrees_with_solve(case, cone, cols):
+    """Dual: the selected factor equals solve(incl, stacked)."""
+    m, subset, rng = case
+    lim = lim_over(m, subset)
+    if cone:
+        g = _random_matrix(rng, m.field, lim.dim, cols)
+        blocks = {x: lim.legs[x] @ g for x in lim.nodes}
+    else:
+        blocks = {x: _random_matrix(rng, m.field, m.dims[x], cols) for x in lim.nodes}
+    old = solve(lim.incl, vstack(m.field, [blocks[x] for x in lim.nodes], cols=cols))
+    if old is None:
+        assert not cone
+        with pytest.raises(ValueError, match="not a cone"):
+            factor_into_lim(lim, blocks, cols)
+        return
+    got = factor_into_lim(lim, blocks, cols)
+    assert got == old
+    if cone:
+        assert got == g
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ])
+def test_factor_rejects_a_non_cocone_and_a_non_cone(field):
+    m = _edge_module(field)  # x -> y, the identity on a line
+    one, zero = Mat.eye(field, 1), Mat.zeros(field, 1, 1)
+    col, lim = colim_over(m, [0, 1]), lim_over(m, [0, 1])
+    assert factor_from_colim(col, {0: one, 1: one}, 1) == one
+    assert factor_into_lim(lim, {0: one, 1: one}, 1) == one
+    with pytest.raises(ValueError, match="family is not a cocone"):
+        factor_from_colim(col, {0: one, 1: zero}, 1)  # the leg at y does not extend x's
+    with pytest.raises(ValueError, match="family is not a cone"):
+        factor_into_lim(lim, {0: one, 1: zero}, 1)
+    # a zero (co)limit: only the zero family factors through it
+    dead = PersistenceModule(FinitePoset.chain(["x", "y"]), field, [1, 0], {})
+    assert colim_over(dead, [0, 1]).dim == 0
+    with pytest.raises(ValueError, match="family is not a cocone"):
+        factor_from_colim(colim_over(dead, [0, 1]), {0: one, 1: Mat.zeros(field, 1, 0)}, 1)
+    born = PersistenceModule(FinitePoset.chain(["x", "y"]), field, [0, 1], {})
+    assert lim_over(born, [0, 1]).dim == 0
+    with pytest.raises(ValueError, match="family is not a cone"):
+        factor_into_lim(lim_over(born, [0, 1]), {0: Mat.zeros(field, 0, 1), 1: one}, 1)
+
+
+def _same_result(a, b) -> bool:
+    return (type(a) is type(b) and a.nodes == b.nodes and a.offsets == b.offsets
+            and a.total == b.total and a.dim == b.dim and a.free == b.free
+            and a.legs.keys() == b.legs.keys() and all(a.legs[x] == b.legs[x] for x in a.legs)
+            and (a.proj == b.proj and a.relations == b.relations if isinstance(a, ColimResult)
+                 else a.incl == b.incl))
+
+
+@given(restrictions())
+@settings(max_examples=100, deadline=None)
+def test_memoized_limits_equal_a_fresh_build(case):
+    m, subset, _ = case
+    for over, build in ((colim_over, _colim_diagram), (lim_over, _lim_diagram)):
+        first = over(m, subset)
+        assert over(m, list(reversed(subset))) is first  # one build per node set
+        assert _same_result(first, build(_module_diagram(m, subset)))

@@ -1,9 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from hipm.exactlin import GF2, QQ, FieldSpec, Mat, rref, solve
+from hipm.exactlin import GF2, QQ, Mat
 from hipm.fixtures import bipath_example, grid_example
 from hipm.pmod import (
     ModuleMorphism,
@@ -15,7 +14,6 @@ from hipm.pmod import (
     morphism_preimage,
     pullback_module,
     quotient_by_submodule,
-    submodule_from_bases,
     submodule_full,
     submodule_image,
     submodule_intersection,

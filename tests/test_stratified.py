@@ -128,9 +128,8 @@ def test_report_agrees_with_a_full_scan(K, data):
                                              for i in range(K + 2)]
     scan_yes, scan_no = full_scan(verdicts)
     assert rep.decided == (scan_yes == scan_no + 1)
-    assert (rep.distance_lo, rep.distance, rep.distance_hi) == (
-        left[last_no + 1], left[first_yes], left[first_yes])
-    assert rep.distance_lo <= left[boundary] <= rep.distance_hi  # the true distance
+    assert (rep.distance_lo, rep.distance) == (left[last_no + 1], left[first_yes])
+    assert rep.distance_lo <= left[boundary] <= rep.distance  # the true distance
     if rep.decided:
         assert rep.distance_lo == rep.distance == left[boundary]
         assert "skipped" not in want
