@@ -46,6 +46,7 @@ from .height import (
     format_ext,
     pullback_rho,
     rho_diag,
+    strata,
 )
 from .interleave import (
     DEFAULT_BUDGET,
@@ -54,7 +55,15 @@ from .interleave import (
     find_interleaving,
     shift_oracle_distance,
 )
-from .pmod import PersistenceModule, hom_basis, is_isomorphic, pullback_module, validate_module
+from .pmod import (
+    PersistenceModule,
+    direct_sum,
+    hom_basis,
+    interval_module,
+    is_isomorphic,
+    pullback_module,
+    validate_module,
+)
 from .poset import FinitePoset, PosetError, check_galois_insertion, check_order_map, is_diamond_free
 from .serde import (
     SchemaError,
@@ -400,8 +409,6 @@ def _cmd_repro(args, cfg: RunConfig) -> int:
         elements = ex.poset.elements
         got_L = {e: aL.module.dims[i] for i, e in enumerate(elements)}
         got_R = {e: aR.module.dims[i] for i, e in enumerate(elements)}
-        from .pmod import direct_sum, interval_module
-
         L_dec = direct_sum(
             direct_sum(interval_module(ex.poset, ex.J1, cfg.field),
                        interval_module(ex.poset, ["v_1_2"], cfg.field)),
@@ -448,14 +455,12 @@ def _cmd_repro(args, cfg: RunConfig) -> int:
         M = ex.M
         M1 = apply_L(ex.rho, 1, M).module
         N = apply_L(ex.rho, 1, M1).module
-        from .height import strata as _strata
-
         hom_dims = {}
-        for st in _strata(ex.rho):
+        for st in strata(ex.rho):
             Lr = apply_L(ex.rho, st.rep, M).module
             hom_dims[str(st.rep)] = len(hom_basis(Lr, N))
         e_nonzero = {str(st.rep): not e_r(ex.rho, st.rep, M).is_zero()
-                     for st in _strata(ex.rho)}
+                     for st in strata(ex.rho)}
         dMN = distance(ex.rho, M, N, budget=cfg.budget)
         dMM1 = distance(ex.rho, M, M1, budget=cfg.budget)
         dM1N = distance(ex.rho, M1, N, budget=cfg.budget)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .exactlin import FieldSpec, Mat, hstack, image_basis, kernel_basis, solve, vstack
+from .exactlin import FieldSpec, Mat, hstack, image_basis, kernel_basis, quotient_map, solve, vstack
 from .height import HeightDiff
 from .functors import eta_L_to_id, eta_R_from_id, erosion_E, flat, im_r, ker_r, sharp
 from .interleave import DEFAULT_BUDGET, Certificate, StrataReport, find_interleaving, stratified_report
@@ -231,8 +231,6 @@ def _all_rref_subspaces(fieldspec: FieldSpec, n: int) -> List[Mat]:
 def _subspaces_between(fieldspec: FieldSpec, lower: Mat, upper: Mat) -> List[Mat]:
     """All subspaces W with span(lower) <= W <= span(upper), as bases in the
     ambient coordinates (`upper` columns live in the ambient, `lower` inside it)."""
-    from .exactlin import quotient_map
-
     inside = solve(upper, lower)
     if inside is None:
         raise ValueError("lower subspace must sit inside the upper one")

@@ -173,7 +173,7 @@ class Mat:
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other: "Mat") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("field mismatch")
 
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -220,7 +220,7 @@ class Mat:
         if not isinstance(other, Mat):
             return NotImplemented
         return (
-            self.field == other.field
+            (self.field is other.field or self.field == other.field)
             and self.a.shape == other.a.shape
             and bool(np.all(self.a == other.a))
         )
@@ -363,7 +363,7 @@ def image_basis(m: Mat) -> Mat:
 
 def solve(a: Mat, b: Mat) -> Optional[Mat]:
     """One exact solution X of a @ X = b, free variables set to zero; None if inconsistent."""
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise ValueError("field mismatch")
     if a.rows != b.rows:
         raise ValueError(f"row mismatch: {a.rows} vs {b.rows}")

@@ -523,7 +523,7 @@ def erosion_E(rho: HeightDiff, r, m: PersistenceModule, verify: bool = True) -> 
     comps = [solve(sub.bases[a], e.components[a]) for a in range(len(m.poset))]
     if any(c is None for c in comps):
         raise AssertionError("erosion image must factor its own defining map")
-    proj = ModuleMorphism(e.source, sub.module, comps, check=False)
+    proj = ModuleMorphism(e.source, sub.module, comps)
     if verify:
         _verify_erosion_subquotient(rho, r, m, sub)
     return ErosionResult(sub.module, sub, proj, sub.incl)

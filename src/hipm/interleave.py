@@ -63,12 +63,14 @@ class Certificate:
 
 def check_certificate(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
                       p: ModuleMorphism, q: ModuleMorphism) -> bool:
-    """Verify e_{r,M} = q o p# and e_{r,N} = p o q# as exact matrix identities."""
+    """Verify naturality of p and q, then e_{r,M} = q o p# and e_{r,N} = p o q# exactly."""
     r = Fraction(r)
     if p.target.key() != apply_R(rho, r, n).module.key():
         raise ValueError("p must land in the r-matching module of n")
     if q.target.key() != apply_R(rho, r, m).module.key():
         raise ValueError("q must land in the r-matching module of m")
+    if p.naturality_violations() or q.naturality_violations():
+        return False
     ps = sharp(rho, r, n, p)
     qs = sharp(rho, r, m, q)
     return q.compose(ps) == e_r(rho, r, m) and p.compose(qs) == e_r(rho, r, n)
@@ -348,7 +350,7 @@ def _shift_e(m: PersistenceModule, k: int, lm: PersistenceModule, rm: Persistenc
             comps.append(m.map_for_idx(lo, hi))
         else:
             comps.append(Mat.zeros(m.field, rm.dims[a], lm.dims[a]))
-    return ModuleMorphism(lm, rm, comps, check=False)
+    return ModuleMorphism(lm, rm, comps)
 
 
 def _shift_sharp(p: ModuleMorphism, k: int, lm_src: PersistenceModule,
@@ -363,7 +365,7 @@ def _shift_sharp(p: ModuleMorphism, k: int, lm_src: PersistenceModule,
             comps.append(p.components[lo])
         else:
             comps.append(Mat.zeros(p.source.field, tgt.dims[a], lm_src.dims[a]))
-    return ModuleMorphism(lm_src, tgt, comps, check=False)
+    return ModuleMorphism(lm_src, tgt, comps)
 
 
 def _shift_interleaving(m: PersistenceModule, n: PersistenceModule, k: int,

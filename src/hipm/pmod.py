@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactlin import FieldSpec, Mat, image_basis, kernel_basis, rref, solve
+from .exactlin import FieldSpec, Mat, hstack, image_basis, kernel_basis, quotient_map, rref, solve, vstack
 from .poset import FinitePoset, OrderMap, PosetError
 
 __all__ = [
@@ -184,12 +184,15 @@ def pullback_module(f: OrderMap, m: PersistenceModule) -> PersistenceModule:
 
 
 class ModuleMorphism:
-    """A natural transformation: one matrix per element, commuting with the structure maps."""
+    """A natural transformation: one matrix per element, commuting with the structure maps.
+
+    The constructor checks shapes only: the morphisms hipm builds are natural by construction,
+    and `serde.load_morphism` and `interleave.check_certificate` check those from outside."""
 
     __slots__ = ("source", "target", "components")
 
     def __init__(self, source: PersistenceModule, target: PersistenceModule,
-                 components: Sequence[Mat], check: bool = True):
+                 components: Sequence[Mat]):
         self.source = source
         self.target = target
         self.components = tuple(components)
@@ -201,12 +204,9 @@ class ModuleMorphism:
                     f"component at {source.poset.elements[i]!r} has shape "
                     f"{(c.rows, c.cols)}, expected {(target.dims[i], source.dims[i])}"
                 )
-        if check:
-            bad = self.naturality_violations()
-            if bad:
-                raise ValueError(f"naturality fails on cover {bad[0]}")
 
     def naturality_violations(self) -> List[Tuple[str, str]]:
+        """The covers (lower, upper) on which the components fail to commute."""
         bad = []
         P = self.source.poset
         for (a, b) in P.covers:
@@ -224,19 +224,18 @@ class ModuleMorphism:
         if other.target is not self.source and other.target.key() != self.source.key():
             raise ValueError("composition source/target mismatch")
         comps = [self.components[i] @ other.components[i] for i in range(len(self.components))]
-        return ModuleMorphism(other.source, self.target, comps, check=False)
+        return ModuleMorphism(other.source, self.target, comps)
 
     def __add__(self, other: "ModuleMorphism") -> "ModuleMorphism":
         comps = [a + b for a, b in zip(self.components, other.components)]
-        return ModuleMorphism(self.source, self.target, comps, check=False)
+        return ModuleMorphism(self.source, self.target, comps)
 
     def __sub__(self, other: "ModuleMorphism") -> "ModuleMorphism":
         comps = [a - b for a, b in zip(self.components, other.components)]
-        return ModuleMorphism(self.source, self.target, comps, check=False)
+        return ModuleMorphism(self.source, self.target, comps)
 
     def scale(self, x) -> "ModuleMorphism":
-        return ModuleMorphism(self.source, self.target,
-                              [c.scale(x) for c in self.components], check=False)
+        return ModuleMorphism(self.source, self.target, [c.scale(x) for c in self.components])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleMorphism):
@@ -254,12 +253,11 @@ class ModuleMorphism:
 
     @staticmethod
     def identity(m: PersistenceModule) -> "ModuleMorphism":
-        return ModuleMorphism(m, m, [Mat.eye(m.field, d) for d in m.dims], check=False)
+        return ModuleMorphism(m, m, [Mat.eye(m.field, d) for d in m.dims])
 
     @staticmethod
     def zero(m: PersistenceModule, n: PersistenceModule) -> "ModuleMorphism":
-        return ModuleMorphism(m, n, [Mat.zeros(m.field, dn, dm) for dm, dn in zip(m.dims, n.dims)],
-                              check=False)
+        return ModuleMorphism(m, n, [Mat.zeros(m.field, dn, dm) for dm, dn in zip(m.dims, n.dims)])
 
     def __repr__(self):
         return f"ModuleMorphism({list(self.source.dims)} -> {list(self.target.dims)})"
@@ -306,8 +304,6 @@ def hom_basis(m: PersistenceModule, n: PersistenceModule) -> List[ModuleMorphism
                     block.a[eq, ob + r * m.dims[b] + k] = v % F.p if F.is_prime_field else v
         rows.append(block)
     if rows:
-        from .exactlin import vstack
-
         system = vstack(F, rows, cols=total)
     else:
         system = Mat.zeros(F, 0, total)
@@ -321,7 +317,7 @@ def hom_basis(m: PersistenceModule, n: PersistenceModule) -> List[ModuleMorphism
             if sa:
                 comp.a[:, :] = kern.a[oa : oa + sa, j].reshape(n.dims[i], m.dims[i])
             comps.append(comp)
-        basis.append(ModuleMorphism(m, n, comps, check=False))
+        basis.append(ModuleMorphism(m, n, comps))
     return basis
 
 
@@ -369,7 +365,7 @@ def submodule_from_bases(parent: PersistenceModule, bases: Sequence[Mat]) -> Sub
             )
         maps[(a, b)] = w
     module = PersistenceModule(P, F, [c.cols for c in canon], maps)
-    incl = ModuleMorphism(module, parent, list(canon), check=False)
+    incl = ModuleMorphism(module, parent, list(canon))
     return Submodule(parent, tuple(canon), module, incl)
 
 
@@ -392,8 +388,6 @@ def submodule_zero(m: PersistenceModule) -> Submodule:
 
 
 def submodule_sum(s1: Submodule, s2: Submodule) -> Submodule:
-    from .exactlin import hstack
-
     bases = [
         hstack(s1.parent.field, [s1.bases[i], s2.bases[i]], rows=s1.parent.dims[i])
         for i in range(len(s1.bases))
@@ -403,8 +397,6 @@ def submodule_sum(s1: Submodule, s2: Submodule) -> Submodule:
 
 def submodule_intersection(s1: Submodule, s2: Submodule) -> Submodule:
     """Pointwise intersection of spans (closed whenever both inputs are)."""
-    from .exactlin import hstack
-
     F = s1.parent.field
     bases = []
     for i in range(len(s1.bases)):
@@ -418,8 +410,6 @@ def submodule_intersection(s1: Submodule, s2: Submodule) -> Submodule:
 
 def morphism_preimage(f: ModuleMorphism, target_sub: Submodule) -> Submodule:
     """The preimage f^{-1}(target_sub) as a submodule of f.source (always closed)."""
-    from .exactlin import quotient_map
-
     F = f.source.field
     bases = []
     for i in range(len(f.source.poset)):
@@ -439,8 +429,6 @@ def _factor_through_surjection(q: Mat, rhs: Mat) -> Mat:
 def quotient_by_submodule(big: Submodule, small: Submodule) -> Tuple[PersistenceModule, ModuleMorphism]:
     """The quotient module big/small (small must sit inside big) and the
     projection big.module -> quotient."""
-    from .exactlin import quotient_map
-
     F = big.parent.field
     P = big.parent.poset
     projs = []
@@ -459,7 +447,7 @@ def quotient_by_submodule(big: Submodule, small: Submodule) -> Tuple[Persistence
         rhs = projs[b] @ big.module.maps[(a, b)]
         maps[(a, b)] = _factor_through_surjection(projs[a], rhs)
     quot = PersistenceModule(P, F, dims, maps)
-    proj = ModuleMorphism(big.module, quot, projs, check=False)
+    proj = ModuleMorphism(big.module, quot, projs)
     return quot, proj
 
 

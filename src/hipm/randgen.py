@@ -1,4 +1,4 @@
-"""Seeded random instance generators used by the property suites and scripts.
+"""Seeded random instance generators for the property suites, the golden corpus and the benchmark.
 
 Random modules are built as direct sums of interval modules twisted by random
 basis changes at every element: this guarantees functoriality on any poset
@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .exactlin import FieldSpec, Mat, rref
+from .exactlin import FieldSpec, Mat, rref, solve
 from .height import HeightFunction
 from .pmod import ModuleMorphism, PersistenceModule, direct_sum, interval_module, zero_module
 from .poset import FinitePoset
@@ -103,8 +103,6 @@ def random_conjugate(rng: random.Random, m: PersistenceModule) -> PersistenceMod
     P = m.poset
     bases = [random_invertible(rng, m.field, d) for d in m.dims]
     inverses = []
-    from .exactlin import solve
-
     for b in bases:
         inv = solve(b, Mat.eye(m.field, b.rows))
         inverses.append(inv)

@@ -156,13 +156,22 @@ def _exact(parse: Callable[[Any], Any], v: Any, location: str):
                       location)
 
 
+def _matrix(fieldspec: FieldSpec, rows: Any, want_rows: int, want_cols: int, location: str) -> Mat:
+    """An exact want_rows x want_cols matrix from a JSON list of rows."""
+    if (not isinstance(rows, list) or len(rows) != want_rows
+            or any(not isinstance(r, list) or len(r) != want_cols for r in rows)):
+        raise SchemaError(f"matrix must be {want_rows}x{want_cols}", location)
+    parse = int if fieldspec.is_prime_field else Fraction
+    return Mat.from_rows(fieldspec, [[_exact(parse, v, location) for v in r] for r in rows],
+                         cols=want_cols)
+
+
 def load_module(doc: Dict[str, Any], poset: FinitePoset,
                 default_field: Optional[FieldSpec] = None) -> PersistenceModule:
     """{"field": ..., "dims": {"a": 1, ...}, "maps": {"a|b": [[...]], ...}}."""
     fieldspec = parse_field(doc["field"]) if "field" in doc else default_field
     if fieldspec is None:
         raise SchemaError("module needs a field", "$.field")
-    parse = int if fieldspec.is_prime_field else Fraction
     dims_doc = doc.get("dims", {})
     dims = []
     for e in poset.elements:
@@ -178,14 +187,7 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
         a, b = poset.idx(lo), poset.idx(hi)
         if (a, b) not in dict.fromkeys(poset.covers):
             raise SchemaError(f"({lo!r}, {hi!r}) is not a cover", f"$.maps[{key!r}]")
-        want_rows, want_cols = dims[b], dims[a]
-        if len(rows) != want_rows or any(len(r) != want_cols for r in rows):
-            raise SchemaError(
-                f"matrix must be {want_rows}x{want_cols}", f"$.maps[{key!r}]"
-            )
-        where = f"$.maps[{key!r}]"
-        maps[(a, b)] = Mat.from_rows(
-            fieldspec, [[_exact(parse, v, where) for v in r] for r in rows], cols=want_cols)
+        maps[(a, b)] = _matrix(fieldspec, rows, dims[b], dims[a], f"$.maps[{key!r}]")
     return PersistenceModule(poset, fieldspec, dims, maps)
 
 
@@ -204,21 +206,19 @@ def module_to_json(m: PersistenceModule) -> Dict[str, Any]:
 
 def load_morphism(doc: Dict[str, Any], source: PersistenceModule,
                   target: PersistenceModule) -> ModuleMorphism:
-    """{"components": {"a": [[...]], ...}}; omitted elements mean zero blocks."""
+    """{"components": {"a": [[...]], ...}}; omitted elements mean zero blocks; checked natural."""
     comps = []
     table = doc.get("components", {})
-    parse = int if source.field.is_prime_field else Fraction
     for i, e in enumerate(source.poset.elements):
         rows = table.get(e)
-        if rows is None:
-            comps.append(Mat.zeros(source.field, target.dims[i], source.dims[i]))
-        else:
-            comps.append(Mat.from_rows(
-                source.field,
-                [[_exact(parse, v, f"$.components[{e!r}]") for v in r] for r in rows],
-                cols=source.dims[i],
-            ))
-    return ModuleMorphism(source, target, comps)
+        shape = (target.dims[i], source.dims[i])
+        comps.append(Mat.zeros(source.field, *shape) if rows is None
+                     else _matrix(source.field, rows, *shape, f"$.components[{e!r}]"))
+    mor = ModuleMorphism(source, target, comps)
+    bad = mor.naturality_violations()
+    if bad:
+        raise SchemaError(f"naturality fails on cover {bad[0]}", "$.components")
+    return mor
 
 
 def morphism_to_json(f: ModuleMorphism) -> Dict[str, Any]:

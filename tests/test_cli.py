@@ -356,6 +356,15 @@ def test_cli_rejects_a_non_integer_entry_over_gfp(capsys, chain_files, tmp_path,
     assert code == 1 and "a|b" in err and repr(entry) in err
 
 
+@pytest.mark.parametrize("rows", [5, [1]], ids=["not-a-list", "row-not-a-list"])
+def test_cli_rejects_a_map_that_is_not_a_matrix(capsys, chain_files, tmp_path, rows):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"field": "gf2", "dims": {"a": 1, "b": 1}, "maps": {"a|b": rows}}))
+    chain_files["bad"] = bad
+    code, err = _error(capsys, _distance_argv(chain_files, "bad"))
+    assert code == 1 and "maps['a|b']: matrix must be 1x1" in err
+
+
 @pytest.mark.parametrize("dim", [-1, 1.5])
 def test_cli_rejects_a_bad_dimension(capsys, chain_files, tmp_path, dim):
     bad = tmp_path / "bad.json"

@@ -164,6 +164,7 @@ def test_chain_printed_transposes():
     rm = apply_R(rho, 1, ce.M).module
     f = ModuleMorphism(ce.M, rx, [one, one, z01, z01])
     g = ModuleMorphism(ce.X, rm, [one, one, one, Mat.zeros(GF2, 0, 0)])
+    assert f.naturality_violations() == g.naturality_violations() == []
     fs = sharp(rho, 1, ce.X, f)
     gs = sharp(rho, 1, ce.M, g)
     # the printed mates: f# has components (0, 1, 1, 1) placed L_eps M -> X
@@ -326,6 +327,7 @@ def test_erosion_preserves_mono_epi(rng):
         m = random_module(rng, p, GF2, 2)
         x = random_module(rng, p, GF2, 1)
         mono, epi = random_mono_epi(rng, m, x)
+        assert mono.naturality_violations() == epi.naturality_violations() == []
         for f, check in [(mono, "mono"), (epi, "epi")]:
             ea = erosion_E(rho, 1, f.source, verify=False)
             eb = erosion_E(rho, 1, f.target, verify=False)

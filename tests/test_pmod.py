@@ -4,6 +4,8 @@ import pytest
 
 from hipm.exactlin import GF2, QQ, Mat
 from hipm.fixtures import bipath_example, grid_example
+from hipm.functors import apply_R
+from hipm.interleave import check_certificate
 from hipm.pmod import (
     ModuleMorphism,
     PersistenceModule,
@@ -25,6 +27,7 @@ from hipm.pmod import (
 )
 from hipm.poset import FinitePoset, OrderMap, PosetError
 from hipm.randgen import random_module, random_poset
+from hipm.serde import SchemaError, load_morphism, morphism_to_json
 
 
 def test_grid_example_module_valid():
@@ -152,12 +155,29 @@ def test_is_isomorphic_rational_verify_only(chain4):
     assert is_isomorphic(kab, kab).verdict == "yes"
 
 
-def test_morphism_naturality_enforced(chain4):
+def test_morphism_naturality_enforced(chain4, chain4_rho):
+    """The constructor does not check naturality; the trust boundary does.
+    R_0 N is N on this chain, so the same bad components also form a p: M -> R_0 N."""
     m = interval_module(chain4, ["a", "b", "c", "d"], GF2)
     n = interval_module(chain4, ["a", "b"], GF2)
-    with pytest.raises(ValueError, match="naturality"):
-        ModuleMorphism(m, n, [Mat.zeros(GF2, 1, 1), Mat.eye(GF2, 1),
-                              Mat.zeros(GF2, 0, 1), Mat.zeros(GF2, 0, 1)])
+    rn = apply_R(chain4_rho, 0, n).module
+    assert rn.key() == n.key()
+    p = ModuleMorphism(m, rn, [Mat.zeros(GF2, 1, 1), Mat.eye(GF2, 1),
+                               Mat.zeros(GF2, 0, 1), Mat.zeros(GF2, 0, 1)])
+    assert p.naturality_violations() == [("a", "b")]
+    with pytest.raises(SchemaError, match=r"\$\.components: naturality fails on cover \('a', 'b'\)"):
+        load_morphism(morphism_to_json(p), m, rn)
+    q = ModuleMorphism.zero(n, apply_R(chain4_rho, 0, m).module)
+    assert not check_certificate(chain4_rho, 0, m, n, p, q)
+
+
+@pytest.mark.parametrize("rows", [[[1], [0, 1]], [[1, 0]], 5],
+                         ids=["ragged", "wrong-size", "not-a-list"])
+def test_load_morphism_component_shape(chain4, rows):
+    m = interval_module(chain4, ["a", "b", "c", "d"], GF2)
+    n = direct_sum(m, m)
+    with pytest.raises(SchemaError, match=r"\$\.components\['b'\]: matrix must be 2x1"):
+        load_morphism({"components": {"b": rows}}, m, n)
 
 
 def test_submodule_operations(chain4, rng):
@@ -178,6 +198,7 @@ def test_submodule_image_kernel(chain4):
     n = interval_module(chain4, ["a", "b"], GF2)
     f = ModuleMorphism(m, n, [Mat.eye(GF2, 1), Mat.eye(GF2, 1),
                               Mat.zeros(GF2, 0, 1), Mat.zeros(GF2, 0, 1)])
+    assert f.naturality_violations() == []
     img = submodule_image(f)
     assert [b.cols for b in img.bases] == [1, 1, 0, 0]
     ker = submodule_kernel(f)
