@@ -62,6 +62,7 @@ from .interleave import (
 from .kan import check_universal, colim_induced, colim_over, fubini_compare, lim_induced, lim_over
 from .pmod import (
     ModuleMorphism,
+    MorphismStack,
     PersistenceModule,
     direct_sum,
     hom_basis,

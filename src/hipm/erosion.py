@@ -50,13 +50,15 @@ class ErosionNeighborhoodError(ValueError):
 @dataclass
 class Subquotient:
     """M1/M2 with its witnesses: both submodules of the parent, the quotient
-    module, and the projection from M1's abstract module."""
+    module, the projection from M1's abstract module and, per element, the
+    coordinates where the projection is the identity."""
 
     parent: PersistenceModule
     sub1: Submodule
     sub2: Submodule
     quotient: PersistenceModule
     proj: ModuleMorphism
+    free: Tuple[Tuple[int, ...], ...]
     r: Fraction
 
 
@@ -81,8 +83,8 @@ def en_construct(rho: HeightDiff, r, m: PersistenceModule,
         if solve(kerr.bases[i], m2.bases[i]) is None:
             raise ErosionNeighborhoodError(
                 f"M2 not inside the matching kernel at {P.elements[i]!r}")
-    quot, proj = quotient_by_submodule(m1, m2)
-    return Subquotient(m, m1, m2, quot, proj, r)
+    quot, proj, free = quotient_by_submodule(m1, m2)
+    return Subquotient(m, m1, m2, quot, proj, free, r)
 
 
 def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
@@ -157,7 +159,7 @@ def en_interleaving_certificate(rho: HeightDiff, r, m: PersistenceModule,
                 f"latching image escapes M1 at {P.elements[i]!r}")
         alpha_comps.append(sq.proj.components[i] @ into_m1)
         beta_comps.append(
-            _factor_through_surjection(sq.proj.components[i],
+            _factor_through_surjection(sq.proj.components[i], sq.free[i],
                                        etaR.components[i] @ sq.sub1.bases[i])
         )
     alpha = ModuleMorphism(etaL.source, sq.quotient, alpha_comps)
@@ -234,7 +236,8 @@ def _subspaces_between(fieldspec: FieldSpec, lower: Mat, upper: Mat) -> List[Mat
     inside = solve(upper, lower)
     if inside is None:
         raise ValueError("lower subspace must sit inside the upper one")
-    q, d = quotient_map(fieldspec, upper.cols, inside)
+    q, free = quotient_map(fieldspec, upper.cols, inside)
+    d = len(free)
     section = solve(q, Mat.eye(fieldspec, d))
     out = []
     for w in _all_rref_subspaces(fieldspec, d):

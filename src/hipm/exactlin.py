@@ -26,6 +26,8 @@ __all__ = [
     "RrefResult",
     "kernel_basis",
     "image_basis",
+    "stacked_matmul",
+    "zeros",
     "solve",
     "compressed_family",
     "batch_consistent",
@@ -132,11 +134,7 @@ class Mat:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Mat":
-        if field.is_prime_field:
-            return cls._canonical(field, np.zeros((rows, cols), dtype=np.int64))
-        a = np.empty((rows, cols), dtype=object)
-        a[:] = Fraction(0)
-        return cls._canonical(field, a)
+        return cls._canonical(field, zeros(field, (rows, cols)))
 
     @classmethod
     def eye(cls, field: FieldSpec, n: int) -> "Mat":
@@ -178,16 +176,7 @@ class Mat:
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check(other)
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.a.shape} @ {other.a.shape}")
-        if self.cols > _MAX_INNER:
-            raise ValueError("inner dimension exceeds supported bound")
-        if self.cols == 0:
-            return Mat.zeros(self.field, self.rows, other.cols)
-        c = np.dot(self.a, other.a)
-        if self.field.is_prime_field:
-            c = c % self.field.p
-        return Mat._canonical(self.field, c)
+        return Mat._canonical(self.field, stacked_matmul(self.field, self.a, other.a))
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check(other)
@@ -265,6 +254,36 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self.rows}x{self.cols} over {self.field.kind}{self.field.p or ''})"
+
+
+def zeros(field: FieldSpec, shape: tuple) -> np.ndarray:
+    """The canonical zero array of any shape: int64 zeros, or Fraction(0) objects."""
+    if field.is_prime_field:
+        return np.zeros(shape, dtype=np.int64)
+    a = np.empty(shape, dtype=object)
+    a[...] = Fraction(0)
+    return a
+
+
+def stacked_matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over `field` for canonical arrays, stacked as np.matmul broadcasts them.
+
+    Every product over GF(p) goes through here: the inner dimension is capped at
+    _MAX_INNER, so no int64 sum of products overflows, and the result is reduced
+    mod p.  An empty inner dimension gives `zeros` (np.matmul gives int 0 on
+    object arrays).
+    """
+    inner = a.shape[-1]
+    if inner != b.shape[-2]:
+        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    if inner > _MAX_INNER:
+        raise ValueError("inner dimension exceeds supported bound")
+    c = np.dot(a, b) if a.ndim == b.ndim == 2 else np.matmul(a, b)  # dot: less call overhead
+    if field.is_prime_field:
+        c %= field.p
+    elif inner == 0:
+        c = zeros(field, c.shape)
+    return c
 
 
 def hstack(field: FieldSpec, mats: Sequence[Mat], rows: Optional[int] = None) -> Mat:
@@ -444,12 +463,13 @@ def batch_consistent(stack: np.ndarray, p: int) -> np.ndarray:
 
 
 def quotient_map(field: FieldSpec, ambient_dim: int, subspace: Mat) -> tuple:
-    """Surjection q onto ambient/span(columns of subspace), plus the quotient dimension.
+    """Surjection q onto ambient/span(columns of subspace), plus its free coordinates.
 
     q is kernel_basis(subspace.T) transposed: it reads off the coordinates that
-    are not pivots of the subspace's rref, so ker q = the span.
+    are not pivots of the subspace's rref, so ker q = the span.  Returns
+    (q, free) with q[:, free] the identity; the quotient dimension is len(free).
     """
     if subspace.rows != ambient_dim:
         raise ValueError("subspace columns must live in the ambient dimension")
     basis, free = _null_space(subspace.T)
-    return basis.T, len(free)
+    return basis.T, free

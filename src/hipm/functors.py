@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .exactlin import Mat, rref, solve
+import numpy as np
+
+from .exactlin import Mat, rref, solve, stacked_matmul, zeros
 from .height import (
     HeightDiff,
     check_ivc,
@@ -24,9 +26,17 @@ from .height import (
     nbhd_up_idx,
     pullback_rho,
 )
-from .kan import ColimResult, colim_over, factor_from_colim, factor_into_lim, lim_over
+from .kan import (
+    ColimResult,
+    colim_over,
+    factor_from_colim,
+    factor_into_lim,
+    factor_stack_from_colim,
+    lim_over,
+)
 from .pmod import (
     ModuleMorphism,
+    MorphismStack,
     PersistenceModule,
     Submodule,
     pullback_module,
@@ -331,19 +341,32 @@ def mu_R(rho: HeightDiff, r, s, m: PersistenceModule) -> ModuleMorphism:
 # ---------------------------------------------------------------------------
 
 
-def sharp(rho: HeightDiff, r, n: PersistenceModule, g: ModuleMorphism) -> ModuleMorphism:
-    """Transpose a morphism M -> R_r N to its adjoint L_r M -> N."""
+def sharp(rho: HeightDiff, r, n: PersistenceModule,
+          g: ModuleMorphism | MorphismStack) -> ModuleMorphism | MorphismStack:
+    """Transpose morphisms M -> R_r N to their adjoints L_r M -> N.
+
+    `g` is a MorphismStack (a whole Hom basis, say), whose transposes come back
+    as a MorphismStack, or one ModuleMorphism, transposed as a stack of one.
+    Per element a, the cocone family of all h morphisms is one batched matmul
+    per node x, legs[a] @ stack[x], and the factors are read off the
+    colimit's free coordinates at once (`factor_stack_from_colim`).
+    """
     r = _r(r)
-    m = g.source
+    stack = g if isinstance(g, MorphismStack) else MorphismStack.of(g)
+    m = stack.source
     app_l = apply_L(rho, r, m)
     app_r = apply_R(rho, r, n)
-    if g.target.key() != app_r.module.key():
+    if stack.target.key() != app_r.module.key():
         raise ValueError("target of g is not the r-matching module of n")
-    comps = []
+    F, h = m.field, len(stack)
+    out = []
     for a in range(len(m.poset)):
-        blocks = {x: app_r.data[x].legs[a] @ g.components[x] for x in app_l.data[a].nodes}
-        comps.append(factor_from_colim(app_l.data[a], blocks, n.dims[a]))
-    return ModuleMorphism(app_l.module, n, comps)
+        col = app_l.data[a]
+        family = [stacked_matmul(F, app_r.data[x].legs[a].a, stack.stacks[x]) for x in col.nodes]
+        stacked = np.concatenate(family, axis=2) if family else zeros(F, (h, n.dims[a], 0))
+        out.append(factor_stack_from_colim(col, stacked))
+    res = MorphismStack(app_l.module, n, h, out)
+    return res if stack is g else res[0]
 
 
 def flat(rho: HeightDiff, r, m: PersistenceModule, f: ModuleMorphism) -> ModuleMorphism:
@@ -533,7 +556,7 @@ def _verify_erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule, esub: 
     imr = im_r(rho, r, m)
     kerr = ker_r(rho, r, m)
     inter = submodule_intersection(imr, kerr)
-    quot, proj = quotient_by_submodule(imr, inter)
+    _, proj, _ = quotient_by_submodule(imr, inter)
     eta_r_mor = eta_R_from_id(rho, r, m)
     for a in range(len(m.poset)):
         # canonical map im_r -> erosion: push the image generators through M -> R_rM

@@ -17,20 +17,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .exactlin import Mat, batch_consistent, compressed_family, solve
+from .exactlin import Mat, batch_consistent, compressed_family, solve, stacked_matmul, zeros
 from .height import INF, ExtVal, HeightDiff, Stratum, format_ext, rho_diag, strata
 from .functors import apply_R, e_r, sharp
-from .pmod import (
-    ModuleMorphism,
-    PersistenceModule,
-    hom_basis,
-    is_isomorphic,
-    morphism_from_coeffs,
-)
+from .pmod import ModuleMorphism, MorphismStack, PersistenceModule, hom_basis, is_isomorphic
 from .poset import PosetError
 
 __all__ = [
@@ -90,26 +84,26 @@ def _vec_of(mor: ModuleMorphism) -> np.ndarray:
     return np.zeros(0, dtype=np.int64)
 
 
-def _bilinear_tensor(p_basis: Sequence[ModuleMorphism], q_basis: Sequence[ModuleMorphism],
-                     p_sharps: Sequence[ModuleMorphism], q_sharps: Sequence[ModuleMorphism],
+def _bilinear_tensor(p_basis: MorphismStack, q_basis: MorphismStack,
+                     p_sharps: MorphismStack, q_sharps: MorphismStack,
                      em: ModuleMorphism, en: ModuleMorphism, F) -> Tuple[np.ndarray, np.ndarray]:
     """tensor[j, i, :] and rhs, laid out like `_vec_of`, of the two identities
-    sum_{i,j} c_i d_j Q_j o P_i# = e_m and sum_{i,j} c_i d_j P_i o Q_j# = e_n."""
+    sum_{i,j} c_i d_j Q_j o P_i# = e_m and sum_{i,j} c_i d_j P_i o Q_j# = e_n.
+
+    The bases and their transposes come as stacks; per element, every composite
+    of one side is one batched matmul of two stacks."""
     rhs = np.concatenate([_vec_of(em), _vec_of(en)])
     h1, h2 = len(p_basis), len(q_basis)
     if not (h1 and h2):
-        return np.zeros((h2, h1, len(rhs)), dtype=np.int64 if F.is_prime_field else object), rhs
+        return zeros(F, (h2, h1, len(rhs))), rhs
 
     def products(left, right, swap):  # per element, every left o right in one matmul
         for a in range(len(em.components)):
-            prod = (np.stack([f.components[a].a for f in left])[:, None]
-                    @ np.stack([f.components[a].a for f in right])[None])
+            prod = stacked_matmul(F, left.stacks[a][:, None], right.stacks[a][None])
             yield (prod.swapaxes(0, 1) if swap else prod).reshape(h2, h1, -1)
 
     tensor = np.concatenate([*products(q_basis, p_sharps, False),
                              *products(p_basis, q_sharps, True)], axis=2)
-    if F.is_prime_field:
-        tensor %= F.p
     return tensor, rhs
 
 
@@ -181,18 +175,13 @@ def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     app_rn = apply_R(rho, r, n)
     p_basis = hom_basis(m, app_rn.module)
     q_basis = hom_basis(n, app_rm.module)
-    tensor, rhs = _bilinear_tensor(p_basis, q_basis,
-                                   [sharp(rho, r, n, pb) for pb in p_basis],
-                                   [sharp(rho, r, m, qb) for qb in q_basis],
-                                   e_r(rho, r, m), e_r(rho, r, n), F)
+    tensor, rhs = _bilinear_tensor(p_basis, q_basis, sharp(rho, r, n, p_basis),
+                                   sharp(rho, r, m, q_basis), e_r(rho, r, m), e_r(rho, r, n), F)
     verdict, coeffs, sol, tried = _bilinear_search(tensor, rhs, F, budget)
     if verdict != "yes":
         return InterleaveResult(verdict, candidates_tried=tried)
-    p = (morphism_from_coeffs(p_basis, list(coeffs)) if p_basis
-         else ModuleMorphism.zero(m, app_rn.module))
-    q = (morphism_from_coeffs(q_basis, list(sol.a[:, 0])) if q_basis
-         else ModuleMorphism.zero(n, app_rm.module))
-    return InterleaveResult("yes", Certificate(r, p, q), tried)
+    cert = Certificate(r, p_basis.combine(coeffs), q_basis.combine(sol.a[:, 0]))
+    return InterleaveResult("yes", cert, tried)
 
 
 @dataclass
@@ -353,19 +342,19 @@ def _shift_e(m: PersistenceModule, k: int, lm: PersistenceModule, rm: Persistenc
     return ModuleMorphism(lm, rm, comps)
 
 
-def _shift_sharp(p: ModuleMorphism, k: int, lm_src: PersistenceModule,
-                 tgt: PersistenceModule) -> ModuleMorphism:
-    """Transpose under the shift adjunction: (p#)(a) = p(a - k*diag)."""
+def _shift_sharp(p: MorphismStack, k: int, lm_src: PersistenceModule,
+                 tgt: PersistenceModule) -> MorphismStack:
+    """Transpose a stack under the shift adjunction: (p#)(a) = p(a - k*diag)."""
     G = p.source.poset
     by_coord = {c: i for i, c in G.coords.items()}
-    comps = []
+    stacks = []
     for a in range(len(G)):
         lo = by_coord.get(tuple(x - k for x in G.coords[a]))
         if lo is not None and lm_src.dims[a] > 0:
-            comps.append(p.components[lo])
+            stacks.append(p.stacks[lo])
         else:
-            comps.append(Mat.zeros(p.source.field, tgt.dims[a], lm_src.dims[a]))
-    return ModuleMorphism(lm_src, tgt, comps)
+            stacks.append(zeros(p.source.field, (len(p), tgt.dims[a], lm_src.dims[a])))
+    return MorphismStack(lm_src, tgt, len(p), stacks)
 
 
 def _shift_interleaving(m: PersistenceModule, n: PersistenceModule, k: int,
@@ -377,9 +366,8 @@ def _shift_interleaving(m: PersistenceModule, n: PersistenceModule, k: int,
     ln, rn = _shift_module(n, -k), _shift_module(n, k)
     p_basis = hom_basis(m, rn)
     q_basis = hom_basis(n, rm)
-    tensor, rhs = _bilinear_tensor(p_basis, q_basis,
-                                   [_shift_sharp(pb, k, lm, n) for pb in p_basis],
-                                   [_shift_sharp(qb, k, ln, m) for qb in q_basis],
+    tensor, rhs = _bilinear_tensor(p_basis, q_basis, _shift_sharp(p_basis, k, lm, n),
+                                   _shift_sharp(q_basis, k, ln, m),
                                    _shift_e(m, k, lm, rm), _shift_e(n, k, ln, rn), F)
     return _bilinear_search(tensor, rhs, F, budget)[0]
 

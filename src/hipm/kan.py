@@ -20,7 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactlin import FieldSpec, Mat, _null_space, hstack, kernel_basis, rref, solve, vstack
+import numpy as np
+
+from .exactlin import (
+    FieldSpec,
+    Mat,
+    _null_space,
+    hstack,
+    kernel_basis,
+    rref,
+    solve,
+    stacked_matmul,
+    vstack,
+)
 from .pmod import PersistenceModule
 from .poset import Connectivity, _is_connected_idx
 
@@ -32,6 +44,7 @@ __all__ = [
     "colim_induced",
     "lim_induced",
     "factor_from_colim",
+    "factor_stack_from_colim",
     "factor_into_lim",
     "check_universal",
     "fubini_compare",
@@ -171,12 +184,24 @@ def factor_from_colim(col: ColimResult, blocks: Dict[int, Mat], target_rows: int
     `blocks[x]` must form a cocone; inconsistency raises (it would mean the
     caller's family does not respect the diagram's relations).  The factor is
     the stacked family at the free coordinates, where the projection is the
-    identity.
+    identity: `factor_stack_from_colim` on one family.
     """
     F = col.fieldspec
     stacked = hstack(F, [blocks[x] for x in col.nodes], rows=target_rows)
-    f = stacked.take_cols(col.free)
-    if f @ col.proj != stacked:
+    return Mat._canonical(F, factor_stack_from_colim(col, stacked.a))
+
+
+def factor_stack_from_colim(col: ColimResult, stacked: np.ndarray) -> np.ndarray:
+    """factor_from_colim for a whole stack of families at once.
+
+    `stacked` is an (h, rows, total) array, or one (rows, total) family: each
+    family's blocks side by side in node order.  Returns the (h, rows, dim)
+    (or (rows, dim)) factors, read off the free coordinates.  One batched
+    matmul checks that every family is a cocone, and raises ValueError if one
+    is not.
+    """
+    f = stacked[..., col.free]
+    if not (stacked_matmul(col.fieldspec, f, col.proj.a) == stacked).all():
         raise ValueError("family is not a cocone: no factorization through the colimit")
     return f
 

@@ -9,13 +9,25 @@ outputs reproducible).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .exactlin import FieldSpec, Mat, hstack, image_basis, kernel_basis, quotient_map, rref, solve, vstack
+from .exactlin import (
+    FieldSpec,
+    Mat,
+    hstack,
+    image_basis,
+    kernel_basis,
+    quotient_map,
+    rref,
+    solve,
+    stacked_matmul,
+    vstack,
+)
 from .poset import FinitePoset, OrderMap, PosetError
 
 __all__ = [
@@ -27,6 +39,7 @@ __all__ = [
     "zero_module",
     "direct_sum",
     "pullback_module",
+    "MorphismStack",
     "hom_basis",
     "is_isomorphic",
     "IsoResult",
@@ -273,11 +286,67 @@ def _component_offsets(m: PersistenceModule, n: PersistenceModule) -> List[Tuple
     return offsets
 
 
-def hom_basis(m: PersistenceModule, n: PersistenceModule) -> List[ModuleMorphism]:
-    """Deterministic basis of the space of natural transformations m => n.
+class MorphismStack(Sequence):
+    """h morphisms source -> target, held as one (h, target(a), source(a)) array per element a.
+
+    A read-only sequence: item i is the i-th morphism, built on access.  The
+    stacks are what the transposes and the bilinear search work on, so a whole
+    Hom basis goes through them with one array operation per element.
+    """
+
+    __slots__ = ("source", "target", "stacks", "_h")
+
+    def __init__(self, source: PersistenceModule, target: PersistenceModule,
+                 h: int, stacks: Sequence[np.ndarray]):
+        self.source = source
+        self.target = target
+        self.stacks = tuple(stacks)
+        if len(self.stacks) != len(source.poset):
+            raise ValueError("one stack per element required")
+        for i, s in enumerate(self.stacks):
+            if s.shape != (h, target.dims[i], source.dims[i]):
+                raise ValueError(f"stack at {source.poset.elements[i]!r} has shape {s.shape}, "
+                                 f"expected {(h, target.dims[i], source.dims[i])}")
+            s.flags.writeable = False
+        self._h = h
+
+    @classmethod
+    def of(cls, f: ModuleMorphism) -> "MorphismStack":
+        """The one-element stack [f]."""
+        return cls(f.source, f.target, 1, [c.a[None] for c in f.components])
+
+    def __len__(self) -> int:
+        return self._h
+
+    def __getitem__(self, i: int) -> ModuleMorphism:
+        if not -self._h <= i < self._h:
+            raise IndexError("morphism index out of range")
+        F = self.source.field
+        return ModuleMorphism(self.source, self.target,
+                              [Mat._canonical(F, s[i].copy()) for s in self.stacks])
+
+    def combine(self, coeffs: Sequence) -> ModuleMorphism:
+        """sum_i coeffs[i] * self[i], one matmul per element (the zero map when h = 0)."""
+        F = self.source.field
+        c = np.array([[F.coerce(x) for x in coeffs]], dtype=np.int64 if F.is_prime_field else object)
+        comps = []
+        for s in self.stacks:
+            h, rows, cols = s.shape
+            comps.append(Mat._canonical(F, stacked_matmul(F, c, s.reshape(h, rows * cols))
+                                        .reshape(rows, cols)))
+        return ModuleMorphism(self.source, self.target, comps)
+
+    def __repr__(self):
+        return f"MorphismStack({self._h} x {list(self.source.dims)} -> {list(self.target.dims)})"
+
+
+def hom_basis(m: PersistenceModule, n: PersistenceModule) -> MorphismStack:
+    """Deterministic basis of the space of natural transformations m => n, as a stack.
 
     Solves the stacked linear system of cover naturality equations; for valid
-    modules cover naturality implies naturality on all pairs.
+    modules cover naturality implies naturality on all pairs.  Basis element j is
+    column j of the canonical kernel basis, cut into row-major components; each
+    element's stack is cut from the kernel matrix in one piece.
     """
     if m.poset.key() != n.poset.key() or m.field != n.field:
         raise ValueError("hom requires the same poset and field")
@@ -308,24 +377,10 @@ def hom_basis(m: PersistenceModule, n: PersistenceModule) -> List[ModuleMorphism
     else:
         system = Mat.zeros(F, 0, total)
     kern = kernel_basis(system)
-    basis = []
-    for j in range(kern.cols):
-        comps = []
-        for i in range(len(P)):
-            oa, sa = offsets[i]
-            comp = Mat.zeros(F, n.dims[i], m.dims[i])
-            if sa:
-                comp.a[:, :] = kern.a[oa : oa + sa, j].reshape(n.dims[i], m.dims[i])
-            comps.append(comp)
-        basis.append(ModuleMorphism(m, n, comps))
-    return basis
-
-
-def morphism_from_coeffs(basis: List[ModuleMorphism], coeffs: Sequence) -> ModuleMorphism:
-    out = basis[0].scale(coeffs[0])
-    for b, c in zip(basis[1:], coeffs[1:]):
-        out = out + b.scale(c)
-    return out
+    h = kern.cols
+    stacks = [np.ascontiguousarray(kern.a[oa : oa + sa].T).reshape(h, n.dims[i], m.dims[i])
+              for i, (oa, sa) in enumerate(offsets)]
+    return MorphismStack(m, n, h, stacks)
 
 
 class SubmoduleError(ValueError):
@@ -418,37 +473,40 @@ def morphism_preimage(f: ModuleMorphism, target_sub: Submodule) -> Submodule:
     return submodule_from_bases(f.source, bases)
 
 
-def _factor_through_surjection(q: Mat, rhs: Mat) -> Mat:
-    """Unique X with X @ q = rhs, for surjective q."""
-    sol = solve(q.T, rhs.T)
-    if sol is None:
+def _factor_through_surjection(q: Mat, free: Sequence[int], rhs: Mat) -> Mat:
+    """Unique X with X @ q = rhs, for a surjection q that is the identity on the
+    coordinates `free` (as `quotient_map` returns it): rhs at those coordinates,
+    checked by one matmul."""
+    x = rhs.take_cols(free)
+    if x @ q != rhs:
         raise SubmoduleError("map does not factor through the quotient")
-    return sol.T
+    return x
 
 
-def quotient_by_submodule(big: Submodule, small: Submodule) -> Tuple[PersistenceModule, ModuleMorphism]:
-    """The quotient module big/small (small must sit inside big) and the
-    projection big.module -> quotient."""
+def quotient_by_submodule(big: Submodule, small: Submodule) -> Tuple[PersistenceModule, ModuleMorphism, tuple]:
+    """The quotient module big/small (small must sit inside big), the projection
+    big.module -> quotient, and per element the free coordinates of the projection
+    (`quotient_map`'s), where its component is the identity."""
     F = big.parent.field
     P = big.parent.poset
     projs = []
-    dims = []
+    frees = []
     for i in range(len(P)):
         inside = solve(big.bases[i], small.bases[i])
         if inside is None:
             raise SubmoduleError(
                 f"submodule containment fails at {P.elements[i]!r}"
             )
-        q, d = quotient_map(F, big.bases[i].cols, inside)
+        q, free = quotient_map(F, big.bases[i].cols, inside)
         projs.append(q)
-        dims.append(d)
+        frees.append(free)
     maps = {}
     for (a, b) in P.covers:
         rhs = projs[b] @ big.module.maps[(a, b)]
-        maps[(a, b)] = _factor_through_surjection(projs[a], rhs)
-    quot = PersistenceModule(P, F, dims, maps)
+        maps[(a, b)] = _factor_through_surjection(projs[a], frees[a], rhs)
+    quot = PersistenceModule(P, F, [len(free) for free in frees], maps)
     proj = ModuleMorphism(big.module, quot, projs)
-    return quot, proj
+    return quot, proj, tuple(frees)
 
 
 @dataclass
@@ -479,7 +537,7 @@ def is_isomorphic(m: PersistenceModule, n: PersistenceModule, budget: int = 1 <<
     check_order = [i for i in order if m.dims[i] > 0]
 
     def try_coeffs(coeffs) -> Optional[ModuleMorphism]:
-        cand = morphism_from_coeffs(basis, coeffs)
+        cand = basis.combine(coeffs)
         for i in check_order:
             c = cand.components[i]
             if rref(c).rank != c.rows:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional
 
-from .exactlin import FieldSpec, Mat
+from .exactlin import GF2, QQ, FieldSpec, Mat
 from .height import (
     HeightDiff,
     HeightFunction,
@@ -49,13 +49,16 @@ class SchemaError(ValueError):
 
 
 def parse_field(spec: Any) -> FieldSpec:
-    """Accepts "gf2" | "gf3" | "gfp:P" | "rational" or {"kind": ..., "p": ...}."""
+    """Accepts "gf2" | "gf3" | "gfp:P" | "rational" or {"kind": ..., "p": ...}.
+
+    GF(2) and the rationals come back as the shared `GF2` and `QQ` objects, so
+    matrices over them compare fields by identity."""
     if isinstance(spec, str):
         s = spec.strip().lower()
         if s == "rational":
-            return FieldSpec("rational")
+            return QQ
         if s == "gf2":
-            return FieldSpec("gfp", 2)
+            return GF2
         if s == "gf3":
             return FieldSpec("gfp", 3)
         if s.startswith("gfp:"):
@@ -66,14 +69,15 @@ def parse_field(spec: Any) -> FieldSpec:
         if kind in ("gfp", "prime-field"):
             return _prime_field(spec.get("p"), "$.field.p")
         if kind == "rational":
-            return FieldSpec("rational")
+            return QQ
         raise SchemaError(f"unknown field kind {kind!r}", "$.field.kind")
     raise SchemaError("field must be a string or object", "$.field")
 
 
 def _prime_field(p: Any, location: str) -> FieldSpec:
     try:
-        return FieldSpec("gfp", int(p))
+        f = FieldSpec("gfp", int(p))
+        return GF2 if f == GF2 else f
     except (TypeError, ValueError) as e:  # not an integer, or not a supported prime
         raise SchemaError(f"bad modulus {p!r}: {e}", location)
 
@@ -168,8 +172,13 @@ def _matrix(fieldspec: FieldSpec, rows: Any, want_rows: int, want_cols: int, loc
 
 def load_module(doc: Dict[str, Any], poset: FinitePoset,
                 default_field: Optional[FieldSpec] = None) -> PersistenceModule:
-    """{"field": ..., "dims": {"a": 1, ...}, "maps": {"a|b": [[...]], ...}}."""
+    """{"field": ..., "dims": {"a": 1, ...}, "maps": {"a|b": [[...]], ...}}.
+
+    A document field equal to `default_field` is replaced by that object, so the
+    modules of one run share one field object."""
     fieldspec = parse_field(doc["field"]) if "field" in doc else default_field
+    if fieldspec == default_field:
+        fieldspec = default_field
     if fieldspec is None:
         raise SchemaError("module needs a field", "$.field")
     dims_doc = doc.get("dims", {})

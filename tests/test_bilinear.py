@@ -1,6 +1,7 @@
 """The batched GF(p) candidate search against a scalar reference that tries one
 candidate at a time with `solve`: same verdict, same `candidates_tried`, same
-first witness."""
+first witness.  The reference builds the bilinear tensor one transpose and one
+composite at a time, and the stacked `_bilinear_tensor` must equal it."""
 
 import itertools
 from fractions import Fraction
@@ -13,8 +14,8 @@ from hipm.exactlin import FieldSpec, Mat, batch_consistent, compressed_family, s
 from hipm.fixtures import bipath_example, chain_example, grid_example
 from hipm.functors import apply_R, e_r, sharp
 from hipm.height import rho_diag
-from hipm.interleave import _bilinear_search, find_interleaving
-from hipm.pmod import direct_sum, hom_basis, interval_module, morphism_from_coeffs
+from hipm.interleave import _bilinear_search, _bilinear_tensor, find_interleaving
+from hipm.pmod import direct_sum, hom_basis, interval_module
 from hipm.poset import FinitePoset
 
 
@@ -99,10 +100,20 @@ def flat(mor):
     return np.concatenate([c.a.ravel() for c in mor.components] + [np.zeros(0, np.int64)])
 
 
+def morphism_from_coeffs(basis, coeffs):
+    """sum_i coeffs[i] * basis[i], one scaled morphism at a time."""
+    basis = list(basis)
+    out = basis[0].scale(coeffs[0])
+    for b, c in zip(basis[1:], coeffs[1:]):
+        out = out + b.scale(c)
+    return out
+
+
 def reference_interleaving(rho, r, m, n, budget):
     """`scalar_search` on the bilinear data of an r-interleaving, built one
-    composite at a time: (verdict, tried, p, q), with p and q None where their
-    Hom space is zero."""
+    transpose and one composite at a time: (verdict, tried, p, q), with p and q
+    None where their Hom space is zero.  Also checks that the stacked
+    `_bilinear_tensor` gives the same tensor and right-hand side."""
     r = Fraction(r)
     rm, rn = apply_R(rho, r, m).module, apply_R(rho, r, n).module
     p_basis, q_basis = hom_basis(m, rn), hom_basis(n, rm)
@@ -113,6 +124,10 @@ def reference_interleaving(rho, r, m, n, budget):
     for j, i in itertools.product(range(len(q_basis)), range(len(p_basis))):
         tensor[j, i] = np.concatenate([flat(q_basis[j].compose(p_sharps[i])),
                                        flat(p_basis[i].compose(q_sharps[j]))])
+    stacked, stacked_rhs = _bilinear_tensor(p_basis, q_basis, sharp(rho, r, n, p_basis),
+                                            sharp(rho, r, m, q_basis), e_r(rho, r, m),
+                                            e_r(rho, r, n), m.field)
+    assert np.array_equal(stacked, tensor) and np.array_equal(stacked_rhs, rhs)
     verdict, coeffs, x, tried = scalar_search(tensor, rhs, m.field, budget)
     if verdict != "yes":
         return verdict, tried, None, None

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from hipm.cli import main
-from hipm.exactlin import GF2
+from hipm.cli import _config, _load_inputs, build_parser, main
+from hipm.exactlin import GF2, QQ
 from hipm.fixtures import grid_example
 from hipm.serde import (
     load_height,
@@ -52,6 +52,31 @@ def test_parse_field_variants():
     assert parse_field("gfp:5").p == 5
     assert parse_field("rational").kind == "rational"
     assert parse_field({"kind": "gfp", "p": 3}).p == 3
+    for spec in ("gf2", "gfp:2", {"kind": "gfp", "p": 2}):
+        assert parse_field(spec) is GF2
+    for spec in ("rational", {"kind": "rational"}):
+        assert parse_field(spec) is QQ
+
+
+@pytest.mark.parametrize("flag,doc_field", [("gf2", {"kind": "gfp", "p": 2}),
+                                            ("gf3", {"kind": "gfp", "p": 3}),
+                                            ("gfp:5", "gfp:5"), ("rational", "rational")])
+def test_loaded_distance_pair_shares_one_field(chain_files, tmp_path, flag, doc_field):
+    """The two modules of a distance run carry the --field object itself, so
+    their matrices compare fields by identity."""
+    files = {}
+    for key in ("M", "N"):
+        doc = json.loads(chain_files[key].read_text())
+        files[key] = tmp_path / f"{key}-{flag}.json"
+        files[key].write_text(json.dumps(dict(doc, field=doc_field)))
+    args = build_parser().parse_args(
+        ["--field", flag, "distance", "--poset", str(chain_files["poset"]),
+         "--height", str(chain_files["phi"]), "--module", str(files["M"]),
+         "--module2", str(files["N"])])
+    cfg = _config(args)
+    _, _, m, n = _load_inputs(args, cfg, need_height=True, need_module=True, need_module2=True)
+    assert m.field is cfg.field and n.field is cfg.field
+    assert all(f.field is cfg.field for mod in (m, n) for f in mod.maps.values())
 
 
 def test_module_round_trip(rng):

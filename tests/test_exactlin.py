@@ -7,6 +7,7 @@ from sympy import GF as SympyGF, QQ as SympyQQ
 from sympy.polys.matrices import DomainMatrix
 
 from hipm.exactlin import (
+    _MAX_INNER,
     GF2,
     QQ,
     FieldSpec,
@@ -19,7 +20,9 @@ from hipm.exactlin import (
     quotient_map,
     rref,
     solve,
+    stacked_matmul,
     vstack,
+    zeros,
 )
 
 GF3 = FieldSpec("gfp", 3)
@@ -95,16 +98,16 @@ def test_solve_shape_mismatch():
 
 
 def test_quotient_map_line():
-    q, d = quotient_map(QQ, 2, Mat.from_rows(QQ, [[-1], [1]]))
-    assert d == 1
+    q, free = quotient_map(QQ, 2, Mat.from_rows(QQ, [[-1], [1]]))
+    assert free == (1,)
     assert (q @ Mat.from_rows(QQ, [[-1], [1]])).is_zero()
 
 
 def test_quotient_full_and_empty():
-    _, d = quotient_map(GF2, 2, Mat.eye(GF2, 2))
-    assert d == 0
-    q, d = quotient_map(GF2, 3, Mat.zeros(GF2, 3, 0))
-    assert d == 3 and q == Mat.eye(GF2, 3)
+    _, free = quotient_map(GF2, 2, Mat.eye(GF2, 2))
+    assert free == ()
+    q, free = quotient_map(GF2, 3, Mat.zeros(GF2, 3, 0))
+    assert free == (0, 1, 2) and q == Mat.eye(GF2, 3)
 
 
 def _random_mat(draw, field, rows, cols):
@@ -147,10 +150,12 @@ def test_kernel_annihilated(m):
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_quotient_of_column_space(m):
-    q, d = quotient_map(m.field, m.rows, m)
+    q, free = quotient_map(m.field, m.rows, m)
+    d = len(free)
     assert (q @ m).is_zero()
     assert rref(q).rank == d  # surjective
     assert d == m.rows - rref(m).rank
+    assert q.take_cols(free) == Mat.eye(m.field, d)
 
 
 @given(matrices())
@@ -327,3 +332,59 @@ def test_unnormalised_ops_return_canonical_arrays(pair):
             image_basis(a), rref(a).matrix]
     outs += [a.col(j) for j in range(a.cols)]
     assert all(_canonical(m) for m in outs)
+
+
+def test_stacked_matmul_refuses_an_inner_dimension_past_the_bound():
+    F = FieldSpec("gfp", 1048573)
+    for inner in (_MAX_INNER + 1, 2 * _MAX_INNER):
+        with pytest.raises(ValueError, match="bound"):
+            stacked_matmul(F, np.ones((2, 1, inner), dtype=np.int64), np.ones((inner, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="bound"):
+            Mat(F, np.ones((1, inner), dtype=np.int64)) @ Mat(F, np.ones((inner, 1), dtype=np.int64))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        stacked_matmul(F, np.ones((2, 3), dtype=np.int64), np.ones((2, 2), dtype=np.int64))
+
+
+# (batch of a, batch of b) pairs that np.matmul broadcasts
+BATCHES = [((), ()), ((3,), ()), ((), (2,)), ((3,), (3,)), ((2, 1), (3,)), ((1,), (2,))]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(BATCHES), st.integers(0, 3),
+       st.sampled_from([0, 1, 5, 64]), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_stacked_matmul_agrees_with_python_integers(seed, batches, rows, inner, cols):
+    """With p = 1 048 573, the largest prime below 2**20, against exact Python-int
+    sums reduced mod p, on broadcast stacks."""
+    p = 1048573
+    F = FieldSpec("gfp", p)
+    rs = np.random.default_rng(seed)
+    a = rs.integers(0, p, batches[0] + (rows, inner), dtype=np.int64)
+    b = rs.integers(0, p, batches[1] + (inner, cols), dtype=np.int64)
+    got = stacked_matmul(F, a, b)
+    batch = np.broadcast_shapes(*batches)
+    aa = np.broadcast_to(a, batch + a.shape[-2:])
+    bb = np.broadcast_to(b, batch + b.shape[-2:])
+    assert got.dtype == np.int64 and got.shape == batch + (rows, cols)
+    for idx in np.ndindex(*got.shape):
+        *at, i, j = idx
+        left, right = aa[tuple(at)], bb[tuple(at)]
+        assert got[idx] == sum(int(left[i, k]) * int(right[k, j]) for k in range(inner)) % p
+
+
+def test_stacked_matmul_at_the_bound_does_not_overflow():
+    p = 1048573
+    F = FieldSpec("gfp", p)
+    a = np.full((2, 1, _MAX_INNER), p - 1, dtype=np.int64)
+    got = stacked_matmul(F, a, np.full((_MAX_INNER, 2), p - 1, dtype=np.int64))
+    assert got.tolist() == [[[(p - 1) ** 2 * _MAX_INNER % p] * 2]] * 2
+
+
+def test_stacked_matmul_empty_inner_dimension_gives_field_zeros():
+    a, b = zeros(QQ, (3, 2, 0)), zeros(QQ, (0, 4))
+    out = stacked_matmul(QQ, a, b)
+    assert out.shape == (3, 2, 4) and all(type(x) is Fraction and x == 0 for x in out.ravel())
+    assert stacked_matmul(GF2, np.zeros((2, 0), np.int64), np.zeros((1, 0, 3), np.int64)).shape == (1, 2, 3)
+    assert all(type(x) is Fraction for x in (Mat.zeros(QQ, 2, 0) @ Mat.zeros(QQ, 0, 2)).a.ravel())
+    q = stacked_matmul(QQ, np.array([[Fraction(1, 2)]], dtype=object)[None],
+                       np.array([[Fraction(2, 3)]], dtype=object))
+    assert q.tolist() == [[[Fraction(1, 3)]]]

@@ -1,14 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hipm.exactlin import GF2, QQ, Mat
+from hipm.exactlin import GF2, QQ, FieldSpec, Mat, quotient_map, solve
 from hipm.fixtures import bipath_example, grid_example
 from hipm.functors import apply_R
 from hipm.interleave import check_certificate
 from hipm.pmod import (
     ModuleMorphism,
     PersistenceModule,
+    SubmoduleError,
+    _factor_through_surjection,
     direct_sum,
     hom_basis,
     interval_module,
@@ -189,8 +193,9 @@ def test_submodule_operations(chain4, rng):
     assert all(b.cols == 0 for b in inter.bases)
     s = submodule_sum(zero, full)
     assert all(s.bases[i].cols == m.dims[i] for i in range(len(chain4)))
-    quot, proj = quotient_by_submodule(full, zero)
+    quot, proj, free = quotient_by_submodule(full, zero)
     assert quot.dims == m.dims and proj.is_iso()
+    assert free == tuple(tuple(range(d)) for d in m.dims)
 
 
 def test_submodule_image_kernel(chain4):
@@ -215,3 +220,30 @@ def test_canonical_pair_map_deterministic():
     # composite over the square equals both cover paths (validated module)
     via1 = m.maps[(ge.poset.idx("v_1_1"), b)] @ m.maps[(a, ge.poset.idx("v_1_1"))]
     assert m.map_for_idx(a, b) == via1
+
+
+def _random_matrix(rng, field, rows, cols):
+    if field.is_prime_field:
+        return Mat.from_rows(field, [[rng.randrange(field.p) for _ in range(cols)]
+                                     for _ in range(rows)], cols=cols)
+    return Mat.from_rows(field, [[Fraction(rng.randint(-2, 2)) for _ in range(cols)]
+                                 for _ in range(rows)], cols=cols)
+
+
+@given(st.sampled_from((GF2, FieldSpec("gfp", 3), QQ)), st.integers(0, 2**32 - 1),
+       st.integers(0, 5), st.integers(0, 4), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_factor_through_surjection_matches_solve(field, seed, ambient, sub, rows):
+    """Column selection at quotient_map's free coordinates against `solve`, on
+    right-hand sides that factor and on random ones that mostly do not."""
+    rng = random.Random(seed)
+    q, free = quotient_map(field, ambient, _random_matrix(rng, field, ambient, sub))
+    assert q.take_cols(free) == Mat.eye(field, len(free))
+    for rhs in (_random_matrix(rng, field, rows, len(free)) @ q,
+                _random_matrix(rng, field, rows, ambient)):
+        want = solve(q.T, rhs.T)
+        if want is None:
+            with pytest.raises(SubmoduleError):
+                _factor_through_surjection(q, free, rhs)
+        else:
+            assert _factor_through_surjection(q, free, rhs) == want.T
