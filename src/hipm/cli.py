@@ -319,8 +319,9 @@ def _cmd_cip(args, cfg: RunConfig) -> int:
 
 
 def _cmd_ivc(args, cfg: RunConfig) -> int:
+    c = _scale(args.c, "--c")
     poset, rho, _, _ = _load_inputs(args, cfg, need_height=True)
-    rep = check_ivc(rho, Fraction(args.c))
+    rep = check_ivc(rho, c)
     out: Dict[str, Any] = {"c": args.c, "holds": rep.holds}
     if rep.witness:
         a, b, t = rep.witness
@@ -434,7 +435,10 @@ def _cmd_repro(args, cfg: RunConfig) -> int:
               and iso_L.verdict == "yes" and iso_R.verdict == "yes")
         return EXIT_OK if ok else EXIT_INVALID
     if name == "chain":
-        ex = fixtures.chain_example(Fraction(args.C), cfg.field)
+        C = _scale(args.C, "--C")
+        if C <= 1:
+            raise SchemaError(f"the chain family needs C > 1, got {args.C}", "--C")
+        ex = fixtures.chain_example(C, cfg.field)
         dMX = distance(ex.rho, ex.M, ex.X, budget=cfg.budget)
         dXN = distance(ex.rho, ex.X, ex.N, budget=cfg.budget)
         dMN = distance(ex.rho, ex.M, ex.N, budget=cfg.budget)
@@ -451,6 +455,8 @@ def _cmd_repro(args, cfg: RunConfig) -> int:
         want = (dMX.distance == 0 and dXN.distance == 0 and dMN.distance == ex.C)
         return EXIT_OK if want else EXIT_INVALID
     if name == "bipath":
+        if args.G < 5:
+            raise SchemaError(f"the bipath family needs G > 4, got {args.G}", "--G")
         ex = fixtures.bipath_example(args.G, cfg.field)
         M = ex.M
         M1 = apply_L(ex.rho, 1, M).module
@@ -485,7 +491,48 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message, self.prog)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED = dict(required=True)
+_OPTIONAL = dict(default=None)
+_DIRECTION = dict(default="L", choices=["L", "R"])
+
+# every command: its handler and its flags, as add_argument keywords
+_COMMANDS = {
+    "validate": (_cmd_validate, {"--poset": _REQUIRED, "--height": _OPTIONAL,
+                                 "--module": _OPTIONAL}),
+    "functor": (_cmd_functor, {"--poset": _REQUIRED, "--height": _REQUIRED,
+                               "--module": _REQUIRED, "--kind": _REQUIRED, "--r": _REQUIRED,
+                               "--s": _OPTIONAL, "--direction": _DIRECTION}),
+    "nat": (_cmd_nat, {"--poset": _REQUIRED, "--height": _REQUIRED, "--module": _REQUIRED,
+                       "--name": _REQUIRED, "--r": _REQUIRED, "--s": _OPTIONAL,
+                       "--c": _OPTIONAL, "--direction": _DIRECTION, "--poset2": _OPTIONAL,
+                       "--map": _OPTIONAL}),
+    "interleave": (_cmd_interleave, {"--poset": _REQUIRED, "--height": _REQUIRED,
+                                     "--module": _REQUIRED, "--module2": _REQUIRED,
+                                     "--r": _REQUIRED}),
+    "distance": (_cmd_distance, {"--poset": _REQUIRED, "--height": _REQUIRED,
+                                 "--module": _REQUIRED, "--module2": _REQUIRED}),
+    "en-distance": (_cmd_en_distance, {"--poset": _REQUIRED, "--height": _REQUIRED,
+                                       "--module": _REQUIRED, "--module2": _REQUIRED}),
+    "cip": (_cmd_cip, {"--poset": _REQUIRED, "--height": _REQUIRED}),
+    "ivc": (_cmd_ivc, {"--poset": _REQUIRED, "--height": _REQUIRED, "--c": _REQUIRED}),
+    "c-rho": (_cmd_c_rho, {"--poset": _REQUIRED, "--height": _REQUIRED}),
+    "distortion": (_cmd_distortion, {"--poset": _REQUIRED, "--height": _REQUIRED,
+                                     "--height2": _REQUIRED}),
+    "pullback": (_cmd_pullback, {"--poset": _REQUIRED, "--poset2": _REQUIRED,
+                                 "--map": _REQUIRED, "--height": _OPTIONAL,
+                                 "--module": _OPTIONAL}),
+    "galois": (_cmd_galois, {"--poset": _REQUIRED, "--poset2": _REQUIRED,
+                             "--iota": _REQUIRED, "--pi": _REQUIRED}),
+    "oracle-grid": (_cmd_oracle_grid, {"--poset": _REQUIRED, "--module": _REQUIRED,
+                                       "--module2": _REQUIRED}),
+    "repro": (_cmd_repro, {"example": dict(choices=["grid", "chain", "bipath"]),
+                           "--C": dict(default="2"), "--G": dict(type=int, default=8)}),
+}
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """The global options and the command name first, then the command's own
+    flags with a parser built for that command alone."""
     ap = _Parser(
         prog="hipm",
         description="Exact height-interleaving distances for persistence modules over finite posets",
@@ -493,71 +540,22 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--field", default="gf2", help="gf2 | gf3 | gfp:P | rational")
     ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="candidate cap for searches")
     ap.add_argument("--output", default="-", help="report path, '-' for stdout")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **flags):
-        p = sub.add_parser(name)
-        for flag, kw in flags.items():
-            p.add_argument(flag, **kw)
-        p.set_defaults(fn=fn)
-        return p
-
-    add("validate", _cmd_validate,
-        **{"--poset": dict(required=True), "--height": dict(default=None),
-           "--module": dict(default=None)})
-    add("functor", _cmd_functor,
-        **{"--poset": dict(required=True), "--height": dict(required=True),
-           "--module": dict(required=True), "--kind": dict(required=True),
-           "--r": dict(required=True), "--s": dict(default=None),
-           "--direction": dict(default="L", choices=["L", "R"])})
-    add("nat", _cmd_nat,
-        **{"--poset": dict(required=True), "--height": dict(required=True),
-           "--module": dict(required=True), "--name": dict(required=True),
-           "--r": dict(required=True), "--s": dict(default=None),
-           "--c": dict(default=None),
-           "--direction": dict(default="L", choices=["L", "R"]),
-           "--poset2": dict(default=None), "--map": dict(default=None)})
-    add("interleave", _cmd_interleave,
-        **{"--poset": dict(required=True), "--height": dict(required=True),
-           "--module": dict(required=True), "--module2": dict(required=True),
-           "--r": dict(required=True)})
-    add("distance", _cmd_distance,
-        **{"--poset": dict(required=True), "--height": dict(required=True),
-           "--module": dict(required=True), "--module2": dict(required=True)})
-    add("en-distance", _cmd_en_distance,
-        **{"--poset": dict(required=True), "--height": dict(required=True),
-           "--module": dict(required=True), "--module2": dict(required=True)})
-    add("cip", _cmd_cip,
-        **{"--poset": dict(required=True), "--height": dict(required=True)})
-    add("ivc", _cmd_ivc,
-        **{"--poset": dict(required=True), "--height": dict(required=True),
-           "--c": dict(required=True)})
-    add("c-rho", _cmd_c_rho,
-        **{"--poset": dict(required=True), "--height": dict(required=True)})
-    add("distortion", _cmd_distortion,
-        **{"--poset": dict(required=True), "--height": dict(required=True),
-           "--height2": dict(required=True)})
-    add("pullback", _cmd_pullback,
-        **{"--poset": dict(required=True), "--poset2": dict(required=True),
-           "--map": dict(required=True), "--height": dict(default=None),
-           "--module": dict(default=None)})
-    add("galois", _cmd_galois,
-        **{"--poset": dict(required=True), "--poset2": dict(required=True),
-           "--iota": dict(required=True), "--pi": dict(required=True)})
-    add("oracle-grid", _cmd_oracle_grid,
-        **{"--poset": dict(required=True), "--module": dict(required=True),
-           "--module2": dict(required=True)})
-    rp = sub.add_parser("repro")
-    rp.add_argument("example", choices=["grid", "chain", "bipath"])
-    rp.add_argument("--C", default="2")
-    rp.add_argument("--G", type=int, default=8)
-    rp.set_defaults(fn=_cmd_repro)
-    return ap
+    # the command name and everything after it, as argparse hands them to subparsers
+    ap.add_argument("command", nargs=argparse.PARSER, choices=list(_COMMANDS))
+    args = ap.parse_args(argv)
+    args.command, *rest = args.command
+    fn, flags = _COMMANDS[args.command]
+    cp = _Parser(prog=f"hipm {args.command}")
+    for flag, kw in flags.items():
+        cp.add_argument(flag, **kw)
+    cp.parse_args(rest, namespace=args)
+    args.fn = fn
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
         cfg = _config(args)
         return args.fn(args, cfg)
     except (SchemaError, PosetError, IntermediateValueError, FubiniComparisonError) as e:

@@ -515,13 +515,17 @@ def sigma(rho: HeightDiff, s, r, c, m: PersistenceModule, direction: str) -> Mod
 
 
 def im_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
-    """The image of L_r M -> M, as a submodule of M."""
-    return submodule_image(eta_L_to_id(rho, r, m))
+    """The image of L_r M -> M, as a submodule of M.
+
+    Built once per (rho, r, M) and shared by every caller, so it is read-only."""
+    return _cached(("im", rho.key(), _r(r), m.key()),
+                   lambda: submodule_image(eta_L_to_id(rho, r, m)))
 
 
 def ker_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
-    """The kernel of M -> R_r M, as a submodule of M."""
-    return submodule_kernel(eta_R_from_id(rho, r, m))
+    """The kernel of M -> R_r M, as a submodule of M; cached and read-only like im_r."""
+    return _cached(("ker", rho.key(), _r(r), m.key()),
+                   lambda: submodule_kernel(eta_R_from_id(rho, r, m)))
 
 
 @dataclass

@@ -11,7 +11,7 @@ All values are exact: `fractions.Fraction` or the INF sentinel.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
@@ -425,24 +425,20 @@ def check_cip(rho: HeightDiff, budget: int = 4_000_000) -> CipReport:
     reps = [st.rep for st in strata(rho)]
     n = len(P)
     total = 0
-    down_cache: Dict[Tuple[int, Fraction], set] = {}
-    up_cache: Dict[Tuple[int, Fraction], set] = {}
-    for s in reps:
-        for a in range(n):
-            down_cache[(a, s)] = set(nbhd_down_idx(rho, a, s))
-        for q in range(n):
-            up_cache[(q, s)] = set(nbhd_up_idx(rho, q, s))
+    # neighborhoods by element, then by stratum position
+    down = [[set(nbhd_down_idx(rho, a, s)) for s in reps] for a in range(n)]
+    up = [[set(nbhd_up_idx(rho, q, r)) for r in reps] for q in range(n)]
     for a in range(n):
         for q in range(n):
-            for s in reps:
-                da = down_cache[(a, s)]
+            up_q = up[q]
+            for s, da in zip(reps, down[a]):
                 if not da:
                     continue
-                for r in reps:
+                for r, uq in zip(reps, up_q):
                     total += 1
                     if total > budget:
                         return CipReport(holds=None, tests_run=total - 1, budget_exceeded=True)
-                    inter = da & up_cache[(q, r)]
+                    inter = da & uq
                     if not inter:
                         continue
                     verdict = _is_connected_idx(P, sorted(inter))
@@ -563,43 +559,41 @@ class CRhoResult:
 
 
 def c_rho(rho: HeightDiff) -> CRhoResult:
-    """The least c for which the intermediate-value property holds.
+    """The least c for which the intermediate-value property holds, in closed form.
 
-    The pass set is closed and monotone in c, so the infimum, when finite, is
-    attained and lies in the finite breakpoint set generated by the interval
-    endpoints; a binary search over those breakpoints finds it exactly.  When a
-    strict pair has rho = oo no finite c can pass and the result is oo
-    (not attained: the infimum is over an empty set of finite tolerances).
+    For a strict pair a < b with R = rho(a, b), each z in [a, b] gives
+    A = rho(a, z) and B = R - rho(z, b); with x = max(A, B) and y = min(A, B),
+    tolerance c covers t in [0, R] exactly when c/2 >= max(x - t, t - y).  The
+    endpoints z = a and z = b give (0, 0) and (R, R), so [0, R] is covered iff,
+    with the (x, y) sorted by x and `reach` the running maximum of y, no x lies
+    more than c beyond the reach before it.  c(rho) is the largest such gap over
+    all pairs, and at least 0; it is attained.  When a strict pair has rho = oo
+    no finite c can pass and the result is oo (not attained: the infimum is over
+    an empty set of finite tolerances).  `check_ivc` decides the same property
+    pair by pair and serves as the oracle for this formula.
     """
     P = rho.poset
     pairs = [(i, j) for i, j in P.comparable_pairs() if i != j]
     if any(rho.values[p] is INF for p in pairs):
         return CRhoResult(value=INF, attained=False)
-    candidates = {Fraction(0)}
+    # exact integer arithmetic: every value times the common denominator L
+    L = math.lcm(*(v.denominator for v in rho.values.values()))
+    vals = {k: v.numerator * (L // v.denominator) for k, v in rho.values.items()}
+    best = 0
     for ia, ib in pairs:
-        R = rho.values[(ia, ib)]
-        ends = set()
+        R = vals[(ia, ib)]
+        points = []
         for z in P.interval_idx(ia, ib):
-            A = rho.values[(ia, z)]
-            B = R - rho.values[(z, ib)]
-            ends.add(A)
-            ends.add(B)
-        for x in ends:
-            candidates.add(2 * abs(x))
-            candidates.add(2 * abs(R - x))
-        for x, y in itertools.combinations(sorted(ends), 2):
-            candidates.add(abs(x - y))
-    cand = sorted(candidates)
-    lo, hi = 0, len(cand) - 1
-    if not check_ivc(rho, cand[hi]).holds:
-        return CRhoResult(value=INF, attained=False)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if check_ivc(rho, cand[mid]).holds:
-            hi = mid
-        else:
-            lo = mid + 1
-    return CRhoResult(value=cand[lo], attained=True)
+            A, B = vals[(ia, z)], R - vals[(z, ib)]
+            points.append((B, A) if A <= B else (A, B))
+        points.sort()
+        reach = 0  # the y of z = a, whose x = 0 sorts first
+        for x, y in points:
+            if x - reach > best:
+                best = x - reach
+            if y > reach:
+                reach = y
+    return CRhoResult(value=Fraction(best, L), attained=True)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hipm.cli import _config, _load_inputs, build_parser, main
+from hipm.cli import _config, _load_inputs, main, parse_args
 from hipm.exactlin import GF2, QQ
 from hipm.fixtures import grid_example
 from hipm.serde import (
@@ -69,7 +69,7 @@ def test_loaded_distance_pair_shares_one_field(chain_files, tmp_path, flag, doc_
         doc = json.loads(chain_files[key].read_text())
         files[key] = tmp_path / f"{key}-{flag}.json"
         files[key].write_text(json.dumps(dict(doc, field=doc_field)))
-    args = build_parser().parse_args(
+    args = parse_args(
         ["--field", flag, "distance", "--poset", str(chain_files["poset"]),
          "--height", str(chain_files["phi"]), "--module", str(files["M"]),
          "--module2", str(files["N"])])
@@ -502,3 +502,37 @@ def test_cli_rejects_a_float_height(capsys, chain_files, tmp_path, height):
 def test_cli_usage_errors_are_invalid_input(capsys, argv):
     code, err = _error(capsys, argv)
     assert code == 1 and err.startswith("hipm")
+
+
+@pytest.mark.parametrize("c, needle", [("-1", "scale must be >= 0"), ("abc", "not an exact number"),
+                                       ("1/0", "not an exact number")])
+def test_cli_ivc_rejects_a_bad_tolerance(capsys, chain_files, c, needle):
+    code, err = _error(capsys, ["ivc", "--poset", str(chain_files["poset"]),
+                                "--height", str(chain_files["phi"]), "--c", c])
+    assert code == 1 and err.startswith("--c:") and needle in err
+
+
+def test_cli_ivc_echoes_the_tolerance_text(capsys, chain_files):
+    code, rep = _run(capsys, ["ivc", "--poset", str(chain_files["poset"]),
+                              "--height", str(chain_files["phi"]), "--c", "2/1"])
+    assert code == 0 and rep["c"] == "2/1"
+
+
+@pytest.mark.parametrize("C, needle", [("x", "not an exact number"), ("1", "needs C > 1"),
+                                       ("-2", "scale must be >= 0")])
+def test_cli_repro_chain_rejects_a_bad_C(capsys, C, needle):
+    code, err = _error(capsys, ["repro", "chain", "--C", C])
+    assert code == 1 and err.startswith("--C:") and needle in err
+
+
+def test_cli_repro_bipath_rejects_a_small_G(capsys):
+    code, err = _error(capsys, ["repro", "bipath", "--G", "2"])
+    assert code == 1 and err.startswith("--G:") and "G > 4" in err
+
+
+def test_cli_help_exits_zero(capsys):
+    for argv in (["--help"], ["c-rho", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "--height" in capsys.readouterr().out

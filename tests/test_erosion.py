@@ -13,8 +13,8 @@ from hipm.erosion import (
 )
 from hipm.exactlin import GF2
 from hipm.fixtures import chain_example
-from hipm.functors import erosion_E, im_r, ker_r
-from hipm.height import HeightFunction, c_rho, ext_add, from_phi
+from hipm.functors import erosion_E, eta_L_to_id, eta_R_from_id, im_r, ker_r
+from hipm.height import HeightFunction, c_rho, ext_add, from_phi, strata
 from hipm.interleave import check_certificate, distance, find_interleaving
 from hipm.pmod import (
     interval_module,
@@ -22,7 +22,9 @@ from hipm.pmod import (
     morphism_preimage,
     submodule_from_bases,
     submodule_full,
+    submodule_image,
     submodule_intersection,
+    submodule_kernel,
     submodule_zero,
 )
 from hipm.poset import FinitePoset
@@ -124,6 +126,28 @@ def test_en_enumerate_large_scale_all_subquotients(unit_chain):
     for want in [[], ["a"], ["b"], ["a", "b"]]:
         tgt = interval_module(p, want, GF2)
         assert any(is_isomorphic(c.quotient, tgt).verdict == "yes" for c in quots)
+
+
+def test_im_ker_are_built_once_per_scale(unit_chain, rng):
+    p, rho = unit_chain
+    m = random_module(rng, p, GF2, 2)
+    reps = [st.rep for st in strata(rho)]
+    for r in reps:  # each scale gets its own submodules, equal to a fresh build
+        imr, kerr = im_r(rho, r, m), ker_r(rho, r, m)
+        assert im_r(rho, r, m) is imr and ker_r(rho, r, m) is kerr
+        assert imr.bases == submodule_image(eta_L_to_id(rho, r, m)).bases
+        assert kerr.bases == submodule_kernel(eta_R_from_id(rho, r, m)).bases
+    assert len({id(im_r(rho, r, m)) for r in reps}) == len(reps)
+
+
+def test_en_enumerate_leaves_the_shared_im_ker_unchanged(unit_chain, rng):
+    p, rho = unit_chain
+    m = random_module(rng, p, GF2, 2)
+    imr, kerr = im_r(rho, 1, m), ker_r(rho, 1, m)
+    before = [b.copy() for b in imr.bases + kerr.bases]
+    en_enumerate(rho, 1, m)
+    assert im_r(rho, 1, m) is imr and ker_r(rho, 1, m) is kerr
+    assert list(imr.bases + kerr.bases) == before
 
 
 def test_en_members_validate(unit_chain, rng):

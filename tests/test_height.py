@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hipm.height import (
     INF,
+    CipReport,
     HeightDiff,
     HeightFunction,
     abs_diff_inf,
@@ -17,8 +20,10 @@ from hipm.height import (
     ext_add,
     from_phi,
     nbhd_down,
+    nbhd_down_idx,
     nbhd_iterated,
     nbhd_up,
+    nbhd_up_idx,
     parse_ext,
     pullback_rho,
     rho_diag,
@@ -26,7 +31,7 @@ from hipm.height import (
     strata,
     validate_rho,
 )
-from hipm.poset import FinitePoset, OrderMap, PosetError
+from hipm.poset import Connectivity, FinitePoset, OrderMap, PosetError, _is_connected_idx
 from hipm.randgen import random_forest_poset, random_phi, random_poset
 
 
@@ -282,3 +287,144 @@ def test_nbhd_monotonicity_and_duality(rng):
         for x in p.elements:
             for y in p.elements:
                 assert (y in nbhd_down(rho, x, 1)) == (x in nbhd_up(rho, y, 1))
+
+
+# ---------------------------------------------------------------------------
+# oracles for c(rho) and the CIP loop: the earlier implementations, kept here
+# ---------------------------------------------------------------------------
+
+
+def _ivc_breakpoints(rho):
+    """Every tolerance at which check_ivc can change its verdict."""
+    P = rho.poset
+    cands = {Fraction(0)}
+    for ia, ib in P.comparable_pairs():
+        if ia == ib:
+            continue
+        R = rho.values[(ia, ib)]
+        ends = set()
+        for z in P.interval_idx(ia, ib):
+            ends.add(rho.values[(ia, z)])
+            ends.add(R - rho.values[(z, ib)])
+        for x in ends:
+            cands.add(2 * abs(x))
+            cands.add(2 * abs(R - x))
+        for x in ends:
+            for y in ends:
+                cands.add(abs(x - y))
+    return sorted(cands)
+
+
+def _c_rho_bisection(rho):
+    """(value, attained) by binary search of check_ivc over the breakpoints."""
+    if any(v is INF for (i, j), v in rho.values.items() if i != j):
+        return INF, False
+    cand = _ivc_breakpoints(rho)
+    lo, hi = 0, len(cand) - 1
+    if not check_ivc(rho, cand[hi]).holds:
+        return INF, False
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if check_ivc(rho, cand[mid]).holds:
+            hi = mid
+        else:
+            lo = mid + 1
+    return cand[lo], True
+
+
+@st.composite
+def heights(draw):
+    """Heights on random DAGs and forests, sums and maxima of two such tables,
+    diagonal grids, single points and tables with infinite strict pairs."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dag", "forest", "sum", "max", "grid", "point", "strict"]))
+    if kind == "grid":
+        return rho_diag(FinitePoset.grid([rng.randint(1, 4), rng.randint(1, 3)]))
+    if kind == "point":
+        return from_phi(HeightFunction(FinitePoset.chain(["a"]), {"a": Fraction(0)}))
+    gen = random_forest_poset if kind == "forest" else random_poset
+    p = gen(rng, rng.randint(1, 8))
+    if kind == "strict":
+        return rho_strict(p)
+
+    def table():
+        phi = random_phi(rng, p, max_step=4, denominator=rng.choice([1, 2, 3]))
+        return from_phi(phi).values
+
+    t1 = table()
+    if kind in ("dag", "forest"):
+        return HeightDiff(p, t1)
+    t2 = table()
+    op = (lambda x, y: x + y) if kind == "sum" else max
+    return HeightDiff(p, {k: op(v, t2[k]) for k, v in t1.items()})
+
+
+@given(heights())
+@settings(max_examples=200, deadline=None)
+def test_c_rho_matches_the_breakpoint_bisection(rho):
+    res = c_rho(rho)
+    assert (res.value, res.attained) == _c_rho_bisection(rho)
+    if res.value is INF:
+        return
+    assert check_ivc(rho, res.value).holds
+    below = [c for c in _ivc_breakpoints(rho) if c < res.value]
+    if below:
+        assert not check_ivc(rho, below[-1]).holds
+
+
+def test_c_rho_gap_needs_the_reach_of_every_lower_point():
+    # on a -> z -> b with phi = 0, 1, 3 the pair (a, b) has points (0,0), (1,1), (3,3)
+    # sorted by x: the gap 3 - 1 = 2 is measured from the reach before (3, 3) is added
+    p = FinitePoset.chain(["a", "z", "b"])
+    rho = from_phi(HeightFunction(p, {"a": Fraction(0), "z": Fraction(1), "b": Fraction(3)}))
+    assert c_rho(rho).value == 2
+
+
+def _check_cip_keyed(rho, budget=4_000_000):
+    """check_cip with its neighborhoods cached by (element, scale)."""
+    P = rho.poset
+    reps = [s.rep for s in strata(rho)]
+    n = len(P)
+    total = 0
+    down_cache, up_cache = {}, {}
+    for s in reps:
+        for a in range(n):
+            down_cache[(a, s)] = set(nbhd_down_idx(rho, a, s))
+        for q in range(n):
+            up_cache[(q, s)] = set(nbhd_up_idx(rho, q, s))
+    for a in range(n):
+        for q in range(n):
+            for s in reps:
+                da = down_cache[(a, s)]
+                if not da:
+                    continue
+                for r in reps:
+                    total += 1
+                    if total > budget:
+                        return CipReport(holds=None, tests_run=total - 1, budget_exceeded=True)
+                    inter = da & up_cache[(q, r)]
+                    if not inter:
+                        continue
+                    if _is_connected_idx(P, sorted(inter)) == Connectivity.DISCONNECTED:
+                        return CipReport(
+                            holds=False,
+                            witness=(P.elements[a], P.elements[q], s, r),
+                            witness_set=tuple(P.elements[x] for x in sorted(inter)),
+                            tests_run=total,
+                        )
+    return CipReport(holds=True, tests_run=total)
+
+
+@given(heights(), st.one_of(st.none(), st.integers(1, 60)))
+@settings(max_examples=150, deadline=None)
+def test_check_cip_matches_the_keyed_loop(rho, budget):
+    kw = {} if budget is None else {"budget": budget}
+    got, want = check_cip(rho, **kw), _check_cip_keyed(rho, **kw)
+    for name in ("holds", "witness", "witness_set", "tests_run", "budget_exceeded"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def test_check_cip_tiny_budget_matches_the_keyed_loop(diamond_rho):
+    for budget in (1, 2, 3):
+        got, want = check_cip(diamond_rho, budget), _check_cip_keyed(diamond_rho, budget)
+        assert got == want and got.budget_exceeded and got.tests_run == budget
