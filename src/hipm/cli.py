@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,8 +104,11 @@ def _read_json(path: str) -> Any:
 def _emit(cfg: RunConfig, payload: Dict[str, Any]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if cfg.output and cfg.output != "-":
-        with open(cfg.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(cfg.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise SchemaError(f"cannot write the report: {e.strerror}", cfg.output)
     else:
         print(text)
 
@@ -112,6 +116,9 @@ def _emit(cfg: RunConfig, payload: Dict[str, Any]) -> None:
 def _config(args: argparse.Namespace) -> RunConfig:
     if args.budget < 1:
         raise SchemaError("budget must be >= 1", "--budget")
+    parent = os.path.dirname(args.output) or "."
+    if args.output != "-" and not os.path.isdir(parent):
+        raise SchemaError(f"no such directory: {parent}", "--output")
     return RunConfig(field=parse_field(args.field), budget=args.budget, output=args.output)
 
 

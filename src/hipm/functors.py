@@ -88,30 +88,21 @@ class FunctorApplication:
 
     For latching-type kinds (`L`, `TL`) `data[a]` is a ColimResult whose legs go
     M(x) -> out(a); for matching-type kinds (`R`, `TR`) it is a LimResult whose
-    legs go out(a) -> M(y).  The retained legs make transposes and canonical
-    transformations direct matrix assemblies.
+    legs go out(a) -> M(y), over the neighborhood `data[a].nodes`.  The
+    retained legs make transposes and canonical transformations direct matrix
+    assemblies.
     """
 
     kind: str  # "L" | "R" | "TL" | "TR"
-    params: tuple
-    rho: HeightDiff
-    source: PersistenceModule
     module: PersistenceModule
-    nbhd: Dict[int, Tuple[int, ...]]
     data: dict
 
 
-_CACHE: Dict[tuple, object] = {}
-
-
 def clear_cache() -> None:
-    _CACHE.clear()
-
-
-def _cached(key: tuple, build):
-    if key not in _CACHE:
-        _CACHE[key] = build()
-    return _CACHE[key]
+    """Does nothing.  Every functor value is memoized on the module it was
+    applied to (`PersistenceModule.cached`) and lives exactly as long as that
+    module, so there is no cache to clear.  Kept only because `perfbench/run.py`
+    and `perfbench/make_data.py` still call it."""
 
 
 def _r(x) -> Fraction:
@@ -182,14 +173,13 @@ def _apply(kind: str, params: tuple, rho: HeightDiff, m: PersistenceModule,
 
     def build():
         P = m.poset
-        nbhd = {a: tuple(nbhd_of(a)) for a in range(len(P))}
-        data = {a: (colim_over if latching else lim_over)(m, nbhd[a]) for a in range(len(P))}
+        data = {a: (colim_over if latching else lim_over)(m, nbhd_of(a)) for a in range(len(P))}
         maps = {(a, b): _compare(data[a], data[b]) if latching else _compare(data[b], data[a])
                 for (a, b) in P.covers}
         out = PersistenceModule(P, m.field, [data[a].dim for a in range(len(P))], maps)
-        return FunctorApplication(kind, params, rho, m, out, nbhd, data)
+        return FunctorApplication(kind, out, data)
 
-    return _cached((kind, rho.key(), *params, m.key()), build)
+    return m.cached((kind, rho.key(), *params), build)
 
 
 def apply_L(rho: HeightDiff, r, m: PersistenceModule) -> FunctorApplication:
@@ -253,8 +243,8 @@ def _eta(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleM
         raise ValueError(f"eta_{direction} needs s >= r")
     apply = _functor(direction)
     scales = (s, r) if direction == "L" else (r, s)
-    return _cached(("eta" + direction, rho.key(), *scales, m.key()),
-                   lambda: _between(apply(rho, s, m), apply(rho, r, m)))
+    return m.cached(("eta" + direction, rho.key(), *scales),
+                    lambda: _between(apply(rho, s, m), apply(rho, r, m)))
 
 
 def eta_L(rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
@@ -280,7 +270,7 @@ def _eta_id(direction: str, rho: HeightDiff, r, m: PersistenceModule) -> ModuleM
         ]
         return _oriented(app, m, comps)
 
-    return _cached((f"eta{direction}-id", rho.key(), r, m.key()), build)
+    return m.cached((f"eta{direction}-id", rho.key(), r), build)
 
 
 def eta_L_to_id(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
@@ -295,10 +285,8 @@ def eta_R_from_id(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
 
 def e_r(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
     """The canonical composite L_r M -> M -> R_r M whose image is the erosion."""
-    return _cached(
-        ("e", rho.key(), _r(r), m.key()),
-        lambda: eta_R_from_id(rho, r, m).compose(eta_L_to_id(rho, r, m)),
-    )
+    return m.cached(("e", rho.key(), _r(r)),
+                    lambda: eta_R_from_id(rho, r, m).compose(eta_L_to_id(rho, r, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +311,7 @@ def _mu(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMo
         return _nested(outer, inner, _functor(direction)(rho, s + r, m))
 
     scales = (s, r) if direction == "L" else (r, s)
-    return _cached(("mu" + direction, rho.key(), *scales, m.key()), build)
+    return m.cached(("mu" + direction, rho.key(), *scales), build)
 
 
 def mu_L(rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
@@ -469,7 +457,7 @@ def theta(rho: HeightDiff, s, r, c, m: PersistenceModule, direction: str) -> Mod
     big = _functor(direction)(rho, s + r + c, m)
     t = apply_T(rho, s, r, m, direction)
     for a, name in enumerate(m.poset.elements):
-        if not set(big.nbhd[a]) <= set(t.nbhd[a]):
+        if not set(big.data[a].nodes) <= set(t.data[a].nodes):
             raise IntermediateValueError(f"neighborhood inclusion fails at {name!r}")
     out = _between(big, t)
     assert (_after(direction, tau(rho, s, r, m, direction), out)
@@ -518,14 +506,12 @@ def im_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
     """The image of L_r M -> M, as a submodule of M.
 
     Built once per (rho, r, M) and shared by every caller, so it is read-only."""
-    return _cached(("im", rho.key(), _r(r), m.key()),
-                   lambda: submodule_image(eta_L_to_id(rho, r, m)))
+    return m.cached(("im", rho.key(), _r(r)), lambda: submodule_image(eta_L_to_id(rho, r, m)))
 
 
 def ker_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
-    """The kernel of M -> R_r M, as a submodule of M; cached and read-only like im_r."""
-    return _cached(("ker", rho.key(), _r(r), m.key()),
-                   lambda: submodule_kernel(eta_R_from_id(rho, r, m)))
+    """The kernel of M -> R_r M, as a submodule of M; memoized and read-only like im_r."""
+    return m.cached(("ker", rho.key(), _r(r)), lambda: submodule_kernel(eta_R_from_id(rho, r, m)))
 
 
 @dataclass

@@ -18,7 +18,7 @@ every later call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -154,28 +154,21 @@ def _lim_diagram(diag: _Diagram) -> LimResult:
     return LimResult(F, diag.nodes, offs, total, len(free), incl, legs, free)
 
 
-def _memo(kind: str, build, m: PersistenceModule, subset: Sequence[int]):
-    """build(M restricted to subset), made once per module object and node set."""
-    nodes = tuple(sorted(subset))
-    key = (kind, nodes)
-    res = m.limits.get(key)
-    if res is None:
-        res = m.limits[key] = build(_module_diagram(m, nodes))
-    return res
-
-
 def colim_over(m: PersistenceModule, subset: Sequence[int]) -> ColimResult:
     """colim of M restricted to the full subposet on `subset` (ambient indices).
 
-    The empty subset yields the zero object.  The result is shared by every
-    call with the same module and node set; treat it as read-only.
+    The empty subset yields the zero object.  The result is made once per
+    module object and sorted node set (`PersistenceModule.cached`) and shared
+    by every later call; treat it as read-only.
     """
-    return _memo("colim", _colim_diagram, m, subset)
+    nodes = tuple(sorted(subset))
+    return m.cached(("colim", nodes), lambda: _colim_diagram(_module_diagram(m, nodes)))
 
 
 def lim_over(m: PersistenceModule, subset: Sequence[int]) -> LimResult:
     """lim of M restricted to the full subposet on `subset`; shared like colim_over."""
-    return _memo("lim", _lim_diagram, m, subset)
+    nodes = tuple(sorted(subset))
+    return m.cached(("lim", nodes), lambda: _lim_diagram(_module_diagram(m, nodes)))
 
 
 def factor_from_colim(col: ColimResult, blocks: Dict[int, Mat], target_rows: int) -> Mat:
@@ -220,27 +213,19 @@ def factor_into_lim(lim: LimResult, blocks: Dict[int, Mat], source_cols: int) ->
     return f
 
 
-def colim_induced(m: PersistenceModule, small: Sequence[int], big: Sequence[int],
-                  col_small: Optional[ColimResult] = None,
-                  col_big: Optional[ColimResult] = None) -> Mat:
+def colim_induced(m: PersistenceModule, small: Sequence[int], big: Sequence[int]) -> Mat:
     """The comparison map colim M|_small -> colim M|_big for small <= big."""
-    s_set, b_set = set(small), set(big)
-    if not s_set <= b_set:
+    if not set(small) <= set(big):
         raise ValueError("subset inclusion violated")
-    cs = col_small if col_small is not None else colim_over(m, small)
-    cb = col_big if col_big is not None else colim_over(m, big)
+    cs, cb = colim_over(m, small), colim_over(m, big)
     return factor_from_colim(cs, {x: cb.legs[x] for x in cs.nodes}, cb.dim)
 
 
-def lim_induced(m: PersistenceModule, big: Sequence[int], small: Sequence[int],
-                lim_big: Optional[LimResult] = None,
-                lim_small: Optional[LimResult] = None) -> Mat:
+def lim_induced(m: PersistenceModule, big: Sequence[int], small: Sequence[int]) -> Mat:
     """The comparison map lim M|_big -> lim M|_small for small <= big."""
-    s_set, b_set = set(small), set(big)
-    if not s_set <= b_set:
+    if not set(small) <= set(big):
         raise ValueError("subset inclusion violated")
-    lb = lim_big if lim_big is not None else lim_over(m, big)
-    ls = lim_small if lim_small is not None else lim_over(m, small)
+    lb, ls = lim_over(m, big), lim_over(m, small)
     return factor_into_lim(ls, {x: lb.legs[x] for x in ls.nodes}, lb.dim)
 
 

@@ -49,7 +49,7 @@ __all__ = [
 class PersistenceModule:
     """A functor from a finite poset to vector spaces, stored on Hasse covers."""
 
-    __slots__ = ("poset", "field", "dims", "maps", "_pair_maps", "_key", "limits")
+    __slots__ = ("poset", "field", "dims", "maps", "_pair_maps", "_key", "memo")
 
     def __init__(self, poset: FinitePoset, fieldspec: FieldSpec, dims: Sequence[int],
                  maps: Dict[Tuple[int, int], Mat]):
@@ -69,8 +69,7 @@ class PersistenceModule:
         self.maps = full
         self._pair_maps: Dict[Tuple[int, int], Mat] = {}
         self._key = None
-        # (co)limits of restrictions by (kind, sorted nodes), filled by kan.colim_over/lim_over
-        self.limits: Dict[tuple, object] = {}
+        self.memo: Dict[tuple, object] = {}
 
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -93,6 +92,18 @@ class PersistenceModule:
         out = self.map_for_idx(step, b) @ self.maps[(a, step)]
         self._pair_maps[(a, b)] = out
         return out
+
+    def cached(self, key: tuple, build):
+        """build(), made once per module object and key and kept in `memo`.
+
+        Values derived from this module ((co)limits of restrictions, functor
+        values, eta, mu, e_r, im_r, ker_r) live exactly as long as it does.
+        They are shared by every caller and must not be mutated.  Two module
+        objects with equal content do not share them.
+        """
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
 
     def key(self) -> tuple:
         if self._key is None:
@@ -202,7 +213,7 @@ class ModuleMorphism:
     The constructor checks shapes only: the morphisms hipm builds are natural by construction,
     and `serde.load_morphism` and `interleave.check_certificate` check those from outside."""
 
-    __slots__ = ("source", "target", "components")
+    __slots__ = ("source", "target", "components", "__weakref__")
 
     def __init__(self, source: PersistenceModule, target: PersistenceModule,
                  components: Sequence[Mat]):

@@ -2,10 +2,11 @@
 
     PYTHONPATH=src python tests/golden/make_golden.py
 
-Each command runs in process through `hipm.cli.main` with a cold functor cache,
-as a fresh `hipm` process would.  Commands that exit 0 (computed) or 2
-(undecided) are kept with their exact stdout; the rest are dropped, since their
-output is an error message rather than a report.  `tests/test_golden.py`
+Each command runs in process through `hipm.cli.main`.  It loads its own modules,
+and every functor value is memoized on the module it was applied to, so each
+command starts from nothing, as a fresh `hipm` process would.  Commands that
+exit 0 (computed) or 2 (undecided) are kept with their exact stdout; the rest
+are dropped, since their output is an error message rather than a report.  `tests/test_golden.py`
 replays the corpus and requires byte-identical reports, so rerun this script
 only when a change of report is intended.
 """
@@ -25,7 +26,6 @@ sys.path.insert(0, str(HERE.parents[1] / "src"))
 from hipm.cli import main  # noqa: E402
 from hipm.exactlin import FieldSpec  # noqa: E402
 from hipm.fixtures import bipath_example, chain_example, grid_example  # noqa: E402
-from hipm.functors import clear_cache  # noqa: E402
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset  # noqa: E402
 from hipm.serde import module_to_json, poset_to_json  # noqa: E402
 
@@ -42,7 +42,6 @@ def field_arg(f: FieldSpec) -> str:
 
 def run(argv):
     """(exit code, stdout) of one in-process CLI call, or None if it raised."""
-    clear_cache()
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

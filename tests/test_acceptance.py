@@ -12,7 +12,6 @@ from hipm.fixtures import bipath_example, chain_example, grid_example
 from hipm.functors import (
     apply_L,
     apply_R,
-    clear_cache,
     e_r,
     erosion_E,
     eta_R,
@@ -58,7 +57,6 @@ def _report(number: int, description: str):
 
 @_report(1, "grid example: printed latching/matching values and decompositions")
 def test_criterion_01_grid_example():
-    clear_cache()
     t0 = time.monotonic()
     ge = grid_example(GF2)
     aL = apply_L(ge.rho, 1, ge.module)
@@ -84,7 +82,6 @@ def test_criterion_01_grid_example():
 
 @_report(2, "chain example: distances (0, 0, C) with a proven middle stratum")
 def test_criterion_02_chain_example():
-    clear_cache()
     t0 = time.monotonic()
     ce = chain_example(2, GF2)
     d_mx = distance(ce.rho, ce.M, ce.X)
@@ -103,7 +100,6 @@ def test_criterion_02_chain_example():
 
 @_report(3, "bipath: hom vanishing, erosion threshold, distance G/2, defect violation")
 def test_criterion_03_bipath():
-    clear_cache()
     t0 = time.monotonic()
     bp = bipath_example(8, GF2)
     M = bp.M

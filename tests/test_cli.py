@@ -536,3 +536,16 @@ def test_cli_help_exits_zero(capsys):
             main(argv)
         assert exc.value.code == 0
     assert "--height" in capsys.readouterr().out
+
+
+def test_cli_rejects_an_output_in_a_missing_directory(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, err = _error(capsys, ["--output", str(target), "repro", "chain"])
+    assert code == 1 and err.startswith("--output:") and "no such directory" in err
+    assert not target.parent.exists()
+
+
+def test_cli_reports_an_unwritable_output_as_an_error(capsys, tmp_path):
+    # the parent exists, but the path is a directory: open() fails after the work
+    code, err = _error(capsys, ["--output", str(tmp_path), "repro", "chain"])
+    assert code == 1 and err.startswith(f"{tmp_path}:") and "cannot write the report" in err

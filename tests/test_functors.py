@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -403,3 +405,31 @@ def test_xi_pullback_constant(chain4, chain4_rho, rng):
     xr = xi_pullback(const, chain4_rho, 1, m, "R")
     # target: matching of the constant module for the pulled-back (zero) heights
     assert validate_module(xr.target).valid
+
+
+def test_functor_values_die_with_their_module():
+    ge = grid_example()
+    rho, m = ge.rho, ge.module
+    del ge
+    values = apply_R(rho, 1, m), e_r(rho, 1, m), im_r(rho, 1, m)
+    refs = [weakref.ref(v) for v in values]
+    assert e_r(rho, 1, m) is values[1]  # memoized on m
+    del m, values
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_equal_modules_get_equal_values_but_do_not_share_them():
+    rho = grid_example().rho
+    m1, m2 = grid_example().module, grid_example().module
+    assert m1 is not m2 and m1.key() == m2.key()
+    for apply in (apply_L, apply_R):
+        a1, a2 = apply(rho, 1, m1), apply(rho, 1, m2)
+        assert a1 is not a2 and a1.module is not a2.module
+        assert a1.module.key() == a2.module.key() and a1.data == a2.data
+    e1, e2 = e_r(rho, 1, m1), e_r(rho, 1, m2)
+    assert e1 is not e2 and e1 == e2
+    for sub in (im_r, ker_r):
+        s1, s2 = sub(rho, 1, m1), sub(rho, 1, m2)
+        assert s1 is not s2 and s1.parent is m1 and s2.parent is m2
+        assert s1.bases == s2.bases

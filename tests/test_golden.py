@@ -1,7 +1,8 @@
 """Replay the golden CLI corpus (`tests/golden/`) and require byte-identical reports.
 
-Every command runs with a cold functor cache, so a report cannot lean on values
-a previous command left behind.  Regenerate with `tests/golden/make_golden.py`
+Every command loads its own modules, and functor values are memoized on the
+module they were applied to, so a report cannot lean on values a previous
+command left behind.  Regenerate with `tests/golden/make_golden.py`
 only when a change of report is intended.
 """
 

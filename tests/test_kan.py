@@ -93,7 +93,7 @@ def test_grid_example_induced_map_rank():
     na = nbhd_down_idx(ge.rho, a, Fraction(1))
     nb = nbhd_down_idx(ge.rho, b, Fraction(1))
     ca, cb = colim_over(ge.module, na), colim_over(ge.module, nb)
-    induced = colim_induced(ge.module, na, nb, ca, cb)
+    induced = colim_induced(ge.module, na, nb)
     assert (induced.rows, induced.cols) == (2, 1)
     assert rref(induced).rank == 1
     for x in ca.nodes:  # leg commutation pins the map down

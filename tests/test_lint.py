@@ -1,9 +1,16 @@
-"""Every name a source or test file imports is used in that file.
+"""Every name a source or test file imports is used in that file, and no
+source module keeps mutable state at module level.
 
 An AST scan: a name bound by `import` or `from ... import` must be read
 somewhere in the same file, or be listed in its `__all__`.  Package
 `__init__.py` files re-export what they import and are skipped, and so are
 `from __future__` imports.
+
+A top-level name in `src/hipm` bound to an empty `{}`, `[]`, `dict()`,
+`list()`, `set()` or `defaultdict(...)` has the shape of a cache or a
+registry that fills at run time; values derived from a module are memoized on
+that module (`PersistenceModule.cached`) instead.  Non-empty constant tables
+and `functools.lru_cache` on pure functions pass.
 """
 
 import ast
@@ -12,9 +19,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "hipm").rglob("*.py"))
 FILES = sorted(
-    p for p in [*(ROOT / "src" / "hipm").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]
-    if p.name != "__init__.py"
+    p for p in [*SOURCES, *(ROOT / "tests").rglob("*.py")] if p.name != "__init__.py"
 )
 
 
@@ -72,3 +79,46 @@ def test_scanner_sees_an_unused_import(tmp_path):
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def _is_empty_container(node: ast.expr) -> bool:
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name == "defaultdict":
+            return True
+        return name in ("dict", "list", "set") and not node.args and not node.keywords
+    return False
+
+
+def module_level_state(path: Path) -> list:
+    """(line, name) of every top-level name bound to an empty mutable container."""
+    out = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if _is_empty_container(value):
+            out += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return out
+
+
+def test_scanner_sees_module_level_state(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from collections import defaultdict\nfrom functools import lru_cache\n"
+                   "from typing import Dict\n_CACHE: Dict[tuple, object] = {}\nSEEN = set()\n"
+                   "_BY = defaultdict(list)\nQUEUE = []\nTABLE = {'a': 1}\nNAMES = ['x']\n"
+                   "EMPTY = ()\n\n@lru_cache(maxsize=None)\ndef f(p):\n    cache = {}\n"
+                   "    return p\n")
+    assert module_level_state(src) == [(4, "_CACHE"), (5, "SEEN"), (6, "_BY"), (7, "QUEUE")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_level_state(path):
+    assert module_level_state(path) == []
