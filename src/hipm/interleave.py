@@ -14,6 +14,7 @@ integer coefficient lattice is probed; failures come back "unknown".
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .exactlin import Mat, batch_consistent, compressed_family, solve, stacked_matmul, zeros
+from .exactlin import (Mat, batch_consistent, compressed_family, rref, solve, stacked_matmul,
+                       zeros)
 from .height import INF, ExtVal, HeightDiff, Stratum, format_ext, rho_diag, strata
 from .functors import apply_R, e_r, sharp
 from .pmod import ModuleMorphism, MorphismStack, PersistenceModule, hom_basis, is_isomorphic
@@ -110,13 +112,41 @@ def _bilinear_tensor(p_basis: MorphismStack, q_basis: MorphismStack,
 _BATCH_BYTES = 1 << 18  # cap on one batch's (B, R, h2 + 1) int64 stack
 
 
+def _relaxation(family: np.ndarray, F) -> Tuple[np.ndarray, List[int]]:
+    """(relaxed, starts): the linear relaxation of every block of candidates.
+
+    A block at level t is the p**t candidates that share their first h1 - t
+    digits.  Taking each product c_i x of its t free digits as an unknown of its
+    own leaves a linear system that is consistent whenever the system of some
+    candidate in the block is.  With A_i = family[i, :, :h2], let T be the row
+    transform of rref([A_{h1-1} | ... | A_0 | I]) with pivots among the A
+    columns.  Its rows from starts[t] on (pivot at or after column t*h2, or none)
+    span the left kernel of [A_{h1-1} | ... | A_{h1-t}].  So rows starts[t]: of
+    `relaxed` = T family, contracted with [c | 1] for any candidate c of the
+    block, are that relaxation up to an invertible change of rows.
+    """
+    h1, R, h2 = family.shape[0] - 1, family.shape[1], family.shape[2] - 1
+    g = np.concatenate([family[i, :, :h2] for i in reversed(range(h1))]
+                       + [np.eye(R, dtype=np.int64)], axis=1)
+    res = rref(Mat(F, g), pivot_limit=h1 * h2)
+    relaxed = np.matmul(res.matrix.a[None, :, h1 * h2:], family) % F.p
+    return relaxed, [bisect.bisect_left(res.pivots, t * h2) for t in range(h1 + 1)]
+
+
 def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
     """(verdict, c, x, candidates tried) for the first c in lexicographic order
     such that sum_i c_i tensor[:, i, :]^T x = rhs is solvable; x comes from `solve`.
 
     Over GF(p) the search is exhaustive, so running out of candidates proves "no".
-    Batches of `compressed_family` systems go to `batch_consistent`, growing 1, 2,
-    4, ... up to _BATCH_BYTES, so a first-candidate witness costs one candidate.
+    It walks the tree of blocks (`_relaxation`): a block whose linear relaxation
+    is inconsistent holds no witness and is skipped whole, and its candidates
+    count as tried.  Blocks of at most one batch (_BATCH_BYTES) are leaves,
+    scanned through `batch_consistent` on `compressed_family` systems in batches
+    that grow 1, 2, 4, ...; candidate 0 goes first, before the relaxation is
+    built, so a first-candidate witness costs one candidate.  `budget` bounds
+    the candidate index, so `candidates_tried` is the witness index + 1 or
+    min(budget, p**h1), exactly as in a one-at-a-time scan.  Indices and block
+    starts are exact Python integers, so any budget is safe.
     Over the rationals a small integer lattice is probed and a miss is "unknown".
     """
     h2, h1, L = tensor.shape
@@ -138,23 +168,63 @@ def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
     p, total = F.p, F.p ** h1
     limit = max(0, min(budget, total))
     family = compressed_family(tensor, rhs, F)
-    shape, family = family.shape[1:], family.reshape(h1 + 1, -1)
-    cap = max(1, _BATCH_BYTES // (8 * max(1, family.shape[1])))
-    # base-p digits of each candidate index; indices stay below 2**62, so capped
-    # place values leave the high digits 0
-    places = np.array([min(p ** e, 1 << 62) for e in range(h1 - 1, -1, -1)], dtype=np.int64)
-    start, size = 0, 1
-    while start < limit:
-        stop = min(start + size, limit)
-        coeffs = np.ones((stop - start, h1 + 1), dtype=np.int64)
-        coeffs[:, :h1] = np.arange(start, stop, dtype=np.int64)[:, None] // places % p
-        ok = batch_consistent((coeffs @ family % p).reshape(stop - start, *shape), p)
-        if ok.any():
-            hit = int(ok.argmax())
-            c = tuple(int(x) for x in coeffs[hit, :h1])
-            return "yes", c, solve_at(c), start + hit + 1
-        start, size = stop, min(2 * size, cap)
-    return ("no" if limit == total else "unknown"), None, None, limit
+    shape, flat = family.shape[1:], family.reshape(h1 + 1, -1)
+    cap = max(1, _BATCH_BYTES // (8 * max(1, flat.shape[1])))
+    leaf = 0  # a leaf block holds p**leaf <= cap candidates
+    while leaf < h1 and p ** (leaf + 1) <= cap:
+        leaf += 1
+    low_places = p ** np.arange(leaf - 1, -1, -1, dtype=np.int64)
+    size = 1
+
+    def head(index: int) -> np.ndarray:  # [c | 1] of one candidate, digits in exact integers
+        c = np.ones(h1 + 1, dtype=np.int64)
+        for i in range(h1 - 1, -1, -1):
+            index, c[i] = divmod(index, p)
+        return c
+
+    def scan(lo: int, hi: int):  # (index, c) of the first witness in lo..hi-1, one leaf block
+        nonlocal size
+        base = lo - lo % p ** leaf
+        row = head(base)
+        while lo < hi:
+            n = min(size, hi - lo)
+            coeffs = np.tile(row, (n, 1))
+            coeffs[:, h1 - leaf:h1] = np.arange(lo - base, lo - base + n)[:, None] // low_places % p
+            ok = batch_consistent((coeffs @ flat % p).reshape(n, *shape), p)
+            if ok.any():
+                i = int(ok.argmax())
+                return lo + i, coeffs[i, :h1]
+            lo, size = lo + n, min(2 * size, cap)
+        return None
+
+    def blocked(start: int, top: int) -> Optional[int]:
+        """The highest level in leaf+1..top whose block at `start` has an
+        inconsistent relaxation, or None; all levels go in one batch, padded
+        with zero rows (a lower level's rows include a higher level's)."""
+        system = np.tensordot(head(start), relaxed, axes=1) % p
+        levels = list(range(top, leaf, -1))
+        keep = np.arange(len(system))[None, :] >= np.array([starts[t] for t in levels])[:, None]
+        ok = batch_consistent(np.where(keep[:, :, None], system[None], 0), p)
+        return next((t for t, good in zip(levels, ok) if not good), None)
+
+    hit = scan(0, 1) if limit else None  # a first-candidate witness costs one candidate
+    if hit is None and limit > 1 and h1 > leaf:  # else `blocked` is never called
+        relaxed, starts = _relaxation(family, F)
+    start = 0
+    while hit is None and max(start, 1) < limit:  # candidate 0 is done
+        top = 0  # the level of the largest block starting here; those above were tested
+        while top < h1 and start % p ** (top + 1) == 0:
+            top += 1
+        skip = blocked(start, top) if top > leaf else None
+        if skip is not None:
+            start += p ** skip
+            continue
+        hit = scan(max(start, 1), min(start + p ** leaf, limit))
+        start += p ** leaf
+    if hit is None:
+        return ("no" if limit == total else "unknown"), None, None, limit
+    c = tuple(int(x) for x in hit[1])
+    return "yes", c, solve_at(c), hit[0] + 1
 
 
 def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
@@ -162,12 +232,14 @@ def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     """Search for an r-interleaving between m and n.
 
     Enumerates p over Hom(m, R_r n) in lexicographic coefficient order; the two
-    defining identities are linear in q once p is fixed.  Over GF(p) candidates
-    are tested in batches (`_bilinear_search`) in that same order, so the first
-    witness, its q (one exact `solve`) and `candidates_tried` (up to and
-    including the witness) are those of a one-at-a-time scan.  Exhausting the
-    Hom space proves "no" (prime fields); hitting the budget first yields
-    "unknown" with `candidates_tried` equal to the budget.
+    defining identities are linear in q once p is fixed.  Over GF(p)
+    `_bilinear_search` skips whole blocks of candidates whose linear relaxation
+    is inconsistent and tests the rest in batches, in that same order, so the
+    first witness, its q (one exact `solve`) and `candidates_tried` (the
+    witness's position, skipped candidates included) are those of a
+    one-at-a-time scan.  Exhausting the Hom space proves "no" (prime fields);
+    reaching the budget first, as a bound on that position, yields "unknown"
+    with `candidates_tried` equal to the budget.
     """
     r = Fraction(r)
     F = m.field

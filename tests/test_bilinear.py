@@ -1,20 +1,26 @@
 """The batched GF(p) candidate search against a scalar reference that tries one
 candidate at a time with `solve`: same verdict, same `candidates_tried`, same
 first witness.  The reference builds the bilinear tensor one transpose and one
-composite at a time, and the stacked `_bilinear_tensor` must equal it."""
+composite at a time, and the stacked `_bilinear_tensor` must equal it.  Deep
+families with tiny batches drive the search through blocks it skips by their
+linear relaxation."""
 
 import itertools
+import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hipm import interleave
 from hipm.exactlin import FieldSpec, Mat, batch_consistent, compressed_family, solve
 from hipm.fixtures import bipath_example, chain_example, grid_example
 from hipm.functors import apply_R, e_r, sharp
 from hipm.height import rho_diag
-from hipm.interleave import _bilinear_search, _bilinear_tensor, find_interleaving
+from hipm.interleave import (_bilinear_search, _bilinear_tensor, check_certificate, distance,
+                             find_interleaving)
 from hipm.pmod import direct_sum, hom_basis, interval_module
 from hipm.poset import FinitePoset
 
@@ -57,6 +63,14 @@ def bilinear_families(draw):
     return FieldSpec("gfp", p), tensor, rhs, budget
 
 
+def assert_search_matches(field, tensor, rhs, budget, want):
+    """`_bilinear_search` against the reference result `want`."""
+    verdict, coeffs, x, tried = _bilinear_search(tensor, rhs, field, budget)
+    assert (verdict, coeffs, tried) == (want[0], want[1], want[3])
+    if verdict == "yes":
+        assert x == want[2]
+
+
 # (field, tensor, rhs, budget) with h1 = 0, h2 = 0 and L = 0
 ZERO_SHAPES = [(FieldSpec("gfp", 3), np.zeros(shape, dtype=np.int64),
                 np.ones(shape[2], dtype=np.int64), 2)
@@ -89,11 +103,72 @@ def test_compressed_rows_keep_every_candidate(case):
 @settings(max_examples=200, deadline=None)
 def test_bilinear_search_matches_scalar_reference(case):
     field, tensor, rhs, budget = case
-    verdict, coeffs, x, tried = _bilinear_search(tensor, rhs, field, budget)
+    assert_search_matches(field, tensor, rhs, budget, scalar_search(tensor, rhs, field, budget))
+
+
+@st.composite
+def pruned_families(draw):
+    """(field, tensor, rhs, budget, leaf) deep enough for blocks above the
+    leaves: h1 up to 7 over GF(2) and 5 over GF(3), some (i, l) slices zeroed so
+    that digit i leaves row l alone and relaxations fail, budgets anywhere up to
+    past the end, and batches of `leaf` = 1..8 candidates."""
+    p = draw(st.sampled_from((2, 3)))
+    h1 = draw(st.integers(2, 7 if p == 2 else 5))
+    h2, L = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    tensor = _ints(draw, p, h2 * h1 * L).reshape(h2, h1, L)
+    zeroed = draw(st.lists(st.booleans(), min_size=h1 * L, max_size=h1 * L))
+    tensor[:, np.array(zeroed).reshape(h1, L)] = 0
+    rhs = _ints(draw, p, L)
+    if draw(st.booleans()):
+        rhs = np.einsum("jil,i,j->l", tensor, _ints(draw, p, h1), _ints(draw, p, h2)) % p
+    budget = draw(st.integers(1, p ** h1 + 1))
+    return FieldSpec("gfp", p), tensor, rhs, budget, draw(st.integers(1, 8))
+
+
+def small_batches(field, tensor, rhs, leaf):
+    """Patch `_BATCH_BYTES` so that one batch holds `leaf` candidate systems."""
+    family = compressed_family(tensor, rhs, field)
+    width = family.shape[1] * family.shape[2]
+    return mock.patch.object(interleave, "_BATCH_BYTES", 8 * max(1, width) * leaf)
+
+
+def digit_family(p, h1, rows):
+    """One equation c_i x = v per (i, v) in `rows`, with h2 = 1.  With (0, 1)
+    among them every candidate with c_0 = 0, the first block of p**(h1 - 1),
+    fails, and so does its relaxation."""
+    tensor = np.zeros((1, h1, len(rows)), dtype=np.int64)
+    for l, i in enumerate(rows):
+        tensor[0, i, l] = 1
+    return FieldSpec("gfp", p), tensor, np.array(list(rows.values()), dtype=np.int64)
+
+
+@given(pruned_families())
+@example((*digit_family(2, 7, {0: 1}), 2 ** 6 - 3, 2))  # budget ends inside the skipped block
+@example((*digit_family(3, 5, {0: 1}), 3 ** 4, 1))  # ... at its last candidate
+@example((*digit_family(3, 5, {0: 1}), 3 ** 4 + 1, 4))  # ... on the witness just after it
+@example((*digit_family(3, 5, {0: 1, 4: 1}), 3 ** 4 + 1, 3))  # ... inside the witness's leaf
+@settings(max_examples=300, deadline=None)
+def test_pruned_search_matches_scalar_reference(case):
+    """At the drawn budget, and when that finds a witness, at each budget that
+    ends up to `leaf` candidates before it."""
+    field, tensor, rhs, budget, leaf = case
     want = scalar_search(tensor, rhs, field, budget)
-    assert (verdict, coeffs, tried) == (want[0], want[1], want[3])
-    if verdict == "yes":
-        assert x == want[2]
+    with small_batches(field, tensor, rhs, leaf):
+        assert_search_matches(field, tensor, rhs, budget, want)
+        for short in range(max(1, want[3] - leaf), want[3] if want[0] == "yes" else 0):
+            assert_search_matches(field, tensor, rhs, short, ("unknown", None, None, short))
+
+
+def test_block_indices_past_2_62_are_exact():
+    """Skipping the c_0 = 0 block of 3**40 > 2**62 candidates lands past int64
+    range in one step; the witness c_0 = 1, c_40 = 2 sits at index 3**40 + 2."""
+    field, tensor, rhs = digit_family(3, 41, {0: 1, 40: 2})
+    assert 3 ** 40 > 2 ** 62
+    witness = (1,) + (0,) * 39 + (2,)
+    verdict, coeffs, x, tried = _bilinear_search(tensor, rhs, field, 10 ** 20)
+    assert (verdict, coeffs, tried) == ("yes", witness, 3 ** 40 + 3)
+    assert x.a.tolist() == [[1]]
+    assert _bilinear_search(tensor, rhs, field, 3 ** 40 + 2)[::3] == ("unknown", 3 ** 40 + 2)
 
 
 def flat(mor):
@@ -197,3 +272,23 @@ def test_budget_edges():
     for budget in (1, 2, 3 ** 4 - 1):
         short = find_interleaving(ce.rho, 1, m, n, budget=budget)
         assert (short.verdict, short.candidates_tried) == ("unknown", budget)
+
+
+@pytest.mark.parametrize("p,tried", [(3, 551_881), (2, 4_681)])
+def test_stress_target_at_default_budget(p, tried):
+    """The GF(3), k = 4 pair took about 29 s to reach its witness one candidate
+    at a time; skipping blocks reaches the same witness."""
+    rho, m, n = stress_family(p, 4, 1)
+    start = time.perf_counter()
+    res = find_interleaving(rho, 1, m, n)
+    elapsed = time.perf_counter() - start
+    assert (res.verdict, res.candidates_tried) == ("yes", tried)
+    assert check_certificate(rho, 1, m, n, res.certificate.p, res.certificate.q)
+    assert elapsed < 10
+
+
+def test_stress_target_stays_undecided_at_small_budget():
+    rho, m, n = stress_family(3, 4, 1)
+    rep = distance(rho, m, n, budget=5000)
+    assert not rep.decided and (rep.distance_lo, rep.distance) == (0, 1)
+    assert rep.verdict_at(1) == "unknown"

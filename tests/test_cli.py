@@ -463,6 +463,13 @@ def test_cli_oracle_grid_undecided_within_budget(capsys, tmp_path):
     assert code == 2
     assert "within budget 5000" in rep["oracle_undecided"]
     assert (rep["oracle_distance_lo"], rep["oracle_distance_hi"]) == ("0", "1")
+    # a budget past int64 range: both searches skip blocks to the witness at 551 881,
+    # so the first yes is the stratum (0, 1] and the distance 0 is not attained
+    code, rep = _run(capsys, ["--field", "gf3", "--budget", str(10 ** 20), "oracle-grid",
+                              "--poset", str(files["poset"]), "--module", str(files["m"]),
+                              "--module2", str(files["n"])])
+    assert code == 0
+    assert (rep["distance"], rep["oracle_distance"], rep["agree"]) == ("0", "0", True)
 
 
 def test_cli_en_distance_over_the_rationals_is_undecided(capsys):
