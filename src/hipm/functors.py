@@ -100,7 +100,7 @@ class FunctorApplication:
 
 def clear_cache() -> None:
     """Does nothing.  Every functor value is memoized on the module it was
-    applied to (`PersistenceModule.cached`) and lives exactly as long as that
+    applied to (`Memo.cached`) and lives exactly as long as that
     module, so there is no cache to clear.  Kept only because `perfbench/run.py`
     and `perfbench/make_data.py` still call it."""
 
@@ -179,7 +179,7 @@ def _apply(kind: str, params: tuple, rho: HeightDiff, m: PersistenceModule,
         out = PersistenceModule(P, m.field, [data[a].dim for a in range(len(P))], maps)
         return FunctorApplication(kind, out, data)
 
-    return m.cached((kind, rho.key(), *params), build)
+    return m.cached((kind, rho, *params), build)
 
 
 def apply_L(rho: HeightDiff, r, m: PersistenceModule) -> FunctorApplication:
@@ -243,7 +243,7 @@ def _eta(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleM
         raise ValueError(f"eta_{direction} needs s >= r")
     apply = _functor(direction)
     scales = (s, r) if direction == "L" else (r, s)
-    return m.cached(("eta" + direction, rho.key(), *scales),
+    return m.cached(("eta" + direction, rho, *scales),
                     lambda: _between(apply(rho, s, m), apply(rho, r, m)))
 
 
@@ -270,7 +270,7 @@ def _eta_id(direction: str, rho: HeightDiff, r, m: PersistenceModule) -> ModuleM
         ]
         return _oriented(app, m, comps)
 
-    return m.cached((f"eta{direction}-id", rho.key(), r), build)
+    return m.cached((f"eta{direction}-id", rho, r), build)
 
 
 def eta_L_to_id(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
@@ -285,7 +285,7 @@ def eta_R_from_id(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
 
 def e_r(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
     """The canonical composite L_r M -> M -> R_r M whose image is the erosion."""
-    return m.cached(("e", rho.key(), _r(r)),
+    return m.cached(("e", rho, _r(r)),
                     lambda: eta_R_from_id(rho, r, m).compose(eta_L_to_id(rho, r, m)))
 
 
@@ -311,7 +311,7 @@ def _mu(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMo
         return _nested(outer, inner, _functor(direction)(rho, s + r, m))
 
     scales = (s, r) if direction == "L" else (r, s)
-    return m.cached(("mu" + direction, rho.key(), *scales), build)
+    return m.cached(("mu" + direction, rho, *scales), build)
 
 
 def mu_L(rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
@@ -506,12 +506,12 @@ def im_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
     """The image of L_r M -> M, as a submodule of M.
 
     Built once per (rho, r, M) and shared by every caller, so it is read-only."""
-    return m.cached(("im", rho.key(), _r(r)), lambda: submodule_image(eta_L_to_id(rho, r, m)))
+    return m.cached(("im", rho, _r(r)), lambda: submodule_image(eta_L_to_id(rho, r, m)))
 
 
 def ker_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
     """The kernel of M -> R_r M, as a submodule of M; memoized and read-only like im_r."""
-    return m.cached(("ker", rho.key(), _r(r)), lambda: submodule_kernel(eta_R_from_id(rho, r, m)))
+    return m.cached(("ker", rho, _r(r)), lambda: submodule_kernel(eta_R_from_id(rho, r, m)))
 
 
 @dataclass

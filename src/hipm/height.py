@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .poset import Connectivity, FinitePoset, OrderMap, PosetError, _is_connected_idx
+from .poset import Connectivity, FinitePoset, Memo, OrderMap, PosetError, _is_connected_idx
 
 __all__ = [
     "INF",
@@ -141,28 +141,22 @@ class HeightFunction:
         return bad
 
 
-class HeightDiff:
-    """A validated height-difference function; values indexed by element indices."""
+class HeightDiff(Memo):
+    """A validated height-difference function; values indexed by element indices.
+    It hashes by identity, so memo keys that name it name this object."""
 
-    __slots__ = ("poset", "values", "_crit", "_key")
+    __slots__ = ("poset", "values")
 
     def __init__(self, poset: FinitePoset, values: Dict[Tuple[int, int], ExtVal]):
+        super().__init__()
         self.poset = poset
         self.values = values
-        self._crit = None
-        self._key = None
 
     def value(self, a: str, b: str) -> ExtVal:
         return self.values[(self.poset.idx(a), self.poset.idx(b))]
 
     def value_idx(self, i: int, j: int) -> ExtVal:
         return self.values[(i, j)]
-
-    def key(self) -> tuple:
-        if self._key is None:
-            items = tuple(sorted((i, j, format_ext(v)) for (i, j), v in self.values.items()))
-            self._key = (self.poset.key(), items)
-        return self._key
 
     def __repr__(self):
         return f"HeightDiff(on {len(self.poset)} elements)"
@@ -237,30 +231,23 @@ def from_phi(phi: HeightFunction) -> HeightDiff:
     if bad:
         raise PosetError(f"height function not order-preserving, e.g. on pair {bad[0]}")
     P = phi.poset
-    values: Dict[Tuple[int, int], ExtVal] = {}
-    for i, j in P.comparable_pairs():
-        values[(i, j)] = phi.phi[P.elements[j]] - phi.phi[P.elements[i]]
-    return HeightDiff(P, values)
+    return HeightDiff(P, {(i, j): phi.phi[P.elements[j]] - phi.phi[P.elements[i]]
+                          for i, j in P.comparable_pairs()})
 
 
 def rho_diag(grid: FinitePoset) -> HeightDiff:
     """The coordinatewise-minimum difference on a product grid: min_i (b_i - a_i)."""
     if grid.coords is None:
         raise PosetError("poset carries no grid coordinates")
-    values: Dict[Tuple[int, int], ExtVal] = {}
-    for i, j in grid.comparable_pairs():
-        ci, cj = grid.coords[i], grid.coords[j]
-        values[(i, j)] = Fraction(min(b - a for a, b in zip(ci, cj)))
-    return HeightDiff(grid, values)
+    return HeightDiff(grid, {(i, j): Fraction(min(b - a for a, b in zip(grid.coords[i], grid.coords[j])))
+                             for i, j in grid.comparable_pairs()})
 
 
 def rho_strict(poset: FinitePoset) -> HeightDiff:
     """0 on the diagonal and oo on every strict pair; r-neighborhoods for r > 0
     are then the strict down/up sets (the classical latching/matching index sets)."""
-    values: Dict[Tuple[int, int], ExtVal] = {}
-    for i, j in poset.comparable_pairs():
-        values[(i, j)] = Fraction(0) if i == j else INF
-    return HeightDiff(poset, values)
+    return HeightDiff(poset, {(i, j): Fraction(0) if i == j else INF
+                              for i, j in poset.comparable_pairs()})
 
 
 def pullback_rho(f: OrderMap, rho: HeightDiff) -> HeightDiff:
@@ -269,10 +256,8 @@ def pullback_rho(f: OrderMap, rho: HeightDiff) -> HeightDiff:
     if rho.poset.key() != f.target.key():
         raise PosetError("rho must live on the target of f")
     Q = f.source
-    values: Dict[Tuple[int, int], ExtVal] = {}
-    for i, j in Q.comparable_pairs():
-        values[(i, j)] = rho.value_idx(f.apply_idx(i), f.apply_idx(j))
-    table = {(Q.elements[i], Q.elements[j]): v for (i, j), v in values.items()}
+    table = {(Q.elements[i], Q.elements[j]): rho.value_idx(f.apply_idx(i), f.apply_idx(j))
+             for i, j in Q.comparable_pairs()}
     validation = validate_rho(Q, table)
     assert validation.ok, f"pullback broke superadditivity: {validation.superadditivity_violations[:1]}"
     return validation.rho
@@ -283,25 +268,29 @@ def pullback_rho(f: OrderMap, rho: HeightDiff) -> HeightDiff:
 # ---------------------------------------------------------------------------
 
 
-def nbhd_down_idx(rho: HeightDiff, i: int, r: Fraction) -> List[int]:
-    return [x for x in rho.poset.down_idx(i) if rho.values[(x, i)] >= r]
+def nbhd_down_idx(rho: HeightDiff, i: int, r: Fraction) -> Tuple[int, ...]:
+    """{x <= i : rho(x, i) >= r}, read from one tuple per r made once on rho."""
+    P, vals = rho.poset, rho.values
+    return rho.cached(("down", r), lambda: tuple(
+        tuple(x for x in P.down_idx(a) if vals[(x, a)] >= r) for a in range(len(P))))[i]
 
 
-def nbhd_up_idx(rho: HeightDiff, i: int, r: Fraction) -> List[int]:
-    return [y for y in rho.poset.up_idx(i) if rho.values[(i, y)] >= r]
+def nbhd_up_idx(rho: HeightDiff, i: int, r: Fraction) -> Tuple[int, ...]:
+    """{y >= i : rho(i, y) >= r}, memoized like nbhd_down_idx."""
+    P, vals = rho.poset, rho.values
+    return rho.cached(("up", r), lambda: tuple(
+        tuple(y for y in P.up_idx(a) if vals[(a, y)] >= r) for a in range(len(P))))[i]
 
 
 def nbhd_down(rho: HeightDiff, a: str, r) -> frozenset:
     """{x <= a : rho(x, a) >= r}; r = 0 gives the full down set."""
-    r = Fraction(r)
     P = rho.poset
-    return frozenset(P.elements[x] for x in nbhd_down_idx(rho, P.idx(a), r))
+    return frozenset(P.elements[x] for x in nbhd_down_idx(rho, P.idx(a), Fraction(r)))
 
 
 def nbhd_up(rho: HeightDiff, a: str, r) -> frozenset:
-    r = Fraction(r)
     P = rho.poset
-    return frozenset(P.elements[y] for y in nbhd_up_idx(rho, P.idx(a), r))
+    return frozenset(P.elements[y] for y in nbhd_up_idx(rho, P.idx(a), Fraction(r)))
 
 
 def nbhd_iterated_idx(rho: HeightDiff, i: int, s: Fraction, r: Fraction, direction: str) -> List[int]:
@@ -311,10 +300,7 @@ def nbhd_iterated_idx(rho: HeightDiff, i: int, s: Fraction, r: Fraction, directi
         first, second = nbhd_up_idx(rho, i, r), lambda x: nbhd_up_idx(rho, x, s)
     else:
         raise ValueError("direction must be 'down' or 'up'")
-    out = set()
-    for x in first:
-        out.update(second(x))
-    return sorted(out)
+    return sorted(set().union(*map(second, first)))
 
 
 def nbhd_iterated(rho: HeightDiff, a: str, s, r, direction: str = "down") -> frozenset:
@@ -343,13 +329,8 @@ def critical_values(rho: HeightDiff) -> List[Fraction]:
     Every neighborhood a^{down_r} is constant for r ranging inside a stratum cut
     out by consecutive critical values.
     """
-    if rho._crit is None:
-        vals = {Fraction(0)}
-        for v in rho.values.values():
-            if v is not INF:
-                vals.add(v)
-        rho._crit = sorted(vals)
-    return list(rho._crit)
+    finite = (v for v in rho.values.values() if v is not INF)
+    return list(rho.cached(("crit",), lambda: sorted({Fraction(0), *finite})))
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,7 @@ def colim_over(m: PersistenceModule, subset: Sequence[int]) -> ColimResult:
     """colim of M restricted to the full subposet on `subset` (ambient indices).
 
     The empty subset yields the zero object.  The result is made once per
-    module object and sorted node set (`PersistenceModule.cached`) and shared
+    module object and sorted node set (`Memo.cached`) and shared
     by every later call; treat it as read-only.
     """
     nodes = tuple(sorted(subset))

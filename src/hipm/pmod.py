@@ -28,7 +28,7 @@ from .exactlin import (
     stacked_matmul,
     vstack,
 )
-from .poset import FinitePoset, OrderMap, PosetError
+from .poset import FinitePoset, Memo, OrderMap, PosetError
 
 __all__ = [
     "PersistenceModule",
@@ -46,13 +46,14 @@ __all__ = [
 ]
 
 
-class PersistenceModule:
+class PersistenceModule(Memo):
     """A functor from a finite poset to vector spaces, stored on Hasse covers."""
 
-    __slots__ = ("poset", "field", "dims", "maps", "_pair_maps", "_key", "memo")
+    __slots__ = ("poset", "field", "dims", "maps")
 
     def __init__(self, poset: FinitePoset, fieldspec: FieldSpec, dims: Sequence[int],
                  maps: Dict[Tuple[int, int], Mat]):
+        super().__init__()
         self.poset = poset
         self.field = fieldspec
         self.dims = tuple(int(d) for d in dims)
@@ -67,53 +68,27 @@ class PersistenceModule:
                 m = Mat.zeros(fieldspec, self.dims[b], self.dims[a])
             full[(a, b)] = m
         self.maps = full
-        self._pair_maps: Dict[Tuple[int, int], Mat] = {}
-        self._key = None
-        self.memo: Dict[tuple, object] = {}
 
     def total_dim(self) -> int:
         return sum(self.dims)
 
     def map_for_idx(self, a: int, b: int) -> Mat:
         """M(a <= b), composed along the canonical (smallest-next-index) cover path."""
+        # a hit is one lookup: every leg of every (co)limit diagram comes here
+        out = self.memo.get(("map", a, b))
+        if out is not None:
+            return out
         if not self.poset.leq[a, b]:
             raise PosetError(f"{self.poset.elements[a]!r} is not below {self.poset.elements[b]!r}")
         if a == b:
             return Mat.eye(self.field, self.dims[a])
-        cached = self._pair_maps.get((a, b))
-        if cached is not None:
-            return cached
-        step = None
-        for (lo, hi) in self.poset.covers:
-            if lo == a and self.poset.leq[hi, b]:
-                step = hi
-                break
-        assert step is not None, "cover path must exist for a strict relation"
-        out = self.map_for_idx(step, b) @ self.maps[(a, step)]
-        self._pair_maps[(a, b)] = out
+        step = next(hi for lo, hi in self.poset.covers if lo == a and self.poset.leq[hi, b])
+        out = self.memo[("map", a, b)] = self.map_for_idx(step, b) @ self.maps[(a, step)]
         return out
 
-    def cached(self, key: tuple, build):
-        """build(), made once per module object and key and kept in `memo`.
-
-        Values derived from this module ((co)limits of restrictions, functor
-        values, eta, mu, e_r, im_r, ker_r) live exactly as long as it does.
-        They are shared by every caller and must not be mutated.  Two module
-        objects with equal content do not share them.
-        """
-        if key not in self.memo:
-            self.memo[key] = build()
-        return self.memo[key]
-
     def key(self) -> tuple:
-        if self._key is None:
-            self._key = (
-                self.poset.key(),
-                self.field,
-                self.dims,
-                tuple(sorted((c, self.maps[c].entries()) for c in self.maps)),
-            )
-        return self._key
+        return self.cached(("key",), lambda: (self.poset.key(), self.field, self.dims, tuple(
+            sorted((c, self.maps[c].entries()) for c in self.maps))))
 
     def __repr__(self):
         return f"PersistenceModule(dims={list(self.dims)})"

@@ -14,6 +14,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
+    "Memo",
     "FinitePoset",
     "OrderMap",
     "PosetError",
@@ -36,23 +37,41 @@ class Connectivity:
     DISCONNECTED = "disconnected"
 
 
-class FinitePoset:
+class Memo:
+    """Values derived from an immutable object, memoized on it: a poset's subposet
+    covers, a height function's critical values and neighborhoods, a module's
+    maps, (co)limits and functor values.  A value lives as long as its owner, is
+    shared and must not be mutated; keys name other objects by identity."""
+
+    __slots__ = ("memo",)
+
+    def __init__(self):
+        self.memo: Dict[tuple, object] = {}
+
+    def cached(self, key: tuple, build):
+        """build(), made once per owner and key and kept in `memo`."""
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
+
+
+class FinitePoset(Memo):
     """Immutable finite poset: elements, Hasse covers, and the full order relation.
 
     `leq` is a dense boolean matrix (leq[i, j] iff element i <= element j), so
     order queries are O(1).  Covers are stored transitively reduced.
     """
 
-    __slots__ = ("elements", "index", "leq", "covers", "coords", "_key")
+    __slots__ = ("elements", "index", "leq", "covers", "coords")
 
     def __init__(self, elements: Tuple[str, ...], leq: np.ndarray, covers: Tuple[Tuple[int, int], ...],
                  coords: Optional[Dict[int, Tuple[int, ...]]] = None):
+        super().__init__()
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
         self.leq = leq
         self.covers = covers
         self.coords = coords
-        self._key = None
 
     # -- construction ---------------------------------------------------
 
@@ -151,17 +170,20 @@ class FinitePoset:
 
     def subposet_covers(self, subset_idx: Sequence[int]) -> List[Tuple[int, int]]:
         """Hasse covers of the full subposet on `subset_idx` (its own transitive
-        reduction, not the ambient covers restricted)."""
-        ix = sorted(subset_idx)
-        sub = self.leq[np.ix_(ix, ix)].copy()
-        np.fill_diagonal(sub, False)
-        red = _transitive_reduction(sub)
-        return [(ix[int(i)], ix[int(j)]) for i, j in sorted(map(tuple, np.argwhere(red)))]
+        reduction, not the ambient covers restricted); made once per sorted
+        node set and shared."""
+        ix = tuple(sorted(subset_idx))
+
+        def build():
+            sub = self.leq[np.ix_(ix, ix)].copy()
+            np.fill_diagonal(sub, False)
+            red = _transitive_reduction(sub)
+            return [(ix[int(i)], ix[int(j)]) for i, j in sorted(map(tuple, np.argwhere(red)))]
+
+        return self.cached(("covers", ix), build)
 
     def key(self) -> tuple:
-        if self._key is None:
-            self._key = (self.elements, self.covers)
-        return self._key
+        return (self.elements, self.covers)
 
     def __repr__(self) -> str:
         return f"FinitePoset({len(self.elements)} elements, {len(self.covers)} covers)"

@@ -88,11 +88,18 @@ def field_to_json(f: FieldSpec) -> Dict[str, Any]:
     return {"kind": "rational"}
 
 
+def _object(doc: Any, what: str, location: str = "$") -> Dict[str, Any]:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} must be an object", location)
+    return doc
+
+
 def load_poset(doc: Dict[str, Any]) -> FinitePoset:
     """{"elements": [...], "covers": [["a","b"], ...]} or {"grid": [4, 3]}.
 
     Covers need not be reduced in the file; normalization happens on load.
     """
+    doc = _object(doc, "poset document")
     if "grid" in doc:
         shape = doc["grid"]
         if not isinstance(shape, list) or not all(isinstance(x, int) for x in shape):
@@ -104,10 +111,12 @@ def load_poset(doc: Dict[str, Any]) -> FinitePoset:
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise SchemaError("elements must be a list of strings", "$.elements")
     covers = doc.get("covers", [])
+    if not isinstance(covers, list):
+        raise SchemaError("covers must be a list", "$.covers")
     pairs = []
     for i, c in enumerate(covers):
-        if not (isinstance(c, list) and len(c) == 2):
-            raise SchemaError("cover must be a [lower, upper] pair", f"$.covers[{i}]")
+        if not (isinstance(c, list) and len(c) == 2 and all(isinstance(e, str) for e in c)):
+            raise SchemaError("cover must be a [lower, upper] pair of ids", f"$.covers[{i}]")
         pairs.append((c[0], c[1]))
     return FinitePoset.from_covers(elements, pairs)
 
@@ -121,6 +130,7 @@ def poset_to_json(p: FinitePoset) -> Dict[str, Any]:
 
 def load_height(doc: Dict[str, Any], poset: FinitePoset) -> HeightDiff:
     """{"phi": {...}} or {"rho": [["a","b","3/2"], ...]} or {"diag": true} on grids."""
+    doc = _object(doc, "height document")
     if doc.get("diag"):
         return rho_diag(poset)
     if "phi" in doc:
@@ -132,10 +142,13 @@ def load_height(doc: Dict[str, Any], poset: FinitePoset) -> HeightDiff:
         return from_phi(phi)
     if "rho" in doc:
         entries = doc["rho"]
+        if not isinstance(entries, list):
+            raise SchemaError("rho must be a list of [a, b, value] entries", "$.rho")
         table = {}
         for i, ent in enumerate(entries):
-            if not (isinstance(ent, list) and len(ent) == 3):
-                raise SchemaError("rho entry must be [a, b, value]", f"$.rho[{i}]")
+            if not (isinstance(ent, list) and len(ent) == 3
+                    and all(isinstance(e, str) for e in ent[:2])):
+                raise SchemaError("rho entry must be [a, b, value] with ids a, b", f"$.rho[{i}]")
             table[(ent[0], ent[1])] = _exact(parse_ext, ent[2], f"$.rho[{i}]")
         validation = validate_rho(poset, table)
         if not validation.ok:
@@ -176,12 +189,13 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
 
     A document field equal to `default_field` is replaced by that object, so the
     modules of one run share one field object."""
+    doc = _object(doc, "module document")
     fieldspec = parse_field(doc["field"]) if "field" in doc else default_field
     if fieldspec == default_field:
         fieldspec = default_field
     if fieldspec is None:
         raise SchemaError("module needs a field", "$.field")
-    dims_doc = doc.get("dims", {})
+    dims_doc = _object(doc.get("dims", {}), "dims", "$.dims")
     dims = []
     for e in poset.elements:
         d = dims_doc.get(e, 0)
@@ -189,7 +203,7 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
             raise SchemaError(f"dimension must be an integer >= 0, got {d!r}", f"$.dims[{e!r}]")
         dims.append(int(d))
     maps = {}
-    for key, rows in doc.get("maps", {}).items():
+    for key, rows in _object(doc.get("maps", {}), "maps", "$.maps").items():
         if "|" not in key:
             raise SchemaError("map key must be 'lower|upper'", f"$.maps[{key!r}]")
         lo, hi = key.split("|", 1)
@@ -216,8 +230,9 @@ def module_to_json(m: PersistenceModule) -> Dict[str, Any]:
 def load_morphism(doc: Dict[str, Any], source: PersistenceModule,
                   target: PersistenceModule) -> ModuleMorphism:
     """{"components": {"a": [[...]], ...}}; omitted elements mean zero blocks; checked natural."""
+    doc = _object(doc, "morphism document")
+    table = _object(doc.get("components", {}), "components", "$.components")
     comps = []
-    table = doc.get("components", {})
     for i, e in enumerate(source.poset.elements):
         rows = table.get(e)
         shape = (target.dims[i], source.dims[i])
@@ -299,7 +314,9 @@ def en_report_to_json(rep: StrataReport) -> Dict[str, Any]:
 
 
 def load_order_map(doc: Dict[str, Any], source: FinitePoset, target: FinitePoset) -> OrderMap:
-    table = doc.get("map")
-    if not isinstance(table, dict):
-        raise SchemaError("order map needs a 'map' object", "$.map")
+    doc = _object(doc, "order-map document")
+    table = _object(doc.get("map"), "the order map's 'map'", "$.map")
+    for e, v in table.items():
+        if not isinstance(v, str):
+            raise SchemaError(f"image of {e!r} must be an element id", f"$.map[{e!r}]")
     return OrderMap(source, target, dict(table))

@@ -501,6 +501,38 @@ def test_cli_rejects_a_float_height(capsys, chain_files, tmp_path, height):
     assert ("$.phi['b']" if "phi" in height else "$.rho[0]") in err
 
 
+@pytest.mark.parametrize("key, doc, location", [
+    ("poset", 5, "$"),
+    ("poset", {"elements": ["a", "b"], "covers": [[["a"], "b"]]}, "$.covers[0]"),
+    ("phi", [1, 2], "$"),
+    ("phi", {"rho": 5}, "$.rho"),
+    ("phi", {"rho": [[["a"], "b", "1"]]}, "$.rho[0]"),
+    ("M", [1], "$"),
+    ("M", {"field": "gf2", "dims": [1, 1]}, "$.dims"),
+    ("M", {"field": "gf2", "dims": {"a": 1, "b": 1}, "maps": [[1]]}, "$.maps"),
+    ("map", [1], "$"),
+    ("map", {"map": {"a": ["x"], "c": "c"}}, "$.map['a']"),
+], ids=["poset-not-an-object", "cover-id-a-list", "height-not-an-object", "rho-not-a-list",
+        "rho-id-a-list", "module-not-an-object", "dims-a-list", "maps-a-list",
+        "order-map-not-an-object", "order-map-value-a-list"])
+def test_cli_rejects_a_document_of_the_wrong_shape(capsys, chain_files, tmp_path, key, doc,
+                                                   location):
+    """A JSON document of the wrong shape is a schema error at its JSON path,
+    never a Python traceback."""
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"elements": ["a", "c"], "covers": [["a", "c"]]}))
+    chain_files["map"] = tmp_path / "map.json"
+    chain_files["map"].write_text(json.dumps({"map": {"a": "a", "c": "c"}}))
+    chain_files[key] = tmp_path / "bad.json"
+    chain_files[key].write_text(json.dumps(doc))
+    argv = (["pullback", "--poset", str(chain_files["poset"]), "--poset2", str(sub),
+             "--map", str(chain_files["map"])] if key == "map" else _distance_argv(chain_files))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and "Traceback" not in captured.err
+    assert json.loads(captured.err)["error"].startswith(location + ": ")
+
+
 @pytest.mark.parametrize("argv", [
     ["distance", "--poset", "p.json"],  # required flags missing
     ["--budget", "x", "c-rho", "--poset", "p.json", "--height", "h.json"],

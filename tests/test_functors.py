@@ -34,7 +34,7 @@ from hipm.functors import (
     unit,
     xi_pullback,
 )
-from hipm.height import from_phi, nbhd_down_idx, rho_diag
+from hipm.height import HeightDiff, from_phi, nbhd_down_idx, rho_diag
 from hipm.kan import fubini_compare
 from hipm.pmod import (
     ModuleMorphism,
@@ -433,3 +433,13 @@ def test_equal_modules_get_equal_values_but_do_not_share_them():
         s1, s2 = sub(rho, 1, m1), sub(rho, 1, m2)
         assert s1 is not s2 and s1.parent is m1 and s2.parent is m2
         assert s1.bases == s2.bases
+
+    # the same holds for two equal-content height functions on one module:
+    # functor values are keyed by the rho object, not its content
+    twin = HeightDiff(rho.poset, dict(rho.values))
+    for apply in (apply_L, apply_R):
+        a1, a2 = apply(rho, 1, m1), apply(twin, 1, m1)
+        assert a1 is not a2 and a1.module is not a2.module
+        assert a1.module.key() == a2.module.key() and a1.data == a2.data
+    e1, e2 = e_r(rho, 1, m1), e_r(twin, 1, m1)
+    assert e1 is not e2 and e1 == e2

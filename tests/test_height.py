@@ -372,6 +372,30 @@ def test_c_rho_matches_the_breakpoint_bisection(rho):
         assert not check_ivc(rho, below[-1]).holds
 
 
+@given(heights(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_memoized_neighborhoods_match_the_definition(rho, rnd):
+    """nbhd_down_idx / nbhd_up_idx against {x <= a : rho(x, a) >= r} and
+    {y >= a : rho(a, y) >= r}, at, between and above the critical values, each
+    asked twice in shuffled order; a repeated request is the memoized object."""
+    P = rho.poset
+    crit = critical_values(rho)
+    scales = {*crit, crit[-1] + Fraction(1, 3), crit[-1] + 1,
+              *((lo + hi) / 2 for lo, hi in zip(crit, crit[1:]))}
+    queries = [(d, a, r) for d in ("down", "up") for a in range(len(P)) for r in scales] * 2
+    rnd.shuffle(queries)
+    seen = {}
+    for d, a, r in queries:
+        if d == "down":
+            got = nbhd_down_idx(rho, a, r)
+            want = tuple(x for x in range(len(P)) if P.leq[x, a] and rho.values[(x, a)] >= r)
+        else:
+            got = nbhd_up_idx(rho, a, r)
+            want = tuple(y for y in range(len(P)) if P.leq[a, y] and rho.values[(a, y)] >= r)
+        assert got == want
+        assert seen.setdefault((d, a, r), got) is got
+
+
 def test_c_rho_gap_needs_the_reach_of_every_lower_point():
     # on a -> z -> b with phi = 0, 1, 3 the pair (a, b) has points (0,0), (1,1), (3,3)
     # sorted by x: the gap 3 - 1 = 2 is measured from the reach before (3, 3) is added

@@ -8,9 +8,12 @@ somewhere in the same file, or be listed in its `__all__`.  Package
 
 A top-level name in `src/hipm` bound to an empty `{}`, `[]`, `dict()`,
 `list()`, `set()` or `defaultdict(...)` has the shape of a cache or a
-registry that fills at run time; values derived from a module are memoized on
-that module (`PersistenceModule.cached`) instead.  Non-empty constant tables
-and `functools.lru_cache` on pure functions pass.
+registry that fills at run time.  So does an attribute that an `__init__`
+binds to None or to an empty container, to be filled later: a lazy slot or a
+private memo beside the shared one.  Values derived from a poset, a
+height-difference function or a module are memoized on their owner through
+`Memo.cached` instead, and its `memo` dict is the one attribute exempt.
+Non-empty constant tables and `functools.lru_cache` on pure functions pass.
 """
 
 import ast
@@ -122,3 +125,44 @@ def test_scanner_sees_module_level_state(tmp_path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_module_level_state(path):
     assert module_level_state(path) == []
+
+
+def init_state(path: Path) -> list:
+    """(line, "Class.attr") of every `self.attr` that an `__init__` binds to None
+    or an empty container, other than the `memo` of `Memo`."""
+    out = []
+    for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "__init__"):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    targets, value = node.targets, node.value
+                elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                    targets, value = [node.target], node.value
+                else:
+                    continue
+                if not (_is_empty_container(value)
+                        or isinstance(value, ast.Constant) and value.value is None):
+                    continue
+                out += [(node.lineno, f"{cls.name}.{t.attr}") for t in targets
+                        if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                        and t.value.id == "self" and t.attr != "memo"]
+    return out
+
+
+def test_scanner_sees_init_state(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from typing import Dict\n\nclass A:\n    def __init__(self, x):\n"
+                   "        self.x = x\n        self.memo = {}\n        self._key = None\n"
+                   "        self._seen: Dict[int, int] = {}\n        self.names = ['a']\n"
+                   "        cache = []\n\n    def reset(self):\n        self._key = None\n\n"
+                   "class B(A):\n    def __init__(self):\n        self._crit = self._all = set()\n")
+    assert init_state(src) == [(7, "A._key"), (8, "A._seen"), (17, "B._crit"), (17, "B._all")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_init_state(path):
+    assert init_state(path) == []

@@ -138,3 +138,6 @@ def test_subposet_covers_recomputed():
     # dropping the middle of a chain turns the long relation into a cover
     p = FinitePoset.chain(["a", "b", "c"])
     assert p.subposet_covers([0, 2]) == [(0, 2)]
+    # made once per node set: a repeated request, in any order, is the same object
+    assert p.subposet_covers([2, 0]) is p.subposet_covers((0, 2))
+    assert p.subposet_covers([0, 1, 2]) == [(0, 1), (1, 2)]
