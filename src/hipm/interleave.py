@@ -14,19 +14,15 @@ integer coefficient lattice is probed; failures come back "unknown".
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from .exactlin import (Mat, batch_consistent, compressed_family, rref, solve, stacked_matmul,
-                       zeros)
+from .exactlin import DEFAULT_BUDGET, Mat, _bilinear_search, zeros
 from .height import INF, ExtVal, HeightDiff, Stratum, format_ext, rho_diag, strata
 from .functors import apply_R, e_r, sharp
-from .pmod import ModuleMorphism, MorphismStack, PersistenceModule, hom_basis, is_isomorphic
+from .pmod import (ModuleMorphism, MorphismStack, PersistenceModule, _bilinear_tensor, hom_basis,
+                   is_isomorphic)
 from .poset import PosetError
 
 __all__ = [
@@ -43,8 +39,6 @@ __all__ = [
     "UndecidedError",
     "DEFAULT_BUDGET",
 ]
-
-DEFAULT_BUDGET = 1 << 20
 
 
 @dataclass
@@ -77,154 +71,6 @@ class InterleaveResult:
     verdict: str  # "yes" | "no" | "unknown"
     certificate: Optional[Certificate] = None
     candidates_tried: int = 0
-
-
-def _vec_of(mor: ModuleMorphism) -> np.ndarray:
-    parts = [c.a.ravel() for c in mor.components]
-    if parts:
-        return np.concatenate(parts)
-    return np.zeros(0, dtype=np.int64)
-
-
-def _bilinear_tensor(p_basis: MorphismStack, q_basis: MorphismStack,
-                     p_sharps: MorphismStack, q_sharps: MorphismStack,
-                     em: ModuleMorphism, en: ModuleMorphism, F) -> Tuple[np.ndarray, np.ndarray]:
-    """tensor[j, i, :] and rhs, laid out like `_vec_of`, of the two identities
-    sum_{i,j} c_i d_j Q_j o P_i# = e_m and sum_{i,j} c_i d_j P_i o Q_j# = e_n.
-
-    The bases and their transposes come as stacks; per element, every composite
-    of one side is one batched matmul of two stacks."""
-    rhs = np.concatenate([_vec_of(em), _vec_of(en)])
-    h1, h2 = len(p_basis), len(q_basis)
-    if not (h1 and h2):
-        return zeros(F, (h2, h1, len(rhs))), rhs
-
-    def products(left, right, swap):  # per element, every left o right in one matmul
-        for a in range(len(em.components)):
-            prod = stacked_matmul(F, left.stacks[a][:, None], right.stacks[a][None])
-            yield (prod.swapaxes(0, 1) if swap else prod).reshape(h2, h1, -1)
-
-    tensor = np.concatenate([*products(q_basis, p_sharps, False),
-                             *products(p_basis, q_sharps, True)], axis=2)
-    return tensor, rhs
-
-
-_BATCH_BYTES = 1 << 18  # cap on one batch's (B, R, h2 + 1) int64 stack
-
-
-def _relaxation(family: np.ndarray, F) -> Tuple[np.ndarray, List[int]]:
-    """(relaxed, starts): the linear relaxation of every block of candidates.
-
-    A block at level t is the p**t candidates that share their first h1 - t
-    digits.  Taking each product c_i x of its t free digits as an unknown of its
-    own leaves a linear system that is consistent whenever the system of some
-    candidate in the block is.  With A_i = family[i, :, :h2], let T be the row
-    transform of rref([A_{h1-1} | ... | A_0 | I]) with pivots among the A
-    columns.  Its rows from starts[t] on (pivot at or after column t*h2, or none)
-    span the left kernel of [A_{h1-1} | ... | A_{h1-t}].  So rows starts[t]: of
-    `relaxed` = T family, contracted with [c | 1] for any candidate c of the
-    block, are that relaxation up to an invertible change of rows.
-    """
-    h1, R, h2 = family.shape[0] - 1, family.shape[1], family.shape[2] - 1
-    g = np.concatenate([family[i, :, :h2] for i in reversed(range(h1))]
-                       + [np.eye(R, dtype=np.int64)], axis=1)
-    res = rref(Mat(F, g), pivot_limit=h1 * h2)
-    relaxed = np.matmul(res.matrix.a[None, :, h1 * h2:], family) % F.p
-    return relaxed, [bisect.bisect_left(res.pivots, t * h2) for t in range(h1 + 1)]
-
-
-def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
-    """(verdict, c, x, candidates tried) for the first c in lexicographic order
-    such that sum_i c_i tensor[:, i, :]^T x = rhs is solvable; x comes from `solve`.
-
-    Over GF(p) the search is exhaustive, so running out of candidates proves "no".
-    It walks the tree of blocks (`_relaxation`): a block whose linear relaxation
-    is inconsistent holds no witness and is skipped whole, and its candidates
-    count as tried.  Blocks of at most one batch (_BATCH_BYTES) are leaves,
-    scanned through `batch_consistent` on `compressed_family` systems in batches
-    that grow 1, 2, 4, ...; candidate 0 goes first, before the relaxation is
-    built, so a first-candidate witness costs one candidate.  `budget` bounds
-    the candidate index, so `candidates_tried` is the witness index + 1 or
-    min(budget, p**h1), exactly as in a one-at-a-time scan.  Indices and block
-    starts are exact Python integers, so any budget is safe.
-    Over the rationals a small integer lattice is probed and a miss is "unknown".
-    """
-    h2, h1, L = tensor.shape
-
-    def solve_at(coeffs) -> Optional[Mat]:
-        cols = np.tensordot(tensor, np.array(coeffs, dtype=tensor.dtype), axes=([1], [0]))
-        return solve(Mat(F, cols.T.copy()), Mat(F, rhs.reshape(L, 1).copy()))
-
-    if not F.is_prime_field:
-        lattice = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]
-        for tried, coeffs in enumerate(itertools.product(lattice, repeat=h1)):
-            if tried >= budget:
-                return "unknown", None, None, tried
-            x = solve_at(coeffs)
-            if x is not None:
-                return "yes", coeffs, x, tried + 1
-        return "unknown", None, None, 4 ** h1
-
-    p, total = F.p, F.p ** h1
-    limit = max(0, min(budget, total))
-    family = compressed_family(tensor, rhs, F)
-    shape, flat = family.shape[1:], family.reshape(h1 + 1, -1)
-    cap = max(1, _BATCH_BYTES // (8 * max(1, flat.shape[1])))
-    leaf = 0  # a leaf block holds p**leaf <= cap candidates
-    while leaf < h1 and p ** (leaf + 1) <= cap:
-        leaf += 1
-    low_places = p ** np.arange(leaf - 1, -1, -1, dtype=np.int64)
-    size = 1
-
-    def head(index: int) -> np.ndarray:  # [c | 1] of one candidate, digits in exact integers
-        c = np.ones(h1 + 1, dtype=np.int64)
-        for i in range(h1 - 1, -1, -1):
-            index, c[i] = divmod(index, p)
-        return c
-
-    def scan(lo: int, hi: int):  # (index, c) of the first witness in lo..hi-1, one leaf block
-        nonlocal size
-        base = lo - lo % p ** leaf
-        row = head(base)
-        while lo < hi:
-            n = min(size, hi - lo)
-            coeffs = np.tile(row, (n, 1))
-            coeffs[:, h1 - leaf:h1] = np.arange(lo - base, lo - base + n)[:, None] // low_places % p
-            ok = batch_consistent((coeffs @ flat % p).reshape(n, *shape), p)
-            if ok.any():
-                i = int(ok.argmax())
-                return lo + i, coeffs[i, :h1]
-            lo, size = lo + n, min(2 * size, cap)
-        return None
-
-    def blocked(start: int, top: int) -> Optional[int]:
-        """The highest level in leaf+1..top whose block at `start` has an
-        inconsistent relaxation, or None; all levels go in one batch, padded
-        with zero rows (a lower level's rows include a higher level's)."""
-        system = np.tensordot(head(start), relaxed, axes=1) % p
-        levels = list(range(top, leaf, -1))
-        keep = np.arange(len(system))[None, :] >= np.array([starts[t] for t in levels])[:, None]
-        ok = batch_consistent(np.where(keep[:, :, None], system[None], 0), p)
-        return next((t for t, good in zip(levels, ok) if not good), None)
-
-    hit = scan(0, 1) if limit else None  # a first-candidate witness costs one candidate
-    if hit is None and limit > 1 and h1 > leaf:  # else `blocked` is never called
-        relaxed, starts = _relaxation(family, F)
-    start = 0
-    while hit is None and max(start, 1) < limit:  # candidate 0 is done
-        top = 0  # the level of the largest block starting here; those above were tested
-        while top < h1 and start % p ** (top + 1) == 0:
-            top += 1
-        skip = blocked(start, top) if top > leaf else None
-        if skip is not None:
-            start += p ** skip
-            continue
-        hit = scan(max(start, 1), min(start + p ** leaf, limit))
-        start += p ** leaf
-    if hit is None:
-        return ("no" if limit == total else "unknown"), None, None, limit
-    c = tuple(int(x) for x in hit[1])
-    return "yes", c, solve_at(c), hit[0] + 1
 
 
 def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,

@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .exactlin import (
+    DEFAULT_BUDGET,
     FieldSpec,
     Mat,
     hstack,
@@ -27,6 +27,8 @@ from .exactlin import (
     solve,
     stacked_matmul,
     vstack,
+    zeros,
+    _bilinear_search,
 )
 from .poset import FinitePoset, Memo, OrderMap, PosetError
 
@@ -326,6 +328,36 @@ class MorphismStack(Sequence):
         return f"MorphismStack({self._h} x {list(self.source.dims)} -> {list(self.target.dims)})"
 
 
+def _vec_of(mor: ModuleMorphism) -> np.ndarray:
+    parts = [c.a.ravel() for c in mor.components]
+    if parts:
+        return np.concatenate(parts)
+    return np.zeros(0, dtype=np.int64)
+
+
+def _bilinear_tensor(p_basis: MorphismStack, q_basis: MorphismStack,
+                     p_sharps: MorphismStack, q_sharps: MorphismStack,
+                     em: ModuleMorphism, en: ModuleMorphism, F) -> Tuple[np.ndarray, np.ndarray]:
+    """tensor[j, i, :] and rhs, laid out like `_vec_of`, of the two identities
+    sum_{i,j} c_i d_j Q_j o P_i# = e_m and sum_{i,j} c_i d_j P_i o Q_j# = e_n.
+
+    The bases and their transposes come as stacks; per element, every composite
+    of one side is one batched matmul of two stacks."""
+    rhs = np.concatenate([_vec_of(em), _vec_of(en)])
+    h1, h2 = len(p_basis), len(q_basis)
+    if not (h1 and h2):
+        return zeros(F, (h2, h1, len(rhs))), rhs
+
+    def products(left, right, swap):  # per element, every left o right in one matmul
+        for a in range(len(em.components)):
+            prod = stacked_matmul(F, left.stacks[a][:, None], right.stacks[a][None])
+            yield (prod.swapaxes(0, 1) if swap else prod).reshape(h2, h1, -1)
+
+    tensor = np.concatenate([*products(q_basis, p_sharps, False),
+                             *products(p_basis, q_sharps, True)], axis=2)
+    return tensor, rhs
+
+
 def hom_basis(m: PersistenceModule, n: PersistenceModule) -> MorphismStack:
     """Deterministic basis of the space of natural transformations m => n, as a stack.
 
@@ -501,13 +533,19 @@ class IsoResult:
     witness: Optional[ModuleMorphism] = None
 
 
-def is_isomorphic(m: PersistenceModule, n: PersistenceModule, budget: int = 1 << 20) -> IsoResult:
+def is_isomorphic(m: PersistenceModule, n: PersistenceModule,
+                  budget: int = DEFAULT_BUDGET) -> IsoResult:
     """Search for an isomorphism m ~ n.
 
-    Over GF(p) the Hom space is enumerated exhaustively (up to `budget`
-    candidates, lexicographic coefficient order), so "no" is a proof.  Over the
-    rationals only a bounded integer lattice of coefficients is tried and the
-    failure verdict is "unknown".
+    An isomorphism is a 0-interleaving: f: m -> n and g: n -> m with g o f = id
+    and f o g = id.  So this is `_bilinear_search` over f = sum c_i P_i in
+    Hom(m, n) and g in Hom(n, m), each basis its own transpose, with identity
+    right-hand sides.  A candidate f has such a g exactly when it is invertible
+    at every element, since its inverse is then natural.  Over GF(p) the
+    witness is the first invertible f in lexicographic coefficient order, and
+    exhausting the Hom space within `budget` candidates proves "no".  Over the
+    rationals the search probes the same budgeted integer lattice as
+    `find_interleaving`, and a miss is "unknown".
     """
     if m.poset.key() != n.poset.key() or m.field != n.field:
         raise ValueError("isomorphism test requires the same poset and field")
@@ -515,41 +553,10 @@ def is_isomorphic(m: PersistenceModule, n: PersistenceModule, budget: int = 1 <<
         return IsoResult("no")
     if m.total_dim() == 0:
         return IsoResult("yes", ModuleMorphism.zero(m, n))
-    basis = hom_basis(m, n)
-    h = len(basis)
-    if h == 0:
+    p_basis, q_basis = hom_basis(m, n), hom_basis(n, m)
+    if not p_basis:
         return IsoResult("no")
-    order = sorted(range(len(m.dims)), key=lambda i: (-m.dims[i], i))
-    check_order = [i for i in order if m.dims[i] > 0]
-
-    def try_coeffs(coeffs) -> Optional[ModuleMorphism]:
-        cand = basis.combine(coeffs)
-        for i in check_order:
-            c = cand.components[i]
-            if rref(c).rank != c.rows:
-                return None
-        return cand
-
-    if m.field.is_prime_field:
-        p = m.field.p
-        count = 0
-        exhausted = True
-        for coeffs in itertools.product(range(p), repeat=h):
-            count += 1
-            if count > budget:
-                exhausted = False
-                break
-            cand = try_coeffs(coeffs)
-            if cand is not None:
-                return IsoResult("yes", cand)
-        return IsoResult("no" if exhausted else "unknown")
-    rng = np.random.default_rng(0)
-    for trial in range(min(budget, 4096)):
-        if trial < 1:
-            coeffs = [Fraction(1)] * h
-        else:
-            coeffs = [Fraction(int(rng.integers(-3, 4))) for _ in range(h)]
-        cand = try_coeffs(coeffs)
-        if cand is not None:
-            return IsoResult("yes", cand)
-    return IsoResult("unknown")
+    tensor, rhs = _bilinear_tensor(p_basis, q_basis, p_basis, q_basis, ModuleMorphism.identity(m),
+                                   ModuleMorphism.identity(n), m.field)
+    verdict, coeffs, _, _ = _bilinear_search(tensor, rhs, m.field, budget)
+    return IsoResult(verdict, p_basis.combine(coeffs) if verdict == "yes" else None)

@@ -3,9 +3,12 @@ candidate at a time with `solve`: same verdict, same `candidates_tried`, same
 first witness.  The reference builds the bilinear tensor one transpose and one
 composite at a time, and the stacked `_bilinear_tensor` must equal it.  Deep
 families with tiny batches drive the search through blocks it skips by their
-linear relaxation."""
+linear relaxation.  `is_isomorphic`, which runs on the same search, is compared
+with a scan that tests one combination of the Hom basis at a time for full
+rank."""
 
 import itertools
+import random
 import time
 from fractions import Fraction
 from unittest import mock
@@ -14,15 +17,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hipm import interleave
-from hipm.exactlin import FieldSpec, Mat, batch_consistent, compressed_family, solve
+from hipm import exactlin
+from hipm.exactlin import (DEFAULT_BUDGET, FieldSpec, Mat, _bilinear_search, batch_consistent,
+                           compressed_family, rref, solve)
 from hipm.fixtures import bipath_example, chain_example, grid_example
 from hipm.functors import apply_R, e_r, sharp
 from hipm.height import rho_diag
-from hipm.interleave import (_bilinear_search, _bilinear_tensor, check_certificate, distance,
-                             find_interleaving)
-from hipm.pmod import direct_sum, hom_basis, interval_module
+from hipm.interleave import check_certificate, distance, find_interleaving
+from hipm.pmod import _bilinear_tensor, direct_sum, hom_basis, interval_module, is_isomorphic
 from hipm.poset import FinitePoset
+from hipm.randgen import random_conjugate, random_forest_poset, random_module, random_poset
 
 
 def candidate_system(tensor, rhs, field, coeffs):
@@ -129,7 +133,7 @@ def small_batches(field, tensor, rhs, leaf):
     """Patch `_BATCH_BYTES` so that one batch holds `leaf` candidate systems."""
     family = compressed_family(tensor, rhs, field)
     width = family.shape[1] * family.shape[2]
-    return mock.patch.object(interleave, "_BATCH_BYTES", 8 * max(1, width) * leaf)
+    return mock.patch.object(exactlin, "_BATCH_BYTES", 8 * max(1, width) * leaf)
 
 
 def digit_family(p, h1, rows):
@@ -292,3 +296,68 @@ def test_stress_target_stays_undecided_at_small_budget():
     rep = distance(rho, m, n, budget=5000)
     assert not rep.decided and (rep.distance_lo, rep.distance) == (0, 1)
     assert rep.verdict_at(1) == "unknown"
+
+
+def scalar_is_isomorphic(m, n, budget):
+    """Reference over GF(p), for modules of equal dimensions and nonzero total
+    dimension: the combinations of `hom_basis(m, n)` in itertools.product
+    order, one at a time, each tested for full rank at every element.
+    Returns (verdict, witness, candidates counted)."""
+    basis = hom_basis(m, n)
+    h = len(basis)
+    if h == 0:
+        return "no", None, 0
+    order = sorted(range(len(m.dims)), key=lambda i: (-m.dims[i], i))
+    check_order = [i for i in order if m.dims[i] > 0]
+
+    def try_coeffs(coeffs):
+        cand = basis.combine(coeffs)
+        for i in check_order:
+            c = cand.components[i]
+            if rref(c).rank != c.rows:
+                return None
+        return cand
+
+    count = 0
+    for coeffs in itertools.product(range(m.field.p), repeat=h):
+        count += 1
+        if count > budget:
+            return "unknown", None, budget
+        cand = try_coeffs(coeffs)
+        if cand is not None:
+            return "yes", cand, count
+    return "no", None, count
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_is_isomorphic_finds_the_first_witness_of_a_scalar_scan(seed):
+    """Same verdict and same witness as the scan, at the default budget, at
+    budgets 0 and 1, just before and at the witness, and one below p**h, where
+    a "no" becomes "unknown" on both sides."""
+    rng = random.Random(seed)
+    pairs = {"yes": 0, "no": 0}
+    for i in range(60):
+        field = FieldSpec("gfp", (2, 3)[i % 2])
+        size = rng.randint(2, 4)
+        poset = random_poset(rng, size) if i % 4 < 2 else random_forest_poset(rng, size)
+        m = random_module(rng, poset, field, 2)
+        n = random_conjugate(rng, m) if i % 3 == 0 else random_module(rng, poset, field, 2)
+        for _ in range(20):
+            if n.dims == m.dims:
+                break
+            n = random_module(rng, poset, field, 2)
+        h = len(hom_basis(m, n))
+        if m.dims != n.dims or m.total_dim() == 0 or field.p ** h > 4096:
+            continue
+        full, _, position = scalar_is_isomorphic(m, n, DEFAULT_BUDGET)
+        pairs[full] += 1
+        budgets = {DEFAULT_BUDGET, 0, 1, position - 1, position, field.p ** h - 1}
+        for budget in sorted(b for b in budgets if b >= 0):
+            verdict, witness, _ = scalar_is_isomorphic(m, n, budget)
+            got = is_isomorphic(m, n, budget=budget)
+            assert got.verdict == verdict, (i, budget)
+            if verdict == "yes":
+                assert got.witness.components == witness.components
+            elif budget < field.p ** h:
+                assert verdict == "unknown"
+    assert pairs["yes"] >= 5 and pairs["no"] >= 5, pairs

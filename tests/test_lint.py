@@ -14,6 +14,10 @@ private memo beside the shared one.  Values derived from a poset, a
 height-difference function or a module are memoized on their owner through
 `Memo.cached` instead, and its `memo` dict is the one attribute exempt.
 Non-empty constant tables and `functools.lru_cache` on pure functions pass.
+
+No module in `src/hipm` but `randgen.py` imports `random` or reaches
+`numpy.random`: every search is deterministic and exhaustive or budgeted, and
+random draws belong to the seeded instance generators.
 """
 
 import ast
@@ -166,3 +170,42 @@ def test_scanner_sees_init_state(tmp_path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_init_state(path):
     assert init_state(path) == []
+
+
+def random_uses(path: Path) -> list:
+    """(line, name) of every import of `random` or `numpy.random`, and of every
+    `.random` read on a name bound to numpy."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name.split(".")[0] == "numpy"}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names
+                    if a.name == "random" or a.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module == "random" or module.startswith("numpy.random"):
+                out.append((node.lineno, module))
+            elif module == "numpy" and any(a.name == "random" for a in node.names):
+                out.append((node.lineno, "numpy.random"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
+            out.append((node.lineno, f"{node.value.id}.random"))
+    return sorted(out)
+
+
+def test_scanner_sees_random_uses(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import random\nimport numpy as np\nfrom numpy import random as npr\n"
+                   "from random import Random\nx = np.random.default_rng(0)\n"
+                   "y = rng.random()\nimport numpy.random\nz = np.zeros(1)\n")
+    assert random_uses(src) == [(1, "random"), (3, "numpy.random"), (4, "random"),
+                                (5, "np.random"), (7, "numpy.random")]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "randgen.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_randomness_outside_randgen(path):
+    assert random_uses(path) == []
