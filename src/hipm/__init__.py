@@ -59,7 +59,7 @@ from .interleave import (
     stratified_report,
     stratified_search,
 )
-from .kan import check_universal, colim_induced, colim_over, fubini_compare, lim_induced, lim_over
+from .kan import check_universal, colim_over, fubini_compare, lim_over
 from .pmod import (
     ModuleMorphism,
     MorphismStack,

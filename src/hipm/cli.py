@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from . import fixtures
 from .erosion import d_en
@@ -146,13 +146,26 @@ def _load_module(path: str, poset: FinitePoset, cfg: RunConfig) -> PersistenceMo
     return m
 
 
+def _load_pair(args, poset: FinitePoset, cfg: RunConfig) -> Tuple[PersistenceModule, PersistenceModule]:
+    """--module and --module2, rejected unless both are over one field."""
+    m = _load_module(args.module, poset, cfg)
+    n = _load_module(args.module2, poset, cfg)
+    if n.field != m.field:
+        def name(f):
+            return f"GF({f.p})" if f.is_prime_field else "Q"
+        raise SchemaError(f"module is over {name(n.field)} but --module is over {name(m.field)}",
+                          "--module2")
+    return m, n
+
+
 def _load_inputs(args, cfg: RunConfig, need_height=False, need_module=False,
                  need_module2=False):
     poset = load_poset(_read_json(args.poset))
     rho = load_height(_read_json(args.height), poset) if need_height else None
+    if need_module2:
+        return (poset, rho, *_load_pair(args, poset, cfg))
     m = _load_module(args.module, poset, cfg) if need_module else None
-    n = _load_module(args.module2, poset, cfg) if need_module2 else None
-    return poset, rho, m, n
+    return poset, rho, m, None
 
 
 def _app_to_json(app) -> Dict[str, Any]:
@@ -393,8 +406,7 @@ def _cmd_oracle_grid(args, cfg: RunConfig) -> int:
     poset = load_poset(_read_json(args.poset))
     if poset.coords is None:
         raise SchemaError("oracle-grid needs a grid poset", "--poset")
-    m = _load_module(args.module, poset, cfg)
-    n = _load_module(args.module2, poset, cfg)
+    m, n = _load_pair(args, poset, cfg)
     rep = distance(rho_diag(poset), m, n, budget=cfg.budget)
     out: Dict[str, Any] = {"distance": format_ext(rep.distance)}
     try:

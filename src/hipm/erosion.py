@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .exactlin import FieldSpec, Mat, hstack, image_basis, kernel_basis, quotient_map, solve, vstack
+from .exactlin import FieldSpec, Mat, factor_at, hstack, kernel_basis, quotient_map, solve, vstack
 from .height import HeightDiff
 from .functors import eta_L_to_id, eta_R_from_id, erosion_E, flat, im_r, ker_r, sharp
 from .interleave import DEFAULT_BUDGET, Certificate, StrataReport, find_interleaving, stratified_report
@@ -23,7 +23,7 @@ from .pmod import (
     ModuleMorphism,
     PersistenceModule,
     Submodule,
-    _factor_through_surjection,
+    SubmoduleError,
     is_isomorphic,
     quotient_by_submodule,
     submodule_from_bases,
@@ -105,8 +105,7 @@ def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModul
     def one_side(base, eta_l, eta_r, incoming, outgoing):
         F = base.field
         m1_bases = [
-            image_basis(hstack(F, [eta_l.components[i], incoming.components[i]],
-                               rows=base.dims[i]))
+            hstack(F, [eta_l.components[i], incoming.components[i]], rows=base.dims[i])
             for i in range(len(base.poset))
         ]
         m1 = submodule_from_bases(base, m1_bases)
@@ -147,7 +146,7 @@ def en_interleaving_certificate(rho: HeightDiff, r, m: PersistenceModule,
     alpha: L_r m ->> im -> M1 -> Q transposed on one side, and the factorization
     of the matching unit through the quotient on the other."""
     r = Fraction(r)
-    P = m.poset
+    P, F = m.poset, m.field
     etaL = eta_L_to_id(rho, r, m)
     etaR = eta_R_from_id(rho, r, m)
     alpha_comps = []
@@ -158,10 +157,12 @@ def en_interleaving_certificate(rho: HeightDiff, r, m: PersistenceModule,
             raise ErosionNeighborhoodError(
                 f"latching image escapes M1 at {P.elements[i]!r}")
         alpha_comps.append(sq.proj.components[i] @ into_m1)
-        beta_comps.append(
-            _factor_through_surjection(sq.proj.components[i], sq.free[i],
-                                       etaR.components[i] @ sq.sub1.bases[i])
-        )
+        # the matching unit on M1 factors through the projection onto Q
+        beta = factor_at(sq.proj.components[i].a, sq.free[i],
+                         (etaR.components[i] @ sq.sub1.bases[i]).a, F)
+        if beta is None:
+            raise SubmoduleError("map does not factor through the quotient")
+        beta_comps.append(Mat._canonical(F, beta))
     alpha = ModuleMorphism(etaL.source, sq.quotient, alpha_comps)
     beta = ModuleMorphism(sq.quotient, etaR.target, beta_comps)
     p = flat(rho, r, m, alpha)
@@ -188,12 +189,12 @@ def en_mediate(rho: HeightDiff, s, r, x: PersistenceModule,
             if in_x1 is None:
                 raise ErosionNeighborhoodError(
                     f"mediating submodule escapes the carrier at {P.elements[i]!r}")
-            img_bases.append(image_basis(proj.components[i] @ in_x1))
+            img_bases.append(proj.components[i] @ in_x1)
             in_x1p = solve(carrier.sub1.bases[i], x3p.bases[i])
             if in_x1p is None:
                 raise ErosionNeighborhoodError(
                     f"mediating submodule escapes the carrier at {P.elements[i]!r}")
-            imgp_bases.append(image_basis(proj.components[i] @ in_x1p))
+            imgp_bases.append(proj.components[i] @ in_x1p)
         m1 = submodule_from_bases(Q, img_bases)
         m2 = submodule_from_bases(Q, imgp_bases)
         return en_construct(rho, scale, Q, m1, m2)
@@ -242,7 +243,7 @@ def _subspaces_between(fieldspec: FieldSpec, lower: Mat, upper: Mat) -> List[Mat
     out = []
     for w in _all_rref_subspaces(fieldspec, d):
         lifted = hstack(fieldspec, [inside, section @ w], rows=upper.cols)
-        out.append(image_basis(upper @ lifted))
+        out.append(upper @ lifted)  # independent columns: already a basis
     return out
 
 

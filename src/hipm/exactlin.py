@@ -597,3 +597,15 @@ def quotient_map(field: FieldSpec, ambient_dim: int, subspace: Mat) -> tuple:
         raise ValueError("subspace columns must live in the ambient dimension")
     basis, free = _null_space(subspace.T)
     return basis.T, free
+
+
+def factor_at(q: np.ndarray, free: Sequence[int], rhs: np.ndarray,
+              field: FieldSpec) -> Optional[np.ndarray]:
+    """The unique X with X @ q = rhs for a surjection q that is the identity at
+    the columns `free` (a colimit projection, a quotient map, a transposed
+    limit inclusion): `rhs` at those columns, checked by one batched matmul;
+    None if `rhs`, one array or a stack, does not factor."""
+    x = rhs[..., free]
+    if not (stacked_matmul(field, x, q) == rhs).all():
+        return None
+    return x

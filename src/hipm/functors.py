@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .exactlin import Mat, rref, solve, stacked_matmul, zeros
+from .exactlin import Mat, factor_at, rref, solve, stacked_matmul, zeros
 from .height import (
     HeightDiff,
     check_ivc,
@@ -26,14 +26,7 @@ from .height import (
     nbhd_up_idx,
     pullback_rho,
 )
-from .kan import (
-    ColimResult,
-    colim_over,
-    factor_from_colim,
-    factor_into_lim,
-    factor_stack_from_colim,
-    lim_over,
-)
+from .kan import colim_over, factor, factor_into_lim, factor_stack_from_colim, induced, lim_over
 from .pmod import (
     ModuleMorphism,
     MorphismStack,
@@ -121,19 +114,6 @@ def _functor(direction: str):
     raise ValueError("direction must be 'L' or 'R'")
 
 
-def _factor(res, blocks: Dict[int, Mat], dim: int) -> Mat:
-    """The unique map out of a colimit, or into a limit, with the given leg composites."""
-    if isinstance(res, ColimResult):
-        return factor_from_colim(res, blocks, dim)
-    return factor_into_lim(res, blocks, dim)
-
-
-def _compare(small, big) -> Mat:
-    """The map induced by nested neighborhoods, small <= big: colim over small ->
-    colim over big, or lim over big -> lim over small."""
-    return _factor(small, {x: big.legs[x] for x in small.nodes}, big.dim)
-
-
 def _oriented(app: FunctorApplication, other: PersistenceModule, comps) -> ModuleMorphism:
     """app.module -> other for latching kinds, other -> app.module for matching ones."""
     if app.kind[-1] == "L":
@@ -142,8 +122,8 @@ def _oriented(app: FunctorApplication, other: PersistenceModule, comps) -> Modul
 
 
 def _between(small: FunctorApplication, big: FunctorApplication) -> ModuleMorphism:
-    """_compare at every element: small -> big (latching), big -> small (matching)."""
-    comps = [_compare(small.data[a], big.data[a]) for a in range(len(small.module.poset))]
+    """kan.induced at every element: small -> big (latching), big -> small (matching)."""
+    comps = [induced(small.data[a], big.data[a]) for a in range(len(small.module.poset))]
     return _oriented(small, big.module, comps)
 
 
@@ -152,9 +132,9 @@ def _nested(outer: FunctorApplication, inner: FunctorApplication,
     """The two-level factorization: each leg of `outer` at a is the (co)limit of
     `inner` at that node, compared into big's value at a."""
     comps = [
-        _factor(outer.data[a],
-                {x: _compare(inner.data[x], big.data[a]) for x in outer.data[a].nodes},
-                big.data[a].dim)
+        factor(outer.data[a],
+               {x: induced(inner.data[x], big.data[a]) for x in outer.data[a].nodes},
+               big.data[a].dim)
         for a in range(len(big.module.poset))
     ]
     return _oriented(outer, big.module, comps)
@@ -174,7 +154,7 @@ def _apply(kind: str, params: tuple, rho: HeightDiff, m: PersistenceModule,
     def build():
         P = m.poset
         data = {a: (colim_over if latching else lim_over)(m, nbhd_of(a)) for a in range(len(P))}
-        maps = {(a, b): _compare(data[a], data[b]) if latching else _compare(data[b], data[a])
+        maps = {(a, b): induced(data[a], data[b]) if latching else induced(data[b], data[a])
                 for (a, b) in P.covers}
         out = PersistenceModule(P, m.field, [data[a].dim for a in range(len(P))], maps)
         return FunctorApplication(kind, out, data)
@@ -213,10 +193,10 @@ def _apply_mor(direction: str, rho: HeightDiff, r, f: ModuleMorphism) -> ModuleM
     # factor out of the colimit of f.source, or into the limit of f.target
     here, there = (am, an) if lat else (an, am)
     comps = [
-        _factor(here.data[a],
-                {x: there.data[a].legs[x] @ f.components[x] if lat
-                 else f.components[x] @ there.data[a].legs[x] for x in here.data[a].nodes},
-                there.data[a].dim)
+        factor(here.data[a],
+               {x: there.data[a].legs[x] @ f.components[x] if lat
+                else f.components[x] @ there.data[a].legs[x] for x in here.data[a].nodes},
+               there.data[a].dim)
         for a in range(len(f.source.poset))
     ]
     return ModuleMorphism(am.module, an.module, comps)
@@ -264,8 +244,8 @@ def _eta_id(direction: str, rho: HeightDiff, r, m: PersistenceModule) -> ModuleM
     def build():
         app = _functor(direction)(rho, r, m)
         comps = [
-            _factor(app.data[a], {x: m.map_for_idx(x, a) if direction == "L" else m.map_for_idx(a, x)
-                                  for x in app.data[a].nodes}, m.dims[a])
+            factor(app.data[a], {x: m.map_for_idx(x, a) if direction == "L" else m.map_for_idx(a, x)
+                                 for x in app.data[a].nodes}, m.dims[a])
             for a in range(len(m.poset))
         ]
         return _oriented(app, m, comps)
@@ -546,7 +526,7 @@ def _verify_erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule, esub: 
     imr = im_r(rho, r, m)
     kerr = ker_r(rho, r, m)
     inter = submodule_intersection(imr, kerr)
-    _, proj, _ = quotient_by_submodule(imr, inter)
+    _, proj, frees = quotient_by_submodule(imr, inter)
     eta_r_mor = eta_R_from_id(rho, r, m)
     for a in range(len(m.poset)):
         # canonical map im_r -> erosion: push the image generators through M -> R_rM
@@ -554,11 +534,10 @@ def _verify_erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule, esub: 
         if phi is None:
             raise AssertionError("image of im_r must land in the erosion")
         # the map descends to the quotient and the induced map must be an iso
-        psi = solve(proj.components[a].T, phi.T)
+        psi = factor_at(proj.components[a].a, frees[a], phi.a, m.field)
         if psi is None:
             raise AssertionError("canonical map does not descend to the subquotient")
-        psi = psi.T
-        if psi.rows != psi.cols or rref(psi).rank != psi.rows:
+        if psi.shape[0] != psi.shape[1] or rref(Mat._canonical(m.field, psi)).rank != psi.shape[0]:
             raise AssertionError(
                 f"erosion is not isomorphic to the canonical subquotient at "
                 f"{m.poset.elements[a]!r}"
@@ -589,5 +568,5 @@ def xi_pullback(f: OrderMap, rho: HeightDiff, r, m: PersistenceModule,
     for q in range(len(f.source)):
         fa = f.apply_idx(q)
         blocks = {y: there.data[fa].legs[f.apply_idx(y)] for y in here.data[q].nodes}
-        comps.append(_factor(here.data[q], blocks, there.data[fa].dim))
+        comps.append(factor(here.data[q], blocks, there.data[fa].dim))
     return _oriented(here, pullback_module(f, there.module), comps)

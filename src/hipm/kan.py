@@ -1,18 +1,16 @@
-"""Finite limits and colimits of module restrictions over subposets.
+"""Finite limits of module restrictions over subposets; colimits as transposed
+limits; the induced map between them; Fubini checks.
 
-Colimits are realized as coequalizer quotients of the block direct sum over the
-subposet (relations along the subposet's own Hasse covers), limits dually as
-equalizer kernels.  `factor_from_colim` / `factor_into_lim` then produce the
-unique comparison maps out of / into these objects, which is how every induced
-map and canonical transformation downstream is assembled.
-
-Both objects come in coordinates: the projection of a colimit is the identity
-on its free coordinates of the block sum (`ColimResult.free`), and so is the
-inclusion of a limit (`LimResult.free`).  A factorization is therefore read off
-those coordinates of the stacked family, and one matmul checks that the family
-is a (co)cone; no system is solved.  `colim_over` / `lim_over` build each
-(co)limit once per module object and node set, and return the same result on
-every later call.
+A limit is the equalizer kernel in the block direct sum over the subposet
+(equations along the subposet's own Hasse covers).  A colimit is the transposed
+limit of the transposed diagram: every cover reversed, every map transposed.
+The inclusion of a limit is the identity on its free coordinates of the block
+sum (`LimResult.free`), and so is the projection of a colimit
+(`ColimResult.free`).  So `factor`, the unique map out of a colimit or into a
+limit with given leg composites, reads those coordinates off the stacked
+family (`exactlin.factor_at`), and `induced` is `factor` on the legs of a
+bigger (co)limit; no system is solved.  `colim_over` / `lim_over` build each
+(co)limit once per module object and node set.
 """
 
 from __future__ import annotations
@@ -26,11 +24,11 @@ from .exactlin import (
     FieldSpec,
     Mat,
     _null_space,
+    factor_at,
     hstack,
     kernel_basis,
     rref,
     solve,
-    stacked_matmul,
     vstack,
 )
 from .pmod import PersistenceModule
@@ -41,8 +39,8 @@ __all__ = [
     "LimResult",
     "colim_over",
     "lim_over",
-    "colim_induced",
-    "lim_induced",
+    "factor",
+    "induced",
     "factor_from_colim",
     "factor_stack_from_colim",
     "factor_into_lim",
@@ -87,7 +85,6 @@ class ColimResult:
     dim: int
     proj: Mat  # dim x total, surjective
     legs: Dict[int, Mat]
-    relations: Mat  # total x (#relations); ker(proj) = span(relations)
     free: Tuple[int, ...]  # proj[:, free] is the identity
 
 
@@ -114,27 +111,6 @@ def _offsets(diag: _Diagram) -> Tuple[Dict[int, int], int]:
     return offs, pos
 
 
-def _colim_diagram(diag: _Diagram) -> ColimResult:
-    F = diag.fieldspec
-    offs, total = _offsets(diag)
-    cols = []
-    for (x, y) in diag.covers:
-        mxy = diag.mat(x, y)
-        for k in range(diag.dims[x]):
-            col = Mat.zeros(F, total, 1)
-            for r in range(mxy.rows):
-                col.a[offs[y] + r, 0] = mxy.a[r, k]
-            col.a[offs[x] + k, 0] -= F.one()
-            if F.is_prime_field:
-                col.a %= F.p
-            cols.append(col)
-    rel = hstack(F, cols, rows=total)
-    basis, free = _null_space(rel.T)  # the quotient map by span(rel), transposed
-    proj = basis.T
-    legs = {x: proj.take_cols(range(offs[x], offs[x] + diag.dims[x])) for x in diag.nodes}
-    return ColimResult(F, diag.nodes, offs, total, len(free), proj, legs, rel, free)
-
-
 def _lim_diagram(diag: _Diagram) -> LimResult:
     F = diag.fieldspec
     offs, total = _offsets(diag)
@@ -152,6 +128,17 @@ def _lim_diagram(diag: _Diagram) -> LimResult:
     incl, free = _null_space(eq)
     legs = {x: incl.take_rows(range(offs[x], offs[x] + diag.dims[x])) for x in diag.nodes}
     return LimResult(F, diag.nodes, offs, total, len(free), incl, legs, free)
+
+
+def _colim_diagram(diag: _Diagram) -> ColimResult:
+    """The transposed limit of the transposed diagram, whose equation rows are
+    the colimit's relations M(x<=y) e_k - e_k: proj = incl^T, legs transposed."""
+    F, mat = diag.fieldspec, diag.mat
+    lim = _lim_diagram(_Diagram(F, diag.nodes, diag.dims, [(y, x) for (x, y) in diag.covers],
+                                lambda y, x: Mat._canonical(F, mat(x, y).a.T)))
+    legs = {x: Mat._canonical(F, leg.a.T) for x, leg in lim.legs.items()}  # read-only views
+    return ColimResult(F, lim.nodes, lim.offsets, lim.total, lim.dim,
+                       Mat._canonical(F, lim.incl.a.T), legs, lim.free)
 
 
 def colim_over(m: PersistenceModule, subset: Sequence[int]) -> ColimResult:
@@ -172,61 +159,46 @@ def lim_over(m: PersistenceModule, subset: Sequence[int]) -> LimResult:
 
 
 def factor_from_colim(col: ColimResult, blocks: Dict[int, Mat], target_rows: int) -> Mat:
-    """The unique map out of the colimit whose composites with the legs are `blocks`.
-
-    `blocks[x]` must form a cocone; inconsistency raises (it would mean the
-    caller's family does not respect the diagram's relations).  The factor is
-    the stacked family at the free coordinates, where the projection is the
-    identity: `factor_stack_from_colim` on one family.
-    """
+    """The unique map out of the colimit whose composites with the legs are
+    `blocks`: the stacked family at the free coordinates.  Raises ValueError
+    unless `blocks` is a cocone."""
     F = col.fieldspec
     stacked = hstack(F, [blocks[x] for x in col.nodes], rows=target_rows)
     return Mat._canonical(F, factor_stack_from_colim(col, stacked.a))
 
 
 def factor_stack_from_colim(col: ColimResult, stacked: np.ndarray) -> np.ndarray:
-    """factor_from_colim for a whole stack of families at once.
-
-    `stacked` is an (h, rows, total) array, or one (rows, total) family: each
-    family's blocks side by side in node order.  Returns the (h, rows, dim)
-    (or (rows, dim)) factors, read off the free coordinates.  One batched
-    matmul checks that every family is a cocone, and raises ValueError if one
-    is not.
-    """
-    f = stacked[..., col.free]
-    if not (stacked_matmul(col.fieldspec, f, col.proj.a) == stacked).all():
+    """factor_from_colim for an (h, rows, total) stack of families, each one's
+    blocks side by side in node order: the (h, rows, dim) factors, checked by
+    one batched matmul (ValueError if a family is not a cocone)."""
+    f = factor_at(col.proj.a, col.free, stacked, col.fieldspec)
+    if f is None:
         raise ValueError("family is not a cocone: no factorization through the colimit")
     return f
 
 
 def factor_into_lim(lim: LimResult, blocks: Dict[int, Mat], source_cols: int) -> Mat:
-    """The unique map into the limit whose composites with the legs are `blocks`.
-
-    Dual to factor_from_colim: the stacked family at the rows where the
-    inclusion is the identity.
-    """
+    """The unique map into the limit whose composites with the legs are
+    `blocks`: factor_from_colim transposed, the stacked family at the free rows."""
     F = lim.fieldspec
     stacked = vstack(F, [blocks[x] for x in lim.nodes], cols=source_cols)
-    f = stacked.take_rows(lim.free)
-    if lim.incl @ f != stacked:
+    f = factor_at(lim.incl.a.T, lim.free, stacked.a.T, F)
+    if f is None:
         raise ValueError("family is not a cone: no factorization through the limit")
-    return f
+    return Mat._canonical(F, f.T)
 
 
-def colim_induced(m: PersistenceModule, small: Sequence[int], big: Sequence[int]) -> Mat:
-    """The comparison map colim M|_small -> colim M|_big for small <= big."""
-    if not set(small) <= set(big):
-        raise ValueError("subset inclusion violated")
-    cs, cb = colim_over(m, small), colim_over(m, big)
-    return factor_from_colim(cs, {x: cb.legs[x] for x in cs.nodes}, cb.dim)
+def factor(res: ColimResult | LimResult, blocks: Dict[int, Mat], dim: int) -> Mat:
+    """The unique map out of a colimit, or into a limit, with the given leg composites."""
+    if isinstance(res, ColimResult):
+        return factor_from_colim(res, blocks, dim)
+    return factor_into_lim(res, blocks, dim)
 
 
-def lim_induced(m: PersistenceModule, big: Sequence[int], small: Sequence[int]) -> Mat:
-    """The comparison map lim M|_big -> lim M|_small for small <= big."""
-    if not set(small) <= set(big):
-        raise ValueError("subset inclusion violated")
-    lb, ls = lim_over(m, big), lim_over(m, small)
-    return factor_into_lim(ls, {x: lb.legs[x] for x in ls.nodes}, lb.dim)
+def induced(small: ColimResult | LimResult, big: ColimResult | LimResult) -> Mat:
+    """The map induced by nested node sets, small <= big: colim over small ->
+    colim over big, or lim over big -> lim over small."""
+    return factor(small, {x: big.legs[x] for x in small.nodes}, big.dim)
 
 
 UNIVERSAL_SIZE_CAP = 6
@@ -324,7 +296,6 @@ def fubini_compare(m: PersistenceModule, index_subset: Sequence[int],
         for y in I:
             if P.leq[x, y] and not set(F[x]) <= set(F[y]):
                 raise ValueError(f"family not monotone between {P.elements[x]!r} and {P.elements[y]!r}")
-    uset = set(union)
     for x in I:
         fx = set(F[x])
         for q in F[x]:
@@ -338,14 +309,10 @@ def fubini_compare(m: PersistenceModule, index_subset: Sequence[int],
         nodes=I,
         dims={x: inner[x].dim for x in I},
         covers=P.subposet_covers(I),
-        mat=lambda x, y: factor_from_colim(inner[x], {w: inner[y].legs[w] for w in inner[x].nodes},
-                                           inner[y].dim),
+        mat=lambda x, y: induced(inner[x], inner[y]),
     )
     outer = _colim_diagram(outer_diag)
-    to_union = {
-        x: factor_from_colim(inner[x], {w: col_union.legs[w] for w in inner[x].nodes}, col_union.dim)
-        for x in I
-    }
+    to_union = {x: induced(inner[x], col_union) for x in I}
     comparison = factor_from_colim(outer, to_union, col_union.dim)
     iso = outer.dim == col_union.dim and rref(comparison).rank == col_union.dim
     connected = {}

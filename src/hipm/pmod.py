@@ -19,6 +19,7 @@ from .exactlin import (
     DEFAULT_BUDGET,
     FieldSpec,
     Mat,
+    factor_at,
     hstack,
     image_basis,
     kernel_basis,
@@ -26,7 +27,6 @@ from .exactlin import (
     rref,
     solve,
     stacked_matmul,
-    vstack,
     zeros,
     _bilinear_search,
 )
@@ -374,26 +374,23 @@ def hom_basis(m: PersistenceModule, n: PersistenceModule) -> MorphismStack:
     rows = []
     for (a, b) in P.covers:
         nm, mm = n.maps[(a, b)], m.maps[(a, b)]
-        eqs = nm.rows * m.dims[a]
-        if eqs == 0:
+        ka, kb = m.dims[a], m.dims[b]
+        if nm.rows * ka == 0:
             continue
-        block = Mat.zeros(F, eqs, total)
-        # vec(N(a<=b) f(a)) - vec(f(b) M(a<=b)) = 0 with row-major vec
+        # vec(N(a<=b) f(a)) - vec(f(b) M(a<=b)) = 0 with row-major vec: the blocks
+        # N(a<=b) (x) I at f(a) and -(I (x) M(a<=b)^T) at f(b), by strided slices
+        block = zeros(F, (nm.rows * ka, total))
         oa, sa = offsets[a]
-        ob, sb = offsets[b]
+        ob = offsets[b][0]
+        for i in range(ka):
+            block[i::ka, oa + i : oa + sa : ka] = nm.a
+        neg = -mm.a.T
         for r in range(nm.rows):
-            for c in range(m.dims[a]):
-                eq = r * m.dims[a] + c
-                for k in range(n.dims[a]):
-                    block.a[eq, oa + k * m.dims[a] + c] = nm.a[r, k]
-                for k in range(m.dims[b]):
-                    v = -mm.a[k, c]
-                    block.a[eq, ob + r * m.dims[b] + k] = v % F.p if F.is_prime_field else v
+            block[r * ka : (r + 1) * ka, ob + r * kb : ob + (r + 1) * kb] = neg
+        if F.is_prime_field:
+            block %= F.p
         rows.append(block)
-    if rows:
-        system = vstack(F, rows, cols=total)
-    else:
-        system = Mat.zeros(F, 0, total)
+    system = Mat._canonical(F, np.concatenate(rows) if rows else zeros(F, (0, total)))
     kern = kernel_basis(system)
     h = kern.cols
     stacks = [np.ascontiguousarray(kern.a[oa : oa + sa].T).reshape(h, n.dims[i], m.dims[i])
@@ -444,7 +441,7 @@ def submodule_from_bases(parent: PersistenceModule, bases: Sequence[Mat]) -> Sub
 
 def submodule_image(f: ModuleMorphism) -> Submodule:
     """im(f) as a submodule of the target (always closed)."""
-    return submodule_from_bases(f.target, [image_basis(c) for c in f.components])
+    return submodule_from_bases(f.target, f.components)
 
 
 def submodule_kernel(f: ModuleMorphism) -> Submodule:
@@ -475,9 +472,7 @@ def submodule_intersection(s1: Submodule, s2: Submodule) -> Submodule:
     for i in range(len(s1.bases)):
         v1, v2 = s1.bases[i], s2.bases[i]
         paired = hstack(F, [v1, -v2], rows=s1.parent.dims[i])
-        null = kernel_basis(paired)
-        x_part = Mat(F, null.a[: v1.cols, :].copy())
-        bases.append(image_basis(v1 @ x_part))
+        bases.append(v1 @ kernel_basis(paired).take_rows(range(v1.cols)))
     return submodule_from_bases(s1.parent, bases)
 
 
@@ -489,16 +484,6 @@ def morphism_preimage(f: ModuleMorphism, target_sub: Submodule) -> Submodule:
         q, _ = quotient_map(F, f.target.dims[i], target_sub.bases[i])
         bases.append(kernel_basis(q @ f.components[i]))
     return submodule_from_bases(f.source, bases)
-
-
-def _factor_through_surjection(q: Mat, free: Sequence[int], rhs: Mat) -> Mat:
-    """Unique X with X @ q = rhs, for a surjection q that is the identity on the
-    coordinates `free` (as `quotient_map` returns it): rhs at those coordinates,
-    checked by one matmul."""
-    x = rhs.take_cols(free)
-    if x @ q != rhs:
-        raise SubmoduleError("map does not factor through the quotient")
-    return x
 
 
 def quotient_by_submodule(big: Submodule, small: Submodule) -> Tuple[PersistenceModule, ModuleMorphism, tuple]:
@@ -520,8 +505,10 @@ def quotient_by_submodule(big: Submodule, small: Submodule) -> Tuple[Persistence
         frees.append(free)
     maps = {}
     for (a, b) in P.covers:
-        rhs = projs[b] @ big.module.maps[(a, b)]
-        maps[(a, b)] = _factor_through_surjection(projs[a], frees[a], rhs)
+        x = factor_at(projs[a].a, frees[a], (projs[b] @ big.module.maps[(a, b)]).a, F)
+        if x is None:
+            raise SubmoduleError("map does not factor through the quotient")
+        maps[(a, b)] = Mat._canonical(F, x)
     quot = PersistenceModule(P, F, [len(free) for free in frees], maps)
     proj = ModuleMorphism(big.module, quot, projs)
     return quot, proj, tuple(frees)

@@ -588,3 +588,24 @@ def test_cli_reports_an_unwritable_output_as_an_error(capsys, tmp_path):
     # the parent exists, but the path is a directory: open() fails after the work
     code, err = _error(capsys, ["--output", str(tmp_path), "repro", "chain"])
     assert code == 1 and err.startswith(f"{tmp_path}:") and "cannot write the report" in err
+
+
+@pytest.mark.parametrize("command", ["distance", "en-distance", "interleave", "oracle-grid"])
+def test_cli_rejects_modules_over_different_fields(capsys, tmp_path, command):
+    """M over GF(3) and N over GF(2): a JSON error naming --module2, not a
+    traceback from the Hom or isomorphism code."""
+    files = {"poset": {"grid": [3]}, "phi": {"diag": True}}
+    for key, p in (("M", 3), ("N", 2)):
+        files[key] = {"field": {"kind": "gfp", "p": p}, "dims": {"v_1": 1, "v_2": 1},
+                      "maps": {"v_1|v_2": [[1]]}}
+    for key, doc in files.items():
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(doc))
+    argv = [command, "--poset", str(files["poset"]), "--module", str(files["M"]),
+            "--module2", str(files["N"])]
+    if command != "oracle-grid":
+        argv += ["--height", str(files["phi"])]
+    if command == "interleave":
+        argv += ["--r", "1"]
+    code, err = _error(capsys, argv)
+    assert code == 1 and err.startswith("--module2:") and "GF(2)" in err and "GF(3)" in err

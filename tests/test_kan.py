@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hipm.exactlin import GF2, QQ, FieldSpec, Mat, hstack, rref, solve, vstack
+from hipm.exactlin import GF2, QQ, FieldSpec, Mat, hstack, quotient_map, rref, solve, vstack
 from hipm.fixtures import chain_example, grid_example
 from hipm.height import nbhd_down_idx
 from hipm.kan import (
@@ -13,13 +13,13 @@ from hipm.kan import (
     _colim_diagram,
     _lim_diagram,
     _module_diagram,
+    _offsets,
     check_universal,
-    colim_induced,
     colim_over,
     factor_from_colim,
     factor_into_lim,
     fubini_compare,
-    lim_induced,
+    induced,
     lim_over,
 )
 from hipm.pmod import PersistenceModule, interval_module
@@ -70,20 +70,19 @@ def test_lim_edge_and_chain():
 def test_induced_identity_and_zero(chain4, rng):
     m = random_module(rng, chain4, GF2, 2)
     s = [0, 1]
-    assert colim_induced(m, s, s) == Mat.eye(GF2, colim_over(m, s).dim)
-    z = colim_induced(m, [], [0, 1])
+    assert induced(colim_over(m, s), colim_over(m, s)) == Mat.eye(GF2, colim_over(m, s).dim)
+    assert induced(lim_over(m, s), lim_over(m, s)) == Mat.eye(GF2, lim_over(m, s).dim)
+    z = induced(colim_over(m, []), colim_over(m, [0, 1]))
     assert z.cols == 0
-    with pytest.raises(ValueError, match="inclusion"):
-        colim_induced(m, [0, 1], [1])
 
 
 def test_induced_composes(chain4, rng):
     m = random_module(rng, chain4, GF2, 2)
     s, t, u = [0], [0, 1], [0, 1, 2]
-    left = colim_induced(m, t, u) @ colim_induced(m, s, t)
-    assert left == colim_induced(m, s, u)
-    lleft = lim_induced(m, u, t)
-    assert lim_induced(m, t, s) @ lleft == lim_induced(m, u, s)
+    c = {k: colim_over(m, v) for k, v in (("s", s), ("t", t), ("u", u))}
+    assert induced(c["t"], c["u"]) @ induced(c["s"], c["t"]) == induced(c["s"], c["u"])
+    lim = {k: lim_over(m, v) for k, v in (("s", s), ("t", t), ("u", u))}
+    assert induced(lim["s"], lim["t"]) @ induced(lim["t"], lim["u"]) == induced(lim["s"], lim["u"])
 
 
 def test_grid_example_induced_map_rank():
@@ -93,11 +92,11 @@ def test_grid_example_induced_map_rank():
     na = nbhd_down_idx(ge.rho, a, Fraction(1))
     nb = nbhd_down_idx(ge.rho, b, Fraction(1))
     ca, cb = colim_over(ge.module, na), colim_over(ge.module, nb)
-    induced = colim_induced(ge.module, na, nb)
-    assert (induced.rows, induced.cols) == (2, 1)
-    assert rref(induced).rank == 1
+    comparison = induced(ca, cb)
+    assert (comparison.rows, comparison.cols) == (2, 1)
+    assert rref(comparison).rank == 1
     for x in ca.nodes:  # leg commutation pins the map down
-        assert induced @ ca.legs[x] == cb.legs[x]
+        assert comparison @ ca.legs[x] == cb.legs[x]
 
 
 def test_check_universal_accepts_and_rejects(chain4, rng):
@@ -112,14 +111,14 @@ def test_check_universal_accepts_and_rejects(chain4, rng):
             Mat(GF2, __import__("numpy").vstack([col.proj.a, col.proj.a[:1] * 0])),
             {x: Mat(GF2, __import__("numpy").vstack([col.legs[x].a, col.legs[x].a[:1] * 0]))
              for x in col.nodes},
-            col.relations, col.free,
+            col.free,
         )
         assert not check_universal(m, [0, 1], truncated)
         zero_cand = ColimResult(
             col.fieldspec, col.nodes, col.offsets, col.total, 0,
             Mat.zeros(GF2, 0, col.total),
             {x: Mat.zeros(GF2, 0, m.dims[x]) for x in col.nodes},
-            col.relations, (),
+            (),
         )
         assert not check_universal(m, [0, 1], zero_cand)
 
@@ -291,8 +290,7 @@ def _same_result(a, b) -> bool:
     return (type(a) is type(b) and a.nodes == b.nodes and a.offsets == b.offsets
             and a.total == b.total and a.dim == b.dim and a.free == b.free
             and a.legs.keys() == b.legs.keys() and all(a.legs[x] == b.legs[x] for x in a.legs)
-            and (a.proj == b.proj and a.relations == b.relations if isinstance(a, ColimResult)
-                 else a.incl == b.incl))
+            and (a.proj == b.proj if isinstance(a, ColimResult) else a.incl == b.incl))
 
 
 @given(restrictions())
@@ -303,3 +301,38 @@ def test_memoized_limits_equal_a_fresh_build(case):
         first = over(m, subset)
         assert over(m, list(reversed(subset))) is first  # one build per node set
         assert _same_result(first, build(_module_diagram(m, subset)))
+
+
+def reference_colim(diag):
+    """A colimit built directly as a quotient: one relation column per cover
+    (x, y) and basis vector k of M(x), M(x<=y) e_k - e_k, and the projection
+    onto the block sum modulo their span."""
+    F = diag.fieldspec
+    offs, total = _offsets(diag)
+    cols = []
+    for (x, y) in diag.covers:
+        mxy = diag.mat(x, y)
+        for k in range(diag.dims[x]):
+            col = Mat.zeros(F, total, 1)
+            for r in range(mxy.rows):
+                col.a[offs[y] + r, 0] = mxy.a[r, k]
+            col.a[offs[x] + k, 0] -= F.one()
+            if F.is_prime_field:
+                col.a %= F.p
+            cols.append(col)
+    rel = hstack(F, cols, rows=total)
+    proj, free = quotient_map(F, total, rel)
+    legs = {x: proj.take_cols(range(offs[x], offs[x] + diag.dims[x])) for x in diag.nodes}
+    return proj, legs, free
+
+
+@given(restrictions())
+@settings(max_examples=150, deadline=None)
+def test_colimit_as_transposed_limit_equals_the_relation_quotient(case):
+    """The transposed-limit colimit and the quotient by the relation columns
+    agree in every coordinate: projection, legs, free coordinates, dimension."""
+    m, subset, _ = case
+    col = colim_over(m, subset)
+    proj, legs, free = reference_colim(_module_diagram(m, subset))
+    assert col.proj == proj and col.free == free and col.dim == len(free) == proj.rows
+    assert col.legs.keys() == legs.keys() and all(col.legs[x] == legs[x] for x in legs)

@@ -4,15 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hipm.exactlin import GF2, QQ, FieldSpec, Mat, quotient_map, solve
+from hipm.exactlin import GF2, QQ, FieldSpec, Mat, factor_at, quotient_map, solve
 from hipm.fixtures import bipath_example, grid_example
 from hipm.functors import apply_R
 from hipm.interleave import check_certificate
 from hipm.pmod import (
     ModuleMorphism,
     PersistenceModule,
-    SubmoduleError,
-    _factor_through_surjection,
     direct_sum,
     hom_basis,
     interval_module,
@@ -233,7 +231,7 @@ def _random_matrix(rng, field, rows, cols):
 @given(st.sampled_from((GF2, FieldSpec("gfp", 3), QQ)), st.integers(0, 2**32 - 1),
        st.integers(0, 5), st.integers(0, 4), st.integers(0, 3))
 @settings(max_examples=200, deadline=None)
-def test_factor_through_surjection_matches_solve(field, seed, ambient, sub, rows):
+def test_factor_at_a_quotient_map_matches_solve(field, seed, ambient, sub, rows):
     """Column selection at quotient_map's free coordinates against `solve`, on
     right-hand sides that factor and on random ones that mostly do not."""
     rng = random.Random(seed)
@@ -242,8 +240,8 @@ def test_factor_through_surjection_matches_solve(field, seed, ambient, sub, rows
     for rhs in (_random_matrix(rng, field, rows, len(free)) @ q,
                 _random_matrix(rng, field, rows, ambient)):
         want = solve(q.T, rhs.T)
+        got = factor_at(q.a, free, rhs.a, field)
         if want is None:
-            with pytest.raises(SubmoduleError):
-                _factor_through_surjection(q, free, rhs)
+            assert got is None
         else:
-            assert _factor_through_surjection(q, free, rhs) == want.T
+            assert Mat._canonical(field, got) == want.T
