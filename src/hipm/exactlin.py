@@ -35,6 +35,7 @@ __all__ = [
     "solve",
     "compressed_family",
     "batch_consistent",
+    "solve_candidate",
     "quotient_map",
     "DEFAULT_BUDGET",
 ]
@@ -492,9 +493,17 @@ def _relaxation(family: np.ndarray, F) -> Tuple[np.ndarray, List[int]]:
     return relaxed, [bisect.bisect_left(res.pivots, t * h2) for t in range(h1 + 1)]
 
 
+def solve_candidate(tensor: np.ndarray, rhs: np.ndarray, coeffs, F) -> Optional[Mat]:
+    """One x with sum_i c_i tensor[:, i, :]^T x = rhs for the candidate c =
+    `coeffs`, from `solve`; None if that system is inconsistent."""
+    cols = np.tensordot(tensor, np.array(coeffs, dtype=tensor.dtype), axes=([1], [0]))
+    return solve(Mat(F, cols.T.copy()), Mat(F, rhs.reshape(-1, 1).copy()))
+
+
 def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
-    """(verdict, c, x, candidates tried) for the first c in lexicographic order
-    such that sum_i c_i tensor[:, i, :]^T x = rhs is solvable; x comes from `solve`.
+    """(verdict, c, candidates tried) for the first c in lexicographic order
+    such that sum_i c_i tensor[:, i, :]^T x = rhs is solvable (`solve_candidate`
+    gives its x).
 
     Over GF(p) the search is exhaustive, so running out of candidates proves "no".
     It walks the tree of blocks (`_relaxation`): a block whose linear relaxation
@@ -508,21 +517,15 @@ def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
     starts are exact Python integers, so any budget is safe.
     Over the rationals a small integer lattice is probed and a miss is "unknown".
     """
-    h2, h1, L = tensor.shape
-
-    def solve_at(coeffs) -> Optional[Mat]:
-        cols = np.tensordot(tensor, np.array(coeffs, dtype=tensor.dtype), axes=([1], [0]))
-        return solve(Mat(F, cols.T.copy()), Mat(F, rhs.reshape(L, 1).copy()))
-
+    h1 = tensor.shape[1]
     if not F.is_prime_field:
         lattice = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]
         for tried, coeffs in enumerate(itertools.product(lattice, repeat=h1)):
             if tried >= budget:
-                return "unknown", None, None, tried
-            x = solve_at(coeffs)
-            if x is not None:
-                return "yes", coeffs, x, tried + 1
-        return "unknown", None, None, 4 ** h1
+                return "unknown", None, tried
+            if solve_candidate(tensor, rhs, coeffs, F) is not None:
+                return "yes", coeffs, tried + 1
+        return "unknown", None, 4 ** h1
 
     p, total = F.p, F.p ** h1
     limit = max(0, min(budget, total))
@@ -581,9 +584,8 @@ def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
         hit = scan(max(start, 1), min(start + p ** leaf, limit))
         start += p ** leaf
     if hit is None:
-        return ("no" if limit == total else "unknown"), None, None, limit
-    c = tuple(int(x) for x in hit[1])
-    return "yes", c, solve_at(c), hit[0] + 1
+        return ("no" if limit == total else "unknown"), None, limit
+    return "yes", tuple(int(x) for x in hit[1]), hit[0] + 1
 
 
 def quotient_map(field: FieldSpec, ambient_dim: int, subspace: Mat) -> tuple:

@@ -26,7 +26,8 @@ from .height import (
     nbhd_up_idx,
     pullback_rho,
 )
-from .kan import colim_over, factor, factor_into_lim, factor_stack_from_colim, induced, lim_over
+from .kan import (ColimResult, LimResult, colim_over, factor, factor_into_lim, factor_stack_from_colim,
+                  induced, lim_over)
 from .pmod import (
     ModuleMorphism,
     MorphismStack,
@@ -121,21 +122,32 @@ def _oriented(app: FunctorApplication, other: PersistenceModule, comps) -> Modul
     return ModuleMorphism(other, app.module, comps)
 
 
-def _between(small: FunctorApplication, big: FunctorApplication) -> ModuleMorphism:
-    """kan.induced at every element: small -> big (latching), big -> small (matching)."""
-    comps = [induced(small.data[a], big.data[a]) for a in range(len(small.module.poset))]
+def _induced(m: PersistenceModule, small: ColimResult | LimResult,
+             big: ColimResult | LimResult) -> Mat:
+    """kan.induced between two (co)limits of m.  It depends only on the two
+    neighborhoods, so it is made once per module, kind and pair of node sets and
+    shared by every stratum, functor and transformation that compares them."""
+    kind = "colim" if isinstance(small, ColimResult) else "lim"
+    return m.cached(("induced", kind, small.nodes, big.nodes), lambda: induced(small, big))
+
+
+def _between(m: PersistenceModule, small: FunctorApplication,
+             big: FunctorApplication) -> ModuleMorphism:
+    """The induced map at every element: small -> big (latching), big -> small
+    (matching), both applied to m."""
+    comps = [_induced(m, small.data[a], big.data[a]) for a in range(len(m.poset))]
     return _oriented(small, big.module, comps)
 
 
-def _nested(outer: FunctorApplication, inner: FunctorApplication,
+def _nested(m: PersistenceModule, outer: FunctorApplication, inner: FunctorApplication,
             big: FunctorApplication) -> ModuleMorphism:
     """The two-level factorization: each leg of `outer` at a is the (co)limit of
-    `inner` at that node, compared into big's value at a."""
+    `inner` (applied to m) at that node, compared into big's value at a."""
     comps = [
         factor(outer.data[a],
-               {x: induced(inner.data[x], big.data[a]) for x in outer.data[a].nodes},
+               {x: _induced(m, inner.data[x], big.data[a]) for x in outer.data[a].nodes},
                big.data[a].dim)
-        for a in range(len(big.module.poset))
+        for a in range(len(m.poset))
     ]
     return _oriented(outer, big.module, comps)
 
@@ -154,7 +166,7 @@ def _apply(kind: str, params: tuple, rho: HeightDiff, m: PersistenceModule,
     def build():
         P = m.poset
         data = {a: (colim_over if latching else lim_over)(m, nbhd_of(a)) for a in range(len(P))}
-        maps = {(a, b): induced(data[a], data[b]) if latching else induced(data[b], data[a])
+        maps = {(a, b): _induced(m, data[a], data[b]) if latching else _induced(m, data[b], data[a])
                 for (a, b) in P.covers}
         out = PersistenceModule(P, m.field, [data[a].dim for a in range(len(P))], maps)
         return FunctorApplication(kind, out, data)
@@ -224,7 +236,7 @@ def _eta(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleM
     apply = _functor(direction)
     scales = (s, r) if direction == "L" else (r, s)
     return m.cached(("eta" + direction, rho, *scales),
-                    lambda: _between(apply(rho, s, m), apply(rho, r, m)))
+                    lambda: _between(m, apply(rho, s, m), apply(rho, r, m)))
 
 
 def eta_L(rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
@@ -238,17 +250,19 @@ def eta_R(rho: HeightDiff, r, s, m: PersistenceModule) -> ModuleMorphism:
 
 
 def _eta_id(direction: str, rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
-    """L_r M -> M or M -> R_r M, assembled from the structure maps of M."""
+    """L_r M -> M or M -> R_r M, assembled from the structure maps of M.  The
+    component at a depends only on a's neighborhood, so it is made once per
+    module, direction, node set and element, and shared across strata."""
     r = _r(r)
+
+    def component(res: ColimResult | LimResult, a: int) -> Mat:
+        return m.cached(("eta-id", direction, res.nodes, a), lambda: factor(
+            res, {x: m.map_for_idx(x, a) if direction == "L" else m.map_for_idx(a, x)
+                  for x in res.nodes}, m.dims[a]))
 
     def build():
         app = _functor(direction)(rho, r, m)
-        comps = [
-            factor(app.data[a], {x: m.map_for_idx(x, a) if direction == "L" else m.map_for_idx(a, x)
-                                 for x in app.data[a].nodes}, m.dims[a])
-            for a in range(len(m.poset))
-        ]
-        return _oriented(app, m, comps)
+        return _oriented(app, m, [component(app.data[a], a) for a in range(len(m.poset))])
 
     return m.cached((f"eta{direction}-id", rho, r), build)
 
@@ -288,7 +302,7 @@ def _mu(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMo
 
     def build():
         outer, inner = _iterated(direction, rho, s, r, m)
-        return _nested(outer, inner, _functor(direction)(rho, s + r, m))
+        return _nested(m, outer, inner, _functor(direction)(rho, s + r, m))
 
     scales = (s, r) if direction == "L" else (r, s)
     return m.cached(("mu" + direction, rho, *scales), build)
@@ -407,14 +421,14 @@ def kappa(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> Module
     """The Fubini comparison: L_s L_r M -> T^L_{s,r} M, or T^R_{r,s} M -> R_r R_s M."""
     s, r = _r(s), _r(r)
     outer, inner = _iterated(direction, rho, s, r, m)
-    return _nested(outer, inner, apply_T(rho, s, r, m, direction))
+    return _nested(m, outer, inner, apply_T(rho, s, r, m, direction))
 
 
 def tau(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> ModuleMorphism:
     """The inclusion-induced comparison T^L_{s,r} M -> L_{s+r} M (or
     R_{s+r} M -> T^R_{r,s} M), second factor of the mu factorization."""
     s, r = _r(s), _r(r)
-    return _between(apply_T(rho, s, r, m, direction), _functor(direction)(rho, s + r, m))
+    return _between(m, apply_T(rho, s, r, m, direction), _functor(direction)(rho, s + r, m))
 
 
 class IntermediateValueError(ValueError):
@@ -439,7 +453,7 @@ def theta(rho: HeightDiff, s, r, c, m: PersistenceModule, direction: str) -> Mod
     for a, name in enumerate(m.poset.elements):
         if not set(big.data[a].nodes) <= set(t.data[a].nodes):
             raise IntermediateValueError(f"neighborhood inclusion fails at {name!r}")
-    out = _between(big, t)
+    out = _between(m, big, t)
     assert (_after(direction, tau(rho, s, r, m, direction), out)
             == _eta(direction, rho, s + r + c, s + r, m))
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .exactlin import DEFAULT_BUDGET, Mat, _bilinear_search, zeros
+from .exactlin import DEFAULT_BUDGET, Mat, _bilinear_search, solve_candidate, zeros
 from .height import INF, ExtVal, HeightDiff, Stratum, format_ext, rho_diag, strata
 from .functors import apply_R, e_r, sharp
 from .pmod import (ModuleMorphism, MorphismStack, PersistenceModule, _bilinear_tensor, hom_basis,
@@ -95,10 +95,11 @@ def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     q_basis = hom_basis(n, app_rm.module)
     tensor, rhs = _bilinear_tensor(p_basis, q_basis, sharp(rho, r, n, p_basis),
                                    sharp(rho, r, m, q_basis), e_r(rho, r, m), e_r(rho, r, n), F)
-    verdict, coeffs, sol, tried = _bilinear_search(tensor, rhs, F, budget)
+    verdict, coeffs, tried = _bilinear_search(tensor, rhs, F, budget)
     if verdict != "yes":
         return InterleaveResult(verdict, candidates_tried=tried)
-    cert = Certificate(r, p_basis.combine(coeffs), q_basis.combine(sol.a[:, 0]))
+    q_coeffs = solve_candidate(tensor, rhs, coeffs, F).a[:, 0]
+    cert = Certificate(r, p_basis.combine(coeffs), q_basis.combine(q_coeffs))
     return InterleaveResult("yes", cert, tried)
 
 

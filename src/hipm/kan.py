@@ -1,11 +1,15 @@
 """Finite limits of module restrictions over subposets; colimits as transposed
 limits; the induced map between them; Fubini checks.
 
-A limit is the equalizer kernel in the block direct sum over the subposet
-(equations along the subposet's own Hasse covers).  A colimit is the transposed
-limit of the transposed diagram: every cover reversed, every map transposed.
-The inclusion of a limit is the identity on its free coordinates of the block
-sum (`LimResult.free`), and so is the projection of a colimit
+A limit is built from the subposet's minimal nodes: a cone is fixed by its
+values there, so only the consistency equations at the nodes above two or more
+minima are solved (none with one minimum, whose M(b) is the limit).  Its basis
+is the equalizer kernel's in the block direct sum over the subposet: one rref
+of the stacked legs with the coordinates reversed finds the same free
+coordinates (matroid duality, see `_lim_diagram`).  A colimit is the
+transposed limit of the transposed diagram: the order reversed, every map
+transposed.  The inclusion of a limit is the identity on its free coordinates
+of the block sum (`LimResult.free`), and so is the projection of a colimit
 (`ColimResult.free`).  So `factor`, the unique map out of a colimit or into a
 limit with given leg composites, reads those coordinates off the stacked
 family (`exactlin.factor_at`), and `induced` is `factor` on the legs of a
@@ -16,20 +20,21 @@ bigger (co)limit; no system is solved.  `colim_over` / `lim_over` build each
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from .exactlin import (
     FieldSpec,
     Mat,
-    _null_space,
     factor_at,
     hstack,
     kernel_basis,
     rref,
     solve,
+    stacked_matmul,
     vstack,
+    zeros,
 )
 from .pmod import PersistenceModule
 from .poset import Connectivity, _is_connected_idx
@@ -53,13 +58,19 @@ __all__ = [
 @dataclass
 class _Diagram:
     """A finite diagram of vector spaces indexed by a subposet: nodes in ambient
-    index order, the subposet's own covers, and the matrix along each cover."""
+    index order, the order among them (`leq[i, j]` iff nodes[i] <= nodes[j]),
+    and the matrix mat(x, y) along every comparable pair x <= y."""
 
     fieldspec: FieldSpec
     nodes: Tuple[int, ...]
     dims: Dict[int, int]
-    covers: List[Tuple[int, int]]
+    leq: np.ndarray
     mat: Callable[[int, int], Mat]
+
+
+def _order(poset, nodes: Tuple[int, ...]) -> np.ndarray:
+    ix = np.array(nodes, dtype=np.intp)
+    return poset.leq[np.ix_(ix, ix)]
 
 
 def _module_diagram(m: PersistenceModule, subset: Sequence[int]) -> _Diagram:
@@ -68,7 +79,7 @@ def _module_diagram(m: PersistenceModule, subset: Sequence[int]) -> _Diagram:
         fieldspec=m.field,
         nodes=nodes,
         dims={x: m.dims[x] for x in nodes},
-        covers=m.poset.subposet_covers(nodes),
+        leq=_order(m.poset, nodes),
         mat=m.map_for_idx,
     )
 
@@ -112,29 +123,53 @@ def _offsets(diag: _Diagram) -> Tuple[Dict[int, int], int]:
 
 
 def _lim_diagram(diag: _Diagram) -> LimResult:
-    F = diag.fieldspec
+    """The cones over the diagram, in the equalizer's canonical basis.
+
+    A cone is fixed by its values at the minimal nodes, v_y = M(b <= y) v_b for
+    any minimum b <= y.  So the cones are the solutions of M(b <= y) v_b =
+    M(b' <= y) v_b' for consecutive minima b, b' below each node y, pushed to
+    every node; with one minimum there is no equation and the limit is M(b).
+    The stacked legs of those cones span the limit inside the block sum.  One
+    rref of their transpose with the columns reversed then picks the free
+    coordinates greedily from the right, and by matroid duality these are the
+    non-pivot columns of the leftmost-pivot rref of the cover equations.  So
+    incl[free, :] is the identity, coordinate for coordinate the equalizer's
+    kernel basis (`exactlin._null_space`)."""
+    F, nodes, dims, mat = diag.fieldspec, diag.nodes, diag.dims, diag.mat
     offs, total = _offsets(diag)
-    rows = []
-    for (x, y) in diag.covers:
-        mxy = diag.mat(x, y)
-        block = Mat.zeros(F, mxy.rows, total)
-        block.a[:, offs[x] : offs[x] + mxy.cols] = mxy.a
-        for r in range(mxy.rows):
-            block.a[r, offs[y] + r] -= F.one()
-        if F.is_prime_field:
-            block.a %= F.p
-        rows.append(block)
-    eq = vstack(F, rows, cols=total)
-    incl, free = _null_space(eq)
-    legs = {x: incl.take_rows(range(offs[x], offs[x] + diag.dims[x])) for x in diag.nodes}
-    return LimResult(F, diag.nodes, offs, total, len(free), incl, legs, free)
+    minima = [j for j, under in enumerate(diag.leq.sum(axis=0).tolist()) if under == 1]  # itself only
+    if len(minima) == 1:  # no equations: the legs are M(b <= y)
+        b = nodes[minima[0]]
+        stacked = [mat(b, y).a for y in nodes]
+    else:
+        order = diag.leq.tolist()
+        below = [[nodes[i] for i in minima if order[i][j]] for j in range(len(nodes))]
+        moffs, mtot = {}, 0
+        for i in minima:
+            moffs[nodes[i]], mtot = mtot, mtot + dims[nodes[i]]
+        rows = []
+        for y, bs in zip(nodes, below):
+            for b, c in zip(bs, bs[1:]):
+                eq = zeros(F, (dims[y], mtot))
+                eq[:, moffs[b]: moffs[b] + dims[b]] = mat(b, y).a
+                eq[:, moffs[c]: moffs[c] + dims[c]] = -mat(c, y).a
+                rows.append(eq % F.p if F.is_prime_field else eq)
+        cones = kernel_basis(Mat._canonical(F, np.concatenate(rows) if rows else zeros(F, (0, mtot)))).a
+        stacked = [stacked_matmul(F, mat(bs[0], y).a, cones[moffs[bs[0]]: moffs[bs[0]] + dims[bs[0]]])
+                   for y, bs in zip(nodes, below)]
+    basis = np.concatenate(stacked) if stacked else zeros(F, (0, 0))  # total x dim
+    res = rref(Mat._canonical(F, basis.T[:, ::-1]))
+    incl = np.ascontiguousarray(res.matrix.a[::-1, ::-1].T)
+    free = tuple(total - 1 - j for j in reversed(res.pivots))
+    legs = {x: Mat._canonical(F, incl[offs[x]: offs[x] + dims[x]]) for x in nodes}  # read-only views
+    return LimResult(F, nodes, offs, total, len(free), Mat._canonical(F, incl), legs, free)
 
 
 def _colim_diagram(diag: _Diagram) -> ColimResult:
-    """The transposed limit of the transposed diagram, whose equation rows are
-    the colimit's relations M(x<=y) e_k - e_k: proj = incl^T, legs transposed."""
+    """The transposed limit of the transposed diagram (the order reversed, every
+    map transposed): proj = incl^T, legs transposed."""
     F, mat = diag.fieldspec, diag.mat
-    lim = _lim_diagram(_Diagram(F, diag.nodes, diag.dims, [(y, x) for (x, y) in diag.covers],
+    lim = _lim_diagram(_Diagram(F, diag.nodes, diag.dims, diag.leq.T,
                                 lambda y, x: Mat._canonical(F, mat(x, y).a.T)))
     legs = {x: Mat._canonical(F, leg.a.T) for x, leg in lim.legs.items()}  # read-only views
     return ColimResult(F, lim.nodes, lim.offsets, lim.total, lim.dim,
@@ -215,18 +250,18 @@ def check_universal(m: PersistenceModule, subset: Sequence[int], candidate) -> b
     subset = sorted(subset)
     if len(subset) > UNIVERSAL_SIZE_CAP:
         raise ValueError(f"universal-property oracle capped at {UNIVERSAL_SIZE_CAP} elements")
-    diag = _module_diagram(m, subset)
+    diag, covers = _module_diagram(m, subset), m.poset.subposet_covers(subset)
     F = diag.fieldspec
     offs, total = _offsets(diag)
     if isinstance(candidate, ColimResult):
-        for (x, y) in diag.covers:
+        for (x, y) in covers:
             if candidate.legs[y] @ diag.mat(x, y) != candidate.legs[x]:
                 return False
         stacked = hstack(F, [candidate.legs[x] for x in diag.nodes], rows=candidate.dim)
         if rref(stacked).rank != candidate.dim:
             return False  # factorizations would not be unique
         rel_cols = []
-        for (x, y) in diag.covers:
+        for (x, y) in covers:
             mxy = diag.mat(x, y)
             for k in range(diag.dims[x]):
                 col = Mat.zeros(F, total, 1)
@@ -244,14 +279,14 @@ def check_universal(m: PersistenceModule, subset: Sequence[int], candidate) -> b
                 return False
         return True
     if isinstance(candidate, LimResult):
-        for (x, y) in diag.covers:
+        for (x, y) in covers:
             if diag.mat(x, y) @ candidate.legs[x] != candidate.legs[y]:
                 return False
         stacked = vstack(F, [candidate.legs[x] for x in diag.nodes], cols=candidate.dim)
         if rref(stacked).rank != candidate.dim:
             return False
         rows = []
-        for (x, y) in diag.covers:
+        for (x, y) in covers:
             mxy = diag.mat(x, y)
             block = Mat.zeros(F, mxy.rows, total)
             block.a[:, offs[x] : offs[x] + mxy.cols] = mxy.a
@@ -308,7 +343,7 @@ def fubini_compare(m: PersistenceModule, index_subset: Sequence[int],
         fieldspec=m.field,
         nodes=I,
         dims={x: inner[x].dim for x in I},
-        covers=P.subposet_covers(I),
+        leq=_order(P, I),
         mat=lambda x, y: induced(inner[x], inner[y]),
     )
     outer = _colim_diagram(outer_diag)

@@ -83,9 +83,11 @@ class PersistenceModule(Memo):
         if not self.poset.leq[a, b]:
             raise PosetError(f"{self.poset.elements[a]!r} is not below {self.poset.elements[b]!r}")
         if a == b:
-            return Mat.eye(self.field, self.dims[a])
-        step = next(hi for lo, hi in self.poset.covers if lo == a and self.poset.leq[hi, b])
-        out = self.memo[("map", a, b)] = self.map_for_idx(step, b) @ self.maps[(a, step)]
+            out = Mat.eye(self.field, self.dims[a])
+        else:
+            step = next(hi for lo, hi in self.poset.covers if lo == a and self.poset.leq[hi, b])
+            out = self.map_for_idx(step, b) @ self.maps[(a, step)]
+        self.memo[("map", a, b)] = out
         return out
 
     def key(self) -> tuple:
@@ -545,5 +547,5 @@ def is_isomorphic(m: PersistenceModule, n: PersistenceModule,
         return IsoResult("no")
     tensor, rhs = _bilinear_tensor(p_basis, q_basis, p_basis, q_basis, ModuleMorphism.identity(m),
                                    ModuleMorphism.identity(n), m.field)
-    verdict, coeffs, _, _ = _bilinear_search(tensor, rhs, m.field, budget)
+    verdict, coeffs, _ = _bilinear_search(tensor, rhs, m.field, budget)
     return IsoResult(verdict, p_basis.combine(coeffs) if verdict == "yes" else None)

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hipm import exactlin
 from hipm.exactlin import (DEFAULT_BUDGET, FieldSpec, Mat, _bilinear_search, batch_consistent,
-                           compressed_family, rref, solve)
+                           compressed_family, rref, solve, solve_candidate)
 from hipm.fixtures import bipath_example, chain_example, grid_example
 from hipm.functors import apply_R, e_r, sharp
 from hipm.height import rho_diag
@@ -68,11 +68,12 @@ def bilinear_families(draw):
 
 
 def assert_search_matches(field, tensor, rhs, budget, want):
-    """`_bilinear_search` against the reference result `want`."""
-    verdict, coeffs, x, tried = _bilinear_search(tensor, rhs, field, budget)
+    """`_bilinear_search` against the reference result `want`, and the witness's
+    x from `solve_candidate` against the reference's."""
+    verdict, coeffs, tried = _bilinear_search(tensor, rhs, field, budget)
     assert (verdict, coeffs, tried) == (want[0], want[1], want[3])
     if verdict == "yes":
-        assert x == want[2]
+        assert solve_candidate(tensor, rhs, coeffs, field) == want[2]
 
 
 # (field, tensor, rhs, budget) with h1 = 0, h2 = 0 and L = 0
@@ -169,10 +170,10 @@ def test_block_indices_past_2_62_are_exact():
     field, tensor, rhs = digit_family(3, 41, {0: 1, 40: 2})
     assert 3 ** 40 > 2 ** 62
     witness = (1,) + (0,) * 39 + (2,)
-    verdict, coeffs, x, tried = _bilinear_search(tensor, rhs, field, 10 ** 20)
+    verdict, coeffs, tried = _bilinear_search(tensor, rhs, field, 10 ** 20)
     assert (verdict, coeffs, tried) == ("yes", witness, 3 ** 40 + 3)
-    assert x.a.tolist() == [[1]]
-    assert _bilinear_search(tensor, rhs, field, 3 ** 40 + 2)[::3] == ("unknown", 3 ** 40 + 2)
+    assert solve_candidate(tensor, rhs, coeffs, field).a.tolist() == [[1]]
+    assert _bilinear_search(tensor, rhs, field, 3 ** 40 + 2)[::2] == ("unknown", 3 ** 40 + 2)
 
 
 def flat(mor):

@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from fractions import Fraction
 
@@ -34,8 +35,9 @@ from hipm.functors import (
     unit,
     xi_pullback,
 )
-from hipm.height import HeightDiff, from_phi, nbhd_down_idx, rho_diag
-from hipm.kan import fubini_compare
+from hipm.height import (HeightDiff, HeightFunction, from_phi, nbhd_down_idx, nbhd_up_idx, rho_diag,
+                         strata as strata_of)
+from hipm.kan import _colim_diagram, _lim_diagram, _module_diagram, factor, fubini_compare, induced
 from hipm.pmod import (
     ModuleMorphism,
     hom_basis,
@@ -443,3 +445,47 @@ def test_equal_modules_get_equal_values_but_do_not_share_them():
         assert a1.module.key() == a2.module.key() and a1.data == a2.data
     e1, e2 = e_r(rho, 1, m1), e_r(twin, 1, m1)
     assert e1 is not e2 and e1 == e2
+
+
+def _strata_sharing_a_cover(name):
+    """(rho, m, r, s): two scales in different strata of rho, with a module.
+
+    On a grid under rho_diag two strata share only empty neighborhoods, so the
+    chain with heights 0, 1, 3, 5 supplies a cover whose neighborhoods are
+    nonempty and equal at r = 1 and s = 2."""
+    rng = random.Random(11)
+    if name == "grid":
+        G = FinitePoset.grid([4, 4])
+        return rho_diag(G), random_module(rng, G, GF2, 2), Fraction(1), Fraction(2)
+    chain = FinitePoset.chain(["a", "b", "c", "d"])
+    rho = from_phi(HeightFunction(chain, dict(zip("abcd", map(Fraction, (0, 1, 3, 5))))))
+    return rho, random_module(rng, chain, GF2, 2), Fraction(1), Fraction(2)
+
+
+@pytest.mark.parametrize("name", ["grid", "chain"])
+@pytest.mark.parametrize("direction", ["L", "R"])
+def test_strata_with_equal_neighborhoods_share_maps(name, direction):
+    """Where a cover's neighborhoods agree at r < s (in different strata), the
+    functor values at r and s hold one structure-map object, and the eta
+    components at its endpoint one matrix; each equals a fresh build, and both
+    die with their module."""
+    rho, m, r, s = _strata_sharing_a_cover(name)
+    assert [st for st in strata_of(rho) if st.contains(r)] != [st for st in strata_of(rho) if st.contains(s)]
+    nbhd, build = (nbhd_down_idx, _colim_diagram) if direction == "L" else (nbhd_up_idx, _lim_diagram)
+    apply, eta = (apply_L, eta_L_to_id) if direction == "L" else (apply_R, eta_R_from_id)
+    a, b = next((a, b) for a, b in m.poset.covers
+                if all(nbhd(rho, x, r) == nbhd(rho, x, s) for x in (a, b))
+                and (name == "grid" or nbhd(rho, a, r) and nbhd(rho, b, r)))
+    fresh = {x: build(_module_diagram(m, nbhd(rho, x, r))) for x in (a, b)}
+    at_r, at_s = apply(rho, r, m).module.maps[(a, b)], apply(rho, s, m).module.maps[(a, b)]
+    assert at_s is at_r
+    assert at_r == (induced(fresh[a], fresh[b]) if direction == "L" else induced(fresh[b], fresh[a]))
+    comp_r, comp_s = eta(rho, r, m).components[a], eta(rho, s, m).components[a]
+    assert comp_s is comp_r
+    legs = {x: m.map_for_idx(x, a) if direction == "L" else m.map_for_idx(a, x)
+            for x in fresh[a].nodes}
+    assert comp_r == factor(fresh[a], legs, m.dims[a])
+    refs = [weakref.ref(at_r.a), weakref.ref(comp_r.a)]
+    del m, at_r, at_s, comp_r, comp_s
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

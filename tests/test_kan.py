@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hipm.exactlin import GF2, QQ, FieldSpec, Mat, hstack, quotient_map, rref, solve, vstack
+from hipm.exactlin import GF2, QQ, FieldSpec, Mat, hstack, kernel_basis, quotient_map, rref, solve, vstack
 from hipm.fixtures import chain_example, grid_example
 from hipm.height import nbhd_down_idx
 from hipm.kan import (
@@ -22,7 +22,7 @@ from hipm.kan import (
     induced,
     lim_over,
 )
-from hipm.pmod import PersistenceModule, interval_module
+from hipm.pmod import PersistenceModule, interval_module, zero_module
 from hipm.poset import FinitePoset
 from hipm.randgen import random_module, random_poset
 
@@ -303,14 +303,14 @@ def test_memoized_limits_equal_a_fresh_build(case):
         assert _same_result(first, build(_module_diagram(m, subset)))
 
 
-def reference_colim(diag):
+def reference_colim(diag, covers):
     """A colimit built directly as a quotient: one relation column per cover
-    (x, y) and basis vector k of M(x), M(x<=y) e_k - e_k, and the projection
-    onto the block sum modulo their span."""
+    (x, y) of the subposet and basis vector k of M(x), M(x<=y) e_k - e_k, and
+    the projection onto the block sum modulo their span."""
     F = diag.fieldspec
     offs, total = _offsets(diag)
     cols = []
-    for (x, y) in diag.covers:
+    for (x, y) in covers:
         mxy = diag.mat(x, y)
         for k in range(diag.dims[x]):
             col = Mat.zeros(F, total, 1)
@@ -332,7 +332,70 @@ def test_colimit_as_transposed_limit_equals_the_relation_quotient(case):
     """The transposed-limit colimit and the quotient by the relation columns
     agree in every coordinate: projection, legs, free coordinates, dimension."""
     m, subset, _ = case
+    assert_colim_matches_reference(m, subset)
+
+
+def assert_colim_matches_reference(m, subset):
     col = colim_over(m, subset)
-    proj, legs, free = reference_colim(_module_diagram(m, subset))
+    proj, legs, free = reference_colim(_module_diagram(m, subset), m.poset.subposet_covers(subset))
     assert col.proj == proj and col.free == free and col.dim == len(free) == proj.rows
     assert col.legs.keys() == legs.keys() and all(col.legs[x] == legs[x] for x in legs)
+
+
+def reference_lim(diag, covers):
+    """A limit built directly as the equalizer: one block of equations
+    M(x<=y) v_x - v_y = 0 per cover (x, y) of the subposet, and the canonical
+    kernel basis of the stacked equations, the identity at their non-pivot
+    columns."""
+    F = diag.fieldspec
+    offs, total = _offsets(diag)
+    rows = []
+    for (x, y) in covers:
+        mxy = diag.mat(x, y)
+        block = Mat.zeros(F, mxy.rows, total)
+        block.a[:, offs[x] : offs[x] + mxy.cols] = mxy.a
+        for r in range(mxy.rows):
+            block.a[r, offs[y] + r] -= F.one()
+        if F.is_prime_field:
+            block.a %= F.p
+        rows.append(block)
+    eq = vstack(F, rows, cols=total)
+    incl, pivots = kernel_basis(eq), rref(eq).pivots
+    free = tuple(j for j in range(total) if j not in pivots)
+    legs = {x: incl.take_rows(range(offs[x], offs[x] + diag.dims[x])) for x in diag.nodes}
+    return incl, legs, free
+
+
+def assert_lim_matches_reference(m, subset):
+    lim = lim_over(m, subset)
+    incl, legs, free = reference_lim(_module_diagram(m, subset), m.poset.subposet_covers(subset))
+    assert lim.incl == incl and lim.free == free and lim.dim == len(free) == incl.cols
+    assert lim.legs.keys() == legs.keys() and all(lim.legs[x] == legs[x] for x in legs)
+
+
+@given(restrictions())
+@settings(max_examples=150, deadline=None)
+def test_limit_from_minimal_nodes_equals_the_cover_equalizer(case):
+    """The limit built from the minimal nodes and the kernel of the cover
+    equations agree in every coordinate: inclusion, legs, free coordinates,
+    dimension."""
+    m, subset, _ = case
+    assert_lim_matches_reference(m, subset)
+
+
+# minima a, b, c; d over a and b; e over b and c; f over d and e; g on its own
+W = FinitePoset.from_covers("abcdefg", [("a", "d"), ("b", "d"), ("b", "e"), ("c", "e"),
+                                        ("d", "f"), ("e", "f")])
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=["GF2", "GF3", "QQ"])
+@pytest.mark.parametrize("names", ["", "d", "abd", "abcdef", "acg", "defg", "bdef"])
+def test_limits_and_colimits_on_shaped_node_sets(field, names):
+    """The empty set, one node, two and three minima under one node, disconnected
+    node sets, and modules that vanish at some or every node."""
+    rng = random.Random(7)
+    subset = [W.idx(e) for e in names]
+    for m in (random_module(rng, W, field, 2), random_module(rng, W, field, 3),
+              interval_module(W, "bdef", field), zero_module(W, field)):
+        assert_lim_matches_reference(m, subset)
+        assert_colim_matches_reference(m, subset)
