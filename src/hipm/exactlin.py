@@ -317,13 +317,17 @@ def rref(m: Mat, pivot_limit: Optional[int] = None) -> RrefResult:
     """Reduced row-echelon form with the leftmost-pivot, scaled-leading-one convention.
 
     `pivot_limit` restricts pivot search to the first so-many columns (used by
-    `solve` on augmented systems).
+    `solve` on augmented systems).  An empty matrix or a zero limit needs no
+    elimination; a lead of one is not scaled, nor a column cleared that is already
+    clear.  The array stays canonical, so it skips Mat's normalising pass.
     """
     field = m.field
     a = m.a.copy()
     nrows, ncols = a.shape
     limit = ncols if pivot_limit is None else pivot_limit
-    zero = field.zero()
+    if a.size == 0 or limit == 0:
+        return RrefResult(Mat._canonical(field, a), (), 0)
+    zero, one = field.zero(), field.one()
     pivots = []
     row = 0
     for col in range(limit):
@@ -338,18 +342,19 @@ def rref(m: Mat, pivot_limit: Optional[int] = None) -> RrefResult:
             continue
         if sel != row:
             a[[row, sel], :] = a[[sel, row], :]
-        inv = field.inv(a[row, col])
-        a[row, :] = a[row, :] * inv
-        if field.is_prime_field:
-            a[row, :] %= field.p
-        factor = a[:, col].copy()
-        factor[row] = zero
-        a -= np.outer(factor, a[row, :])
-        if field.is_prime_field:
-            a %= field.p
+        if a[row, col] != one:
+            a[row, :] = a[row, :] * field.inv(a[row, col])
+            if field.is_prime_field:
+                a[row, :] %= field.p
+        if np.count_nonzero(a[:, col]) > 1:
+            factor = a[:, col].copy()
+            factor[row] = zero
+            a -= np.outer(factor, a[row, :])
+            if field.is_prime_field:
+                a %= field.p
         pivots.append(col)
         row += 1
-    return RrefResult(Mat(field, a), tuple(pivots), len(pivots))
+    return RrefResult(Mat._canonical(field, a), tuple(pivots), len(pivots))
 
 
 def _null_space(m: Mat) -> tuple:
@@ -358,8 +363,11 @@ def _null_space(m: Mat) -> tuple:
     One column per free (non-pivot) column f of rref(m), in increasing order:
     the unit vector at f, completed at the pivot coordinates so that m kills
     it.  So basis[free, :] is the identity, which makes the basis canonical.
+    With no rows every coordinate is free; with no columns the basis is empty.
     """
     field = m.field
+    if m.rows == 0 or m.cols == 0:
+        return Mat.eye(field, m.cols), tuple(range(m.cols))
     res = rref(m)
     pivots = list(res.pivots)
     pivot_set = set(pivots)
@@ -387,22 +395,20 @@ def image_basis(m: Mat) -> Mat:
 
 
 def solve(a: Mat, b: Mat) -> Optional[Mat]:
-    """One exact solution X of a @ X = b, free variables set to zero; None if inconsistent."""
+    """One exact solution X of a @ X = b, free variables set to zero; None if inconsistent.
+    With no rows or no right-hand columns X is zero, found without an rref."""
     if a.field is not b.field and a.field != b.field:
         raise ValueError("field mismatch")
     if a.rows != b.rows:
         raise ValueError(f"row mismatch: {a.rows} vs {b.rows}")
-    field = a.field
-    aug = hstack(field, [a, b], rows=a.rows)
-    res = rref(aug, pivot_limit=a.cols)
+    x = Mat.zeros(a.field, a.cols, b.cols)
+    if a.rows == 0 or b.cols == 0:
+        return x
+    res = rref(hstack(a.field, [a, b]), pivot_limit=a.cols)
     r = res.matrix.a
-    zero = field.zero()
-    for i in range(res.rank, a.rows):
-        if any(r[i, j] != zero for j in range(a.cols, aug.cols)):
-            return None
-    x = Mat.zeros(field, a.cols, b.cols)
-    for i, p in enumerate(res.pivots):
-        x.a[p, :] = r[i, a.cols :]
+    if r[res.rank:, a.cols:].any():
+        return None
+    x.a[list(res.pivots), :] = r[: res.rank, a.cols:]
     return x
 
 
@@ -605,9 +611,11 @@ def factor_at(q: np.ndarray, free: Sequence[int], rhs: np.ndarray,
               field: FieldSpec) -> Optional[np.ndarray]:
     """The unique X with X @ q = rhs for a surjection q that is the identity at
     the columns `free` (a colimit projection, a quotient map, a transposed
-    limit inclusion): `rhs` at those columns, checked by one batched matmul;
-    None if `rhs`, one array or a stack, does not factor."""
+    limit inclusion): `rhs` at those columns, checked by one batched matmul
+    unless `rhs` is empty; None if `rhs`, one array or a stack, does not factor."""
     x = rhs[..., free]
+    if rhs.size == 0 and x.shape[-1:] + rhs.shape[-1:] == q.shape:
+        return x
     if not (stacked_matmul(field, x, q) == rhs).all():
         return None
     return x

@@ -406,9 +406,10 @@ def check_cip(rho: HeightDiff, budget: int = 4_000_000) -> CipReport:
     reps = [st.rep for st in strata(rho)]
     n = len(P)
     total = 0
+    verdicts = {}  # by intersection: each distinct one is decided once
     # neighborhoods by element, then by stratum position
-    down = [[set(nbhd_down_idx(rho, a, s)) for s in reps] for a in range(n)]
-    up = [[set(nbhd_up_idx(rho, q, r)) for r in reps] for q in range(n)]
+    down = [[frozenset(nbhd_down_idx(rho, a, s)) for s in reps] for a in range(n)]
+    up = [[frozenset(nbhd_up_idx(rho, q, r)) for r in reps] for q in range(n)]
     for a in range(n):
         for q in range(n):
             up_q = up[q]
@@ -422,8 +423,9 @@ def check_cip(rho: HeightDiff, budget: int = 4_000_000) -> CipReport:
                     inter = da & uq
                     if not inter:
                         continue
-                    verdict = _is_connected_idx(P, sorted(inter))
-                    if verdict == Connectivity.DISCONNECTED:
+                    if inter not in verdicts:
+                        verdicts[inter] = _is_connected_idx(P, sorted(inter))
+                    if verdicts[inter] == Connectivity.DISCONNECTED:
                         return CipReport(
                             holds=False,
                             witness=(P.elements[a], P.elements[q], s, r),

@@ -14,6 +14,7 @@ from hipm.exactlin import (
     Mat,
     _null_space,
     batch_consistent,
+    factor_at,
     hstack,
     image_basis,
     kernel_basis,
@@ -290,19 +291,63 @@ def test_rref_and_kernel_match_sympy(m):
     assert len(free) == _to_sympy(m).nullspace().shape[0]
 
 
-@given(matrices(fields=SYMPY_FIELDS), st.booleans(), st.data())
+EMPTY_SHAPES = ((0, 0), (0, 3), (3, 0))
+
+
+def _pin_empty_shapes(make):
+    """An @example per field of GF(2), GF(3), Q and per empty shape, from make(F, rows, cols)."""
+    def pin(test):
+        for F in (GF2, GF3, QQ):
+            for rows, cols in EMPTY_SHAPES:
+                test = example(make(F, rows, cols))(test)
+        return test
+    return pin
+
+
+@given(matrices(fields=SYMPY_FIELDS))
+@_pin_empty_shapes(Mat.zeros)
+@settings(max_examples=150, deadline=None)
+def test_rref_with_a_pivot_limit_matches_sympy(m):
+    """rref(m, pivot_limit=k) for every k: its pivots and left block are sympy's
+    rref of m[:, :k], and its rows span no more than m's."""
+    rank = _to_sympy(m).rank()
+    for k in range(m.cols + 1):
+        res = rref(m, pivot_limit=k)
+        ref, pivots = _to_sympy(m.take_cols(range(k))).rref()
+        assert res.pivots == tuple(pivots) and res.rank == len(pivots)
+        assert res.matrix.take_cols(range(k)) == _from_sympy(ref, m.field)
+        assert _to_sympy(vstack(m.field, [m, res.matrix])).rank() == rank
+        assert _canonical(res.matrix)
+
+
+@st.composite
+def systems(draw):
+    """(a, b) over one field with b = a @ x for a random x, or b random."""
+    a = draw(matrices(fields=SYMPY_FIELDS))
+    width = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        return a, a @ _random_mat(draw, a.field, a.cols, width)
+    return a, _random_mat(draw, a.field, a.rows, width)
+
+
+def _empty_system(F, rows, cols):
+    """A zero a of an empty shape; b is all ones, so 3 x 0 is inconsistent."""
+    return Mat.zeros(F, rows, cols), Mat.from_rows(F, [[1, 1]] * rows, cols=2)
+
+
+@given(systems())
+@_pin_empty_shapes(_empty_system)
 @settings(max_examples=200, deadline=None)
-def test_solve_matches_sympy(a, consistent, data):
+def test_solve_matches_sympy(system):
     """solve returns None exactly when sympy's ranks of A and [A | b] differ;
     otherwise it returns the solution that is zero off A's pivot columns."""
-    width = data.draw(st.integers(0, 2))
-    rhs = _random_mat(data.draw, a.field, a.cols if consistent else a.rows, width)
-    b = a @ rhs if consistent else rhs
+    a, b = system
     x = solve(a, b)
     rank_a = _to_sympy(a).rank()
     rank_ab = _to_sympy(hstack(a.field, [a, b], rows=a.rows)).rank()
     assert (x is None) == (rank_ab > rank_a)
     if x is not None:
+        assert _canonical(x) and (x.rows, x.cols) == (a.cols, b.cols)
         assert a @ x == b
         _, pivots = _to_sympy(a).rref()
         off = [j for j in range(a.cols) if j not in pivots]
@@ -318,20 +363,44 @@ def test_matmul_matches_sympy(pair):
     assert prod == _from_sympy(_to_sympy(a) * _to_sympy(b), a.field)
 
 
+def _empty_product(F, rows, cols):
+    return Mat.zeros(F, rows, cols), Mat.zeros(F, cols, rows)
+
+
 @given(products())
+@_pin_empty_shapes(_empty_product)
 @settings(max_examples=200, deadline=None)
 def test_unnormalised_ops_return_canonical_arrays(pair):
     """The ops that skip Mat's normalising pass still return canonical arrays."""
     a, b = pair
     F = a.field
+    q, free = quotient_map(F, a.rows, a)
     outs = [Mat.zeros(F, a.rows, a.cols), Mat.eye(F, a.cols), a.T, a.copy(), a @ b,
             a.take_cols(range(0, a.cols, 2)), a.take_rows(range(1, a.rows, 2)),
             hstack(F, [a, a], rows=a.rows), vstack(F, [b, b], cols=b.cols),
             hstack(F, [], rows=a.rows), vstack(F, [], cols=b.cols),
-            kernel_basis(a), _null_space(a)[0], quotient_map(F, a.rows, a)[0],
-            image_basis(a), rref(a).matrix]
+            kernel_basis(a), _null_space(a)[0], q, image_basis(a), rref(a).matrix,
+            solve(a, a @ b), solve(a, Mat.zeros(F, a.rows, 0)), solve(b, Mat.zeros(F, b.rows, 2)),
+            Mat._canonical(F, factor_at(q.a, free, q.a, F)),
+            Mat._canonical(F, factor_at(q.a, free, zeros(F, (0, a.rows)), F)),
+            Mat._canonical(F, factor_at(q.a, free, zeros(F, (2, 0, a.rows)), F)[1])]
+    outs += [rref(a, pivot_limit=k).matrix for k in range(a.cols + 1)]
     outs += [a.col(j) for j in range(a.cols)]
     assert all(_canonical(m) for m in outs)
+
+
+@pytest.mark.parametrize("F", [GF2, GF3, QQ], ids=["GF2", "GF3", "QQ"])
+def test_malformed_calls_raise_with_an_empty_side(F):
+    with pytest.raises(ValueError, match="row mismatch"):
+        solve(Mat.zeros(F, 2, 0), Mat.zeros(F, 3, 1))
+    with pytest.raises(ValueError, match="row mismatch"):
+        solve(Mat.zeros(F, 0, 2), Mat.zeros(F, 1, 0))
+    q, free = quotient_map(F, 3, Mat.from_rows(F, [[1], [1], [0]]))  # q is 2 x 3
+    for rhs in (zeros(F, (0, 4)), zeros(F, (2, 0, 4))):  # rhs one column too wide
+        with pytest.raises(ValueError):
+            factor_at(q.a, free, rhs, F)
+    with pytest.raises(ValueError, match="shape mismatch"):  # free does not match q's rows
+        factor_at(q.a, free + (0,), zeros(F, (0, 3)), F)
 
 
 def test_stacked_matmul_refuses_an_inner_dimension_past_the_bound():

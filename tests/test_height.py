@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hipm import height
 from hipm.height import (
     INF,
     CipReport,
@@ -404,8 +406,9 @@ def test_c_rho_gap_needs_the_reach_of_every_lower_point():
     assert c_rho(rho).value == 2
 
 
-def _check_cip_keyed(rho, budget=4_000_000):
-    """check_cip with its neighborhoods cached by (element, scale)."""
+def _check_cip_keyed(rho, budget=4_000_000, visited=None):
+    """check_cip with its neighborhoods cached by (element, scale); it decides
+    every nonempty intersection it meets, and appends each to `visited`."""
     P = rho.poset
     reps = [s.rep for s in strata(rho)]
     n = len(P)
@@ -429,6 +432,8 @@ def _check_cip_keyed(rho, budget=4_000_000):
                     inter = da & up_cache[(q, r)]
                     if not inter:
                         continue
+                    if visited is not None:
+                        visited.append(tuple(sorted(inter)))
                     if _is_connected_idx(P, sorted(inter)) == Connectivity.DISCONNECTED:
                         return CipReport(
                             holds=False,
@@ -452,3 +457,22 @@ def test_check_cip_tiny_budget_matches_the_keyed_loop(diamond_rho):
     for budget in (1, 2, 3):
         got, want = check_cip(diamond_rho, budget), _check_cip_keyed(diamond_rho, budget)
         assert got == want and got.budget_exceeded and got.tests_run == budget
+
+
+@given(heights())
+@settings(max_examples=150, deadline=None)
+def test_check_cip_decides_each_distinct_intersection_once(rho):
+    """Against the keyed loop, which decides every intersection: the same report,
+    and one connectivity test per distinct intersection that loop meets."""
+    decided = []
+
+    def counting(P, ix):
+        decided.append(tuple(ix))
+        return _is_connected_idx(P, ix)
+
+    with mock.patch.object(height, "_is_connected_idx", counting):
+        got = check_cip(rho)
+    visited = []
+    assert got == _check_cip_keyed(rho, visited=visited)
+    assert len(decided) == len(set(decided))
+    assert set(decided) == set(visited)
