@@ -158,13 +158,14 @@ def _load_pair(args, poset: FinitePoset, cfg: RunConfig) -> Tuple[PersistenceMod
     return m, n
 
 
-def _load_inputs(args, cfg: RunConfig, need_height=False, need_module=False,
-                 need_module2=False):
+def _load_inputs(args, cfg: RunConfig):
+    """(poset, rho, m, n): --poset, then whichever of --height, --module and
+    --module2 the command declares (None for the others)."""
     poset = load_poset(_read_json(args.poset))
-    rho = load_height(_read_json(args.height), poset) if need_height else None
-    if need_module2:
+    rho = load_height(_read_json(args.height), poset) if "height" in args else None
+    if "module2" in args:
         return (poset, rho, *_load_pair(args, poset, cfg))
-    m = _load_module(args.module, poset, cfg) if need_module else None
+    m = _load_module(args.module, poset, cfg) if "module" in args else None
     return poset, rho, m, None
 
 
@@ -221,7 +222,7 @@ def _cmd_validate(args, cfg: RunConfig) -> int:
 
 def _cmd_functor(args, cfg: RunConfig) -> int:
     r = _scale(args.r, "--r")
-    poset, rho, m, _ = _load_inputs(args, cfg, need_height=True, need_module=True)
+    poset, rho, m, _ = _load_inputs(args, cfg)
     kind = args.kind
     if kind == "L":
         out = _app_to_json(apply_L(rho, r, m))
@@ -252,7 +253,7 @@ def _cmd_functor(args, cfg: RunConfig) -> int:
 
 def _cmd_nat(args, cfg: RunConfig) -> int:
     r, s = _scale(args.r, "--r"), _scale(args.s, "--s")
-    poset, rho, m, _ = _load_inputs(args, cfg, need_height=True, need_module=True)
+    poset, rho, m, _ = _load_inputs(args, cfg)
     c = _scale(args.c, "--c")
     name = args.name
     if name == "e":
@@ -295,8 +296,7 @@ def _cmd_nat(args, cfg: RunConfig) -> int:
 
 def _cmd_interleave(args, cfg: RunConfig) -> int:
     r = _scale(args.r, "--r")
-    poset, rho, m, n = _load_inputs(args, cfg, need_height=True, need_module=True,
-                                    need_module2=True)
+    poset, rho, m, n = _load_inputs(args, cfg)
     res = find_interleaving(rho, r, m, n, budget=cfg.budget)
     out: Dict[str, Any] = {"r": args.r, "verdict": res.verdict,
                            "candidates_tried": res.candidates_tried}
@@ -310,23 +310,21 @@ def _cmd_interleave(args, cfg: RunConfig) -> int:
 
 
 def _cmd_distance(args, cfg: RunConfig) -> int:
-    poset, rho, m, n = _load_inputs(args, cfg, need_height=True, need_module=True,
-                                    need_module2=True)
+    poset, rho, m, n = _load_inputs(args, cfg)
     rep = distance(rho, m, n, budget=cfg.budget)
     _emit(cfg, strata_report_to_json(rep))
     return EXIT_OK if rep.decided else EXIT_UNDECIDED
 
 
 def _cmd_en_distance(args, cfg: RunConfig) -> int:
-    poset, rho, m, n = _load_inputs(args, cfg, need_height=True, need_module=True,
-                                    need_module2=True)
+    poset, rho, m, n = _load_inputs(args, cfg)
     rep = d_en(rho, m, n, budget=cfg.budget)
     _emit(cfg, en_report_to_json(rep))
     return EXIT_OK if rep.decided else EXIT_UNDECIDED
 
 
 def _cmd_cip(args, cfg: RunConfig) -> int:
-    poset, rho, _, _ = _load_inputs(args, cfg, need_height=True)
+    poset, rho, _, _ = _load_inputs(args, cfg)
     rep = check_cip(rho, budget=cfg.budget)
     out: Dict[str, Any] = {"holds": rep.holds, "tests_run": rep.tests_run,
                            "budget_exceeded": rep.budget_exceeded}
@@ -340,7 +338,7 @@ def _cmd_cip(args, cfg: RunConfig) -> int:
 
 def _cmd_ivc(args, cfg: RunConfig) -> int:
     c = _scale(args.c, "--c")
-    poset, rho, _, _ = _load_inputs(args, cfg, need_height=True)
+    poset, rho, _, _ = _load_inputs(args, cfg)
     rep = check_ivc(rho, c)
     out: Dict[str, Any] = {"c": args.c, "holds": rep.holds}
     if rep.witness:
@@ -351,7 +349,7 @@ def _cmd_ivc(args, cfg: RunConfig) -> int:
 
 
 def _cmd_c_rho(args, cfg: RunConfig) -> int:
-    poset, rho, _, _ = _load_inputs(args, cfg, need_height=True)
+    poset, rho, _, _ = _load_inputs(args, cfg)
     res = c_rho(rho)
     _emit(cfg, {"c": format_ext(res.value), "attained": res.attained})
     return EXIT_OK

@@ -13,26 +13,29 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exactlin import FieldSpec, Mat, factor_at, hstack, kernel_basis, quotient_map, solve, vstack
 from .height import HeightDiff
-from .functors import eta_L_to_id, eta_R_from_id, erosion_E, flat, im_r, ker_r, sharp
-from .interleave import DEFAULT_BUDGET, Certificate, StrataReport, find_interleaving, stratified_report
+from .functors import (e_r, erosion_subquotient, eta_L_to_id, eta_R_from_id, flat, im_r, ker_r,
+                       sharp)
+from .interleave import (DEFAULT_BUDGET, Certificate, StrataReport, check_certificate,
+                         find_interleaving, stratified_report)
 from .pmod import (
     ModuleMorphism,
     PersistenceModule,
     Submodule,
     SubmoduleError,
+    Subquotient,
     is_isomorphic,
     quotient_by_submodule,
     submodule_from_bases,
+    submodule_image,
     submodule_intersection,
     submodule_sum,
 )
 
 __all__ = [
-    "Subquotient",
     "en_construct",
     "en_canonical_Q",
     "en_enumerate",
@@ -47,21 +50,6 @@ class ErosionNeighborhoodError(ValueError):
     pass
 
 
-@dataclass
-class Subquotient:
-    """M1/M2 with its witnesses: both submodules of the parent, the quotient
-    module, the projection from M1's abstract module and, per element, the
-    coordinates where the projection is the identity."""
-
-    parent: PersistenceModule
-    sub1: Submodule
-    sub2: Submodule
-    quotient: PersistenceModule
-    proj: ModuleMorphism
-    free: Tuple[Tuple[int, ...], ...]
-    r: Fraction
-
-
 def en_construct(rho: HeightDiff, r, m: PersistenceModule,
                  m1: Submodule, m2: Submodule) -> Subquotient:
     """Validate the erosion-neighborhood conditions and form the quotient.
@@ -69,7 +57,6 @@ def en_construct(rho: HeightDiff, r, m: PersistenceModule,
     Needs: m2 <= m1 pointwise, image of the r-latching counit inside m1, and m2
     inside the kernel of the r-matching unit.  Violations name the element.
     """
-    r = Fraction(r)
     P = m.poset
     imr = im_r(rho, r, m)
     kerr = ker_r(rho, r, m)
@@ -83,8 +70,7 @@ def en_construct(rho: HeightDiff, r, m: PersistenceModule,
         if solve(kerr.bases[i], m2.bases[i]) is None:
             raise ErosionNeighborhoodError(
                 f"M2 not inside the matching kernel at {P.elements[i]!r}")
-    quot, proj, free = quotient_by_submodule(m1, m2)
-    return Subquotient(m, m1, m2, quot, proj, free, r)
+    return quotient_by_submodule(m1, m2)
 
 
 def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
@@ -92,18 +78,19 @@ def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModul
     """The canonical shared neighborhood built from an interleaving certificate.
 
     Realized twice: as a subquotient of m (via M1 = im[eta, q#] and
-    M2 = M1 & ker[eta; p]) and symmetrically of n; the defining block maps are
-    verified to agree, so the two quotients are the same isomorphism class.
+    M2 = M1 & ker[eta; p]) and symmetrically of n.  The pair must be an
+    interleaving (`check_certificate`), so the two quotients are the same
+    isomorphism class.
     """
     r = Fraction(r)
     p, q = cert.p, cert.q
-    ps = sharp(rho, r, n, p)
-    qs = sharp(rho, r, m, q)
-    etaL_m, etaR_m = eta_L_to_id(rho, r, m), eta_R_from_id(rho, r, m)
-    etaL_n, etaR_n = eta_L_to_id(rho, r, n), eta_R_from_id(rho, r, n)
+    if not check_certificate(rho, r, m, n, p, q):
+        raise ErosionNeighborhoodError(
+            "certificate identities fail; the supplied pair is not an interleaving")
 
-    def one_side(base, eta_l, eta_r, incoming, outgoing):
+    def one_side(base, incoming, outgoing):
         F = base.field
+        eta_l, eta_r = eta_L_to_id(rho, r, base), eta_R_from_id(rho, r, base)
         m1_bases = [
             hstack(F, [eta_l.components[i], incoming.components[i]], rows=base.dims[i])
             for i in range(len(base.poset))
@@ -118,26 +105,21 @@ def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModul
         m2 = submodule_intersection(m1, kerb)
         return en_construct(rho, r, base, m1, m2)
 
-    # block identity [eta_r; p] o [eta_l, q#] = [q; eta_r_n] o [p#, eta_l_n]
-    for i in range(len(m.poset)):
-        lhs_top = hstack(m.field, [etaR_m.components[i] @ etaL_m.components[i],
-                                   etaR_m.components[i] @ qs.components[i]],
-                         rows=etaR_m.components[i].rows)
-        rhs_top = hstack(m.field, [q.components[i] @ ps.components[i],
-                                   q.components[i] @ etaL_n.components[i]],
-                         rows=q.components[i].rows)
-        lhs_bot = hstack(m.field, [p.components[i] @ etaL_m.components[i],
-                                   p.components[i] @ qs.components[i]],
-                         rows=p.components[i].rows)
-        rhs_bot = hstack(m.field, [etaR_n.components[i] @ ps.components[i],
-                                   etaR_n.components[i] @ etaL_n.components[i]],
-                         rows=etaR_n.components[i].rows)
-        if lhs_top != rhs_top or lhs_bot != rhs_bot:
-            raise ErosionNeighborhoodError(
-                "certificate identities fail; the supplied pair is not an interleaving")
-    q_m = one_side(m, etaL_m, etaR_m, incoming=qs, outgoing=p)
-    q_n = one_side(n, etaL_n, etaR_n, incoming=ps, outgoing=q)
+    q_m = one_side(m, incoming=sharp(rho, r, m, q), outgoing=p)
+    q_n = one_side(n, incoming=sharp(rho, r, n, p), outgoing=q)
     return q_m, q_n
+
+
+def _push(sq: Subquotient, cols: Sequence[Mat], escape: str) -> List[Mat]:
+    """Per element, columns of the parent that lie in sq.sub1, pushed into the
+    quotient; raises `escape` at the first element where they leave sub1."""
+    out = []
+    for i, c in enumerate(cols):
+        inside = solve(sq.sub1.bases[i], c)
+        if inside is None:
+            raise ErosionNeighborhoodError(f"{escape} at {sq.parent.poset.elements[i]!r}")
+        out.append(sq.proj.components[i] @ inside)
+    return out
 
 
 def en_interleaving_certificate(rho: HeightDiff, r, m: PersistenceModule,
@@ -146,17 +128,12 @@ def en_interleaving_certificate(rho: HeightDiff, r, m: PersistenceModule,
     alpha: L_r m ->> im -> M1 -> Q transposed on one side, and the factorization
     of the matching unit through the quotient on the other."""
     r = Fraction(r)
-    P, F = m.poset, m.field
+    F = m.field
     etaL = eta_L_to_id(rho, r, m)
     etaR = eta_R_from_id(rho, r, m)
-    alpha_comps = []
+    alpha_comps = _push(sq, etaL.components, "latching image escapes M1")
     beta_comps = []
-    for i in range(len(P)):
-        into_m1 = solve(sq.sub1.bases[i], etaL.components[i])
-        if into_m1 is None:
-            raise ErosionNeighborhoodError(
-                f"latching image escapes M1 at {P.elements[i]!r}")
-        alpha_comps.append(sq.proj.components[i] @ into_m1)
+    for i in range(len(m.poset)):
         # the matching unit on M1 factors through the projection onto Q
         beta = factor_at(sq.proj.components[i].a, sq.free[i],
                          (etaR.components[i] @ sq.sub1.bases[i]).a, F)
@@ -169,35 +146,20 @@ def en_interleaving_certificate(rho: HeightDiff, r, m: PersistenceModule,
     return Certificate(r, p, beta)
 
 
-def en_mediate(rho: HeightDiff, s, r, x: PersistenceModule,
+def en_mediate(rho: HeightDiff, s, r,
                q1: Subquotient, q2: Subquotient) -> Tuple[Subquotient, Subquotient]:
-    """Given Q1 = X1/X1' at scale r and Q2 = X2/X2' at scale s over the same
-    middle module, produce Q3 = (X1 & X2)/((X1' + X2') & X1 & X2) realized both
+    """Given Q1 = X1/X1' at scale r and Q2 = X2/X2' at scale s of the same
+    middle module X, produce Q3 = (X1 & X2)/((X1' + X2') & X1 & X2) realized both
     as an s-erosion neighborhood of Q1 and an r-erosion neighborhood of Q2."""
     s, r = Fraction(s), Fraction(r)
     x3 = submodule_intersection(q1.sub1, q2.sub1)
     x3p = submodule_intersection(submodule_sum(q1.sub2, q2.sub2), x3)
 
     def realize(carrier: Subquotient, scale: Fraction) -> Subquotient:
-        Q = carrier.quotient
-        proj = carrier.proj
-        P = x.poset
-        img_bases = []
-        imgp_bases = []
-        for i in range(len(P)):
-            in_x1 = solve(carrier.sub1.bases[i], x3.bases[i])
-            if in_x1 is None:
-                raise ErosionNeighborhoodError(
-                    f"mediating submodule escapes the carrier at {P.elements[i]!r}")
-            img_bases.append(proj.components[i] @ in_x1)
-            in_x1p = solve(carrier.sub1.bases[i], x3p.bases[i])
-            if in_x1p is None:
-                raise ErosionNeighborhoodError(
-                    f"mediating submodule escapes the carrier at {P.elements[i]!r}")
-            imgp_bases.append(proj.components[i] @ in_x1p)
-        m1 = submodule_from_bases(Q, img_bases)
-        m2 = submodule_from_bases(Q, imgp_bases)
-        return en_construct(rho, scale, Q, m1, m2)
+        escape = "mediating submodule escapes the carrier"
+        m1 = submodule_from_bases(carrier.quotient, _push(carrier, x3.bases, escape))
+        m2 = submodule_from_bases(carrier.quotient, _push(carrier, x3p.bases, escape))
+        return en_construct(rho, scale, carrier.quotient, m1, m2)
 
     return realize(q1, s), realize(q2, r)
 
@@ -335,8 +297,8 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
         if countdown[0] <= 0:
             complete = False
         for fam2 in m2_families:
-            m2 = submodule_from_bases(m, fam2)
-            sq = en_construct(rho, r, m, m1, m2)
+            # no en_construct checks: M1 >= im_r and M2 <= M1 & ker_r by construction
+            sq = quotient_by_submodule(m1, submodule_from_bases(m, fam2))
             raw += 1
             if not any(
                 is_isomorphic(sq.quotient, seen.quotient).verdict == "yes"
@@ -354,13 +316,10 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
 def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule,
                      n: PersistenceModule, budget: int) -> Tuple[str, Optional[str], Optional[Subquotient]]:
     """(verdict, via, witness) at one scale; via is "erosion-iso", "certificate" or "enumeration"."""
-    em = erosion_E(rho, rep, m, verify=False)
-    en_ = erosion_E(rho, rep, n, verify=False)
-    if is_isomorphic(em.module, en_.module, budget=budget).verdict == "yes":
-        imr = im_r(rho, rep, m)
-        kerr = ker_r(rho, rep, m)
-        witness = en_construct(rho, rep, m, imr, submodule_intersection(imr, kerr))
-        return "yes", "erosion-iso", witness
+    em = submodule_image(e_r(rho, rep, m)).module
+    en_ = submodule_image(e_r(rho, rep, n)).module
+    if is_isomorphic(em, en_, budget=budget).verdict == "yes":
+        return "yes", "erosion-iso", erosion_subquotient(rho, rep, m)
     res = find_interleaving(rho, rep, m, n, budget=budget)
     if res.verdict == "yes":
         qm, _ = en_canonical_Q(rho, rep, m, n, res.certificate)

@@ -33,6 +33,7 @@ from .pmod import (
     MorphismStack,
     PersistenceModule,
     Submodule,
+    Subquotient,
     pullback_module,
     quotient_by_submodule,
     submodule_image,
@@ -67,6 +68,7 @@ __all__ = [
     "mate_of_mu_L",
     "im_r",
     "ker_r",
+    "erosion_subquotient",
     "erosion_E",
     "ErosionResult",
     "xi_pullback",
@@ -508,6 +510,16 @@ def ker_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
     return m.cached(("ker", rho, _r(r)), lambda: submodule_kernel(eta_R_from_id(rho, r, m)))
 
 
+def erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule) -> Subquotient:
+    """im_r / (im_r & ker_r), the erosion as a subquotient of M; memoized and
+    read-only like im_r."""
+    def build():
+        imr = im_r(rho, r, m)
+        return quotient_by_submodule(imr, submodule_intersection(imr, ker_r(rho, r, m)))
+
+    return m.cached(("erosion-sq", rho, _r(r)), build)
+
+
 @dataclass
 class ErosionResult:
     """The erosion subquotient: image of L_r M -> R_r M with its factorization
@@ -519,36 +531,26 @@ class ErosionResult:
     incl: ModuleMorphism  # erosion -> R_r M
 
 
-def erosion_E(rho: HeightDiff, r, m: PersistenceModule, verify: bool = True) -> ErosionResult:
+def erosion_E(rho: HeightDiff, r, m: PersistenceModule) -> ErosionResult:
     """The r-erosion of M: the image of the canonical L_r M -> R_r M.
 
-    When `verify` is set, the canonical isomorphism with
-    im(L_r -> M) / (im & ker(M -> R_r)) is checked exactly.
+    Its canonical isomorphism with `erosion_subquotient`,
+    im(L_r -> M) / (im & ker(M -> R_r)), is checked exactly.
     """
     e = e_r(rho, r, m)
     sub = submodule_image(e)
     comps = [solve(sub.bases[a], e.components[a]) for a in range(len(m.poset))]
     if any(c is None for c in comps):
         raise AssertionError("erosion image must factor its own defining map")
-    proj = ModuleMorphism(e.source, sub.module, comps)
-    if verify:
-        _verify_erosion_subquotient(rho, r, m, sub)
-    return ErosionResult(sub.module, sub, proj, sub.incl)
-
-
-def _verify_erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule, esub: Submodule) -> None:
-    imr = im_r(rho, r, m)
-    kerr = ker_r(rho, r, m)
-    inter = submodule_intersection(imr, kerr)
-    _, proj, frees = quotient_by_submodule(imr, inter)
+    sq = erosion_subquotient(rho, r, m)
     eta_r_mor = eta_R_from_id(rho, r, m)
     for a in range(len(m.poset)):
         # canonical map im_r -> erosion: push the image generators through M -> R_rM
-        phi = solve(esub.bases[a], eta_r_mor.components[a] @ imr.bases[a])
+        phi = solve(sub.bases[a], eta_r_mor.components[a] @ sq.sub1.bases[a])
         if phi is None:
             raise AssertionError("image of im_r must land in the erosion")
         # the map descends to the quotient and the induced map must be an iso
-        psi = factor_at(proj.components[a].a, frees[a], phi.a, m.field)
+        psi = factor_at(sq.proj.components[a].a, sq.free[a], phi.a, m.field)
         if psi is None:
             raise AssertionError("canonical map does not descend to the subquotient")
         if psi.shape[0] != psi.shape[1] or rref(Mat._canonical(m.field, psi)).rank != psi.shape[0]:
@@ -556,6 +558,7 @@ def _verify_erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule, esub: 
                 f"erosion is not isomorphic to the canonical subquotient at "
                 f"{m.poset.elements[a]!r}"
             )
+    return ErosionResult(sub.module, sub, ModuleMorphism(e.source, sub.module, comps), sub.incl)
 
 
 # ---------------------------------------------------------------------------

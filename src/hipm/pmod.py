@@ -488,10 +488,23 @@ def morphism_preimage(f: ModuleMorphism, target_sub: Submodule) -> Submodule:
     return submodule_from_bases(f.source, bases)
 
 
-def quotient_by_submodule(big: Submodule, small: Submodule) -> Tuple[PersistenceModule, ModuleMorphism, tuple]:
-    """The quotient module big/small (small must sit inside big), the projection
-    big.module -> quotient, and per element the free coordinates of the projection
-    (`quotient_map`'s), where its component is the identity."""
+@dataclass
+class Subquotient:
+    """sub1/sub2 for submodules sub2 <= sub1 of one parent: the quotient module,
+    the projection sub1.module -> quotient and, per element, the coordinates
+    where the projection is the identity (`quotient_map`'s free coordinates)."""
+
+    parent: PersistenceModule
+    sub1: Submodule
+    sub2: Submodule
+    quotient: PersistenceModule
+    proj: ModuleMorphism
+    free: Tuple[Tuple[int, ...], ...]
+
+
+def quotient_by_submodule(big: Submodule, small: Submodule) -> Subquotient:
+    """The subquotient big/small; raises `SubmoduleError` unless small sits
+    inside big."""
     F = big.parent.field
     P = big.parent.poset
     projs = []
@@ -512,8 +525,8 @@ def quotient_by_submodule(big: Submodule, small: Submodule) -> Tuple[Persistence
             raise SubmoduleError("map does not factor through the quotient")
         maps[(a, b)] = Mat._canonical(F, x)
     quot = PersistenceModule(P, F, [len(free) for free in frees], maps)
-    proj = ModuleMorphism(big.module, quot, projs)
-    return quot, proj, tuple(frees)
+    return Subquotient(big.parent, big, small, quot, ModuleMorphism(big.module, quot, projs),
+                       tuple(frees))
 
 
 @dataclass

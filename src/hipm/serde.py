@@ -21,8 +21,7 @@ from .height import (
     validate_rho,
 )
 from .interleave import StrataReport
-from .erosion import Subquotient
-from .pmod import ModuleMorphism, PersistenceModule
+from .pmod import ModuleMorphism, PersistenceModule, Subquotient
 from .poset import FinitePoset, OrderMap
 
 __all__ = [
@@ -150,15 +149,14 @@ def load_height(doc: Dict[str, Any], poset: FinitePoset) -> HeightDiff:
                     and all(isinstance(e, str) for e in ent[:2])):
                 raise SchemaError("rho entry must be [a, b, value] with ids a, b", f"$.rho[{i}]")
             table[(ent[0], ent[1])] = _exact(parse_ext, ent[2], f"$.rho[{i}]")
-        validation = validate_rho(poset, table)
-        if not validation.ok:
-            raise SchemaError(
-                "invalid height-difference table: "
-                f"missing={validation.missing_pairs[:3]} "
-                f"superadditivity={validation.superadditivity_violations[:3]}",
-                "$.rho",
-            )
-        return validation.rho
+        v = validate_rho(poset, table)
+        if not v.ok:
+            found = {"missing": v.missing_pairs, "not comparable": v.extra_pairs,
+                     "nonzero diagonal": v.diagonal_violations, "negative": v.negative_violations,
+                     "superadditivity": v.superadditivity_violations}
+            raise SchemaError("invalid height-difference table: " + "; ".join(
+                f"{kind}={bad[:3]}" for kind, bad in found.items() if bad), "$.rho")
+        return v.rho
     raise SchemaError("height document needs 'phi', 'rho', or 'diag'", "$")
 
 
@@ -203,12 +201,13 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
             raise SchemaError(f"dimension must be an integer >= 0, got {d!r}", f"$.dims[{e!r}]")
         dims.append(int(d))
     maps = {}
+    covers = set(poset.covers)
     for key, rows in _object(doc.get("maps", {}), "maps", "$.maps").items():
         if "|" not in key:
             raise SchemaError("map key must be 'lower|upper'", f"$.maps[{key!r}]")
         lo, hi = key.split("|", 1)
         a, b = poset.idx(lo), poset.idx(hi)
-        if (a, b) not in dict.fromkeys(poset.covers):
+        if (a, b) not in covers:
             raise SchemaError(f"({lo!r}, {hi!r}) is not a cover", f"$.maps[{key!r}]")
         maps[(a, b)] = _matrix(fieldspec, rows, dims[b], dims[a], f"$.maps[{key!r}]")
     return PersistenceModule(poset, fieldspec, dims, maps)

@@ -74,7 +74,7 @@ def test_loaded_distance_pair_shares_one_field(chain_files, tmp_path, flag, doc_
          "--height", str(chain_files["phi"]), "--module", str(files["M"]),
          "--module2", str(files["N"])])
     cfg = _config(args)
-    _, _, m, n = _load_inputs(args, cfg, need_height=True, need_module=True, need_module2=True)
+    _, _, m, n = _load_inputs(args, cfg)
     assert m.field is cfg.field and n.field is cfg.field
     assert all(f.field is cfg.field for mod in (m, n) for f in mod.maps.values())
 
@@ -499,6 +499,23 @@ def test_cli_rejects_a_float_height(capsys, chain_files, tmp_path, height):
     code, err = _error(capsys, _distance_argv(chain_files))
     assert code == 1 and "not an exact number" in err
     assert ("$.phi['b']" if "phi" in height else "$.rho[0]") in err
+
+
+@pytest.mark.parametrize("entry, named", [
+    (["b", "a", "1"], "not comparable=[('b', 'a')]"),  # the reversed pair
+    (["a", "a", "1"], "nonzero diagonal=['a']"),
+    (["a", "b", "-1"], "negative=[('a', 'b')]"),
+])
+def test_cli_rho_error_names_the_violation(capsys, chain_files, tmp_path, entry, named):
+    """The height of the chain fixture as a rho table, with one bad entry."""
+    table = {("a", "b"): "1", ("b", "c"): "2", ("c", "d"): "2",
+             ("a", "c"): "3", ("b", "d"): "4", ("a", "d"): "5"}
+    table[tuple(entry[:2])] = entry[2]
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps({"rho": [[a, b, v] for (a, b), v in table.items()]}))
+    code, err = _error(capsys, ["c-rho", "--poset", str(chain_files["poset"]),
+                                "--height", str(rho)])
+    assert code == 1 and err.startswith("$.rho:") and named in err
 
 
 @pytest.mark.parametrize("key, doc, location", [

@@ -13,10 +13,11 @@ from hipm.erosion import (
 )
 from hipm.exactlin import GF2
 from hipm.fixtures import chain_example
-from hipm.functors import erosion_E, eta_L_to_id, eta_R_from_id, im_r, ker_r
+from hipm.functors import erosion_E, erosion_subquotient, eta_L_to_id, eta_R_from_id, im_r, ker_r
 from hipm.height import HeightFunction, c_rho, ext_add, from_phi, strata
-from hipm.interleave import check_certificate, distance, find_interleaving
+from hipm.interleave import Certificate, check_certificate, distance, find_interleaving
 from hipm.pmod import (
+    ModuleMorphism,
     interval_module,
     is_isomorphic,
     morphism_preimage,
@@ -84,6 +85,16 @@ def test_en_canonical_Q_chain_certificate():
     # and the class is 3-interleaved with both endpoints
     assert find_interleaving(ce.rho, 3, ce.M, qm.quotient).verdict == "yes"
     assert find_interleaving(ce.rho, 3, ce.N, qn.quotient).verdict == "yes"
+
+
+def test_en_canonical_Q_rejects_a_non_interleaving():
+    # M and X are 1-interleaved, and e_1 of M is nonzero, so a zero p breaks the pair
+    ce = chain_example(2)
+    cert = find_interleaving(ce.rho, 1, ce.M, ce.X).certificate
+    en_canonical_Q(ce.rho, 1, ce.M, ce.X, cert)
+    zero = ModuleMorphism.zero(cert.p.source, cert.p.target)
+    with pytest.raises(ErosionNeighborhoodError, match="not an interleaving"):
+        en_canonical_Q(ce.rho, 1, ce.M, ce.X, Certificate(cert.r, zero, cert.q))
 
 
 def test_en_canonical_Q_zero_modules(unit_chain):
@@ -197,7 +208,7 @@ def test_en_mediation(unit_chain):
     m = interval_module(p, ["a", "b", "c", "d"], GF2)
     enum = en_enumerate(rho, 1, m)
     q1, q2 = enum.members[0], enum.members[-1]
-    q3_in_q1, q3_in_q2 = en_mediate(rho, 1, 1, m, q1, q2)
+    q3_in_q1, q3_in_q2 = en_mediate(rho, 1, 1, q1, q2)
     assert is_isomorphic(q3_in_q1.quotient, q3_in_q2.quotient).verdict == "yes"
 
 
@@ -206,6 +217,8 @@ def test_d_en_self_zero(unit_chain, rng):
     m = random_module(rng, p, GF2, 2)
     rep = d_en(rho, m, m)
     assert rep.distance == 0 and rep.decided
+    assert rep.strata[0].via == "erosion-iso"
+    assert rep.witness is erosion_subquotient(rho, rep.strata[0].stratum.rep, m)
 
 
 def test_d_en_below_distance_and_sandwich(rng):

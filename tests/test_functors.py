@@ -321,7 +321,7 @@ def test_erosion_subquotient_identity(rng):
         p = random_forest_poset(rng, 5)
         rho = from_phi(random_phi(rng, p))
         m = random_module(rng, p, GF2, 2)
-        erosion_E(rho, 1, m, verify=True)  # raises if the identification fails
+        erosion_E(rho, 1, m)  # raises if the identification fails
 
 
 def test_erosion_preserves_mono_epi(rng):
@@ -333,8 +333,8 @@ def test_erosion_preserves_mono_epi(rng):
         mono, epi = random_mono_epi(rng, m, x)
         assert mono.naturality_violations() == epi.naturality_violations() == []
         for f, check in [(mono, "mono"), (epi, "epi")]:
-            ea = erosion_E(rho, 1, f.source, verify=False)
-            eb = erosion_E(rho, 1, f.target, verify=False)
+            ea = erosion_E(rho, 1, f.source)
+            eb = erosion_E(rho, 1, f.target)
             rf = apply_R_mor(rho, 1, f)
             for i in range(len(p)):
                 pushed = rf.components[i] @ ea.sub.bases[i]
@@ -356,8 +356,8 @@ def test_erosion_subquotient_chain(rng):
     s, r = 2, 1
     gamma = e_r(rho, r, m).compose(eta_L(rho, s, r, m))  # L_s M -> R_r M
     h = submodule_image(gamma)
-    es = erosion_E(rho, s, m, verify=False)
-    er = erosion_E(rho, r, m, verify=False)
+    es = erosion_E(rho, s, m)
+    er = erosion_E(rho, r, m)
     comparison = eta_R(rho, r, s, m)  # R_r M -> R_s M
     for i in range(len(p)):
         # mono: H sits inside E_r pointwise

@@ -23,7 +23,7 @@ from hipm.kan import (
     lim_over,
 )
 from hipm.pmod import PersistenceModule, interval_module, zero_module
-from hipm.poset import FinitePoset
+from hipm.poset import Connectivity, FinitePoset
 from hipm.randgen import random_module, random_poset
 
 GF3 = FieldSpec("gfp", 3)
@@ -179,6 +179,8 @@ def test_fubini_diamond_witness(diamond, diamond_rho):
     I = nbhd_down_idx(diamond_rho, d, Fraction(1))
     fam = {x: nbhd_down_idx(diamond_rho, x, Fraction(1)) for x in I}
     rep = fubini_compare(kp, I, fam)
+    # a lies in F(b) and F(c) only, and b, c are incomparable
+    assert rep.connected_per_point == {diamond.idx("a"): Connectivity.DISCONNECTED}
     assert not rep.all_connected
     assert not rep.iso
     assert rep.iterated_dim == 2 and rep.union_dim == 1  # the comparison collapses

@@ -18,6 +18,10 @@ Non-empty constant tables and `functools.lru_cache` on pure functions pass.
 No module in `src/hipm` but `randgen.py` imports `random` or reaches
 `numpy.random`: every search is deterministic and exhaustive or budgeted, and
 random draws belong to the seeded instance generators.
+
+Every field of a dataclass in `src/hipm` is read as an attribute somewhere in
+`src/hipm`, `tests` or `perfbench`: a field nothing reads is computed and
+carried for no one.
 """
 
 import ast
@@ -27,6 +31,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "hipm").rglob("*.py"))
+READERS = sorted(p for d in ("src/hipm", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
+                 if "_work" not in p.parts)
 FILES = sorted(
     p for p in [*SOURCES, *(ROOT / "tests").rglob("*.py")] if p.name != "__init__.py"
 )
@@ -209,3 +215,39 @@ def test_scanner_sees_random_uses(tmp_path):
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_randomness_outside_randgen(path):
     assert random_uses(path) == []
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(line, class, field) for every annotated field of a `@dataclass` class."""
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in cls.decorator_list)):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield node.lineno, cls.name, node.target.id
+
+
+def unread_fields(sources, readers) -> list:
+    """(file, line, "Class.field") of every dataclass field in `sources` that no
+    file in `readers` reads as an attribute (`x.field` in a load context).
+    Reads are matched by name only, so a read of the same name on another
+    type also counts."""
+    read = {n.attr for path in readers for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [(path.name, line, f"{cls}.{name}") for path in sources
+            for line, cls, name in _dataclass_fields(ast.parse(path.read_text()))
+            if name not in read]
+
+
+def test_scanner_sees_unread_fields(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from dataclasses import dataclass, field\n\n@dataclass\nclass A:\n"
+                   "    x: int\n    y: int\n    z: list = field(default_factory=list)\n\n"
+                   "@dataclass(frozen=True)\nclass B:\n    w: int\n\nclass C:\n    v: int\n\n"
+                   "def f(a, b):\n    a.y = 1\n    return a.x + A(1, 2).z[0]\n")
+    assert unread_fields([src], [src]) == [("mod.py", 6, "A.y"), ("mod.py", 11, "B.w")]
+
+
+def test_no_unread_dataclass_fields():
+    assert unread_fields(SOURCES, READERS) == []

@@ -83,7 +83,7 @@ def test_built_morphisms_are_natural(case):
     )
     imr, kerr = im_r(rho, r, m), ker_r(rho, r, m)
     inter = submodule_intersection(imr, kerr)
-    _, proj, _ = quotient_by_submodule(imr, inter)
+    proj = quotient_by_submodule(imr, inter).proj
     _assert_natural(image_incl=submodule_image(e_r(rho, r, m)).incl, quotient_proj=proj)
     # the erosion itself (im / im & ker) and the widest neighborhood (M / ker)
     for m1, m2 in ((imr, inter), (submodule_full(m), kerr)):

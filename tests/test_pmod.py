@@ -191,9 +191,10 @@ def test_submodule_operations(chain4, rng):
     assert all(b.cols == 0 for b in inter.bases)
     s = submodule_sum(zero, full)
     assert all(s.bases[i].cols == m.dims[i] for i in range(len(chain4)))
-    quot, proj, free = quotient_by_submodule(full, zero)
-    assert quot.dims == m.dims and proj.is_iso()
-    assert free == tuple(tuple(range(d)) for d in m.dims)
+    sq = quotient_by_submodule(full, zero)
+    assert sq.parent is m and sq.sub1 is full and sq.sub2 is zero
+    assert sq.quotient.dims == m.dims and sq.proj.is_iso()
+    assert sq.free == tuple(tuple(range(d)) for d in m.dims)
 
 
 def test_submodule_image_kernel(chain4):
