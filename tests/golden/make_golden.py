@@ -59,10 +59,12 @@ def resolve(argv):
 class Instance:
     """One poset, height and module pair, written under inputs/ as NAME_*.json."""
 
-    def __init__(self, name, poset, height_doc, m, n, field, full_en=True):
+    def __init__(self, name, poset, height_doc, m, n, field, full_en=True, grid=None):
         self.name, self.poset, self.field, self.full_en = name, poset, field, full_en
         self.files = {}
         self._write("poset", poset_to_json(poset))
+        if grid is not None:  # poset_to_json drops coordinates: oracle-grid loads the grid itself
+            self._write("grid", {"grid": list(grid)})
         self._write("height", height_doc)
         self._write("M", module_to_json(m))
         self._write("N", module_to_json(n))
@@ -78,10 +80,12 @@ class Instance:
         path.write_text(json.dumps(doc, sort_keys=True) + "\n")
         self.files[key] = f"@inputs/{path.name}"
 
-    def base(self, cmd, module="M"):
+    def on_height(self, cmd):
         f = self.files
-        return ["--field", field_arg(self.field), cmd, "--poset", f["poset"],
-                "--height", f["height"], "--module", f[module]]
+        return ["--field", field_arg(self.field), cmd, "--poset", f["poset"], "--height", f["height"]]
+
+    def base(self, cmd, module="M"):
+        return self.on_height(cmd) + ["--module", self.files[module]]
 
     def commands(self):
         out = []
@@ -122,6 +126,16 @@ class Instance:
         for r in SCALES:
             out.append(self.base("interleave") + pair + ["--r", r])
         out.append(["--budget", "2"] + self.base("distance") + pair)
+        out.append(self.on_height("cip"))
+        out.append(self.on_height("c-rho"))
+        for c in ("0", "1"):
+            out.append(self.on_height("ivc") + ["--c", c])
+        out.append(self.base("validate"))
+        out.append(self.base("pullback") + ["--poset2", self.files["sub"],
+                                            "--map", self.files["incl"]])
+        if "grid" in self.files:
+            out.append(["--field", field_arg(self.field), "oracle-grid",
+                        "--poset", self.files["grid"], "--module", self.files["M"]] + pair)
         return out
 
 
@@ -133,7 +147,7 @@ def instances():
         other = random_module(random.Random(f.p), ex.poset, f, max_dim=2)
         phi = {e: str(v) for e, v in ex.phi.phi.items()}
         out.append(Instance(f"grid{f.p}", ex.poset, {"phi": phi}, ex.module, other, f,
-                            full_en=False))
+                            full_en=False, grid=[4, 3]))
     ch = chain_example(2)
     phi = {e: str(v) for e, v in ch.phi.phi.items()}
     out.append(Instance("chainMN", ch.poset, {"phi": phi}, ch.M, ch.N, GF2))
