@@ -73,6 +73,23 @@ def en_construct(rho: HeightDiff, r, m: PersistenceModule,
     return quotient_by_submodule(m1, m2)
 
 
+def _canonical_side(rho: HeightDiff, r: Fraction, base: PersistenceModule,
+                    incoming: ModuleMorphism, outgoing: ModuleMorphism) -> Subquotient:
+    """M1/M2 with M1 = im[eta, incoming] and M2 = M1 & ker[eta; outgoing].  No
+    en_construct checks: M1 >= im_r and M2 <= M1 & ker_r by construction."""
+    F = base.field
+    eta_l, eta_r = eta_L_to_id(rho, r, base), eta_R_from_id(rho, r, base)
+    m1 = submodule_from_bases(base, [
+        hstack(F, [eta_l.components[i], incoming.components[i]], rows=base.dims[i])
+        for i in range(len(base.poset))
+    ])
+    kerb = submodule_from_bases(base, [
+        kernel_basis(vstack(F, [eta_r.components[i], outgoing.components[i]], cols=base.dims[i]))
+        for i in range(len(base.poset))
+    ])
+    return quotient_by_submodule(m1, submodule_intersection(m1, kerb))
+
+
 def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
                    cert: Certificate) -> Tuple[Subquotient, Subquotient]:
     """The canonical shared neighborhood built from an interleaving certificate.
@@ -87,27 +104,8 @@ def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModul
     if not check_certificate(rho, r, m, n, p, q):
         raise ErosionNeighborhoodError(
             "certificate identities fail; the supplied pair is not an interleaving")
-
-    def one_side(base, incoming, outgoing):
-        F = base.field
-        eta_l, eta_r = eta_L_to_id(rho, r, base), eta_R_from_id(rho, r, base)
-        m1_bases = [
-            hstack(F, [eta_l.components[i], incoming.components[i]], rows=base.dims[i])
-            for i in range(len(base.poset))
-        ]
-        m1 = submodule_from_bases(base, m1_bases)
-        ker_bases = [
-            kernel_basis(vstack(F, [eta_r.components[i], outgoing.components[i]],
-                                cols=base.dims[i]))
-            for i in range(len(base.poset))
-        ]
-        kerb = submodule_from_bases(base, ker_bases)
-        m2 = submodule_intersection(m1, kerb)
-        return en_construct(rho, r, base, m1, m2)
-
-    q_m = one_side(m, incoming=sharp(rho, r, m, q), outgoing=p)
-    q_n = one_side(n, incoming=sharp(rho, r, n, p), outgoing=q)
-    return q_m, q_n
+    return (_canonical_side(rho, r, m, sharp(rho, r, m, q), p),
+            _canonical_side(rho, r, n, sharp(rho, r, n, p), q))
 
 
 def _push(sq: Subquotient, cols: Sequence[Mat], escape: str) -> List[Mat]:
@@ -225,19 +223,13 @@ def _enumerate_closed_families(m: PersistenceModule, choices: List[List[Mat]],
     out: List[List[Mat]] = []
     partial: List[Optional[Mat]] = [None] * n
 
-    in_covers = {i: [] for i in range(n)}
-    out_covers = {i: [] for i in range(n)}
-    for (a, b) in P.covers:
-        in_covers[b].append(a)
-        out_covers[a].append(b)
-
     def closed_so_far(i: int) -> bool:
-        for a in in_covers[i]:
+        for a in P.downs[i]:
             if partial[a] is not None:
                 pushed = m.maps[(a, i)] @ partial[a]
                 if solve(partial[i], pushed) is None:
                     return False
-        for b in out_covers[i]:
+        for b in P.ups[i]:
             if partial[b] is not None:
                 pushed = m.maps[(i, b)] @ partial[i]
                 if solve(partial[b], pushed) is None:
@@ -321,9 +313,9 @@ def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule,
     if is_isomorphic(em, en_, budget=budget).verdict == "yes":
         return "yes", "erosion-iso", erosion_subquotient(rho, rep, m)
     res = find_interleaving(rho, rep, m, n, budget=budget)
-    if res.verdict == "yes":
-        qm, _ = en_canonical_Q(rho, rep, m, n, res.certificate)
-        return "yes", "certificate", qm
+    if res.verdict == "yes":  # the search's own certificate: no re-check
+        p, q = res.certificate.p, res.certificate.q
+        return "yes", "certificate", _canonical_side(rho, rep, m, sharp(rho, rep, m, q), p)
     if not m.field.is_prime_field:  # neighborhoods cannot be enumerated over Q
         return "unknown", "enumeration", None
     enum_m = en_enumerate(rho, rep, m, budget=budget)

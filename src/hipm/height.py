@@ -11,6 +11,7 @@ All values are exact: `fractions.Fraction` or the INF sentinel.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -585,28 +586,13 @@ def c_rho(rho: HeightDiff) -> CRhoResult:
 
 
 def dominates_diagonal(rho: HeightDiff, grid: FinitePoset) -> bool:
-    """rho(a, a + k*diag) >= k and rho(a - k*diag, a) >= k for every
-    grid-representable diagonal step k."""
-    if grid.coords is None:
-        raise PosetError("diagonal domination needs grid coordinates")
+    """rho(a, a + k*diag) >= k for every grid point a and every step k >= 1
+    that stays on the grid."""
     if rho.poset.key() != grid.key():
         raise PosetError("rho must live on the given grid")
-    by_coord = {c: i for i, c in grid.coords.items()}
-    for i, c in grid.coords.items():
-        k = 1
-        while True:
-            up = tuple(x + k for x in c)
-            if up not in by_coord:
-                break
-            if rho.values[(i, by_coord[up])] < k:
-                return False
-            k += 1
-        k = 1
-        while True:
-            dn = tuple(x - k for x in c)
-            if dn not in by_coord:
-                break
-            if rho.values[(by_coord[dn], i)] < k:
-                return False
-            k += 1
-    return True
+    for k in itertools.count(1):
+        tops = grid.diagonal(k)
+        if all(b is None for b in tops):
+            return True
+        if any(b is not None and rho.values[(a, b)] < k for a, b in enumerate(tops)):
+            return False

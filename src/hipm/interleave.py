@@ -230,30 +230,19 @@ def distance(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
 def _shift_module(m: PersistenceModule, k: int) -> PersistenceModule:
     """The literal diagonal shift on a grid: a -> M(a + k*diag), zero off the grid."""
     G = m.poset
-    if G.coords is None:
-        raise PosetError("shift oracle needs grid coordinates")
-    by_coord = {c: i for i, c in G.coords.items()}
-
-    def shifted(i: int) -> Optional[int]:
-        tgt = tuple(x + k for x in G.coords[i])
-        return by_coord.get(tgt)
-
-    dims = [m.dims[shifted(i)] if shifted(i) is not None else 0 for i in range(len(G))]
+    shifted = G.diagonal(k)
+    dims = [m.dims[s] if s is not None else 0 for s in shifted]
     maps = {}
     for (a, b) in G.covers:
-        sa, sb = shifted(a), shifted(b)
+        sa, sb = shifted[a], shifted[b]
         if sa is not None and sb is not None:
             maps[(a, b)] = m.map_for_idx(sa, sb)
     return PersistenceModule(G, m.field, dims, maps)
 
 
 def _shift_e(m: PersistenceModule, k: int, lm: PersistenceModule, rm: PersistenceModule) -> ModuleMorphism:
-    G = m.poset
-    by_coord = {c: i for i, c in G.coords.items()}
     comps = []
-    for a in range(len(G)):
-        lo = by_coord.get(tuple(x - k for x in G.coords[a]))
-        hi = by_coord.get(tuple(x + k for x in G.coords[a]))
+    for a, (lo, hi) in enumerate(zip(m.poset.diagonal(-k), m.poset.diagonal(k))):
         if lo is not None and hi is not None:
             comps.append(m.map_for_idx(lo, hi))
         else:
@@ -264,11 +253,8 @@ def _shift_e(m: PersistenceModule, k: int, lm: PersistenceModule, rm: Persistenc
 def _shift_sharp(p: MorphismStack, k: int, lm_src: PersistenceModule,
                  tgt: PersistenceModule) -> MorphismStack:
     """Transpose a stack under the shift adjunction: (p#)(a) = p(a - k*diag)."""
-    G = p.source.poset
-    by_coord = {c: i for i, c in G.coords.items()}
     stacks = []
-    for a in range(len(G)):
-        lo = by_coord.get(tuple(x - k for x in G.coords[a]))
+    for a, lo in enumerate(p.source.poset.diagonal(-k)):
         if lo is not None and lm_src.dims[a] > 0:
             stacks.append(p.stacks[lo])
         else:

@@ -85,7 +85,7 @@ class PersistenceModule(Memo):
         if a == b:
             out = Mat.eye(self.field, self.dims[a])
         else:
-            step = next(hi for lo, hi in self.poset.covers if lo == a and self.poset.leq[hi, b])
+            step = next(hi for hi in self.poset.ups[a] if self.poset.leq[hi, b])
             out = self.map_for_idx(step, b) @ self.maps[(a, step)]
         self.memo[("map", a, b)] = out
         return out
@@ -121,11 +121,8 @@ def validate_module(m: PersistenceModule) -> ModuleReport:
     if shape_bad:
         return ModuleReport(valid=False, shape_violations=shape_bad)
     comm_bad = []
-    ups: Dict[int, List[int]] = {}
-    for (lo, hi) in P.covers:
-        ups.setdefault(lo, []).append(hi)
     for a, b in P.comparable_pairs():
-        branches = [hi for hi in ups.get(a, ()) if P.leq[hi, b]]
+        branches = [hi for hi in P.ups[a] if P.leq[hi, b]]
         if len(branches) < 2:  # every path takes the same first step: nothing to compare
             continue
         # the first branch is map_for_idx's own path: reuse and cache it

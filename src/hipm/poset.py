@@ -38,10 +38,10 @@ class Connectivity:
 
 
 class Memo:
-    """Values derived from an immutable object, memoized on it: a poset's subposet
-    covers, a height function's critical values and neighborhoods, a module's
-    maps, (co)limits and functor values.  A value lives as long as its owner, is
-    shared and must not be mutated; keys name other objects by identity."""
+    """Values derived from an immutable object, memoized on it: a height
+    function's critical values and neighborhoods, a module's maps, (co)limits
+    and functor values.  A value lives as long as its owner, is shared and must
+    not be mutated; keys name other objects by identity."""
 
     __slots__ = ("memo",)
 
@@ -55,23 +55,32 @@ class Memo:
         return self.memo[key]
 
 
-class FinitePoset(Memo):
+class FinitePoset:
     """Immutable finite poset: elements, Hasse covers, and the full order relation.
 
     `leq` is a dense boolean matrix (leq[i, j] iff element i <= element j), so
-    order queries are O(1).  Covers are stored transitively reduced.
+    order queries are O(1).  Covers are stored transitively reduced and sorted;
+    `ups[i]` and `downs[i]` are the elements covering i and covered by i,
+    ascending.  A grid also keeps, per element, its one-step neighbours up and
+    down the diagonal (`diagonal`).
     """
 
-    __slots__ = ("elements", "index", "leq", "covers", "coords")
+    __slots__ = ("elements", "index", "leq", "covers", "ups", "downs", "coords", "_diag_steps")
 
     def __init__(self, elements: Tuple[str, ...], leq: np.ndarray, covers: Tuple[Tuple[int, int], ...],
                  coords: Optional[Dict[int, Tuple[int, ...]]] = None):
-        super().__init__()
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
         self.leq = leq
         self.covers = covers
+        ups, downs = [[] for _ in elements], [[] for _ in elements]
+        for lo, hi in covers:  # sorted, so both lists come out ascending
+            ups[lo].append(hi)
+            downs[hi].append(lo)
+        self.ups = tuple(map(tuple, ups))
+        self.downs = tuple(map(tuple, downs))
         self.coords = coords
+        self._diag_steps = _diagonal_steps(coords, len(elements)) if coords is not None else None
 
     # -- construction ---------------------------------------------------
 
@@ -170,23 +179,37 @@ class FinitePoset(Memo):
 
     def subposet_covers(self, subset_idx: Sequence[int]) -> List[Tuple[int, int]]:
         """Hasse covers of the full subposet on `subset_idx` (its own transitive
-        reduction, not the ambient covers restricted); made once per sorted
-        node set and shared."""
+        reduction, not the ambient covers restricted), ascending."""
         ix = tuple(sorted(subset_idx))
+        sub = self.leq[np.ix_(ix, ix)].copy()
+        np.fill_diagonal(sub, False)
+        red = _transitive_reduction(sub)
+        return [(ix[int(i)], ix[int(j)]) for i, j in sorted(map(tuple, np.argwhere(red)))]
 
-        def build():
-            sub = self.leq[np.ix_(ix, ix)].copy()
-            np.fill_diagonal(sub, False)
-            red = _transitive_reduction(sub)
-            return [(ix[int(i)], ix[int(j)]) for i, j in sorted(map(tuple, np.argwhere(red)))]
-
-        return self.cached(("covers", ix), build)
+    def diagonal(self, k: int) -> List[Optional[int]]:
+        """Per element a, the element at a + k*(1, ..., 1) on the grid (k < 0
+        steps down), or None where that point is off the grid."""
+        if self._diag_steps is None:
+            raise PosetError("diagonal steps need grid coordinates")
+        up, down = self._diag_steps
+        step = down if k < 0 else up
+        out: List[Optional[int]] = list(range(len(self)))
+        for _ in range(abs(k)):
+            out = [None if i is None else step[i] for i in out]
+        return out
 
     def key(self) -> tuple:
         return (self.elements, self.covers)
 
     def __repr__(self) -> str:
         return f"FinitePoset({len(self.elements)} elements, {len(self.covers)} covers)"
+
+
+def _diagonal_steps(coords: Dict[int, Tuple[int, ...]], n: int) -> Tuple[Tuple[Optional[int], ...], ...]:
+    """(up, down): per element, the element one diagonal step above and below it."""
+    by_coord = {c: i for i, c in coords.items()}
+    return tuple(tuple(by_coord.get(tuple(x + d for x in coords[i])) for i in range(n))
+                 for d in (1, -1))
 
 
 def _transitive_closure(adj: np.ndarray) -> np.ndarray:
@@ -224,23 +247,9 @@ def _is_connected_idx(poset: FinitePoset, ix: Sequence[int]) -> str:
     ix = list(ix)
     if not ix:
         return Connectivity.EMPTY
-    pos = {v: k for k, v in enumerate(ix)}
-    parent = list(range(len(ix)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in itertools.combinations(ix, 2):
-        if poset.leq[a, b] or poset.leq[b, a]:
-            ra, rb = find(pos[a]), find(pos[b])
-            if ra != rb:
-                parent[ra] = rb
-    root = find(0)
-    ok = all(find(k) == root for k in range(len(ix)))
-    return Connectivity.CONNECTED if ok else Connectivity.DISCONNECTED
+    sub = poset.leq[np.ix_(ix, ix)]
+    reach = _transitive_closure(sub | sub.T)
+    return Connectivity.CONNECTED if reach[0].all() else Connectivity.DISCONNECTED
 
 
 def is_diamond_free(poset: FinitePoset) -> bool:
@@ -284,17 +293,6 @@ class OrderMap:
     @staticmethod
     def identity(poset: FinitePoset) -> "OrderMap":
         return OrderMap(poset, poset, {e: e for e in poset.elements})
-
-    @staticmethod
-    def inclusion(sub: FinitePoset, ambient: FinitePoset) -> "OrderMap":
-        return OrderMap(sub, ambient, {e: e for e in sub.elements})
-
-    def compose(self, other: "OrderMap") -> "OrderMap":
-        """self after other."""
-        if other.target is not self.source and other.target.key() != self.source.key():
-            raise PosetError("composition mismatch")
-        return OrderMap(other.source, self.target,
-                        {e: self.assignment[other.assignment[e]] for e in other.source.elements})
 
 
 @dataclass

@@ -65,12 +65,19 @@ def test_en_construct_containment_violation(unit_chain):
         en_construct(rho, 1, m, submodule_zero(m), submodule_zero(m))
 
 
+def assert_neighborhoods(rho, r, m, n, qm, qn):
+    """Both sides of en_canonical_Q pass en_construct's erosion-neighborhood checks."""
+    for base, sq in ((m, qm), (n, qn)):
+        en_construct(rho, r, base, sq.sub1, sq.sub2)
+
+
 def test_en_canonical_Q_identity(unit_chain, rng):
     p, rho = unit_chain
     m = random_module(rng, p, GF2, 2)
     res = find_interleaving(rho, 0, m, m)
     assert res.verdict == "yes"
     qm, qn = en_canonical_Q(rho, 0, m, m, res.certificate)
+    assert_neighborhoods(rho, 0, m, m, qm, qn)
     assert is_isomorphic(qm.quotient, m).verdict == "yes"
     assert is_isomorphic(qn.quotient, m).verdict == "yes"
 
@@ -80,6 +87,7 @@ def test_en_canonical_Q_chain_certificate():
     res = find_interleaving(ce.rho, 3, ce.M, ce.N)
     assert res.verdict == "yes"
     qm, qn = en_canonical_Q(ce.rho, 3, ce.M, ce.N, res.certificate)
+    assert_neighborhoods(ce.rho, 3, ce.M, ce.N, qm, qn)
     # both realizations carry the same isomorphism class
     assert is_isomorphic(qm.quotient, qn.quotient).verdict == "yes"
     # and the class is 3-interleaved with both endpoints
@@ -91,7 +99,8 @@ def test_en_canonical_Q_rejects_a_non_interleaving():
     # M and X are 1-interleaved, and e_1 of M is nonzero, so a zero p breaks the pair
     ce = chain_example(2)
     cert = find_interleaving(ce.rho, 1, ce.M, ce.X).certificate
-    en_canonical_Q(ce.rho, 1, ce.M, ce.X, cert)
+    qm, qx = en_canonical_Q(ce.rho, 1, ce.M, ce.X, cert)
+    assert_neighborhoods(ce.rho, 1, ce.M, ce.X, qm, qx)
     zero = ModuleMorphism.zero(cert.p.source, cert.p.target)
     with pytest.raises(ErosionNeighborhoodError, match="not an interleaving"):
         en_canonical_Q(ce.rho, 1, ce.M, ce.X, Certificate(cert.r, zero, cert.q))
@@ -104,6 +113,7 @@ def test_en_canonical_Q_zero_modules(unit_chain):
     z = zero_module(p, GF2)
     res = find_interleaving(rho, 1, z, z)
     qm, qn = en_canonical_Q(rho, 1, z, z, res.certificate)
+    assert_neighborhoods(rho, 1, z, z, qm, qn)
     assert sum(qm.quotient.dims) == 0 and sum(qn.quotient.dims) == 0
 
 

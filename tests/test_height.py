@@ -264,6 +264,35 @@ def test_dominates_diagonal():
     g2 = FinitePoset.grid([2, 2])
     zero = HeightDiff(g2, {k: Fraction(0) for k in rho_diag(g2).values})
     assert not dominates_diagonal(zero, g2)
+    # failing on exactly one diagonal pair is enough
+    g3 = FinitePoset.grid([3, 3, 2])
+    diagonal = [(a, b) for a, b in g3.comparable_pairs() if a != b
+                and len({y - x for x, y in zip(g3.coords[a], g3.coords[b])}) == 1]
+    assert diagonal
+    for pair in diagonal:
+        values = dict(rho_diag(g3).values)
+        values[pair] -= Fraction(1, 2)
+        assert not dominates_diagonal(HeightDiff(g3, values), g3)
+
+
+def dominates_by_brute_force(rho, g):
+    """Every comparable pair a < b with b - a = (k, ..., k) has rho(a, b) >= k."""
+    for a, b in g.comparable_pairs():
+        steps = {y - x for x, y in zip(g.coords[a], g.coords[b])}
+        if a != b and len(steps) == 1 and rho.values[(a, b)] < steps.pop():
+            return False
+    return True
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_dominates_diagonal_matches_brute_force(shape, data):
+    g = FinitePoset.grid(shape)
+    values = dict(rho_diag(g).values)
+    pair = data.draw(st.sampled_from(sorted(values)))
+    values[pair] += data.draw(st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(0)]))
+    rho = HeightDiff(g, values)
+    assert dominates_diagonal(rho, g) == dominates_by_brute_force(rho, g)
 
 
 def test_from_phi_always_superadditive_with_equality(rng):

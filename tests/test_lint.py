@@ -10,7 +10,7 @@ A top-level name in `src/hipm` bound to an empty `{}`, `[]`, `dict()`,
 `list()`, `set()` or `defaultdict(...)` has the shape of a cache or a
 registry that fills at run time.  So does an attribute that an `__init__`
 binds to None or to an empty container, to be filled later: a lazy slot or a
-private memo beside the shared one.  Values derived from a poset, a
+private memo beside the shared one.  Values derived from a
 height-difference function or a module are memoized on their owner through
 `Memo.cached` instead, and its `memo` dict is the one attribute exempt.
 Non-empty constant tables and `functools.lru_cache` on pure functions pass.

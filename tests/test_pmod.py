@@ -221,6 +221,30 @@ def test_canonical_pair_map_deterministic():
     assert m.map_for_idx(a, b) == via1
 
 
+def map_by_cover_scan(m, a, b):
+    """M(a <= b) along the path whose every step is the first cover, in `covers`
+    order, out of the current element that stays below b."""
+    out = Mat.eye(m.field, m.dims[a])
+    while a != b:
+        step = next(hi for lo, hi in m.poset.covers if lo == a and m.poset.leq[hi, b])
+        out, a = m.maps[(a, step)] @ out, step
+    return out
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_map_for_idx_takes_the_first_cover_path(seed):
+    """Random cover maps need not commute, so a different path gives a different map."""
+    rng = random.Random(seed)
+    F = FieldSpec("gfp", 3)
+    P = random_poset(rng, rng.randint(1, 7))
+    dims = [rng.randint(0, 2) for _ in range(len(P))]
+    m = PersistenceModule(P, F, dims, {(a, b): _random_matrix(rng, F, dims[b], dims[a])
+                                       for a, b in P.covers})
+    for a, b in P.comparable_pairs():
+        assert m.map_for_idx(a, b) == map_by_cover_scan(m, a, b)
+
+
 def _random_matrix(rng, field, rows, cols):
     if field.is_prime_field:
         return Mat.from_rows(field, [[rng.randrange(field.p) for _ in range(cols)]

@@ -7,6 +7,7 @@ from hipm.poset import (
     FinitePoset,
     OrderMap,
     PosetError,
+    _is_connected_idx,
     check_galois_insertion,
     check_order_map,
     is_connected,
@@ -134,10 +135,59 @@ def test_diamond_free_intervals_connected(p):
         assert is_connected(p, interval) in (Connectivity.CONNECTED, Connectivity.EMPTY)
 
 
+@given(random_posets())
+@settings(max_examples=80, deadline=None)
+def test_cover_adjacency_lists_the_covers(p):
+    for i in range(len(p)):
+        assert list(p.ups[i]) == sorted(b for a, b in p.covers if a == i)
+        assert list(p.downs[i]) == sorted(a for a, b in p.covers if b == i)
+
+
+def connectivity_by_search(leq, ix):
+    """Breadth-first search over the comparable pairs of ix, read from `leq`."""
+    if not ix:
+        return Connectivity.EMPTY
+    seen, frontier = {ix[0]}, [ix[0]]
+    while frontier:
+        a = frontier.pop(0)
+        for b in ix:
+            if b not in seen and (leq[a][b] or leq[b][a]):
+                seen.add(b)
+                frontier.append(b)
+    return Connectivity.CONNECTED if len(seen) == len(ix) else Connectivity.DISCONNECTED
+
+
+@given(random_posets(max_n=9), st.data())
+@settings(max_examples=120, deadline=None)
+def test_connectivity_matches_a_search_over_comparable_pairs(p, data):
+    leq = p.leq.tolist()
+    mask = data.draw(st.lists(st.booleans(), min_size=len(p), max_size=len(p)))
+    subsets = [[i for i in range(len(p)) if mask[i]], []] + [[i] for i in range(len(p))]
+    for ix in subsets:
+        want = connectivity_by_search(leq, ix)
+        assert _is_connected_idx(p, ix) == want
+        assert is_connected(p, [p.elements[i] for i in reversed(ix)]) == want
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(-3, 3))
+@settings(max_examples=80, deadline=None)
+def test_diagonal_steps_follow_the_coordinates(shape, k):
+    g = FinitePoset.grid(shape)
+    for a, b in enumerate(g.diagonal(k)):
+        pt = [x + k for x in g.coords[a]]
+        if all(0 <= x < s for x, s in zip(pt, shape)):
+            assert b is not None and list(g.coords[b]) == pt
+        else:
+            assert b is None
+
+
+def test_diagonal_needs_a_grid(chain4):
+    with pytest.raises(PosetError, match="grid coordinates"):
+        chain4.diagonal(1)
+
+
 def test_subposet_covers_recomputed():
     # dropping the middle of a chain turns the long relation into a cover
     p = FinitePoset.chain(["a", "b", "c"])
     assert p.subposet_covers([0, 2]) == [(0, 2)]
-    # made once per node set: a repeated request, in any order, is the same object
-    assert p.subposet_covers([2, 0]) is p.subposet_covers((0, 2))
     assert p.subposet_covers([0, 1, 2]) == [(0, 1), (1, 2)]
