@@ -507,9 +507,10 @@ def solve_candidate(tensor: np.ndarray, rhs: np.ndarray, coeffs, F) -> Optional[
 
 
 def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
-    """(verdict, c, candidates tried) for the first c in lexicographic order
-    such that sum_i c_i tensor[:, i, :]^T x = rhs is solvable (`solve_candidate`
-    gives its x).
+    """(verdict, c, candidates tried, x) for the first c in lexicographic order
+    such that sum_i c_i tensor[:, i, :]^T x = rhs is solvable.  x is the
+    solution `solve_candidate` gives when the search solved the witness's
+    system on the way (over the rationals), else None.
 
     Over GF(p) the search is exhaustive, so running out of candidates proves "no".
     It walks the tree of blocks (`_relaxation`): a block whose linear relaxation
@@ -528,10 +529,11 @@ def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
         lattice = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]
         for tried, coeffs in enumerate(itertools.product(lattice, repeat=h1)):
             if tried >= budget:
-                return "unknown", None, tried
-            if solve_candidate(tensor, rhs, coeffs, F) is not None:
-                return "yes", coeffs, tried + 1
-        return "unknown", None, 4 ** h1
+                return "unknown", None, tried, None
+            x = solve_candidate(tensor, rhs, coeffs, F)
+            if x is not None:
+                return "yes", coeffs, tried + 1, x
+        return "unknown", None, 4 ** h1, None
 
     p, total = F.p, F.p ** h1
     limit = max(0, min(budget, total))
@@ -590,8 +592,8 @@ def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
         hit = scan(max(start, 1), min(start + p ** leaf, limit))
         start += p ** leaf
     if hit is None:
-        return ("no" if limit == total else "unknown"), None, limit
-    return "yes", tuple(int(x) for x in hit[1]), hit[0] + 1
+        return ("no" if limit == total else "unknown"), None, limit, None
+    return "yes", tuple(int(x) for x in hit[1]), hit[0] + 1, None
 
 
 def quotient_map(field: FieldSpec, ambient_dim: int, subspace: Mat) -> tuple:

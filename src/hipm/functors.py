@@ -17,15 +17,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .exactlin import Mat, factor_at, rref, solve, stacked_matmul, zeros
-from .height import (
-    HeightDiff,
-    check_ivc,
-    nbhd_down_idx,
-    nbhd_iterated_idx,
-    nbhd_up_idx,
-    pullback_rho,
-)
+from .exactlin import Mat, factor_at, hstack, rref, solve, stacked_matmul, zeros
+from .height import HeightDiff, check_ivc, level, nbhd_iterated_idx, nbhd_tops, nbhds, pullback_rho
 from .kan import (ColimResult, LimResult, colim_over, factor, factor_into_lim, factor_stack_from_colim,
                   induced, lim_over)
 from .pmod import (
@@ -57,6 +50,8 @@ __all__ = [
     "mu_L",
     "mu_R",
     "sharp",
+    "sharp_legs",
+    "e_r_legs",
     "flat",
     "unit",
     "counit",
@@ -106,6 +101,12 @@ def _r(x) -> Fraction:
     if x < 0:
         raise ValueError("scale parameter must be >= 0")
     return x
+
+
+def _level(rho: HeightDiff, x) -> int:
+    """The level of the scale x (`height.level`): every value below that is
+    made from neighborhoods at x is memoized under it."""
+    return level(rho, _r(x))
 
 
 def _functor(direction: str):
@@ -159,35 +160,37 @@ def _after(direction: str, g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphi
     return g.compose(f) if direction == "L" else f.compose(g)
 
 
-def _apply(kind: str, params: tuple, rho: HeightDiff, m: PersistenceModule,
+def _apply(kind: str, levels: tuple, rho: HeightDiff, m: PersistenceModule,
            nbhd_of) -> FunctorApplication:
-    """Pointwise colimits (kind 'L', 'TL') or limits ('R', 'TR') over nbhd_of(a),
-    with the inclusion-induced structure maps."""
+    """Pointwise colimits (kind 'L', 'TL') or limits ('R', 'TR') over the
+    neighborhoods nbhd_of()[a], with the inclusion-induced structure maps;
+    memoized on m under the scales' levels."""
     latching = kind[-1] == "L"
 
     def build():
         P = m.poset
-        data = {a: (colim_over if latching else lim_over)(m, nbhd_of(a)) for a in range(len(P))}
+        nodes = nbhd_of()
+        data = {a: (colim_over if latching else lim_over)(m, nodes[a]) for a in range(len(P))}
         maps = {(a, b): _induced(m, data[a], data[b]) if latching else _induced(m, data[b], data[a])
                 for (a, b) in P.covers}
         out = PersistenceModule(P, m.field, [data[a].dim for a in range(len(P))], maps)
         return FunctorApplication(kind, out, data)
 
-    return m.cached((kind, rho, *params), build)
+    return m.cached((kind, rho, *levels), build)
 
 
 def apply_L(rho: HeightDiff, r, m: PersistenceModule) -> FunctorApplication:
     """The r-latching functor value: pointwise colimits over the lower
     r-neighborhoods, with the inclusion-induced structure maps."""
-    r = _r(r)
-    return _apply("L", (r,), rho, m, lambda a: nbhd_down_idx(rho, a, r))
+    k = _level(rho, r)
+    return _apply("L", (k,), rho, m, lambda: nbhds(rho, "down", k))
 
 
 def apply_R(rho: HeightDiff, r, m: PersistenceModule) -> FunctorApplication:
     """The r-matching functor value: pointwise limits over the upper
     r-neighborhoods."""
-    r = _r(r)
-    return _apply("R", (r,), rho, m, lambda a: nbhd_up_idx(rho, a, r))
+    k = _level(rho, r)
+    return _apply("R", (k,), rho, m, lambda: nbhds(rho, "up", k))
 
 
 def apply_T(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> FunctorApplication:
@@ -196,8 +199,8 @@ def apply_T(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> Func
     s, r = _r(s), _r(r)
     _functor(direction)  # rejects any other direction
     way = "down" if direction == "L" else "up"
-    return _apply("T" + direction, (s, r), rho, m,
-                  lambda a: nbhd_iterated_idx(rho, a, s, r, way))
+    return _apply("T" + direction, (level(rho, s), level(rho, r)), rho, m,
+                  lambda: [nbhd_iterated_idx(rho, a, s, r, way) for a in range(len(m.poset))])
 
 
 def _apply_mor(direction: str, rho: HeightDiff, r, f: ModuleMorphism) -> ModuleMorphism:
@@ -237,7 +240,7 @@ def _eta(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleM
         raise ValueError(f"eta_{direction} needs s >= r")
     apply = _functor(direction)
     scales = (s, r) if direction == "L" else (r, s)
-    return m.cached(("eta" + direction, rho, *scales),
+    return m.cached(("eta" + direction, rho, *(level(rho, x) for x in scales)),
                     lambda: _between(m, apply(rho, s, m), apply(rho, r, m)))
 
 
@@ -266,7 +269,7 @@ def _eta_id(direction: str, rho: HeightDiff, r, m: PersistenceModule) -> ModuleM
         app = _functor(direction)(rho, r, m)
         return _oriented(app, m, [component(app.data[a], a) for a in range(len(m.poset))])
 
-    return m.cached((f"eta{direction}-id", rho, r), build)
+    return m.cached((f"eta{direction}-id", rho, level(rho, r)), build)
 
 
 def eta_L_to_id(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
@@ -281,7 +284,7 @@ def eta_R_from_id(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
 
 def e_r(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
     """The canonical composite L_r M -> M -> R_r M whose image is the erosion."""
-    return m.cached(("e", rho, _r(r)),
+    return m.cached(("e", rho, _level(rho, r)),
                     lambda: eta_R_from_id(rho, r, m).compose(eta_L_to_id(rho, r, m)))
 
 
@@ -306,8 +309,8 @@ def _mu(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMo
         outer, inner = _iterated(direction, rho, s, r, m)
         return _nested(m, outer, inner, _functor(direction)(rho, s + r, m))
 
-    scales = (s, r) if direction == "L" else (r, s)
-    return m.cached(("mu" + direction, rho, *scales), build)
+    scales = (s, r, s + r) if direction == "L" else (r, s, s + r)
+    return m.cached(("mu" + direction, rho, *(level(rho, x) for x in scales)), build)
 
 
 def mu_L(rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
@@ -325,6 +328,26 @@ def mu_R(rho: HeightDiff, r, s, m: PersistenceModule) -> ModuleMorphism:
 # ---------------------------------------------------------------------------
 
 
+def _leg_family(app_r: FunctorApplication, stack: MorphismStack, n: PersistenceModule,
+                nodes, a: int) -> np.ndarray:
+    """legs[a] @ stack[x] for every x in `nodes`, one batched matmul per node,
+    side by side: the (h, N(a), sum of M(x)) composites of the h morphisms
+    M -> R_r N in `stack` with the limit legs R_r N(x) -> N(a)."""
+    F = n.field
+    family = [stacked_matmul(F, app_r.data[x].legs[a].a, stack.stacks[x]) for x in nodes]
+    return np.concatenate(family, axis=2) if family else zeros(F, (len(stack), n.dims[a], 0))
+
+
+def _stack_into_R(rho: HeightDiff, r, n: PersistenceModule,
+                  g: ModuleMorphism | MorphismStack) -> Tuple[MorphismStack, FunctorApplication]:
+    """g as a stack, checked to land in R_r n, and R_r n."""
+    stack = g if isinstance(g, MorphismStack) else MorphismStack.of(g)
+    app_r = apply_R(rho, r, n)
+    if stack.target.key() != app_r.module.key():
+        raise ValueError("target of g is not the r-matching module of n")
+    return stack, app_r
+
+
 def sharp(rho: HeightDiff, r, n: PersistenceModule,
           g: ModuleMorphism | MorphismStack) -> ModuleMorphism | MorphismStack:
     """Transpose morphisms M -> R_r N to their adjoints L_r M -> N.
@@ -335,22 +358,39 @@ def sharp(rho: HeightDiff, r, n: PersistenceModule,
     per node x, legs[a] @ stack[x], and the factors are read off the
     colimit's free coordinates at once (`factor_stack_from_colim`).
     """
-    r = _r(r)
-    stack = g if isinstance(g, MorphismStack) else MorphismStack.of(g)
-    m = stack.source
-    app_l = apply_L(rho, r, m)
-    app_r = apply_R(rho, r, n)
-    if stack.target.key() != app_r.module.key():
-        raise ValueError("target of g is not the r-matching module of n")
-    F, h = m.field, len(stack)
-    out = []
-    for a in range(len(m.poset)):
-        col = app_l.data[a]
-        family = [stacked_matmul(F, app_r.data[x].legs[a].a, stack.stacks[x]) for x in col.nodes]
-        stacked = np.concatenate(family, axis=2) if family else zeros(F, (h, n.dims[a], 0))
-        out.append(factor_stack_from_colim(col, stacked))
-    res = MorphismStack(app_l.module, n, h, out)
+    stack, app_r = _stack_into_R(rho, r, n, g)
+    app_l = apply_L(rho, r, stack.source)
+    out = [factor_stack_from_colim(col, _leg_family(app_r, stack, n, col.nodes, a))
+           for a, col in app_l.data.items()]
+    res = MorphismStack(app_l.module, n, len(stack), out)
     return res if stack is g else res[0]
+
+
+def sharp_legs(rho: HeightDiff, r, n: PersistenceModule, g: MorphismStack) -> list:
+    """The transposes of `g` on the colimit legs, built without L_r M.
+
+    Per element a, the (h, N(a), w_a) composites g#(a) o leg_x for x among the
+    maximal elements of a's lower r-neighborhood (`height.nbhd_tops`), side by
+    side: the cocone family `sharp` factors, cut to those x.  The legs from
+    the maximal elements are jointly epimorphic, so two maps out of L_r M(a)
+    are equal exactly when these composites are.
+    """
+    stack, app_r = _stack_into_R(rho, r, n, g)
+    tops = nbhd_tops(rho, _level(rho, r))
+    return [_leg_family(app_r, stack, n, tops[a], a) for a in range(len(n.poset))]
+
+
+def e_r_legs(rho: HeightDiff, r, m: PersistenceModule) -> list:
+    """e_{r,M} on the same legs as `sharp_legs`: per element a, the
+    (R_r M(a), w_a) blocks eta_R(a) M(x <= a) side by side, where eta_R is
+    M -> R_r M; built without L_r M."""
+    tops = nbhd_tops(rho, _level(rho, r))
+    eta = eta_R_from_id(rho, r, m).components
+    out = []
+    for a, xs in enumerate(tops):
+        legs = hstack(m.field, [m.map_for_idx(x, a) for x in xs], rows=m.dims[a])
+        out.append((eta[a] @ legs).a)
+    return out
 
 
 def flat(rho: HeightDiff, r, m: PersistenceModule, f: ModuleMorphism) -> ModuleMorphism:
@@ -502,12 +542,12 @@ def im_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
     """The image of L_r M -> M, as a submodule of M.
 
     Built once per (rho, r, M) and shared by every caller, so it is read-only."""
-    return m.cached(("im", rho, _r(r)), lambda: submodule_image(eta_L_to_id(rho, r, m)))
+    return m.cached(("im", rho, _level(rho, r)), lambda: submodule_image(eta_L_to_id(rho, r, m)))
 
 
 def ker_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
     """The kernel of M -> R_r M, as a submodule of M; memoized and read-only like im_r."""
-    return m.cached(("ker", rho, _r(r)), lambda: submodule_kernel(eta_R_from_id(rho, r, m)))
+    return m.cached(("ker", rho, _level(rho, r)), lambda: submodule_kernel(eta_R_from_id(rho, r, m)))
 
 
 def erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule) -> Subquotient:
@@ -517,7 +557,7 @@ def erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule) -> Subquotient
         imr = im_r(rho, r, m)
         return quotient_by_submodule(imr, submodule_intersection(imr, ker_r(rho, r, m)))
 
-    return m.cached(("erosion-sq", rho, _r(r)), build)
+    return m.cached(("erosion-sq", rho, _level(rho, r)), build)
 
 
 @dataclass

@@ -11,6 +11,7 @@ All values are exact: `fractions.Fraction` or the INF sentinel.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -36,6 +37,9 @@ __all__ = [
     "nbhd_down",
     "nbhd_up",
     "nbhd_iterated",
+    "nbhds",
+    "nbhd_tops",
+    "level",
     "critical_values",
     "strata",
     "Stratum",
@@ -204,16 +208,11 @@ def validate_rho(poset: FinitePoset, table: Dict[Tuple[str, str], ExtVal]) -> Rh
     super_bad: List[Tuple[str, str, str]] = []
     if not (missing or extra or diag_bad or neg_bad):
         els = poset.elements
-        strict = [(i, j) for i, j in comparable if i != j]
-        below: Dict[int, List[int]] = {}
-        for i, j in strict:
-            below.setdefault(j, []).append(i)
-        for i, j in strict:
+        for i, j in poset.comparable_pairs():
             target = values[(i, j)]
-            for k in below.get(j, ()):
-                if k != i and poset.leq[i, k]:
-                    if target < ext_add(values[(i, k)], values[(k, j)]):
-                        super_bad.append((els[i], els[k], els[j]))
+            for k in poset.interval_idx(i, j):
+                if i != k != j and target < ext_add(values[(i, k)], values[(k, j)]):
+                    super_bad.append((els[i], els[k], els[j]))
     ok = not (missing or extra or diag_bad or neg_bad or super_bad)
     return RhoValidation(
         ok=ok,
@@ -269,18 +268,67 @@ def pullback_rho(f: OrderMap, rho: HeightDiff) -> HeightDiff:
 # ---------------------------------------------------------------------------
 
 
+def level(rho: HeightDiff, r) -> int:
+    """The level of a scale r: bisect_left(critical_values(rho), r), the number
+    of critical values below r.  rho(x, y) >= r exactly when the level of the
+    pair (`_pair_levels`) is at least r's, so every neighborhood, and every
+    value built on neighborhoods, depends on r through its level only.  The
+    representative of stratum k (`strata`) has level k."""
+    return bisect.bisect_left(critical_values(rho), r)
+
+
+def _pair_levels(rho: HeightDiff) -> Dict[Tuple[int, int], int]:
+    """Each comparable pair's level: the index of rho(x, y) among the critical
+    values, or their count where rho(x, y) = oo; made once on rho."""
+    def build():
+        crit = critical_values(rho)
+        index = {v: k for k, v in enumerate(crit)}
+        return {pair: len(crit) if v is INF else index[v] for pair, v in rho.values.items()}
+
+    return rho.cached(("levels",), build)
+
+
+def nbhds(rho: HeightDiff, direction: str, k: int) -> Tuple[Tuple[int, ...], ...]:
+    """Every element's neighborhood at level k, one tuple per element: the lower
+    {x <= a : rho(x, a) >= r} ('down') or the upper {y >= a : rho(a, y) >= r}
+    ('up') for any r of level k.  Made once per direction and level on rho."""
+    if direction not in ("down", "up"):
+        raise ValueError("direction must be 'down' or 'up'")
+
+    def build():
+        P, lv = rho.poset, _pair_levels(rho)
+        if direction == "down":
+            return tuple(tuple(x for x in P.down_idx(a) if lv[(x, a)] >= k) for a in range(len(P)))
+        return tuple(tuple(y for y in P.up_idx(a) if lv[(a, y)] >= k) for a in range(len(P)))
+
+    return rho.cached((direction, k), build)
+
+
+def nbhd_tops(rho: HeightDiff, k: int) -> Tuple[Tuple[int, ...], ...]:
+    """The maximal elements of every lower neighborhood at level k, memoized like
+    `nbhds`.  x is kept when no element covering x lies in the neighborhood.
+    By superadditivity a lower neighborhood is a down-set, so those are exactly
+    its maximal elements; on any table the test keeps every maximal element,
+    so the colimit legs from the kept elements are jointly epimorphic."""
+    def build():
+        ups = rho.poset.ups
+        out = []
+        for nb in nbhds(rho, "down", k):
+            inside = set(nb)
+            out.append(tuple(x for x in nb if inside.isdisjoint(ups[x])))
+        return tuple(out)
+
+    return rho.cached(("tops", k), build)
+
+
 def nbhd_down_idx(rho: HeightDiff, i: int, r: Fraction) -> Tuple[int, ...]:
-    """{x <= i : rho(x, i) >= r}, read from one tuple per r made once on rho."""
-    P, vals = rho.poset, rho.values
-    return rho.cached(("down", r), lambda: tuple(
-        tuple(x for x in P.down_idx(a) if vals[(x, a)] >= r) for a in range(len(P))))[i]
+    """{x <= i : rho(x, i) >= r}, read from `nbhds` at r's level."""
+    return nbhds(rho, "down", level(rho, r))[i]
 
 
 def nbhd_up_idx(rho: HeightDiff, i: int, r: Fraction) -> Tuple[int, ...]:
-    """{y >= i : rho(i, y) >= r}, memoized like nbhd_down_idx."""
-    P, vals = rho.poset, rho.values
-    return rho.cached(("up", r), lambda: tuple(
-        tuple(y for y in P.up_idx(a) if vals[(a, y)] >= r) for a in range(len(P))))[i]
+    """{y >= i : rho(i, y) >= r}, read from `nbhds` at r's level."""
+    return nbhds(rho, "up", level(rho, r))[i]
 
 
 def nbhd_down(rho: HeightDiff, a: str, r) -> frozenset:
@@ -400,17 +448,20 @@ def check_cip(rho: HeightDiff, budget: int = 4_000_000) -> CipReport:
     """Check that every I_{s,r}(a, q) = a^{down_s} & q^{up_r} is empty or connected.
 
     (s, r) ranges over the critical stratum representatives, which is exhaustive
-    because each neighborhood is constant per stratum.  Aborts with
-    budget_exceeded rather than sampling.
+    because each neighborhood is constant per stratum: the levels 0..K of the
+    K critical values, reps[k] being the representative of level k.  Aborts
+    with budget_exceeded rather than sampling.
     """
     P = rho.poset
     reps = [st.rep for st in strata(rho)]
     n = len(P)
     total = 0
     verdicts = {}  # by intersection: each distinct one is decided once
-    # neighborhoods by element, then by stratum position
-    down = [[frozenset(nbhd_down_idx(rho, a, s)) for s in reps] for a in range(n)]
-    up = [[frozenset(nbhd_up_idx(rho, q, r)) for r in reps] for q in range(n)]
+    # neighborhoods by element, then by level
+    downs = [nbhds(rho, "down", k) for k in range(len(reps))]
+    ups = [nbhds(rho, "up", k) for k in range(len(reps))]
+    down = [[frozenset(nb[a]) for nb in downs] for a in range(n)]
+    up = [[frozenset(nb[q]) for nb in ups] for q in range(n)]
     for a in range(n):
         for q in range(n):
             up_q = up[q]

@@ -7,6 +7,13 @@ function's critical values.  Testing one exact representative per stratum
 therefore computes the distance infimum exactly on a finite poset; the searches
 below exploit verdict monotonicity with a binary search over strata.
 
+An r-interleaving is p: M -> R_r N and q: N -> R_r M with q o p# = e_{r,M}
+and p o q# = e_{r,N}.  Both sides of each identity are maps out of a colimit
+L_r M(a), so the search writes them on the colimit legs from the maximal
+elements of a's lower r-neighborhood and never builds L_r, a colimit, a
+transpose or e_r (`find_interleaving`).  `check_certificate` verifies through
+the transposes, the other route.
+
 Over GF(p) the candidate enumeration is exhaustive, so a "no" verdict is a
 proof.  Over the rationals only supplied certificates are verified and a small
 integer coefficient lattice is probed; failures come back "unknown".
@@ -18,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .exactlin import DEFAULT_BUDGET, Mat, _bilinear_search, solve_candidate, zeros
+from .exactlin import DEFAULT_BUDGET, _bilinear_search, solve_candidate, zeros
 from .height import INF, ExtVal, HeightDiff, Stratum, format_ext, rho_diag, strata
-from .functors import apply_R, e_r, sharp
+from .functors import apply_R, e_r, e_r_legs, sharp, sharp_legs
 from .pmod import (ModuleMorphism, MorphismStack, PersistenceModule, _bilinear_tensor, hom_basis,
                    is_isomorphic)
 from .poset import PosetError
@@ -53,7 +60,11 @@ class Certificate:
 
 def check_certificate(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
                       p: ModuleMorphism, q: ModuleMorphism) -> bool:
-    """Verify naturality of p and q, then e_{r,M} = q o p# and e_{r,N} = p o q# exactly."""
+    """Verify naturality of p and q, then e_{r,M} = q o p# and e_{r,N} = p o q# exactly.
+
+    This goes through L_r, the transposes `sharp` and `e_r` on purpose: the
+    search (`find_interleaving`) decides on the colimit legs instead, so every
+    certificate it returns is checked here by the other route."""
     r = Fraction(r)
     if p.target.key() != apply_R(rho, r, n).module.key():
         raise ValueError("p must land in the r-matching module of n")
@@ -78,28 +89,44 @@ def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     """Search for an r-interleaving between m and n.
 
     Enumerates p over Hom(m, R_r n) in lexicographic coefficient order; the two
-    defining identities are linear in q once p is fixed.  Over GF(p)
-    `_bilinear_search` skips whole blocks of candidates whose linear relaxation
-    is inconsistent and tests the rest in batches, in that same order, so the
-    first witness, its q (one exact `solve`) and `candidates_tried` (the
-    witness's position, skipped candidates included) are those of a
-    one-at-a-time scan.  Exhausting the Hom space proves "no" (prime fields);
-    reaching the budget first, as a bound on that position, yields "unknown"
-    with `candidates_tried` equal to the budget.
+    defining identities q o p# = e_{r,m} and p o q# = e_{r,n} are linear in q
+    once p is fixed.
+
+    Both sides of q o p# = e_{r,m} are maps out of the colimit L_r m(a), and
+    the colimit legs from the maximal elements x of a's lower r-neighborhood
+    are jointly epimorphic.  So the identity holds exactly when, for every a
+    and every such x, q(a) leg_a(R_r n at x) p(x) = eta_R(a) m(x <= a); the
+    other identity is the same with m and n swapped (`functors.sharp_legs`,
+    `functors.e_r_legs`).  The search solves these equations and builds no L_r
+    value, no colimit, no transpose and no e_r.  They are an injective image
+    of the equations on p# and e_r: for every p they have the same solutions,
+    the same linear relaxations and the same row space, hence the same rref.
+    So the verdict, the first witness, its q and `candidates_tried` are those
+    of the transposed system.  `check_certificate` deliberately keeps the
+    transpose route, so each certificate is verified by the other one.
+
+    Over GF(p) `_bilinear_search` skips whole blocks of candidates whose
+    linear relaxation is inconsistent and tests the rest in batches, in that
+    same order, so the first witness and `candidates_tried` (the witness's
+    position, skipped candidates included) are those of a one-at-a-time scan,
+    and q is one exact `solve` of the witness's system.  Over the rationals q
+    is the solution the lattice probe found.  Exhausting the Hom space proves
+    "no" (prime fields); reaching the budget first, as a bound on that
+    position, yields "unknown" with `candidates_tried` equal to the budget.
     """
     r = Fraction(r)
     F = m.field
-    app_rm = apply_R(rho, r, m)
-    app_rn = apply_R(rho, r, n)
-    p_basis = hom_basis(m, app_rn.module)
-    q_basis = hom_basis(n, app_rm.module)
-    tensor, rhs = _bilinear_tensor(p_basis, q_basis, sharp(rho, r, n, p_basis),
-                                   sharp(rho, r, m, q_basis), e_r(rho, r, m), e_r(rho, r, n), F)
-    verdict, coeffs, tried = _bilinear_search(tensor, rhs, F, budget)
+    p_basis = hom_basis(m, apply_R(rho, r, n).module)
+    q_basis = hom_basis(n, apply_R(rho, r, m).module)
+    tensor, rhs = _bilinear_tensor(p_basis, q_basis, sharp_legs(rho, r, n, p_basis),
+                                   sharp_legs(rho, r, m, q_basis), e_r_legs(rho, r, m),
+                                   e_r_legs(rho, r, n), F)
+    verdict, coeffs, tried, x = _bilinear_search(tensor, rhs, F, budget)
     if verdict != "yes":
         return InterleaveResult(verdict, candidates_tried=tried)
-    q_coeffs = solve_candidate(tensor, rhs, coeffs, F).a[:, 0]
-    cert = Certificate(r, p_basis.combine(coeffs), q_basis.combine(q_coeffs))
+    if x is None:
+        x = solve_candidate(tensor, rhs, coeffs, F)
+    cert = Certificate(r, p_basis.combine(coeffs), q_basis.combine(x.a[:, 0]))
     return InterleaveResult("yes", cert, tried)
 
 
@@ -240,26 +267,23 @@ def _shift_module(m: PersistenceModule, k: int) -> PersistenceModule:
     return PersistenceModule(G, m.field, dims, maps)
 
 
-def _shift_e(m: PersistenceModule, k: int, lm: PersistenceModule, rm: PersistenceModule) -> ModuleMorphism:
-    comps = []
-    for a, (lo, hi) in enumerate(zip(m.poset.diagonal(-k), m.poset.diagonal(k))):
+def _shift_e(m: PersistenceModule, k: int) -> list:
+    """The components of e: M(a - k*diag) -> M(a + k*diag), zero off the grid."""
+    out = []
+    for lo, hi in zip(m.poset.diagonal(-k), m.poset.diagonal(k)):
         if lo is not None and hi is not None:
-            comps.append(m.map_for_idx(lo, hi))
+            out.append(m.map_for_idx(lo, hi).a)
         else:
-            comps.append(Mat.zeros(m.field, rm.dims[a], lm.dims[a]))
-    return ModuleMorphism(lm, rm, comps)
+            out.append(zeros(m.field, (m.dims[hi] if hi is not None else 0,
+                                       m.dims[lo] if lo is not None else 0)))
+    return out
 
 
-def _shift_sharp(p: MorphismStack, k: int, lm_src: PersistenceModule,
-                 tgt: PersistenceModule) -> MorphismStack:
-    """Transpose a stack under the shift adjunction: (p#)(a) = p(a - k*diag)."""
-    stacks = []
-    for a, lo in enumerate(p.source.poset.diagonal(-k)):
-        if lo is not None and lm_src.dims[a] > 0:
-            stacks.append(p.stacks[lo])
-        else:
-            stacks.append(zeros(p.source.field, (len(p), tgt.dims[a], lm_src.dims[a])))
-    return MorphismStack(lm_src, tgt, len(p), stacks)
+def _shift_sharp(p: MorphismStack, n: PersistenceModule, k: int) -> list:
+    """The transposes of a stack p: M -> N(- + k*diag) under the shift
+    adjunction, per element a: (p#)(a) = p(a - k*diag), zero off the grid."""
+    return [p.stacks[lo] if lo is not None else zeros(n.field, (len(p), n.dims[a], 0))
+            for a, lo in enumerate(n.poset.diagonal(-k))]
 
 
 def _shift_interleaving(m: PersistenceModule, n: PersistenceModule, k: int,
@@ -267,13 +291,10 @@ def _shift_interleaving(m: PersistenceModule, n: PersistenceModule, k: int,
     F = m.field
     if not F.is_prime_field:
         raise ValueError("shift oracle is exhaustive only over prime fields")
-    lm, rm = _shift_module(m, -k), _shift_module(m, k)
-    ln, rn = _shift_module(n, -k), _shift_module(n, k)
-    p_basis = hom_basis(m, rn)
-    q_basis = hom_basis(n, rm)
-    tensor, rhs = _bilinear_tensor(p_basis, q_basis, _shift_sharp(p_basis, k, lm, n),
-                                   _shift_sharp(q_basis, k, ln, m),
-                                   _shift_e(m, k, lm, rm), _shift_e(n, k, ln, rn), F)
+    p_basis = hom_basis(m, _shift_module(n, k))
+    q_basis = hom_basis(n, _shift_module(m, k))
+    tensor, rhs = _bilinear_tensor(p_basis, q_basis, _shift_sharp(p_basis, n, k),
+                                   _shift_sharp(q_basis, m, k), _shift_e(m, k), _shift_e(n, k), F)
     return _bilinear_search(tensor, rhs, F, budget)[0]
 
 

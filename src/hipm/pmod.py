@@ -327,33 +327,31 @@ class MorphismStack(Sequence):
         return f"MorphismStack({self._h} x {list(self.source.dims)} -> {list(self.target.dims)})"
 
 
-def _vec_of(mor: ModuleMorphism) -> np.ndarray:
-    parts = [c.a.ravel() for c in mor.components]
-    if parts:
-        return np.concatenate(parts)
-    return np.zeros(0, dtype=np.int64)
-
-
 def _bilinear_tensor(p_basis: MorphismStack, q_basis: MorphismStack,
-                     p_sharps: MorphismStack, q_sharps: MorphismStack,
-                     em: ModuleMorphism, en: ModuleMorphism, F) -> Tuple[np.ndarray, np.ndarray]:
-    """tensor[j, i, :] and rhs, laid out like `_vec_of`, of the two identities
-    sum_{i,j} c_i d_j Q_j o P_i# = e_m and sum_{i,j} c_i d_j P_i o Q_j# = e_n.
+                     p_families: Sequence[np.ndarray], q_families: Sequence[np.ndarray],
+                     m_rhs: Sequence[np.ndarray], n_rhs: Sequence[np.ndarray],
+                     F) -> Tuple[np.ndarray, np.ndarray]:
+    """tensor[j, i, :] and rhs of the two identities, element by element:
+    sum_{i,j} c_i d_j Q_j(a) p_families[a][i] = m_rhs[a] and
+    sum_{i,j} c_i d_j P_i(a) q_families[a][j] = n_rhs[a].
 
-    The bases and their transposes come as stacks; per element, every composite
-    of one side is one batched matmul of two stacks."""
-    rhs = np.concatenate([_vec_of(em), _vec_of(en)])
+    A family is an (h, N(a), w) stack per element, one matrix per basis
+    morphism (a transpose, or its composites with colimit legs), and its
+    right-hand block is the (R(a), w) array it must produce; blocks are laid
+    out row-major, element after element, the m side first.  Per element,
+    every composite of one side is one batched matmul of two stacks."""
+    rhs = np.concatenate([b.ravel() for b in (*m_rhs, *n_rhs)] + [zeros(F, (0,))])
     h1, h2 = len(p_basis), len(q_basis)
     if not (h1 and h2):
         return zeros(F, (h2, h1, len(rhs))), rhs
 
-    def products(left, right, swap):  # per element, every left o right in one matmul
-        for a in range(len(em.components)):
-            prod = stacked_matmul(F, left.stacks[a][:, None], right.stacks[a][None])
+    def products(left, families, swap):  # per element, every left o family in one matmul
+        for stack, family in zip(left.stacks, families):
+            prod = stacked_matmul(F, stack[:, None], family[None])
             yield (prod.swapaxes(0, 1) if swap else prod).reshape(h2, h1, -1)
 
-    tensor = np.concatenate([*products(q_basis, p_sharps, False),
-                             *products(p_basis, q_sharps, True)], axis=2)
+    tensor = np.concatenate([*products(q_basis, p_families, False),
+                             *products(p_basis, q_families, True)], axis=2)
     return tensor, rhs
 
 
@@ -555,7 +553,8 @@ def is_isomorphic(m: PersistenceModule, n: PersistenceModule,
     p_basis, q_basis = hom_basis(m, n), hom_basis(n, m)
     if not p_basis:
         return IsoResult("no")
-    tensor, rhs = _bilinear_tensor(p_basis, q_basis, p_basis, q_basis, ModuleMorphism.identity(m),
-                                   ModuleMorphism.identity(n), m.field)
-    verdict, coeffs, _ = _bilinear_search(tensor, rhs, m.field, budget)
+    eye = [Mat.eye(m.field, d).a for d in m.dims]
+    tensor, rhs = _bilinear_tensor(p_basis, q_basis, p_basis.stacks, q_basis.stacks, eye, eye,
+                                   m.field)
+    verdict, coeffs, _, _ = _bilinear_search(tensor, rhs, m.field, budget)
     return IsoResult(verdict, p_basis.combine(coeffs) if verdict == "yes" else None)

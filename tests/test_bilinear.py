@@ -1,7 +1,9 @@
 """The batched GF(p) candidate search against a scalar reference that tries one
 candidate at a time with `solve`: same verdict, same `candidates_tried`, same
-first witness.  The reference builds the bilinear tensor one transpose and one
-composite at a time, and the stacked `_bilinear_tensor` must equal it.  Deep
+first witness.  The reference searches the bilinear tensor of the transposes,
+built one transpose and one composite at a time; it also builds the tensor on
+the colimit legs that `find_interleaving` searches one composite at a time,
+and the stacked `_bilinear_tensor` must equal it.  Deep
 families with tiny batches drive the search through blocks it skips by their
 linear relaxation.  `is_isomorphic`, which runs on the same search, is compared
 with a scan that tests one combination of the Hom basis at a time for full
@@ -19,10 +21,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from hipm import exactlin
 from hipm.exactlin import (DEFAULT_BUDGET, FieldSpec, Mat, _bilinear_search, batch_consistent,
-                           compressed_family, rref, solve, solve_candidate)
+                           compressed_family, hstack, rref, solve, solve_candidate)
 from hipm.fixtures import bipath_example, chain_example, grid_example
-from hipm.functors import apply_R, e_r, sharp
-from hipm.height import rho_diag
+from hipm.functors import apply_R, e_r, e_r_legs, eta_R_from_id, sharp, sharp_legs
+from hipm.height import level, nbhd_tops, rho_diag
 from hipm.interleave import check_certificate, distance, find_interleaving
 from hipm.pmod import _bilinear_tensor, direct_sum, hom_basis, interval_module, is_isomorphic
 from hipm.poset import FinitePoset
@@ -69,9 +71,10 @@ def bilinear_families(draw):
 
 def assert_search_matches(field, tensor, rhs, budget, want):
     """`_bilinear_search` against the reference result `want`, and the witness's
-    x from `solve_candidate` against the reference's."""
-    verdict, coeffs, tried = _bilinear_search(tensor, rhs, field, budget)
-    assert (verdict, coeffs, tried) == (want[0], want[1], want[3])
+    x from `solve_candidate` against the reference's.  Over GF(p) the search
+    tests candidates without solving, so it returns no x."""
+    verdict, coeffs, tried, x = _bilinear_search(tensor, rhs, field, budget)
+    assert (verdict, coeffs, tried, x) == (want[0], want[1], want[3], None)
     if verdict == "yes":
         assert solve_candidate(tensor, rhs, coeffs, field) == want[2]
 
@@ -170,7 +173,7 @@ def test_block_indices_past_2_62_are_exact():
     field, tensor, rhs = digit_family(3, 41, {0: 1, 40: 2})
     assert 3 ** 40 > 2 ** 62
     witness = (1,) + (0,) * 39 + (2,)
-    verdict, coeffs, tried = _bilinear_search(tensor, rhs, field, 10 ** 20)
+    verdict, coeffs, tried, _ = _bilinear_search(tensor, rhs, field, 10 ** 20)
     assert (verdict, coeffs, tried) == ("yes", witness, 3 ** 40 + 3)
     assert solve_candidate(tensor, rhs, coeffs, field).a.tolist() == [[1]]
     assert _bilinear_search(tensor, rhs, field, 3 ** 40 + 2)[::2] == ("unknown", 3 ** 40 + 2)
@@ -189,11 +192,21 @@ def morphism_from_coeffs(basis, coeffs):
     return out
 
 
+def on_legs(rho, r, field, rows, block):
+    """Per element a, block(a, x) for each maximal x of a's lower
+    r-neighborhood, side by side (`rows[a]` rows), flattened and concatenated."""
+    tops = nbhd_tops(rho, level(rho, r))
+    return np.concatenate([hstack(field, [block(a, x) for x in xs], rows=rows[a]).a.ravel()
+                           for a, xs in enumerate(tops)] + [np.zeros(0, np.int64)])
+
+
 def reference_interleaving(rho, r, m, n, budget):
-    """`scalar_search` on the bilinear data of an r-interleaving, built one
-    transpose and one composite at a time: (verdict, tried, p, q), with p and q
-    None where their Hom space is zero.  Also checks that the stacked
-    `_bilinear_tensor` gives the same tensor and right-hand side."""
+    """`scalar_search` on the bilinear data of an r-interleaving on the
+    transposes, built one transpose and one composite at a time: (verdict,
+    tried, p, q), with p and q None where their Hom space is zero.  Also builds
+    the data on the colimit legs one composite at a time and checks that the
+    stacked `_bilinear_tensor` on `sharp_legs` / `e_r_legs` gives the same
+    tensor and right-hand side."""
     r = Fraction(r)
     rm, rn = apply_R(rho, r, m).module, apply_R(rho, r, n).module
     p_basis, q_basis = hom_basis(m, rn), hom_basis(n, rm)
@@ -204,10 +217,25 @@ def reference_interleaving(rho, r, m, n, budget):
     for j, i in itertools.product(range(len(q_basis)), range(len(p_basis))):
         tensor[j, i] = np.concatenate([flat(q_basis[j].compose(p_sharps[i])),
                                        flat(p_basis[i].compose(q_sharps[j]))])
-    stacked, stacked_rhs = _bilinear_tensor(p_basis, q_basis, sharp(rho, r, n, p_basis),
-                                            sharp(rho, r, m, q_basis), e_r(rho, r, m),
-                                            e_r(rho, r, n), m.field)
-    assert np.array_equal(stacked, tensor) and np.array_equal(stacked_rhs, rhs)
+
+    def composites(f, g, app):  # f(a) o leg_a(app at x) o g(x)
+        return on_legs(rho, r, m.field, f.target.dims,
+                       lambda a, x: f.components[a] @ app.data[x].legs[a] @ g.components[x])
+
+    def e_blocks(mod):  # eta_R(a) o mod(x <= a)
+        eta = eta_R_from_id(rho, r, mod)
+        return on_legs(rho, r, m.field, eta.target.dims,
+                       lambda a, x: eta.components[a] @ mod.map_for_idx(x, a))
+
+    leg_rhs = np.concatenate([e_blocks(m), e_blocks(n)])
+    legs = np.zeros((len(q_basis), len(p_basis), len(leg_rhs)), dtype=np.int64)
+    for j, i in itertools.product(range(len(q_basis)), range(len(p_basis))):
+        legs[j, i] = np.concatenate([composites(q_basis[j], p_basis[i], apply_R(rho, r, n)),
+                                     composites(p_basis[i], q_basis[j], apply_R(rho, r, m))])
+    stacked, stacked_rhs = _bilinear_tensor(p_basis, q_basis, sharp_legs(rho, r, n, p_basis),
+                                            sharp_legs(rho, r, m, q_basis), e_r_legs(rho, r, m),
+                                            e_r_legs(rho, r, n), m.field)
+    assert np.array_equal(stacked, legs) and np.array_equal(stacked_rhs, leg_rhs)
     verdict, coeffs, x, tried = scalar_search(tensor, rhs, m.field, budget)
     if verdict != "yes":
         return verdict, tried, None, None
