@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from .poset import Connectivity, FinitePoset, Memo, OrderMap, PosetError, _is_connected_idx
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "nbhds",
     "nbhd_tops",
     "level",
+    "levels",
     "critical_values",
     "strata",
     "Stratum",
@@ -270,53 +273,65 @@ def pullback_rho(f: OrderMap, rho: HeightDiff) -> HeightDiff:
 
 def level(rho: HeightDiff, r) -> int:
     """The level of a scale r: bisect_left(critical_values(rho), r), the number
-    of critical values below r.  rho(x, y) >= r exactly when the level of the
-    pair (`_pair_levels`) is at least r's, so every neighborhood, and every
-    value built on neighborhoods, depends on r through its level only.  The
-    representative of stratum k (`strata`) has level k."""
+    of critical values below r.  rho(x, y) >= r exactly when the pair's entry
+    in the level matrix (`levels`) is at least r's, so every neighborhood, and
+    every value built on neighborhoods, depends on r through its level only.
+    The representative of stratum k (`strata`) has level k, so a caller that
+    walks the strata already knows each level and passes it down instead of
+    calling this."""
     return bisect.bisect_left(critical_values(rho), r)
 
 
-def _pair_levels(rho: HeightDiff) -> Dict[Tuple[int, int], int]:
-    """Each comparable pair's level: the index of rho(x, y) among the critical
-    values, or their count where rho(x, y) = oo; made once on rho."""
+def levels(rho: HeightDiff) -> np.ndarray:
+    """The level matrix, made once on rho: entry (x, y) is the index of
+    rho(x, y) among the critical values, their count K where rho(x, y) = oo,
+    and -1 where x is not below y.  Read-only.  Values are looked up by
+    (numerator, denominator), like `critical_values` deduplicates them."""
     def build():
         crit = critical_values(rho)
-        index = {v: k for k, v in enumerate(crit)}
-        return {pair: len(crit) if v is INF else index[v] for pair, v in rho.values.items()}
+        index = {v.as_integer_ratio(): k for k, v in enumerate(crit)}
+        n = len(rho.poset)
+        out = np.full((n, n), -1, dtype=np.int64)
+        if rho.values:
+            out[tuple(zip(*rho.values))] = [len(crit) if v is INF else index[v.as_integer_ratio()]
+                                            for v in rho.values.values()]
+        out.flags.writeable = False
+        return out
 
     return rho.cached(("levels",), build)
 
 
+def _rows(mask: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
+    """The column indices of each row's True entries, ascending."""
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in mask)
+
+
 def nbhds(rho: HeightDiff, direction: str, k: int) -> Tuple[Tuple[int, ...], ...]:
-    """Every element's neighborhood at level k, one tuple per element: the lower
-    {x <= a : rho(x, a) >= r} ('down') or the upper {y >= a : rho(a, y) >= r}
-    ('up') for any r of level k.  Made once per direction and level on rho."""
+    """Every element's neighborhood at level k, one ascending tuple per
+    element: the lower {x <= a : rho(x, a) >= r} ('down') or the upper
+    {y >= a : rho(a, y) >= r} ('up') for any r of level k.  These are the
+    columns ('down') and rows ('up') of the level matrix that hold k or more.
+    Made once per direction and level on rho."""
     if direction not in ("down", "up"):
         raise ValueError("direction must be 'down' or 'up'")
 
     def build():
-        P, lv = rho.poset, _pair_levels(rho)
-        if direction == "down":
-            return tuple(tuple(x for x in P.down_idx(a) if lv[(x, a)] >= k) for a in range(len(P)))
-        return tuple(tuple(y for y in P.up_idx(a) if lv[(a, y)] >= k) for a in range(len(P)))
+        inside = levels(rho) >= k
+        return _rows(inside.T if direction == "down" else inside)
 
     return rho.cached((direction, k), build)
 
 
 def nbhd_tops(rho: HeightDiff, k: int) -> Tuple[Tuple[int, ...], ...]:
-    """The maximal elements of every lower neighborhood at level k, memoized like
-    `nbhds`.  x is kept when no element covering x lies in the neighborhood.
-    By superadditivity a lower neighborhood is a down-set, so those are exactly
-    its maximal elements; on any table the test keeps every maximal element,
-    so the colimit legs from the kept elements are jointly epimorphic."""
+    """The maximal elements of every lower neighborhood at level k, memoized
+    like `nbhds`: the x in a's neighborhood with no element of it strictly
+    above x.  Every element of a neighborhood lies below one of them, so the
+    colimit legs from these elements are jointly epimorphic."""
     def build():
-        ups = rho.poset.ups
-        out = []
-        for nb in nbhds(rho, "down", k):
-            inside = set(nb)
-            out.append(tuple(x for x in nb if inside.isdisjoint(ups[x])))
-        return tuple(out)
+        P = rho.poset
+        inside = levels(rho) >= k  # [x, a]: x in a's lower neighborhood
+        above = (P.leq & ~np.eye(len(P), dtype=bool)) @ inside  # [x, a]: some y > x in it
+        return _rows((inside & ~above).T)
 
     return rho.cached(("tops", k), build)
 
@@ -378,20 +393,27 @@ def critical_values(rho: HeightDiff) -> List[Fraction]:
     Every neighborhood a^{down_r} is constant for r ranging inside a stratum cut
     out by consecutive critical values.
     """
-    finite = (v for v in rho.values.values() if v is not INF)
-    return list(rho.cached(("crit",), lambda: sorted({Fraction(0), *finite})))
+    def build():
+        # deduplicated by (numerator, denominator): a tuple of ints hashes far
+        # faster than a Fraction, and there is one value per comparable pair
+        finite = {v.as_integer_ratio(): v for v in rho.values.values() if v is not INF}
+        return sorted({(0, 1): Fraction(0), **finite}.values())
+
+    return list(rho.cached(("crit",), build))
 
 
 @dataclass(frozen=True)
 class Stratum:
     """One constancy interval of r: the point {0}, a half-open (lo, hi], or the
     unbounded tail (lo, oo).  `rep` is the exact representative used for all
-    neighborhood computations on the stratum."""
+    neighborhood computations on the stratum.  `level` is the level of `rep`
+    (`level`), which is also the stratum's index in `strata`."""
 
     lo: Fraction
     hi: Optional[Fraction]  # None for the unbounded tail
     rep: Fraction
     kind: str  # "zero" | "interval" | "top"
+    level: int
 
     def contains(self, r: Fraction) -> bool:
         if self.kind == "zero":
@@ -403,11 +425,11 @@ class Stratum:
 
 def strata(rho: HeightDiff) -> List[Stratum]:
     crit = critical_values(rho)
-    out = [Stratum(Fraction(0), Fraction(0), Fraction(0), "zero")]
-    for lo, hi in zip(crit, crit[1:]):
-        out.append(Stratum(lo, hi, hi, "interval"))
+    out = [Stratum(Fraction(0), Fraction(0), Fraction(0), "zero", 0)]
+    for k, (lo, hi) in enumerate(zip(crit, crit[1:]), 1):
+        out.append(Stratum(lo, hi, hi, "interval", k))
     top = crit[-1]
-    out.append(Stratum(top, None, top + 1, "top"))
+    out.append(Stratum(top, None, top + 1, "top", len(crit)))
     return out
 
 

@@ -86,13 +86,21 @@ class PersistenceModule(Memo):
             out = Mat.eye(self.field, self.dims[a])
         else:
             step = next(hi for hi in self.poset.ups[a] if self.poset.leq[hi, b])
-            out = self.map_for_idx(step, b) @ self.maps[(a, step)]
+            if step == b:  # a cover: its own map, no product with an identity
+                out = self.maps[(a, b)]
+            else:
+                out = self.map_for_idx(step, b) @ self.maps[(a, step)]
         self.memo[("map", a, b)] = out
         return out
 
     def key(self) -> tuple:
         return self.cached(("key",), lambda: (self.poset.key(), self.field, self.dims, tuple(
             sorted((c, self.maps[c].entries()) for c in self.maps))))
+
+    def same(self, other: "PersistenceModule") -> bool:
+        """self is other, or has other's content; the content keys are built
+        only for two distinct objects."""
+        return self is other or self.key() == other.key()
 
     def __repr__(self):
         return f"PersistenceModule(dims={list(self.dims)})"
@@ -106,11 +114,18 @@ class ModuleReport:
 
 
 def validate_module(m: PersistenceModule) -> ModuleReport:
-    """Check cover-map shapes and path-independence for every comparable pair.
+    """Check cover-map shapes, then that M is a functor: every two cover paths
+    between the same elements compose to the same map.
 
-    Path-independence is verified by a first-branch scan: for each pair a < b,
-    the composites over all covers a < mid <= b must agree; inductively this
-    pins down every cover path.
+    It suffices to check, for every element a with a nonzero space, every two
+    covers h1, h2 of a and every minimal common upper bound c of h1 and h2
+    with a nonzero space, that M(h1 <= c) M(a <= h1) = M(h2 <= c) M(a <= h2).
+    By induction from the top, let every two paths that start above a agree.
+    Two paths from a to b through covers h1 != h2 of a: b lies above some
+    minimal common upper bound c of h1 and h2, so each path is M(c <= b) after
+    its side of the square at c, and the two agree when the square does.  A
+    zero space at a or c makes both sides zero.  A violation is reported as
+    (a, c, h1, h2).
     """
     P = m.poset
     shape_bad = []
@@ -121,17 +136,22 @@ def validate_module(m: PersistenceModule) -> ModuleReport:
     if shape_bad:
         return ModuleReport(valid=False, shape_violations=shape_bad)
     comm_bad = []
-    for a, b in P.comparable_pairs():
-        branches = [hi for hi in P.ups[a] if P.leq[hi, b]]
-        if len(branches) < 2:  # every path takes the same first step: nothing to compare
+    for a, ups in enumerate(P.ups):
+        if not m.dims[a]:
             continue
-        # the first branch is map_for_idx's own path: reuse and cache it
-        composites = [(hi, m.map_for_idx(hi, b) @ m.maps[(a, hi)] if i else m.map_for_idx(a, b))
-                      for i, hi in enumerate(branches)]
-        for (h1, c1), (h2, c2) in zip(composites, composites[1:]):
-            if c1 != c2:
-                comm_bad.append((P.elements[a], P.elements[b], P.elements[h1], P.elements[h2]))
+        for h1, h2 in itertools.combinations(ups, 2):
+            for c in P.minimal_upper_bounds(h1, h2):
+                if m.dims[c] and _via(m, a, h1, c) != _via(m, a, h2, c):
+                    comm_bad.append((P.elements[a], P.elements[c], P.elements[h1], P.elements[h2]))
     return ModuleReport(valid=not comm_bad, commutativity_violations=comm_bad)
+
+
+def _via(m: PersistenceModule, a: int, h: int, c: int) -> Mat:
+    """M(h <= c) M(a <= h) for a cover h of a; when h is map_for_idx's own
+    first step from a toward c, that composite is M(a <= c), made and kept."""
+    if h == next(x for x in m.poset.ups[a] if m.poset.leq[x, c]):
+        return m.map_for_idx(a, c)
+    return m.map_for_idx(h, c) @ m.maps[(a, h)]
 
 
 def zero_module(poset: FinitePoset, fieldspec: FieldSpec) -> PersistenceModule:
@@ -221,7 +241,7 @@ class ModuleMorphism:
 
     def compose(self, other: "ModuleMorphism") -> "ModuleMorphism":
         """self after other."""
-        if other.target is not self.source and other.target.key() != self.source.key():
+        if not other.target.same(self.source):
             raise ValueError("composition source/target mismatch")
         comps = [self.components[i] @ other.components[i] for i in range(len(self.components))]
         return ModuleMorphism(other.source, self.target, comps)
@@ -420,11 +440,17 @@ def submodule_from_bases(parent: PersistenceModule, bases: Sequence[Mat]) -> Sub
     """Build the submodule spanned pointwise by `bases`; raises if the spans are
     not closed under the structure maps.  Bases are canonicalized (pivot columns)."""
     P, F = parent.poset, parent.field
-    canon = [image_basis(b) for b in bases]
+    # an empty shape spans nothing: its basis is empty, found without an rref
+    canon = [image_basis(b) if b.rows and b.cols else Mat.zeros(F, b.rows, 0) for b in bases]
     maps = {}
     for (a, b) in P.covers:
-        pushed = parent.maps[(a, b)] @ canon[a]
-        w = solve(canon[b], pushed)
+        ca, cb = canon[a], canon[b]
+        if ca.cols and cb.cols:
+            w = solve(cb, parent.maps[(a, b)] @ ca)
+        else:  # the zero map, closed unless a nonzero span is pushed off a zero one
+            w = Mat.zeros(F, cb.cols, ca.cols)
+            if ca.cols and cb.rows and not (parent.maps[(a, b)] @ ca).is_zero():
+                w = None
         if w is None:
             raise SubmoduleError(
                 f"span not closed under the structure map on cover "

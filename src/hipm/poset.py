@@ -158,7 +158,8 @@ class FinitePoset:
 
     def comparable_pairs(self) -> List[Tuple[int, int]]:
         """All (i, j) with element i <= element j, including i == j, in index order."""
-        return [(int(i), int(j)) for i, j in np.argwhere(self.leq)]
+        i, j = np.nonzero(self.leq)
+        return list(zip(i.tolist(), j.tolist()))
 
     def down_set(self, a: str) -> FrozenSet[str]:
         i = self.idx(a)
@@ -173,6 +174,12 @@ class FinitePoset:
 
     def up_idx(self, i: int) -> List[int]:
         return [int(j) for j in np.flatnonzero(self.leq[i, :])]
+
+    def minimal_upper_bounds(self, i: int, j: int) -> List[int]:
+        """The minimal elements of {c : i <= c and j <= c}, ascending: a bound
+        c is minimal when it is the only common upper bound below c."""
+        common = self.leq[i] & self.leq[j]
+        return np.flatnonzero(common & (self.leq[common].sum(axis=0) == 1)).tolist()
 
     def interval_idx(self, i: int, j: int) -> List[int]:
         return [int(z) for z in np.flatnonzero(self.leq[i, :] & self.leq[:, j])]

@@ -1,0 +1,78 @@
+"""Counts of the work that timing noise hides.
+
+Each guard patches one primitive to count its calls and bounds the count of a
+whole operation: the composites `validate_module` forms, the content keys
+`distance` builds, and the critical-value bisections under `distance`.
+"""
+
+import bisect
+import random
+
+import pytest
+
+from hipm.exactlin import FieldSpec, Mat
+from hipm.height import from_phi, rho_diag
+from hipm.interleave import distance
+from hipm.pmod import PersistenceModule, direct_sum, interval_module, validate_module
+from hipm.poset import FinitePoset
+from hipm.randgen import random_conjugate, random_module, random_phi, random_poset
+
+GF2, GF3 = FieldSpec("gfp", 2), FieldSpec("gfp", 3)
+
+
+def counting(monkeypatch, owner, name):
+    """Patch owner.name to count its calls; returns the one-item count list."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def pairs():
+    """(rho, m, n): random DAGs over GF(2) and GF(3), each module against a
+    random one and against a twisted copy of itself, and a 3x3 grid with the
+    diagonal difference."""
+    rng = random.Random(19)
+    out = []
+    for n_el, field in ((7, GF2), (6, GF3)):
+        P = random_poset(rng, n_el, 0.4)
+        m = random_module(rng, P, field, 2)
+        out.append((from_phi(random_phi(rng, P)), m, random_module(rng, P, field, 2)))
+        out.append((from_phi(random_phi(rng, P)), m, random_conjugate(rng, m)))
+    G = FinitePoset.grid([3, 3])
+    m = random_module(rng, G, GF2, 2)
+    out.append((rho_diag(G), m, random_module(rng, G, GF2, 2)))
+    return out
+
+
+def test_validate_module_forms_two_composites_per_square(monkeypatch):
+    G = FinitePoset.grid([5, 5])
+    whole = interval_module(G, G.elements, GF3)
+    m = random_conjugate(random.Random(3), direct_sum(whole, whole))
+    assert all(m.dims)
+    m = PersistenceModule(G, m.field, m.dims, m.maps)  # a fresh memo
+    calls = counting(monkeypatch, Mat, "__matmul__")
+    assert validate_module(m).valid
+    assert calls[0] <= 2 * 4 * 4  # a 5x5 grid has 16 squares
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_distance_builds_no_content_key(monkeypatch, case):
+    rho, m, n = pairs()[case]
+    calls = counting(monkeypatch, Mat, "entries")
+    rep = distance(rho, m, n, budget=4096)
+    assert calls[0] == 0
+    assert any(sv.verdict in ("yes", "no") for sv in rep.strata[1:])  # the search ran
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_no_functor_under_distance_bisects_the_critical_values(monkeypatch, case):
+    rho, m, n = pairs()[case]
+    calls = counting(monkeypatch, bisect, "bisect_left")
+    distance(rho, m, n, budget=4096)
+    assert calls[0] == 0

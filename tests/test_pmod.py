@@ -11,6 +11,7 @@ from hipm.interleave import check_certificate
 from hipm.pmod import (
     ModuleMorphism,
     PersistenceModule,
+    SubmoduleError,
     direct_sum,
     hom_basis,
     interval_module,
@@ -18,6 +19,7 @@ from hipm.pmod import (
     morphism_preimage,
     pullback_module,
     quotient_by_submodule,
+    submodule_from_bases,
     submodule_full,
     submodule_image,
     submodule_intersection,
@@ -209,6 +211,22 @@ def test_submodule_image_kernel(chain4):
     assert [b.cols for b in ker.bases] == [0, 0, 1, 1]
     pre = morphism_preimage(f, submodule_zero(n))
     assert [b.cols for b in pre.bases] == [0, 0, 1, 1]
+
+
+def test_submodule_spans_with_an_empty_side(chain4):
+    """An empty span on either end of a cover gives the zero map, and closure
+    fails only when a nonzero span is pushed onto an empty one."""
+    m = interval_module(chain4, ["a", "b", "c", "d"], GF2)
+    one, none = Mat.eye(GF2, 1), Mat.zeros(GF2, 1, 0)
+    sub = submodule_from_bases(m, [none, none, one, one])
+    assert [b.cols for b in sub.bases] == [0, 0, 1, 1]
+    assert sub.module.maps[(1, 2)] == Mat.zeros(GF2, 1, 0)
+    assert sub.module.maps[(0, 1)] == Mat.zeros(GF2, 0, 0)
+    with pytest.raises(SubmoduleError, match="'b', 'c'"):
+        submodule_from_bases(m, [one, one, none, none])
+    short = interval_module(chain4, ["a", "b"], GF2)  # zero past b: nothing is pushed out
+    sub = submodule_from_bases(short, [one, one, Mat.zeros(GF2, 0, 0), Mat.zeros(GF2, 0, 0)])
+    assert sub.module.dims == (1, 1, 0, 0) and validate_module(sub.module).valid
 
 
 def test_canonical_pair_map_deterministic():
