@@ -59,8 +59,8 @@ def resolve(argv):
 class Instance:
     """One poset, height and module pair, written under inputs/ as NAME_*.json."""
 
-    def __init__(self, name, poset, height_doc, m, n, field, full_en=True, grid=None):
-        self.name, self.poset, self.field, self.full_en = name, poset, field, full_en
+    def __init__(self, name, poset, height_doc, m, n, field, grid=None):
+        self.name, self.poset, self.field = name, poset, field
         self.files = {}
         self._write("poset", poset_to_json(poset))
         if grid is not None:  # poset_to_json drops coordinates: oracle-grid loads the grid itself
@@ -120,8 +120,7 @@ class Instance:
                                                "--map", self.files["incl"]])
         pair = ["--module2", self.files["N"]]
         out.append(self.base("distance") + pair)
-        if self.full_en:  # exhaustive erosion enumeration takes 5-60 s on the larger inputs
-            out.append(self.base("en-distance") + pair)
+        out.append(self.base("en-distance") + pair)
         out.append(["--budget", "20"] + self.base("en-distance") + pair)
         for r in SCALES:
             out.append(self.base("interleave") + pair + ["--r", r])
@@ -147,7 +146,7 @@ def instances():
         other = random_module(random.Random(f.p), ex.poset, f, max_dim=2)
         phi = {e: str(v) for e, v in ex.phi.phi.items()}
         out.append(Instance(f"grid{f.p}", ex.poset, {"phi": phi}, ex.module, other, f,
-                            full_en=False, grid=[4, 3]))
+                            grid=[4, 3]))
     ch = chain_example(2)
     phi = {e: str(v) for e, v in ch.phi.phi.items()}
     out.append(Instance("chainMN", ch.poset, {"phi": phi}, ch.M, ch.N, GF2))
@@ -169,7 +168,7 @@ def instances():
         doc = {"phi": {e: str(v) for e, v in phi.phi.items()}}
         m = random_module(rng, P, f, max_dim=2)
         n = random_module(rng, P, f, max_dim=2)
-        out.append(Instance(f"rand{seed}", P, doc, m, n, f, full_en=seed != 4))
+        out.append(Instance(f"rand{seed}", P, doc, m, n, f))
     rng = random.Random(2000)
     P = random_poset(rng, 5)
     phi = random_phi(rng, P, max_step=2)
