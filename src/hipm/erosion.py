@@ -6,14 +6,20 @@ are compared by asking for a common isomorphism class of such subquotients; the
 resulting distance lower-bounds the interleaving distance and, under the
 connected-intersections property, determines it up to a factor 2 plus the
 intermediate-value defect.
+
+Isomorphic modules have equal dimension vectors, and a neighborhood's vector
+dim M1(a) - dim M2(a) is known before its quotient is formed.  So the
+enumeration keys each (M1, M2) pair by that vector, and `d_en` forms,
+deduplicates and compares quotients only in the vectors both modules reach.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .exactlin import FieldSpec, Mat, factor_at, hstack, kernel_basis, quotient_map, solve, vstack
 from .height import HeightDiff
@@ -211,11 +217,52 @@ def _subspaces_between(fieldspec: FieldSpec, lower: Mat, upper: Mat) -> List[Mat
     return out
 
 
+Vector = Tuple[int, ...]
+
+
 @dataclass
 class EnEnumeration:
-    members: List[Subquotient]
+    """The closed (M1, M2) families of one enumeration, in enumeration order.
+
+    Each pair is (M1, the bases of M2 in M1's parent, the dimension vector of
+    M1/M2), the vector read off the bases as dim M1(a) - dim M2(a).  Nothing is
+    formed until asked for: `members_with(vectors)` forms the quotients whose
+    vector is listed and deduplicates each against the members with the same
+    vector, and `members` is that over every vector.
+    """
+
+    pairs: List[Tuple[Submodule, List[Mat], Vector]]
     complete: bool
-    raw_count: int = 0
+
+    @property
+    def raw_count(self) -> int:
+        return len(self.pairs)
+
+    @property
+    def vectors(self) -> Set[Vector]:
+        return {vec for _, _, vec in self.pairs}
+
+    def members_with(self, vectors: Set[Vector]) -> Iterator[Subquotient]:
+        """The members whose dimension vector is in `vectors`, in member order.
+
+        Modules with different dimension vectors are never isomorphic, so a
+        quotient is compared only with the members of its own vector: the
+        result is the full member list restricted to `vectors`."""
+        seen: Dict[Vector, List[Subquotient]] = {}
+        for m1, bases2, vec in self.pairs:
+            if vec not in vectors:
+                continue
+            # no en_construct checks: M1 >= im_r and M2 <= M1 & ker_r by construction
+            sq = quotient_by_submodule(m1, submodule_from_bases(m1.parent, bases2))
+            bucket = seen.setdefault(vec, [])
+            if not any(is_isomorphic(sq.quotient, s.quotient).verdict == "yes" for s in bucket):
+                bucket.append(sq)
+                yield sq
+
+    @cached_property
+    def members(self) -> List[Subquotient]:
+        """Every r-erosion neighborhood up to isomorphism, in enumeration order."""
+        return list(self.members_with(self.vectors))
 
 
 def _enumerate_closed_families(m: PersistenceModule, choices: List[List[Mat]],
@@ -262,10 +309,12 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
     """All r-erosion neighborhoods of m up to isomorphism (finite fields only).
 
     Enumerates pointwise subspace families for M1 (above the latching image)
-    and M2 (inside the matching kernel and M1), keeps the closed ones, forms
-    quotients, and deduplicates by the budgeted isomorphism test.  If the
-    backtracking budget runs out the listing is flagged incomplete.  k is
-    the level of r when the caller knows it.
+    and M2 (inside the matching kernel and M1) and keeps the closed ones, each
+    pair with the dimension vector of its quotient.  The quotients are formed
+    and deduplicated by the budgeted isomorphism test only when read
+    (`EnEnumeration.members`, `members_with`).  If the backtracking budget
+    runs out the listing is flagged incomplete.  k is the level of r when the
+    caller knows it.
     """
     r = Fraction(r)
     if not m.field.is_prime_field:
@@ -281,8 +330,7 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
     countdown = [budget]
     m1_families = _enumerate_closed_families(m, m1_choices, countdown)
     complete = countdown[0] > 0
-    members: List[Subquotient] = []
-    raw = 0
+    pairs = []
     for fam1 in m1_families:
         m1 = submodule_from_bases(m, fam1)
         ceiling = submodule_intersection(m1, kerr)
@@ -294,16 +342,9 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
         m2_families = _enumerate_closed_families(m, m2_choices, countdown)
         if countdown[0] <= 0:
             complete = False
-        for fam2 in m2_families:
-            # no en_construct checks: M1 >= im_r and M2 <= M1 & ker_r by construction
-            sq = quotient_by_submodule(m1, submodule_from_bases(m, fam2))
-            raw += 1
-            if not any(
-                is_isomorphic(sq.quotient, seen.quotient).verdict == "yes"
-                for seen in members
-            ):
-                members.append(sq)
-    return EnEnumeration(members=members, complete=complete, raw_count=raw)
+        pairs.extend((m1, fam2, tuple(b1.cols - b2.cols for b1, b2 in zip(m1.bases, fam2)))
+                     for fam2 in m2_families)
+    return EnEnumeration(pairs, complete)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +359,8 @@ def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule, n: Pe
     k = _level(rho, rep, k)
     em = submodule_image(e_r(rho, rep, m, k)).module
     en_ = submodule_image(e_r(rho, rep, n, k)).module
-    if is_isomorphic(em, en_, budget=budget).verdict == "yes":
+    # like every isomorphism test under d_en, asked only where the dimensions agree
+    if em.dims == en_.dims and is_isomorphic(em, en_, budget=budget).verdict == "yes":
         return "yes", "erosion-iso", erosion_subquotient(rho, rep, m, k)
     res = find_interleaving(rho, rep, m, n, budget, k)
     if res.verdict == "yes":  # the search's own certificate: no re-check
@@ -328,12 +370,18 @@ def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule, n: Pe
         return "unknown", "enumeration", None
     enum_m = en_enumerate(rho, rep, m, budget, k)
     enum_n = en_enumerate(rho, rep, n, budget, k)
-    for sm in enum_m.members:
-        for sn in enum_n.members:
-            iso = is_isomorphic(sm.quotient, sn.quotient, budget=budget)
-            if iso.verdict == "yes":
+    shared = enum_m.vectors & enum_n.vectors  # other members meet nothing on the far side
+    by_vector: Dict[Vector, List[Subquotient]] = {}
+    for sn in enum_n.members_with(shared):
+        by_vector.setdefault(sn.quotient.dims, []).append(sn)
+    undecided = False
+    for sm in enum_m.members_with(shared):
+        for sn in by_vector[sm.quotient.dims]:
+            verdict = is_isomorphic(sm.quotient, sn.quotient, budget=budget).verdict
+            if verdict == "yes":
                 return "yes", "enumeration", sm
-    if enum_m.complete and enum_n.complete:
+            undecided = undecided or verdict == "unknown"
+    if enum_m.complete and enum_n.complete and not undecided:
         return "no", "enumeration", None
     return "unknown", "enumeration", None
 
@@ -344,8 +392,12 @@ def d_en(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
 
     Stratum verdict: do the r-erosion-neighborhood classes of m and n intersect?
     Canonical candidates (the erosions themselves, then the certificate-derived
-    neighborhood) are tried before full cross-enumeration.  Incomplete
-    enumerations, and any over the rationals, degrade the verdict to unknown
-    and the distance to a bracket.
+    neighborhood) are tried before full cross-enumeration.  The cross test
+    enumerates both modules' (M1, M2) pairs, then forms and deduplicates the
+    quotients only in the dimension vectors both sides reach and compares each
+    m-member, in member order, with the n-members of its vector; disjoint
+    vectors decide "no" with no quotient formed.  Incomplete enumerations, an
+    undecided isomorphism test in the cross test, and any enumeration over the
+    rationals degrade the verdict to unknown and the distance to a bracket.
     """
     return stratified_report(rho, lambda st: _en_stratum_test(rho, st.rep, m, n, budget, st.level))

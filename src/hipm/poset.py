@@ -224,9 +224,8 @@ def _transitive_closure(adj: np.ndarray) -> np.ndarray:
     reach = adj.copy()
     if n == 0:
         return reach
-    step = adj.astype(np.uint8)
     while True:
-        nxt = reach | ((reach.astype(np.uint8) @ step) > 0)
+        nxt = reach | (reach @ adj)  # a bool matmul is an OR of ANDs: no count to wrap
         if (nxt == reach).all():
             return reach
         reach = nxt
@@ -236,7 +235,7 @@ def _transitive_reduction(lt: np.ndarray) -> np.ndarray:
     # a cover survives iff no intermediate element witnesses it as composite
     if lt.shape[0] == 0:
         return lt.copy()
-    via = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
+    via = lt @ lt  # bool: an OR of ANDs, no count to wrap
     return lt & ~via
 
 
@@ -269,9 +268,9 @@ def is_diamond_free(poset: FinitePoset) -> bool:
     n = len(poset)
     if n == 0:
         return True
-    L = poset.leq.astype(np.uint8)
-    common_lower = (L.T @ L) > 0  # [x,y]: exists z <= x and z <= y
-    common_upper = (L @ L.T) > 0  # [x,y]: exists z >= x and z >= y
+    L = poset.leq  # bool matmuls: ORs of ANDs, no count to wrap
+    common_lower = L.T @ L  # [x,y]: exists z <= x and z <= y
+    common_upper = L @ L.T  # [x,y]: exists z >= x and z >= y
     incomparable = ~(poset.leq | poset.leq.T)
     return not bool((incomparable & common_lower & common_upper).any())
 

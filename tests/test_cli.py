@@ -626,3 +626,28 @@ def test_cli_rejects_modules_over_different_fields(capsys, tmp_path, command):
         argv += ["--r", "1"]
     code, err = _error(capsys, argv)
     assert code == 1 and err.startswith("--module2:") and "GF(2)" in err and "GF(3)" in err
+
+
+@pytest.mark.parametrize("budget,code,verdict,via", [(3, 2, "unknown", "enumeration"),
+                                                     (7, 0, "yes", "erosion-iso")])
+def test_cli_en_distance_keeps_an_undecided_isomorphism_undecided(capsys, tmp_path, budget,
+                                                                  code, verdict, via):
+    """M = id and N = the swap on a < b over GF(2) are isomorphic.  At budget 3
+    the erosion iso test and the cross test of the neighborhoods are all
+    unknown, so stratum [0, 0] is unknown, not a "no" from an exhausted
+    enumeration; at budget 7 the erosions are found isomorphic."""
+    docs = {"poset": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+            "phi": {"phi": {"a": "0", "b": "1"}}}
+    for key, swap in (("M", [[1, 0], [0, 1]]), ("N", [[0, 1], [1, 0]])):
+        docs[key] = {"field": {"kind": "gfp", "p": 2}, "dims": {"a": 2, "b": 2},
+                     "maps": {"a|b": swap}}
+    files = {}
+    for key, doc in docs.items():
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(doc))
+    got, rep = _run(capsys, ["--field", "gf2", "--budget", str(budget), "en-distance",
+                             "--poset", str(files["poset"]), "--height", str(files["phi"]),
+                             "--module", str(files["M"]), "--module2", str(files["N"])])
+    assert got == code and rep["decided"] == (code == 0)
+    assert rep["strata"][0] == {"interval": ["0", "0"], "verdict": verdict, "via": via}
+    assert rep["distance"] == "0"

@@ -2,20 +2,27 @@
 
 Each guard patches one primitive to count its calls and bounds the count of a
 whole operation: the composites `validate_module` forms, the content keys
-`distance` builds, and the critical-value bisections under `distance`.
+`distance` builds, the critical-value bisections under `distance`, and the
+isomorphism tests and quotients of `d_en`'s enumeration stage.
 """
 
 import bisect
+import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hipm import erosion
+from hipm.erosion import _en_stratum_test, d_en
 from hipm.exactlin import FieldSpec, Mat
-from hipm.height import from_phi, rho_diag
+from hipm.height import from_phi, rho_diag, strata
 from hipm.interleave import distance
 from hipm.pmod import PersistenceModule, direct_sum, interval_module, validate_module
 from hipm.poset import FinitePoset
 from hipm.randgen import random_conjugate, random_module, random_phi, random_poset
+from hipm.serde import load_height, load_module, load_poset
 
 GF2, GF3 = FieldSpec("gfp", 2), FieldSpec("gfp", 3)
 
@@ -75,4 +82,36 @@ def test_no_functor_under_distance_bisects_the_critical_values(monkeypatch, case
     rho, m, n = pairs()[case]
     calls = counting(monkeypatch, bisect, "bisect_left")
     distance(rho, m, n, budget=4096)
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("case", [0, 2, 4])  # the pairs that are not isomorphic
+def test_d_en_never_asks_for_an_isomorphism_across_dimension_vectors(monkeypatch, case):
+    rho, m, n = pairs()[case]
+    original = erosion.is_isomorphic
+    asked, across = [], []
+
+    def checked(a, b, *args, **kwargs):
+        (asked if a.dims == b.dims else across).append((a.dims, b.dims))
+        return original(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(erosion, "is_isomorphic", checked)
+    rep = d_en(rho, m, n, budget=4096)
+    assert across == [] and asked
+    assert any(sv.via == "enumeration" for sv in rep.strata)  # the enumeration ran
+
+
+def test_grid3_forms_no_quotient_where_no_vector_is_shared(monkeypatch):
+    """The golden grid3 pair at (0, 1]: the neighborhoods of M and N share no
+    dimension vector, so the stratum is a "no" with no quotient formed."""
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    doc = {key: json.loads((inputs / f"grid3_{key}.json").read_text())
+           for key in ("poset", "height", "M", "N")}
+    P = load_poset(doc["poset"])
+    rho = load_height(doc["height"], P)
+    m, n = (load_module(doc[key], P, GF3) for key in ("M", "N"))
+    stratum = next(st for st in strata(rho) if (st.lo, st.hi) == (0, Fraction(1)))
+    calls = counting(monkeypatch, erosion, "quotient_by_submodule")
+    assert _en_stratum_test(rho, stratum.rep, m, n, 65536, stratum.level) == (
+        "no", "enumeration", None)
     assert calls[0] == 0

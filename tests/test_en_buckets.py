@@ -1,0 +1,189 @@
+"""The dimension-vector buckets of `d_en`'s enumeration stage, against the
+pairwise procedure they replace.
+
+The oracle forms every erosion neighborhood's quotient, deduplicates each
+against all members so far and cross-tests every pair of members, with an
+undecided isomorphism test making the stratum undecided.  The bucketed stage
+must agree with it exactly: same verdict, via and witness at every stratum,
+and the same members in the same order.  That holds for any isomorphism test
+that says "no" on different dimension vectors, so it is also checked with a
+coarse stand-in whose "yes" and "unknown" are common enough to reach every
+branch of the cross test.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from hipm import erosion
+from hipm.erosion import (
+    _canonical_side,
+    _enumerate_closed_families,
+    _en_stratum_test,
+    _subspaces_between,
+    en_enumerate,
+)
+from hipm.exactlin import GF2, FieldSpec, Mat
+from hipm.functors import e_r, erosion_subquotient, im_r, ker_r, sharp
+from hipm.height import from_phi, strata
+from hipm.interleave import InterleaveResult
+from hipm.pmod import (
+    IsoResult,
+    PersistenceModule,
+    quotient_by_submodule,
+    submodule_from_bases,
+    submodule_image,
+    submodule_intersection,
+)
+from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
+from hipm.serde import _subquotient_to_json
+
+GF3 = FieldSpec("gfp", 3)
+
+
+def oracle_enumerate(rho, r, m, budget, k):
+    """(members, complete): every quotient formed, each deduplicated against
+    all members before it."""
+    P = m.poset
+    imr, kerr = im_r(rho, r, m, k), ker_r(rho, r, m, k)
+    m1_choices = [_subspaces_between(m.field, imr.bases[i], Mat.eye(m.field, m.dims[i]))
+                  for i in range(len(P))]
+    countdown = [budget]
+    m1_families = _enumerate_closed_families(m, m1_choices, countdown)
+    complete = countdown[0] > 0
+    members = []
+    for fam1 in m1_families:
+        m1 = submodule_from_bases(m, fam1)
+        ceiling = submodule_intersection(m1, kerr)
+        m2_choices = [_subspaces_between(m.field, Mat.zeros(m.field, m.dims[i], 0),
+                                         ceiling.bases[i]) for i in range(len(P))]
+        m2_families = _enumerate_closed_families(m, m2_choices, countdown)
+        if countdown[0] <= 0:
+            complete = False
+        for fam2 in m2_families:
+            sq = quotient_by_submodule(m1, submodule_from_bases(m, fam2))
+            if not any(erosion.is_isomorphic(sq.quotient, seen.quotient).verdict == "yes"
+                       for seen in members):
+                members.append(sq)
+    return members, complete
+
+
+def oracle_stratum_test(rho, rep, m, n, budget, k, enumerations):
+    """(verdict, via, witness) with a cross test over all pairs of members;
+    `enumerations` holds `oracle_enumerate`'s value for m and for n."""
+    em = submodule_image(e_r(rho, rep, m, k)).module
+    en_ = submodule_image(e_r(rho, rep, n, k)).module
+    if erosion.is_isomorphic(em, en_, budget=budget).verdict == "yes":
+        return "yes", "erosion-iso", erosion_subquotient(rho, rep, m, k)
+    res = erosion.find_interleaving(rho, rep, m, n, budget, k)
+    if res.verdict == "yes":
+        p, q = res.certificate.p, res.certificate.q
+        return "yes", "certificate", _canonical_side(rho, rep, m, sharp(rho, rep, m, q, k), p, k)
+    (members_m, complete_m), (members_n, complete_n) = enumerations
+    undecided = False
+    for sm in members_m:
+        for sn in members_n:
+            verdict = erosion.is_isomorphic(sm.quotient, sn.quotient, budget=budget).verdict
+            if verdict == "yes":
+                return "yes", "enumeration", sm
+            undecided = undecided or verdict == "unknown"
+    if complete_m and complete_n and not undecided:
+        return "no", "enumeration", None
+    return "unknown", "enumeration", None
+
+
+def coarse_iso(m, n, budget=None):
+    """A stand-in isomorphism test: "no" on different dimension vectors, else
+    a verdict read off the total dimension."""
+    if m.dims != n.dims:
+        return IsoResult("no")
+    return IsoResult(("yes", "unknown", "yes", "no")[sum(m.dims) % 4])
+
+
+def same_witness(got, want):
+    return got[:2] == want[:2] and (got[2] is None) == (want[2] is None) and (
+        got[2] is None or _subquotient_to_json(got[2]) == _subquotient_to_json(want[2]))
+
+
+def same_members(got, want):
+    return len(got) == len(want) and all(
+        a.sub1.bases == b.sub1.bases and a.sub2.bases == b.sub2.bases
+        and a.quotient.dims == b.quotient.dims and a.quotient.maps == b.quotient.maps
+        for a, b in zip(got, want))
+
+
+def twin(rng, m):
+    """A module on m's forest with m's dimension vector and random maps (on a
+    forest any maps are functorial), so that the two share buckets."""
+    gen = np.random.default_rng(rng.randrange(2 ** 32))
+    maps = {(a, b): Mat(m.field, gen.integers(m.field.p, size=(m.dims[b], m.dims[a])))
+            for (a, b) in m.poset.covers}
+    return PersistenceModule(m.poset, m.field, m.dims, maps)
+
+
+def instance(seed, size, forest, field, twinned, budget):
+    """(rho, m, n, budget) on a random forest or DAG; on a forest n may be a
+    twin of m."""
+    rng = random.Random(seed)
+    P = random_forest_poset(rng, size) if forest else random_poset(rng, size)
+    rho = from_phi(random_phi(rng, P, max_step=2))
+    m = random_module(rng, P, field, max_dim=2)
+    n = twin(rng, m) if forest and twinned else random_module(rng, P, field, max_dim=2)
+    return rho, m, n, budget
+
+
+instances = st.builds(instance, st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.booleans(),
+                      st.sampled_from([GF2, GF3]), st.booleans(), st.sampled_from([3, 20, 65536]))
+
+
+@given(instances)
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_bucketed_stage_matches_the_pairwise_oracle(case):
+    rho, m, n, budget = case
+    for stratum in strata(rho):
+        rep, k = stratum.rep, stratum.level
+        oracle = [oracle_enumerate(rho, rep, mod, budget, k) for mod in (m, n)]
+        got = _en_stratum_test(rho, rep, m, n, budget, k)
+        assert same_witness(got, oracle_stratum_test(rho, rep, m, n, budget, k, oracle))
+        for mod, (members, complete) in zip((m, n), oracle):
+            enum = en_enumerate(rho, rep, mod, budget, k)
+            assert enum.complete == complete
+            assert same_members(enum.members, members)
+            for m1, bases2, vec in enum.pairs:  # each predicted vector is its quotient's
+                sq = quotient_by_submodule(m1, submodule_from_bases(mod, bases2))
+                assert sq.quotient.dims == vec
+
+
+@given(instances)
+@example(instance(1, 4, True, GF2, True, 20))  # first "yes" members in two buckets, out of vector order
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_bucketed_stage_matches_the_pairwise_oracle_on_a_coarse_iso_test(case):
+    """With the coarse stand-in and an interleaving search that finds nothing,
+    every stratum reaches the cross test."""
+    rho, m, n, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(erosion, "is_isomorphic", coarse_iso)
+        mp.setattr(erosion, "find_interleaving", lambda *args: InterleaveResult("no"))
+        for stratum in strata(rho):
+            rep, k = stratum.rep, stratum.level
+            oracle = [oracle_enumerate(rho, rep, mod, budget, k) for mod in (m, n)]
+            got = _en_stratum_test(rho, rep, m, n, budget, k)
+            assert same_witness(got, oracle_stratum_test(rho, rep, m, n, budget, k, oracle))
+
+
+def test_members_with_keeps_member_order_within_the_listed_vectors():
+    rng = random.Random(5)
+    P = random_poset(rng, 5)
+    rho = from_phi(random_phi(rng, P, max_step=2))
+    m = random_module(rng, P, GF2, max_dim=2)
+    r = strata(rho)[-1].rep  # past every critical value: every subquotient
+    enum = en_enumerate(rho, r, m)
+    assert len(enum.vectors) > 1
+    for vec in sorted(enum.vectors):
+        want = [sq for sq in enum.members if sq.quotient.dims == vec]
+        assert same_members(list(enum.members_with({vec})), want)
+    assert same_members(list(enum.members_with(enum.vectors)), enum.members)
+    assert list(enum.members_with(set())) == []
+    assert enum.raw_count == len(enum.pairs) >= len(enum.members)

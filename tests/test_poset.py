@@ -191,3 +191,39 @@ def test_subposet_covers_recomputed():
     p = FinitePoset.chain(["a", "b", "c"])
     assert p.subposet_covers([0, 2]) == [(0, 2)]
     assert p.subposet_covers([0, 1, 2]) == [(0, 1), (1, 2)]
+
+
+# Order facts come from boolean matrix products.  A path or bound count stored
+# in a byte wraps to 0 at 256, so these posets are 256 elements wide.
+
+
+def _through(width, extra=()):
+    """x < m_i < y for `width` middle elements, plus the covers in `extra`."""
+    mids = [f"m{i}" for i in range(width)]
+    covers = [("x", m) for m in mids] + [(m, "y") for m in mids] + list(extra)
+    return FinitePoset.from_covers(["x", "y"] + mids, covers)
+
+
+@pytest.mark.parametrize("width", [255, 256, 300])
+def test_closure_counts_no_paths(width):
+    p = _through(width)
+    assert p.le("x", "y") and not p.le("y", "x")
+    assert len(p.comparable_pairs()) == 3 * width + 2 + 1
+
+
+@pytest.mark.parametrize("width", [255, 256])
+def test_covers_drop_a_cover_with_many_witnesses(width):
+    p = _through(width, extra=[("x", "y")])
+    assert len(p.covers) == 2 * width
+    assert (p.idx("x"), p.idx("y")) not in p.covers
+    assert p.subposet_covers(range(len(p))) == list(p.covers)
+
+
+@pytest.mark.parametrize("width", [255, 256])
+def test_diamond_with_many_common_lower_bounds(width):
+    # u, v incomparable below the top t, above `width` minimal elements
+    lows = [f"b{i}" for i in range(width)]
+    covers = [(b, "u") for b in lows] + [(b, "v") for b in lows] + [("u", "t"), ("v", "t")]
+    p = FinitePoset.from_covers(["u", "v", "t"] + lows, covers)
+    assert not is_diamond_free(p)
+    assert is_diamond_free(FinitePoset.from_covers(["u", "v"] + lows, covers[:-2]))
