@@ -26,6 +26,8 @@ sys.path.insert(0, str(HERE.parents[1] / "src"))
 from hipm.cli import main  # noqa: E402
 from hipm.exactlin import FieldSpec  # noqa: E402
 from hipm.fixtures import bipath_example, chain_example, grid_example  # noqa: E402
+from hipm.pmod import direct_sum, interval_module  # noqa: E402
+from hipm.poset import FinitePoset  # noqa: E402
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset  # noqa: E402
 from hipm.serde import module_to_json, poset_to_json  # noqa: E402
 
@@ -189,11 +191,37 @@ def repro_commands():
     return out
 
 
+def stress_commands():
+    """The GF(3) stress pair of `tests/test_bilinear.py`: four copies of the
+    interval [c1, c4] on the 8-chain against the same shifted up by 1, with the
+    diagonal height.  Its 1-interleaving sits past half a million candidates,
+    so at `--budget 2` the distance stays undecided."""
+    GF3 = FieldSpec("gfp", 3)
+    g = FinitePoset.grid([8])
+
+    def copies(lo, hi):
+        one = interval_module(g, list(g.elements[lo:hi + 1]), GF3)
+        out = one
+        for _ in range(3):
+            out = direct_sum(out, one)
+        return out
+
+    files = {}
+    for key, doc in (("poset", {"grid": [8]}), ("height", {"diag": True}),
+                     ("M", module_to_json(copies(1, 4))), ("N", module_to_json(copies(2, 5)))):
+        path = INPUTS / f"stress_{key}.json"
+        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+        files[key] = f"@inputs/{path.name}"
+    return [["--budget", "2", "--field", "gf3", "distance", "--poset", files["poset"],
+             "--height", files["height"], "--module", files["M"], "--module2", files["N"]]]
+
+
 def build():
     INPUTS.mkdir(exist_ok=True)
     for old in INPUTS.glob("*.json"):
         old.unlink()
-    commands = [c for inst in instances() for c in inst.commands()] + repro_commands()
+    commands = ([c for inst in instances() for c in inst.commands()] + repro_commands()
+                + stress_commands())
     corpus, dropped = [], []
     for argv in commands:
         res = run(resolve(argv))
