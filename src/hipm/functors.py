@@ -18,7 +18,8 @@ from typing import Tuple
 import numpy as np
 
 from .exactlin import Mat, factor_at, hstack, rref, solve, stacked_matmul, zeros
-from .height import HeightDiff, check_ivc, level, nbhd_iterated_idx, nbhd_tops, nbhds, pullback_rho
+from .height import (HeightDiff, check_ivc, level, nbhd_iterated_idx, nbhd_pairs, nbhd_tops, nbhds,
+                     pullback_rho)
 from .kan import (ColimResult, LimResult, colim_over, factor, factor_into_lim, factor_stack_from_colim,
                   induced, lim_over)
 from .pmod import (
@@ -47,6 +48,7 @@ __all__ = [
     "eta_L_to_id",
     "eta_R_from_id",
     "e_r",
+    "e_r_vanishes",
     "mu_L",
     "mu_R",
     "sharp",
@@ -293,6 +295,18 @@ def e_r(rho: HeightDiff, r, m: PersistenceModule, k=None) -> ModuleMorphism:
     k = _level(rho, r, k)
     return m.cached(("e", rho, k),
                     lambda: eta_R_from_id(rho, r, m, k).compose(eta_L_to_id(rho, r, m, k)))
+
+
+def e_r_vanishes(rho: HeightDiff, m: PersistenceModule, k: int) -> bool:
+    """Whether e_{r,M} = 0 for the scales r of level k, read off M's own maps.
+
+    At every a, the colimit legs from the maximal x of a's lower neighborhood
+    are jointly epimorphic, the limit legs to the minimal y of its upper one
+    are jointly monomorphic (a cone is fixed at the minimal nodes), and
+    leg_y e_r(a) leg_x = M(x <= y).  So e_r vanishes exactly when M(x <= y) = 0
+    on every pair of `height.nbhd_pairs`; no L_r, R_r or eta is built."""
+    return all(m.map_for_idx(x, y).is_zero() for x, y in nbhd_pairs(rho, k)
+               if m.dims[x] and m.dims[y])
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ __all__ = [
     "nbhd_iterated",
     "nbhds",
     "nbhd_tops",
+    "nbhd_pairs",
     "level",
     "levels",
     "critical_values",
@@ -328,12 +329,33 @@ def nbhd_tops(rho: HeightDiff, k: int) -> Tuple[Tuple[int, ...], ...]:
     above x.  Every element of a neighborhood lies below one of them, so the
     colimit legs from these elements are jointly epimorphic."""
     def build():
-        P = rho.poset
-        inside = levels(rho) >= k  # [x, a]: x in a's lower neighborhood
-        above = (P.leq & ~np.eye(len(P), dtype=bool)) @ inside  # [x, a]: some y > x in it
-        return _rows((inside & ~above).T)
+        return _rows(_tops_mask(rho, k).T)
 
     return rho.cached(("tops", k), build)
+
+
+def _tops_mask(rho: HeightDiff, k: int) -> np.ndarray:
+    """[x, a]: x is maximal in a's lower neighborhood at level k."""
+    P = rho.poset
+    inside = levels(rho) >= k  # [x, a]: x in a's lower neighborhood
+    above = (P.leq & ~np.eye(len(P), dtype=bool)) @ inside  # [x, a]: some y > x in it
+    return inside & ~above
+
+
+def nbhd_pairs(rho: HeightDiff, k: int) -> Tuple[Tuple[int, int], ...]:
+    """The pairs (x, y), ascending, with x maximal in some a's lower
+    neighborhood at level k and y minimal in the same a's upper neighborhood,
+    memoized like `nbhds`.  Then x <= a <= y, and the colimit leg from x, the
+    limit leg to y and e_r(a) compose to M(x <= y) (`functors.e_r_vanishes`).
+    One boolean product of the tops of the lower neighborhoods with the
+    bottoms of the upper ones."""
+    def build():
+        P = rho.poset
+        inside = levels(rho) >= k  # [a, y]: y in a's upper neighborhood
+        below = inside @ (P.leq & ~np.eye(len(P), dtype=bool))  # [a, y]: some z < y in it
+        return tuple(map(tuple, np.argwhere(_tops_mask(rho, k) @ (inside & ~below)).tolist()))
+
+    return rho.cached(("pairs", k), build)
 
 
 def nbhd_down_idx(rho: HeightDiff, i: int, r: Fraction) -> Tuple[int, ...]:

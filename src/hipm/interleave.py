@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .exactlin import DEFAULT_BUDGET, _bilinear_search, solve_candidate, zeros
 from .height import INF, ExtVal, HeightDiff, Stratum, format_ext, rho_diag, strata
-from .functors import _level, apply_R, e_r, e_r_legs, sharp, sharp_legs
+from .functors import _level, apply_R, e_r, e_r_legs, e_r_vanishes, sharp, sharp_legs
 from .pmod import (ModuleMorphism, MorphismStack, PersistenceModule, _bilinear_tensor, hom_basis,
                    is_isomorphic)
 from .poset import PosetError
@@ -115,12 +115,22 @@ def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     is the solution the lattice probe found.  Exhausting the Hom space proves
     "no" (prime fields); reaching the budget first, as a bound on that
     position, yields "unknown" with `candidates_tried` equal to the budget.
+
+    When e_r vanishes on both modules (`functors.e_r_vanishes`, read off
+    m(x <= y) and n(x <= y) alone) the right-hand side is zero, so candidate 0
+    is the first witness, with q = 0.  Such a stratum is answered before any
+    eta, Hom basis or equation is built, with the search's own result: "yes",
+    the zero pair and `candidates_tried` 1 (a budget of 0 still gets
+    "unknown").
     """
     r = Fraction(r)
     k = _level(rho, r, k)
     F = m.field
-    p_basis = hom_basis(m, apply_R(rho, r, n, k).module)
-    q_basis = hom_basis(n, apply_R(rho, r, m, k).module)
+    rn, rm = apply_R(rho, r, n, k).module, apply_R(rho, r, m, k).module
+    if budget >= 1 and e_r_vanishes(rho, m, k) and e_r_vanishes(rho, n, k):
+        return InterleaveResult("yes", Certificate(r, ModuleMorphism.zero(m, rn),
+                                                   ModuleMorphism.zero(n, rm)), 1)
+    p_basis, q_basis = hom_basis(m, rn), hom_basis(n, rm)
     tensor, rhs = _bilinear_tensor(p_basis, q_basis, sharp_legs(rho, r, n, p_basis, k),
                                    sharp_legs(rho, r, m, q_basis, k), e_r_legs(rho, r, m, k),
                                    e_r_legs(rho, r, n, k), F)

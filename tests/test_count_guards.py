@@ -2,8 +2,9 @@
 
 Each guard patches one primitive to count its calls and bounds the count of a
 whole operation: the composites `validate_module` forms, the content keys
-`distance` builds, the critical-value bisections under `distance`, and the
-isomorphism tests and quotients of `d_en`'s enumeration stage.
+`distance` builds, the critical-value bisections under `distance`, the
+isomorphism tests and quotients of `d_en`'s enumeration stage, and the search
+that a stratum where e_r vanishes on both modules never starts.
 """
 
 import bisect
@@ -14,11 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from hipm import erosion
+from hipm import erosion, interleave
 from hipm.erosion import _en_stratum_test, d_en
 from hipm.exactlin import FieldSpec, Mat
+from hipm.functors import e_r_vanishes
 from hipm.height import from_phi, rho_diag, strata
-from hipm.interleave import distance
+from hipm.interleave import check_certificate, distance, find_interleaving
 from hipm.pmod import PersistenceModule, direct_sum, interval_module, validate_module
 from hipm.poset import FinitePoset
 from hipm.randgen import random_conjugate, random_module, random_phi, random_poset
@@ -115,3 +117,51 @@ def test_grid3_forms_no_quotient_where_no_vector_is_shared(monkeypatch):
     assert _en_stratum_test(rho, stratum.rep, m, n, 65536, stratum.level) == (
         "no", "enumeration", None)
     assert calls[0] == 0
+
+
+def stress_pair():
+    """Four copies of [c1, c4] on the 8-chain against the same shifted up by 1,
+    over GF(3), with the diagonal height: at r = 2 every pair x <= y of the
+    neighborhoods is 4 apart, so e_r vanishes on both modules."""
+    G = FinitePoset.grid([8])
+
+    def copies(lo, hi):
+        one = interval_module(G, list(G.elements[lo:hi + 1]), GF3)
+        return direct_sum(direct_sum(one, one), direct_sum(one, one))
+
+    return rho_diag(G), copies(1, 4), copies(2, 5)
+
+
+def vanishing_strata():
+    """(rho, m, n, stratum) for every nonzero stratum of the stress pair and of
+    `pairs()` where e_r vanishes on both modules."""
+    out = []
+    for rho, m, n in [stress_pair()] + pairs():
+        out += [(rho, m, n, st) for st in strata(rho)[1:]
+                if e_r_vanishes(rho, m, st.level) and e_r_vanishes(rho, n, st.level)]
+    return out
+
+
+def test_a_vanishing_stratum_builds_no_hom_basis_and_starts_no_search(monkeypatch):
+    cases = vanishing_strata()
+    assert any(st.rep == 2 for _, _, _, st in cases[:8])  # the stress pair's r = 2
+    assert len({id(rho) for rho, _, _, _ in cases}) >= 3
+    names = ("hom_basis", "e_r_legs", "sharp_legs", "_bilinear_search")
+    calls = {name: counting(monkeypatch, interleave, name) for name in names}
+    for rho, m, n, st in cases:
+        res = find_interleaving(rho, st.rep, m, n, 1, st.level)
+        assert (res.verdict, res.candidates_tried) == ("yes", 1)
+        assert res.certificate.p.is_zero() and res.certificate.q.is_zero()
+    assert {name: c[0] for name, c in calls.items()} == dict.fromkeys(names, 0)
+
+
+def test_a_vanishing_stratum_certificate_passes_the_transpose_check():
+    for rho, m, n, st in vanishing_strata():
+        cert = find_interleaving(rho, st.rep, m, n, 1, st.level).certificate
+        assert check_certificate(rho, st.rep, m, n, cert.p, cert.q)
+
+
+def test_budget_zero_is_unknown_on_a_vanishing_stratum():
+    for rho, m, n, st in vanishing_strata():
+        res = find_interleaving(rho, st.rep, m, n, 0, st.level)
+        assert (res.verdict, res.certificate, res.candidates_tried) == ("unknown", None, 0)
