@@ -12,7 +12,6 @@ rational matrices are object arrays of `fractions.Fraction`.  No floats.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -496,7 +495,8 @@ def _relaxation(family: np.ndarray, F) -> Tuple[np.ndarray, List[int]]:
                        + [np.eye(R, dtype=np.int64)], axis=1)
     res = rref(Mat(F, g), pivot_limit=h1 * h2)
     relaxed = np.matmul(res.matrix.a[None, :, h1 * h2:], family) % F.p
-    return relaxed, [bisect.bisect_left(res.pivots, t * h2) for t in range(h1 + 1)]
+    starts = np.searchsorted(np.array(res.pivots, dtype=np.int64), h2 * np.arange(h1 + 1))
+    return relaxed, starts.tolist()
 
 
 def solve_candidate(tensor: np.ndarray, rhs: np.ndarray, coeffs, F) -> Optional[Mat]:
@@ -520,8 +520,11 @@ def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
     that grow 1, 2, 4, ...; candidate 0 goes first, before the relaxation is
     built, so a first-candidate witness costs one candidate.  `budget` bounds
     the candidate index, so `candidates_tried` is the witness index + 1 or
-    min(budget, p**h1), exactly as in a one-at-a-time scan.  Indices and block
-    starts are exact Python integers, so any budget is safe.
+    min(budget, p**h1), exactly as in a one-at-a-time scan.  One proof needs
+    no budget: when the budget reaches candidate 1, the relaxation of the root
+    block, which holds every candidate, is tested first, and if it is
+    inconsistent the search reports "no" with p**h1 candidates tried.  Indices
+    and block starts are exact Python integers, so any budget is safe.
     Over the rationals a small integer lattice is probed and a miss is "unknown".
     """
     h1 = tensor.shape[1]
@@ -578,8 +581,10 @@ def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
         return next((t for t, good in zip(levels, ok) if not good), None)
 
     hit = scan(0, 1) if limit else None  # a first-candidate witness costs one candidate
-    if hit is None and limit > 1 and h1 > leaf:  # else `blocked` is never called
+    if hit is None and limit > 1:
         relaxed, starts = _relaxation(family, F)
+        if relaxed[h1, starts[h1]:].any():  # the root block's relaxation [0 | T rhs] fails
+            return "no", None, total, None
     start = 0
     while hit is None and max(start, 1) < limit:  # candidate 0 is done
         top = 0  # the level of the largest block starting here; those above were tested

@@ -113,8 +113,10 @@ def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     position, skipped candidates included) are those of a one-at-a-time scan,
     and q is one exact `solve` of the witness's system.  Over the rationals q
     is the solution the lattice probe found.  Exhausting the Hom space proves
-    "no" (prime fields); reaching the budget first, as a bound on that
-    position, yields "unknown" with `candidates_tried` equal to the budget.
+    "no" (prime fields), and so does an inconsistent relaxation of the whole
+    space once the budget reaches candidate 1; otherwise reaching the budget
+    first, as a bound on that position, yields "unknown" with
+    `candidates_tried` equal to the budget.
 
     When e_r vanishes on both modules (`functors.e_r_vanishes`, read off
     m(x <= y) and n(x <= y) alone) the right-hand side is zero, so candidate 0

@@ -36,12 +36,24 @@ def candidate_system(tensor, rhs, field, coeffs):
     return Mat(field, cols.T.copy()), Mat(field, rhs.reshape(-1, 1).copy())
 
 
+def relaxation_consistent(tensor, rhs, field):
+    """Whether the system stays solvable with each product c_i x_j of a
+    coefficient and an unknown taken as an unknown of its own: one `solve`."""
+    h2, h1, L = tensor.shape
+    return solve(Mat(field, tensor.reshape(h2 * h1, L).T.copy()),
+                 Mat(field, rhs.reshape(-1, 1).copy())) is not None
+
+
 def scalar_search(tensor, rhs, field, budget):
-    """Reference: candidates in itertools.product order, one `solve` each."""
+    """Reference: candidates in itertools.product order, one `solve` each.
+    Before candidate 1 the relaxed system decides: if it is inconsistent, no
+    candidate is a witness, and that is a "no" whatever the budget."""
     tried = 0
     for coeffs in itertools.product(range(field.p), repeat=tensor.shape[1]):
         if tried >= budget:
             return "unknown", None, None, tried
+        if tried == 1 and not relaxation_consistent(tensor, rhs, field):
+            return "no", None, None, field.p ** tensor.shape[1]
         tried += 1
         x = solve(*candidate_system(tensor, rhs, field, coeffs))
         if x is not None:
@@ -295,16 +307,33 @@ def test_find_interleaving_matches_reference_on_fixtures():
     assert_matches_reference(be.rho, 1, be.M, be.M, 1 << 12)
 
 
+def identity_family(p, h1):
+    """c_i x_j = [i == j] for i, j < 2, with h2 = 2: the relaxation takes
+    z_ij = [i == j] and is solvable, but the rank-one c x^T is never the
+    identity, so no candidate is a witness."""
+    tensor = np.zeros((2, h1, 4), dtype=np.int64)
+    for l, (i, j) in enumerate(itertools.product(range(2), repeat=2)):
+        tensor[j, i, l] = 1
+    return FieldSpec("gfp", p), tensor, np.array([1, 0, 0, 1], dtype=np.int64)
+
+
 def test_budget_edges():
+    """A pair whose relaxation fails is a "no" as soon as the budget reaches
+    candidate 1; a pair whose relaxation holds stays "unknown" up to p**h1."""
     ce = chain_example(2, FieldSpec("gfp", 3))
     m, n = direct_sum(ce.M, ce.M), direct_sum(ce.N, ce.N)  # not 1-interleaved, h1 = 4
     full = find_interleaving(ce.rho, 1, m, n)
     assert (full.verdict, full.candidates_tried) == ("no", 3 ** 4)
-    exact = find_interleaving(ce.rho, 1, m, n, budget=3 ** 4)
-    assert (exact.verdict, exact.candidates_tried) == ("no", 3 ** 4)
-    for budget in (1, 2, 3 ** 4 - 1):
+    for budget in (2, 3 ** 4 - 1, 3 ** 4):
         short = find_interleaving(ce.rho, 1, m, n, budget=budget)
-        assert (short.verdict, short.candidates_tried) == ("unknown", budget)
+        assert (short.verdict, short.candidates_tried) == ("no", 3 ** 4)
+    short = find_interleaving(ce.rho, 1, m, n, budget=1)
+    assert (short.verdict, short.candidates_tried) == ("unknown", 1)
+    field, tensor, rhs = identity_family(3, 4)
+    assert relaxation_consistent(tensor, rhs, field)
+    assert _bilinear_search(tensor, rhs, field, 3 ** 4)[::2] == ("no", 3 ** 4)
+    for budget in (1, 2, 3 ** 4 - 1):
+        assert _bilinear_search(tensor, rhs, field, budget)[::2] == ("unknown", budget)
 
 
 @pytest.mark.parametrize("p,tried", [(3, 551_881), (2, 4_681)])
@@ -327,10 +356,27 @@ def test_stress_target_stays_undecided_at_small_budget():
     assert rep.verdict_at(1) == "unknown"
 
 
+def iso_relaxation_consistent(f_basis, g_basis):
+    """Whether sum z_ij g_j f_i = id and sum z_ij f_i g_j = id has a solution
+    z, one unknown per product c_i d_j: one `solve` on composites built one
+    pair at a time."""
+    m, n = f_basis.source, f_basis.target
+
+    def flat_identity(mod):
+        return np.concatenate([Mat.eye(mod.field, d).a.ravel() for d in mod.dims])
+
+    cols = [np.concatenate([flat(g.compose(f)), flat(f.compose(g))])
+            for f in f_basis for g in g_basis]
+    rhs = np.concatenate([flat_identity(m), flat_identity(n)])
+    a = np.array(cols, dtype=np.int64).T if cols else np.zeros((len(rhs), 0), dtype=np.int64)
+    return solve(Mat(m.field, a), Mat(m.field, rhs.reshape(-1, 1))) is not None
+
+
 def scalar_is_isomorphic(m, n, budget):
     """Reference over GF(p), for modules of equal dimensions and nonzero total
     dimension: the combinations of `hom_basis(m, n)` in itertools.product
-    order, one at a time, each tested for full rank at every element.
+    order, one at a time, each tested for full rank at every element.  Before
+    candidate 1, an inconsistent relaxation is a "no" whatever the budget.
     Returns (verdict, witness, candidates counted)."""
     basis = hom_basis(m, n)
     h = len(basis)
@@ -352,6 +398,8 @@ def scalar_is_isomorphic(m, n, budget):
         count += 1
         if count > budget:
             return "unknown", None, budget
+        if count == 2 and not iso_relaxation_consistent(basis, hom_basis(n, m)):
+            return "no", None, m.field.p ** h
         cand = try_coeffs(coeffs)
         if cand is not None:
             return "yes", cand, count
@@ -362,9 +410,10 @@ def scalar_is_isomorphic(m, n, budget):
 def test_is_isomorphic_finds_the_first_witness_of_a_scalar_scan(seed):
     """Same verdict and same witness as the scan, at the default budget, at
     budgets 0 and 1, just before and at the witness, and one below p**h, where
-    a "no" becomes "unknown" on both sides."""
+    a "no" becomes "unknown" on both sides unless the relaxation proved it."""
     rng = random.Random(seed)
     pairs = {"yes": 0, "no": 0}
+    short_no = {True: 0, False: 0}  # below p**h: proved by the relaxation, or not
     for i in range(60):
         field = FieldSpec("gfp", (2, 3)[i % 2])
         size = rng.randint(2, 4)
@@ -388,5 +437,9 @@ def test_is_isomorphic_finds_the_first_witness_of_a_scalar_scan(seed):
             if verdict == "yes":
                 assert got.witness.components == witness.components
             elif budget < field.p ** h:
-                assert verdict == "unknown"
+                relaxed = budget > 1 and not iso_relaxation_consistent(hom_basis(m, n),
+                                                                       hom_basis(n, m))
+                assert verdict == ("no" if relaxed else "unknown")
+                short_no[relaxed] += 1
     assert pairs["yes"] >= 5 and pairs["no"] >= 5, pairs
+    assert all(short_no.values()), short_no
