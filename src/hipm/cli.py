@@ -93,12 +93,16 @@ class RunConfig:
 
 def _read_json(path: str) -> Any:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"file not found: {path}", path)
     except json.JSONDecodeError as e:
         raise SchemaError(f"malformed JSON at line {e.lineno} column {e.colno}: {e.msg}", path)
+    except OSError as e:  # a directory, say, or a file that cannot be read
+        raise SchemaError(f"cannot read the file: {e.strerror}", path)
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"not UTF-8 text: byte {e.object[e.start]:#04x} at offset {e.start}", path)
 
 
 def _emit(cfg: RunConfig, payload: Dict[str, Any]) -> None:

@@ -23,8 +23,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .exactlin import FieldSpec, Mat, factor_at, hstack, kernel_basis, quotient_map, solve, vstack
 from .height import HeightDiff
-from .functors import (_level, e_r, erosion_subquotient, eta_L_to_id, eta_R_from_id, flat, im_r,
-                       ker_r, sharp)
+from .functors import e_r, erosion_subquotient, eta_L_to_id, eta_R_from_id, flat, im_r, ker_r, sharp
 from .interleave import (DEFAULT_BUDGET, Certificate, StrataReport, check_certificate,
                          find_interleaving, stratified_report)
 from .pmod import (
@@ -64,9 +63,8 @@ def en_construct(rho: HeightDiff, r, m: PersistenceModule,
     inside the kernel of the r-matching unit.  Violations name the element.
     """
     P = m.poset
-    k = _level(rho, r)
-    imr = im_r(rho, r, m, k)
-    kerr = ker_r(rho, r, m, k)
+    imr = im_r(rho, r, m)
+    kerr = ker_r(rho, r, m)
     for i in range(len(P)):
         if solve(m1.bases[i], m2.bases[i]) is None:
             raise ErosionNeighborhoodError(
@@ -81,12 +79,11 @@ def en_construct(rho: HeightDiff, r, m: PersistenceModule,
 
 
 def _canonical_side(rho: HeightDiff, r: Fraction, base: PersistenceModule,
-                    incoming: ModuleMorphism, outgoing: ModuleMorphism, k: int) -> Subquotient:
-    """M1/M2 with M1 = im[eta, incoming] and M2 = M1 & ker[eta; outgoing], at
-    the level k of r.  No en_construct checks: M1 >= im_r and M2 <= M1 & ker_r
-    by construction."""
+                    incoming: ModuleMorphism, outgoing: ModuleMorphism) -> Subquotient:
+    """M1/M2 with M1 = im[eta, incoming] and M2 = M1 & ker[eta; outgoing].  No
+    en_construct checks: M1 >= im_r and M2 <= M1 & ker_r by construction."""
     F = base.field
-    eta_l, eta_r = eta_L_to_id(rho, r, base, k), eta_R_from_id(rho, r, base, k)
+    eta_l, eta_r = eta_L_to_id(rho, r, base), eta_R_from_id(rho, r, base)
     m1 = submodule_from_bases(base, [
         hstack(F, [eta_l.components[i], incoming.components[i]], rows=base.dims[i])
         for i in range(len(base.poset))
@@ -107,14 +104,12 @@ def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModul
     interleaving (`check_certificate`), so the two quotients are the same
     isomorphism class.
     """
-    r = Fraction(r)
     p, q = cert.p, cert.q
     if not check_certificate(rho, r, m, n, p, q):
         raise ErosionNeighborhoodError(
             "certificate identities fail; the supplied pair is not an interleaving")
-    k = _level(rho, r)
-    return (_canonical_side(rho, r, m, sharp(rho, r, m, q, k), p, k),
-            _canonical_side(rho, r, n, sharp(rho, r, n, p, k), q, k))
+    return (_canonical_side(rho, r, m, sharp(rho, r, m, q), p),
+            _canonical_side(rho, r, n, sharp(rho, r, n, p), q))
 
 
 def _push(sq: Subquotient, cols: Sequence[Mat], escape: str) -> List[Mat]:
@@ -136,9 +131,8 @@ def en_interleaving_certificate(rho: HeightDiff, r, m: PersistenceModule,
     of the matching unit through the quotient on the other."""
     r = Fraction(r)
     F = m.field
-    k = _level(rho, r)
-    etaL = eta_L_to_id(rho, r, m, k)
-    etaR = eta_R_from_id(rho, r, m, k)
+    etaL = eta_L_to_id(rho, r, m)
+    etaR = eta_R_from_id(rho, r, m)
     alpha_comps = _push(sq, etaL.components, "latching image escapes M1")
     beta_comps = []
     for i in range(len(m.poset)):
@@ -150,7 +144,7 @@ def en_interleaving_certificate(rho: HeightDiff, r, m: PersistenceModule,
         beta_comps.append(Mat._canonical(F, beta))
     alpha = ModuleMorphism(etaL.source, sq.quotient, alpha_comps)
     beta = ModuleMorphism(sq.quotient, etaR.target, beta_comps)
-    p = flat(rho, r, m, alpha, k)
+    p = flat(rho, r, m, alpha)
     return Certificate(r, p, beta)
 
 
@@ -305,7 +299,7 @@ def _enumerate_closed_families(m: PersistenceModule, choices: List[List[Mat]],
 
 
 def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
-                 budget: int = 20000, k=None) -> EnEnumeration:
+                 budget: int = 20000) -> EnEnumeration:
     """All r-erosion neighborhoods of m up to isomorphism (finite fields only).
 
     Enumerates pointwise subspace families for M1 (above the latching image)
@@ -313,16 +307,13 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
     pair with the dimension vector of its quotient.  The quotients are formed
     and deduplicated by the budgeted isomorphism test only when read
     (`EnEnumeration.members`, `members_with`).  If the backtracking budget
-    runs out the listing is flagged incomplete.  k is the level of r when the
-    caller knows it.
+    runs out the listing is flagged incomplete.
     """
-    r = Fraction(r)
     if not m.field.is_prime_field:
         raise ValueError("erosion-neighborhood enumeration needs a finite field")
     P = m.poset
-    k = _level(rho, r, k)
-    imr = im_r(rho, r, m, k)
-    kerr = ker_r(rho, r, m, k)
+    imr = im_r(rho, r, m)
+    kerr = ker_r(rho, r, m)
     full = [Mat.eye(m.field, d) for d in m.dims]
     m1_choices = [
         _subspaces_between(m.field, imr.bases[i], full[i]) for i in range(len(P))
@@ -353,23 +344,22 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
 
 
 def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule, n: PersistenceModule,
-                     budget: int, k=None) -> Tuple[str, Optional[str], Optional[Subquotient]]:
-    """(verdict, via, witness) at one scale, of level k when the caller knows
-    it; via is "erosion-iso", "certificate" or "enumeration"."""
-    k = _level(rho, rep, k)
-    em = submodule_image(e_r(rho, rep, m, k)).module
-    en_ = submodule_image(e_r(rho, rep, n, k)).module
+                     budget: int) -> Tuple[str, Optional[str], Optional[Subquotient]]:
+    """(verdict, via, witness) at one scale; via is "erosion-iso",
+    "certificate" or "enumeration"."""
+    em = submodule_image(e_r(rho, rep, m)).module
+    en_ = submodule_image(e_r(rho, rep, n)).module
     # like every isomorphism test under d_en, asked only where the dimensions agree
     if em.dims == en_.dims and is_isomorphic(em, en_, budget=budget).verdict == "yes":
-        return "yes", "erosion-iso", erosion_subquotient(rho, rep, m, k)
-    res = find_interleaving(rho, rep, m, n, budget, k)
+        return "yes", "erosion-iso", erosion_subquotient(rho, rep, m)
+    res = find_interleaving(rho, rep, m, n, budget)
     if res.verdict == "yes":  # the search's own certificate: no re-check
         p, q = res.certificate.p, res.certificate.q
-        return "yes", "certificate", _canonical_side(rho, rep, m, sharp(rho, rep, m, q, k), p, k)
+        return "yes", "certificate", _canonical_side(rho, rep, m, sharp(rho, rep, m, q), p)
     if not m.field.is_prime_field:  # neighborhoods cannot be enumerated over Q
         return "unknown", "enumeration", None
-    enum_m = en_enumerate(rho, rep, m, budget, k)
-    enum_n = en_enumerate(rho, rep, n, budget, k)
+    enum_m = en_enumerate(rho, rep, m, budget)
+    enum_n = en_enumerate(rho, rep, n, budget)
     shared = enum_m.vectors & enum_n.vectors  # other members meet nothing on the far side
     by_vector: Dict[Vector, List[Subquotient]] = {}
     for sn in enum_n.members_with(shared):
@@ -400,4 +390,4 @@ def d_en(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
     undecided isomorphism test in the cross test, and any enumeration over the
     rationals degrade the verdict to unknown and the distance to a bracket.
     """
-    return stratified_report(rho, lambda st: _en_stratum_test(rho, st.rep, m, n, budget, st.level))
+    return stratified_report(rho, lambda st: _en_stratum_test(rho, st.rep, m, n, budget))

@@ -98,22 +98,6 @@ def clear_cache() -> None:
     and `perfbench/make_data.py` still call it."""
 
 
-def _r(x) -> Fraction:
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("scale parameter must be >= 0")
-    return x
-
-
-def _level(rho: HeightDiff, x, k=None) -> int:
-    """The level of the scale x (`height.level`): every value below that is
-    made from neighborhoods at x is memoized under it.  A caller that already
-    knows it passes it as k, and then x is not looked at: the single-scale
-    functions below take the level of r as an optional last argument, so one
-    entry point finds each level once and hands the integer down."""
-    return level(rho, _r(x)) if k is None else k
-
-
 def _functor(direction: str):
     """apply_L or apply_R for a direction 'L' or 'R'."""
     if direction == "L":
@@ -184,34 +168,32 @@ def _apply(kind: str, levels: tuple, rho: HeightDiff, m: PersistenceModule,
     return m.cached((kind, rho, *levels), build)
 
 
-def apply_L(rho: HeightDiff, r, m: PersistenceModule, k=None) -> FunctorApplication:
+def apply_L(rho: HeightDiff, r, m: PersistenceModule) -> FunctorApplication:
     """The r-latching functor value: pointwise colimits over the lower
-    r-neighborhoods, with the inclusion-induced structure maps.  k is r's
-    level when the caller knows it (`_level`)."""
-    k = _level(rho, r, k)
+    r-neighborhoods, with the inclusion-induced structure maps."""
+    k = level(rho, r)
     return _apply("L", (k,), rho, m, lambda: nbhds(rho, "down", k))
 
 
-def apply_R(rho: HeightDiff, r, m: PersistenceModule, k=None) -> FunctorApplication:
+def apply_R(rho: HeightDiff, r, m: PersistenceModule) -> FunctorApplication:
     """The r-matching functor value: pointwise limits over the upper
-    r-neighborhoods; k as in `apply_L`."""
-    k = _level(rho, r, k)
+    r-neighborhoods."""
+    k = level(rho, r)
     return _apply("R", (k,), rho, m, lambda: nbhds(rho, "up", k))
 
 
 def apply_T(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> FunctorApplication:
     """Iterated-neighborhood functor: colim over a's lower-s-then-lower-r union
     (direction 'L'), or lim over the upper-r-then-upper-s union ('R')."""
-    s, r = _r(s), _r(r)
     _functor(direction)  # rejects any other direction
     way = "down" if direction == "L" else "up"
-    return _apply("T" + direction, (_level(rho, s), _level(rho, r)), rho, m,
+    return _apply("T" + direction, (level(rho, s), level(rho, r)), rho, m,
                   lambda: [nbhd_iterated_idx(rho, a, s, r, way) for a in range(len(m.poset))])
 
 
 def _apply_mor(direction: str, rho: HeightDiff, r, f: ModuleMorphism) -> ModuleMorphism:
-    apply, k = _functor(direction), _level(rho, r)
-    am, an = apply(rho, r, f.source, k), apply(rho, r, f.target, k)
+    apply = _functor(direction)
+    am, an = apply(rho, r, f.source), apply(rho, r, f.target)
     lat = direction == "L"
     # factor out of the colimit of f.source, or into the limit of f.target
     here, there = (am, an) if lat else (an, am)
@@ -241,13 +223,13 @@ def apply_R_mor(rho: HeightDiff, r, f: ModuleMorphism) -> ModuleMorphism:
 
 def _eta(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
     """L_s M -> L_r M, or R_r M -> R_s M, for s >= r."""
-    s, r = _r(s), _r(r)
+    s, r = Fraction(s), Fraction(r)
+    ks, kr = level(rho, s), level(rho, r)
     if s < r:
         raise ValueError(f"eta_{direction} needs s >= r")
     apply = _functor(direction)
-    ks, kr = _level(rho, s), _level(rho, r)
     return m.cached(("eta" + direction, rho, *((ks, kr) if direction == "L" else (kr, ks))),
-                    lambda: _between(m, apply(rho, s, m, ks), apply(rho, r, m, kr)))
+                    lambda: _between(m, apply(rho, s, m), apply(rho, r, m)))
 
 
 def eta_L(rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
@@ -260,11 +242,10 @@ def eta_R(rho: HeightDiff, r, s, m: PersistenceModule) -> ModuleMorphism:
     return _eta("R", rho, s, r, m)
 
 
-def _eta_id(direction: str, rho: HeightDiff, r, m: PersistenceModule, k=None) -> ModuleMorphism:
+def _eta_id(direction: str, rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
     """L_r M -> M or M -> R_r M, assembled from the structure maps of M.  The
     component at a depends only on a's neighborhood, so it is made once per
     module, direction, node set and element, and shared across strata."""
-    k = _level(rho, r, k)
 
     def component(res: ColimResult | LimResult, a: int) -> Mat:
         return m.cached(("eta-id", direction, res.nodes, a), lambda: factor(
@@ -272,40 +253,37 @@ def _eta_id(direction: str, rho: HeightDiff, r, m: PersistenceModule, k=None) ->
                   for x in res.nodes}, m.dims[a]))
 
     def build():
-        app = _functor(direction)(rho, r, m, k)
+        app = _functor(direction)(rho, r, m)
         return _oriented(app, m, [component(app.data[a], a) for a in range(len(m.poset))])
 
-    return m.cached((f"eta{direction}-id", rho, k), build)
+    return m.cached((f"eta{direction}-id", rho, level(rho, r)), build)
 
 
-def eta_L_to_id(rho: HeightDiff, r, m: PersistenceModule, k=None) -> ModuleMorphism:
-    """The counit-style map L_r M -> M, assembled from the structure-map cocone;
-    k as in `apply_L`."""
-    return _eta_id("L", rho, r, m, k)
+def eta_L_to_id(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
+    """The counit-style map L_r M -> M, assembled from the structure-map cocone."""
+    return _eta_id("L", rho, r, m)
 
 
-def eta_R_from_id(rho: HeightDiff, r, m: PersistenceModule, k=None) -> ModuleMorphism:
-    """The unit-style map M -> R_r M; k as in `apply_L`."""
-    return _eta_id("R", rho, r, m, k)
+def eta_R_from_id(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
+    """The unit-style map M -> R_r M."""
+    return _eta_id("R", rho, r, m)
 
 
-def e_r(rho: HeightDiff, r, m: PersistenceModule, k=None) -> ModuleMorphism:
-    """The canonical composite L_r M -> M -> R_r M whose image is the erosion;
-    k as in `apply_L`."""
-    k = _level(rho, r, k)
-    return m.cached(("e", rho, k),
-                    lambda: eta_R_from_id(rho, r, m, k).compose(eta_L_to_id(rho, r, m, k)))
+def e_r(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
+    """The canonical composite L_r M -> M -> R_r M whose image is the erosion."""
+    return m.cached(("e", rho, level(rho, r)),
+                    lambda: eta_R_from_id(rho, r, m).compose(eta_L_to_id(rho, r, m)))
 
 
-def e_r_vanishes(rho: HeightDiff, m: PersistenceModule, k: int) -> bool:
-    """Whether e_{r,M} = 0 for the scales r of level k, read off M's own maps.
+def e_r_vanishes(rho: HeightDiff, r, m: PersistenceModule) -> bool:
+    """Whether e_{r,M} = 0, read off M's own maps.
 
     At every a, the colimit legs from the maximal x of a's lower neighborhood
     are jointly epimorphic, the limit legs to the minimal y of its upper one
     are jointly monomorphic (a cone is fixed at the minimal nodes), and
     leg_y e_r(a) leg_x = M(x <= y).  So e_r vanishes exactly when M(x <= y) = 0
     on every pair of `height.nbhd_pairs`; no L_r, R_r or eta is built."""
-    return all(m.map_for_idx(x, y).is_zero() for x, y in nbhd_pairs(rho, k)
+    return all(m.map_for_idx(x, y).is_zero() for x, y in nbhd_pairs(rho, level(rho, r))
                if m.dims[x] and m.dims[y])
 
 
@@ -314,24 +292,23 @@ def e_r_vanishes(rho: HeightDiff, m: PersistenceModule, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _iterated(direction: str, rho: HeightDiff, s, r, m: PersistenceModule,
-              ks: int, kr: int) -> Tuple[FunctorApplication, FunctorApplication]:
-    """(outer, inner) of L_s(L_r M), or of R_r(R_s M); ks and kr are the
-    levels of s and r."""
+def _iterated(direction: str, rho: HeightDiff, s, r,
+              m: PersistenceModule) -> Tuple[FunctorApplication, FunctorApplication]:
+    """(outer, inner) of L_s(L_r M), or of R_r(R_s M)."""
     apply = _functor(direction)
-    (x, kx), (y, ky) = ((r, kr), (s, ks)) if direction == "L" else ((s, ks), (r, kr))
-    inner = apply(rho, x, m, kx)
-    return apply(rho, y, inner.module, ky), inner
+    x, y = (r, s) if direction == "L" else (s, r)
+    inner = apply(rho, x, m)
+    return apply(rho, y, inner.module), inner
 
 
 def _mu(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
     """L_s L_r M -> L_{s+r} M, or R_{s+r} M -> R_r R_s M."""
-    s, r = _r(s), _r(r)
-    ks, kr, ksr = _level(rho, s), _level(rho, r), _level(rho, s + r)
+    s, r = Fraction(s), Fraction(r)
+    ks, kr, ksr = level(rho, s), level(rho, r), level(rho, s + r)
 
     def build():
-        outer, inner = _iterated(direction, rho, s, r, m, ks, kr)
-        return _nested(m, outer, inner, _functor(direction)(rho, s + r, m, ksr))
+        outer, inner = _iterated(direction, rho, s, r, m)
+        return _nested(m, outer, inner, _functor(direction)(rho, s + r, m))
 
     return m.cached(("mu" + direction, rho, *((ks, kr) if direction == "L" else (kr, ks)), ksr),
                     build)
@@ -362,58 +339,54 @@ def _leg_family(app_r: FunctorApplication, stack: MorphismStack, n: PersistenceM
     return np.concatenate(family, axis=2) if family else zeros(F, (len(stack), n.dims[a], 0))
 
 
-def _stack_into_R(rho: HeightDiff, r, n: PersistenceModule, g: ModuleMorphism | MorphismStack,
-                  k: int) -> Tuple[MorphismStack, FunctorApplication]:
-    """g as a stack, checked to land in R_r n at level k, and R_r n."""
+def _stack_into_R(rho: HeightDiff, r, n: PersistenceModule,
+                  g: ModuleMorphism | MorphismStack) -> Tuple[MorphismStack, FunctorApplication]:
+    """g as a stack, checked to land in R_r n, and R_r n."""
     stack = g if isinstance(g, MorphismStack) else MorphismStack.of(g)
-    app_r = apply_R(rho, r, n, k)
+    app_r = apply_R(rho, r, n)
     if not stack.target.same(app_r.module):
         raise ValueError("target of g is not the r-matching module of n")
     return stack, app_r
 
 
-def sharp(rho: HeightDiff, r, n: PersistenceModule, g: ModuleMorphism | MorphismStack,
-          k=None) -> ModuleMorphism | MorphismStack:
+def sharp(rho: HeightDiff, r, n: PersistenceModule,
+          g: ModuleMorphism | MorphismStack) -> ModuleMorphism | MorphismStack:
     """Transpose morphisms M -> R_r N to their adjoints L_r M -> N.
 
     `g` is a MorphismStack (a whole Hom basis, say), whose transposes come back
     as a MorphismStack, or one ModuleMorphism, transposed as a stack of one.
     Per element a, the cocone family of all h morphisms is one batched matmul
     per node x, legs[a] @ stack[x], and the factors are read off the
-    colimit's free coordinates at once (`factor_stack_from_colim`).  k as
-    in `apply_L`.
+    colimit's free coordinates at once (`factor_stack_from_colim`).
     """
-    k = _level(rho, r, k)
-    stack, app_r = _stack_into_R(rho, r, n, g, k)
-    app_l = apply_L(rho, r, stack.source, k)
+    stack, app_r = _stack_into_R(rho, r, n, g)
+    app_l = apply_L(rho, r, stack.source)
     out = [factor_stack_from_colim(col, _leg_family(app_r, stack, n, col.nodes, a))
            for a, col in app_l.data.items()]
     res = MorphismStack(app_l.module, n, len(stack), out)
     return res if stack is g else res[0]
 
 
-def sharp_legs(rho: HeightDiff, r, n: PersistenceModule, g: MorphismStack, k=None) -> list:
+def sharp_legs(rho: HeightDiff, r, n: PersistenceModule, g: MorphismStack) -> list:
     """The transposes of `g` on the colimit legs, built without L_r M.
 
     Per element a, the (h, N(a), w_a) composites g#(a) o leg_x for x among the
     maximal elements of a's lower r-neighborhood (`height.nbhd_tops`), side by
     side: the cocone family `sharp` factors, cut to those x.  The legs from
     the maximal elements are jointly epimorphic, so two maps out of L_r M(a)
-    are equal exactly when these composites are.  k as in `apply_L`.
+    are equal exactly when these composites are.
     """
-    k = _level(rho, r, k)
-    stack, app_r = _stack_into_R(rho, r, n, g, k)
-    tops = nbhd_tops(rho, k)
+    stack, app_r = _stack_into_R(rho, r, n, g)
+    tops = nbhd_tops(rho, level(rho, r))
     return [_leg_family(app_r, stack, n, tops[a], a) for a in range(len(n.poset))]
 
 
-def e_r_legs(rho: HeightDiff, r, m: PersistenceModule, k=None) -> list:
+def e_r_legs(rho: HeightDiff, r, m: PersistenceModule) -> list:
     """e_{r,M} on the same legs as `sharp_legs`: per element a, the
     (R_r M(a), w_a) blocks eta_R(a) M(x <= a) side by side, where eta_R is
-    M -> R_r M; built without L_r M.  k as in `apply_L`."""
-    k = _level(rho, r, k)
-    tops = nbhd_tops(rho, k)
-    eta = eta_R_from_id(rho, r, m, k).components
+    M -> R_r M; built without L_r M."""
+    tops = nbhd_tops(rho, level(rho, r))
+    eta = eta_R_from_id(rho, r, m).components
     out = []
     for a, xs in enumerate(tops):
         legs = hstack(m.field, [m.map_for_idx(x, a) for x in xs], rows=m.dims[a])
@@ -421,12 +394,11 @@ def e_r_legs(rho: HeightDiff, r, m: PersistenceModule, k=None) -> list:
     return out
 
 
-def flat(rho: HeightDiff, r, m: PersistenceModule, f: ModuleMorphism, k=None) -> ModuleMorphism:
-    """Transpose a morphism L_r M -> N to its adjoint M -> R_r N; k as in `apply_L`."""
-    k = _level(rho, r, k)
+def flat(rho: HeightDiff, r, m: PersistenceModule, f: ModuleMorphism) -> ModuleMorphism:
+    """Transpose a morphism L_r M -> N to its adjoint M -> R_r N."""
     n = f.target
-    app_l = apply_L(rho, r, m, k)
-    app_r = apply_R(rho, r, n, k)
+    app_l = apply_L(rho, r, m)
+    app_r = apply_R(rho, r, n)
     if not f.source.same(app_l.module):
         raise ValueError("source of f is not the r-latching module of m")
     comps = []
@@ -438,14 +410,12 @@ def flat(rho: HeightDiff, r, m: PersistenceModule, f: ModuleMorphism, k=None) ->
 
 def unit(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
     """M -> R_r L_r M."""
-    k = _level(rho, r)
-    return flat(rho, r, m, ModuleMorphism.identity(apply_L(rho, r, m, k).module), k)
+    return flat(rho, r, m, ModuleMorphism.identity(apply_L(rho, r, m).module))
 
 
 def counit(rho: HeightDiff, r, n: PersistenceModule) -> ModuleMorphism:
     """L_r R_r N -> N."""
-    k = _level(rho, r)
-    return sharp(rho, r, n, ModuleMorphism.identity(apply_R(rho, r, n, k).module), k)
+    return sharp(rho, r, n, ModuleMorphism.identity(apply_R(rho, r, n).module))
 
 
 def mate_of_eta_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism:
@@ -454,7 +424,6 @@ def mate_of_eta_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism
     Built as R_s(counit_r) o R_s(eta_L at R_r N) o unit_s, the composite of the
     two one-adjunction transpositions.
     """
-    s, r = _r(s), _r(r)
     x = apply_R(rho, r, n).module
     u = unit(rho, s, x)  # R_rN -> R_s L_s R_rN
     e = eta_L(rho, s, r, x)  # L_s R_rN -> L_r R_rN
@@ -470,7 +439,7 @@ def mate_of_mu_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism:
     inclusions; agreement of this mate with mu_R is verified by the tests as an
     exact identity rather than assumed.
     """
-    s, r = _r(s), _r(r)
+    s, r = Fraction(s), Fraction(r)
     x = apply_R(rho, s + r, n).module  # R_{s+r} N
     # unit of the composite adjunction at x: x -> R_r R_s L_s L_r x
     app_lr_x = apply_L(rho, r, x)
@@ -491,15 +460,14 @@ def mate_of_mu_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism:
 
 def kappa(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> ModuleMorphism:
     """The Fubini comparison: L_s L_r M -> T^L_{s,r} M, or T^R_{r,s} M -> R_r R_s M."""
-    s, r = _r(s), _r(r)
-    outer, inner = _iterated(direction, rho, s, r, m, _level(rho, s), _level(rho, r))
+    outer, inner = _iterated(direction, rho, s, r, m)
     return _nested(m, outer, inner, apply_T(rho, s, r, m, direction))
 
 
 def tau(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> ModuleMorphism:
     """The inclusion-induced comparison T^L_{s,r} M -> L_{s+r} M (or
     R_{s+r} M -> T^R_{r,s} M), second factor of the mu factorization."""
-    s, r = _r(s), _r(r)
+    s, r = Fraction(s), Fraction(r)
     return _between(m, apply_T(rho, s, r, m, direction), _functor(direction)(rho, s + r, m))
 
 
@@ -514,7 +482,7 @@ def theta(rho: HeightDiff, s, r, c, m: PersistenceModule, direction: str) -> Mod
     The defining neighborhood inclusion and the factorization of the eta
     comparison through tau are both verified exactly.
     """
-    s, r, c = _r(s), _r(r), _r(c)
+    s, r, c = Fraction(s), Fraction(r), Fraction(c)
     ivc = check_ivc(rho, c)
     if not ivc.holds:
         raise IntermediateValueError(
@@ -542,7 +510,7 @@ def sigma(rho: HeightDiff, s, r, c, m: PersistenceModule, direction: str) -> Mod
     Requires every kappa component invertible (the connected-intersections
     situation); verifies the eta = mu o sigma factorization exactly.
     """
-    s, r, c = _r(s), _r(r), _r(c)
+    s, r, c = Fraction(s), Fraction(r), Fraction(c)
     k = kappa(rho, s, r, m, direction)
     th = theta(rho, s, r, c, m, direction)
     P = m.poset
@@ -568,30 +536,26 @@ def sigma(rho: HeightDiff, s, r, c, m: PersistenceModule, direction: str) -> Mod
 # ---------------------------------------------------------------------------
 
 
-def im_r(rho: HeightDiff, r, m: PersistenceModule, k=None) -> Submodule:
-    """The image of L_r M -> M, as a submodule of M; k as in `apply_L`.
+def im_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
+    """The image of L_r M -> M, as a submodule of M.
 
     Built once per (rho, r, M) and shared by every caller, so it is read-only."""
-    k = _level(rho, r, k)
-    return m.cached(("im", rho, k), lambda: submodule_image(eta_L_to_id(rho, r, m, k)))
+    return m.cached(("im", rho, level(rho, r)), lambda: submodule_image(eta_L_to_id(rho, r, m)))
 
 
-def ker_r(rho: HeightDiff, r, m: PersistenceModule, k=None) -> Submodule:
+def ker_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
     """The kernel of M -> R_r M, as a submodule of M; memoized and read-only like im_r."""
-    k = _level(rho, r, k)
-    return m.cached(("ker", rho, k), lambda: submodule_kernel(eta_R_from_id(rho, r, m, k)))
+    return m.cached(("ker", rho, level(rho, r)), lambda: submodule_kernel(eta_R_from_id(rho, r, m)))
 
 
-def erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule, k=None) -> Subquotient:
+def erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule) -> Subquotient:
     """im_r / (im_r & ker_r), the erosion as a subquotient of M; memoized and
     read-only like im_r."""
-    k = _level(rho, r, k)
-
     def build():
-        imr = im_r(rho, r, m, k)
-        return quotient_by_submodule(imr, submodule_intersection(imr, ker_r(rho, r, m, k)))
+        imr = im_r(rho, r, m)
+        return quotient_by_submodule(imr, submodule_intersection(imr, ker_r(rho, r, m)))
 
-    return m.cached(("erosion-sq", rho, k), build)
+    return m.cached(("erosion-sq", rho, level(rho, r)), build)
 
 
 @dataclass
@@ -611,14 +575,13 @@ def erosion_E(rho: HeightDiff, r, m: PersistenceModule) -> ErosionResult:
     Its canonical isomorphism with `erosion_subquotient`,
     im(L_r -> M) / (im & ker(M -> R_r)), is checked exactly.
     """
-    k = _level(rho, r)
-    e = e_r(rho, r, m, k)
+    e = e_r(rho, r, m)
     sub = submodule_image(e)
     comps = [solve(sub.bases[a], e.components[a]) for a in range(len(m.poset))]
     if any(c is None for c in comps):
         raise AssertionError("erosion image must factor its own defining map")
-    sq = erosion_subquotient(rho, r, m, k)
-    eta_r_mor = eta_R_from_id(rho, r, m, k)
+    sq = erosion_subquotient(rho, r, m)
+    eta_r_mor = eta_R_from_id(rho, r, m)
     for a in range(len(m.poset)):
         # canonical map im_r -> erosion: push the image generators through M -> R_rM
         phi = solve(sub.bases[a], eta_r_mor.components[a] @ sq.sub1.bases[a])
@@ -648,7 +611,6 @@ def xi_pullback(f: OrderMap, rho: HeightDiff, r, m: PersistenceModule,
     'L': latching of the pulled-back data -> pullback of the latching value;
     'R': pullback of the matching value -> matching of the pulled-back data.
     """
-    r = _r(r)
     if rho.poset.key() != f.target.key():
         raise PosetError("rho must live on the target of f")
     rho_q = pullback_rho(f, rho)

@@ -273,28 +273,49 @@ def pullback_rho(f: OrderMap, rho: HeightDiff) -> HeightDiff:
 
 
 def level(rho: HeightDiff, r) -> int:
-    """The level of a scale r: bisect_left(critical_values(rho), r), the number
-    of critical values below r.  rho(x, y) >= r exactly when the pair's entry
-    in the level matrix (`levels`) is at least r's, so every neighborhood, and
-    every value built on neighborhoods, depends on r through its level only.
-    The representative of stratum k (`strata`) has level k, so a caller that
-    walks the strata already knows each level and passes it down instead of
-    calling this."""
-    return bisect.bisect_left(critical_values(rho), r)
+    """The level of a scale r >= 0: bisect_left(critical_values(rho), r), the
+    number of critical values below r.  rho(x, y) >= r exactly when the pair's
+    entry in the level matrix (`levels`) is at least r's, so every
+    neighborhood, and every value built on neighborhoods, depends on r through
+    its level only.  This is the one place that turns a scale into a level.
+    A stratum representative (`strata`) is answered by one lookup in
+    `_rep_levels`; any other r bisects.  Raises ValueError for r < 0."""
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
+    k = _rep_levels(rho).get(r.as_integer_ratio())  # every representative is >= 0
+    if k is None:
+        if r < 0:
+            raise ValueError("scale parameter must be >= 0")
+        k = bisect.bisect_left(critical_values(rho), r)
+    return k
+
+
+def _rep_levels(rho: HeightDiff) -> Dict[Tuple[int, int], int]:
+    """The level of every stratum representative, made once on rho and keyed
+    by (numerator, denominator): critical value k has level k, and the top
+    representative, one past the last critical value, has their count K."""
+    def build():
+        crit = critical_values(rho)
+        index = {v.as_integer_ratio(): k for k, v in enumerate(crit)}
+        index[(crit[-1] + 1).as_integer_ratio()] = len(crit)
+        return index
+
+    return rho.cached(("rep-levels",), build)
 
 
 def levels(rho: HeightDiff) -> np.ndarray:
     """The level matrix, made once on rho: entry (x, y) is the index of
     rho(x, y) among the critical values, their count K where rho(x, y) = oo,
-    and -1 where x is not below y.  Read-only.  Values are looked up by
-    (numerator, denominator), like `critical_values` deduplicates them."""
+    and -1 where x is not below y.  Read-only.  Values are looked up in
+    `_rep_levels`, by (numerator, denominator) like `critical_values`
+    deduplicates them."""
     def build():
-        crit = critical_values(rho)
-        index = {v.as_integer_ratio(): k for k, v in enumerate(crit)}
+        index = _rep_levels(rho)
+        top = len(critical_values(rho))
         n = len(rho.poset)
         out = np.full((n, n), -1, dtype=np.int64)
         if rho.values:
-            out[tuple(zip(*rho.values))] = [len(crit) if v is INF else index[v.as_integer_ratio()]
+            out[tuple(zip(*rho.values))] = [top if v is INF else index[v.as_integer_ratio()]
                                             for v in rho.values.values()]
         out.flags.writeable = False
         return out
@@ -380,13 +401,11 @@ def nbhd_up(rho: HeightDiff, a: str, r) -> frozenset:
 
 
 def nbhd_iterated_idx(rho: HeightDiff, i: int, s: Fraction, r: Fraction, direction: str) -> List[int]:
-    if direction == "down":
-        first, second = nbhd_down_idx(rho, i, s), lambda x: nbhd_down_idx(rho, x, r)
-    elif direction == "up":
-        first, second = nbhd_up_idx(rho, i, r), lambda x: nbhd_up_idx(rho, x, s)
-    else:
+    if direction not in ("down", "up"):
         raise ValueError("direction must be 'down' or 'up'")
-    return sorted(set().union(*map(second, first)))
+    first, second = (s, r) if direction == "down" else (r, s)
+    hops = nbhds(rho, direction, level(rho, second))
+    return sorted(set().union(*(hops[x] for x in nbhds(rho, direction, level(rho, first))[i])))
 
 
 def nbhd_iterated(rho: HeightDiff, a: str, s, r, direction: str = "down") -> frozenset:
@@ -428,14 +447,13 @@ def critical_values(rho: HeightDiff) -> List[Fraction]:
 class Stratum:
     """One constancy interval of r: the point {0}, a half-open (lo, hi], or the
     unbounded tail (lo, oo).  `rep` is the exact representative used for all
-    neighborhood computations on the stratum.  `level` is the level of `rep`
-    (`level`), which is also the stratum's index in `strata`."""
+    neighborhood computations on the stratum; its level (`level`) is the
+    stratum's index in `strata`."""
 
     lo: Fraction
     hi: Optional[Fraction]  # None for the unbounded tail
     rep: Fraction
     kind: str  # "zero" | "interval" | "top"
-    level: int
 
     def contains(self, r: Fraction) -> bool:
         if self.kind == "zero":
@@ -447,11 +465,11 @@ class Stratum:
 
 def strata(rho: HeightDiff) -> List[Stratum]:
     crit = critical_values(rho)
-    out = [Stratum(Fraction(0), Fraction(0), Fraction(0), "zero", 0)]
-    for k, (lo, hi) in enumerate(zip(crit, crit[1:]), 1):
-        out.append(Stratum(lo, hi, hi, "interval", k))
+    out = [Stratum(Fraction(0), Fraction(0), Fraction(0), "zero")]
+    for lo, hi in zip(crit, crit[1:]):
+        out.append(Stratum(lo, hi, hi, "interval"))
     top = crit[-1]
-    out.append(Stratum(top, None, top + 1, "top", len(crit)))
+    out.append(Stratum(top, None, top + 1, "top"))
     return out
 
 

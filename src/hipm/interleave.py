@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .exactlin import DEFAULT_BUDGET, _bilinear_search, solve_candidate, zeros
 from .height import INF, ExtVal, HeightDiff, Stratum, format_ext, rho_diag, strata
-from .functors import _level, apply_R, e_r, e_r_legs, e_r_vanishes, sharp, sharp_legs
+from .functors import apply_R, e_r, e_r_legs, e_r_vanishes, sharp, sharp_legs
 from .pmod import (ModuleMorphism, MorphismStack, PersistenceModule, _bilinear_tensor, hom_basis,
                    is_isomorphic)
 from .poset import PosetError
@@ -65,17 +65,15 @@ def check_certificate(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     This goes through L_r, the transposes `sharp` and `e_r` on purpose: the
     search (`find_interleaving`) decides on the colimit legs instead, so every
     certificate it returns is checked here by the other route."""
-    r = Fraction(r)
-    k = _level(rho, r)
-    if not p.target.same(apply_R(rho, r, n, k).module):
+    if not p.target.same(apply_R(rho, r, n).module):
         raise ValueError("p must land in the r-matching module of n")
-    if not q.target.same(apply_R(rho, r, m, k).module):
+    if not q.target.same(apply_R(rho, r, m).module):
         raise ValueError("q must land in the r-matching module of m")
     if p.naturality_violations() or q.naturality_violations():
         return False
-    ps = sharp(rho, r, n, p, k)
-    qs = sharp(rho, r, m, q, k)
-    return q.compose(ps) == e_r(rho, r, m, k) and p.compose(qs) == e_r(rho, r, n, k)
+    ps = sharp(rho, r, n, p)
+    qs = sharp(rho, r, m, q)
+    return q.compose(ps) == e_r(rho, r, m) and p.compose(qs) == e_r(rho, r, n)
 
 
 @dataclass
@@ -86,9 +84,8 @@ class InterleaveResult:
 
 
 def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
-                      budget: int = DEFAULT_BUDGET, k=None) -> InterleaveResult:
-    """Search for an r-interleaving between m and n; k is the level of r when
-    the caller knows it (a stratum's `level`), found by `height.level` otherwise.
+                      budget: int = DEFAULT_BUDGET) -> InterleaveResult:
+    """Search for an r-interleaving between m and n.
 
     Enumerates p over Hom(m, R_r n) in lexicographic coefficient order; the two
     defining identities q o p# = e_{r,m} and p o q# = e_{r,n} are linear in q
@@ -126,16 +123,15 @@ def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     "unknown").
     """
     r = Fraction(r)
-    k = _level(rho, r, k)
     F = m.field
-    rn, rm = apply_R(rho, r, n, k).module, apply_R(rho, r, m, k).module
-    if budget >= 1 and e_r_vanishes(rho, m, k) and e_r_vanishes(rho, n, k):
+    rn, rm = apply_R(rho, r, n).module, apply_R(rho, r, m).module
+    if budget >= 1 and e_r_vanishes(rho, r, m) and e_r_vanishes(rho, r, n):
         return InterleaveResult("yes", Certificate(r, ModuleMorphism.zero(m, rn),
                                                    ModuleMorphism.zero(n, rm)), 1)
     p_basis, q_basis = hom_basis(m, rn), hom_basis(n, rm)
-    tensor, rhs = _bilinear_tensor(p_basis, q_basis, sharp_legs(rho, r, n, p_basis, k),
-                                   sharp_legs(rho, r, m, q_basis, k), e_r_legs(rho, r, m, k),
-                                   e_r_legs(rho, r, n, k), F)
+    tensor, rhs = _bilinear_tensor(p_basis, q_basis, sharp_legs(rho, r, n, p_basis),
+                                   sharp_legs(rho, r, m, q_basis), e_r_legs(rho, r, m),
+                                   e_r_legs(rho, r, n), F)
     verdict, coeffs, tried, x = _bilinear_search(tensor, rhs, F, budget)
     if verdict != "yes":
         return InterleaveResult(verdict, candidates_tried=tried)
@@ -258,7 +254,7 @@ def distance(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
     def evaluate(st: Stratum):
         if st.kind == "zero":
             return is_isomorphic(m, n, budget=budget).verdict, None, None
-        res = find_interleaving(rho, st.rep, m, n, budget, st.level)
+        res = find_interleaving(rho, st.rep, m, n, budget)
         return res.verdict, None, res.certificate
 
     return stratified_report(rho, evaluate)

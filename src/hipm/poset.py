@@ -8,6 +8,7 @@ every derived object (neighborhoods, bases, reports) is stable across runs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -125,6 +126,8 @@ class FinitePoset:
         shape = tuple(int(s) for s in shape)
         if any(s < 1 for s in shape):
             raise PosetError("grid shape entries must be >= 1")
+        if math.prod(shape) > MAX_ELEMENTS:  # before listing the points
+            raise PosetError(f"grid has {math.prod(shape)} elements, configured cap is {MAX_ELEMENTS}")
         points = list(itertools.product(*[range(s) for s in shape]))
         name = lambda pt: "v_" + "_".join(str(c) for c in pt)
         elements = [name(pt) for pt in points]

@@ -93,6 +93,15 @@ def _object(doc: Any, what: str, location: str = "$") -> Dict[str, Any]:
     return doc
 
 
+def _element_table(doc: Any, poset: FinitePoset, what: str, location: str) -> Dict[str, Any]:
+    """An object keyed by element ids of poset: an unknown id is a SchemaError
+    at its JSON path, not a key that is silently never read."""
+    for e in _object(doc, what, location):
+        if e not in poset.index:
+            raise SchemaError(f"unknown element id {e!r}", f"{location}[{e!r}]")
+    return doc
+
+
 def load_poset(doc: Dict[str, Any]) -> FinitePoset:
     """{"elements": [...], "covers": [["a","b"], ...]} or {"grid": [4, 3]}.
 
@@ -101,7 +110,7 @@ def load_poset(doc: Dict[str, Any]) -> FinitePoset:
     doc = _object(doc, "poset document")
     if "grid" in doc:
         shape = doc["grid"]
-        if not isinstance(shape, list) or not all(isinstance(x, int) for x in shape):
+        if not isinstance(shape, list) or not all(type(x) is int for x in shape):  # no bools
             raise SchemaError("grid must be a list of integers", "$.grid")
         return FinitePoset.grid(shape)
     if "elements" not in doc:
@@ -133,9 +142,7 @@ def load_height(doc: Dict[str, Any], poset: FinitePoset) -> HeightDiff:
     if doc.get("diag"):
         return rho_diag(poset)
     if "phi" in doc:
-        table = doc["phi"]
-        if not isinstance(table, dict):
-            raise SchemaError("phi must be an object", "$.phi")
+        table = _element_table(doc["phi"], poset, "phi", "$.phi")
         phi = HeightFunction(poset, {k: _exact(Fraction, v, f"$.phi[{k!r}]")
                                      for k, v in table.items()})
         return from_phi(phi)
@@ -193,7 +200,7 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
         fieldspec = default_field
     if fieldspec is None:
         raise SchemaError("module needs a field", "$.field")
-    dims_doc = _object(doc.get("dims", {}), "dims", "$.dims")
+    dims_doc = _element_table(doc.get("dims", {}), poset, "dims", "$.dims")
     dims = []
     for e in poset.elements:
         d = dims_doc.get(e, 0)
@@ -230,7 +237,7 @@ def load_morphism(doc: Dict[str, Any], source: PersistenceModule,
                   target: PersistenceModule) -> ModuleMorphism:
     """{"components": {"a": [[...]], ...}}; omitted elements mean zero blocks; checked natural."""
     doc = _object(doc, "morphism document")
-    table = _object(doc.get("components", {}), "components", "$.components")
+    table = _element_table(doc.get("components", {}), source.poset, "components", "$.components")
     comps = []
     for i, e in enumerate(source.poset.elements):
         rows = table.get(e)
@@ -314,7 +321,7 @@ def en_report_to_json(rep: StrataReport) -> Dict[str, Any]:
 
 def load_order_map(doc: Dict[str, Any], source: FinitePoset, target: FinitePoset) -> OrderMap:
     doc = _object(doc, "order-map document")
-    table = _object(doc.get("map"), "the order map's 'map'", "$.map")
+    table = _element_table(doc.get("map"), source, "the order map's 'map'", "$.map")
     for e, v in table.items():
         if not isinstance(v, str):
             raise SchemaError(f"image of {e!r} must be an element id", f"$.map[{e!r}]")

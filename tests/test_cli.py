@@ -529,13 +529,21 @@ def test_cli_rho_error_names_the_violation(capsys, chain_files, tmp_path, entry,
     ("M", {"field": "gf2", "dims": {"a": 1, "b": 1}, "maps": [[1]]}, "$.maps"),
     ("map", [1], "$"),
     ("map", {"map": {"a": ["x"], "c": "c"}}, "$.map['a']"),
+    ("poset", {"grid": [True, 3]}, "$.grid"),
+    ("M", {"field": "gf2", "dims": {"a": 1, "b": 1, "bb": 3}, "maps": {"a|b": [[1]]}},
+     "$.dims['bb']"),
+    ("phi", {"phi": {"a": "0", "b": "1", "c": "3", "d": "5", "zz": "7"}},
+     "$.phi['zz']"),
+    ("map", {"map": {"a": "a", "c": "c", "ghost": "a"}}, "$.map['ghost']"),
 ], ids=["poset-not-an-object", "cover-id-a-list", "height-not-an-object", "rho-not-a-list",
         "rho-id-a-list", "module-not-an-object", "dims-a-list", "maps-a-list",
-        "order-map-not-an-object", "order-map-value-a-list"])
+        "order-map-not-an-object", "order-map-value-a-list", "grid-side-a-bool",
+        "dims-unknown-id", "phi-unknown-id", "order-map-unknown-id"])
 def test_cli_rejects_a_document_of_the_wrong_shape(capsys, chain_files, tmp_path, key, doc,
                                                    location):
-    """A JSON document of the wrong shape is a schema error at its JSON path,
-    never a Python traceback."""
+    """A JSON document of the wrong shape, or with an element id that names no
+    element, is a schema error at its JSON path, never a Python traceback or
+    a verdict."""
     sub = tmp_path / "sub.json"
     sub.write_text(json.dumps({"elements": ["a", "c"], "covers": [["a", "c"]]}))
     chain_files["map"] = tmp_path / "map.json"
@@ -651,3 +659,46 @@ def test_cli_en_distance_keeps_an_undecided_isomorphism_undecided(capsys, tmp_pa
     assert got == code and rep["decided"] == (code == 0)
     assert rep["strata"][0] == {"interval": ["0", "0"], "verdict": verdict, "via": via}
     assert rep["distance"] == "0"
+
+
+def test_a_morphism_with_an_unknown_component_id_is_rejected(chain_files):
+    """No command reads a morphism file, so the loader is called directly, on
+    the module of a CLI input file."""
+    from hipm.serde import SchemaError, load_morphism
+
+    poset = load_poset(json.loads(chain_files["poset"].read_text()))
+    m = load_module(json.loads(chain_files["M"].read_text()), poset)
+    with pytest.raises(SchemaError, match=r"^\$\.components\['ghost'\]: unknown element id"):
+        load_morphism({"components": {"a": [[1]], "ghost": [[1]]}}, m, m)
+
+
+def test_cli_rejects_an_input_it_cannot_read(capsys, chain_files, tmp_path):
+    """A directory, or bytes that are not UTF-8, is an error on that path."""
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    for path, needle in ((tmp_path, "cannot read the file"), (utf16, "not UTF-8 text")):
+        chain_files["poset"] = path
+        code, err = _error(capsys, _distance_argv(chain_files))
+        assert code == 1 and err.startswith(f"{path}: {needle}")
+
+
+def test_cli_rejects_a_grid_over_the_size_cap_at_once(capsys, chain_files, tmp_path,
+                                                      monkeypatch):
+    """The cap is applied before any of the 10^10 grid points is listed (a
+    listing fails the test at once instead of filling the memory)."""
+    import time
+    from types import SimpleNamespace
+
+    from hipm import poset
+
+    def listing(*args):
+        raise AssertionError("grid points listed before the size check")
+
+    monkeypatch.setattr(poset, "itertools", SimpleNamespace(product=listing))
+    chain_files["poset"] = tmp_path / "grid.json"
+    chain_files["poset"].write_text(json.dumps({"grid": [100000, 100000]}))
+    start = time.perf_counter()
+    code, err = _error(capsys, ["c-rho", "--poset", str(chain_files["poset"]),
+                                "--height", str(chain_files["phi"])])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and err == "grid has 10000000000 elements, configured cap is 512"

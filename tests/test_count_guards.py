@@ -114,7 +114,7 @@ def test_grid3_forms_no_quotient_where_no_vector_is_shared(monkeypatch):
     m, n = (load_module(doc[key], P, GF3) for key in ("M", "N"))
     stratum = next(st for st in strata(rho) if (st.lo, st.hi) == (0, Fraction(1)))
     calls = counting(monkeypatch, erosion, "quotient_by_submodule")
-    assert _en_stratum_test(rho, stratum.rep, m, n, 65536, stratum.level) == (
+    assert _en_stratum_test(rho, stratum.rep, m, n, 65536) == (
         "no", "enumeration", None)
     assert calls[0] == 0
 
@@ -138,7 +138,7 @@ def vanishing_strata():
     out = []
     for rho, m, n in [stress_pair()] + pairs():
         out += [(rho, m, n, st) for st in strata(rho)[1:]
-                if e_r_vanishes(rho, m, st.level) and e_r_vanishes(rho, n, st.level)]
+                if e_r_vanishes(rho, st.rep, m) and e_r_vanishes(rho, st.rep, n)]
     return out
 
 
@@ -149,7 +149,7 @@ def test_a_vanishing_stratum_builds_no_hom_basis_and_starts_no_search(monkeypatc
     names = ("hom_basis", "e_r_legs", "sharp_legs", "_bilinear_search")
     calls = {name: counting(monkeypatch, interleave, name) for name in names}
     for rho, m, n, st in cases:
-        res = find_interleaving(rho, st.rep, m, n, 1, st.level)
+        res = find_interleaving(rho, st.rep, m, n, 1)
         assert (res.verdict, res.candidates_tried) == ("yes", 1)
         assert res.certificate.p.is_zero() and res.certificate.q.is_zero()
     assert {name: c[0] for name, c in calls.items()} == dict.fromkeys(names, 0)
@@ -157,11 +157,11 @@ def test_a_vanishing_stratum_builds_no_hom_basis_and_starts_no_search(monkeypatc
 
 def test_a_vanishing_stratum_certificate_passes_the_transpose_check():
     for rho, m, n, st in vanishing_strata():
-        cert = find_interleaving(rho, st.rep, m, n, 1, st.level).certificate
+        cert = find_interleaving(rho, st.rep, m, n, 1).certificate
         assert check_certificate(rho, st.rep, m, n, cert.p, cert.q)
 
 
 def test_budget_zero_is_unknown_on_a_vanishing_stratum():
     for rho, m, n, st in vanishing_strata():
-        res = find_interleaving(rho, st.rep, m, n, 0, st.level)
+        res = find_interleaving(rho, st.rep, m, n, 0)
         assert (res.verdict, res.certificate, res.candidates_tried) == ("unknown", None, 0)

@@ -43,11 +43,11 @@ from hipm.serde import _subquotient_to_json
 GF3 = FieldSpec("gfp", 3)
 
 
-def oracle_enumerate(rho, r, m, budget, k):
+def oracle_enumerate(rho, r, m, budget):
     """(members, complete): every quotient formed, each deduplicated against
     all members before it."""
     P = m.poset
-    imr, kerr = im_r(rho, r, m, k), ker_r(rho, r, m, k)
+    imr, kerr = im_r(rho, r, m), ker_r(rho, r, m)
     m1_choices = [_subspaces_between(m.field, imr.bases[i], Mat.eye(m.field, m.dims[i]))
                   for i in range(len(P))]
     countdown = [budget]
@@ -70,17 +70,17 @@ def oracle_enumerate(rho, r, m, budget, k):
     return members, complete
 
 
-def oracle_stratum_test(rho, rep, m, n, budget, k, enumerations):
+def oracle_stratum_test(rho, rep, m, n, budget, enumerations):
     """(verdict, via, witness) with a cross test over all pairs of members;
     `enumerations` holds `oracle_enumerate`'s value for m and for n."""
-    em = submodule_image(e_r(rho, rep, m, k)).module
-    en_ = submodule_image(e_r(rho, rep, n, k)).module
+    em = submodule_image(e_r(rho, rep, m)).module
+    en_ = submodule_image(e_r(rho, rep, n)).module
     if erosion.is_isomorphic(em, en_, budget=budget).verdict == "yes":
-        return "yes", "erosion-iso", erosion_subquotient(rho, rep, m, k)
-    res = erosion.find_interleaving(rho, rep, m, n, budget, k)
+        return "yes", "erosion-iso", erosion_subquotient(rho, rep, m)
+    res = erosion.find_interleaving(rho, rep, m, n, budget)
     if res.verdict == "yes":
         p, q = res.certificate.p, res.certificate.q
-        return "yes", "certificate", _canonical_side(rho, rep, m, sharp(rho, rep, m, q, k), p, k)
+        return "yes", "certificate", _canonical_side(rho, rep, m, sharp(rho, rep, m, q), p)
     (members_m, complete_m), (members_n, complete_n) = enumerations
     undecided = False
     for sm in members_m:
@@ -143,12 +143,12 @@ instances = st.builds(instance, st.integers(0, 2 ** 32 - 1), st.integers(2, 6), 
 def test_bucketed_stage_matches_the_pairwise_oracle(case):
     rho, m, n, budget = case
     for stratum in strata(rho):
-        rep, k = stratum.rep, stratum.level
-        oracle = [oracle_enumerate(rho, rep, mod, budget, k) for mod in (m, n)]
-        got = _en_stratum_test(rho, rep, m, n, budget, k)
-        assert same_witness(got, oracle_stratum_test(rho, rep, m, n, budget, k, oracle))
+        rep = stratum.rep
+        oracle = [oracle_enumerate(rho, rep, mod, budget) for mod in (m, n)]
+        got = _en_stratum_test(rho, rep, m, n, budget)
+        assert same_witness(got, oracle_stratum_test(rho, rep, m, n, budget, oracle))
         for mod, (members, complete) in zip((m, n), oracle):
-            enum = en_enumerate(rho, rep, mod, budget, k)
+            enum = en_enumerate(rho, rep, mod, budget)
             assert enum.complete == complete
             assert same_members(enum.members, members)
             for m1, bases2, vec in enum.pairs:  # each predicted vector is its quotient's
@@ -167,10 +167,10 @@ def test_bucketed_stage_matches_the_pairwise_oracle_on_a_coarse_iso_test(case):
         mp.setattr(erosion, "is_isomorphic", coarse_iso)
         mp.setattr(erosion, "find_interleaving", lambda *args: InterleaveResult("no"))
         for stratum in strata(rho):
-            rep, k = stratum.rep, stratum.level
-            oracle = [oracle_enumerate(rho, rep, mod, budget, k) for mod in (m, n)]
-            got = _en_stratum_test(rho, rep, m, n, budget, k)
-            assert same_witness(got, oracle_stratum_test(rho, rep, m, n, budget, k, oracle))
+            rep = stratum.rep
+            oracle = [oracle_enumerate(rho, rep, mod, budget) for mod in (m, n)]
+            got = _en_stratum_test(rho, rep, m, n, budget)
+            assert same_witness(got, oracle_stratum_test(rho, rep, m, n, budget, oracle))
 
 
 def test_members_with_keeps_member_order_within_the_listed_vectors():

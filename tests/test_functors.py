@@ -489,3 +489,20 @@ def test_strata_with_equal_neighborhoods_share_maps(name, direction):
     del m, at_r, at_s, comp_r, comp_s
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_scales_are_exact_numbers_at_least_zero():
+    """`height.level` rejects r < 0 for every function that takes a scale, and
+    the functions that add or compare scales read "1/2" as the number 1/2."""
+    from hipm.height import nbhd_down, nbhd_iterated
+
+    ce = chain_example(2, GF2)
+    rho, m, half = ce.rho, ce.M, Fraction(1, 2)
+    for call in (lambda: apply_L(rho, -half, m), lambda: apply_T(rho, 1, -1, m, "L"),
+                 lambda: eta_L(rho, 1, -half, m), lambda: nbhd_down(rho, rho.poset.elements[0], -1),
+                 lambda: nbhd_iterated(rho, rho.poset.elements[0], -1, 2)):
+        with pytest.raises(ValueError, match="scale parameter must be >= 0"):
+            call()
+    assert eta_L(rho, "1", "1/2", m) == eta_L(rho, 1, half, m)
+    assert mu_L(rho, "1", "1/2", m) == mu_L(rho, 1, half, m)
+    assert tau(rho, "1", "1/2", m, "R") == tau(rho, 1, half, m, "R")

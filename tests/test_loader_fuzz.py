@@ -1,0 +1,121 @@
+"""A small loader fuzzer: one mutation of a small golden input at a time.
+
+A mutation drops a key, renames a key to an id that names no element, or puts
+a float, a bool, a string, a list, an unknown element id or a negative number
+where a value was.  `cli.main` runs `validate`, `distance` or `c-rho` on the
+mutated input in process, with a small budget.  It must raise nothing and exit
+0, 1 or 2, and exit 1 must be one JSON object with "error" on stderr (for
+`validate`, which reports each document, a report on stdout with an invalid
+entry).  No mutation grows a dimension, so every run stays small.
+"""
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
+from operator import getitem
+from pathlib import Path
+
+import pytest
+
+from hipm.cli import main
+
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+CASES = ["chainMN", "rand0", "bipath"]
+ROLES = ("poset", "height", "M", "N")
+GHOST = "ghost"
+VALUES = {"float": 0.5, "bool": True, "string": "x", "list": [1]}
+
+
+def paths(doc, at=()):
+    """Every path below the root of a JSON document: dict keys and list indices."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield at + (key,)
+        yield from paths(value, at + (key,))
+
+
+def mutations(doc):
+    """(path, mutation, mutated copy) for every path and every mutation that applies there."""
+    def mutated(path, change):
+        out = copy.deepcopy(doc)
+        change(reduce(getitem, path[:-1], out), path[-1])
+        return out
+
+    def put(new):
+        return lambda parent, key: parent.__setitem__(key, new)
+
+    for path in paths(doc):
+        parent, value = reduce(getitem, path[:-1], doc), reduce(getitem, path, doc)
+        if isinstance(parent, dict):
+            yield path, "drop", mutated(path, lambda p, k: p.pop(k))
+            yield path, "unknown key", mutated(path, lambda p, k: p.__setitem__(GHOST, p.pop(k)))
+        for name, new in VALUES.items():
+            yield path, name, mutated(path, put(new))
+        if isinstance(value, str):
+            yield path, "unknown id", mutated(path, put(GHOST))
+        if type(value) is int:
+            yield path, "negative", mutated(path, put(-value - 1))
+
+
+def commands(role):
+    """The commands that load a document of this role."""
+    return {"poset": ["validate", "distance", "c-rho"], "height": ["validate", "distance", "c-rho"],
+            "M": ["validate", "distance"], "N": ["distance"]}[role]
+
+
+def runs():
+    """Every (case, role, command, path, mutation, document), the commands
+    taken in turn for the documents that more than one command loads."""
+    out = []
+    for case in CASES:
+        for role in ROLES:
+            doc = json.loads((INPUTS / f"{case}_{role}.json").read_text())
+            cmds = commands(role)
+            out += [(case, role, cmds[i % len(cmds)], path, name, bad)
+                    for i, (path, name, bad) in enumerate(mutations(doc))]
+    return out
+
+
+def argv(command, files):
+    flags = {"validate": ["--poset", "--height", "--module"], "c-rho": ["--poset", "--height"],
+             "distance": ["--poset", "--height", "--module", "--module2"]}[command]
+    keys = {"--poset": "poset", "--height": "height", "--module": "M", "--module2": "N"}
+    return ["--budget", "64", command] + [x for f in flags for x in (f, str(files[keys[f]]))]
+
+
+def test_the_runs_cover_every_mutation_role_and_command():
+    every = runs()
+    assert {name for *_, name, _ in every} == {*VALUES, "drop", "unknown key", "unknown id",
+                                               "negative"}
+    assert {(role, cmd) for _, role, cmd, *_ in every} == {
+        (role, cmd) for role in ROLES for cmd in commands(role)}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_a_mutated_input_exits_cleanly(tmp_path, case):
+    failures = []
+    for _, role, command, path, name, bad in (run for run in runs() if run[0] == case):
+        files = {key: INPUTS / f"{case}_{key}.json" for key in ROLES}
+        files[role] = tmp_path / "mutated.json"
+        files[role].write_text(json.dumps(bad))
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv(command, files))
+        except BaseException as e:  # any exception that escapes is the finding
+            failures.append((case, role, command, path, name, f"raised {e!r}"))
+            continue
+        where = (case, role, command, path, name)
+        if code not in (0, 1, 2):
+            failures.append(where + (f"exit {code}",))
+        elif code == 1 and command == "validate":
+            report = json.loads(out.getvalue())
+            if all(part.get("valid", True) for part in report.values()):
+                failures.append(where + ("exit 1 with every document valid",))
+        elif code == 1:
+            lines = err.getvalue().splitlines()
+            if out.getvalue() or len(lines) != 1 or "error" not in json.loads(lines[0]):
+                failures.append(where + (f"exit 1 with stderr {err.getvalue()[:200]!r}",))
+    assert not failures, failures

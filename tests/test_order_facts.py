@@ -5,19 +5,23 @@ with h1, h2 covers of a and c a minimal common upper bound of h1 and h2.  The
 oracle composes every maximal chain between every comparable pair.  The
 neighborhoods read off the level matrix must equal the sets
 {y >= a : rho(a, y) >= r} computed with `Fraction`s, `nbhd_tops` their
-maximal elements, and `comparable_pairs` the `np.argwhere` list.
+maximal elements, and `comparable_pairs` the `np.argwhere` list.  The level
+of a scale must be `bisect_left` on the critical values, whether it is looked
+up (a stratum representative) or bisected (any other scale).
 """
 
+import bisect
 import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hipm.exactlin import FieldSpec, Mat
-from hipm.height import (INF, from_phi, nbhd_tops, nbhds, rho_diag, rho_strict, strata,
-                         validate_rho)
+from hipm.height import (INF, critical_values, from_phi, level, nbhd_tops, nbhds, rho_diag,
+                         rho_strict, strata, validate_rho)
 from hipm.pmod import PersistenceModule, validate_module
 from hipm.poset import FinitePoset
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
@@ -149,6 +153,21 @@ def heights(draw):
     return from_phi(random_phi(rng, P, denominator=draw(st.sampled_from([1, 2]))))
 
 
+@given(heights(), st.fractions(min_value=0, max_value=20, max_denominator=6))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_level_is_the_count_of_critical_values_below_the_scale(rho, extra):
+    """The lookup for stratum representatives and the bisection for every
+    other scale agree with bisect_left on the critical values; r < 0 raises."""
+    crit = critical_values(rho)
+    scales = [st_.rep for st_ in strata(rho)] + [Fraction(0), extra, crit[-1] + Fraction(1, 3)]
+    scales += [(lo + hi) / 2 for lo, hi in zip(crit, crit[1:])]
+    for r in scales:
+        assert level(rho, r) == bisect.bisect_left(crit, r)
+    for r in (Fraction(-1, 2), -extra - 1):
+        with pytest.raises(ValueError):
+            level(rho, r)
+
+
 @given(heights())
 @settings(max_examples=150, deadline=None)
 def test_level_matrix_neighborhoods_match_fraction_comparisons(rho):
@@ -156,7 +175,8 @@ def test_level_matrix_neighborhoods_match_fraction_comparisons(rho):
     n = len(P)
     assert P.comparable_pairs() == [(int(i), int(j)) for i, j in np.argwhere(P.leq)]
     for stratum in strata(rho):
-        r, k = stratum.rep, stratum.level
+        r = stratum.rep
+        k = level(rho, r)
         up = [tuple(y for y in range(n) if P.leq[a, y] and rho.value_idx(a, y) >= r)
               for a in range(n)]
         down = [tuple(x for x in range(n) if P.leq[x, a] and rho.value_idx(x, a) >= r)
