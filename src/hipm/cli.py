@@ -13,6 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
 from . import fixtures
@@ -551,9 +552,16 @@ _COMMANDS = {
 }
 
 
-def parse_args(argv=None) -> argparse.Namespace:
-    """The global options and the command name first, then the command's own
-    flags with a parser built for that command alone."""
+@lru_cache(maxsize=None)
+def _parser(command: Optional[str] = None) -> _Parser:
+    """The top-level parser (no command), or the parser of one command's own
+    flags, built on first use and reused: parsing does not change a parser,
+    and a usage error raises SchemaError instead of leaving it half-used."""
+    if command is not None:
+        cp = _Parser(prog=f"hipm {command}")
+        for flag, kw in _COMMANDS[command][1].items():
+            cp.add_argument(flag, **kw)
+        return cp
     ap = _Parser(
         prog="hipm",
         description="Exact height-interleaving distances for persistence modules over finite posets",
@@ -563,14 +571,16 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap.add_argument("--output", default="-", help="report path, '-' for stdout")
     # the command name and everything after it, as argparse hands them to subparsers
     ap.add_argument("command", nargs=argparse.PARSER, choices=list(_COMMANDS))
-    args = ap.parse_args(argv)
+    return ap
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """The global options and the command name first, then the command's own
+    flags with a parser built for that command alone."""
+    args = _parser().parse_args(argv)
     args.command, *rest = args.command
-    fn, flags = _COMMANDS[args.command]
-    cp = _Parser(prog=f"hipm {args.command}")
-    for flag, kw in flags.items():
-        cp.add_argument(flag, **kw)
-    cp.parse_args(rest, namespace=args)
-    args.fn = fn
+    _parser(args.command).parse_args(rest, namespace=args)
+    args.fn = _COMMANDS[args.command][0]
     return args
 
 

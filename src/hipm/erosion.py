@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .exactlin import FieldSpec, Mat, factor_at, hstack, kernel_basis, quotient_map, solve, vstack
 from .height import HeightDiff
-from .functors import e_r, erosion_subquotient, eta_L_to_id, eta_R_from_id, flat, im_r, ker_r, sharp
-from .interleave import (DEFAULT_BUDGET, Certificate, StrataReport, check_certificate,
+from .functors import (e_r, e_r_vanishes, erosion_subquotient, eta_L_to_id, eta_R_from_id, flat,
+                       im_r, ker_r, sharp)
+from .interleave import (DEFAULT_BUDGET, Certificate, Evaluation, StrataReport, check_certificate,
                          find_interleaving, stratified_report)
 from .pmod import (
     ModuleMorphism,
@@ -344,18 +345,28 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
 
 
 def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule, n: PersistenceModule,
-                     budget: int) -> Tuple[str, Optional[str], Optional[Subquotient]]:
-    """(verdict, via, witness) at one scale; via is "erosion-iso",
-    "certificate" or "enumeration"."""
+                     budget: int) -> Evaluation:
+    """(verdict, via, build) at one scale, `build` returning the witness or
+    None; via is "erosion-iso", "certificate" or "enumeration".
+
+    When e_r vanishes on both modules, both erosions are zero modules, which
+    the isomorphism test calls isomorphic at any budget; so the stratum is an
+    "erosion-iso" yes with no erosion, eta or search built."""
+    erosion_witness = partial(erosion_subquotient, rho, rep, m)
+    if e_r_vanishes(rho, rep, m, n):
+        return "yes", "erosion-iso", erosion_witness
     em = submodule_image(e_r(rho, rep, m)).module
     en_ = submodule_image(e_r(rho, rep, n)).module
     # like every isomorphism test under d_en, asked only where the dimensions agree
     if em.dims == en_.dims and is_isomorphic(em, en_, budget=budget).verdict == "yes":
-        return "yes", "erosion-iso", erosion_subquotient(rho, rep, m)
+        return "yes", "erosion-iso", erosion_witness
     res = find_interleaving(rho, rep, m, n, budget)
     if res.verdict == "yes":  # the search's own certificate: no re-check
-        p, q = res.certificate.p, res.certificate.q
-        return "yes", "certificate", _canonical_side(rho, rep, m, sharp(rho, rep, m, q), p)
+        def canonical() -> Subquotient:
+            p, q = res.certificate.p, res.certificate.q
+            return _canonical_side(rho, rep, m, sharp(rho, rep, m, q), p)
+
+        return "yes", "certificate", canonical
     if not m.field.is_prime_field:  # neighborhoods cannot be enumerated over Q
         return "unknown", "enumeration", None
     enum_m = en_enumerate(rho, rep, m, budget)
@@ -369,7 +380,7 @@ def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule, n: Pe
         for sn in by_vector[sm.quotient.dims]:
             verdict = is_isomorphic(sm.quotient, sn.quotient, budget=budget).verdict
             if verdict == "yes":
-                return "yes", "enumeration", sm
+                return "yes", "enumeration", lambda: sm
             undecided = undecided or verdict == "unknown"
     if enum_m.complete and enum_n.complete and not undecided:
         return "no", "enumeration", None

@@ -13,6 +13,7 @@ rational matrices are object arrays of `fractions.Fraction`.  No floats.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -316,43 +317,53 @@ def rref(m: Mat, pivot_limit: Optional[int] = None) -> RrefResult:
     """Reduced row-echelon form with the leftmost-pivot, scaled-leading-one convention.
 
     `pivot_limit` restricts pivot search to the first so-many columns (used by
-    `solve` on augmented systems).  An empty matrix or a zero limit needs no
-    elimination; a lead of one is not scaled, nor a column cleared that is already
-    clear.  The array stays canonical, so it skips Mat's normalising pass.
+    `solve` on augmented systems).  One elimination loop serves GF(2), GF(p)
+    and Q, working on array slices.  Every row at or below the current one is
+    zero left of the current column.  So per pivot one `nonzero` on the column
+    gives the pivot (its first nonzero at or below the current row) and the
+    rows to clear; a run of columns that are zero from the current row down is
+    skipped with one `any`; and the pivot row, scaled to a leading one, is
+    subtracted from the pivot column rightwards on just the rows with a nonzero
+    there.  The update is XOR over GF(2), subtraction reduced mod p over other
+    primes, and exact Fraction subtraction over Q.  The array stays canonical,
+    so it skips Mat's normalising pass.
     """
-    field = m.field
+    field, p = m.field, m.field.p  # p is None over Q
     a = m.a.copy()
     nrows, ncols = a.shape
     limit = ncols if pivot_limit is None else pivot_limit
-    if a.size == 0 or limit == 0:
-        return RrefResult(Mat._canonical(field, a), (), 0)
-    zero, one = field.zero(), field.one()
     pivots = []
-    row = 0
-    for col in range(limit):
-        if row >= nrows:
-            break
-        sel = None
-        for i in range(row, nrows):
-            if a[i, col] != zero:
-                sel = i
+    row = col = 0
+    while row < nrows and col < limit:
+        nz = a[:, col].nonzero()[0].tolist()  # the rows with a nonzero in this column
+        k = bisect_left(nz, row)
+        if k == len(nz):  # zero from `row` down: skip the run of such columns
+            later = a[row:, col + 1:limit].any(axis=0).nonzero()[0]
+            if not later.size:
                 break
-        if sel is None:
-            continue
-        if sel != row:
-            a[[row, sel], :] = a[[sel, row], :]
-        if a[row, col] != one:
-            a[row, :] = a[row, :] * field.inv(a[row, col])
-            if field.is_prime_field:
-                a[row, :] %= field.p
-        if np.count_nonzero(a[:, col]) > 1:
-            factor = a[:, col].copy()
-            factor[row] = zero
-            a -= np.outer(factor, a[row, :])
-            if field.is_prime_field:
-                a %= field.p
+            col += 1 + int(later[0])
+            nz = a[:, col].nonzero()[0].tolist()
+            k = bisect_left(nz, row)
+        sel = nz[k]
+        if sel != row:  # row's entry here is zero, so after the swap nz holds row, not sel
+            swap = a[sel, col:].copy()
+            a[sel, col:] = a[row, col:]
+            a[row, col:] = swap
+        if a[row, col] != 1:
+            scaled = a[row, col:] * field.inv(a[row, col])
+            a[row, col:] = scaled % p if p else scaled
+        if len(nz) > 1:
+            others = nz[:k] + nz[k + 1:]
+            pivot_row = a[row, col:]
+            if p == 2:
+                a[others, col:] ^= pivot_row
+            else:
+                block = a[others, col:]
+                block -= block[:, :1] * pivot_row
+                a[others, col:] = block % p if p else block
         pivots.append(col)
         row += 1
+        col += 1
     return RrefResult(Mat._canonical(field, a), tuple(pivots), len(pivots))
 
 

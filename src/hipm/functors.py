@@ -275,15 +275,16 @@ def e_r(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
                     lambda: eta_R_from_id(rho, r, m).compose(eta_L_to_id(rho, r, m)))
 
 
-def e_r_vanishes(rho: HeightDiff, r, m: PersistenceModule) -> bool:
-    """Whether e_{r,M} = 0, read off M's own maps.
+def e_r_vanishes(rho: HeightDiff, r, *modules: PersistenceModule) -> bool:
+    """Whether e_{r,M} = 0 for every M of `modules`, read off M's own maps.
 
     At every a, the colimit legs from the maximal x of a's lower neighborhood
     are jointly epimorphic, the limit legs to the minimal y of its upper one
     are jointly monomorphic (a cone is fixed at the minimal nodes), and
     leg_y e_r(a) leg_x = M(x <= y).  So e_r vanishes exactly when M(x <= y) = 0
     on every pair of `height.nbhd_pairs`; no L_r, R_r or eta is built."""
-    return all(m.map_for_idx(x, y).is_zero() for x, y in nbhd_pairs(rho, level(rho, r))
+    pairs = nbhd_pairs(rho, level(rho, r))
+    return all(m.map_for_idx(x, y).is_zero() for m in modules for x, y in pairs
                if m.dims[x] and m.dims[y])
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .exactlin import DEFAULT_BUDGET, _bilinear_search, solve_candidate, zeros
@@ -76,11 +77,19 @@ def check_certificate(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     return q.compose(ps) == e_r(rho, r, m) and p.compose(qs) == e_r(rho, r, n)
 
 
-@dataclass
 class InterleaveResult:
-    verdict: str  # "yes" | "no" | "unknown"
-    certificate: Optional[Certificate] = None
-    candidates_tried: int = 0
+    """A search's verdict ("yes" | "no" | "unknown"), the candidates it tried,
+    and for a "yes" the certificate, which `build` makes on the first read of
+    `certificate`: a stratum whose witness is never reported never builds it."""
+
+    def __init__(self, verdict: str, build: Optional[Callable[[], Certificate]] = None,
+                 candidates_tried: int = 0):
+        self.verdict, self.candidates_tried = verdict, candidates_tried
+        self._build = build
+
+    @cached_property
+    def certificate(self) -> Optional[Certificate]:
+        return self._build() if self._build is not None else None
 
 
 def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
@@ -118,27 +127,31 @@ def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     When e_r vanishes on both modules (`functors.e_r_vanishes`, read off
     m(x <= y) and n(x <= y) alone) the right-hand side is zero, so candidate 0
     is the first witness, with q = 0.  Such a stratum is answered before any
-    eta, Hom basis or equation is built, with the search's own result: "yes",
-    the zero pair and `candidates_tried` 1 (a budget of 0 still gets
-    "unknown").
+    R_r value, eta, Hom basis or equation is built, with the search's own
+    result: "yes", the zero pair and `candidates_tried` 1 (a budget of 0 still
+    gets "unknown").  The zero pair lands in R_r, so it is built only when
+    `certificate` is first read; so is the certificate of any other "yes".
     """
     r = Fraction(r)
     F = m.field
-    rn, rm = apply_R(rho, r, n).module, apply_R(rho, r, m).module
-    if budget >= 1 and e_r_vanishes(rho, r, m) and e_r_vanishes(rho, r, n):
-        return InterleaveResult("yes", Certificate(r, ModuleMorphism.zero(m, rn),
-                                                   ModuleMorphism.zero(n, rm)), 1)
-    p_basis, q_basis = hom_basis(m, rn), hom_basis(n, rm)
+    if budget >= 1 and e_r_vanishes(rho, r, m, n):
+        return InterleaveResult("yes", lambda: Certificate(
+            r, ModuleMorphism.zero(m, apply_R(rho, r, n).module),
+            ModuleMorphism.zero(n, apply_R(rho, r, m).module)), 1)
+    p_basis = hom_basis(m, apply_R(rho, r, n).module)
+    q_basis = hom_basis(n, apply_R(rho, r, m).module)
     tensor, rhs = _bilinear_tensor(p_basis, q_basis, sharp_legs(rho, r, n, p_basis),
                                    sharp_legs(rho, r, m, q_basis), e_r_legs(rho, r, m),
                                    e_r_legs(rho, r, n), F)
     verdict, coeffs, tried, x = _bilinear_search(tensor, rhs, F, budget)
     if verdict != "yes":
         return InterleaveResult(verdict, candidates_tried=tried)
-    if x is None:
-        x = solve_candidate(tensor, rhs, coeffs, F)
-    cert = Certificate(r, p_basis.combine(coeffs), q_basis.combine(x.a[:, 0]))
-    return InterleaveResult("yes", cert, tried)
+
+    def certificate() -> Certificate:
+        q = solve_candidate(tensor, rhs, coeffs, F) if x is None else x
+        return Certificate(r, p_basis.combine(coeffs), q_basis.combine(q.a[:, 0]))
+
+    return InterleaveResult("yes", certificate, tried)
 
 
 @dataclass
@@ -212,17 +225,22 @@ def stratified_search(K: int, evaluate: Callable[[int], str]) -> Tuple[int, int]
     return first_yes, last_no
 
 
-def stratified_report(rho: HeightDiff,
-                      evaluate: Callable[[Stratum], Tuple[str, Optional[str], Any]]) -> StrataReport:
+Evaluation = Tuple[str, Optional[str], Optional[Callable[[], Any]]]
+
+
+def stratified_report(rho: HeightDiff, evaluate: Callable[[Stratum], Evaluation]) -> StrataReport:
     """`stratified_search` over `strata(rho)`, written up as a report.
 
-    `evaluate(stratum)` returns (verdict, via, witness).  Strata that were not
-    evaluated are labelled implied-yes, implied-no or skipped; the distance is
-    bracketed by the left ends of the strata just above the last no and at the
-    first yes (oo past the last stratum), and the witness is the first yes's.
+    `evaluate(stratum)` returns (verdict, via, build), where `build` is a
+    function of no arguments that returns the stratum's witness, or None.
+    Strata that were not evaluated are labelled implied-yes, implied-no or
+    skipped; the distance is bracketed by the left ends of the strata just
+    above the last no and at the first yes (oo past the last stratum).  The
+    witness is the first yes's: only its `build` is called, so no other
+    stratum's witness is ever built.
     """
     sts = strata(rho)
-    seen: Dict[int, Tuple[str, Optional[str], Any]] = {}
+    seen: Dict[int, Evaluation] = {}
 
     def verdict(i: int) -> str:
         seen[i] = evaluate(sts[i])
@@ -235,12 +253,13 @@ def stratified_report(rho: HeightDiff,
 
     left = [st.lo for st in sts] + [INF]  # left[i]: the distance if stratum i is the first yes
     decided = first_yes == last_no + 1
+    build = seen[first_yes][2] if first_yes in seen else None
     return StrataReport(
         strata=[StratumVerdict(st, *seen[i][:2]) if i in seen else StratumVerdict(st, label(i))
                 for i, st in enumerate(sts)],
         distance=left[first_yes], distance_lo=left[last_no + 1],
         attained=decided and first_yes == 0, decided=decided,
-        witness=seen[first_yes][2] if first_yes in seen else None)
+        witness=build() if build is not None else None)
 
 
 def distance(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
@@ -249,13 +268,14 @@ def distance(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
 
     The zero stratum is decided by the isomorphism test (a 0-interleaving is an
     isomorphism); every other stratum by the exhaustive search at its
-    representative.  The witness is the certificate of the earliest yes.
+    representative.  The witness is the certificate of the earliest yes, the
+    only one built.
     """
-    def evaluate(st: Stratum):
+    def evaluate(st: Stratum) -> Evaluation:
         if st.kind == "zero":
             return is_isomorphic(m, n, budget=budget).verdict, None, None
         res = find_interleaving(rho, st.rep, m, n, budget)
-        return res.verdict, None, res.certificate
+        return res.verdict, None, lambda: res.certificate
 
     return stratified_report(rho, evaluate)
 

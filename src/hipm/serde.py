@@ -87,9 +87,16 @@ def field_to_json(f: FieldSpec) -> Dict[str, Any]:
     return {"kind": "rational"}
 
 
-def _object(doc: Any, what: str, location: str = "$") -> Dict[str, Any]:
+def _object(doc: Any, what: str, location: str = "$",
+            keys: Optional[tuple] = None) -> Dict[str, Any]:
+    """`doc` as a JSON object; with `keys`, a top-level document whose every key
+    is one of them, so a misspelt key is an error and not silently unread."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{what} must be an object", location)
+    unknown = [key for key in doc if key not in keys] if keys is not None else []
+    if unknown:
+        raise SchemaError(f"unknown key in {what}; expected one of {', '.join(keys)}",
+                          f"{location}.{unknown[0]}")
     return doc
 
 
@@ -107,7 +114,7 @@ def load_poset(doc: Dict[str, Any]) -> FinitePoset:
 
     Covers need not be reduced in the file; normalization happens on load.
     """
-    doc = _object(doc, "poset document")
+    doc = _object(doc, "poset document", keys=("elements", "covers", "grid"))
     if "grid" in doc:
         shape = doc["grid"]
         if not isinstance(shape, list) or not all(type(x) is int for x in shape):  # no bools
@@ -138,9 +145,12 @@ def poset_to_json(p: FinitePoset) -> Dict[str, Any]:
 
 def load_height(doc: Dict[str, Any], poset: FinitePoset) -> HeightDiff:
     """{"phi": {...}} or {"rho": [["a","b","3/2"], ...]} or {"diag": true} on grids."""
-    doc = _object(doc, "height document")
-    if doc.get("diag"):
-        return rho_diag(poset)
+    doc = _object(doc, "height document", keys=("phi", "rho", "diag"))
+    if "diag" in doc:
+        if not isinstance(doc["diag"], bool):
+            raise SchemaError("diag must be true or false", "$.diag")
+        if doc["diag"]:
+            return rho_diag(poset)
     if "phi" in doc:
         table = _element_table(doc["phi"], poset, "phi", "$.phi")
         phi = HeightFunction(poset, {k: _exact(Fraction, v, f"$.phi[{k!r}]")
@@ -194,7 +204,7 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
 
     A document field equal to `default_field` is replaced by that object, so the
     modules of one run share one field object."""
-    doc = _object(doc, "module document")
+    doc = _object(doc, "module document", keys=("field", "dims", "maps"))
     fieldspec = parse_field(doc["field"]) if "field" in doc else default_field
     if fieldspec == default_field:
         fieldspec = default_field
@@ -236,7 +246,7 @@ def module_to_json(m: PersistenceModule) -> Dict[str, Any]:
 def load_morphism(doc: Dict[str, Any], source: PersistenceModule,
                   target: PersistenceModule) -> ModuleMorphism:
     """{"components": {"a": [[...]], ...}}; omitted elements mean zero blocks; checked natural."""
-    doc = _object(doc, "morphism document")
+    doc = _object(doc, "morphism document", keys=("components",))
     table = _element_table(doc.get("components", {}), source.poset, "components", "$.components")
     comps = []
     for i, e in enumerate(source.poset.elements):
@@ -320,7 +330,7 @@ def en_report_to_json(rep: StrataReport) -> Dict[str, Any]:
 
 
 def load_order_map(doc: Dict[str, Any], source: FinitePoset, target: FinitePoset) -> OrderMap:
-    doc = _object(doc, "order-map document")
+    doc = _object(doc, "order-map document", keys=("map",))
     table = _element_table(doc.get("map"), source, "the order map's 'map'", "$.map")
     for e, v in table.items():
         if not isinstance(v, str):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hipm.cli import _config, _load_inputs, main, parse_args
-from hipm.exactlin import GF2, QQ
+from hipm.exactlin import DEFAULT_BUDGET, GF2, QQ
 from hipm.fixtures import grid_example
 from hipm.serde import (
     load_height,
@@ -535,15 +535,22 @@ def test_cli_rho_error_names_the_violation(capsys, chain_files, tmp_path, entry,
     ("phi", {"phi": {"a": "0", "b": "1", "c": "3", "d": "5", "zz": "7"}},
      "$.phi['zz']"),
     ("map", {"map": {"a": "a", "c": "c", "ghost": "a"}}, "$.map['ghost']"),
+    ("poset", {"elements": ["a", "b", "c", "d"], "covers": [], "cover": [["a", "b"]]},
+     "$.cover"),
+    ("phi", {"phi": {"a": "0", "b": "1", "c": "3", "d": "5"}, "phis": {}}, "$.phis"),
+    ("phi", {"phi": {"a": "0", "b": "1", "c": "3", "d": "5"}, "diag": "no"}, "$.diag"),
+    ("M", {"field": "gf2", "dimz": {"a": 1, "b": 1}}, "$.dimz"),
+    ("map", {"map": {"a": "a", "c": "c"}, "maps": {}}, "$.maps"),
 ], ids=["poset-not-an-object", "cover-id-a-list", "height-not-an-object", "rho-not-a-list",
         "rho-id-a-list", "module-not-an-object", "dims-a-list", "maps-a-list",
         "order-map-not-an-object", "order-map-value-a-list", "grid-side-a-bool",
-        "dims-unknown-id", "phi-unknown-id", "order-map-unknown-id"])
+        "dims-unknown-id", "phi-unknown-id", "order-map-unknown-id", "poset-unknown-key",
+        "height-unknown-key", "diag-not-a-bool", "module-unknown-key", "order-map-unknown-key"])
 def test_cli_rejects_a_document_of_the_wrong_shape(capsys, chain_files, tmp_path, key, doc,
                                                    location):
-    """A JSON document of the wrong shape, or with an element id that names no
-    element, is a schema error at its JSON path, never a Python traceback or
-    a verdict."""
+    """A JSON document of the wrong shape, with an element id that names no
+    element, or with a top-level key the document does not have, is a schema
+    error at its JSON path, never a Python traceback or a verdict."""
     sub = tmp_path / "sub.json"
     sub.write_text(json.dumps({"elements": ["a", "c"], "covers": [["a", "c"]]}))
     chain_files["map"] = tmp_path / "map.json"
@@ -566,6 +573,24 @@ def test_cli_rejects_a_document_of_the_wrong_shape(capsys, chain_files, tmp_path
 def test_cli_usage_errors_are_invalid_input(capsys, argv):
     code, err = _error(capsys, argv)
     assert code == 1 and err.startswith("hipm")
+
+
+def test_reused_parsers_give_each_call_its_own_namespace():
+    """The parsers are built once per process; no call's flags leak into the next."""
+    from hipm.serde import SchemaError
+
+    base = ["functor", "--poset", "p.json", "--height", "h.json", "--module", "m.json",
+            "--kind", "L", "--r", "1"]
+    first = parse_args(["--budget", "7"] + base + ["--direction", "R", "--s", "2"])
+    second = parse_args(base)
+    assert (first.direction, first.s, first.budget) == ("R", "2", 7)
+    assert (second.direction, second.s, second.budget) == ("L", None, DEFAULT_BUDGET)
+    assert first is not second and first.fn is second.fn
+    with pytest.raises(SchemaError, match="^hipm functor"):
+        parse_args(base + ["--direction", "X"])
+    with pytest.raises(SchemaError, match="^hipm"):
+        parse_args(["no-such-command"])
+    assert parse_args(base).direction == "L"
 
 
 @pytest.mark.parametrize("c, needle", [("-1", "scale must be >= 0"), ("abc", "not an exact number"),
@@ -670,6 +695,16 @@ def test_a_morphism_with_an_unknown_component_id_is_rejected(chain_files):
     m = load_module(json.loads(chain_files["M"].read_text()), poset)
     with pytest.raises(SchemaError, match=r"^\$\.components\['ghost'\]: unknown element id"):
         load_morphism({"components": {"a": [[1]], "ghost": [[1]]}}, m, m)
+
+
+def test_a_morphism_with_an_unknown_key_is_rejected(chain_files):
+    """A misspelt top-level key is an error, not zero components."""
+    from hipm.serde import SchemaError, load_morphism
+
+    poset = load_poset(json.loads(chain_files["poset"].read_text()))
+    m = load_module(json.loads(chain_files["M"].read_text()), poset)
+    with pytest.raises(SchemaError, match=r"^\$\.component: unknown key in morphism document"):
+        load_morphism({"component": {"a": [[1]]}}, m, m)
 
 
 def test_cli_rejects_an_input_it_cannot_read(capsys, chain_files, tmp_path):

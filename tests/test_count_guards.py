@@ -3,8 +3,9 @@
 Each guard patches one primitive to count its calls and bounds the count of a
 whole operation: the composites `validate_module` forms, the content keys
 `distance` builds, the critical-value bisections under `distance`, the
-isomorphism tests and quotients of `d_en`'s enumeration stage, and the search
-that a stratum where e_r vanishes on both modules never starts.
+isomorphism tests and quotients of `d_en`'s enumeration stage, the search
+that a stratum where e_r vanishes on both modules never starts, and the R_r
+value such a stratum never builds unless its witness is reported.
 """
 
 import bisect
@@ -15,15 +16,16 @@ from pathlib import Path
 
 import pytest
 
-from hipm import erosion, interleave
+from hipm import erosion, functors, interleave
 from hipm.erosion import _en_stratum_test, d_en
 from hipm.exactlin import FieldSpec, Mat
 from hipm.functors import e_r_vanishes
-from hipm.height import from_phi, rho_diag, strata
+from hipm.height import from_phi, level, rho_diag, strata
 from hipm.interleave import check_certificate, distance, find_interleaving
 from hipm.pmod import PersistenceModule, direct_sum, interval_module, validate_module
 from hipm.poset import FinitePoset
-from hipm.randgen import random_conjugate, random_module, random_phi, random_poset
+from hipm.randgen import (random_conjugate, random_forest_poset, random_module, random_phi,
+                          random_poset)
 from hipm.serde import load_height, load_module, load_poset
 
 GF2, GF3 = FieldSpec("gfp", 2), FieldSpec("gfp", 3)
@@ -87,14 +89,32 @@ def test_no_functor_under_distance_bisects_the_critical_values(monkeypatch, case
     assert calls[0] == 0
 
 
-@pytest.mark.parametrize("case", [0, 2, 4])  # the pairs that are not isomorphic
+def shared_vector_pair(seed):
+    """(rho, m, n) on a random 6-element forest over GF(3), n with m's
+    dimension vector and random maps (on a forest any maps are functorial).
+    Their neighborhoods share dimension vectors, so the cross test asks."""
+    rng = random.Random(seed)
+    P = random_forest_poset(rng, 6)
+    rho = from_phi(random_phi(rng, P, max_step=2))
+    m = random_module(rng, P, GF3, 2)
+    maps = {(a, b): Mat.from_rows(GF3, [[rng.randrange(3) for _ in range(m.dims[a])]
+                                        for _ in range(m.dims[b])], cols=m.dims[a])
+            for (a, b) in P.covers}
+    return rho, m, PersistenceModule(P, GF3, m.dims, maps)
+
+
+@pytest.mark.parametrize("case", [0, 2, 4])  # seeds of pairs whose cross test asks
 def test_d_en_never_asks_for_an_isomorphism_across_dimension_vectors(monkeypatch, case):
-    rho, m, n = pairs()[case]
+    rho, m, n = shared_vector_pair(case)
     original = erosion.is_isomorphic
     asked, across = [], []
+    enumerated = counting(monkeypatch, erosion, "en_enumerate")
 
     def checked(a, b, *args, **kwargs):
-        (asked if a.dims == b.dims else across).append((a.dims, b.dims))
+        if a.dims != b.dims:
+            across.append((a.dims, b.dims))
+        elif enumerated[0]:  # past the erosion test, in the enumeration stage
+            asked.append(a.dims)
         return original(a, b, *args, **kwargs)
 
     monkeypatch.setattr(erosion, "is_isomorphic", checked)
@@ -165,3 +185,31 @@ def test_budget_zero_is_unknown_on_a_vanishing_stratum():
     for rho, m, n, st in vanishing_strata():
         res = find_interleaving(rho, st.rep, m, n, 0)
         assert (res.verdict, res.certificate, res.candidates_tried) == ("unknown", None, 0)
+
+
+def test_distance_builds_no_matching_value_at_an_unreported_vanishing_stratum(monkeypatch):
+    """Only the reported stratum's witness is built: an evaluated stratum where
+    e_r vanishes on both modules, and which is not the first yes, never builds
+    R_r, not even to type its zero certificate."""
+    original = functors._apply
+    built = []
+
+    def recording(kind, levels, *args):
+        built.append((kind, levels))
+        return original(kind, levels, *args)
+
+    monkeypatch.setattr(functors, "_apply", recording)
+    unreported = 0
+    for rho, m, n in [stress_pair()] + pairs():
+        del built[:]
+        rep = distance(rho, m, n, budget=4096)
+        evaluated = [i for i, sv in enumerate(rep.strata)
+                     if sv.verdict in ("yes", "no") and sv.stratum.kind != "zero"]
+        first_yes = next((i for i, sv in enumerate(rep.strata) if sv.verdict == "yes"), None)
+        for i in evaluated:
+            r = rep.strata[i].stratum.rep
+            if e_r_vanishes(rho, r, m, n):
+                made = ("R", (level(rho, r),)) in built
+                assert made == (i == first_yes), (i, first_yes)
+                unreported += i != first_yes
+    assert unreported  # the guard is not vacuous

@@ -457,3 +457,122 @@ def test_stacked_matmul_empty_inner_dimension_gives_field_zeros():
     q = stacked_matmul(QQ, np.array([[Fraction(1, 2)]], dtype=object)[None],
                        np.array([[Fraction(2, 3)]], dtype=object))
     assert q.tolist() == [[[Fraction(1, 3)]]]
+
+
+# ---------------------------------------------------------------------------
+# rref against the scalar loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def scalar_rref(m: Mat, pivot_limit=None):
+    """The reference elimination: (matrix, pivots) by a scalar scan for each
+    pivot and a whole-matrix update, reduced mod p after every step."""
+    field = m.field
+    a = m.a.copy()
+    nrows, ncols = a.shape
+    limit = ncols if pivot_limit is None else pivot_limit
+    if a.size == 0 or limit == 0:
+        return a, ()
+    zero, one = field.zero(), field.one()
+    pivots = []
+    row = 0
+    for col in range(limit):
+        if row >= nrows:
+            break
+        sel = next((i for i in range(row, nrows) if a[i, col] != zero), None)
+        if sel is None:
+            continue
+        if sel != row:
+            a[[row, sel], :] = a[[sel, row], :]
+        if a[row, col] != one:
+            a[row, :] = a[row, :] * field.inv(a[row, col])
+            if field.is_prime_field:
+                a[row, :] %= field.p
+        if np.count_nonzero(a[:, col]) > 1:
+            factor = a[:, col].copy()
+            factor[row] = zero
+            a -= np.outer(factor, a[row, :])
+            if field.is_prime_field:
+                a %= field.p
+        pivots.append(col)
+        row += 1
+    return a, tuple(pivots)
+
+
+ORACLE_FIELDS = (GF2, GF3, FieldSpec("gfp", 5), FieldSpec("gfp", 1048573), QQ)
+
+
+def _seeded_mat(F, rows, cols, seed, density, zero_runs=(), rank=None):
+    """A random matrix over F: entries nonzero with probability `density`,
+    the columns of each (start, length) run in `zero_runs` zeroed, and with a
+    `rank`, a product of random rows x rank and rank x cols factors."""
+    gen = np.random.default_rng(seed)
+
+    def draw(r, c):
+        if F.is_prime_field:
+            return gen.integers(0, F.p, (r, c)) * (gen.random((r, c)) < density)
+        return gen.integers(-3, 4, (r, c)) * (gen.random((r, c)) < density)
+
+    a = draw(rows, cols) if rank is None else draw(rows, rank) @ draw(rank, cols)
+    for start, length in zero_runs:
+        a[:, start:start + length] = 0
+    if F.is_prime_field:
+        return Mat(F, a % F.p)
+    q = np.empty(a.shape, dtype=object)
+    denominators = gen.integers(1, 4, rows)  # one per row, which keeps the rank
+    for i, j in np.ndindex(a.shape):
+        q[i, j] = Fraction(int(a[i, j]), int(denominators[i]))
+    return Mat._canonical(F, q)
+
+
+def _assert_matches_the_scalar_loop(m: Mat, pivot_limit=None):
+    before = m.a.copy()
+    want, pivots = scalar_rref(m, pivot_limit)
+    res = rref(m, pivot_limit)
+    assert res.pivots == pivots and res.rank == len(pivots)
+    assert res.matrix.a.dtype == want.dtype and res.matrix.a.shape == want.shape
+    assert (res.matrix.a == want).all()
+    assert _canonical(res.matrix)  # int64 in [0, p), or Fractions that stay Fractions
+    assert m.a.dtype == before.dtype and (m.a == before).all()  # the input is not touched
+
+
+@st.composite
+def oracle_cases(draw):
+    """(matrix, pivot_limit): tall and wide shapes up to 40 x 80, dense and
+    sparse, low rank or not, with runs of all-zero columns."""
+    F = draw(st.sampled_from(ORACLE_FIELDS))
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 80))
+    runs = draw(st.lists(st.tuples(st.integers(0, max(cols - 1, 0)), st.integers(1, 12)),
+                         max_size=3))
+    rank = draw(st.none() | st.integers(1, 8))
+    m = _seeded_mat(F, rows, cols, draw(st.integers(0, 2 ** 32 - 1)),
+                    draw(st.sampled_from([0.05, 0.3, 1.0])), runs, rank)
+    return m, draw(st.none() | st.integers(0, cols))
+
+
+@given(oracle_cases())
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_rref_matches_the_scalar_loop(case):
+    _assert_matches_the_scalar_loop(*case)
+
+
+@pytest.mark.parametrize("F", ORACLE_FIELDS)
+def test_rref_matches_the_scalar_loop_on_empty_and_zero_matrices(F):
+    for rows, cols in ((0, 0), (0, 5), (5, 0), (3, 4)):
+        for limit in (None, 0, cols):
+            _assert_matches_the_scalar_loop(Mat.zeros(F, rows, cols), limit)
+
+
+def test_rref_matches_the_scalar_loop_on_a_compressed_family_system():
+    """A (16 * 16 + 1) x 64 GF(2) system of rank at most 40, as
+    `compressed_family` reduces for a Hom pair of dimension 16 each."""
+    _assert_matches_the_scalar_loop(_seeded_mat(GF2, 257, 64, 7, 0.3, rank=40))
+
+
+def test_rref_matches_the_scalar_loop_on_a_relaxation_transform():
+    """[A_15 | ... | A_0 | I] for 16 blocks of 31 x 16 over GF(3), reduced with
+    pivots among the A columns, as `_relaxation` does."""
+    blocks = _seeded_mat(GF3, 31, 256, 11, 0.1, zero_runs=[(40, 20)])
+    m = hstack(GF3, [blocks, Mat.eye(GF3, 31)])
+    assert (m.rows, m.cols) == (31, 287)
+    _assert_matches_the_scalar_loop(m, pivot_limit=256)

@@ -106,12 +106,18 @@ def test_report_agrees_with_a_full_scan(K, data):
     vias = data.draw(st.lists(st.sampled_from([None, "iso", "search"]),
                               min_size=K + 2, max_size=K + 2))
     witnesses = [object() for _ in sts]
-    calls = []
+    calls, built = [], []
+
+    def builder(i):
+        def build():
+            built.append(i)
+            return witnesses[i]
+        return build
 
     def evaluate(stratum):
         i = sts.index(stratum)
         calls.append(i)
-        return verdicts[i], vias[i], witnesses[i]
+        return verdicts[i], vias[i], builder(i)
 
     rep = stratified_report(rho, evaluate)
 
@@ -135,6 +141,7 @@ def test_report_agrees_with_a_full_scan(K, data):
         assert "skipped" not in want
     assert rep.attained == (rep.decided and boundary == 0)
     assert rep.witness is (witnesses[first_yes] if first_yes < K + 2 else None)
+    assert built == ([first_yes] if first_yes < K + 2 else [])  # no other witness is built
 
 
 def _instances(count, field=GF2, size=(4, 6)):
