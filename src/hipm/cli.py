@@ -258,9 +258,11 @@ def _cmd_functor(args, cfg: RunConfig) -> int:
 
 def _cmd_nat(args, cfg: RunConfig) -> int:
     r, s = _scale(args.r, "--r"), _scale(args.s, "--s")
+    name = args.name
+    if name in ("etaL", "etaR") and s is not None and s < r:
+        raise SchemaError(f"{name} needs s >= r, got s = {args.s} < r = {args.r}", "--s")
     poset, rho, m, _ = _load_inputs(args, cfg)
     c = _scale(args.c, "--c")
-    name = args.name
     if name == "e":
         mor = e_r(rho, r, m)
     elif name == "etaL":
@@ -284,6 +286,11 @@ def _cmd_nat(args, cfg: RunConfig) -> int:
             raise SchemaError("xi needs --poset2 and --map", "--name")
         other = load_poset(_read_json(args.poset2))
         f = load_order_map(_read_json(args.map), other, poset)
+        bad = check_order_map(f).preservation_violations
+        if bad:
+            x, y = bad[0]
+            raise SchemaError(f"not order-preserving: {x!r} <= {y!r} but {f(x)!r} is not "
+                              f"below {f(y)!r}", "--map")
         mor = xi_pullback(f, rho, r, m, args.direction)
     else:
         raise SchemaError(f"unknown transformation {name!r}", "--name")
@@ -410,6 +417,9 @@ def _cmd_oracle_grid(args, cfg: RunConfig) -> int:
     if poset.coords is None:
         raise SchemaError("oracle-grid needs a grid poset", "--poset")
     m, n = _load_pair(args, poset, cfg)
+    if not m.field.is_prime_field:
+        raise SchemaError("the shift oracle is exhaustive only over prime fields, "
+                          "but the modules are over Q", "--module")
     rep = distance(rho_diag(poset), m, n, budget=cfg.budget)
     out: Dict[str, Any] = {"distance": format_ext(rep.distance)}
     try:

@@ -223,11 +223,13 @@ class EnEnumeration:
     M1/M2), the vector read off the bases as dim M1(a) - dim M2(a).  Nothing is
     formed until asked for: `members_with(vectors)` forms the quotients whose
     vector is listed and deduplicates each against the members with the same
-    vector, and `members` is that over every vector.
+    vector, and `members` is that over every vector.  Each deduplicating
+    isomorphism test runs under the enumeration's own `budget`.
     """
 
     pairs: List[Tuple[Submodule, List[Mat], Vector]]
     complete: bool
+    budget: int
 
     @property
     def raw_count(self) -> int:
@@ -250,7 +252,8 @@ class EnEnumeration:
             # no en_construct checks: M1 >= im_r and M2 <= M1 & ker_r by construction
             sq = quotient_by_submodule(m1, submodule_from_bases(m1.parent, bases2))
             bucket = seen.setdefault(vec, [])
-            if not any(is_isomorphic(sq.quotient, s.quotient).verdict == "yes" for s in bucket):
+            if not any(is_isomorphic(sq.quotient, s.quotient, budget=self.budget).verdict == "yes"
+                       for s in bucket):
                 bucket.append(sq)
                 yield sq
 
@@ -306,8 +309,8 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
     Enumerates pointwise subspace families for M1 (above the latching image)
     and M2 (inside the matching kernel and M1) and keeps the closed ones, each
     pair with the dimension vector of its quotient.  The quotients are formed
-    and deduplicated by the budgeted isomorphism test only when read
-    (`EnEnumeration.members`, `members_with`).  If the backtracking budget
+    and deduplicated by the isomorphism test, under the same budget, only when
+    read (`EnEnumeration.members`, `members_with`).  If the backtracking budget
     runs out the listing is flagged incomplete.
     """
     if not m.field.is_prime_field:
@@ -336,7 +339,7 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
             complete = False
         pairs.extend((m1, fam2, tuple(b1.cols - b2.cols for b1, b2 in zip(m1.bases, fam2)))
                      for fam2 in m2_families)
-    return EnEnumeration(pairs, complete)
+    return EnEnumeration(pairs, complete, budget)
 
 
 # ---------------------------------------------------------------------------

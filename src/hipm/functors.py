@@ -92,10 +92,10 @@ class FunctorApplication:
 
 
 def clear_cache() -> None:
-    """Does nothing.  Every functor value is memoized on the module it was
-    applied to (`Memo.cached`) and lives exactly as long as that
-    module, so there is no cache to clear.  Kept only because `perfbench/run.py`
-    and `perfbench/make_data.py` still call it."""
+    """Does nothing.  Every memoized functor value lives on the module it was
+    applied to (`Memo.cached`) exactly as long as that module, so there is no
+    cache to clear.  Kept only because `perfbench/run.py` and
+    `perfbench/make_data.py` still call it."""
 
 
 def _functor(direction: str):
@@ -223,13 +223,10 @@ def apply_R_mor(rho: HeightDiff, r, f: ModuleMorphism) -> ModuleMorphism:
 
 def _eta(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
     """L_s M -> L_r M, or R_r M -> R_s M, for s >= r."""
-    s, r = Fraction(s), Fraction(r)
-    ks, kr = level(rho, s), level(rho, r)
-    if s < r:
+    if Fraction(s) < Fraction(r):
         raise ValueError(f"eta_{direction} needs s >= r")
     apply = _functor(direction)
-    return m.cached(("eta" + direction, rho, *((ks, kr) if direction == "L" else (kr, ks))),
-                    lambda: _between(m, apply(rho, s, m), apply(rho, r, m)))
+    return _between(m, apply(rho, s, m), apply(rho, r, m))
 
 
 def eta_L(rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
@@ -243,14 +240,11 @@ def eta_R(rho: HeightDiff, r, s, m: PersistenceModule) -> ModuleMorphism:
 
 
 def _eta_id(direction: str, rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
-    """L_r M -> M or M -> R_r M, assembled from the structure maps of M.  The
-    component at a depends only on a's neighborhood, so it is made once per
-    module, direction, node set and element, and shared across strata."""
+    """L_r M -> M or M -> R_r M, assembled from the structure maps of M."""
 
     def component(res: ColimResult | LimResult, a: int) -> Mat:
-        return m.cached(("eta-id", direction, res.nodes, a), lambda: factor(
-            res, {x: m.map_for_idx(x, a) if direction == "L" else m.map_for_idx(a, x)
-                  for x in res.nodes}, m.dims[a]))
+        return factor(res, {x: m.map_for_idx(x, a) if direction == "L" else m.map_for_idx(a, x)
+                            for x in res.nodes}, m.dims[a])
 
     def build():
         app = _functor(direction)(rho, r, m)
@@ -271,8 +265,7 @@ def eta_R_from_id(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
 
 def e_r(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
     """The canonical composite L_r M -> M -> R_r M whose image is the erosion."""
-    return m.cached(("e", rho, level(rho, r)),
-                    lambda: eta_R_from_id(rho, r, m).compose(eta_L_to_id(rho, r, m)))
+    return eta_R_from_id(rho, r, m).compose(eta_L_to_id(rho, r, m))
 
 
 def e_r_vanishes(rho: HeightDiff, r, *modules: PersistenceModule) -> bool:
@@ -305,14 +298,8 @@ def _iterated(direction: str, rho: HeightDiff, s, r,
 def _mu(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
     """L_s L_r M -> L_{s+r} M, or R_{s+r} M -> R_r R_s M."""
     s, r = Fraction(s), Fraction(r)
-    ks, kr, ksr = level(rho, s), level(rho, r), level(rho, s + r)
-
-    def build():
-        outer, inner = _iterated(direction, rho, s, r, m)
-        return _nested(m, outer, inner, _functor(direction)(rho, s + r, m))
-
-    return m.cached(("mu" + direction, rho, *((ks, kr) if direction == "L" else (kr, ks)), ksr),
-                    build)
+    outer, inner = _iterated(direction, rho, s, r, m)
+    return _nested(m, outer, inner, _functor(direction)(rho, s + r, m))
 
 
 def mu_L(rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
@@ -538,25 +525,19 @@ def sigma(rho: HeightDiff, s, r, c, m: PersistenceModule, direction: str) -> Mod
 
 
 def im_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
-    """The image of L_r M -> M, as a submodule of M.
-
-    Built once per (rho, r, M) and shared by every caller, so it is read-only."""
-    return m.cached(("im", rho, level(rho, r)), lambda: submodule_image(eta_L_to_id(rho, r, m)))
+    """The image of L_r M -> M, as a submodule of M."""
+    return submodule_image(eta_L_to_id(rho, r, m))
 
 
 def ker_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
-    """The kernel of M -> R_r M, as a submodule of M; memoized and read-only like im_r."""
-    return m.cached(("ker", rho, level(rho, r)), lambda: submodule_kernel(eta_R_from_id(rho, r, m)))
+    """The kernel of M -> R_r M, as a submodule of M."""
+    return submodule_kernel(eta_R_from_id(rho, r, m))
 
 
 def erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule) -> Subquotient:
-    """im_r / (im_r & ker_r), the erosion as a subquotient of M; memoized and
-    read-only like im_r."""
-    def build():
-        imr = im_r(rho, r, m)
-        return quotient_by_submodule(imr, submodule_intersection(imr, ker_r(rho, r, m)))
-
-    return m.cached(("erosion-sq", rho, level(rho, r)), build)
+    """im_r / (im_r & ker_r), the erosion as a subquotient of M."""
+    imr = im_r(rho, r, m)
+    return quotient_by_submodule(imr, submodule_intersection(imr, ker_r(rho, r, m)))
 
 
 @dataclass

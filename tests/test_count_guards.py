@@ -20,7 +20,7 @@ from hipm import erosion, functors, interleave
 from hipm.erosion import _en_stratum_test, d_en
 from hipm.exactlin import FieldSpec, Mat
 from hipm.functors import e_r_vanishes
-from hipm.height import from_phi, level, rho_diag, strata
+from hipm.height import HeightFunction, from_phi, level, rho_diag, strata
 from hipm.interleave import check_certificate, distance, find_interleaving
 from hipm.pmod import PersistenceModule, direct_sum, interval_module, validate_module
 from hipm.poset import FinitePoset
@@ -121,6 +121,28 @@ def test_d_en_never_asks_for_an_isomorphism_across_dimension_vectors(monkeypatch
     rep = d_en(rho, m, n, budget=4096)
     assert across == [] and asked
     assert any(sv.via == "enumeration" for sv in rep.strata)  # the enumeration ran
+
+
+def test_every_isomorphism_test_of_d_en_runs_under_its_budget(monkeypatch):
+    """`--budget` caps the tests that deduplicate erosion neighborhoods too:
+    `en_enumerate` keeps its budget, and `members_with` passes it on."""
+    original = erosion.is_isomorphic
+    budgets = []
+
+    def recorded(a, b, budget=None):
+        budgets.append(budget)
+        return original(a, b, budget)
+
+    monkeypatch.setattr(erosion, "is_isomorphic", recorded)
+    enumerated = counting(monkeypatch, erosion, "en_enumerate")
+    d_en(*shared_vector_pair(0), budget=20)
+    assert enumerated[0] and budgets  # the cross test asked
+    asked = len(budgets)
+    chain = FinitePoset.chain(["a", "b", "c", "d"])
+    rho = from_phi(HeightFunction(chain, dict(zip("abcd", map(Fraction, range(4))))))
+    enum = erosion.en_enumerate(rho, 10, interval_module(chain, ["a", "b"], GF2), budget=20)
+    assert len(enum.members) < enum.raw_count and len(budgets) > asked  # duplicates were tested
+    assert set(budgets) == {20}
 
 
 def test_grid3_forms_no_quotient_where_no_vector_is_shared(monkeypatch):
