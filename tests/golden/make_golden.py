@@ -42,6 +42,13 @@ def field_arg(f: FieldSpec) -> str:
     return FIELD_NAMES.get(f.p, f"gfp:{f.p}") if f.is_prime_field else "rational"
 
 
+def write_input(name, doc):
+    """Write inputs/NAME.json and return its "@inputs/NAME.json" argument."""
+    path = INPUTS / f"{name}.json"
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    return f"@inputs/{path.name}"
+
+
 def run(argv):
     """(exit code, stdout) of one in-process CLI call, or None if it raised."""
     out, err = io.StringIO(), io.StringIO()
@@ -78,9 +85,7 @@ class Instance:
         self._write("incl", {"map": {e: e for e in sub}})
 
     def _write(self, key, doc):
-        path = INPUTS / f"{self.name}_{key}.json"
-        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
-        self.files[key] = f"@inputs/{path.name}"
+        self.files[key] = write_input(f"{self.name}_{key}", doc)
 
     def on_height(self, cmd):
         f = self.files
@@ -206,22 +211,54 @@ def stress_commands():
             out = direct_sum(out, one)
         return out
 
-    files = {}
-    for key, doc in (("poset", {"grid": [8]}), ("height", {"diag": True}),
-                     ("M", module_to_json(copies(1, 4))), ("N", module_to_json(copies(2, 5)))):
-        path = INPUTS / f"stress_{key}.json"
-        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
-        files[key] = f"@inputs/{path.name}"
+    files = {key: write_input(f"stress_{key}", doc)
+             for key, doc in (("poset", {"grid": [8]}), ("height", {"diag": True}),
+                              ("M", module_to_json(copies(1, 4))),
+                              ("N", module_to_json(copies(2, 5))))}
     return [["--budget", "2", "--field", "gf3", "distance", "--poset", files["poset"],
              "--height", files["height"], "--module", files["M"], "--module2", files["N"]]]
+
+
+def extra_commands(inst):
+    """Paths the instances never take: `distortion` between inst's height and a
+    second one on its poset, `galois` for a chain and its refinement, and an `en-distance` whose
+    strata reach the enumeration stage's cross test (the instance of
+    `tests/test_en_buckets.py` at seed 1: a 3-element forest and a twin module)."""
+    sys.path.insert(0, str(HERE.parent))
+    from test_en_buckets import instance
+
+    phi2 = random_phi(random.Random(3000), inst.poset, max_step=3, denominator=2)
+    height2 = write_input(f"{inst.name}_height2", {"phi": {e: str(v) for e, v in phi2.phi.items()}})
+    out = [inst.on_height("distortion") + ["--height2", height2]]
+
+    p1 = write_input("galois_P", {"elements": ["0", "1"], "covers": [["0", "1"]]})
+    p2 = write_input("galois_P2", {"elements": ["0", "h", "1"],
+                                   "covers": [["0", "h"], ["h", "1"]]})
+    iota = write_input("galois_iota", {"map": {"0": "0", "1": "1"}})
+    pi = write_input("galois_pi", {"map": {"0": "0", "h": "0", "1": "1"}})
+    out.append(["galois", "--poset", p1, "--poset2", p2, "--iota", iota, "--pi", pi])
+
+    rho, m, n, budget = instance(1, 3, True, FieldSpec("gfp", 2), True, 65536)
+    els = rho.poset.elements
+    files = [write_input("enbucket_poset", poset_to_json(rho.poset)),
+             write_input("enbucket_height", {"rho": [[els[i], els[j], str(v)]
+                                                     for (i, j), v in sorted(rho.values.items())]}),
+             write_input("enbucket_M", module_to_json(m)),
+             write_input("enbucket_N", module_to_json(n))]
+    out.append(["--budget", str(budget), "--field", "gf2", "en-distance",
+                *[x for flag, f in zip(("--poset", "--height", "--module", "--module2"), files)
+                  for x in (flag, f)]])
+    return out
 
 
 def build():
     INPUTS.mkdir(exist_ok=True)
     for old in INPUTS.glob("*.json"):
         old.unlink()
-    commands = ([c for inst in instances() for c in inst.commands()] + repro_commands()
-                + stress_commands())
+    insts = instances()
+    commands = ([c for inst in insts for c in inst.commands()] + repro_commands()
+                + stress_commands()
+                + extra_commands(next(i for i in insts if i.name == "rand0")))
     corpus, dropped = [], []
     for argv in commands:
         res = run(resolve(argv))
