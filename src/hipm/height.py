@@ -57,16 +57,12 @@ __all__ = [
 
 
 class _Infinity:
-    """The single extended value oo; compares above every Fraction."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The extended value oo, made once as INF; compares above every Fraction."""
 
     def __repr__(self):
+        return "INF"
+
+    def __reduce__(self):  # copies and pickles resolve to the module's INF
         return "INF"
 
     def __eq__(self, other):
@@ -560,91 +556,53 @@ class IvcReport:
     witness: Optional[Tuple[str, str, Fraction]] = None  # (a, b, uncovered t)
 
 
-def _ivc_intervals(rho: HeightDiff, ia: int, ib: int, c: Fraction) -> Tuple[List[Tuple[Fraction, Fraction]], Fraction]:
-    """Good-t intervals for the pair (ia <= ib) at tolerance c, and the coverage target T.
-
-    Finite rho(a,b) = R: z in [a,b] contributes [max(A,B) - c/2, min(A,B) + c/2]
-    where A = rho(a,z), B = R - rho(z,b); target is [0, R].
-    Infinite rho(a,b): only z with rho(z,b) = oo and rho(a,z) finite contribute
-    [rho(a,z) - c/2, rho(a,z) + c/2]; the target [0, T] with T past every finite
-    value plus c is equivalent to the unbounded quantifier.
-    """
-    P = rho.poset
-    R = rho.values[(ia, ib)]
-    half = c / 2
-    intervals: List[Tuple[Fraction, Fraction]] = []
-    if R is not INF:
-        target = R
-        for z in P.interval_idx(ia, ib):
-            A = rho.values[(ia, z)]
-            Bz = rho.values[(z, ib)]
-            if A is INF or Bz is INF:
-                continue  # |.|_oo constraint can never hold against finite t / R - t
-            B = R - Bz
-            lo = max(A, B) - half
-            hi = min(A, B) + half
-            if lo <= hi:
-                intervals.append((lo, hi))
-    else:
-        finite = [v for v in rho.values.values() if v is not INF]
-        fmax = max(finite) if finite else Fraction(0)
-        target = fmax + c + 1
-        for z in P.interval_idx(ia, ib):
-            A = rho.values[(ia, z)]
-            if A is INF:
-                continue
-            if rho.values[(z, ib)] is not INF:
-                continue
-            intervals.append((A - half, A + half))
-    return intervals, target
-
-
-def _covers_interval(intervals: List[Tuple[Fraction, Fraction]], target: Fraction) -> Optional[Fraction]:
-    """None if the closed intervals cover [0, target]; else an uncovered witness t."""
-    clipped = sorted(
-        (max(lo, Fraction(0)), min(hi, target))
-        for lo, hi in intervals
-        if hi >= 0 and lo <= target
-    )
-    covered = Fraction(0)
-    started = False
-    for lo, hi in clipped:
-        if not started:
-            if lo > 0:
-                return lo / 2
-            started = True
-            covered = hi
-        else:
-            if lo > covered:
-                return (covered + lo) / 2
-            if hi > covered:
-                covered = hi
-        if covered >= target:
-            return None
-    if not started:
-        return Fraction(0)
-    if covered < target:
-        return (covered + target) / 2
-    return None
-
-
 def check_ivc(rho: HeightDiff, c) -> IvcReport:
     """Verify the approximate intermediate-value property at tolerance c.
 
-    For every a <= b and every real t in [0, rho(a,b)], some z in [a,b] must
-    satisfy |rho(a,z) - t|_oo <= c/2 and |rho(z,b) - (rho(a,b)-t)|_oo <= c/2;
-    the continuum of t is decided by exact interval-union coverage.
+    For every a < b and every real t in [0, rho(a,b)], some z in [a,b] must
+    satisfy |rho(a,z) - t|_oo <= c/2 and |rho(z,b) - (rho(a,b)-t)|_oo <= c/2.
+    Each z covers a closed interval of t.  With R = rho(a,b) finite, A =
+    rho(a,z) and B = R - rho(z,b), it is [max(A,B) - c/2, min(A,B) + c/2], and
+    z with an infinite A or rho(z,b) covers nothing; the target is R.  With
+    R = oo only z with A finite and rho(z,b) = oo count, covering
+    [A - c/2, A + c/2]; the target T, past every finite value plus c, stands
+    for the unbounded t.  The intervals are walked by left end from t = 0, and
+    the witness is the midpoint of the first gap.  z = a covers [-c/2, c/2],
+    so no walk starts with a gap; on a finite pair z = b covers
+    [R - c/2, R + c/2], so no gap lies past R.  An infinite pair runs out of
+    intervals below T, and its last gap ends at T.
     """
     c = Fraction(c)
     if c < 0:
         raise ValueError("tolerance c must be >= 0")
-    P = rho.poset
+    P, vals, half = rho.poset, rho.values, c / 2
+    far = max((v for v in vals.values() if v is not INF), default=Fraction(0)) + c + 1
     for ia, ib in P.comparable_pairs():
         if ia == ib:
             continue
-        intervals, target = _ivc_intervals(rho, ia, ib, c)
-        t = _covers_interval(intervals, target)
-        if t is not None:
+        R = vals[(ia, ib)]
+        spans = []
+        for z in P.interval_idx(ia, ib):
+            A, Bz = vals[(ia, z)], vals[(z, ib)]
+            if A is INF:
+                continue
+            if R is INF:
+                if Bz is INF:
+                    spans.append((A - half, A + half))
+            elif Bz is not INF:
+                B = R - Bz
+                spans.append((max(A, B) - half, min(A, B) + half))
+        target = far if R is INF else R
+        covered, end = Fraction(0), target
+        for lo, hi in sorted(spans):
+            if hi < lo:
+                continue
+            if lo > covered:
+                end = lo
+                break
+            covered = max(covered, hi)
+        if covered < target:  # t in (covered, end) is uncovered
+            t = (covered + end) / 2
             return IvcReport(holds=False, witness=(P.elements[ia], P.elements[ib], t))
     return IvcReport(holds=True)
 

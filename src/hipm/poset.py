@@ -124,8 +124,8 @@ class FinitePoset:
     def grid(shape: Sequence[int]) -> "FinitePoset":
         """Product-order grid {0..s1-1} x ... with elements named v_i_j_... and coords attached."""
         shape = tuple(int(s) for s in shape)
-        if any(s < 1 for s in shape):
-            raise PosetError("grid shape entries must be >= 1")
+        if not shape or any(s < 1 for s in shape):
+            raise PosetError("grid shape must be a non-empty list of entries >= 1")
         if math.prod(shape) > MAX_ELEMENTS:  # before listing the points
             raise PosetError(f"grid has {math.prod(shape)} elements, configured cap is {MAX_ELEMENTS}")
         points = list(itertools.product(*[range(s) for s in shape]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional
 
-from .exactlin import GF2, QQ, FieldSpec, Mat
+from .exactlin import _MAX_INNER, GF2, QQ, FieldSpec, Mat
 from .height import (
     HeightDiff,
     HeightFunction,
@@ -216,6 +216,9 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
         d = dims_doc.get(e, 0)
         if isinstance(d, (bool, float)) or not str(d).isdecimal():
             raise SchemaError(f"dimension must be an integer >= 0, got {d!r}", f"$.dims[{e!r}]")
+        if int(d) > _MAX_INNER:  # before any matrix of that size is allocated
+            raise SchemaError(f"dimension {d} exceeds the supported bound {_MAX_INNER}",
+                              f"$.dims[{e!r}]")
         dims.append(int(d))
     maps = {}
     covers = set(poset.covers)

@@ -399,6 +399,59 @@ def test_cli_rejects_a_bad_dimension(capsys, chain_files, tmp_path, dim):
     assert code == 1 and "dims['a']" in err
 
 
+@pytest.mark.parametrize("elements, dims, command", [
+    (["x", "a", "y"], {"x": 1, "a": 4097, "y": 1}, ["nat", "--name", "e", "--r", "2"]),
+    (["a", "b"], {"a": 4_000_000_000, "b": 4_000_000_000}, ["functor", "--kind", "L", "--r", "1"]),
+])
+def test_cli_rejects_a_dimension_over_the_product_bound(capsys, tmp_path, monkeypatch,
+                                                        elements, dims, command):
+    """A dimension past exactlin's bound on inner products is an input error,
+    raised before any matrix or module of that size is built."""
+    from hipm import serde
+
+    def build(*args):
+        raise AssertionError("module built before the dimension check")
+
+    monkeypatch.setattr(serde, "PersistenceModule", build)
+    files = {}
+    for key, doc in (("poset", {"elements": elements,
+                                "covers": [list(c) for c in zip(elements, elements[1:])]}),
+                     ("height", {"phi": {e: i for i, e in enumerate(elements)}}),
+                     ("module", {"field": "gf2", "dims": dims})):
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(doc))
+    code, err = _error(capsys, [command[0], "--poset", str(files["poset"]),
+                                "--height", str(files["height"]),
+                                "--module", str(files["module"]), *command[1:]])
+    assert code == 1 and err == (f"$.dims['a']: dimension {dims['a']} exceeds the "
+                                 "supported bound 4096")
+
+
+def test_a_dimension_at_the_product_bound_loads():
+    from hipm.poset import FinitePoset
+    from hipm.serde import SchemaError
+
+    point = FinitePoset.chain(["a"])
+    assert load_module({"field": "gf2", "dims": {"a": 4096}}, point).dims == (4096,)
+    with pytest.raises(SchemaError, match="exceeds the supported bound"):
+        load_module({"field": "gf2", "dims": {"a": "4097"}}, point)
+
+
+@pytest.mark.parametrize("command", [
+    ["c-rho", "--height", "{diag}"],
+    ["--field", "gf2", "oracle-grid", "--module", "{module}", "--module2", "{module}"],
+])
+def test_cli_rejects_an_empty_grid(capsys, tmp_path, command):
+    files = {}
+    for key, doc in (("poset", {"grid": []}), ("diag", {"diag": True}),
+                     ("module", {"field": "gf2"})):
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(doc))
+    argv = [a.format(**files) for a in command] + ["--poset", str(files["poset"])]
+    code, err = _error(capsys, argv)
+    assert code == 1 and err.startswith("grid shape must be a non-empty list")
+
+
 def test_cli_xi_needs_poset2_and_map(capsys, chain_files):
     code, err = _error(capsys, [
         "nat", "--poset", str(chain_files["poset"]), "--height", str(chain_files["phi"]),

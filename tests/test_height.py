@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from unittest import mock
@@ -44,6 +46,11 @@ def test_ext_value_conventions():
     assert ext_add(INF, Fraction(5)) is INF
     assert parse_ext("inf") is INF and parse_ext("3/2") == Fraction(3, 2)
     assert Fraction(10) < INF and INF <= INF and not (INF < Fraction(10))
+
+
+def test_inf_survives_copies_and_pickles():
+    assert copy.copy(INF) is INF and copy.deepcopy({"v": [INF]})["v"][0] is INF
+    assert pickle.loads(pickle.dumps(INF)) is INF
 
 
 def test_validate_rho_from_phi(chain4, chain4_rho):
@@ -207,6 +214,26 @@ def test_ivc_monotone_in_c(chain4_rho):
     # once it passes it keeps passing at larger tolerances
     for c in [2, Fraction(5, 2), 3, 10]:
         assert check_ivc(chain4_rho, c).holds
+
+
+@pytest.mark.parametrize("a_z, a_b, c, t", [
+    ("1", "5", 1, Fraction(5, 2)),  # z covers nothing: |A - B| = 3 > c, so the gap runs to 9/2
+    ("1", "inf", 2, Fraction(5, 2)),  # z has rho(z, b) finite: the gap runs from 1 to T = 4
+])
+def test_ivc_witness_is_the_midpoint_of_the_first_gap(a_z, a_b, c, t):
+    p = FinitePoset.chain(["a", "z", "b"])
+    rho = validate_rho(p, {("a", "z"): a_z, ("z", "b"): "1", ("a", "b"): a_b}).rho
+    assert check_ivc(rho, c).witness == ("a", "b", t)
+
+
+def test_ivc_coverage_keeps_the_furthest_right_end():
+    """At c = 2, z1 covers [1, 3] and z2 the nested [3/2, 5/2] of [0, 4]; z = b
+    covers from 3 on, so after z2 the coverage must still reach 3."""
+    p = FinitePoset.from_covers(["a", "z1", "z2", "b"],
+                                [("a", "z1"), ("a", "z2"), ("z1", "b"), ("z2", "b")])
+    rho = validate_rho(p, {("a", "z1"): "2", ("z1", "b"): "2", ("a", "z2"): "3/2",
+                           ("z2", "b"): "3/2", ("a", "b"): "4"}).rho
+    assert check_ivc(rho, 2).holds and c_rho(rho).value == 2
 
 
 def test_c_rho_equals_max_cover_gap(rng):
@@ -401,6 +428,31 @@ def test_c_rho_matches_the_breakpoint_bisection(rho):
     below = [c for c in _ivc_breakpoints(rho) if c < res.value]
     if below:
         assert not check_ivc(rho, below[-1]).holds
+
+
+@given(heights())
+@settings(max_examples=200, deadline=None)
+def test_check_ivc_against_the_definition(rho):
+    """A "no" names a strict pair a < b and a t >= 0, within [0, rho(a, b)]
+    on a finite pair, that no z in [a, b] matches within c/2 on both sides;
+    and the verdict is "yes" exactly from c(rho) on."""
+    P, least = rho.poset, c_rho(rho).value
+    tolerances = {Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5)}
+    if least is not INF:
+        tolerances |= {least, *_ivc_breakpoints(rho)}
+    for c in sorted(tolerances):
+        rep = check_ivc(rho, c)
+        assert rep.holds == (least is not INF and c >= least)
+        if rep.holds:
+            continue
+        a, b, t = rep.witness
+        ia, ib = P.idx(a), P.idx(b)
+        R = rho.values[(ia, ib)]
+        assert ia != ib and P.leq[ia, ib] and t >= 0 and (R is INF or t <= R)
+        rest = INF if R is INF else R - t
+        assert not any(abs_diff_inf(rho.values[(ia, z)], t) <= c / 2
+                       and abs_diff_inf(rho.values[(z, ib)], rest) <= c / 2
+                       for z in P.interval_idx(ia, ib))
 
 
 @given(heights(), st.randoms(use_true_random=False))

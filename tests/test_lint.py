@@ -10,7 +10,9 @@ A top-level name in `src/hipm` bound to an empty `{}`, `[]`, `dict()`,
 `list()`, `set()` or `defaultdict(...)` has the shape of a cache or a
 registry that fills at run time.  So does an attribute that an `__init__`
 binds to None or to an empty container, to be filled later: a lazy slot or a
-private memo beside the shared one.  Values derived from a
+private memo beside the shared one, and so does a plain assignment of None or
+an empty container in a class body, a slot shared by every instance
+(annotated dataclass fields are per instance and pass).  Values derived from a
 height-difference function or a module are memoized on their owner through
 `Memo.cached` instead, and its `memo` dict is the one attribute exempt.
 Non-empty constant tables and `functools.lru_cache` on pure functions pass.
@@ -137,6 +139,37 @@ def test_no_module_level_state(path):
     assert module_level_state(path) == []
 
 
+def _unfilled(node: ast.expr) -> bool:
+    """None or an empty container: a slot that is filled later."""
+    return _is_empty_container(node) or isinstance(node, ast.Constant) and node.value is None
+
+
+def class_level_state(path: Path) -> list:
+    """(line, "Class.attr") of every plain assignment of None or an empty
+    container in a class body."""
+    return [(node.lineno, f"{cls.name}.{t.id}")
+            for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.Assign) and _unfilled(node.value)
+            for t in node.targets if isinstance(t, ast.Name)]
+
+
+def test_scanner_sees_class_level_state(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from dataclasses import dataclass, field\n\nclass A:\n    _instance = None\n"
+                   "    _seen = {}\n    NAMES = ('x',)\n    LIMIT = 4\n\n    def f(self):\n"
+                   "        cache = []\n\n@dataclass\nclass B:\n"
+                   "    x: list = field(default_factory=list)\n"
+                   "    y: object = None\n    _by = _all = set()\n")
+    assert class_level_state(src) == [(4, "A._instance"), (5, "A._seen"), (16, "B._by"),
+                                      (16, "B._all")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_class_level_state(path):
+    assert class_level_state(path) == []
+
+
 def init_state(path: Path) -> list:
     """(line, "Class.attr") of every `self.attr` that an `__init__` binds to None
     or an empty container, other than the `memo` of `Memo`."""
@@ -154,8 +187,7 @@ def init_state(path: Path) -> list:
                     targets, value = [node.target], node.value
                 else:
                     continue
-                if not (_is_empty_container(value)
-                        or isinstance(value, ast.Constant) and value.value is None):
+                if not _unfilled(value):
                     continue
                 out += [(node.lineno, f"{cls.name}.{t.attr}") for t in targets
                         if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)

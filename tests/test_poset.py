@@ -181,6 +181,13 @@ def test_diagonal_steps_follow_the_coordinates(shape, k):
             assert b is None
 
 
+@pytest.mark.parametrize("shape", [[], [0], [3, 0]])
+def test_grid_rejects_an_empty_shape_or_side(shape):
+    """An empty shape would be one point with no coordinates to step along."""
+    with pytest.raises(PosetError, match="grid shape must be a non-empty list"):
+        FinitePoset.grid(shape)
+
+
 def test_diagonal_needs_a_grid(chain4):
     with pytest.raises(PosetError, match="grid coordinates"):
         chain4.diagonal(1)
