@@ -104,6 +104,8 @@ def _read_json(path: str) -> Any:
         raise SchemaError(f"cannot read the file: {e.strerror}", path)
     except UnicodeDecodeError as e:
         raise SchemaError(f"not UTF-8 text: byte {e.object[e.start]:#04x} at offset {e.start}", path)
+    except ValueError as e:  # a number of more digits than int() converts
+        raise SchemaError(f"malformed JSON: {e}", path)
 
 
 def _emit(cfg: RunConfig, payload: Dict[str, Any]) -> None:

@@ -216,10 +216,13 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
         d = dims_doc.get(e, 0)
         if isinstance(d, (bool, float)) or not str(d).isdecimal():
             raise SchemaError(f"dimension must be an integer >= 0, got {d!r}", f"$.dims[{e!r}]")
-        if int(d) > _MAX_INNER:  # before any matrix of that size is allocated
-            raise SchemaError(f"dimension {d} exceeds the supported bound {_MAX_INNER}",
+        # before any matrix of that size is allocated; the length test first,
+        # since int() refuses a string of more than 4300 digits
+        digits = str(d).lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_INNER)) or int(digits) > _MAX_INNER:
+            raise SchemaError(f"dimension exceeds the supported bound {_MAX_INNER}",
                               f"$.dims[{e!r}]")
-        dims.append(int(d))
+        dims.append(int(digits))
     maps = {}
     covers = set(poset.covers)
     for key, rows in _object(doc.get("maps", {}), "maps", "$.maps").items():
