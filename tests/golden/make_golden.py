@@ -221,9 +221,10 @@ def stress_commands():
 
 def extra_commands(inst):
     """Paths the instances never take: `distortion` between inst's height and a
-    second one on its poset, `galois` for a chain and its refinement, and an `en-distance` whose
-    strata reach the enumeration stage's cross test (the instance of
-    `tests/test_en_buckets.py` at seed 1: a 3-element forest and a twin module)."""
+    second one on its poset, `galois` for a chain and its refinement, and an
+    `en-distance` whose strata reach the enumeration stage's cross test (the
+    instance of `tests/test_en_buckets.py` at seed 1: a 3-element forest and a
+    twin module)."""
     sys.path.insert(0, str(HERE.parent))
     from test_en_buckets import instance
 
