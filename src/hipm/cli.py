@@ -76,6 +76,7 @@ from .serde import (
     load_poset,
     module_to_json,
     morphism_to_json,
+    numeral,
     parse_field,
     strata_report_to_json,
 )
@@ -134,12 +135,20 @@ def _scale(text: Optional[str], flag: str) -> Optional[Fraction]:
     if text is None:
         return None
     try:
-        x = Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        x = numeral(Fraction, text)
+    except (ValueError, ZeroDivisionError):  # also more digits than int() converts
         raise SchemaError(f"not an exact number: {text!r}", flag)
     if x < 0:
         raise SchemaError(f"scale must be >= 0, got {text}", flag)
     return x
+
+
+def _integer(text: str) -> int:
+    """An integer flag's value: a numeral with no "/q" or ".d" part."""
+    try:
+        return numeral(int, text)
+    except ValueError:  # also a fraction, or more digits than int() converts
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
 
 def _load_module(path: str, poset: FinitePoset, cfg: RunConfig) -> PersistenceModule:
@@ -560,7 +569,7 @@ _COMMANDS = {
     "oracle-grid": (_cmd_oracle_grid, {"--poset": _REQUIRED, "--module": _REQUIRED,
                                        "--module2": _REQUIRED}),
     "repro": (_cmd_repro, {"example": dict(choices=["grid", "chain", "bipath"]),
-                           "--C": dict(default="2"), "--G": dict(type=int, default=8)}),
+                           "--C": dict(default="2"), "--G": dict(type=_integer, default=8)}),
 }
 
 
@@ -579,7 +588,7 @@ def _parser(command: Optional[str] = None) -> _Parser:
         description="Exact height-interleaving distances for persistence modules over finite posets",
     )
     ap.add_argument("--field", default="gf2", help="gf2 | gf3 | gfp:P | rational")
-    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="candidate cap for searches")
+    ap.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET, help="candidate cap for searches")
     ap.add_argument("--output", default="-", help="report path, '-' for stdout")
     # the command name and everything after it, as argparse hands them to subparsers
     ap.add_argument("command", nargs=argparse.PARSER, choices=list(_COMMANDS))

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from .exactlin import FieldSpec, Mat, factor_at, hstack, kernel_basis, quotient_map, solve, vstack
 from .height import HeightDiff
@@ -208,7 +208,9 @@ def _subspaces_between(fieldspec: FieldSpec, lower: Mat, upper: Mat) -> List[Mat
     out = []
     for w in _all_rref_subspaces(fieldspec, d):
         lifted = hstack(fieldspec, [inside, section @ w], rows=upper.cols)
-        out.append(upper @ lifted)  # independent columns: already a basis
+        basis = upper @ lifted  # independent columns: already a basis
+        basis.a.flags.writeable = False  # shared by every family that lists it
+        out.append(basis)
     return out
 
 
@@ -263,43 +265,25 @@ class EnEnumeration:
         return list(self.members_with(self.vectors))
 
 
-def _enumerate_closed_families(m: PersistenceModule, choices: List[List[Mat]],
-                               budget: List[int]) -> List[List[Mat]]:
-    """Backtracking over per-element subspace choices, pruning families that are
-    not closed under the structure maps.  `budget` is a mutable countdown."""
+def _closed_families(m: PersistenceModule, choices: List[List[Mat]]) -> Iterator[List[Mat]]:
+    """Every family of per-element subspace choices closed under the structure
+    maps, in lexicographic choice order.  Backtracking checks element i against
+    the covers to and from the elements before it; the families share the
+    choices' matrices."""
     P = m.poset
-    n = len(P)
-    out: List[List[Mat]] = []
-    partial: List[Optional[Mat]] = [None] * n
 
-    def closed_so_far(i: int) -> bool:
-        for a in P.downs[i]:
-            if partial[a] is not None:
-                pushed = m.maps[(a, i)] @ partial[a]
-                if solve(partial[i], pushed) is None:
-                    return False
-        for b in P.ups[i]:
-            if partial[b] is not None:
-                pushed = m.maps[(i, b)] @ partial[i]
-                if solve(partial[b], pushed) is None:
-                    return False
-        return True
-
-    def rec(i: int) -> None:
-        if budget[0] <= 0:
-            return
-        if i == n:
-            out.append([w.copy() for w in partial])
-            budget[0] -= 1
+    def extend(family: Tuple[Mat, ...]) -> Iterator[List[Mat]]:
+        i = len(family)
+        if i == len(P):
+            yield list(family)
             return
         for w in choices[i]:
-            partial[i] = w
-            if closed_so_far(i):
-                rec(i + 1)
-            partial[i] = None
+            if (all(solve(w, m.maps[(a, i)] @ family[a]) is not None for a in P.downs[i] if a < i)
+                    and all(solve(family[b], m.maps[(i, b)] @ w) is not None
+                            for b in P.ups[i] if b < i)):
+                yield from extend(family + (w,))
 
-    rec(0)
-    return out
+    return extend(())
 
 
 def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
@@ -310,8 +294,8 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
     and M2 (inside the matching kernel and M1) and keeps the closed ones, each
     pair with the dimension vector of its quotient.  The quotients are formed
     and deduplicated by the isomorphism test, under the same budget, only when
-    read (`EnEnumeration.members`, `members_with`).  If the backtracking budget
-    runs out the listing is flagged incomplete.
+    read (`EnEnumeration.members`, `members_with`).  `budget` caps the M1 and
+    M2 families listed together; a listing that reaches it is flagged incomplete.
     """
     if not m.field.is_prime_field:
         raise ValueError("erosion-neighborhood enumeration needs a finite field")
@@ -322,9 +306,9 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
     m1_choices = [
         _subspaces_between(m.field, imr.bases[i], full[i]) for i in range(len(P))
     ]
-    countdown = [budget]
-    m1_families = _enumerate_closed_families(m, m1_choices, countdown)
-    complete = countdown[0] > 0
+    left = max(budget, 0)  # islice takes no negative stop
+    m1_families = list(itertools.islice(_closed_families(m, m1_choices), left))
+    left -= len(m1_families)
     pairs = []
     for fam1 in m1_families:
         m1 = submodule_from_bases(m, fam1)
@@ -334,12 +318,11 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
             for i in range(len(P))
         ]
         # choices live in ceiling coordinates already mapped to ambient
-        m2_families = _enumerate_closed_families(m, m2_choices, countdown)
-        if countdown[0] <= 0:
-            complete = False
+        m2_families = list(itertools.islice(_closed_families(m, m2_choices), left))
+        left -= len(m2_families)
         pairs.extend((m1, fam2, tuple(b1.cols - b2.cols for b1, b2 in zip(m1.bases, fam2)))
                      for fam2 in m2_families)
-    return EnEnumeration(pairs, complete, budget)
+    return EnEnumeration(pairs, left > 0, budget)
 
 
 # ---------------------------------------------------------------------------

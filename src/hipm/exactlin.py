@@ -191,13 +191,6 @@ class Mat:
             c = c % self.field.p
         return Mat(self.field, c)
 
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._check(other)
-        c = self.a - other.a
-        if self.field.is_prime_field:
-            c = c % self.field.p
-        return Mat(self.field, c)
-
     def __neg__(self) -> "Mat":
         c = -self.a
         if self.field.is_prime_field:

@@ -134,9 +134,6 @@ class HeightFunction:
             if e not in self.phi:
                 raise PosetError(f"height value missing for {e!r}")
 
-    def value(self, e: str) -> Fraction:
-        return self.phi[e]
-
     def order_violations(self) -> List[Tuple[str, str]]:
         bad = []
         P = self.poset

@@ -250,10 +250,6 @@ class ModuleMorphism:
         comps = [a + b for a, b in zip(self.components, other.components)]
         return ModuleMorphism(self.source, self.target, comps)
 
-    def __sub__(self, other: "ModuleMorphism") -> "ModuleMorphism":
-        comps = [a - b for a, b in zip(self.components, other.components)]
-        return ModuleMorphism(self.source, self.target, comps)
-
     def scale(self, x) -> "ModuleMorphism":
         return ModuleMorphism(self.source, self.target, [c.scale(x) for c in self.components])
 

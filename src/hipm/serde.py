@@ -7,6 +7,7 @@ through these loaders.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional
 
@@ -38,7 +39,20 @@ __all__ = [
     "strata_report_to_json",
     "en_report_to_json",
     "load_order_map",
+    "numeral",
 ]
+
+# A number written as text: an optional sign, ASCII digits, then at most one
+# "/q" or ".d" part.  int() and Fraction() also take other digit scripts, "_",
+# padding spaces and (Fraction) exponents: "1e10000000" takes seconds to build.
+NUMERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
+def numeral(parse: Callable[[str], Any], text: str):
+    """parse(text) for a `NUMERAL`; ValueError for any other string."""
+    if not NUMERAL.fullmatch(text):
+        raise ValueError("not a numeral")
+    return parse(text)
 
 
 class SchemaError(ValueError):
@@ -75,7 +89,7 @@ def parse_field(spec: Any) -> FieldSpec:
 
 def _prime_field(p: Any, location: str) -> FieldSpec:
     try:
-        f = FieldSpec("gfp", int(p))
+        f = FieldSpec("gfp", numeral(int, p) if isinstance(p, str) else int(p))
         return GF2 if f == GF2 else f
     except (TypeError, ValueError) as e:  # not an integer, or not a supported prime
         raise SchemaError(f"bad modulus {p!r}: {e}", location)
@@ -125,6 +139,9 @@ def load_poset(doc: Dict[str, Any]) -> FinitePoset:
     elements = doc["elements"]
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise SchemaError("elements must be a list of strings", "$.elements")
+    for i, e in enumerate(elements):
+        if "|" in e:  # a module's map keys join two ids as "lower|upper"
+            raise SchemaError(f"element id {e!r} contains '|'", f"$.elements[{i}]")
     covers = doc.get("covers", [])
     if not isinstance(covers, list):
         raise SchemaError("covers must be a list", "$.covers")
@@ -178,11 +195,12 @@ def load_height(doc: Dict[str, Any], poset: FinitePoset) -> HeightDiff:
 
 
 def _exact(parse: Callable[[Any], Any], v: Any, location: str):
-    """parse(v) for an int or an exact string such as "3/2"."""
-    if not isinstance(v, (bool, float)):  # a float is inexact, and int() would truncate it
+    """parse(v) for an int or a `NUMERAL` string such as "3/2", and for a word
+    such as parse_ext's "inf"; no bool, and no float, which is inexact."""
+    if type(v) is int or isinstance(v, str) and (NUMERAL.fullmatch(v) or v.strip().isalpha()):
         try:
             return parse(v)
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):
             pass
     raise SchemaError(f"{v!r} is not {'an integer' if parse is int else 'an exact number'}",
                       location)
@@ -214,11 +232,12 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
     dims = []
     for e in poset.elements:
         d = dims_doc.get(e, 0)
-        if isinstance(d, (bool, float)) or not str(d).isdecimal():
+        text = str(d) if type(d) is int else d  # no bool or float
+        if not (isinstance(text, str) and NUMERAL.fullmatch(text) and text.isdigit()):
             raise SchemaError(f"dimension must be an integer >= 0, got {d!r}", f"$.dims[{e!r}]")
         # before any matrix of that size is allocated; the length test first,
         # since int() refuses a string of more than 4300 digits
-        digits = str(d).lstrip("0") or "0"
+        digits = text.lstrip("0") or "0"
         if len(digits) > len(str(_MAX_INNER)) or int(digits) > _MAX_INNER:
             raise SchemaError(f"dimension exceeds the supported bound {_MAX_INNER}",
                               f"$.dims[{e!r}]")

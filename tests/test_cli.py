@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,26 @@ def test_module_round_trip(rng):
     assert all(back.maps[c] == ge.module.maps[c] for c in back.maps)
     pd = poset_to_json(ge.poset)
     assert load_poset(json.loads(json.dumps(pd))).key() == ge.poset.key()
+
+
+def test_an_element_id_with_a_bar_is_rejected():
+    """A module's map keys join two ids as "lower|upper", so "a|b|c" would
+    name no cover and a written module would not load back."""
+    from hipm.serde import SchemaError
+
+    with pytest.raises(SchemaError, match=r"^\$\.elements\[0\]: element id 'a\|b' contains '\|'"):
+        load_poset({"elements": ["a|b", "c"], "covers": [["a|b", "c"]]})
+
+
+def test_a_written_module_loads_back_whatever_its_ids():
+    from hipm.randgen import random_module
+
+    ids = ["a b", "x:1", "é", "[c]", "d/e"]
+    poset = load_poset({"elements": ids, "covers": [[ids[0], ids[1]], [ids[1], ids[2]],
+                                                    [ids[0], ids[3]], [ids[3], ids[4]]]})
+    m = random_module(random.Random(7), poset, GF2, max_dim=2)  # every space and map nonzero
+    back = load_module(json.loads(json.dumps(module_to_json(m))), poset)
+    assert back.dims == m.dims and all(back.maps[c] == m.maps[c] for c in poset.covers)
 
 
 def test_grid_shorthand_and_diag():

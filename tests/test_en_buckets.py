@@ -11,6 +11,7 @@ coarse stand-in whose "yes" and "unknown" are common enough to reach every
 branch of the cross test.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -20,12 +21,12 @@ from hypothesis import example, given, settings, strategies as st
 from hipm import erosion
 from hipm.erosion import (
     _canonical_side,
-    _enumerate_closed_families,
+    _closed_families,
     _en_stratum_test,
     _subspaces_between,
     en_enumerate,
 )
-from hipm.exactlin import GF2, FieldSpec, Mat
+from hipm.exactlin import GF2, FieldSpec, Mat, solve
 from hipm.functors import e_r, erosion_subquotient, im_r, ker_r, sharp
 from hipm.height import from_phi, strata
 from hipm.interleave import InterleaveResult
@@ -50,24 +51,23 @@ def oracle_enumerate(rho, r, m, budget):
     imr, kerr = im_r(rho, r, m), ker_r(rho, r, m)
     m1_choices = [_subspaces_between(m.field, imr.bases[i], Mat.eye(m.field, m.dims[i]))
                   for i in range(len(P))]
-    countdown = [budget]
-    m1_families = _enumerate_closed_families(m, m1_choices, countdown)
-    complete = countdown[0] > 0
+    left = max(budget, 0)
+    m1_families = list(itertools.islice(_closed_families(m, m1_choices), left))
+    left -= len(m1_families)
     members = []
     for fam1 in m1_families:
         m1 = submodule_from_bases(m, fam1)
         ceiling = submodule_intersection(m1, kerr)
         m2_choices = [_subspaces_between(m.field, Mat.zeros(m.field, m.dims[i], 0),
                                          ceiling.bases[i]) for i in range(len(P))]
-        m2_families = _enumerate_closed_families(m, m2_choices, countdown)
-        if countdown[0] <= 0:
-            complete = False
+        m2_families = list(itertools.islice(_closed_families(m, m2_choices), left))
+        left -= len(m2_families)
         for fam2 in m2_families:
             sq = quotient_by_submodule(m1, submodule_from_bases(m, fam2))
             if not any(erosion.is_isomorphic(sq.quotient, seen.quotient).verdict == "yes"
                        for seen in members):
                 members.append(sq)
-    return members, complete
+    return members, left > 0
 
 
 def oracle_stratum_test(rho, rep, m, n, budget, enumerations):
@@ -190,3 +190,52 @@ def test_members_with_keeps_member_order_within_the_listed_vectors():
     assert same_members(list(enum.members_with(enum.vectors)), enum.members)
     assert list(enum.members_with(set())) == []
     assert enum.raw_count == len(enum.pairs) >= len(enum.members)
+
+
+def brute_closed_families(m, choices):
+    """Every family of choices, in lexicographic order, whose spans every
+    structure map keeps: no backtracking and no order of elements."""
+    return [list(fam) for fam in itertools.product(*choices)
+            if all(solve(fam[b], m.maps[(a, b)] @ fam[a]) is not None for a, b in m.poset.covers)]
+
+
+small_instances = st.builds(instance, st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.booleans(),
+                            st.sampled_from([GF2, GF3]), st.just(False), st.just(20))
+
+
+@given(small_instances)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_closed_families_are_the_closed_choice_families_in_order(case):
+    rho, m, _, _ = case
+    for stratum in strata(rho):
+        imr, kerr = im_r(rho, stratum.rep, m), ker_r(rho, stratum.rep, m)
+        for lower, upper in ((imr.bases, [Mat.eye(m.field, d) for d in m.dims]),
+                             ([Mat.zeros(m.field, d, 0) for d in m.dims], kerr.bases)):
+            choices = [_subspaces_between(m.field, lo, up) for lo, up in zip(lower, upper)]
+            got = list(_closed_families(m, choices))
+            assert [[id(w) for w in fam] for fam in got] == [
+                [id(w) for w in fam] for fam in brute_closed_families(m, choices)]
+            assert all(not w.a.flags.writeable for ws in choices for w in ws)
+
+
+def same_pairs(got, want):
+    return [(m1.bases, bases2, vec) for m1, bases2, vec in got] == [
+        (m1.bases, bases2, vec) for m1, bases2, vec in want]
+
+
+@given(instances)
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_a_budget_that_ends_on_the_last_family_leaves_the_listing_incomplete(case):
+    """The budget counts every M1 family and every (M1, M2) pair listed."""
+    rho, m, _, _ = case
+    for stratum in strata(rho):
+        full = en_enumerate(rho, stratum.rep, m, 65536)
+        if not full.complete:
+            continue
+        # every M1 has at least the zero M2, so each M1 family is in some pair
+        listed = len(full.pairs) + len({id(m1) for m1, _, _ in full.pairs})
+        for budget, pairs, complete in ((listed + 1, full.pairs, True), (listed, full.pairs, False),
+                                        (listed - 1, full.pairs[:-1], False), (0, [], False),
+                                        (-1, [], False)):
+            enum = en_enumerate(rho, stratum.rep, m, budget)
+            assert enum.complete == complete and same_pairs(enum.pairs, pairs)
