@@ -511,10 +511,9 @@ def solve_candidate(tensor: np.ndarray, rhs: np.ndarray, coeffs, F) -> Optional[
 
 
 def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
-    """(verdict, c, candidates tried, x) for the first c in lexicographic order
-    such that sum_i c_i tensor[:, i, :]^T x = rhs is solvable.  x is the
-    solution `solve_candidate` gives when the search solved the witness's
-    system on the way (over the rationals), else None.
+    """(verdict, c, candidates tried) for the first c in lexicographic order
+    such that sum_i c_i tensor[:, i, :]^T x = rhs is solvable; `solve_candidate`
+    gives its x.
 
     Over GF(p) the search is exhaustive, so running out of candidates proves "no".
     It walks the tree of blocks (`_relaxation`): a block whose linear relaxation
@@ -536,11 +535,10 @@ def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
         lattice = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]
         for tried, coeffs in enumerate(itertools.product(lattice, repeat=h1)):
             if tried >= budget:
-                return "unknown", None, tried, None
-            x = solve_candidate(tensor, rhs, coeffs, F)
-            if x is not None:
-                return "yes", coeffs, tried + 1, x
-        return "unknown", None, 4 ** h1, None
+                return "unknown", None, tried
+            if solve_candidate(tensor, rhs, coeffs, F) is not None:
+                return "yes", coeffs, tried + 1
+        return "unknown", None, 4 ** h1
 
     p, total = F.p, F.p ** h1
     limit = max(0, min(budget, total))
@@ -588,7 +586,7 @@ def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
     if hit is None and limit > 1:
         relaxed, starts = _relaxation(family, F)
         if relaxed[h1, starts[h1]:].any():  # the root block's relaxation [0 | T rhs] fails
-            return "no", None, total, None
+            return "no", None, total
     start = 0
     while hit is None and max(start, 1) < limit:  # candidate 0 is done
         top = 0  # the level of the largest block starting here; those above were tested
@@ -601,8 +599,8 @@ def _bilinear_search(tensor: np.ndarray, rhs: np.ndarray, F, budget: int):
         hit = scan(max(start, 1), min(start + p ** leaf, limit))
         start += p ** leaf
     if hit is None:
-        return ("no" if limit == total else "unknown"), None, limit, None
-    return "yes", tuple(int(x) for x in hit[1]), hit[0] + 1, None
+        return ("no" if limit == total else "unknown"), None, limit
+    return "yes", tuple(int(x) for x in hit[1]), hit[0] + 1
 
 
 def quotient_map(field: FieldSpec, ambient_dim: int, subspace: Mat) -> tuple:

@@ -20,8 +20,8 @@ import numpy as np
 from .exactlin import Mat, factor_at, hstack, rref, solve, stacked_matmul, zeros
 from .height import (HeightDiff, check_ivc, level, nbhd_iterated_idx, nbhd_pairs, nbhd_tops, nbhds,
                      pullback_rho)
-from .kan import (ColimResult, LimResult, colim_over, factor, factor_into_lim, factor_stack_from_colim,
-                  induced, lim_over)
+from .kan import (UniversalCone, colim_over, factor, factor_into_lim, factor_stack_from_colim, induced,
+                  lim_over)
 from .pmod import (
     ModuleMorphism,
     MorphismStack,
@@ -79,9 +79,9 @@ __all__ = [
 class FunctorApplication:
     """One functor value: the output module plus per-element (co)limit data.
 
-    For latching-type kinds (`L`, `TL`) `data[a]` is a ColimResult whose legs go
-    M(x) -> out(a); for matching-type kinds (`R`, `TR`) it is a LimResult whose
-    legs go out(a) -> M(y), over the neighborhood `data[a].nodes`.  The
+    `data[a]` is a `kan.UniversalCone` over the neighborhood `data[a].nodes`:
+    for latching-type kinds (`L`, `TL`) a colimit whose legs go M(x) -> out(a),
+    for matching-type kinds (`R`, `TR`) a limit whose legs go out(a) -> M(y).  The
     retained legs make transposes and canonical transformations direct matrix
     assemblies.
     """
@@ -114,13 +114,11 @@ def _oriented(app: FunctorApplication, other: PersistenceModule, comps) -> Modul
     return ModuleMorphism(other, app.module, comps)
 
 
-def _induced(m: PersistenceModule, small: ColimResult | LimResult,
-             big: ColimResult | LimResult) -> Mat:
+def _induced(m: PersistenceModule, small: UniversalCone, big: UniversalCone) -> Mat:
     """kan.induced between two (co)limits of m.  It depends only on the two
     neighborhoods, so it is made once per module, kind and pair of node sets and
     shared by every stratum, functor and transformation that compares them."""
-    kind = "colim" if isinstance(small, ColimResult) else "lim"
-    return m.cached(("induced", kind, small.nodes, big.nodes), lambda: induced(small, big))
+    return m.cached(("induced", small.latching, small.nodes, big.nodes), lambda: induced(small, big))
 
 
 def _between(m: PersistenceModule, small: FunctorApplication,
@@ -242,7 +240,7 @@ def eta_R(rho: HeightDiff, r, s, m: PersistenceModule) -> ModuleMorphism:
 def _eta_id(direction: str, rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
     """L_r M -> M or M -> R_r M, assembled from the structure maps of M."""
 
-    def component(res: ColimResult | LimResult, a: int) -> Mat:
+    def component(res: UniversalCone, a: int) -> Mat:
         return factor(res, {x: m.map_for_idx(x, a) if direction == "L" else m.map_for_idx(a, x)
                             for x in res.nodes}, m.dims[a])
 
@@ -473,9 +471,9 @@ def theta(rho: HeightDiff, s, r, c, m: PersistenceModule, direction: str) -> Mod
     s, r, c = Fraction(s), Fraction(r), Fraction(c)
     ivc = check_ivc(rho, c)
     if not ivc.holds:
+        a, b, t = ivc.witness
         raise IntermediateValueError(
-            f"intermediate-value property fails at tolerance {c}: witness {ivc.witness}"
-        )
+            f"intermediate-value property fails at tolerance {c}: witness a={a!r}, b={b!r}, t={t}")
     big = _functor(direction)(rho, s + r + c, m)
     t = apply_T(rho, s, r, m, direction)
     for a, name in enumerate(m.poset.elements):

@@ -26,11 +26,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .exactlin import DEFAULT_BUDGET, _bilinear_search, solve_candidate, zeros
+from .exactlin import DEFAULT_BUDGET, zeros
 from .height import INF, ExtVal, HeightDiff, Stratum, format_ext, rho_diag, strata
 from .functors import apply_R, e_r, e_r_legs, e_r_vanishes, sharp, sharp_legs
-from .pmod import (ModuleMorphism, MorphismStack, PersistenceModule, _bilinear_tensor, hom_basis,
-                   is_isomorphic)
+from .pmod import ModuleMorphism, MorphismStack, PersistenceModule, hom_basis, is_isomorphic, search_pair
 from .poset import PosetError
 
 __all__ = [
@@ -113,16 +112,16 @@ def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     of the transposed system.  `check_certificate` deliberately keeps the
     transpose route, so each certificate is verified by the other one.
 
-    Over GF(p) `_bilinear_search` skips whole blocks of candidates whose
-    linear relaxation is inconsistent and tests the rest in batches, in that
-    same order, so the first witness and `candidates_tried` (the witness's
-    position, skipped candidates included) are those of a one-at-a-time scan,
-    and q is one exact `solve` of the witness's system.  Over the rationals q
-    is the solution the lattice probe found.  Exhausting the Hom space proves
-    "no" (prime fields), and so does an inconsistent relaxation of the whole
-    space once the budget reaches candidate 1; otherwise reaching the budget
-    first, as a bound on that position, yields "unknown" with
-    `candidates_tried` equal to the budget.
+    One call of `pmod.search_pair` builds and searches the system.  Over GF(p)
+    it skips whole blocks of candidates whose linear relaxation is
+    inconsistent and tests the rest in batches, in that same order, so the
+    first witness and `candidates_tried` (the witness's position, skipped
+    candidates included) are those of a one-at-a-time scan.  Over either
+    field q is one exact `solve` of the witness's system.  Exhausting the Hom
+    space proves "no" (prime fields), and so does an inconsistent relaxation
+    of the whole space once the budget reaches candidate 1; otherwise
+    reaching the budget first, as a bound on that position, yields "unknown"
+    with `candidates_tried` equal to the budget.
 
     When e_r vanishes on both modules (`functors.e_r_vanishes`, read off
     m(x <= y) and n(x <= y) alone) the right-hand side is zero, so candidate 0
@@ -133,25 +132,16 @@ def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     `certificate` is first read; so is the certificate of any other "yes".
     """
     r = Fraction(r)
-    F = m.field
     if budget >= 1 and e_r_vanishes(rho, r, m, n):
         return InterleaveResult("yes", lambda: Certificate(
             r, ModuleMorphism.zero(m, apply_R(rho, r, n).module),
             ModuleMorphism.zero(n, apply_R(rho, r, m).module)), 1)
     p_basis = hom_basis(m, apply_R(rho, r, n).module)
     q_basis = hom_basis(n, apply_R(rho, r, m).module)
-    tensor, rhs = _bilinear_tensor(p_basis, q_basis, sharp_legs(rho, r, n, p_basis),
-                                   sharp_legs(rho, r, m, q_basis), e_r_legs(rho, r, m),
-                                   e_r_legs(rho, r, n), F)
-    verdict, coeffs, tried, x = _bilinear_search(tensor, rhs, F, budget)
-    if verdict != "yes":
-        return InterleaveResult(verdict, candidates_tried=tried)
-
-    def certificate() -> Certificate:
-        q = solve_candidate(tensor, rhs, coeffs, F) if x is None else x
-        return Certificate(r, p_basis.combine(coeffs), q_basis.combine(q.a[:, 0]))
-
-    return InterleaveResult("yes", certificate, tried)
+    verdict, tried, p, q = search_pair(p_basis, q_basis, sharp_legs(rho, r, n, p_basis),
+                                       sharp_legs(rho, r, m, q_basis), e_r_legs(rho, r, m),
+                                       e_r_legs(rho, r, n), budget)
+    return InterleaveResult(verdict, (lambda: Certificate(r, p(), q())) if p else None, tried)
 
 
 @dataclass
@@ -319,14 +309,12 @@ def _shift_sharp(p: MorphismStack, n: PersistenceModule, k: int) -> list:
 
 def _shift_interleaving(m: PersistenceModule, n: PersistenceModule, k: int,
                         budget: int) -> str:
-    F = m.field
-    if not F.is_prime_field:
+    if not m.field.is_prime_field:
         raise ValueError("shift oracle is exhaustive only over prime fields")
     p_basis = hom_basis(m, _shift_module(n, k))
     q_basis = hom_basis(n, _shift_module(m, k))
-    tensor, rhs = _bilinear_tensor(p_basis, q_basis, _shift_sharp(p_basis, n, k),
-                                   _shift_sharp(q_basis, m, k), _shift_e(m, k), _shift_e(n, k), F)
-    return _bilinear_search(tensor, rhs, F, budget)[0]
+    return search_pair(p_basis, q_basis, _shift_sharp(p_basis, n, k), _shift_sharp(q_basis, m, k),
+                       _shift_e(m, k), _shift_e(n, k), budget)[0]
 
 
 class UndecidedError(Exception):

@@ -8,18 +8,18 @@ is the equalizer kernel's in the block direct sum over the subposet: one rref
 of the stacked legs with the coordinates reversed finds the same free
 coordinates (matroid duality, see `_lim_diagram`).  A colimit is the
 transposed limit of the transposed diagram: the order reversed, every map
-transposed.  The inclusion of a limit is the identity on its free coordinates
-of the block sum (`LimResult.free`), and so is the projection of a colimit
-(`ColimResult.free`).  So `factor`, the unique map out of a colimit or into a
-limit with given leg composites, reads those coordinates off the stacked
-family (`exactlin.factor_at`), and `induced` is `factor` on the legs of a
-bigger (co)limit; no system is solved.  `colim_over` / `lim_over` build each
-(co)limit once per module object and node set.
+transposed.  Both are one `UniversalCone`, told apart by its `latching` flag,
+whose `proj` (a colimit's projection, a limit's inclusion transposed) is the
+identity on its free coordinates of the block sum.  So `factor`, the unique
+map out of a colimit or into a limit with given leg composites, reads those
+coordinates off the stacked family (`exactlin.factor_at`), and `induced` is
+`factor` on the legs of a bigger (co)limit; no system is solved.  `colim_over`
+/ `lim_over` build each (co)limit once per module object and node set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
@@ -40,8 +40,7 @@ from .pmod import PersistenceModule
 from .poset import Connectivity, _is_connected_idx
 
 __all__ = [
-    "ColimResult",
-    "LimResult",
+    "UniversalCone",
     "colim_over",
     "lim_over",
     "factor",
@@ -85,11 +84,14 @@ def _module_diagram(m: PersistenceModule, subset: Sequence[int]) -> _Diagram:
 
 
 @dataclass
-class ColimResult:
-    """colim of a diagram: quotient dimension, projection from the block sum,
-    and one leg M(x) -> object per node."""
+class UniversalCone:
+    """colim (`latching`) or lim of a diagram: its dimension, `proj` from the
+    block sum, and one leg per node, M(x) -> object for a colimit and
+    object -> M(x) for a limit.  A colimit's `proj` is its projection; a
+    limit's is its inclusion transposed, and `incl` is the view back."""
 
     fieldspec: FieldSpec
+    latching: bool
     nodes: Tuple[int, ...]
     offsets: Dict[int, int]
     total: int
@@ -98,20 +100,9 @@ class ColimResult:
     legs: Dict[int, Mat]
     free: Tuple[int, ...]  # proj[:, free] is the identity
 
-
-@dataclass
-class LimResult:
-    """lim of a diagram: kernel dimension, inclusion into the block sum, and one
-    leg object -> M(x) per node."""
-
-    fieldspec: FieldSpec
-    nodes: Tuple[int, ...]
-    offsets: Dict[int, int]
-    total: int
-    dim: int
-    incl: Mat  # total x dim, injective
-    legs: Dict[int, Mat]
-    free: Tuple[int, ...]  # incl[free, :] is the identity
+    @property
+    def incl(self) -> Mat:
+        return Mat._canonical(self.fieldspec, self.proj.a.T)
 
 
 def _offsets(diag: _Diagram) -> Tuple[Dict[int, int], int]:
@@ -122,7 +113,7 @@ def _offsets(diag: _Diagram) -> Tuple[Dict[int, int], int]:
     return offs, pos
 
 
-def _lim_diagram(diag: _Diagram) -> LimResult:
+def _lim_diagram(diag: _Diagram) -> UniversalCone:
     """The cones over the diagram, in the equalizer's canonical basis.
 
     A cone is fixed by its values at the minimal nodes, v_y = M(b <= y) v_b for
@@ -134,7 +125,8 @@ def _lim_diagram(diag: _Diagram) -> LimResult:
     coordinates greedily from the right, and by matroid duality these are the
     non-pivot columns of the leftmost-pivot rref of the cover equations.  So
     incl[free, :] is the identity, coordinate for coordinate the equalizer's
-    kernel basis (`exactlin._null_space`)."""
+    kernel basis (`exactlin._null_space`).  The legs are row slices of the
+    C-contiguous inclusion, and `proj` is its transposed view."""
     F, nodes, dims, mat = diag.fieldspec, diag.nodes, diag.dims, diag.mat
     offs, total = _offsets(diag)
     minima = [j for j, under in enumerate(diag.leq.sum(axis=0).tolist()) if under == 1]  # itself only
@@ -162,21 +154,21 @@ def _lim_diagram(diag: _Diagram) -> LimResult:
     incl = np.ascontiguousarray(res.matrix.a[::-1, ::-1].T)
     free = tuple(total - 1 - j for j in reversed(res.pivots))
     legs = {x: Mat._canonical(F, incl[offs[x]: offs[x] + dims[x]]) for x in nodes}  # read-only views
-    return LimResult(F, nodes, offs, total, len(free), Mat._canonical(F, incl), legs, free)
+    return UniversalCone(F, False, nodes, offs, total, len(free), Mat._canonical(F, incl.T), legs,
+                         free)
 
 
-def _colim_diagram(diag: _Diagram) -> ColimResult:
+def _colim_diagram(diag: _Diagram) -> UniversalCone:
     """The transposed limit of the transposed diagram (the order reversed, every
-    map transposed): proj = incl^T, legs transposed."""
+    map transposed): the same proj, legs transposed."""
     F, mat = diag.fieldspec, diag.mat
     lim = _lim_diagram(_Diagram(F, diag.nodes, diag.dims, diag.leq.T,
                                 lambda y, x: Mat._canonical(F, mat(x, y).a.T)))
     legs = {x: Mat._canonical(F, leg.a.T) for x, leg in lim.legs.items()}  # read-only views
-    return ColimResult(F, lim.nodes, lim.offsets, lim.total, lim.dim,
-                       Mat._canonical(F, lim.incl.a.T), legs, lim.free)
+    return replace(lim, latching=True, legs=legs)
 
 
-def colim_over(m: PersistenceModule, subset: Sequence[int]) -> ColimResult:
+def colim_over(m: PersistenceModule, subset: Sequence[int]) -> UniversalCone:
     """colim of M restricted to the full subposet on `subset` (ambient indices).
 
     The empty subset yields the zero object.  The result is made once per
@@ -187,13 +179,13 @@ def colim_over(m: PersistenceModule, subset: Sequence[int]) -> ColimResult:
     return m.cached(("colim", nodes), lambda: _colim_diagram(_module_diagram(m, nodes)))
 
 
-def lim_over(m: PersistenceModule, subset: Sequence[int]) -> LimResult:
+def lim_over(m: PersistenceModule, subset: Sequence[int]) -> UniversalCone:
     """lim of M restricted to the full subposet on `subset`; shared like colim_over."""
     nodes = tuple(sorted(subset))
     return m.cached(("lim", nodes), lambda: _lim_diagram(_module_diagram(m, nodes)))
 
 
-def factor_from_colim(col: ColimResult, blocks: Dict[int, Mat], target_rows: int) -> Mat:
+def factor_from_colim(col: UniversalCone, blocks: Dict[int, Mat], target_rows: int) -> Mat:
     """The unique map out of the colimit whose composites with the legs are
     `blocks`: the stacked family at the free coordinates.  Raises ValueError
     unless `blocks` is a cocone."""
@@ -202,7 +194,7 @@ def factor_from_colim(col: ColimResult, blocks: Dict[int, Mat], target_rows: int
     return Mat._canonical(F, factor_stack_from_colim(col, stacked.a))
 
 
-def factor_stack_from_colim(col: ColimResult, stacked: np.ndarray) -> np.ndarray:
+def factor_stack_from_colim(col: UniversalCone, stacked: np.ndarray) -> np.ndarray:
     """factor_from_colim for an (h, rows, total) stack of families, each one's
     blocks side by side in node order: the (h, rows, dim) factors, checked by
     one batched matmul (ValueError if a family is not a cocone)."""
@@ -212,25 +204,23 @@ def factor_stack_from_colim(col: ColimResult, stacked: np.ndarray) -> np.ndarray
     return f
 
 
-def factor_into_lim(lim: LimResult, blocks: Dict[int, Mat], source_cols: int) -> Mat:
+def factor_into_lim(lim: UniversalCone, blocks: Dict[int, Mat], source_cols: int) -> Mat:
     """The unique map into the limit whose composites with the legs are
     `blocks`: factor_from_colim transposed, the stacked family at the free rows."""
     F = lim.fieldspec
     stacked = vstack(F, [blocks[x] for x in lim.nodes], cols=source_cols)
-    f = factor_at(lim.incl.a.T, lim.free, stacked.a.T, F)
+    f = factor_at(lim.proj.a, lim.free, stacked.a.T, F)
     if f is None:
         raise ValueError("family is not a cone: no factorization through the limit")
     return Mat._canonical(F, f.T)
 
 
-def factor(res: ColimResult | LimResult, blocks: Dict[int, Mat], dim: int) -> Mat:
+def factor(res: UniversalCone, blocks: Dict[int, Mat], dim: int) -> Mat:
     """The unique map out of a colimit, or into a limit, with the given leg composites."""
-    if isinstance(res, ColimResult):
-        return factor_from_colim(res, blocks, dim)
-    return factor_into_lim(res, blocks, dim)
+    return (factor_from_colim if res.latching else factor_into_lim)(res, blocks, dim)
 
 
-def induced(small: ColimResult | LimResult, big: ColimResult | LimResult) -> Mat:
+def induced(small: UniversalCone, big: UniversalCone) -> Mat:
     """The map induced by nested node sets, small <= big: colim over small ->
     colim over big, or lim over big -> lim over small."""
     return factor(small, {x: big.legs[x] for x in small.nodes}, big.dim)
@@ -253,7 +243,7 @@ def check_universal(m: PersistenceModule, subset: Sequence[int], candidate) -> b
     diag, covers = _module_diagram(m, subset), m.poset.subposet_covers(subset)
     F = diag.fieldspec
     offs, total = _offsets(diag)
-    if isinstance(candidate, ColimResult):
+    if candidate.latching:
         for (x, y) in covers:
             if candidate.legs[y] @ diag.mat(x, y) != candidate.legs[x]:
                 return False
@@ -278,30 +268,28 @@ def check_universal(m: PersistenceModule, subset: Sequence[int], candidate) -> b
             if solve(stacked.T, delta) is None:
                 return False
         return True
-    if isinstance(candidate, LimResult):
-        for (x, y) in covers:
-            if diag.mat(x, y) @ candidate.legs[x] != candidate.legs[y]:
-                return False
-        stacked = vstack(F, [candidate.legs[x] for x in diag.nodes], cols=candidate.dim)
-        if rref(stacked).rank != candidate.dim:
+    for (x, y) in covers:
+        if diag.mat(x, y) @ candidate.legs[x] != candidate.legs[y]:
             return False
-        rows = []
-        for (x, y) in covers:
-            mxy = diag.mat(x, y)
-            block = Mat.zeros(F, mxy.rows, total)
-            block.a[:, offs[x] : offs[x] + mxy.cols] = mxy.a
-            for r in range(mxy.rows):
-                block.a[r, offs[y] + r] -= F.one()
-            if F.is_prime_field:
-                block.a %= F.p
-            rows.append(block)
-        eq = vstack(F, rows, cols=total)
-        test_cones = kernel_basis(eq)
-        for j in range(test_cones.cols):
-            if solve(stacked, test_cones.col(j)) is None:
-                return False
-        return True
-    raise TypeError("candidate must be a ColimResult or LimResult")
+    stacked = vstack(F, [candidate.legs[x] for x in diag.nodes], cols=candidate.dim)
+    if rref(stacked).rank != candidate.dim:
+        return False
+    rows = []
+    for (x, y) in covers:
+        mxy = diag.mat(x, y)
+        block = Mat.zeros(F, mxy.rows, total)
+        block.a[:, offs[x] : offs[x] + mxy.cols] = mxy.a
+        for r in range(mxy.rows):
+            block.a[r, offs[y] + r] -= F.one()
+        if F.is_prime_field:
+            block.a %= F.p
+        rows.append(block)
+    eq = vstack(F, rows, cols=total)
+    test_cones = kernel_basis(eq)
+    for j in range(test_cones.cols):
+        if solve(stacked, test_cones.col(j)) is None:
+            return False
+    return True
 
 
 @dataclass

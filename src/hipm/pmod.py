@@ -29,6 +29,7 @@ from .exactlin import (
     stacked_matmul,
     zeros,
     _bilinear_search,
+    solve_candidate,
 )
 from .poset import FinitePoset, Memo, OrderMap, PosetError
 
@@ -43,6 +44,7 @@ __all__ = [
     "pullback_module",
     "MorphismStack",
     "hom_basis",
+    "search_pair",
     "is_isomorphic",
     "IsoResult",
 ]
@@ -343,32 +345,39 @@ class MorphismStack(Sequence):
         return f"MorphismStack({self._h} x {list(self.source.dims)} -> {list(self.target.dims)})"
 
 
-def _bilinear_tensor(p_basis: MorphismStack, q_basis: MorphismStack,
-                     p_families: Sequence[np.ndarray], q_families: Sequence[np.ndarray],
-                     m_rhs: Sequence[np.ndarray], n_rhs: Sequence[np.ndarray],
-                     F) -> Tuple[np.ndarray, np.ndarray]:
-    """tensor[j, i, :] and rhs of the two identities, element by element:
+def search_pair(p_basis: MorphismStack, q_basis: MorphismStack,
+                p_families: Sequence[np.ndarray], q_families: Sequence[np.ndarray],
+                m_rhs: Sequence[np.ndarray], n_rhs: Sequence[np.ndarray], budget: int) -> tuple:
+    """(verdict, candidates tried, p, q) of the bilinear system, element by element,
     sum_{i,j} c_i d_j Q_j(a) p_families[a][i] = m_rhs[a] and
-    sum_{i,j} c_i d_j P_i(a) q_families[a][j] = n_rhs[a].
+    sum_{i,j} c_i d_j P_i(a) q_families[a][j] = n_rhs[a]
+    in p = sum_i c_i P_i over `p_basis` and q = sum_j d_j Q_j over `q_basis`.
 
     A family is an (h, N(a), w) stack per element, one matrix per basis
     morphism (a transpose, or its composites with colimit legs), and its
-    right-hand block is the (R(a), w) array it must produce; blocks are laid
-    out row-major, element after element, the m side first.  Per element,
-    every composite of one side is one batched matmul of two stacks."""
+    right-hand block is the (R(a), w) array it must produce.  The (h2, h1, L)
+    tensor lays the blocks out row-major, element after element, the m side
+    first; per element, every composite of one side is one batched matmul of
+    two stacks.  `exactlin._bilinear_search` finds the first c.  On a "yes" p
+    and q are functions of no arguments that build the two morphisms, q by one
+    exact `solve` of c's system; otherwise both are None."""
+    F = p_basis.source.field
     rhs = np.concatenate([b.ravel() for b in (*m_rhs, *n_rhs)] + [zeros(F, (0,))])
     h1, h2 = len(p_basis), len(q_basis)
-    if not (h1 and h2):
-        return zeros(F, (h2, h1, len(rhs))), rhs
 
     def products(left, families, swap):  # per element, every left o family in one matmul
         for stack, family in zip(left.stacks, families):
             prod = stacked_matmul(F, stack[:, None], family[None])
             yield (prod.swapaxes(0, 1) if swap else prod).reshape(h2, h1, -1)
 
-    tensor = np.concatenate([*products(q_basis, p_families, False),
-                             *products(p_basis, q_families, True)], axis=2)
-    return tensor, rhs
+    tensor = (np.concatenate([*products(q_basis, p_families, False),
+                              *products(p_basis, q_families, True)], axis=2)
+              if h1 and h2 else zeros(F, (h2, h1, len(rhs))))
+    verdict, coeffs, tried = _bilinear_search(tensor, rhs, F, budget)
+    if verdict != "yes":
+        return verdict, tried, None, None
+    return (verdict, tried, lambda: p_basis.combine(coeffs),
+            lambda: q_basis.combine(solve_candidate(tensor, rhs, coeffs, F).a[:, 0]))
 
 
 def hom_basis(m: PersistenceModule, n: PersistenceModule) -> MorphismStack:
@@ -557,7 +566,7 @@ def is_isomorphic(m: PersistenceModule, n: PersistenceModule,
     """Search for an isomorphism m ~ n.
 
     An isomorphism is a 0-interleaving: f: m -> n and g: n -> m with g o f = id
-    and f o g = id.  So this is `_bilinear_search` over f = sum c_i P_i in
+    and f o g = id.  So this is `search_pair` over f = sum c_i P_i in
     Hom(m, n) and g in Hom(n, m), each basis its own transpose, with identity
     right-hand sides.  A candidate f has such a g exactly when it is invertible
     at every element, since its inverse is then natural.  Over GF(p) the
@@ -576,7 +585,5 @@ def is_isomorphic(m: PersistenceModule, n: PersistenceModule,
     if not p_basis:
         return IsoResult("no")
     eye = [Mat.eye(m.field, d).a for d in m.dims]
-    tensor, rhs = _bilinear_tensor(p_basis, q_basis, p_basis.stacks, q_basis.stacks, eye, eye,
-                                   m.field)
-    verdict, coeffs, _, _ = _bilinear_search(tensor, rhs, m.field, budget)
-    return IsoResult(verdict, p_basis.combine(coeffs) if verdict == "yes" else None)
+    verdict, _, f, _ = search_pair(p_basis, q_basis, p_basis.stacks, q_basis.stacks, eye, eye, budget)
+    return IsoResult(verdict, f() if f else None)

@@ -58,7 +58,7 @@ def numeral(parse: Callable[[str], Any], text: str):
 class SchemaError(ValueError):
     def __init__(self, message: str, location: str = "$"):
         super().__init__(f"{location}: {message}")
-        self.location = location
+        self.location, self.message = location, message
 
 
 def parse_field(spec: Any) -> FieldSpec:
@@ -89,10 +89,10 @@ def parse_field(spec: Any) -> FieldSpec:
 
 def _prime_field(p: Any, location: str) -> FieldSpec:
     try:
-        f = FieldSpec("gfp", numeral(int, p) if isinstance(p, str) else int(p))
+        f = FieldSpec("gfp", numeral(int, p) if isinstance(p, str) else _exact(int, p, location))
         return GF2 if f == GF2 else f
-    except (TypeError, ValueError) as e:  # not an integer, or not a supported prime
-        raise SchemaError(f"bad modulus {p!r}: {e}", location)
+    except ValueError as e:  # not an integer, or not a supported prime
+        raise SchemaError(f"bad modulus {p!r}: {getattr(e, 'message', e)}", location)
 
 
 def field_to_json(f: FieldSpec) -> Dict[str, Any]:

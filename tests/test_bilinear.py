@@ -3,7 +3,7 @@ candidate at a time with `solve`: same verdict, same `candidates_tried`, same
 first witness.  The reference searches the bilinear tensor of the transposes,
 built one transpose and one composite at a time; it also builds the tensor on
 the colimit legs that `find_interleaving` searches one composite at a time,
-and the stacked `_bilinear_tensor` must equal it.  Deep
+and the tensor `search_pair` stacks must equal it.  Deep
 families with tiny batches drive the search through blocks it skips by their
 linear relaxation.  `is_isomorphic`, which runs on the same search, is compared
 with a scan that tests one combination of the Hom basis at a time for full
@@ -26,7 +26,7 @@ from hipm.fixtures import bipath_example, chain_example, grid_example
 from hipm.functors import apply_R, e_r, e_r_legs, eta_R_from_id, sharp, sharp_legs
 from hipm.height import level, nbhd_tops, rho_diag
 from hipm.interleave import check_certificate, distance, find_interleaving
-from hipm.pmod import _bilinear_tensor, direct_sum, hom_basis, interval_module, is_isomorphic
+from hipm.pmod import direct_sum, hom_basis, interval_module, is_isomorphic, search_pair
 from hipm.poset import FinitePoset
 from hipm.randgen import random_conjugate, random_forest_poset, random_module, random_poset
 
@@ -83,10 +83,9 @@ def bilinear_families(draw):
 
 def assert_search_matches(field, tensor, rhs, budget, want):
     """`_bilinear_search` against the reference result `want`, and the witness's
-    x from `solve_candidate` against the reference's.  Over GF(p) the search
-    tests candidates without solving, so it returns no x."""
-    verdict, coeffs, tried, x = _bilinear_search(tensor, rhs, field, budget)
-    assert (verdict, coeffs, tried, x) == (want[0], want[1], want[3], None)
+    x from `solve_candidate` against the reference's."""
+    verdict, coeffs, tried = _bilinear_search(tensor, rhs, field, budget)
+    assert (verdict, coeffs, tried) == (want[0], want[1], want[3])
     if verdict == "yes":
         assert solve_candidate(tensor, rhs, coeffs, field) == want[2]
 
@@ -185,7 +184,7 @@ def test_block_indices_past_2_62_are_exact():
     field, tensor, rhs = digit_family(3, 41, {0: 1, 40: 2})
     assert 3 ** 40 > 2 ** 62
     witness = (1,) + (0,) * 39 + (2,)
-    verdict, coeffs, tried, _ = _bilinear_search(tensor, rhs, field, 10 ** 20)
+    verdict, coeffs, tried = _bilinear_search(tensor, rhs, field, 10 ** 20)
     assert (verdict, coeffs, tried) == ("yes", witness, 3 ** 40 + 3)
     assert solve_candidate(tensor, rhs, coeffs, field).a.tolist() == [[1]]
     assert _bilinear_search(tensor, rhs, field, 3 ** 40 + 2)[::2] == ("unknown", 3 ** 40 + 2)
@@ -217,8 +216,8 @@ def reference_interleaving(rho, r, m, n, budget):
     transposes, built one transpose and one composite at a time: (verdict,
     tried, p, q), with p and q None where their Hom space is zero.  Also builds
     the data on the colimit legs one composite at a time and checks that the
-    stacked `_bilinear_tensor` on `sharp_legs` / `e_r_legs` gives the same
-    tensor and right-hand side."""
+    tensor and right-hand side `search_pair` stacks from `sharp_legs` /
+    `e_r_legs` are the same."""
     r = Fraction(r)
     rm, rn = apply_R(rho, r, m).module, apply_R(rho, r, n).module
     p_basis, q_basis = hom_basis(m, rn), hom_basis(n, rm)
@@ -244,9 +243,10 @@ def reference_interleaving(rho, r, m, n, budget):
     for j, i in itertools.product(range(len(q_basis)), range(len(p_basis))):
         legs[j, i] = np.concatenate([composites(q_basis[j], p_basis[i], apply_R(rho, r, n)),
                                      composites(p_basis[i], q_basis[j], apply_R(rho, r, m))])
-    stacked, stacked_rhs = _bilinear_tensor(p_basis, q_basis, sharp_legs(rho, r, n, p_basis),
-                                            sharp_legs(rho, r, m, q_basis), e_r_legs(rho, r, m),
-                                            e_r_legs(rho, r, n), m.field)
+    with mock.patch("hipm.pmod._bilinear_search", wraps=_bilinear_search) as search:
+        search_pair(p_basis, q_basis, sharp_legs(rho, r, n, p_basis), sharp_legs(rho, r, m, q_basis),
+                    e_r_legs(rho, r, m), e_r_legs(rho, r, n), budget)
+    stacked, stacked_rhs = search.call_args.args[:2]
     assert np.array_equal(stacked, legs) and np.array_equal(stacked_rhs, leg_rhs)
     verdict, coeffs, x, tried = scalar_search(tensor, rhs, m.field, budget)
     if verdict != "yes":

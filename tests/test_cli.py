@@ -507,6 +507,24 @@ def test_cli_nat_precondition_failures(capsys, tmp_path, name, direction, needle
     assert code == 1 and needle in err
 
 
+@pytest.mark.parametrize("name", ["theta", "sigma"])
+def test_cli_nat_ivc_failure_writes_t_as_a_fraction(capsys, tmp_path, name):
+    """On the chain a < b < c with phi 0, 1, 2 the gap at c = 0 is t = 1/2."""
+    docs = {"poset": {"elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]]},
+            "height": {"phi": {"a": 0, "b": 1, "c": 2}},
+            "module": {"field": "gf2", "dims": {"a": 1, "b": 1, "c": 1},
+                       "maps": {"a|b": [[1]], "b|c": [[1]]}}}
+    for key, doc in docs.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+    code, err = _error(capsys, [
+        "nat", "--poset", str(tmp_path / "poset.json"), "--height", str(tmp_path / "height.json"),
+        "--module", str(tmp_path / "module.json"), "--name", name, "--r", "1", "--s", "1",
+        "--c", "0"])
+    assert code == 1
+    assert err == ("intermediate-value property fails at tolerance 0: "
+                   "witness a='a', b='b', t=1/2")
+
+
 def test_cli_rejects_a_non_functorial_module(capsys, tmp_path):
     poset = tmp_path / "diamond.json"
     poset.write_text(json.dumps({"elements": ["a", "b", "c", "d"],

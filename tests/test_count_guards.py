@@ -188,7 +188,7 @@ def test_a_vanishing_stratum_builds_no_hom_basis_and_starts_no_search(monkeypatc
     cases = vanishing_strata()
     assert any(st.rep == 2 for _, _, _, st in cases[:8])  # the stress pair's r = 2
     assert len({id(rho) for rho, _, _, _ in cases}) >= 3
-    names = ("hom_basis", "e_r_legs", "sharp_legs", "_bilinear_search")
+    names = ("hom_basis", "e_r_legs", "sharp_legs", "search_pair")
     calls = {name: counting(monkeypatch, interleave, name) for name in names}
     for rho, m, n, st in cases:
         res = find_interleaving(rho, st.rep, m, n, 1)

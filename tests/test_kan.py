@@ -9,7 +9,7 @@ from hipm.exactlin import GF2, QQ, FieldSpec, Mat, hstack, kernel_basis, quotien
 from hipm.fixtures import chain_example, grid_example
 from hipm.height import nbhd_down_idx
 from hipm.kan import (
-    ColimResult,
+    UniversalCone,
     _colim_diagram,
     _lim_diagram,
     _module_diagram,
@@ -106,16 +106,16 @@ def test_check_universal_accepts_and_rejects(chain4, rng):
         assert check_universal(m, subset, lim_over(m, subset))
     col = colim_over(m, [0, 1])
     if col.dim > 0:
-        truncated = ColimResult(
-            col.fieldspec, col.nodes, col.offsets, col.total, col.dim + 1,
+        truncated = UniversalCone(
+            col.fieldspec, True, col.nodes, col.offsets, col.total, col.dim + 1,
             Mat(GF2, __import__("numpy").vstack([col.proj.a, col.proj.a[:1] * 0])),
             {x: Mat(GF2, __import__("numpy").vstack([col.legs[x].a, col.legs[x].a[:1] * 0]))
              for x in col.nodes},
             col.free,
         )
         assert not check_universal(m, [0, 1], truncated)
-        zero_cand = ColimResult(
-            col.fieldspec, col.nodes, col.offsets, col.total, 0,
+        zero_cand = UniversalCone(
+            col.fieldspec, True, col.nodes, col.offsets, col.total, 0,
             Mat.zeros(GF2, 0, col.total),
             {x: Mat.zeros(GF2, 0, m.dims[x]) for x in col.nodes},
             (),
@@ -289,10 +289,10 @@ def test_factor_rejects_a_non_cocone_and_a_non_cone(field):
 
 
 def _same_result(a, b) -> bool:
-    return (type(a) is type(b) and a.nodes == b.nodes and a.offsets == b.offsets
+    return (a.latching == b.latching and a.nodes == b.nodes and a.offsets == b.offsets
             and a.total == b.total and a.dim == b.dim and a.free == b.free
             and a.legs.keys() == b.legs.keys() and all(a.legs[x] == b.legs[x] for x in a.legs)
-            and (a.proj == b.proj if isinstance(a, ColimResult) else a.incl == b.incl))
+            and a.proj == b.proj)
 
 
 @given(restrictions())

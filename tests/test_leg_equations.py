@@ -3,7 +3,7 @@ the same.
 
 The oracle is the bilinear tensor of q o p# = e_{r,M} and p o q# = e_{r,N}
 built from the stacks `sharp` returns and the components of `e_r`, searched
-by `_bilinear_search`.  On random DAGs and forests with at most 6 elements
+by `search_pair`.  On random DAGs and forests with at most 6 elements
 over GF(2), GF(3) and Q, at every stratum representative, the leg-wise search
 must give the same verdict, the same `candidates_tried` and the same
 certificate, and `check_certificate` must accept it.  `distance` itself must
@@ -17,11 +17,11 @@ from unittest.mock import patch
 from hypothesis import given, settings, strategies as st
 
 from hipm import erosion, functors, interleave
-from hipm.exactlin import FieldSpec, _bilinear_search, solve_candidate
+from hipm.exactlin import FieldSpec
 from hipm.functors import apply_R, e_r, sharp
 from hipm.height import from_phi, rho_strict, strata
 from hipm.interleave import check_certificate, distance, find_interleaving
-from hipm.pmod import _bilinear_tensor, hom_basis
+from hipm.pmod import hom_basis, search_pair
 from hipm.randgen import (random_conjugate, random_forest_poset, random_module, random_phi,
                           random_poset)
 
@@ -29,20 +29,16 @@ BUDGET = 300  # keeps the rational lattice walk short; "unknown" must match too
 
 
 def transposed_search(rho, r, m, n, budget):
-    """(verdict, tried, p, q) of `_bilinear_search` on the tensor of the transposes."""
-    F = m.field
+    """(verdict, tried, p, q) of `search_pair` on the transposes."""
     p_basis = hom_basis(m, apply_R(rho, r, n).module)
     q_basis = hom_basis(n, apply_R(rho, r, m).module)
-    tensor, rhs = _bilinear_tensor(p_basis, q_basis, sharp(rho, r, n, p_basis).stacks,
-                                   sharp(rho, r, m, q_basis).stacks,
-                                   [c.a for c in e_r(rho, r, m).components],
-                                   [c.a for c in e_r(rho, r, n).components], F)
-    verdict, coeffs, tried, x = _bilinear_search(tensor, rhs, F, budget)
+    verdict, tried, p, q = search_pair(p_basis, q_basis, sharp(rho, r, n, p_basis).stacks,
+                                       sharp(rho, r, m, q_basis).stacks,
+                                       [c.a for c in e_r(rho, r, m).components],
+                                       [c.a for c in e_r(rho, r, n).components], budget)
     if verdict != "yes":
         return verdict, tried, None, None
-    if x is None:
-        x = solve_candidate(tensor, rhs, coeffs, F)
-    return verdict, tried, p_basis.combine(coeffs), q_basis.combine(x.a[:, 0])
+    return verdict, tried, p(), q()
 
 
 @st.composite

@@ -21,6 +21,11 @@ No module in `src/hipm` but `randgen.py` imports `random` or reaches
 `numpy.random`: every search is deterministic and exhaustive or budgeted, and
 random draws belong to the seeded instance generators.
 
+Only `pmod` and `exactlin` reach the bilinear search's internals: the search
+`_bilinear_search`, the witness's solve `solve_candidate` and the tensor
+builder `_bilinear_tensor`.  Every other module calls `pmod.search_pair`,
+which builds the system, searches it and solves for the certificate.
+
 Every field of a dataclass in `src/hipm` is read as an attribute somewhere in
 `src/hipm`, `tests` or `perfbench`: a field nothing reads is computed and
 carried for no one.
@@ -283,3 +288,34 @@ def test_scanner_sees_unread_fields(tmp_path):
 
 def test_no_unread_dataclass_fields():
     assert unread_fields(SOURCES, READERS) == []
+
+
+BILINEAR_INTERNALS = ("_bilinear_search", "solve_candidate", "_bilinear_tensor")
+
+
+def bilinear_internals(path: Path) -> list:
+    """(line, name) of every import or attribute read of a name in
+    BILINEAR_INTERNALS."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, a.name) for a in node.names if a.name in BILINEAR_INTERNALS]
+        elif isinstance(node, ast.Attribute) and node.attr in BILINEAR_INTERNALS:
+            out.append((node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_scanner_sees_bilinear_internals(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from .exactlin import DEFAULT_BUDGET, _bilinear_search, solve_candidate\n"
+                   "from .pmod import (hom_basis,\n    _bilinear_tensor, search_pair)\n"
+                   "from . import exactlin\n\ndef f(t, b):\n"
+                   "    return exactlin._bilinear_search(t, b), search_pair, hom_basis\n")
+    assert bilinear_internals(src) == [(1, "_bilinear_search"), (1, "solve_candidate"),
+                                       (2, "_bilinear_tensor"), (7, "_bilinear_search")]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in ("pmod.py", "exactlin.py")],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_pmod_and_exactlin_reach_the_bilinear_internals(path):
+    assert bilinear_internals(path) == []

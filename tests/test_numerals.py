@@ -113,3 +113,22 @@ def test_a_modulus_in_a_field_object_must_be_a_numeral():
     assert parse_field({"kind": "gfp", "p": "11"}).p == 11
     with pytest.raises(SchemaError, match=r"^\$\.field\.p: bad modulus '1_1'"):
         parse_field({"kind": "gfp", "p": "1_1"})
+
+
+@pytest.mark.parametrize("p", [7.9, 2.5, 7.0, True])
+def test_a_float_or_boolean_modulus_is_rejected(tmp_path, p):
+    """A JSON float or boolean modulus is not cut to an integer."""
+    from hipm.serde import SchemaError, parse_field
+
+    with pytest.raises(SchemaError, match=r"^\$\.field\.p: bad modulus .* is not an integer$"):
+        parse_field({"kind": "gfp", "p": p})
+    poset, module = tmp_path / "poset.json", tmp_path / "module.json"
+    poset.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"]]}))
+    module.write_text(json.dumps({"field": {"kind": "gfp", "p": p}, "dims": {"a": 1, "b": 1},
+                                  "maps": {"a|b": [[1]]}}))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", "--poset", str(poset), "--module", str(module)])
+    assert code == 1 and err.getvalue() == ""
+    report = json.loads(out.getvalue())["module"]
+    assert not report["valid"] and report["error"].startswith("$.field.p: bad modulus ")

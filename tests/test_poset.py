@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,26 @@ def test_chain_closure(chain4):
 def test_cycle_rejected():
     with pytest.raises(PosetError, match="cycle"):
         FinitePoset.from_covers(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+@pytest.mark.parametrize("covers", [
+    [("a", "b"), ("b", "a")],
+    [("a", "b"), ("b", "c"), ("c", "a")],
+    [("x", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "y")],
+    [("x", "y"), ("y", "c"), ("c", "b"), ("b", "c")],
+])
+def test_the_cycle_error_names_two_ids_on_one_cycle(covers):
+    elements = sorted({e for pair in covers for e in pair})
+    with pytest.raises(PosetError) as info:
+        FinitePoset.from_covers(elements, covers)
+    match = re.fullmatch(r"cycle detected through '(\w+)' and '(\w+)'", str(info.value))
+    a, b = match.groups()
+
+    above = {e: {e} for e in elements}  # above[x]: the ids a path of covers reaches from x
+    for _ in elements:
+        for lo, hi in covers:
+            above[lo] |= above[hi]
+    assert a != b and b in above[a] and a in above[b]
 
 
 def test_unknown_and_duplicate_ids():
