@@ -109,7 +109,7 @@ class FinitePoset:
             adj[index[lo], index[hi]] = True
         lt = _transitive_closure(adj)
         cyc = lt & lt.T
-        np.fill_diagonal(cyc, False)  # an element on a cycle is <= another one that is >= it
+        np.fill_diagonal(cyc, False)  # self-covers are rejected, so a cycle has two distinct ids
         if cyc.any():
             i, j = map(int, np.argwhere(cyc)[0])
             raise PosetError(f"cycle detected through {elements[i]!r} and {elements[j]!r}")
