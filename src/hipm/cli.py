@@ -40,6 +40,7 @@ from .functors import (
     xi_pullback,
 )
 from .height import (
+    UnwritableValueError,
     c_rho,
     check_cip,
     check_ivc,
@@ -213,7 +214,7 @@ def _cmd_validate(args, cfg: RunConfig) -> int:
             rho = load_height(_read_json(args.height), poset)
             report["height"] = {
                 "valid": True,
-                "critical_values": [str(v) for v in critical_values(rho)],
+                "critical_values": [format_ext(v) for v in critical_values(rho)],
             }
         except (SchemaError, PosetError, ValueError) as e:
             report["height"] = {"valid": False, "error": str(e)}
@@ -353,7 +354,7 @@ def _cmd_cip(args, cfg: RunConfig) -> int:
                            "budget_exceeded": rep.budget_exceeded}
     if rep.witness:
         a, q, s, r = rep.witness
-        out["witness"] = {"a": a, "q": q, "s": str(s), "r": str(r),
+        out["witness"] = {"a": a, "q": q, "s": format_ext(s), "r": format_ext(r),
                           "intersection": list(rep.witness_set or ())}
     _emit(cfg, out)
     return EXIT_UNDECIDED if rep.budget_exceeded else EXIT_OK
@@ -366,7 +367,7 @@ def _cmd_ivc(args, cfg: RunConfig) -> int:
     out: Dict[str, Any] = {"c": args.c, "holds": rep.holds}
     if rep.witness:
         a, b, t = rep.witness
-        out["witness"] = {"a": a, "b": b, "t": str(t)}
+        out["witness"] = {"a": a, "b": b, "t": format_ext(t)}
     _emit(cfg, out)
     return EXIT_OK
 
@@ -610,8 +611,10 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         cfg = _config(args)
         return args.fn(args, cfg)
-    except (SchemaError, PosetError, IntermediateValueError, FubiniComparisonError) as e:
-        # bad input, or a transformation whose precondition fails on it
+    except (SchemaError, PosetError, IntermediateValueError, FubiniComparisonError,
+            UnwritableValueError) as e:
+        # bad input, a transformation whose precondition fails on it, or a value
+        # computed from it that is too long to write
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return EXIT_INVALID
 

@@ -23,8 +23,8 @@ from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from .exactlin import FieldSpec, Mat, factor_at, hstack, kernel_basis, quotient_map, solve, vstack
 from .height import HeightDiff
-from .functors import (e_r, e_r_vanishes, erosion_subquotient, eta_L_to_id, eta_R_from_id, flat,
-                       im_r, ker_r, sharp)
+from .functors import (e_r, e_r_rank_obstruction, e_r_vanishes, erosion_subquotient, eta_L_to_id,
+                       eta_R_from_id, flat, im_r, ker_r, sharp)
 from .interleave import (DEFAULT_BUDGET, Certificate, Evaluation, StrataReport, check_certificate,
                          find_interleaving, stratified_report)
 from .pmod import (
@@ -337,22 +337,28 @@ def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule, n: Pe
 
     When e_r vanishes on both modules, both erosions are zero modules, which
     the isomorphism test calls isomorphic at any budget; so the stratum is an
-    "erosion-iso" yes with no erosion, eta or search built."""
+    "erosion-iso" yes with no erosion, eta or search built.  When the rank
+    obstruction holds (`functors.e_r_rank_obstruction`), say
+    rank e_{r,M}(a) > dim N(a), neither canonical candidate can be a yes: the
+    search finds no interleaving, and the erosions differ in dimension at a,
+    since that of N is at most dim N(a).  So the stratum goes straight to the
+    enumeration, with no erosion, Hom basis or search built."""
     erosion_witness = partial(erosion_subquotient, rho, rep, m)
     if e_r_vanishes(rho, rep, m, n):
         return "yes", "erosion-iso", erosion_witness
-    em = submodule_image(e_r(rho, rep, m)).module
-    en_ = submodule_image(e_r(rho, rep, n)).module
-    # like every isomorphism test under d_en, asked only where the dimensions agree
-    if em.dims == en_.dims and is_isomorphic(em, en_, budget=budget).verdict == "yes":
-        return "yes", "erosion-iso", erosion_witness
-    res = find_interleaving(rho, rep, m, n, budget)
-    if res.verdict == "yes":  # the search's own certificate: no re-check
-        def canonical() -> Subquotient:
-            p, q = res.certificate.p, res.certificate.q
-            return _canonical_side(rho, rep, m, sharp(rho, rep, m, q), p)
+    if e_r_rank_obstruction(rho, rep, m, n) is None:
+        em = submodule_image(e_r(rho, rep, m)).module
+        en_ = submodule_image(e_r(rho, rep, n)).module
+        # like every isomorphism test under d_en, asked only where the dimensions agree
+        if em.dims == en_.dims and is_isomorphic(em, en_, budget=budget).verdict == "yes":
+            return "yes", "erosion-iso", erosion_witness
+        res = find_interleaving(rho, rep, m, n, budget)
+        if res.verdict == "yes":  # the search's own certificate: no re-check
+            def canonical() -> Subquotient:
+                p, q = res.certificate.p, res.certificate.q
+                return _canonical_side(rho, rep, m, sharp(rho, rep, m, q), p)
 
-        return "yes", "certificate", canonical
+            return "yes", "certificate", canonical
     if not m.field.is_prime_field:  # neighborhoods cannot be enumerated over Q
         return "unknown", "enumeration", None
     enum_m = en_enumerate(rho, rep, m, budget)
@@ -379,7 +385,8 @@ def d_en(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
 
     Stratum verdict: do the r-erosion-neighborhood classes of m and n intersect?
     Canonical candidates (the erosions themselves, then the certificate-derived
-    neighborhood) are tried before full cross-enumeration.  The cross test
+    neighborhood) are tried before full cross-enumeration, unless the rank
+    obstruction rules out both.  The cross test
     enumerates both modules' (M1, M2) pairs, then forms and deduplicates the
     quotients only in the dimension vectors both sides reach and compares each
     m-member, in member order, with the n-members of its vector; disjoint

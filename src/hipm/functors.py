@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .exactlin import Mat, factor_at, hstack, rref, solve, stacked_matmul, zeros
-from .height import (HeightDiff, check_ivc, level, nbhd_iterated_idx, nbhd_pairs, nbhd_tops, nbhds,
-                     pullback_rho)
+from .exactlin import Mat, factor_at, hstack, rref, solve, stacked_matmul, vstack, zeros
+from .height import (HeightDiff, check_ivc, level, nbhd_bottoms, nbhd_iterated_idx, nbhd_pairs,
+                     nbhd_tops, nbhds, pullback_rho)
 from .kan import (UniversalCone, colim_over, factor, factor_into_lim, factor_stack_from_colim, induced,
                   lim_over)
 from .pmod import (
@@ -49,6 +49,8 @@ __all__ = [
     "eta_R_from_id",
     "e_r",
     "e_r_vanishes",
+    "e_r_rank",
+    "e_r_rank_obstruction",
     "mu_L",
     "mu_R",
     "sharp",
@@ -277,6 +279,50 @@ def e_r_vanishes(rho: HeightDiff, r, *modules: PersistenceModule) -> bool:
     pairs = nbhd_pairs(rho, level(rho, r))
     return all(m.map_for_idx(x, y).is_zero() for m in modules for x, y in pairs
                if m.dims[x] and m.dims[y])
+
+
+def e_r_rank(rho: HeightDiff, r, m: PersistenceModule, a: int) -> int:
+    """rank e_{r,M}(a), read off M's own maps: the rank of the block matrix
+    [M(x <= y)] over the maximal x of a's lower r-neighborhood and the minimal
+    y of its upper one, which is V @ H for H = [M(x <= a)] side by side and
+    V = [M(a <= y)] stacked.  The legs from those x are jointly epimorphic and
+    the legs to those y jointly monomorphic (`e_r_vanishes`), so the block
+    matrix is e_r(a) with an injective map after it and a surjective one
+    before it."""
+    k = level(rho, r)
+    F = m.field
+    h = hstack(F, [m.map_for_idx(x, a) for x in nbhd_tops(rho, k)[a]], rows=m.dims[a])
+    v = vstack(F, [m.map_for_idx(a, y) for y in nbhd_bottoms(rho, k)[a]], cols=m.dims[a])
+    return rref(v @ h).rank
+
+
+def e_r_rank_obstruction(rho: HeightDiff, r, m: PersistenceModule,
+                         n: PersistenceModule) -> Optional[Tuple[str, str]]:
+    """The first (side, element) that rules out every r-interleaving of m and
+    n, or None: side "M" where rank e_{r,M}(a) > dim N(a), side "N" where
+    rank e_{r,N}(a) > dim M(a), "M" first and elements in index order.
+
+    An interleaving has e_{r,M} = q o p#, and p#(a) lands in N(a), so
+    rank e_{r,M}(a) <= dim N(a) at every a; likewise with m and n swapped.
+    The ranks come from M's own maps (`e_r_rank`); no L_r, R_r or Hom space is
+    built.  e_{r,M}(a) factors through M(a), and the block matrix has the
+    tops' and the bottoms' total dimensions as its sides; so only an a with
+    dim M(a) > dim N(a), and both totals above dim N(a), is ranked."""
+    sides = (("M", m, n), ("N", n, m))
+    larger = [[a for a, (d, cap) in enumerate(zip(src.dims, dst.dims)) if d > cap]
+              for _, src, dst in sides]
+    if not any(larger):  # as with equal dimension vectors, at every r
+        return None
+    k = level(rho, r)
+    tops, bottoms = nbhd_tops(rho, k), nbhd_bottoms(rho, k)
+    for (side, src, dst), elements in zip(sides, larger):
+        dims = src.dims
+        for a in elements:
+            cap = dst.dims[a]
+            if (sum(dims[x] for x in tops[a]) > cap and sum(dims[y] for y in bottoms[a]) > cap
+                    and e_r_rank(rho, r, src, a) > cap):
+                return side, src.poset.elements[a]
+    return None
 
 
 # ---------------------------------------------------------------------------

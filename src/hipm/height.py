@@ -29,6 +29,7 @@ __all__ = [
     "abs_diff_inf",
     "parse_ext",
     "format_ext",
+    "UnwritableValueError",
     "HeightFunction",
     "HeightDiff",
     "RhoValidation",
@@ -41,6 +42,7 @@ __all__ = [
     "nbhd_iterated",
     "nbhds",
     "nbhd_tops",
+    "nbhd_bottoms",
     "nbhd_pairs",
     "level",
     "levels",
@@ -113,8 +115,21 @@ def parse_ext(s: Union[str, int, Fraction]) -> ExtVal:
     return v
 
 
+class UnwritableValueError(ValueError):
+    """An exact value whose numerator or denominator has more digits than
+    Python converts to a string (`sys.get_int_max_str_digits`)."""
+
+
 def format_ext(x: ExtVal) -> str:
-    return "inf" if x is INF else str(x)
+    """"inf", or the exact value as "p/q" or "p".  A sum or difference of
+    values can have far more digits than any value read in; one past the
+    conversion limit raises UnwritableValueError."""
+    if x is INF:
+        return "inf"
+    try:
+        return str(x)
+    except ValueError:  # str(int) past the conversion limit; nothing else fails here
+        raise UnwritableValueError("an exact value has more digits than can be written") from None
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +332,15 @@ def levels(rho: HeightDiff) -> np.ndarray:
 
 
 def _rows(mask: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
-    """The column indices of each row's True entries, ascending."""
-    return tuple(tuple(np.flatnonzero(row).tolist()) for row in mask)
+    """The column indices of each row's True entries, ascending: one
+    `nonzero` over the whole mask (row-major, so row by row), cut by the row
+    counts."""
+    cols = mask.nonzero()[1].tolist()
+    out, start = [], 0
+    for count in mask.sum(axis=1).tolist():
+        out.append(tuple(cols[start:start + count]))
+        start += count
+    return tuple(out)
 
 
 def nbhds(rho: HeightDiff, direction: str, k: int) -> Tuple[Tuple[int, ...], ...]:
@@ -356,18 +378,31 @@ def _tops_mask(rho: HeightDiff, k: int) -> np.ndarray:
     return inside & ~above
 
 
+def nbhd_bottoms(rho: HeightDiff, k: int) -> Tuple[Tuple[int, ...], ...]:
+    """The minimal elements of every upper neighborhood at level k, memoized
+    like `nbhds`: the y in a's neighborhood with no element of it strictly
+    below y.  Every element of a neighborhood lies above one of them, so the
+    limit legs to these elements are jointly monomorphic."""
+    return rho.cached(("bottoms", k), lambda: _rows(_bottoms_mask(rho, k)))
+
+
+def _bottoms_mask(rho: HeightDiff, k: int) -> np.ndarray:
+    """[a, y]: y is minimal in a's upper neighborhood at level k."""
+    P = rho.poset
+    inside = levels(rho) >= k  # [a, y]: y in a's upper neighborhood
+    below = inside @ (P.leq & ~np.eye(len(P), dtype=bool))  # [a, y]: some z < y in it
+    return inside & ~below
+
+
 def nbhd_pairs(rho: HeightDiff, k: int) -> Tuple[Tuple[int, int], ...]:
     """The pairs (x, y), ascending, with x maximal in some a's lower
     neighborhood at level k and y minimal in the same a's upper neighborhood,
     memoized like `nbhds`.  Then x <= a <= y, and the colimit leg from x, the
     limit leg to y and e_r(a) compose to M(x <= y) (`functors.e_r_vanishes`).
     One boolean product of the tops of the lower neighborhoods with the
-    bottoms of the upper ones."""
+    bottoms of the upper ones (`nbhd_tops`, `nbhd_bottoms`)."""
     def build():
-        P = rho.poset
-        inside = levels(rho) >= k  # [a, y]: y in a's upper neighborhood
-        below = inside @ (P.leq & ~np.eye(len(P), dtype=bool))  # [a, y]: some z < y in it
-        return tuple(map(tuple, np.argwhere(_tops_mask(rho, k) @ (inside & ~below)).tolist()))
+        return tuple(map(tuple, np.argwhere(_tops_mask(rho, k) @ _bottoms_mask(rho, k)).tolist()))
 
     return rho.cached(("pairs", k), build)
 

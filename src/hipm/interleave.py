@@ -16,7 +16,9 @@ the transposes, the other route.
 
 Over GF(p) the candidate enumeration is exhaustive, so a "no" verdict is a
 proof.  Over the rationals only supplied certificates are verified and a small
-integer coefficient lattice is probed; failures come back "unknown".
+integer coefficient lattice is probed; failures come back "unknown".  Over
+either field `distance` also proves a "no" from a rank obstruction on the two
+modules' own maps, before any search.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .exactlin import DEFAULT_BUDGET, zeros
 from .height import INF, ExtVal, HeightDiff, Stratum, format_ext, rho_diag, strata
-from .functors import apply_R, e_r, e_r_legs, e_r_vanishes, sharp, sharp_legs
+from .functors import (apply_R, e_r, e_r_legs, e_r_rank_obstruction, e_r_vanishes, sharp,
+                       sharp_legs)
 from .pmod import ModuleMorphism, MorphismStack, PersistenceModule, hom_basis, is_isomorphic, search_pair
 from .poset import PosetError
 
@@ -257,13 +260,20 @@ def distance(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
     """The exact interleaving distance as a stratified search.
 
     The zero stratum is decided by the isomorphism test (a 0-interleaving is an
-    isomorphism); every other stratum by the exhaustive search at its
-    representative.  The witness is the certificate of the earliest yes, the
-    only one built.
+    isomorphism).  Every other stratum is first checked against the rank
+    obstruction (`functors.e_r_rank_obstruction`): rank e_{r,M}(a) > dim N(a),
+    or the same with m and n swapped, rules out every r-interleaving, so the
+    stratum is a "no" (at any budget of 1 or more) with no R_r value, Hom
+    basis or search built.  Over GF(p) an exhaustive search ends in the same
+    "no"; over Q it is the only "no" there is.  Otherwise the exhaustive
+    search at the representative decides.  The witness is the certificate of
+    the earliest yes, the only one built.
     """
     def evaluate(st: Stratum) -> Evaluation:
         if st.kind == "zero":
             return is_isomorphic(m, n, budget=budget).verdict, None, None
+        if budget >= 1 and e_r_rank_obstruction(rho, st.rep, m, n) is not None:
+            return "no", None, None
         res = find_interleaving(rho, st.rep, m, n, budget)
         return res.verdict, None, lambda: res.certificate
 

@@ -129,6 +129,10 @@ def _lim_diagram(diag: _Diagram) -> UniversalCone:
     C-contiguous inclusion, and `proj` is its transposed view."""
     F, nodes, dims, mat = diag.fieldspec, diag.nodes, diag.dims, diag.mat
     offs, total = _offsets(diag)
+    if total == 0:  # every space is zero: the zero cone, with no equation and no rref
+        incl = zeros(F, (0, 0))
+        return UniversalCone(F, False, nodes, offs, 0, 0, Mat._canonical(F, incl.T),
+                             {x: Mat._canonical(F, incl) for x in nodes}, ())
     minima = [j for j, under in enumerate(diag.leq.sum(axis=0).tolist()) if under == 1]  # itself only
     if len(minima) == 1:  # no equations: the legs are M(b <= y)
         b = nodes[minima[0]]

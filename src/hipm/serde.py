@@ -7,6 +7,7 @@ through these loaders.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional
@@ -92,7 +93,7 @@ def _prime_field(p: Any, location: str) -> FieldSpec:
         f = FieldSpec("gfp", numeral(int, p) if isinstance(p, str) else _exact(int, p, location))
         return GF2 if f == GF2 else f
     except ValueError as e:  # not an integer, or not a supported prime
-        raise SchemaError(f"bad modulus {p!r}: {getattr(e, 'message', e)}", location)
+        raise SchemaError(f"bad modulus {_json_text(p)}: {getattr(e, 'message', e)}", location)
 
 
 def field_to_json(f: FieldSpec) -> Dict[str, Any]:
@@ -194,6 +195,15 @@ def load_height(doc: Dict[str, Any], poset: FinitePoset) -> HeightDiff:
     raise SchemaError("height document needs 'phi', 'rho', or 'diag'", "$")
 
 
+def _json_text(v: Any) -> str:
+    """v as a JSON document writes it (`true`, `null`, `"1_1"`), or its repr
+    when it is no JSON value."""
+    try:
+        return json.dumps(v, ensure_ascii=False)
+    except (TypeError, ValueError):
+        return repr(v)
+
+
 def _exact(parse: Callable[[Any], Any], v: Any, location: str):
     """parse(v) for an int or a `NUMERAL` string such as "3/2", and for a word
     such as parse_ext's "inf"; no bool, and no float, which is inexact."""
@@ -202,8 +212,8 @@ def _exact(parse: Callable[[Any], Any], v: Any, location: str):
             return parse(v)
         except (ValueError, ZeroDivisionError):
             pass
-    raise SchemaError(f"{v!r} is not {'an integer' if parse is int else 'an exact number'}",
-                      location)
+    kind = "an integer" if parse is int else "an exact number"
+    raise SchemaError(f"{_json_text(v)} is not {kind}", location)
 
 
 def _matrix(fieldspec: FieldSpec, rows: Any, want_rows: int, want_cols: int, location: str) -> Mat:
@@ -300,7 +310,7 @@ def morphism_to_json(f: ModuleMorphism) -> Dict[str, Any]:
 def _stratum_interval(st) -> List[str]:
     if st.kind == "zero":
         return ["0", "0"]
-    return [str(st.lo), "inf" if st.hi is None else str(st.hi)]
+    return [format_ext(st.lo), "inf" if st.hi is None else format_ext(st.hi)]
 
 
 def _strata_to_json(rep: StrataReport) -> Dict[str, Any]:
@@ -330,7 +340,7 @@ def strata_report_to_json(rep: StrataReport) -> Dict[str, Any]:
     if rep.witness is not None:
         cert = rep.witness
         out["certificate"] = {
-            "r": str(cert.r),
+            "r": format_ext(cert.r),
             "p": morphism_to_json(cert.p),
             "q": morphism_to_json(cert.q),
         }

@@ -399,7 +399,7 @@ def test_cli_rejects_a_non_integer_entry_over_gfp(capsys, chain_files, tmp_path,
                                "maps": {"a|b": [[entry]]}}))
     chain_files["bad"] = bad
     code, err = _error(capsys, _distance_argv(chain_files, "bad"))
-    assert code == 1 and "a|b" in err and repr(entry) in err
+    assert code == 1 and "a|b" in err and json.dumps(entry) in err  # the entry as written in JSON
 
 
 @pytest.mark.parametrize("rows", [5, [1]], ids=["not-a-list", "row-not-a-list"])

@@ -4,8 +4,9 @@ Each guard patches one primitive to count its calls and bounds the count of a
 whole operation: the composites `validate_module` forms, the content keys
 `distance` builds, the critical-value bisections under `distance`, the
 isomorphism tests and quotients of `d_en`'s enumeration stage, the search
-that a stratum where e_r vanishes on both modules never starts, and the R_r
-value such a stratum never builds unless its witness is reported.
+that a stratum where e_r vanishes on both modules never starts, the R_r
+value such a stratum never builds unless its witness is reported, and the Hom
+bases a stratum ruled out by the rank obstruction never builds.
 """
 
 import bisect
@@ -19,7 +20,7 @@ import pytest
 from hipm import erosion, functors, interleave
 from hipm.erosion import _en_stratum_test, d_en
 from hipm.exactlin import FieldSpec, Mat
-from hipm.functors import e_r_vanishes
+from hipm.functors import e_r_rank_obstruction, e_r_vanishes
 from hipm.height import HeightFunction, from_phi, level, rho_diag, strata
 from hipm.interleave import check_certificate, distance, find_interleaving
 from hipm.pmod import PersistenceModule, direct_sum, interval_module, validate_module
@@ -28,7 +29,7 @@ from hipm.randgen import (random_conjugate, random_forest_poset, random_module, 
                           random_poset)
 from hipm.serde import load_height, load_module, load_poset
 
-GF2, GF3 = FieldSpec("gfp", 2), FieldSpec("gfp", 3)
+GF2, GF3, QQ = FieldSpec("gfp", 2), FieldSpec("gfp", 3), FieldSpec("rational")
 
 
 def counting(monkeypatch, owner, name):
@@ -235,3 +236,47 @@ def test_distance_builds_no_matching_value_at_an_unreported_vanishing_stratum(mo
                 assert made == (i == first_yes), (i, first_yes)
                 unreported += i != first_yes
     assert unreported  # the guard is not vacuous
+
+
+def obstructed_pairs():
+    """`pairs()`, two copies of [c1, c4] on the 8-chain against the same
+    shifted up by 2 over GF(2), where e_r of the first has rank 2 at c2 at
+    r = 1 and the second is 0 there, and [a, d] against [a, b] on a 4-chain
+    over Q, where the search alone never says "no"."""
+    G = FinitePoset.grid([8])
+
+    def copies(lo, hi):
+        one = interval_module(G, list(G.elements[lo:hi + 1]), GF2)
+        return direct_sum(one, one)
+
+    C = FinitePoset.chain(["a", "b", "c", "d"])
+    chain = from_phi(HeightFunction(C, {"a": Fraction(0), "b": Fraction(1),
+                                        "c": Fraction(3), "d": Fraction(5)}))
+    return pairs() + [(rho_diag(G), copies(1, 4), copies(3, 6)),
+                      (chain, interval_module(C, C.elements, QQ),
+                       interval_module(C, ["a", "b"], QQ))]
+
+
+def test_an_obstructed_stratum_builds_no_hom_basis_and_starts_no_search(monkeypatch):
+    """`distance` builds the two Hom bases of a stratum only where it searches,
+    and it never searches a stratum the rank obstruction rules out."""
+    original = interleave.find_interleaving
+    searched = []
+
+    def recording(rho, r, *args):
+        searched.append(r)
+        return original(rho, r, *args)
+
+    monkeypatch.setattr(interleave, "find_interleaving", recording)
+    bases = counting(monkeypatch, interleave, "hom_basis")
+    obstructed = 0
+    for rho, m, n in obstructed_pairs():
+        del searched[:]
+        bases[0] = 0
+        rep = distance(rho, m, n, budget=4096)
+        for sv in rep.strata[1:]:
+            if sv.verdict == "no" and e_r_rank_obstruction(rho, sv.stratum.rep, m, n):
+                assert sv.stratum.rep not in searched
+                obstructed += 1
+        assert bases[0] == 2 * sum(not e_r_vanishes(rho, r, m, n) for r in searched)
+    assert obstructed >= 3  # the guard is not vacuous

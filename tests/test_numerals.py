@@ -107,11 +107,35 @@ def test_an_exponent_in_a_height_is_an_input_error(folder, command):
     assert code == 1 and out == "" and json.loads(err)["error"].startswith("$.phi['b']: ")
 
 
+@pytest.mark.parametrize("command", ["c-rho", "validate", "distance"])
+def test_a_value_summed_past_the_digit_limit_is_an_input_error(folder, command):
+    """Each phi value is under int()'s 4300-digit limit, but the chain's
+    rho(b, c) and c(rho) have about 6000 digits; writing one raised from str()."""
+    paths = files(folder, "phi", "0")
+    paths["height"].write_text(json.dumps({"phi": {"a": 0, "b": "1/" + "7" * 3000,
+                                                   "c": "1/" + "3" * 2999}}))
+    paths["poset"].write_text(json.dumps({"elements": ["a", "b", "c"],
+                                          "covers": [["a", "b"], ["b", "c"]]}))
+    modules = ["--module", str(paths["N"]), "--module2", str(paths["N"])]
+    for doc in ("M", "N"):
+        paths[doc].write_text(json.dumps({"field": "gf2", "dims": {"a": 1, "b": 1, "c": 0},
+                                          "maps": {"a|b": [[1]]}}))
+    code, out, err = run([command, "--poset", str(paths["poset"]), "--height", str(paths["height"]),
+                          *(modules if command == "distance" else [])])
+    assert code == 1
+    if command == "validate":  # the report names the height as invalid
+        assert err == "" and json.loads(out)["height"] == {
+            "valid": False, "error": "an exact value has more digits than can be written"}
+    else:
+        assert out == "" and json.loads(err) == {
+            "error": "an exact value has more digits than can be written"}
+
+
 def test_a_modulus_in_a_field_object_must_be_a_numeral():
     from hipm.serde import SchemaError, parse_field
 
     assert parse_field({"kind": "gfp", "p": "11"}).p == 11
-    with pytest.raises(SchemaError, match=r"^\$\.field\.p: bad modulus '1_1'"):
+    with pytest.raises(SchemaError, match=r'^\$\.field\.p: bad modulus "1_1": not a numeral$'):
         parse_field({"kind": "gfp", "p": "1_1"})
 
 
@@ -120,7 +144,9 @@ def test_a_float_or_boolean_modulus_is_rejected(tmp_path, p):
     """A JSON float or boolean modulus is not cut to an integer."""
     from hipm.serde import SchemaError, parse_field
 
-    with pytest.raises(SchemaError, match=r"^\$\.field\.p: bad modulus .* is not an integer$"):
+    text = json.dumps(p)  # written as JSON: true, not True
+    with pytest.raises(SchemaError,
+                       match=rf"^\$\.field\.p: bad modulus {text}: {text} is not an integer$"):
         parse_field({"kind": "gfp", "p": p})
     poset, module = tmp_path / "poset.json", tmp_path / "module.json"
     poset.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"]]}))
