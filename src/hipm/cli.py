@@ -18,7 +18,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from . import fixtures
 from .erosion import d_en
-from .exactlin import FieldSpec
+from .exactlin import FieldSpec, UnwritableValueError
 from .functors import (
     FubiniComparisonError,
     IntermediateValueError,
@@ -40,7 +40,6 @@ from .functors import (
     xi_pullback,
 )
 from .height import (
-    UnwritableValueError,
     c_rho,
     check_cip,
     check_ivc,

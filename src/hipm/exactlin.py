@@ -22,6 +22,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
+    "exact_str",
+    "UnwritableValueError",
     "FieldSpec",
     "GF2",
     "QQ",
@@ -56,6 +58,21 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+class UnwritableValueError(ValueError):
+    """An exact value whose numerator or denominator has more digits than
+    Python converts to a string (`sys.get_int_max_str_digits`)."""
+
+
+def exact_str(x) -> str:
+    """str(x) for an int or a Fraction.  A product, sum or difference of
+    values can have far more digits than any value read in; one past the
+    conversion limit raises UnwritableValueError."""
+    try:
+        return str(x)
+    except ValueError:  # str(int) past the conversion limit; nothing else fails here
+        raise UnwritableValueError("an exact value has more digits than can be written") from None
 
 
 @dataclass(frozen=True)
@@ -249,7 +266,7 @@ class Mat:
     def tolists(self) -> list:
         if self.field.is_prime_field:
             return [[int(x) for x in row] for row in self.a]
-        return [[str(Fraction(x)) for x in row] for row in self.a]
+        return [[exact_str(Fraction(x)) for x in row] for row in self.a]
 
     def __repr__(self) -> str:
         return f"Mat({self.rows}x{self.cols} over {self.field.kind}{self.field.p or ''})"

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .exactlin import exact_str
 from .poset import Connectivity, FinitePoset, Memo, OrderMap, PosetError, _is_connected_idx
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "abs_diff_inf",
     "parse_ext",
     "format_ext",
-    "UnwritableValueError",
     "HeightFunction",
     "HeightDiff",
     "RhoValidation",
@@ -115,21 +115,9 @@ def parse_ext(s: Union[str, int, Fraction]) -> ExtVal:
     return v
 
 
-class UnwritableValueError(ValueError):
-    """An exact value whose numerator or denominator has more digits than
-    Python converts to a string (`sys.get_int_max_str_digits`)."""
-
-
 def format_ext(x: ExtVal) -> str:
-    """"inf", or the exact value as "p/q" or "p".  A sum or difference of
-    values can have far more digits than any value read in; one past the
-    conversion limit raises UnwritableValueError."""
-    if x is INF:
-        return "inf"
-    try:
-        return str(x)
-    except ValueError:  # str(int) past the conversion limit; nothing else fails here
-        raise UnwritableValueError("an exact value has more digits than can be written") from None
+    """"inf", or the exact value as "p/q" or "p" (`exactlin.exact_str`)."""
+    return "inf" if x is INF else exact_str(x)
 
 
 # ---------------------------------------------------------------------------

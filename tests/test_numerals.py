@@ -131,6 +131,25 @@ def test_a_value_summed_past_the_digit_limit_is_an_input_error(folder, command):
             "error": "an exact value has more digits than can be written"}
 
 
+@pytest.mark.parametrize("command", [["functor", "--kind", "R", "--r", "0"],
+                                     ["nat", "--name", "e", "--r", "1"]])
+def test_a_matrix_entry_multiplied_past_the_digit_limit_is_an_input_error(folder, command):
+    """Over Q each map of the chain a < b < c is 1/7...7 with 3000 sevens, so
+    M(a <= c), which the reported legs and maps hold, has about 6000 digits."""
+    paths = files(folder, "phi", "1")
+    paths["poset"].write_text(json.dumps({"elements": ["a", "b", "c"],
+                                          "covers": [["a", "b"], ["b", "c"]]}))
+    paths["height"].write_text(json.dumps({"phi": {"a": 0, "b": 1, "c": 2}}))
+    entry = [["1/" + "7" * 3000]]
+    paths["M"].write_text(json.dumps({"field": "rational", "dims": {"a": 1, "b": 1, "c": 1},
+                                      "maps": {"a|b": entry, "b|c": entry}}))
+    code, out, err = run(["--field", "rational", command[0], "--poset", str(paths["poset"]),
+                          "--height", str(paths["height"]), "--module", str(paths["M"]),
+                          *command[1:]])
+    assert code == 1 and out == "" and json.loads(err) == {
+        "error": "an exact value has more digits than can be written"}
+
+
 def test_a_modulus_in_a_field_object_must_be_a_numeral():
     from hipm.serde import SchemaError, parse_field
 

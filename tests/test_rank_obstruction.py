@@ -20,7 +20,7 @@ from hipm import interleave
 from hipm.erosion import _en_stratum_test, d_en
 from hipm.exactlin import FieldSpec, rref
 from hipm.functors import e_r, e_r_rank, e_r_rank_obstruction
-from hipm.height import HeightFunction, from_phi, nbhd_bottoms, nbhds, strata
+from hipm.height import HeightFunction, from_phi, strata
 from hipm.interleave import distance, find_interleaving
 from hipm.pmod import interval_module
 from hipm.poset import FinitePoset
@@ -51,17 +51,6 @@ def oracle_violation(rho, r, m, n):
             if rref(comp).rank > dst.dims[a]:
                 return side, src.poset.elements[a]
     return None
-
-
-def test_nbhd_bottoms_are_the_minima_of_the_upper_neighborhoods():
-    rng = random.Random(5)
-    for n_el in range(1, 8):
-        P = random_poset(rng, n_el, 0.45)
-        rho = from_phi(random_phi(rng, P))
-        for k in range(len(strata(rho))):
-            brute = tuple(tuple(y for y in up if not any(z != y and P.leq[z, y] for z in up))
-                          for up in nbhds(rho, "up", k))
-            assert nbhd_bottoms(rho, k) == brute
 
 
 @given(module_pairs())

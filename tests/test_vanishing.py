@@ -4,8 +4,9 @@
 `height.nbhd_pairs`: x maximal in some a's lower neighborhood, y minimal in the
 same a's upper one.  That must agree with the transpose route (`e_r`, through
 L_r and R_r) and with the colimit-leg blocks the search uses (`e_r_legs`), at
-every level including the zero and top strata; and the pair list must be the
-one built element by element from `nbhd_tops` and the minima of `nbhds`.
+every level including the zero and top strata; and `nbhd_bottoms` and the pair
+list must be the ones built element by element from `nbhd_tops` and the minima
+of `nbhds`.
 """
 
 import random
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from hipm.exactlin import FieldSpec
 from hipm.functors import e_r, e_r_legs, e_r_vanishes
-from hipm.height import from_phi, level, nbhd_pairs, nbhd_tops, nbhds, rho_diag, strata
+from hipm.height import (from_phi, level, nbhd_bottoms, nbhd_pairs, nbhd_tops, nbhds, rho_diag,
+                         strata)
 from hipm.poset import FinitePoset
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
 
@@ -38,11 +40,15 @@ def modules_with_heights(draw):
     return rho, random_module(rng, P, draw(st.sampled_from(FIELDS)), 2, summands=summands)
 
 
-def brute_pairs(rho, k):
+def brute_bottoms(rho, k):
     P = rho.poset
+    return tuple(tuple(y for y in up if not any(z != y and P.leq[z, y] for z in up))
+                 for up in nbhds(rho, "up", k))
+
+
+def brute_pairs(rho, k):
     out = set()
-    for a, (tops, up) in enumerate(zip(nbhd_tops(rho, k), nbhds(rho, "up", k))):
-        bottoms = [y for y in up if not any(z != y and P.leq[z, y] for z in up)]
+    for tops, bottoms in zip(nbhd_tops(rho, k), brute_bottoms(rho, k)):
         out.update((x, y) for x in tops for y in bottoms)
     return tuple(sorted(out))
 
@@ -56,6 +62,7 @@ def test_e_r_vanishes_agrees_with_the_transpose_and_leg_routes(case):
     for st_ in sts:
         r = st_.rep
         k = level(rho, r)
+        assert nbhd_bottoms(rho, k) == brute_bottoms(rho, k)
         assert nbhd_pairs(rho, k) == brute_pairs(rho, k)
         vanishes = e_r_vanishes(rho, r, m)
         assert vanishes == e_r(rho, r, m).is_zero()
