@@ -323,11 +323,8 @@ def _cmd_interleave(args, cfg: RunConfig) -> int:
     res = find_interleaving(rho, r, m, n, budget=cfg.budget)
     out: Dict[str, Any] = {"r": args.r, "verdict": res.verdict,
                            "candidates_tried": res.candidates_tried}
-    if res.certificate:
-        out["certificate"] = {
-            "p": morphism_to_json(res.certificate.p),
-            "q": morphism_to_json(res.certificate.q),
-        }
+    if res.verdict == "yes":
+        out["certificate"] = {"p": morphism_to_json(res.p), "q": morphism_to_json(res.q)}
     _emit(cfg, out)
     return EXIT_OK if res.verdict != "unknown" else EXIT_UNDECIDED
 

@@ -97,15 +97,14 @@ def _canonical_side(rho: HeightDiff, r: Fraction, base: PersistenceModule,
 
 
 def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
-                   cert: Certificate) -> Tuple[Subquotient, Subquotient]:
-    """The canonical shared neighborhood built from an interleaving certificate.
+                   p: ModuleMorphism, q: ModuleMorphism) -> Tuple[Subquotient, Subquotient]:
+    """The canonical shared neighborhood built from an interleaving (p, q).
 
     Realized twice: as a subquotient of m (via M1 = im[eta, q#] and
     M2 = M1 & ker[eta; p]) and symmetrically of n.  The pair must be an
     interleaving (`check_certificate`), so the two quotients are the same
     isomorphism class.
     """
-    p, q = cert.p, cert.q
     if not check_certificate(rho, r, m, n, p, q):
         raise ErosionNeighborhoodError(
             "certificate identities fail; the supplied pair is not an interleaving")
@@ -354,11 +353,8 @@ def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule, n: Pe
             return "yes", "erosion-iso", erosion_witness
         res = find_interleaving(rho, rep, m, n, budget)
         if res.verdict == "yes":  # the search's own certificate: no re-check
-            def canonical() -> Subquotient:
-                p, q = res.certificate.p, res.certificate.q
-                return _canonical_side(rho, rep, m, sharp(rho, rep, m, q), p)
-
-            return "yes", "certificate", canonical
+            return "yes", "certificate", lambda: _canonical_side(
+                rho, rep, m, sharp(rho, rep, m, res.q), res.p)
     if not m.field.is_prime_field:  # neighborhoods cannot be enumerated over Q
         return "unknown", "enumeration", None
     enum_m = en_enumerate(rho, rep, m, budget)

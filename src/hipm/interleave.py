@@ -25,21 +25,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .exactlin import DEFAULT_BUDGET, zeros
 from .height import INF, ExtVal, HeightDiff, Stratum, format_ext, rho_diag, strata
 from .functors import (apply_R, e_r, e_r_legs, e_r_rank_obstruction, e_r_vanishes, sharp,
                        sharp_legs)
-from .pmod import ModuleMorphism, MorphismStack, PersistenceModule, hom_basis, is_isomorphic, search_pair
+from .pmod import (ModuleMorphism, MorphismStack, PersistenceModule, SearchResult, hom_basis,
+                   is_isomorphic, search_pair)
 from .poset import PosetError
 
 __all__ = [
     "Certificate",
     "check_certificate",
     "find_interleaving",
-    "InterleaveResult",
     "distance",
     "StrataReport",
     "StratumVerdict",
@@ -79,24 +78,10 @@ def check_certificate(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     return q.compose(ps) == e_r(rho, r, m) and p.compose(qs) == e_r(rho, r, n)
 
 
-class InterleaveResult:
-    """A search's verdict ("yes" | "no" | "unknown"), the candidates it tried,
-    and for a "yes" the certificate, which `build` makes on the first read of
-    `certificate`: a stratum whose witness is never reported never builds it."""
-
-    def __init__(self, verdict: str, build: Optional[Callable[[], Certificate]] = None,
-                 candidates_tried: int = 0):
-        self.verdict, self.candidates_tried = verdict, candidates_tried
-        self._build = build
-
-    @cached_property
-    def certificate(self) -> Optional[Certificate]:
-        return self._build() if self._build is not None else None
-
-
 def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
-                      budget: int = DEFAULT_BUDGET) -> InterleaveResult:
-    """Search for an r-interleaving between m and n.
+                      budget: int = DEFAULT_BUDGET) -> SearchResult:
+    """Search for an r-interleaving between m and n: on a "yes", p: m -> R_r n
+    and q: n -> R_r m.
 
     Enumerates p over Hom(m, R_r n) in lexicographic coefficient order; the two
     defining identities q o p# = e_{r,m} and p o q# = e_{r,n} are linear in q
@@ -131,20 +116,19 @@ def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     is the first witness, with q = 0.  Such a stratum is answered before any
     R_r value, eta, Hom basis or equation is built, with the search's own
     result: "yes", the zero pair and `candidates_tried` 1 (a budget of 0 still
-    gets "unknown").  The zero pair lands in R_r, so it is built only when
-    `certificate` is first read; so is the certificate of any other "yes".
+    gets "unknown").  The zero pair lands in R_r, so each map of it is built,
+    with its R_r value, only when it is first read; so is each map of any
+    other "yes".
     """
     r = Fraction(r)
     if budget >= 1 and e_r_vanishes(rho, r, m, n):
-        return InterleaveResult("yes", lambda: Certificate(
-            r, ModuleMorphism.zero(m, apply_R(rho, r, n).module),
-            ModuleMorphism.zero(n, apply_R(rho, r, m).module)), 1)
+        return SearchResult("yes", 1, lambda: ModuleMorphism.zero(m, apply_R(rho, r, n).module),
+                            lambda: ModuleMorphism.zero(n, apply_R(rho, r, m).module))
     p_basis = hom_basis(m, apply_R(rho, r, n).module)
     q_basis = hom_basis(n, apply_R(rho, r, m).module)
-    verdict, tried, p, q = search_pair(p_basis, q_basis, sharp_legs(rho, r, n, p_basis),
-                                       sharp_legs(rho, r, m, q_basis), e_r_legs(rho, r, m),
-                                       e_r_legs(rho, r, n), budget)
-    return InterleaveResult(verdict, (lambda: Certificate(r, p(), q())) if p else None, tried)
+    return search_pair(p_basis, q_basis, sharp_legs(rho, r, n, p_basis),
+                       sharp_legs(rho, r, m, q_basis), e_r_legs(rho, r, m), e_r_legs(rho, r, n),
+                       budget)
 
 
 @dataclass
@@ -275,7 +259,7 @@ def distance(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
         if budget >= 1 and e_r_rank_obstruction(rho, st.rep, m, n) is not None:
             return "no", None, None
         res = find_interleaving(rho, st.rep, m, n, budget)
-        return res.verdict, None, lambda: res.certificate
+        return res.verdict, None, lambda: Certificate(st.rep, res.p, res.q)
 
     return stratified_report(rho, evaluate)
 
@@ -324,7 +308,7 @@ def _shift_interleaving(m: PersistenceModule, n: PersistenceModule, k: int,
     p_basis = hom_basis(m, _shift_module(n, k))
     q_basis = hom_basis(n, _shift_module(m, k))
     return search_pair(p_basis, q_basis, _shift_sharp(p_basis, n, k), _shift_sharp(q_basis, m, k),
-                       _shift_e(m, k), _shift_e(n, k), budget)[0]
+                       _shift_e(m, k), _shift_e(n, k), budget).verdict
 
 
 class UndecidedError(Exception):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import cached_property, partial
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,9 +45,9 @@ __all__ = [
     "pullback_module",
     "MorphismStack",
     "hom_basis",
+    "SearchResult",
     "search_pair",
     "is_isomorphic",
-    "IsoResult",
 ]
 
 
@@ -345,10 +346,32 @@ class MorphismStack(Sequence):
         return f"MorphismStack({self._h} x {list(self.source.dims)} -> {list(self.target.dims)})"
 
 
+class SearchResult:
+    """A bilinear search's verdict ("yes" | "no" | "unknown"), the candidates it
+    tried, and for a "yes" the witness pair p, q.  Each of p and q is built by
+    its builder on its first read, so a witness nobody reads is never built;
+    both are None unless the verdict is "yes"."""
+
+    def __init__(self, verdict: str, candidates_tried: int = 0,
+                 build_p: Optional[Callable[[], ModuleMorphism]] = None,
+                 build_q: Optional[Callable[[], ModuleMorphism]] = None):
+        self.verdict, self.candidates_tried = verdict, candidates_tried
+        self._build_p, self._build_q = build_p, build_q
+
+    @cached_property
+    def p(self) -> Optional[ModuleMorphism]:
+        return self._build_p() if self._build_p is not None else None
+
+    @cached_property
+    def q(self) -> Optional[ModuleMorphism]:
+        return self._build_q() if self._build_q is not None else None
+
+
 def search_pair(p_basis: MorphismStack, q_basis: MorphismStack,
                 p_families: Sequence[np.ndarray], q_families: Sequence[np.ndarray],
-                m_rhs: Sequence[np.ndarray], n_rhs: Sequence[np.ndarray], budget: int) -> tuple:
-    """(verdict, candidates tried, p, q) of the bilinear system, element by element,
+                m_rhs: Sequence[np.ndarray], n_rhs: Sequence[np.ndarray],
+                budget: int) -> SearchResult:
+    """The search of the bilinear system, element by element,
     sum_{i,j} c_i d_j Q_j(a) p_families[a][i] = m_rhs[a] and
     sum_{i,j} c_i d_j P_i(a) q_families[a][j] = n_rhs[a]
     in p = sum_i c_i P_i over `p_basis` and q = sum_j d_j Q_j over `q_basis`.
@@ -358,9 +381,9 @@ def search_pair(p_basis: MorphismStack, q_basis: MorphismStack,
     right-hand block is the (R(a), w) array it must produce.  The (h2, h1, L)
     tensor lays the blocks out row-major, element after element, the m side
     first; per element, every composite of one side is one batched matmul of
-    two stacks.  `exactlin._bilinear_search` finds the first c.  On a "yes" p
-    and q are functions of no arguments that build the two morphisms, q by one
-    exact `solve` of c's system; otherwise both are None."""
+    two stacks.  `exactlin._bilinear_search` finds the first c.  On a "yes" the
+    result builds p when it is read, and q, by one exact `solve` of c's
+    system, when q is read."""
     F = p_basis.source.field
     rhs = np.concatenate([b.ravel() for b in (*m_rhs, *n_rhs)] + [zeros(F, (0,))])
     h1, h2 = len(p_basis), len(q_basis)
@@ -375,9 +398,9 @@ def search_pair(p_basis: MorphismStack, q_basis: MorphismStack,
               if h1 and h2 else zeros(F, (h2, h1, len(rhs))))
     verdict, coeffs, tried = _bilinear_search(tensor, rhs, F, budget)
     if verdict != "yes":
-        return verdict, tried, None, None
-    return (verdict, tried, lambda: p_basis.combine(coeffs),
-            lambda: q_basis.combine(solve_candidate(tensor, rhs, coeffs, F).a[:, 0]))
+        return SearchResult(verdict, tried)
+    return SearchResult(verdict, tried, partial(p_basis.combine, coeffs),
+                        lambda: q_basis.combine(solve_candidate(tensor, rhs, coeffs, F).a[:, 0]))
 
 
 def hom_basis(m: PersistenceModule, n: PersistenceModule) -> MorphismStack:
@@ -555,15 +578,10 @@ def quotient_by_submodule(big: Submodule, small: Submodule) -> Subquotient:
                        tuple(frees))
 
 
-@dataclass
-class IsoResult:
-    verdict: str  # "yes" | "no" | "unknown"
-    witness: Optional[ModuleMorphism] = None
-
-
 def is_isomorphic(m: PersistenceModule, n: PersistenceModule,
-                  budget: int = DEFAULT_BUDGET) -> IsoResult:
-    """Search for an isomorphism m ~ n.
+                  budget: int = DEFAULT_BUDGET) -> SearchResult:
+    """Search for an isomorphism m ~ n: on a "yes", p is an isomorphism f and
+    q is its inverse.
 
     An isomorphism is a 0-interleaving: f: m -> n and g: n -> m with g o f = id
     and f o g = id.  So this is `search_pair` over f = sum c_i P_i in
@@ -573,17 +591,19 @@ def is_isomorphic(m: PersistenceModule, n: PersistenceModule,
     witness is the first invertible f in lexicographic coefficient order, and
     exhausting the Hom space within `budget` candidates proves "no".  Over the
     rationals the search probes the same budgeted integer lattice as
-    `find_interleaving`, and a miss is "unknown".
+    `find_interleaving`, and a miss is "unknown".  Different dimension vectors
+    are a "no", and two zero modules are a "yes" at any budget, each with no
+    search; the zero pair counts as one candidate tried.
     """
     if m.poset.key() != n.poset.key() or m.field != n.field:
         raise ValueError("isomorphism test requires the same poset and field")
     if m.dims != n.dims:
-        return IsoResult("no")
+        return SearchResult("no")
     if m.total_dim() == 0:
-        return IsoResult("yes", ModuleMorphism.zero(m, n))
+        return SearchResult("yes", 1, partial(ModuleMorphism.zero, m, n),
+                            partial(ModuleMorphism.zero, n, m))
     p_basis, q_basis = hom_basis(m, n), hom_basis(n, m)
     if not p_basis:
-        return IsoResult("no")
+        return SearchResult("no")
     eye = [Mat.eye(m.field, d).a for d in m.dims]
-    verdict, _, f, _ = search_pair(p_basis, q_basis, p_basis.stacks, q_basis.stacks, eye, eye, budget)
-    return IsoResult(verdict, f() if f else None)
+    return search_pair(p_basis, q_basis, p_basis.stacks, q_basis.stacks, eye, eye, budget)

@@ -5,8 +5,9 @@ whole operation: the composites `validate_module` forms, the content keys
 `distance` builds, the critical-value bisections under `distance`, the
 isomorphism tests and quotients of `d_en`'s enumeration stage, the search
 that a stratum where e_r vanishes on both modules never starts, the R_r
-value such a stratum never builds unless its witness is reported, and the Hom
-bases a stratum ruled out by the rank obstruction never builds.
+value such a stratum never builds unless its witness is reported, the Hom
+bases a stratum ruled out by the rank obstruction never builds, and the
+isomorphism and its inverse that `is_isomorphic` builds only when read.
 """
 
 import bisect
@@ -17,13 +18,14 @@ from pathlib import Path
 
 import pytest
 
-from hipm import erosion, functors, interleave
+from hipm import erosion, functors, interleave, pmod
 from hipm.erosion import _en_stratum_test, d_en
 from hipm.exactlin import FieldSpec, Mat
 from hipm.functors import e_r_rank_obstruction, e_r_vanishes
 from hipm.height import HeightFunction, from_phi, level, rho_diag, strata
 from hipm.interleave import check_certificate, distance, find_interleaving
-from hipm.pmod import PersistenceModule, direct_sum, interval_module, validate_module
+from hipm.pmod import (MorphismStack, PersistenceModule, direct_sum, interval_module,
+                       is_isomorphic, validate_module)
 from hipm.poset import FinitePoset
 from hipm.randgen import (random_conjugate, random_forest_poset, random_module, random_phi,
                           random_poset)
@@ -194,20 +196,20 @@ def test_a_vanishing_stratum_builds_no_hom_basis_and_starts_no_search(monkeypatc
     for rho, m, n, st in cases:
         res = find_interleaving(rho, st.rep, m, n, 1)
         assert (res.verdict, res.candidates_tried) == ("yes", 1)
-        assert res.certificate.p.is_zero() and res.certificate.q.is_zero()
+        assert res.p.is_zero() and res.q.is_zero()
     assert {name: c[0] for name, c in calls.items()} == dict.fromkeys(names, 0)
 
 
 def test_a_vanishing_stratum_certificate_passes_the_transpose_check():
     for rho, m, n, st in vanishing_strata():
-        cert = find_interleaving(rho, st.rep, m, n, 1).certificate
-        assert check_certificate(rho, st.rep, m, n, cert.p, cert.q)
+        res = find_interleaving(rho, st.rep, m, n, 1)
+        assert check_certificate(rho, st.rep, m, n, res.p, res.q)
 
 
 def test_budget_zero_is_unknown_on_a_vanishing_stratum():
     for rho, m, n, st in vanishing_strata():
         res = find_interleaving(rho, st.rep, m, n, 0)
-        assert (res.verdict, res.certificate, res.candidates_tried) == ("unknown", None, 0)
+        assert (res.verdict, res.p, res.q, res.candidates_tried) == ("unknown", None, None, 0)
 
 
 def test_distance_builds_no_matching_value_at_an_unreported_vanishing_stratum(monkeypatch):
@@ -280,3 +282,23 @@ def test_an_obstructed_stratum_builds_no_hom_basis_and_starts_no_search(monkeypa
                 obstructed += 1
         assert bases[0] == 2 * sum(not e_r_vanishes(rho, r, m, n) for r in searched)
     assert obstructed >= 3  # the guard is not vacuous
+
+
+def test_is_isomorphic_builds_its_isomorphism_and_inverse_only_when_read(monkeypatch):
+    """A "yes" combines f from the Hom basis only when p is read, and solves
+    for its inverse only when q is read."""
+    combined = counting(monkeypatch, MorphismStack, "combine")
+    solved = counting(monkeypatch, pmod, "solve_candidate")
+    isomorphic = 0
+    for _, m, n in pairs():
+        for other in (n, m):
+            combined[0] = solved[0] = 0
+            res = is_isomorphic(m, other)
+            assert (combined[0], solved[0]) == (0, 0)
+            if res.verdict != "yes":
+                continue
+            isomorphic += 1
+            assert res.p.source is m and (combined[0], solved[0]) == (1, 0)
+            assert res.q.source is other and (combined[0], solved[0]) == (2, 1)
+            assert res.p is res.p and (combined[0], solved[0]) == (2, 1)
+    assert isomorphic >= 4  # the guard is not vacuous

@@ -29,10 +29,9 @@ from hipm.erosion import (
 from hipm.exactlin import GF2, FieldSpec, Mat, solve
 from hipm.functors import e_r, erosion_subquotient, im_r, ker_r, sharp
 from hipm.height import from_phi, strata
-from hipm.interleave import InterleaveResult
 from hipm.pmod import (
-    IsoResult,
     PersistenceModule,
+    SearchResult,
     quotient_by_submodule,
     submodule_from_bases,
     submodule_image,
@@ -79,8 +78,7 @@ def oracle_stratum_test(rho, rep, m, n, budget, enumerations):
         return "yes", "erosion-iso", erosion_subquotient(rho, rep, m)
     res = erosion.find_interleaving(rho, rep, m, n, budget)
     if res.verdict == "yes":
-        p, q = res.certificate.p, res.certificate.q
-        return "yes", "certificate", _canonical_side(rho, rep, m, sharp(rho, rep, m, q), p)
+        return "yes", "certificate", _canonical_side(rho, rep, m, sharp(rho, rep, m, res.q), res.p)
     (members_m, complete_m), (members_n, complete_n) = enumerations
     undecided = False
     for sm in members_m:
@@ -98,8 +96,8 @@ def coarse_iso(m, n, budget=None):
     """A stand-in isomorphism test: "no" on different dimension vectors, else
     a verdict read off the total dimension."""
     if m.dims != n.dims:
-        return IsoResult("no")
-    return IsoResult(("yes", "unknown", "yes", "no")[sum(m.dims) % 4])
+        return SearchResult("no")
+    return SearchResult(("yes", "unknown", "yes", "no")[sum(m.dims) % 4])
 
 
 def same_witness(got, want):
@@ -168,7 +166,7 @@ def test_bucketed_stage_matches_the_pairwise_oracle_on_a_coarse_iso_test(case):
     rho, m, n, budget = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(erosion, "is_isomorphic", coarse_iso)
-        mp.setattr(erosion, "find_interleaving", lambda *args: InterleaveResult("no"))
+        mp.setattr(erosion, "find_interleaving", lambda *args: SearchResult("no"))
         for stratum in strata(rho):
             rep = stratum.rep
             oracle = [oracle_enumerate(rho, rep, mod, budget) for mod in (m, n)]

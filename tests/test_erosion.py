@@ -15,7 +15,7 @@ from hipm.exactlin import GF2
 from hipm.fixtures import chain_example
 from hipm.functors import erosion_E, erosion_subquotient, im_r, ker_r
 from hipm.height import HeightFunction, c_rho, ext_add, from_phi
-from hipm.interleave import Certificate, check_certificate, distance, find_interleaving
+from hipm.interleave import check_certificate, distance, find_interleaving
 from hipm.pmod import (
     ModuleMorphism,
     interval_module,
@@ -74,7 +74,7 @@ def test_en_canonical_Q_identity(unit_chain, rng):
     m = random_module(rng, p, GF2, 2)
     res = find_interleaving(rho, 0, m, m)
     assert res.verdict == "yes"
-    qm, qn = en_canonical_Q(rho, 0, m, m, res.certificate)
+    qm, qn = en_canonical_Q(rho, 0, m, m, res.p, res.q)
     assert_neighborhoods(rho, 0, m, m, qm, qn)
     assert is_isomorphic(qm.quotient, m).verdict == "yes"
     assert is_isomorphic(qn.quotient, m).verdict == "yes"
@@ -84,7 +84,7 @@ def test_en_canonical_Q_chain_certificate():
     ce = chain_example(2)
     res = find_interleaving(ce.rho, 3, ce.M, ce.N)
     assert res.verdict == "yes"
-    qm, qn = en_canonical_Q(ce.rho, 3, ce.M, ce.N, res.certificate)
+    qm, qn = en_canonical_Q(ce.rho, 3, ce.M, ce.N, res.p, res.q)
     assert_neighborhoods(ce.rho, 3, ce.M, ce.N, qm, qn)
     # both realizations carry the same isomorphism class
     assert is_isomorphic(qm.quotient, qn.quotient).verdict == "yes"
@@ -96,12 +96,12 @@ def test_en_canonical_Q_chain_certificate():
 def test_en_canonical_Q_rejects_a_non_interleaving():
     # M and X are 1-interleaved, and e_1 of M is nonzero, so a zero p breaks the pair
     ce = chain_example(2)
-    cert = find_interleaving(ce.rho, 1, ce.M, ce.X).certificate
-    qm, qx = en_canonical_Q(ce.rho, 1, ce.M, ce.X, cert)
+    res = find_interleaving(ce.rho, 1, ce.M, ce.X)
+    qm, qx = en_canonical_Q(ce.rho, 1, ce.M, ce.X, res.p, res.q)
     assert_neighborhoods(ce.rho, 1, ce.M, ce.X, qm, qx)
-    zero = ModuleMorphism.zero(cert.p.source, cert.p.target)
+    zero = ModuleMorphism.zero(res.p.source, res.p.target)
     with pytest.raises(ErosionNeighborhoodError, match="not an interleaving"):
-        en_canonical_Q(ce.rho, 1, ce.M, ce.X, Certificate(cert.r, zero, cert.q))
+        en_canonical_Q(ce.rho, 1, ce.M, ce.X, zero, res.q)
 
 
 def test_en_canonical_Q_zero_modules(unit_chain):
@@ -110,7 +110,7 @@ def test_en_canonical_Q_zero_modules(unit_chain):
 
     z = zero_module(p, GF2)
     res = find_interleaving(rho, 1, z, z)
-    qm, qn = en_canonical_Q(rho, 1, z, z, res.certificate)
+    qm, qn = en_canonical_Q(rho, 1, z, z, res.p, res.q)
     assert_neighborhoods(rho, 1, z, z, qm, qn)
     assert sum(qm.quotient.dims) == 0 and sum(qn.quotient.dims) == 0
 
