@@ -26,6 +26,7 @@ from .functors import (
     apply_R,
     apply_T,
     e_r,
+    e_r_vanishes,
     erosion_E,
     eta_L,
     eta_R,
@@ -505,7 +506,7 @@ def _cmd_repro(args, cfg: RunConfig) -> int:
         for st in strata(ex.rho):
             Lr = apply_L(ex.rho, st.rep, M).module
             hom_dims[str(st.rep)] = len(hom_basis(Lr, N))
-        e_nonzero = {str(st.rep): not e_r(ex.rho, st.rep, M).is_zero()
+        e_nonzero = {str(st.rep): not e_r_vanishes(ex.rho, st.rep, M)
                      for st in strata(ex.rho)}
         dMN = distance(ex.rho, M, N, budget=cfg.budget)
         dMM1 = distance(ex.rho, M, M1, budget=cfg.budget)

@@ -2,8 +2,9 @@
 
 Every command loads its own modules, and functor values are memoized on the
 module they were applied to, so a report cannot lean on values a previous
-command left behind.  Regenerate with `tests/golden/make_golden.py`
-only when a change of report is intended.
+command left behind.  A failure names every differing case, with its exit
+code before and after, and shows the first one's diff.  Regenerate with
+`tests/golden/make_golden.py` only when a change of report is intended.
 """
 
 import difflib
@@ -26,10 +27,11 @@ def test_golden_reports_are_byte_identical():
         if got != (case["exit"], case["stdout"]):
             bad.append((case, got))
     if bad:
+        cases = "".join(f"  {' '.join(case['argv'])}: exit {case['exit']} -> "
+                        f"{None if got is None else got[0]}\n" for case, got in bad)
         case, got = bad[0]
         diff = "" if got is None else "".join(difflib.unified_diff(
             case["stdout"].splitlines(True), got[1].splitlines(True), "expected", "got", n=2))
         raise AssertionError(
-            f"{len(bad)} of {len(corpus)} golden reports differ; first: "
-            f"{' '.join(case['argv'])}\nexit {case['exit']} -> "
-            f"{None if got is None else got[0]}\n{diff[:4000]}")
+            f"{len(bad)} of {len(corpus)} golden reports differ:\n{cases}"
+            f"first diff:\n{diff[:4000]}")
