@@ -332,29 +332,32 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
 def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule, n: PersistenceModule,
                      budget: int) -> Evaluation:
     """(verdict, via, build) at one scale, `build` returning the witness or
-    None; via is "erosion-iso", "certificate" or "enumeration".
+    None; via is "erosion-iso", "obstruction", "certificate" or "enumeration".
 
     When e_r vanishes on both modules, both erosions are zero modules, which
     the isomorphism test calls isomorphic at any budget; so the stratum is an
     "erosion-iso" yes with no erosion, eta or search built.  When the rank
     obstruction holds (`functors.e_r_rank_obstruction`), say
-    rank e_{r,M}(a) > dim N(a), neither canonical candidate can be a yes: the
-    search finds no interleaving, and the erosions differ in dimension at a,
-    since that of N is at most dim N(a).  So the stratum goes straight to the
-    enumeration, with no erosion, Hom basis or search built."""
+    rank e_{r,M}(a) > dim N(a), the stratum is an "obstruction" no over any
+    field and at any budget, with nothing built or enumerated.  For an erosion
+    neighborhood M1/M2 of M, the unit M -> R_r M kills M2, so M1/M2 maps to
+    R_r M, and the image holds im e_{r,M} since M1 holds the image of L_r M.
+    So its dimension at a is at least rank e_{r,M}(a), while that of an
+    erosion neighborhood of N is at most dim N(a): no class is shared."""
     erosion_witness = partial(erosion_subquotient, rho, rep, m)
     if e_r_vanishes(rho, rep, m, n):
         return "yes", "erosion-iso", erosion_witness
-    if e_r_rank_obstruction(rho, rep, m, n) is None:
-        em = submodule_image(e_r(rho, rep, m)).module
-        en_ = submodule_image(e_r(rho, rep, n)).module
-        # like every isomorphism test under d_en, asked only where the dimensions agree
-        if em.dims == en_.dims and is_isomorphic(em, en_, budget=budget).verdict == "yes":
-            return "yes", "erosion-iso", erosion_witness
-        res = find_interleaving(rho, rep, m, n, budget)
-        if res.verdict == "yes":  # the search's own certificate: no re-check
-            return "yes", "certificate", lambda: _canonical_side(
-                rho, rep, m, sharp(rho, rep, m, res.q), res.p)
+    if e_r_rank_obstruction(rho, rep, m, n) is not None:
+        return "no", "obstruction", None
+    em = submodule_image(e_r(rho, rep, m)).module
+    en_ = submodule_image(e_r(rho, rep, n)).module
+    # like every isomorphism test under d_en, asked only where the dimensions agree
+    if em.dims == en_.dims and is_isomorphic(em, en_, budget=budget).verdict == "yes":
+        return "yes", "erosion-iso", erosion_witness
+    res = find_interleaving(rho, rep, m, n, budget)
+    if res.verdict == "yes":  # the search's own certificate: no re-check
+        return "yes", "certificate", lambda: _canonical_side(
+            rho, rep, m, sharp(rho, rep, m, res.q), res.p)
     if not m.field.is_prime_field:  # neighborhoods cannot be enumerated over Q
         return "unknown", "enumeration", None
     enum_m = en_enumerate(rho, rep, m, budget)
@@ -380,9 +383,10 @@ def d_en(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
     """The erosion-neighborhood distance by stratified search.
 
     Stratum verdict: do the r-erosion-neighborhood classes of m and n intersect?
-    Canonical candidates (the erosions themselves, then the certificate-derived
-    neighborhood) are tried before full cross-enumeration, unless the rank
-    obstruction rules out both.  The cross test
+    A stratum where the rank obstruction holds is a "no" with nothing
+    enumerated.  Elsewhere canonical candidates (the erosions themselves, then
+    the certificate-derived neighborhood) are tried before full
+    cross-enumeration.  The cross test
     enumerates both modules' (M1, M2) pairs, then forms and deduplicates the
     quotients only in the dimension vectors both sides reach and compares each
     m-member, in member order, with the n-members of its vector; disjoint

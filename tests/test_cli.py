@@ -2,7 +2,6 @@ import json
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -571,14 +570,22 @@ def test_cli_oracle_grid_undecided_within_budget(capsys, tmp_path):
     assert (rep["distance"], rep["oracle_distance"], rep["agree"]) == ("0", "0", True)
 
 
-def test_cli_en_distance_over_the_rationals_is_undecided(capsys):
-    # erosion neighborhoods are enumerated only over GF(p): over Q such a stratum is unknown
-    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+def test_cli_en_distance_over_the_rationals_is_undecided(capsys, tmp_path):
+    # erosion neighborhoods are enumerated only over GF(p): over Q such a stratum is unknown.
+    # On the chain a < b, M(a <= b) = 1 and N(a <= b) = 0 have equal dimensions, so the
+    # rank obstruction does not decide the zero stratum.
+    files = {"poset": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+             "height": {"phi": {"a": "0", "b": "1"}}}
+    for name, entry in (("M", "1"), ("N", "0")):
+        files[name] = {"field": {"kind": "rational"}, "dims": {"a": 1, "b": 1},
+                       "maps": {"a|b": [[entry]]}}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     code = main(["--field", "rational", "en-distance",
-                 "--poset", str(inputs / "ratdag_poset.json"),
-                 "--height", str(inputs / "ratdag_height.json"),
-                 "--module", str(inputs / "ratdag_M.json"),
-                 "--module2", str(inputs / "ratdag_N.json")])
+                 "--poset", str(tmp_path / "poset.json"),
+                 "--height", str(tmp_path / "height.json"),
+                 "--module", str(tmp_path / "M.json"),
+                 "--module2", str(tmp_path / "N.json")])
     captured = capsys.readouterr()
     assert code == 2 and captured.err == ""
     rep = json.loads(captured.out)

@@ -150,7 +150,8 @@ def test_every_isomorphism_test_of_d_en_runs_under_its_budget(monkeypatch):
 
 def test_grid3_forms_no_quotient_where_no_vector_is_shared(monkeypatch):
     """The golden grid3 pair at (0, 1]: the neighborhoods of M and N share no
-    dimension vector, so the stratum is a "no" with no quotient formed."""
+    dimension vector, which the rank obstruction proves, so the stratum is a
+    "no" with no quotient formed."""
     inputs = Path(__file__).resolve().parent / "golden" / "inputs"
     doc = {key: json.loads((inputs / f"grid3_{key}.json").read_text())
            for key in ("poset", "height", "M", "N")}
@@ -160,7 +161,7 @@ def test_grid3_forms_no_quotient_where_no_vector_is_shared(monkeypatch):
     stratum = next(st for st in strata(rho) if (st.lo, st.hi) == (0, Fraction(1)))
     calls = counting(monkeypatch, erosion, "quotient_by_submodule")
     assert _en_stratum_test(rho, stratum.rep, m, n, 65536) == (
-        "no", "enumeration", None)
+        "no", "obstruction", None)
     assert calls[0] == 0
 
 

@@ -27,7 +27,7 @@ from hipm.erosion import (
     en_enumerate,
 )
 from hipm.exactlin import GF2, FieldSpec, Mat, solve
-from hipm.functors import e_r, erosion_subquotient, im_r, ker_r, sharp
+from hipm.functors import e_r, e_r_rank_obstruction, erosion_subquotient, im_r, ker_r, sharp
 from hipm.height import from_phi, strata
 from hipm.pmod import (
     PersistenceModule,
@@ -72,6 +72,8 @@ def oracle_enumerate(rho, r, m, budget):
 def oracle_stratum_test(rho, rep, m, n, budget, enumerations):
     """(verdict, via, witness) with a cross test over all pairs of members;
     `enumerations` holds `oracle_enumerate`'s value for m and for n."""
+    if e_r_rank_obstruction(rho, rep, m, n) is not None:
+        return "no", "obstruction", None
     em = submodule_image(e_r(rho, rep, m)).module
     en_ = submodule_image(e_r(rho, rep, n)).module
     if erosion.is_isomorphic(em, en_, budget=budget).verdict == "yes":

@@ -8,7 +8,9 @@ it must equal the rank of e_r(a) built through L_r and R_r.  The obstruction
 (`functors.e_r_rank_obstruction`) must name the first violation of those
 ranks, and must never fire where the exhaustive GF(p) search finds an
 interleaving.  Over Q, where the search never says "no", `distance` proves
-"no" from the obstruction alone.
+"no" from the obstruction alone.  The same obstruction proves a `d_en` "no":
+it must leave the two modules' erosion neighborhoods no dimension vector in
+common.
 """
 
 import random
@@ -17,7 +19,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from hipm import interleave
-from hipm.erosion import _en_stratum_test, d_en
+from hipm.erosion import _en_stratum_test, d_en, en_enumerate
 from hipm.exactlin import FieldSpec, rref
 from hipm.functors import e_r, e_r_rank, e_r_rank_obstruction
 from hipm.height import HeightFunction, from_phi, strata
@@ -75,6 +77,36 @@ def test_the_obstruction_never_fires_where_the_search_finds_an_interleaving(case
             assert res.verdict != "yes"
 
 
+@st.composite
+def lopsided_pairs(draw):
+    """(rho, m, n) over GF(2) or GF(3) on a random forest or DAG of at most 6
+    elements, one module with 2-6 interval summands tried and the other with
+    0-2, in either order, so that the obstruction fires on nonzero strata."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n_el = draw(st.integers(2, 6))
+    P = random_poset(rng, n_el, 0.45) if draw(st.booleans()) else random_forest_poset(rng, n_el)
+    rho = from_phi(random_phi(rng, P, denominator=draw(st.sampled_from([1, 2]))))
+    field = draw(st.sampled_from([GF2, GF3]))
+    big = random_module(rng, P, field, 2, summands=draw(st.integers(2, 6)))
+    small = random_module(rng, P, field, 2, summands=draw(st.integers(0, 2)))
+    return (rho, big, small) if draw(st.booleans()) else (rho, small, big)
+
+
+@given(lopsided_pairs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_an_obstructed_d_en_stratum_shares_no_erosion_neighborhood(case):
+    """Where the obstruction fires, complete enumerations of both modules'
+    erosion neighborhoods share no dimension vector, so no class: the "no"
+    that `_en_stratum_test` reports there without enumerating."""
+    rho, m, n = case
+    for st_ in strata(rho)[1:]:  # at r = 0 it fires only on different dimension vectors
+        if e_r_rank_obstruction(rho, st_.rep, m, n) is not None:
+            enum_m, enum_n = (en_enumerate(rho, st_.rep, mod) for mod in (m, n))
+            if enum_m.complete and enum_n.complete:
+                assert not enum_m.vectors & enum_n.vectors
+                assert _en_stratum_test(rho, st_.rep, m, n, 20000)[:2] == ("no", "obstruction")
+
+
 def chain4_pair():
     """[a, d] against [a, b] over Q on the chain a < b < c < d with phi 0, 1,
     3, 5: at r = 1 and 2, e_r of [a, d] is nonzero at c, where [a, b] is 0."""
@@ -116,8 +148,9 @@ def test_the_erosion_test_skips_the_search_on_an_obstructed_stratum(monkeypatch)
     asked = []
     monkeypatch.setattr("hipm.erosion.find_interleaving", lambda *args: asked.append(args))
     monkeypatch.setattr("hipm.erosion.e_r", lambda *args: asked.append(args))
+    monkeypatch.setattr("hipm.erosion.en_enumerate", lambda *args: asked.append(args))
     for r in (1, 2):
-        assert _en_stratum_test(rho, Fraction(r), m, n, 64) == ("unknown", "enumeration", None)
+        assert _en_stratum_test(rho, Fraction(r), m, n, 64) == ("no", "obstruction", None)
     assert asked == []
     monkeypatch.undo()
-    assert [sv.verdict for sv in d_en(rho, m, n, budget=64).strata][1:3] == ["unknown"] * 2
+    assert [sv.verdict for sv in d_en(rho, m, n, budget=64).strata][1:3] == ["no"] * 2
