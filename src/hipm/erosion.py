@@ -383,15 +383,15 @@ def d_en(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
     """The erosion-neighborhood distance by stratified search.
 
     Stratum verdict: do the r-erosion-neighborhood classes of m and n intersect?
-    A stratum where the rank obstruction holds is a "no" with nothing
-    enumerated.  Elsewhere canonical candidates (the erosions themselves, then
-    the certificate-derived neighborhood) are tried before full
-    cross-enumeration.  The cross test
-    enumerates both modules' (M1, M2) pairs, then forms and deduplicates the
-    quotients only in the dimension vectors both sides reach and compares each
-    m-member, in member order, with the n-members of its vector; disjoint
-    vectors decide "no" with no quotient formed.  Incomplete enumerations, an
-    undecided isomorphism test in the cross test, and any enumeration over the
-    rationals degrade the verdict to unknown and the distance to a bracket.
+    A stratum the rank obstruction rules out is a "no" with nothing enumerated;
+    elsewhere canonical candidates (the erosions themselves, then the
+    certificate-derived neighborhood) are tried before full cross-enumeration.
+    The cross test enumerates both modules' (M1, M2) pairs, then forms and
+    deduplicates the quotients only in the dimension vectors both sides reach
+    and compares each m-member, in member order, with the n-members of its
+    vector; disjoint vectors decide "no" with no quotient formed.  Incomplete
+    enumerations, an undecided isomorphism test in the cross test, and any
+    enumeration over the rationals degrade the verdict to unknown and the
+    distance to a bracket.
     """
     return stratified_report(rho, lambda st: _en_stratum_test(rho, st.rep, m, n, budget))

@@ -592,8 +592,7 @@ def is_isomorphic(m: PersistenceModule, n: PersistenceModule,
     exhausting the Hom space within `budget` candidates proves "no".  Over the
     rationals the search probes the same budgeted integer lattice as
     `find_interleaving`, and a miss is "unknown".  Different dimension vectors
-    are a "no", and two zero modules are a "yes" at any budget, each with no
-    search; the zero pair counts as one candidate tried.
+    are a "no" and two zero modules a "yes" (one candidate), with no search.
     """
     if m.poset.key() != n.poset.key() or m.field != n.field:
         raise ValueError("isomorphism test requires the same poset and field")
