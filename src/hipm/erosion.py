@@ -11,6 +11,8 @@ Isomorphic modules have equal dimension vectors, and a neighborhood's vector
 dim M1(a) - dim M2(a) is known before its quotient is formed.  So the
 enumeration keys each (M1, M2) pair by that vector, and `d_en` forms,
 deduplicates and compares quotients only in the vectors both modules reach.
+Every other neighborhood `d_en` tests or reports is built by
+`functors.erosion_subquotient`.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from functools import cached_property, partial
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
-from .exactlin import FieldSpec, Mat, factor_at, hstack, kernel_basis, quotient_map, solve, vstack
+from .exactlin import FieldSpec, Mat, factor_at, hstack, quotient_map, solve
 from .height import HeightDiff
-from .functors import (e_r, e_r_rank_obstruction, e_r_vanishes, erosion_subquotient, eta_L_to_id,
+from .functors import (e_r_rank_obstruction, e_r_vanishes, erosion_subquotient, eta_L_to_id,
                        eta_R_from_id, flat, im_r, ker_r, sharp)
 from .interleave import (DEFAULT_BUDGET, Certificate, Evaluation, StrataReport, check_certificate,
                          find_interleaving, stratified_report)
@@ -36,7 +38,6 @@ from .pmod import (
     is_isomorphic,
     quotient_by_submodule,
     submodule_from_bases,
-    submodule_image,
     submodule_intersection,
     submodule_sum,
 )
@@ -79,37 +80,20 @@ def en_construct(rho: HeightDiff, r, m: PersistenceModule,
     return quotient_by_submodule(m1, m2)
 
 
-def _canonical_side(rho: HeightDiff, r: Fraction, base: PersistenceModule,
-                    incoming: ModuleMorphism, outgoing: ModuleMorphism) -> Subquotient:
-    """M1/M2 with M1 = im[eta, incoming] and M2 = M1 & ker[eta; outgoing].  No
-    en_construct checks: M1 >= im_r and M2 <= M1 & ker_r by construction."""
-    F = base.field
-    eta_l, eta_r = eta_L_to_id(rho, r, base), eta_R_from_id(rho, r, base)
-    m1 = submodule_from_bases(base, [
-        hstack(F, [eta_l.components[i], incoming.components[i]], rows=base.dims[i])
-        for i in range(len(base.poset))
-    ])
-    kerb = submodule_from_bases(base, [
-        kernel_basis(vstack(F, [eta_r.components[i], outgoing.components[i]], cols=base.dims[i]))
-        for i in range(len(base.poset))
-    ])
-    return quotient_by_submodule(m1, submodule_intersection(m1, kerb))
-
-
 def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
                    p: ModuleMorphism, q: ModuleMorphism) -> Tuple[Subquotient, Subquotient]:
     """The canonical shared neighborhood built from an interleaving (p, q).
 
-    Realized twice: as a subquotient of m (via M1 = im[eta, q#] and
-    M2 = M1 & ker[eta; p]) and symmetrically of n.  The pair must be an
-    interleaving (`check_certificate`), so the two quotients are the same
-    isomorphism class.
+    Realized twice by `functors.erosion_subquotient`: as a subquotient of m
+    (M1 = im[eta_L, q#] and M2 = M1 & ker[eta_R; p]) and symmetrically of n,
+    with no `en_construct` check.  The pair must be an interleaving
+    (`check_certificate`), so the two quotients are the same isomorphism class.
     """
     if not check_certificate(rho, r, m, n, p, q):
         raise ErosionNeighborhoodError(
             "certificate identities fail; the supplied pair is not an interleaving")
-    return (_canonical_side(rho, r, m, sharp(rho, r, m, q), p),
-            _canonical_side(rho, r, n, sharp(rho, r, n, p), q))
+    return (erosion_subquotient(rho, r, m, sharp(rho, r, m, q), p),
+            erosion_subquotient(rho, r, n, sharp(rho, r, n, p), q))
 
 
 def _push(sq: Subquotient, cols: Sequence[Mat], escape: str) -> List[Mat]:
@@ -343,21 +327,23 @@ def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule, n: Pe
     neighborhood M1/M2 of M, the unit M -> R_r M kills M2, so M1/M2 maps to
     R_r M, and the image holds im e_{r,M} since M1 holds the image of L_r M.
     So its dimension at a is at least rank e_{r,M}(a), while that of an
-    erosion neighborhood of N is at most dim N(a): no class is shared."""
-    erosion_witness = partial(erosion_subquotient, rho, rep, m)
+    erosion neighborhood of N is at most dim N(a): no class is shared.  Else
+    the erosions (`erosion_subquotient`) are built once each and compared, m's
+    the witness of a "yes"; then the search's (p, q) gives the neighborhood
+    with q# and p added; then the enumeration."""
+    neighborhood = partial(erosion_subquotient, rho, rep, m)
     if e_r_vanishes(rho, rep, m, n):
-        return "yes", "erosion-iso", erosion_witness
+        return "yes", "erosion-iso", neighborhood
     if e_r_rank_obstruction(rho, rep, m, n) is not None:
         return "no", "obstruction", None
-    em = submodule_image(e_r(rho, rep, m)).module
-    en_ = submodule_image(e_r(rho, rep, n)).module
+    em, en_ = neighborhood(), erosion_subquotient(rho, rep, n)
     # like every isomorphism test under d_en, asked only where the dimensions agree
-    if em.dims == en_.dims and is_isomorphic(em, en_, budget=budget).verdict == "yes":
-        return "yes", "erosion-iso", erosion_witness
+    if (em.quotient.dims == en_.quotient.dims
+            and is_isomorphic(em.quotient, en_.quotient, budget=budget).verdict == "yes"):
+        return "yes", "erosion-iso", lambda: em
     res = find_interleaving(rho, rep, m, n, budget)
     if res.verdict == "yes":  # the search's own certificate: no re-check
-        return "yes", "certificate", lambda: _canonical_side(
-            rho, rep, m, sharp(rho, rep, m, res.q), res.p)
+        return "yes", "certificate", lambda: neighborhood(sharp(rho, rep, m, res.q), res.p)
     if not m.field.is_prime_field:  # neighborhoods cannot be enumerated over Q
         return "unknown", "enumeration", None
     enum_m = en_enumerate(rho, rep, m, budget)
@@ -385,7 +371,8 @@ def d_en(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
     Stratum verdict: do the r-erosion-neighborhood classes of m and n intersect?
     A stratum the rank obstruction rules out is a "no" with nothing enumerated;
     elsewhere canonical candidates (the erosions themselves, then the
-    certificate-derived neighborhood) are tried before full cross-enumeration.
+    certificate-derived neighborhood, both `erosion_subquotient`) are tried
+    before full cross-enumeration; an erosion-iso witness is the one compared.
     The cross test enumerates both modules' (M1, M2) pairs, then forms and
     deduplicates the quotients only in the dimension vectors both sides reach
     and compares each m-member, in member order, with the n-members of its

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .exactlin import Mat, factor_at, hstack, rref, solve, stacked_matmul, vstack, zeros
+from .exactlin import Mat, factor_at, hstack, kernel_basis, rref, solve, stacked_matmul, vstack, zeros
 from .height import (HeightDiff, check_ivc, level, nbhd_bottoms, nbhd_iterated_idx, nbhd_pairs,
                      nbhd_tops, nbhds, pullback_rho)
 from .kan import (UniversalCone, colim_over, factor, factor_into_lim, factor_stack_from_colim, induced,
@@ -30,6 +30,7 @@ from .pmod import (
     Subquotient,
     pullback_module,
     quotient_by_submodule,
+    submodule_from_bases,
     submodule_image,
     submodule_intersection,
     submodule_kernel,
@@ -578,10 +579,20 @@ def ker_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
     return submodule_kernel(eta_R_from_id(rho, r, m))
 
 
-def erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule) -> Subquotient:
-    """im_r / (im_r & ker_r), the erosion as a subquotient of M."""
-    imr = im_r(rho, r, m)
-    return quotient_by_submodule(imr, submodule_intersection(imr, ker_r(rho, r, m)))
+def erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule,
+                        incoming: Optional[ModuleMorphism] = None,
+                        outgoing: Optional[ModuleMorphism] = None) -> Subquotient:
+    """M1 / (M1 & ker[eta_R; outgoing]) in M with M1 = im[eta_L, incoming]: the erosion
+    im_r / (im_r & ker_r) with neither map, and the canonical neighborhood of an
+    interleaving (p, q) with q# and p (`erosion.en_canonical_Q`)."""
+    F = m.field
+    ins = [f for f in (eta_L_to_id(rho, r, m), incoming) if f is not None]
+    outs = [g for g in (eta_R_from_id(rho, r, m), outgoing) if g is not None]
+    m1 = submodule_from_bases(m, [hstack(F, [f.components[a] for f in ins], rows=d)
+                                  for a, d in enumerate(m.dims)])
+    kern = submodule_from_bases(m, [kernel_basis(vstack(F, [g.components[a] for g in outs], cols=d))
+                                    for a, d in enumerate(m.dims)])
+    return quotient_by_submodule(m1, submodule_intersection(m1, kern))
 
 
 @dataclass

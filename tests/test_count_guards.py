@@ -6,8 +6,10 @@ whole operation: the composites `validate_module` forms, the content keys
 isomorphism tests and quotients of `d_en`'s enumeration stage, the search
 that a stratum where e_r vanishes on both modules never starts, the R_r
 value such a stratum never builds unless its witness is reported, the Hom
-bases a stratum ruled out by the rank obstruction never builds, and the
-isomorphism and its inverse that `is_isomorphic` builds only when read.
+bases a stratum ruled out by the rank obstruction never builds, the
+isomorphism and its inverse that `is_isomorphic` builds only when read, and
+the one erosion subquotient per module that `d_en`'s erosion test builds and
+reports.
 """
 
 import bisect
@@ -303,3 +305,42 @@ def test_is_isomorphic_builds_its_isomorphism_and_inverse_only_when_read(monkeyp
             assert res.q.source is other and (combined[0], solved[0]) == (2, 1)
             assert res.p is res.p and (combined[0], solved[0]) == (2, 1)
     assert isomorphic >= 4  # the guard is not vacuous
+
+
+def test_an_erosion_iso_stratum_builds_each_erosion_once_and_reports_it(monkeypatch):
+    """Where e_r does not vanish on both modules, the erosion test builds each
+    module's erosion subquotient once, through no e_r and no image of it, and
+    a "yes" reports the very subquotient of m that it compared."""
+    original = erosion.erosion_subquotient
+    built = []
+
+    def recording(rho, r, mod, *maps):
+        built.append((mod, original(rho, r, mod, *maps)))
+        return built[-1][1]
+
+    monkeypatch.setattr(erosion, "erosion_subquotient", recording)
+    bypasses = [counting(monkeypatch, owner, name) for owner, name in (
+        (functors, "e_r"), (interleave, "e_r"), (functors, "submodule_image"),
+        (pmod, "submodule_image"))]
+    tested = 0
+    for rho, m, n in pairs():
+        for st in strata(rho):
+            if e_r_vanishes(rho, st.rep, m, n):
+                continue
+            del built[:]
+            for calls in bypasses:
+                calls[0] = 0
+            verdict, via, build = _en_stratum_test(rho, st.rep, m, n, 4096)
+            if (verdict, via) != ("yes", "erosion-iso"):
+                continue
+            tested += 1
+            assert [id(mod) for mod, _ in built] == [id(m), id(n)]
+            assert [calls[0] for calls in bypasses] == [0] * len(bypasses)
+            assert build() is built[0][1] and len(built) == 2
+    assert tested >= 4  # the guard is not vacuous
+    rho, m, n = pairs()[1]  # m against a twisted copy: the zero stratum is an erosion-iso yes
+    del built[:]
+    rep = d_en(rho, m, n, budget=4096)
+    assert (rep.strata[0].via, rep.distance) == ("erosion-iso", 0)
+    assert [id(mod) for mod, _ in built] == [id(m), id(n)] * (len(built) // 2)
+    assert any(rep.witness is sq for _, sq in built[::2])

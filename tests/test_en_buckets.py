@@ -20,14 +20,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from hipm import erosion
 from hipm.erosion import (
-    _canonical_side,
     _closed_families,
     _en_stratum_test,
     _subspaces_between,
     en_enumerate,
 )
-from hipm.exactlin import GF2, FieldSpec, Mat, solve
-from hipm.functors import e_r, e_r_rank_obstruction, erosion_subquotient, im_r, ker_r, sharp
+from hipm.exactlin import GF2, FieldSpec, Mat, hstack, kernel_basis, solve, vstack
+from hipm.functors import (e_r, e_r_rank_obstruction, erosion_subquotient, eta_L_to_id,
+                           eta_R_from_id, im_r, ker_r, sharp)
 from hipm.height import from_phi, strata
 from hipm.pmod import (
     PersistenceModule,
@@ -69,6 +69,22 @@ def oracle_enumerate(rho, r, m, budget):
     return members, left > 0
 
 
+def canonical_side(rho, r, base, incoming, outgoing):
+    """M1/M2 with M1 = im[eta, incoming] and M2 = M1 & ker[eta; outgoing],
+    built directly from the per-element blocks."""
+    F = base.field
+    eta_l, eta_r = eta_L_to_id(rho, r, base), eta_R_from_id(rho, r, base)
+    m1 = submodule_from_bases(base, [
+        hstack(F, [eta_l.components[i], incoming.components[i]], rows=base.dims[i])
+        for i in range(len(base.poset))
+    ])
+    kerb = submodule_from_bases(base, [
+        kernel_basis(vstack(F, [eta_r.components[i], outgoing.components[i]], cols=base.dims[i]))
+        for i in range(len(base.poset))
+    ])
+    return quotient_by_submodule(m1, submodule_intersection(m1, kerb))
+
+
 def oracle_stratum_test(rho, rep, m, n, budget, enumerations):
     """(verdict, via, witness) with a cross test over all pairs of members;
     `enumerations` holds `oracle_enumerate`'s value for m and for n."""
@@ -80,7 +96,7 @@ def oracle_stratum_test(rho, rep, m, n, budget, enumerations):
         return "yes", "erosion-iso", erosion_subquotient(rho, rep, m)
     res = erosion.find_interleaving(rho, rep, m, n, budget)
     if res.verdict == "yes":
-        return "yes", "certificate", _canonical_side(rho, rep, m, sharp(rho, rep, m, res.q), res.p)
+        return "yes", "certificate", canonical_side(rho, rep, m, sharp(rho, rep, m, res.q), res.p)
     (members_m, complete_m), (members_n, complete_n) = enumerations
     undecided = False
     for sm in members_m:

@@ -16,7 +16,7 @@ from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
-from hipm import erosion, functors, interleave
+from hipm import functors, interleave
 from hipm.exactlin import FieldSpec
 from hipm.functors import apply_R, e_r, sharp
 from hipm.height import from_phi, rho_strict, strata
@@ -80,7 +80,7 @@ def test_distance_builds_no_latching_value_colimit_or_e_r(case):
 
     # e_r is not memoized, so its calls are counted wherever a module imports it
     with ExitStack() as stack:
-        for mod in (functors, interleave, erosion):
+        for mod in (functors, interleave):
             stack.enter_context(patch.object(mod, "e_r", counted_e_r))
         distance(rho, m, n, budget=BUDGET)
     assert builds == []

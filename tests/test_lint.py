@@ -22,9 +22,11 @@ No module in `src/hipm` but `randgen.py` imports `random` or reaches
 random draws belong to the seeded instance generators.
 
 Only `pmod` and `exactlin` reach the bilinear search's internals: the search
-`_bilinear_search`, the witness's solve `solve_candidate` and the tensor
-builder `_bilinear_tensor`.  Every other module calls `pmod.search_pair`,
-which builds the system, searches it and solves for the certificate.
+`_bilinear_search`, the witness's solve `solve_candidate`, and the
+compressed candidate family `compressed_family` and its batched consistency
+test `batch_consistent` that the search runs on.  Every other module calls
+`pmod.search_pair`, which builds the tensor, searches it and solves for the
+certificate.
 
 Every field of a dataclass in `src/hipm` is read as an attribute somewhere in
 `src/hipm`, `tests` or `perfbench`: a field nothing reads is computed and
@@ -290,7 +292,8 @@ def test_no_unread_dataclass_fields():
     assert unread_fields(SOURCES, READERS) == []
 
 
-BILINEAR_INTERNALS = ("_bilinear_search", "solve_candidate", "_bilinear_tensor")
+BILINEAR_INTERNALS = ("_bilinear_search", "solve_candidate", "compressed_family",
+                      "batch_consistent")
 
 
 def bilinear_internals(path: Path) -> list:
@@ -308,11 +311,13 @@ def bilinear_internals(path: Path) -> list:
 def test_scanner_sees_bilinear_internals(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text("from .exactlin import DEFAULT_BUDGET, _bilinear_search, solve_candidate\n"
-                   "from .pmod import (hom_basis,\n    _bilinear_tensor, search_pair)\n"
+                   "from .exactlin import (hom_basis,\n    compressed_family, search_pair)\n"
                    "from . import exactlin\n\ndef f(t, b):\n"
-                   "    return exactlin._bilinear_search(t, b), search_pair, hom_basis\n")
+                   "    return exactlin._bilinear_search(t, b), search_pair, hom_basis\n\n"
+                   "def g(s, p):\n    return exactlin.batch_consistent(s, p)\n")
     assert bilinear_internals(src) == [(1, "_bilinear_search"), (1, "solve_candidate"),
-                                       (2, "_bilinear_tensor"), (7, "_bilinear_search")]
+                                       (2, "compressed_family"), (7, "_bilinear_search"),
+                                       (10, "batch_consistent")]
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in ("pmod.py", "exactlin.py")],

@@ -1,17 +1,23 @@
-"""A small loader fuzzer: one mutation of a small golden input at a time.
+"""A small loader fuzzer: mutations of small golden inputs, in process.
 
 A mutation drops a key, renames a key to an id that names no element, or puts
 a float, a bool, a string, a list, an unknown element id or a negative number
-where a value was.  `cli.main` runs `validate`, `distance` or `c-rho` on the
-mutated input in process, with a small budget.  It must raise nothing and exit
-0, 1 or 2, and exit 1 must be one JSON object with "error" on stderr (for
-`validate`, which reports each document, a report on stdout with an invalid
-entry).  No mutation grows a dimension, so every run stays small.
+where a value was.  `cli.main` runs a command on the mutated inputs with a
+small budget.  It must raise nothing and exit 0, 1 or 2, and exit 1 must be
+one JSON object with "error" on stderr (for `validate`, which reports each
+document, a report on stdout with an invalid entry).  No mutation grows a
+dimension, so every run stays small.
+
+Every single mutation is run once, under `validate`, `distance` or `c-rho`.
+Then a seeded sample of multi-mutation cases puts 2 or 3 mutations in
+different documents of one case (poset, height and modules) and runs
+`validate`, `distance`, `en-distance` or `c-rho` on them.
 """
 
 import copy
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 from operator import getitem
@@ -78,11 +84,36 @@ def runs():
     return out
 
 
+# the documents each command loads, by role
+LOADS = {"validate": ("poset", "height", "M"), "c-rho": ("poset", "height"),
+         "distance": ROLES, "en-distance": ROLES}
+
+
 def argv(command, files):
-    flags = {"validate": ["--poset", "--height", "--module"], "c-rho": ["--poset", "--height"],
-             "distance": ["--poset", "--height", "--module", "--module2"]}[command]
-    keys = {"--poset": "poset", "--height": "height", "--module": "M", "--module2": "N"}
-    return ["--budget", "64", command] + [x for f in flags for x in (f, str(files[keys[f]]))]
+    flags = {"poset": "--poset", "height": "--height", "M": "--module", "N": "--module2"}
+    return ["--budget", "64", command] + [x for role in LOADS[command]
+                                          for x in (flags[role], str(files[role]))]
+
+
+def failure(command, files):
+    """Why running `command` on `files` breaks the property, or None."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv(command, files))
+    except BaseException as e:  # any exception that escapes is the finding
+        return f"raised {e!r}"
+    if code not in (0, 1, 2):
+        return f"exit {code}"
+    if code == 1 and command == "validate":
+        report = json.loads(out.getvalue())
+        if all(part.get("valid", True) for part in report.values()):
+            return "exit 1 with every document valid"
+    elif code == 1:
+        lines = err.getvalue().splitlines()
+        if out.getvalue() or len(lines) != 1 or "error" not in json.loads(lines[0]):
+            return f"exit 1 with stderr {err.getvalue()[:200]!r}"
+    return None
 
 
 def test_the_runs_cover_every_mutation_role_and_command():
@@ -100,22 +131,44 @@ def test_a_mutated_input_exits_cleanly(tmp_path, case):
         files = {key: INPUTS / f"{case}_{key}.json" for key in ROLES}
         files[role] = tmp_path / "mutated.json"
         files[role].write_text(json.dumps(bad))
-        out, err = io.StringIO(), io.StringIO()
-        try:
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main(argv(command, files))
-        except BaseException as e:  # any exception that escapes is the finding
-            failures.append((case, role, command, path, name, f"raised {e!r}"))
-            continue
-        where = (case, role, command, path, name)
-        if code not in (0, 1, 2):
-            failures.append(where + (f"exit {code}",))
-        elif code == 1 and command == "validate":
-            report = json.loads(out.getvalue())
-            if all(part.get("valid", True) for part in report.values()):
-                failures.append(where + ("exit 1 with every document valid",))
-        elif code == 1:
-            lines = err.getvalue().splitlines()
-            if out.getvalue() or len(lines) != 1 or "error" not in json.loads(lines[0]):
-                failures.append(where + (f"exit 1 with stderr {err.getvalue()[:200]!r}",))
+        why = failure(command, files)
+        if why is not None:
+            failures.append((case, role, command, path, name, why))
+    assert not failures, failures
+
+
+def multi_runs(count, seed):
+    """`count` (case, command, {role: (path, mutation, document)}) draws: one
+    mutation in each of 2 or 3 distinct documents that the command loads."""
+    rng = random.Random(seed)
+    choices = {(case, role): list(mutations(json.loads((INPUTS / f"{case}_{role}.json").read_text())))
+               for case in CASES for role in ROLES}
+    out = []
+    for _ in range(count):
+        case, command = rng.choice(CASES), rng.choice(sorted(LOADS))
+        roles = rng.sample(LOADS[command], rng.randint(2, min(3, len(LOADS[command]))))
+        out.append((case, command, {role: rng.choice(choices[(case, role)]) for role in roles}))
+    return out
+
+
+MULTI_CASES = 1000
+
+
+def test_the_multi_runs_mutate_two_or_three_documents_under_every_command():
+    every = multi_runs(MULTI_CASES, 0)
+    assert {len(picks) for *_, picks in every} == {2, 3}
+    assert {command for _, command, _ in every} == set(LOADS)
+    assert {role for *_, picks in every for role in picks} == set(ROLES)
+
+
+def test_several_mutated_documents_exit_cleanly(tmp_path):
+    failures = []
+    for case, command, picks in multi_runs(MULTI_CASES, 0):
+        files = {key: INPUTS / f"{case}_{key}.json" for key in ROLES}
+        for role, (_, _, bad) in picks.items():
+            files[role] = tmp_path / f"mutated_{role}.json"
+            files[role].write_text(json.dumps(bad))
+        why = failure(command, files)
+        if why is not None:
+            failures.append((case, command, {role: pick[:2] for role, pick in picks.items()}, why))
     assert not failures, failures

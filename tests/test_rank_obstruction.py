@@ -147,7 +147,7 @@ def test_the_erosion_test_skips_the_search_on_an_obstructed_stratum(monkeypatch)
     rho, m, n = chain4_pair()
     asked = []
     monkeypatch.setattr("hipm.erosion.find_interleaving", lambda *args: asked.append(args))
-    monkeypatch.setattr("hipm.erosion.e_r", lambda *args: asked.append(args))
+    monkeypatch.setattr("hipm.erosion.erosion_subquotient", lambda *args: asked.append(args))
     monkeypatch.setattr("hipm.erosion.en_enumerate", lambda *args: asked.append(args))
     for r in (1, 2):
         assert _en_stratum_test(rho, Fraction(r), m, n, 64) == ("no", "obstruction", None)
