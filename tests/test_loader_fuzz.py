@@ -65,10 +65,14 @@ def mutations(doc):
             yield path, "negative", mutated(path, put(-value - 1))
 
 
+# the documents each command loads, by role
+LOADS = {"validate": ("poset", "height", "M"), "c-rho": ("poset", "height"),
+         "distance": ROLES, "en-distance": ROLES}
+
+
 def commands(role):
-    """The commands that load a document of this role."""
-    return {"poset": ["validate", "distance", "c-rho"], "height": ["validate", "distance", "c-rho"],
-            "M": ["validate", "distance"], "N": ["distance"]}[role]
+    """The single-mutation commands that load a document of this role."""
+    return [cmd for cmd in ("validate", "distance", "c-rho") if role in LOADS[cmd]]
 
 
 def runs():
@@ -82,11 +86,6 @@ def runs():
             out += [(case, role, cmds[i % len(cmds)], path, name, bad)
                     for i, (path, name, bad) in enumerate(mutations(doc))]
     return out
-
-
-# the documents each command loads, by role
-LOADS = {"validate": ("poset", "height", "M"), "c-rho": ("poset", "height"),
-         "distance": ROLES, "en-distance": ROLES}
 
 
 def argv(command, files):
