@@ -19,27 +19,24 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
-from .exactlin import FieldSpec, Mat, factor_at, hstack, quotient_map, solve
+from .exactlin import FieldSpec, Mat, hstack, quotient_map, solve
 from .height import HeightDiff
-from .functors import (e_r_rank_obstruction, e_r_vanishes, erosion_subquotient, eta_L_to_id,
-                       eta_R_from_id, flat, im_r, ker_r, sharp)
-from .interleave import (DEFAULT_BUDGET, Certificate, Evaluation, StrataReport, check_certificate,
+from .functors import e_r_rank_obstruction, e_r_vanishes, erosion_subquotient, im_r, ker_r, sharp
+from .interleave import (DEFAULT_BUDGET, Evaluation, StrataReport, check_certificate,
                          find_interleaving, stratified_report)
 from .pmod import (
     ModuleMorphism,
     PersistenceModule,
     Submodule,
-    SubmoduleError,
     Subquotient,
     is_isomorphic,
     quotient_by_submodule,
     submodule_from_bases,
     submodule_intersection,
-    submodule_sum,
 )
 
 __all__ = [
@@ -47,8 +44,6 @@ __all__ = [
     "en_canonical_Q",
     "en_enumerate",
     "EnEnumeration",
-    "en_interleaving_certificate",
-    "en_mediate",
     "d_en",
 ]
 
@@ -94,60 +89,6 @@ def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModul
             "certificate identities fail; the supplied pair is not an interleaving")
     return (erosion_subquotient(rho, r, m, sharp(rho, r, m, q), p),
             erosion_subquotient(rho, r, n, sharp(rho, r, n, p), q))
-
-
-def _push(sq: Subquotient, cols: Sequence[Mat], escape: str) -> List[Mat]:
-    """Per element, columns of the parent that lie in sq.sub1, pushed into the
-    quotient; raises `escape` at the first element where they leave sub1."""
-    out = []
-    for i, c in enumerate(cols):
-        inside = solve(sq.sub1.bases[i], c)
-        if inside is None:
-            raise ErosionNeighborhoodError(f"{escape} at {sq.parent.poset.elements[i]!r}")
-        out.append(sq.proj.components[i] @ inside)
-    return out
-
-
-def en_interleaving_certificate(rho: HeightDiff, r, m: PersistenceModule,
-                                sq: Subquotient) -> Certificate:
-    """The explicit interleaving between m and one of its erosion neighborhoods:
-    alpha: L_r m ->> im -> M1 -> Q transposed on one side, and the factorization
-    of the matching unit through the quotient on the other."""
-    r = Fraction(r)
-    F = m.field
-    etaL = eta_L_to_id(rho, r, m)
-    etaR = eta_R_from_id(rho, r, m)
-    alpha_comps = _push(sq, etaL.components, "latching image escapes M1")
-    beta_comps = []
-    for i in range(len(m.poset)):
-        # the matching unit on M1 factors through the projection onto Q
-        beta = factor_at(sq.proj.components[i].a, sq.free[i],
-                         (etaR.components[i] @ sq.sub1.bases[i]).a, F)
-        if beta is None:
-            raise SubmoduleError("map does not factor through the quotient")
-        beta_comps.append(Mat._canonical(F, beta))
-    alpha = ModuleMorphism(etaL.source, sq.quotient, alpha_comps)
-    beta = ModuleMorphism(sq.quotient, etaR.target, beta_comps)
-    p = flat(rho, r, m, alpha)
-    return Certificate(r, p, beta)
-
-
-def en_mediate(rho: HeightDiff, s, r,
-               q1: Subquotient, q2: Subquotient) -> Tuple[Subquotient, Subquotient]:
-    """Given Q1 = X1/X1' at scale r and Q2 = X2/X2' at scale s of the same
-    middle module X, produce Q3 = (X1 & X2)/((X1' + X2') & X1 & X2) realized both
-    as an s-erosion neighborhood of Q1 and an r-erosion neighborhood of Q2."""
-    s, r = Fraction(s), Fraction(r)
-    x3 = submodule_intersection(q1.sub1, q2.sub1)
-    x3p = submodule_intersection(submodule_sum(q1.sub2, q2.sub2), x3)
-
-    def realize(carrier: Subquotient, scale: Fraction) -> Subquotient:
-        escape = "mediating submodule escapes the carrier"
-        m1 = submodule_from_bases(carrier.quotient, _push(carrier, x3.bases, escape))
-        m2 = submodule_from_bases(carrier.quotient, _push(carrier, x3p.bases, escape))
-        return en_construct(rho, scale, carrier.quotient, m1, m2)
-
-    return realize(q1, s), realize(q2, r)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +149,8 @@ class EnEnumeration:
     M1/M2), the vector read off the bases as dim M1(a) - dim M2(a).  Nothing is
     formed until asked for: `members_with(vectors)` forms the quotients whose
     vector is listed and deduplicates each against the members with the same
-    vector, and `members` is that over every vector.  Each deduplicating
-    isomorphism test runs under the enumeration's own `budget`.
+    vector.  Each deduplicating isomorphism test runs under the enumeration's
+    own `budget`.
     """
 
     pairs: List[Tuple[Submodule, List[Mat], Vector]]
@@ -242,11 +183,6 @@ class EnEnumeration:
                 bucket.append(sq)
                 yield sq
 
-    @cached_property
-    def members(self) -> List[Subquotient]:
-        """Every r-erosion neighborhood up to isomorphism, in enumeration order."""
-        return list(self.members_with(self.vectors))
-
 
 def _closed_families(m: PersistenceModule, choices: List[List[Mat]]) -> Iterator[List[Mat]]:
     """Every family of per-element subspace choices closed under the structure
@@ -277,7 +213,7 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
     and M2 (inside the matching kernel and M1) and keeps the closed ones, each
     pair with the dimension vector of its quotient.  The quotients are formed
     and deduplicated by the isomorphism test, under the same budget, only when
-    read (`EnEnumeration.members`, `members_with`).  `budget` caps the M1 and
+    read (`EnEnumeration.members_with`).  `budget` caps the M1 and
     M2 families listed together; a listing that reaches it is flagged incomplete.
     """
     if not m.field.is_prime_field:

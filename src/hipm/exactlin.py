@@ -214,13 +214,6 @@ class Mat:
             c = c % self.field.p
         return Mat(self.field, c)
 
-    def scale(self, x) -> "Mat":
-        x = self.field.coerce(x)
-        c = self.a * x
-        if self.field.is_prime_field:
-            c = c % self.field.p
-        return Mat(self.field, c)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented

@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 from .exactlin import FieldSpec, GF2, Mat
 from .height import HeightDiff, HeightFunction, from_phi
 from .pmod import PersistenceModule
-from .poset import FinitePoset
+from .poset import MAX_ELEMENTS, FinitePoset, PosetError
 
 __all__ = ["grid_example", "chain_example", "bipath_example", "GridExample", "ChainExample", "BipathExample"]
 
@@ -122,6 +122,8 @@ def bipath_example(G: int = 8, fieldspec: FieldSpec = GF2) -> BipathExample:
     glued at the shared endpoints, with height z at level z."""
     if G <= 4:
         raise ValueError("the bipath family needs G > 4")
+    if 2 * G > MAX_ELEMENTS:  # before listing the elements
+        raise PosetError(f"poset has {2 * G} elements, configured cap is {MAX_ELEMENTS}")
     elements = ["s"] + [f"c{z}" for z in range(1, G)] + [f"d{z}" for z in range(1, G)] + ["t"]
     covers = []
     prev = "s"

@@ -42,8 +42,6 @@ __all__ = [
     "apply_L",
     "apply_R",
     "apply_T",
-    "apply_L_mor",
-    "apply_R_mor",
     "eta_L",
     "eta_R",
     "eta_L_to_id",
@@ -58,14 +56,10 @@ __all__ = [
     "sharp_legs",
     "e_r_legs",
     "flat",
-    "unit",
-    "counit",
     "kappa",
     "tau",
     "theta",
     "sigma",
-    "mate_of_eta_L",
-    "mate_of_mu_L",
     "im_r",
     "ker_r",
     "erosion_subquotient",
@@ -190,31 +184,6 @@ def apply_T(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> Func
     way = "down" if direction == "L" else "up"
     return _apply("T" + direction, (level(rho, s), level(rho, r)), rho, m,
                   lambda: [nbhd_iterated_idx(rho, a, s, r, way) for a in range(len(m.poset))])
-
-
-def _apply_mor(direction: str, rho: HeightDiff, r, f: ModuleMorphism) -> ModuleMorphism:
-    apply = _functor(direction)
-    am, an = apply(rho, r, f.source), apply(rho, r, f.target)
-    lat = direction == "L"
-    # factor out of the colimit of f.source, or into the limit of f.target
-    here, there = (am, an) if lat else (an, am)
-    comps = [
-        factor(here.data[a],
-               {x: there.data[a].legs[x] @ f.components[x] if lat
-                else f.components[x] @ there.data[a].legs[x] for x in here.data[a].nodes},
-               there.data[a].dim)
-        for a in range(len(f.source.poset))
-    ]
-    return ModuleMorphism(am.module, an.module, comps)
-
-
-def apply_L_mor(rho: HeightDiff, r, f: ModuleMorphism) -> ModuleMorphism:
-    """Functoriality of the latching functor on a morphism."""
-    return _apply_mor("L", rho, r, f)
-
-
-def apply_R_mor(rho: HeightDiff, r, f: ModuleMorphism) -> ModuleMorphism:
-    return _apply_mor("R", rho, r, f)
 
 
 # ---------------------------------------------------------------------------
@@ -439,51 +408,6 @@ def flat(rho: HeightDiff, r, m: PersistenceModule, f: ModuleMorphism) -> ModuleM
         blocks = {y: f.components[y] @ app_l.data[y].legs[a] for y in app_r.data[a].nodes}
         comps.append(factor_into_lim(app_r.data[a], blocks, m.dims[a]))
     return ModuleMorphism(m, app_r.module, comps)
-
-
-def unit(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
-    """M -> R_r L_r M."""
-    return flat(rho, r, m, ModuleMorphism.identity(apply_L(rho, r, m).module))
-
-
-def counit(rho: HeightDiff, r, n: PersistenceModule) -> ModuleMorphism:
-    """L_r R_r N -> N."""
-    return sharp(rho, r, n, ModuleMorphism.identity(apply_R(rho, r, n).module))
-
-
-def mate_of_eta_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism:
-    """The two-adjunction mate of eta_L(s, r) evaluated at n: a map R_r N -> R_s N.
-
-    Built as R_s(counit_r) o R_s(eta_L at R_r N) o unit_s, the composite of the
-    two one-adjunction transpositions.
-    """
-    x = apply_R(rho, r, n).module
-    u = unit(rho, s, x)  # R_rN -> R_s L_s R_rN
-    e = eta_L(rho, s, r, x)  # L_s R_rN -> L_r R_rN
-    c = counit(rho, r, n)  # L_r R_rN -> N
-    return apply_R_mor(rho, s, c.compose(e)).compose(u)
-
-
-def mate_of_mu_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism:
-    """The mate of mu_L(s, r) under the composite adjunction
-    L_s L_r -| R_r R_s, evaluated at n: a map R_{s+r} N -> R_r(R_s N).
-
-    The composition maps are constructed independently from neighborhood
-    inclusions; agreement of this mate with mu_R is verified by the tests as an
-    exact identity rather than assumed.
-    """
-    s, r = Fraction(s), Fraction(r)
-    x = apply_R(rho, s + r, n).module  # R_{s+r} N
-    # unit of the composite adjunction at x: x -> R_r R_s L_s L_r x
-    app_lr_x = apply_L(rho, r, x)
-    unit_r_x = unit(rho, r, x)  # x -> R_r L_r x
-    unit_s_inner = unit(rho, s, app_lr_x.module)  # L_r x -> R_s L_s L_r x
-    comp_unit = apply_R_mor(rho, r, unit_s_inner).compose(unit_r_x)
-    # mu_L at x then the counit of L_{s+r} -| R_{s+r} at n, both pushed through R_r R_s
-    mu_x = mu_L(rho, s, r, x)  # L_s L_r x -> L_{s+r} x
-    eps = counit(rho, s + r, n)  # L_{s+r} R_{s+r} N -> N
-    pushed = apply_R_mor(rho, r, apply_R_mor(rho, s, eps.compose(mu_x)))
-    return pushed.compose(comp_unit)
 
 
 # ---------------------------------------------------------------------------

@@ -471,13 +471,6 @@ class Stratum:
     rep: Fraction
     kind: str  # "zero" | "interval" | "top"
 
-    def contains(self, r: Fraction) -> bool:
-        if self.kind == "zero":
-            return r == 0
-        if self.kind == "top":
-            return r > self.lo
-        return self.lo < r <= self.hi
-
 
 def strata(rho: HeightDiff) -> List[Stratum]:
     crit = critical_values(rho)

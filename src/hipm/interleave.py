@@ -153,13 +153,6 @@ class StrataReport:
     decided: bool
     witness: Any = None
 
-    def verdict_at(self, r) -> str:
-        r = Fraction(r)
-        for sv in self.strata:
-            if sv.stratum.contains(r):
-                return sv.verdict.replace("implied-", "")
-        raise ValueError(f"no stratum contains {r}")
-
 
 def stratified_search(K: int, evaluate: Callable[[int], str]) -> Tuple[int, int]:
     """(first_yes, last_no) over strata 0..K-1 whose verdicts are monotone in r.

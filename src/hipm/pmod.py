@@ -253,9 +253,6 @@ class ModuleMorphism:
         comps = [a + b for a, b in zip(self.components, other.components)]
         return ModuleMorphism(self.source, self.target, comps)
 
-    def scale(self, x) -> "ModuleMorphism":
-        return ModuleMorphism(self.source, self.target, [c.scale(x) for c in self.components])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleMorphism):
             return NotImplemented
@@ -269,10 +266,6 @@ class ModuleMorphism:
 
     def is_iso(self) -> bool:
         return all(c.rows == c.cols and rref(c).rank == c.rows for c in self.components)
-
-    @staticmethod
-    def identity(m: PersistenceModule) -> "ModuleMorphism":
-        return ModuleMorphism(m, m, [Mat.eye(m.field, d) for d in m.dims])
 
     @staticmethod
     def zero(m: PersistenceModule, n: PersistenceModule) -> "ModuleMorphism":
@@ -457,12 +450,6 @@ class Submodule:
     module: PersistenceModule
     incl: ModuleMorphism
 
-    def contains(self, other: "Submodule") -> bool:
-        return all(
-            solve(self.bases[i], other.bases[i]) is not None
-            for i in range(len(self.bases))
-        )
-
 
 def submodule_from_bases(parent: PersistenceModule, bases: Sequence[Mat]) -> Submodule:
     """Build the submodule spanned pointwise by `bases`; raises if the spans are
@@ -525,16 +512,6 @@ def submodule_intersection(s1: Submodule, s2: Submodule) -> Submodule:
         paired = hstack(F, [v1, -v2], rows=s1.parent.dims[i])
         bases.append(v1 @ kernel_basis(paired).take_rows(range(v1.cols)))
     return submodule_from_bases(s1.parent, bases)
-
-
-def morphism_preimage(f: ModuleMorphism, target_sub: Submodule) -> Submodule:
-    """The preimage f^{-1}(target_sub) as a submodule of f.source (always closed)."""
-    F = f.source.field
-    bases = []
-    for i in range(len(f.source.poset)):
-        q, _ = quotient_map(F, f.target.dims[i], target_sub.bases[i])
-        bases.append(kernel_basis(q @ f.components[i]))
-    return submodule_from_bases(f.source, bases)
 
 
 @dataclass

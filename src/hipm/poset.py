@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,21 +157,10 @@ class FinitePoset:
         except KeyError:
             raise PosetError(f"unknown element {e!r}") from None
 
-    def le(self, a: str, b: str) -> bool:
-        return bool(self.leq[self.idx(a), self.idx(b)])
-
     def comparable_pairs(self) -> List[Tuple[int, int]]:
         """All (i, j) with element i <= element j, including i == j, in index order."""
         i, j = np.nonzero(self.leq)
         return list(zip(i.tolist(), j.tolist()))
-
-    def down_set(self, a: str) -> FrozenSet[str]:
-        i = self.idx(a)
-        return frozenset(self.elements[j] for j in np.flatnonzero(self.leq[:, i]))
-
-    def up_set(self, a: str) -> FrozenSet[str]:
-        i = self.idx(a)
-        return frozenset(self.elements[j] for j in np.flatnonzero(self.leq[i, :]))
 
     def down_idx(self, i: int) -> List[int]:
         return [int(j) for j in np.flatnonzero(self.leq[:, i])]
@@ -299,10 +288,6 @@ class OrderMap:
 
     def apply_idx(self, i: int) -> int:
         return self.target.index[self.assignment[self.source.elements[i]]]
-
-    @staticmethod
-    def identity(poset: FinitePoset) -> "OrderMap":
-        return OrderMap(poset, poset, {e: e for e in poset.elements})
 
 
 @dataclass

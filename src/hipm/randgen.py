@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .exactlin import FieldSpec, Mat, rref, solve
 from .height import HeightFunction
-from .pmod import ModuleMorphism, PersistenceModule, direct_sum, interval_module, zero_module
+from .pmod import PersistenceModule, direct_sum, interval_module, zero_module
 from .poset import FinitePoset
 
 __all__ = [
@@ -131,20 +131,3 @@ def random_module(rng: random.Random, poset: FinitePoset, fieldspec: FieldSpec,
             out = cand
     return random_conjugate(rng, out)
 
-
-def random_mono_epi(rng: random.Random, m: PersistenceModule,
-                    extra: PersistenceModule) -> Tuple[ModuleMorphism, ModuleMorphism]:
-    """A canonical mono m -> m + extra and epi m + extra -> m, both twisted."""
-    big = direct_sum(m, extra)
-    mono_comps = []
-    epi_comps = []
-    for i in range(len(m.poset)):
-        dm, dbig = m.dims[i], big.dims[i]
-        inc = Mat.zeros(m.field, dbig, dm)
-        prj = Mat.zeros(m.field, dm, dbig)
-        for k in range(dm):
-            inc.a[k, k] = m.field.one()
-            prj.a[k, k] = m.field.one()
-        mono_comps.append(inc)
-        epi_comps.append(prj)
-    return (ModuleMorphism(m, big, mono_comps), ModuleMorphism(big, m, epi_comps))

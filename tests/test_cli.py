@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -723,6 +724,17 @@ def test_cli_repro_chain_rejects_a_bad_C(capsys, C, needle):
 def test_cli_repro_bipath_rejects_a_small_G(capsys):
     code, err = _error(capsys, ["repro", "bipath", "--G", "2"])
     assert code == 1 and err.startswith("--G:") and "G > 4" in err
+
+
+def test_cli_repro_bipath_rejects_a_huge_G_before_listing_it(capsys):
+    """The element cap is checked on 2G, before 2G element names are built."""
+    start = time.perf_counter()
+    code = main(["repro", "bipath", "--G", "1000000000000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == "poset has 2000000000000 elements, configured cap is 512"
+    assert elapsed < 1
 
 
 def test_cli_help_exits_zero(capsys):

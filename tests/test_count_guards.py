@@ -146,7 +146,8 @@ def test_every_isomorphism_test_of_d_en_runs_under_its_budget(monkeypatch):
     chain = FinitePoset.chain(["a", "b", "c", "d"])
     rho = from_phi(HeightFunction(chain, dict(zip("abcd", map(Fraction, range(4))))))
     enum = erosion.en_enumerate(rho, 10, interval_module(chain, ["a", "b"], GF2), budget=20)
-    assert len(enum.members) < enum.raw_count and len(budgets) > asked  # duplicates were tested
+    members = list(enum.members_with(enum.vectors))
+    assert len(members) < enum.raw_count and len(budgets) > asked  # duplicates were tested
     assert set(budgets) == {20}
 
 

@@ -169,7 +169,7 @@ def test_bucketed_stage_matches_the_pairwise_oracle(case):
         for mod, (members, complete) in zip((m, n), oracle):
             enum = en_enumerate(rho, rep, mod, budget)
             assert enum.complete == complete
-            assert same_members(enum.members, members)
+            assert same_members(list(enum.members_with(enum.vectors)), members)
             for m1, bases2, vec in enum.pairs:  # each predicted vector is its quotient's
                 sq = quotient_by_submodule(m1, submodule_from_bases(mod, bases2))
                 assert sq.quotient.dims == vec
@@ -199,13 +199,14 @@ def test_members_with_keeps_member_order_within_the_listed_vectors():
     m = random_module(rng, P, GF2, max_dim=2)
     r = strata(rho)[-1].rep  # past every critical value: every subquotient
     enum = en_enumerate(rho, r, m)
+    members = list(enum.members_with(enum.vectors))
     assert len(enum.vectors) > 1
     for vec in sorted(enum.vectors):
-        want = [sq for sq in enum.members if sq.quotient.dims == vec]
+        want = [sq for sq in members if sq.quotient.dims == vec]
         assert same_members(list(enum.members_with({vec})), want)
-    assert same_members(list(enum.members_with(enum.vectors)), enum.members)
+    assert same_members(list(enum.members_with(enum.vectors)), members)
     assert list(enum.members_with(set())) == []
-    assert enum.raw_count == len(enum.pairs) >= len(enum.members)
+    assert enum.raw_count == len(enum.pairs) >= len(members)
 
 
 def brute_closed_families(m, choices):

@@ -8,8 +8,6 @@ from hipm.erosion import (
     en_canonical_Q,
     en_construct,
     en_enumerate,
-    en_interleaving_certificate,
-    en_mediate,
 )
 from hipm.exactlin import GF2
 from hipm.fixtures import chain_example
@@ -20,7 +18,6 @@ from hipm.pmod import (
     ModuleMorphism,
     interval_module,
     is_isomorphic,
-    morphism_preimage,
     submodule_from_bases,
     submodule_full,
     submodule_intersection,
@@ -28,6 +25,7 @@ from hipm.pmod import (
 )
 from hipm.poset import FinitePoset
 from hipm.randgen import random_forest_poset, random_module, random_phi
+from paper_statements import en_interleaving_certificate, en_mediate, morphism_preimage
 
 
 @pytest.fixture
@@ -120,7 +118,7 @@ def test_en_enumerate_interval_family(unit_chain):
     m = interval_module(p, ["a", "b", "c", "d"], GF2)
     enum = en_enumerate(rho, 1, m)
     assert enum.complete
-    classes = [sq.quotient for sq in enum.members]
+    classes = [sq.quotient for sq in enum.members_with(enum.vectors)]
     for want in [["a", "b", "c", "d"], ["b", "c", "d"], ["a", "b", "c"], ["b", "c"]]:
         tgt = interval_module(p, want, GF2)
         assert any(is_isomorphic(c, tgt).verdict == "yes" for c in classes)
@@ -131,8 +129,9 @@ def test_en_enumerate_zero_scale_forced(unit_chain, rng):
     p, rho = unit_chain
     m = random_module(rng, p, GF2, 2)
     enum = en_enumerate(rho, 0, m)
-    assert enum.complete and len(enum.members) == 1
-    assert is_isomorphic(enum.members[0].quotient, m).verdict == "yes"
+    members = list(enum.members_with(enum.vectors))
+    assert enum.complete and len(members) == 1
+    assert is_isomorphic(members[0].quotient, m).verdict == "yes"
 
 
 def test_en_enumerate_large_scale_all_subquotients(unit_chain):
@@ -141,7 +140,7 @@ def test_en_enumerate_large_scale_all_subquotients(unit_chain):
     # past every finite value: constraints vacuous, so all subquotients appear
     enum = en_enumerate(rho, 10, m)
     assert enum.complete
-    quots = enum.members
+    quots = list(enum.members_with(enum.vectors))
     for want in [[], ["a"], ["b"], ["a", "b"]]:
         tgt = interval_module(p, want, GF2)
         assert any(is_isomorphic(c.quotient, tgt).verdict == "yes" for c in quots)
@@ -151,7 +150,7 @@ def test_en_members_validate(unit_chain, rng):
     p, rho = unit_chain
     m = random_module(rng, p, GF2, 2)
     enum = en_enumerate(rho, 1, m, budget=4000)
-    for sq in enum.members:
+    for sq in enum.members_with(enum.vectors):
         rebuilt = en_construct(rho, 1, m, sq.sub1, sq.sub2)
         assert rebuilt.quotient.dims == sq.quotient.dims
 
@@ -161,7 +160,7 @@ def test_en_members_interleaved(unit_chain, rng):
     for _ in range(3):
         m = random_module(rng, p, GF2, 2)
         enum = en_enumerate(rho, 1, m, budget=4000)
-        for sq in enum.members:
+        for sq in enum.members_with(enum.vectors):
             cert = en_interleaving_certificate(rho, 1, m, sq)
             assert check_certificate(rho, 1, m, sq.quotient, cert.p, cert.q)
             assert find_interleaving(rho, 1, m, sq.quotient).verdict == "yes"
@@ -172,10 +171,10 @@ def test_en_composition_lemma(unit_chain):
     m = interval_module(p, ["a", "b", "c", "d"], GF2)
     c = c_rho(rho).value
     outer = en_enumerate(rho, 1, m)
-    for sq_n in outer.members:
+    for sq_n in outer.members_with(outer.vectors):
         n = sq_n.quotient
         inner = en_enumerate(rho, 1, n)
-        for sq_q in inner.members:
+        for sq_q in inner.members_with(inner.vectors):
             f = sq_n.proj
             n1 = submodule_from_bases(n, sq_q.sub1.bases)
             n2 = submodule_from_bases(n, sq_q.sub2.bases)
@@ -193,7 +192,8 @@ def test_en_mediation(unit_chain):
     p, rho = unit_chain
     m = interval_module(p, ["a", "b", "c", "d"], GF2)
     enum = en_enumerate(rho, 1, m)
-    q1, q2 = enum.members[0], enum.members[-1]
+    members = list(enum.members_with(enum.vectors))
+    q1, q2 = members[0], members[-1]
     q3_in_q1, q3_in_q2 = en_mediate(rho, 1, 1, q1, q2)
     assert is_isomorphic(q3_in_q1.quotient, q3_in_q2.quotient).verdict == "yes"
 

@@ -11,6 +11,7 @@ from hipm.height import (
     distortion,
     ext_add,
     from_phi,
+    level,
     pullback_rho,
     rho_diag,
     strata,
@@ -75,9 +76,8 @@ def test_interleaved_with_latching_and_matching(chain4_rho, rng):
     assert find_interleaving(chain4_rho, r, m, rr).verdict == "yes"
     # the canonical pair for the matching side: p = (e_r)^flat, q = id
     p = flat(chain4_rho, r, m, e_r(chain4_rho, r, m).compose(
-        __import__("hipm.pmod", fromlist=["ModuleMorphism"]).ModuleMorphism.identity(
-            apply_L(chain4_rho, r, m).module)))
-    q = ModuleMorphism.identity(rr)
+        ModuleMorphism(lr, lr, [Mat.eye(GF2, d) for d in lr.dims])))
+    q = ModuleMorphism(rr, rr, [Mat.eye(GF2, d) for d in rr.dims])
     assert check_certificate(chain4_rho, r, m, rr, p, q)
 
 
@@ -97,8 +97,8 @@ def test_distance_chain_family():
     assert (d_mx.distance, d_mx.attained) == (0, False)
     assert (d_xn.distance, d_xn.attained) == (0, False)
     assert (d_mn.distance, d_mn.attained) == (2, False)
-    assert d_mn.verdict_at(2) == "no"
-    assert d_mn.verdict_at(Fraction(5, 2)) == "yes"
+    assert d_mn.strata[level(ce.rho, 2)].verdict.replace("implied-", "") == "no"
+    assert d_mn.strata[level(ce.rho, Fraction(5, 2))].verdict.replace("implied-", "") == "yes"
     assert d_mn.distance > ext_add(d_mx.distance, d_xn.distance)  # triangle failure
 
 

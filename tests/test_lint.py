@@ -31,9 +31,19 @@ certificate.
 Every field of a dataclass in `src/hipm` is read as an attribute somewhere in
 `src/hipm`, `tests` or `perfbench`: a field nothing reads is computed and
 carried for no one.
+
+`src/hipm` holds only what a command runs.  Every function and method is
+imported by `hipm/__init__.py`, read by code reachable from the modules' top
+level or from an exported function, or on the allow-list: `KEPT_BY_HAND`,
+each entry with its reason, and what `perfbench` traces, reads off a traced
+result or imports, derived from its files.  A hand-typed entry must exist and
+have no caller in that reachable code.  Every `__all__` entry is bound in its
+module, and every function of `tests/paper_statements.py`, the oracles that
+check the paper's statements against the engine, is called by a test.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -324,3 +334,193 @@ def test_scanner_sees_bilinear_internals(tmp_path):
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_only_pmod_and_exactlin_reach_the_bilinear_internals(path):
     assert bilinear_internals(path) == []
+
+
+def _defs(path: Path):
+    """(line, qualified name, bare name, node) of every top-level function and
+    every method in the module, qualified as `module.f` or `module.Class.m`."""
+    mod = path.stem
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.lineno, f"{mod}.{node.name}", node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield sub.lineno, f"{mod}.{node.name}.{sub.name}", sub.name, sub
+
+
+def _refs(*nodes: ast.AST) -> set:
+    """Every name read in the nodes, as a bare name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for node in nodes for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _top_refs(path: Path) -> set:
+    """Names read by the module's top-level code, decorators and class bodies
+    included, but not by any function or method body."""
+    out = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.ClassDef):
+            out |= _refs(*node.bases, *node.decorator_list)
+            body = node.body
+        else:
+            body = [node]
+        for sub in body:
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out |= _refs(*sub.decorator_list)
+            else:
+                out |= _refs(sub)
+    return out
+
+
+def exported(package: Path) -> set:
+    """`module.name` for every name the package's `__init__.py` imports from a module."""
+    tree = ast.parse((package / "__init__.py").read_text())
+    return {f"{node.module}.{a.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for a in node.names}
+
+
+def uncalled(package: Path, kept) -> list:
+    """(file, line, name) of every function and method of `package` that its
+    `__init__.py` does not export, that `kept` does not name, and that no
+    reachable code in the package reads.  Reachable is a fixed point: the
+    modules' top-level code, the exported and kept functions and every dunder
+    method, then each function whose name a reachable body reads.  Names are
+    matched bare, so a read of a method's name on any object counts."""
+    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    defs = [(p, *d) for p in modules for d in _defs(p)]
+    roots = exported(package) | set(kept)
+    live, read = set(), set().union(*(_top_refs(p) for p in modules))
+    grew = True
+    while grew:
+        grew = False
+        for _, _, q, name, node in defs:
+            if q not in live and (q in roots or name in read
+                                  or name.startswith("__") and name.endswith("__")):
+                live.add(q)
+                read |= _refs(node) - {name}
+                grew = True
+    return [(p.name, line, q) for p, line, q, _, _ in defs if q not in live]
+
+
+PACKAGE = ROOT / "src" / "hipm"
+BENCH = ROOT / "perfbench"
+# kept although nothing a command runs calls them, each for the reason given
+KEPT_BY_HAND = {
+    "cli._Parser.error": "argparse calls it on every usage error",
+}
+
+
+def kept_for_perfbench(bench: Path) -> dict:
+    """{`module.name`: reason} for what the benchmark names: every target of
+    the span tracer, every method or property its metrics read off a traced
+    result, and every name `perfbench/*.py` imports from hipm.  Derived from
+    the benchmark's files, never typed."""
+    if str(bench) not in sys.path:
+        sys.path.insert(0, str(bench))
+    import spans
+
+    methods = {}
+    for path in SOURCES:
+        for _, q, name, _ in _defs(path):
+            methods.setdefault(name, []).append(q)
+    out = {}
+    for _, modname, attr, extra in spans.TARGETS:
+        out[f"{modname.split('.', 1)[1]}.{attr}"] = "traced by perfbench/spans.py"
+        for read in (extra.__code__.co_names if extra is not None else ()):
+            out.update(dict.fromkeys(methods.get(read, []), "read by a perfbench/spans.py metric"))
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hipm."):
+                mod = node.module.split(".", 1)[1]
+                out.update({f"{mod}.{a.name}": f"imported by perfbench/{path.name}"
+                            for a in node.names})
+    return out
+
+
+def kept() -> dict:
+    """The allow-list: the hand-typed entries, and the benchmark's names that
+    nothing a command runs reaches."""
+    unreached = {q for _, _, q in uncalled(PACKAGE, KEPT_BY_HAND)}
+    return {**KEPT_BY_HAND, **{q: why for q, why in kept_for_perfbench(BENCH).items()
+                               if q in unreached}}
+
+
+def test_scanner_sees_an_uncalled_function(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import run\n")
+    (tmp_path / "a.py").write_text(
+        "from .b import helper\n\n\ndef run(x):\n    return helper(x) + Box(x).size()\n\n\n"
+        "def planted(x):\n    return _only_planted(x)\n\n\ndef _only_planted(x):\n    return x\n\n\n"
+        "class Box:\n    def __init__(self, x):\n        self.x = x\n\n    def size(self):\n"
+        "        return self.x\n\n    def unused(self):\n        return self.size()\n")
+    (tmp_path / "b.py").write_text("def helper(x):\n    return x\n\n\ndef kept_one(x):\n"
+                                   "    return _under_kept(x)\n\n\ndef _under_kept(x):\n    return x\n")
+    assert uncalled(tmp_path, {"b.kept_one"}) == [
+        ("a.py", 8, "a.planted"), ("a.py", 12, "a._only_planted"), ("a.py", 23, "a.Box.unused")]
+    assert uncalled(tmp_path, set())[-2:] == [("b.py", 5, "b.kept_one"), ("b.py", 9, "b._under_kept")]
+
+
+def test_every_function_in_src_is_exported_called_or_kept():
+    assert uncalled(PACKAGE, kept()) == []
+
+
+def test_every_hand_kept_entry_exists_and_has_no_caller():
+    """An entry that is gone, or that code a command runs now calls, is stale."""
+    defined = {q for p in SOURCES for _, q, _, _ in _defs(p)}
+    unreached = {q for _, _, q in uncalled(PACKAGE, {})}
+    assert set(KEPT_BY_HAND) <= defined & unreached
+
+
+def _bound(tree: ast.Module) -> set:
+    """Every name the module's top level binds: definitions, assignments, imports."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target]):
+                out |= {n.id for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= {a.asname or a.name.split(".")[0] for a in node.names}
+    return out
+
+
+def test_every_name_the_benchmark_imports_exists():
+    bound = {f"{p.stem}.{name}" for p in SOURCES for name in _bound(ast.parse(p.read_text()))}
+    assert [q for q, why in kept_for_perfbench(BENCH).items()
+            if why.startswith("imported") and q not in bound] == []
+
+
+def stale_all(path: Path) -> list:
+    """Every `__all__` entry that the module does not bind."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [n for node in tree.body if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+             for n in ast.literal_eval(node.value)]
+    return [n for n in names if n not in _bound(tree)]
+
+
+def test_scanner_sees_a_stale_all_entry(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from x import y\n__all__ = ['f', 'C', 'K', 'y', 'gone']\nK = 1\n\n"
+                   "def f():\n    pass\n\nclass C:\n    pass\n")
+    assert stale_all(src) == ["gone"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_all_entry_is_bound(path):
+    assert stale_all(path) == []
+
+
+def test_every_paper_statement_is_called_by_a_test():
+    """`tests/paper_statements.py` holds oracles for the tests only: each
+    function is read by a test module, or by a function there that is."""
+    here = ROOT / "tests"
+    defs = {name: node for _, _, name, node in _defs(here / "paper_statements.py")}
+    read = _refs(*(ast.parse(p.read_text()) for p in here.glob("test_*.py")))
+    live = set()
+    while new := {name for name in defs if name in read} - live:
+        live |= new
+        read |= _refs(*(defs[name] for name in new))
+    assert sorted(set(defs) - live) == []

@@ -10,13 +10,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from hipm.erosion import en_construct, en_interleaving_certificate
+from hipm.erosion import en_construct
 from hipm.exactlin import GF2, QQ, FieldSpec
 from hipm.functors import (
     apply_L,
-    apply_L_mor,
     apply_R,
-    apply_R_mor,
     e_r,
     eta_L,
     eta_L_to_id,
@@ -40,6 +38,7 @@ from hipm.pmod import (
     submodule_intersection,
 )
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
+from paper_statements import apply_L_mor, apply_R_mor, en_interleaving_certificate
 
 GF3 = FieldSpec("gfp", 3)
 

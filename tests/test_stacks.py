@@ -197,7 +197,8 @@ def test_morphism_stack_sequence():
         coeffs = [F.coerce(rng.randint(-2, 2)) for _ in range(h)]
         want = ModuleMorphism.zero(m, m)
         for f, c in zip(basis, coeffs):
-            want = want + f.scale(c)
+            want = want + ModuleMorphism(f.source, f.target,
+                                         [Mat(F, x.a * F.coerce(c)) for x in f.components])
         assert basis.combine(coeffs) == want
         zero = MorphismStack(m, m, 0, [np.zeros((0, d, d), dtype=s.dtype)
                                        for d, s in zip(m.dims, basis.stacks)])
