@@ -7,7 +7,7 @@ critical-value stratification and exhaustive certificate search over prime
 fields.
 """
 
-from .erosion import d_en, en_canonical_Q, en_construct, en_enumerate
+from .erosion import d_en, en_enumerate
 from .exactlin import GF2, QQ, FieldSpec, Mat
 from .fixtures import bipath_example, chain_example, grid_example
 from .functors import (
@@ -18,7 +18,6 @@ from .functors import (
     erosion_E,
     eta_L,
     eta_R,
-    flat,
     im_r,
     kappa,
     ker_r,
@@ -39,14 +38,9 @@ from .height import (
     check_ivc,
     critical_values,
     distortion,
-    dominates_diagonal,
     from_phi,
-    nbhd_down,
-    nbhd_iterated,
-    nbhd_up,
     pullback_rho,
     rho_diag,
-    rho_strict,
     strata,
     validate_rho,
 )
@@ -59,7 +53,7 @@ from .interleave import (
     stratified_report,
     stratified_search,
 )
-from .kan import check_universal, colim_over, fubini_compare, lim_over
+from .kan import colim_over, lim_over
 from .pmod import (
     ModuleMorphism,
     MorphismStack,
@@ -77,7 +71,6 @@ from .poset import (
     OrderMap,
     check_galois_insertion,
     check_order_map,
-    is_connected,
     is_diamond_free,
 )
 

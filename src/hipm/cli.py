@@ -472,9 +472,10 @@ def _cmd_repro(args, cfg: RunConfig) -> int:
             "L1_decomposition_iso": iso_L.verdict,
             "R1_decomposition_iso": iso_R.verdict,
         })
-        ok = (got_L == ex.printed_L1_dims and got_R == ex.printed_R1_dims
-              and iso_L.verdict == "yes" and iso_R.verdict == "yes")
-        return EXIT_OK if ok else EXIT_INVALID
+        verdicts = {iso_L.verdict, iso_R.verdict}
+        if got_L != ex.printed_L1_dims or got_R != ex.printed_R1_dims or "no" in verdicts:
+            return EXIT_INVALID
+        return EXIT_UNDECIDED if "unknown" in verdicts else EXIT_OK
     if name == "chain":
         C = _scale(args.C, "--C")
         if C <= 1:
@@ -493,38 +494,41 @@ def _cmd_repro(args, cfg: RunConfig) -> int:
             "c_rho": format_ext(cres.value),
             "triangle_inequality_fails": bool(triangle_gap),
         })
-        want = (dMX.distance == 0 and dXN.distance == 0 and dMN.distance == ex.C)
-        return EXIT_OK if want else EXIT_INVALID
-    if name == "bipath":
-        if args.G < 5:
-            raise SchemaError(f"the bipath family needs G > 4, got {args.G}", "--G")
-        ex = fixtures.bipath_example(args.G, cfg.field)
-        M = ex.M
-        M1 = apply_L(ex.rho, 1, M).module
-        N = apply_L(ex.rho, 1, M1).module
-        hom_dims = {}
-        for st in strata(ex.rho):
-            Lr = apply_L(ex.rho, st.rep, M).module
-            hom_dims[str(st.rep)] = len(hom_basis(Lr, N))
-        e_nonzero = {str(st.rep): not e_r_vanishes(ex.rho, st.rep, M)
-                     for st in strata(ex.rho)}
-        dMN = distance(ex.rho, M, N, budget=cfg.budget)
-        dMM1 = distance(ex.rho, M, M1, budget=cfg.budget)
-        dM1N = distance(ex.rho, M1, N, budget=cfg.budget)
-        cres = c_rho(ex.rho)
-        rti_violated = dMN.distance > dMM1.distance + dM1N.distance + cres.value
-        _emit(cfg, {
-            "G": ex.G,
-            "hom_dims_per_rep": hom_dims,
-            "e_nonzero_per_rep": e_nonzero,
-            "d_M_N": format_ext(dMN.distance),
-            "d_M_M1": format_ext(dMM1.distance),
-            "d_M1_N": format_ext(dM1N.distance),
-            "c_rho": format_ext(cres.value),
-            "relaxed_triangle_violated_without_cip": bool(rti_violated),
-        })
-        return EXIT_OK if dMN.distance == Fraction(ex.G, 2) else EXIT_INVALID
-    raise SchemaError(f"unknown example {name!r}", "repro")
+        compared = [(dMX, 0), (dXN, 0), (dMN, ex.C)]
+        if any(rep.decided and rep.distance != want for rep, want in compared):
+            return EXIT_INVALID
+        return EXIT_OK if all(rep.decided for rep, _ in compared) else EXIT_UNDECIDED
+    # bipath, the one example left: argparse `choices` admits no other
+    if args.G < 5:
+        raise SchemaError(f"the bipath family needs G > 4, got {args.G}", "--G")
+    ex = fixtures.bipath_example(args.G, cfg.field)
+    M = ex.M
+    M1 = apply_L(ex.rho, 1, M).module
+    N = apply_L(ex.rho, 1, M1).module
+    hom_dims = {}
+    for st in strata(ex.rho):
+        Lr = apply_L(ex.rho, st.rep, M).module
+        hom_dims[str(st.rep)] = len(hom_basis(Lr, N))
+    e_nonzero = {str(st.rep): not e_r_vanishes(ex.rho, st.rep, M)
+                 for st in strata(ex.rho)}
+    dMN = distance(ex.rho, M, N, budget=cfg.budget)
+    dMM1 = distance(ex.rho, M, M1, budget=cfg.budget)
+    dM1N = distance(ex.rho, M1, N, budget=cfg.budget)
+    cres = c_rho(ex.rho)
+    rti_violated = dMN.distance > dMM1.distance + dM1N.distance + cres.value
+    _emit(cfg, {
+        "G": ex.G,
+        "hom_dims_per_rep": hom_dims,
+        "e_nonzero_per_rep": e_nonzero,
+        "d_M_N": format_ext(dMN.distance),
+        "d_M_M1": format_ext(dMM1.distance),
+        "d_M1_N": format_ext(dM1N.distance),
+        "c_rho": format_ext(cres.value),
+        "relaxed_triangle_violated_without_cip": bool(rti_violated),
+    })
+    if dMN.decided and dMN.distance != Fraction(ex.G, 2):
+        return EXIT_INVALID
+    return EXIT_OK if dMN.decided else EXIT_UNDECIDED
 
 
 class _Parser(argparse.ArgumentParser):

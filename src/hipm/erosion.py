@@ -26,10 +26,9 @@ from typing import Dict, Iterator, List, Set, Tuple
 from .exactlin import FieldSpec, Mat, hstack, quotient_map, solve
 from .height import HeightDiff
 from .functors import e_r_rank_obstruction, e_r_vanishes, erosion_subquotient, im_r, ker_r, sharp
-from .interleave import (DEFAULT_BUDGET, Evaluation, StrataReport, check_certificate,
-                         find_interleaving, stratified_report)
+from .interleave import (DEFAULT_BUDGET, Evaluation, StrataReport, find_interleaving,
+                         stratified_report)
 from .pmod import (
-    ModuleMorphism,
     PersistenceModule,
     Submodule,
     Subquotient,
@@ -40,55 +39,10 @@ from .pmod import (
 )
 
 __all__ = [
-    "en_construct",
-    "en_canonical_Q",
     "en_enumerate",
     "EnEnumeration",
     "d_en",
 ]
-
-
-class ErosionNeighborhoodError(ValueError):
-    pass
-
-
-def en_construct(rho: HeightDiff, r, m: PersistenceModule,
-                 m1: Submodule, m2: Submodule) -> Subquotient:
-    """Validate the erosion-neighborhood conditions and form the quotient.
-
-    Needs: m2 <= m1 pointwise, image of the r-latching counit inside m1, and m2
-    inside the kernel of the r-matching unit.  Violations name the element.
-    """
-    P = m.poset
-    imr = im_r(rho, r, m)
-    kerr = ker_r(rho, r, m)
-    for i in range(len(P)):
-        if solve(m1.bases[i], m2.bases[i]) is None:
-            raise ErosionNeighborhoodError(
-                f"M2 is not inside M1 at {P.elements[i]!r}")
-        if solve(m1.bases[i], imr.bases[i]) is None:
-            raise ErosionNeighborhoodError(
-                f"latching image not inside M1 at {P.elements[i]!r}")
-        if solve(kerr.bases[i], m2.bases[i]) is None:
-            raise ErosionNeighborhoodError(
-                f"M2 not inside the matching kernel at {P.elements[i]!r}")
-    return quotient_by_submodule(m1, m2)
-
-
-def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
-                   p: ModuleMorphism, q: ModuleMorphism) -> Tuple[Subquotient, Subquotient]:
-    """The canonical shared neighborhood built from an interleaving (p, q).
-
-    Realized twice by `functors.erosion_subquotient`: as a subquotient of m
-    (M1 = im[eta_L, q#] and M2 = M1 & ker[eta_R; p]) and symmetrically of n,
-    with no `en_construct` check.  The pair must be an interleaving
-    (`check_certificate`), so the two quotients are the same isomorphism class.
-    """
-    if not check_certificate(rho, r, m, n, p, q):
-        raise ErosionNeighborhoodError(
-            "certificate identities fail; the supplied pair is not an interleaving")
-    return (erosion_subquotient(rho, r, m, sharp(rho, r, m, q), p),
-            erosion_subquotient(rho, r, n, sharp(rho, r, n, p), q))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +129,7 @@ class EnEnumeration:
         for m1, bases2, vec in self.pairs:
             if vec not in vectors:
                 continue
-            # no en_construct checks: M1 >= im_r and M2 <= M1 & ker_r by construction
+            # no neighborhood checks: M1 >= im_r and M2 <= M1 & ker_r by construction
             sq = quotient_by_submodule(m1, submodule_from_bases(m1.parent, bases2))
             bucket = seen.setdefault(vec, [])
             if not any(is_isomorphic(sq.quotient, s.quotient, budget=self.budget).verdict == "yes"

@@ -233,9 +233,6 @@ class Mat:
     def T(self) -> "Mat":
         return Mat._canonical(self.field, self.a.T.copy())
 
-    def col(self, j: int) -> "Mat":
-        return Mat._canonical(self.field, self.a[:, j : j + 1].copy())
-
     def take_cols(self, idx: Iterable[int]) -> "Mat":
         idx = list(idx)
         if not idx:

@@ -20,8 +20,7 @@ import numpy as np
 from .exactlin import Mat, factor_at, hstack, kernel_basis, rref, solve, stacked_matmul, vstack, zeros
 from .height import (HeightDiff, check_ivc, level, nbhd_bottoms, nbhd_iterated_idx, nbhd_pairs,
                      nbhd_tops, nbhds, pullback_rho)
-from .kan import (UniversalCone, colim_over, factor, factor_into_lim, factor_stack_from_colim, induced,
-                  lim_over)
+from .kan import UniversalCone, colim_over, factor, factor_stack_from_colim, induced, lim_over
 from .pmod import (
     ModuleMorphism,
     MorphismStack,
@@ -55,7 +54,6 @@ __all__ = [
     "sharp",
     "sharp_legs",
     "e_r_legs",
-    "flat",
     "kappa",
     "tau",
     "theta",
@@ -396,20 +394,6 @@ def e_r_legs(rho: HeightDiff, r, m: PersistenceModule) -> list:
     return out
 
 
-def flat(rho: HeightDiff, r, m: PersistenceModule, f: ModuleMorphism) -> ModuleMorphism:
-    """Transpose a morphism L_r M -> N to its adjoint M -> R_r N."""
-    n = f.target
-    app_l = apply_L(rho, r, m)
-    app_r = apply_R(rho, r, n)
-    if not f.source.same(app_l.module):
-        raise ValueError("source of f is not the r-latching module of m")
-    comps = []
-    for a in range(len(m.poset)):
-        blocks = {y: f.components[y] @ app_l.data[y].legs[a] for y in app_r.data[a].nodes}
-        comps.append(factor_into_lim(app_r.data[a], blocks, m.dims[a]))
-    return ModuleMorphism(m, app_r.module, comps)
-
-
 # ---------------------------------------------------------------------------
 # kappa, tau, theta, sigma
 # ---------------------------------------------------------------------------
@@ -508,7 +492,7 @@ def erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule,
                         outgoing: Optional[ModuleMorphism] = None) -> Subquotient:
     """M1 / (M1 & ker[eta_R; outgoing]) in M with M1 = im[eta_L, incoming]: the erosion
     im_r / (im_r & ker_r) with neither map, and the canonical neighborhood of an
-    interleaving (p, q) with q# and p (`erosion.en_canonical_Q`)."""
+    interleaving (p, q) with q# and p."""
     F = m.field
     ins = [f for f in (eta_L_to_id(rho, r, m), incoming) if f is not None]
     outs = [g for g in (eta_R_from_id(rho, r, m), outgoing) if g is not None]

@@ -12,7 +12,6 @@ All values are exact: `fractions.Fraction` or the INF sentinel.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,10 +35,6 @@ __all__ = [
     "validate_rho",
     "from_phi",
     "rho_diag",
-    "rho_strict",
-    "nbhd_down",
-    "nbhd_up",
-    "nbhd_iterated",
     "nbhds",
     "nbhd_tops",
     "nbhd_bottoms",
@@ -54,7 +49,6 @@ __all__ = [
     "check_ivc",
     "c_rho",
     "pullback_rho",
-    "dominates_diagonal",
 ]
 
 
@@ -243,13 +237,6 @@ def rho_diag(grid: FinitePoset) -> HeightDiff:
                              for i, j in grid.comparable_pairs()})
 
 
-def rho_strict(poset: FinitePoset) -> HeightDiff:
-    """0 on the diagonal and oo on every strict pair; r-neighborhoods for r > 0
-    are then the strict down/up sets (the classical latching/matching index sets)."""
-    return HeightDiff(poset, {(i, j): Fraction(0) if i == j else INF
-                              for i, j in poset.comparable_pairs()})
-
-
 def pullback_rho(f: OrderMap, rho: HeightDiff) -> HeightDiff:
     """(f*rho)(q, q') = rho(f(q), f(q')); superadditivity is inherited and
     re-validated on the result."""
@@ -405,38 +392,12 @@ def nbhd_up_idx(rho: HeightDiff, i: int, r: Fraction) -> Tuple[int, ...]:
     return nbhds(rho, "up", level(rho, r))[i]
 
 
-def nbhd_down(rho: HeightDiff, a: str, r) -> frozenset:
-    """{x <= a : rho(x, a) >= r}; r = 0 gives the full down set."""
-    P = rho.poset
-    return frozenset(P.elements[x] for x in nbhd_down_idx(rho, P.idx(a), Fraction(r)))
-
-
-def nbhd_up(rho: HeightDiff, a: str, r) -> frozenset:
-    P = rho.poset
-    return frozenset(P.elements[y] for y in nbhd_up_idx(rho, P.idx(a), Fraction(r)))
-
-
 def nbhd_iterated_idx(rho: HeightDiff, i: int, s: Fraction, r: Fraction, direction: str) -> List[int]:
     if direction not in ("down", "up"):
         raise ValueError("direction must be 'down' or 'up'")
     first, second = (s, r) if direction == "down" else (r, s)
     hops = nbhds(rho, direction, level(rho, second))
     return sorted(set().union(*(hops[x] for x in nbhds(rho, direction, level(rho, first))[i])))
-
-
-def nbhd_iterated(rho: HeightDiff, a: str, s, r, direction: str = "down") -> frozenset:
-    """Iterated neighborhood: union of x-neighborhoods over the first hop.
-
-    down: union over x in a^{down_s} of x^{down_r}; always inside a^{down_{s+r}}
-    (asserted, a superadditivity consequence).  up dually.
-    """
-    s, r = Fraction(s), Fraction(r)
-    P = rho.poset
-    i = P.idx(a)
-    out = nbhd_iterated_idx(rho, i, s, r, direction)
-    outer = nbhd_down_idx(rho, i, s + r) if direction == "down" else nbhd_up_idx(rho, i, s + r)
-    assert set(out) <= set(outer), "iterated neighborhood escaped the (s+r)-neighborhood"
-    return frozenset(P.elements[x] for x in out)
 
 
 # ---------------------------------------------------------------------------
@@ -662,21 +623,3 @@ def c_rho(rho: HeightDiff) -> CRhoResult:
             if y > reach:
                 reach = y
     return CRhoResult(value=Fraction(best, L), attained=True)
-
-
-# ---------------------------------------------------------------------------
-# diagonal domination on grids
-# ---------------------------------------------------------------------------
-
-
-def dominates_diagonal(rho: HeightDiff, grid: FinitePoset) -> bool:
-    """rho(a, a + k*diag) >= k for every grid point a and every step k >= 1
-    that stays on the grid."""
-    if rho.poset.key() != grid.key():
-        raise PosetError("rho must live on the given grid")
-    for k in itertools.count(1):
-        tops = grid.diagonal(k)
-        if all(b is None for b in tops):
-            return True
-        if any(b is not None and rho.values[(a, b)] < k for a, b in enumerate(tops)):
-            return False

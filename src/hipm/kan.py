@@ -1,5 +1,5 @@
 """Finite limits of module restrictions over subposets; colimits as transposed
-limits; the induced map between them; Fubini checks.
+limits; the induced map between them.
 
 A limit is built from the subposet's minimal nodes: a cone is fixed by its
 values there, so only the consistency equations at the nodes above two or more
@@ -31,13 +31,11 @@ from .exactlin import (
     hstack,
     kernel_basis,
     rref,
-    solve,
     stacked_matmul,
     vstack,
     zeros,
 )
 from .pmod import PersistenceModule
-from .poset import Connectivity, _is_connected_idx
 
 __all__ = [
     "UniversalCone",
@@ -48,9 +46,6 @@ __all__ = [
     "factor_from_colim",
     "factor_stack_from_colim",
     "factor_into_lim",
-    "check_universal",
-    "fubini_compare",
-    "FubiniReport",
 ]
 
 
@@ -228,130 +223,3 @@ def induced(small: UniversalCone, big: UniversalCone) -> Mat:
     """The map induced by nested node sets, small <= big: colim over small ->
     colim over big, or lim over big -> lim over small."""
     return factor(small, {x: big.legs[x] for x in small.nodes}, big.dim)
-
-
-UNIVERSAL_SIZE_CAP = 6
-
-
-def check_universal(m: PersistenceModule, subset: Sequence[int], candidate) -> bool:
-    """Brute-force universal-property oracle for a claimed (co)limit.
-
-    For colimits: the legs must form a cocone, factor uniquely (joint
-    surjectivity), and every test cocone built from the standard basis
-    functionals must factor.  Dual checks for limits.  Deliberately independent
-    of how the candidate was constructed.
-    """
-    subset = sorted(subset)
-    if len(subset) > UNIVERSAL_SIZE_CAP:
-        raise ValueError(f"universal-property oracle capped at {UNIVERSAL_SIZE_CAP} elements")
-    diag, covers = _module_diagram(m, subset), m.poset.subposet_covers(subset)
-    F = diag.fieldspec
-    offs, total = _offsets(diag)
-    if candidate.latching:
-        for (x, y) in covers:
-            if candidate.legs[y] @ diag.mat(x, y) != candidate.legs[x]:
-                return False
-        stacked = hstack(F, [candidate.legs[x] for x in diag.nodes], rows=candidate.dim)
-        if rref(stacked).rank != candidate.dim:
-            return False  # factorizations would not be unique
-        rel_cols = []
-        for (x, y) in covers:
-            mxy = diag.mat(x, y)
-            for k in range(diag.dims[x]):
-                col = Mat.zeros(F, total, 1)
-                for r in range(mxy.rows):
-                    col.a[offs[y] + r, 0] = mxy.a[r, k]
-                col.a[offs[x] + k, 0] -= F.one()
-                if F.is_prime_field:
-                    col.a %= F.p
-                rel_cols.append(col)
-        rel = hstack(F, rel_cols, rows=total)
-        test_cocones = kernel_basis(rel.T)  # functionals vanishing on the relations
-        for j in range(test_cocones.cols):
-            delta = test_cocones.col(j)
-            if solve(stacked.T, delta) is None:
-                return False
-        return True
-    for (x, y) in covers:
-        if diag.mat(x, y) @ candidate.legs[x] != candidate.legs[y]:
-            return False
-    stacked = vstack(F, [candidate.legs[x] for x in diag.nodes], cols=candidate.dim)
-    if rref(stacked).rank != candidate.dim:
-        return False
-    rows = []
-    for (x, y) in covers:
-        mxy = diag.mat(x, y)
-        block = Mat.zeros(F, mxy.rows, total)
-        block.a[:, offs[x] : offs[x] + mxy.cols] = mxy.a
-        for r in range(mxy.rows):
-            block.a[r, offs[y] + r] -= F.one()
-        if F.is_prime_field:
-            block.a %= F.p
-        rows.append(block)
-    eq = vstack(F, rows, cols=total)
-    test_cones = kernel_basis(eq)
-    for j in range(test_cones.cols):
-        if solve(stacked, test_cones.col(j)) is None:
-            return False
-    return True
-
-
-@dataclass
-class FubiniReport:
-    comparison: Mat  # iterated colimit -> colim over the union
-    iso: bool
-    iterated_dim: int
-    union_dim: int
-    connected_per_point: Dict[int, str]
-    all_connected: bool
-
-
-def fubini_compare(m: PersistenceModule, index_subset: Sequence[int],
-                   family: Dict[int, Sequence[int]]) -> FubiniReport:
-    """Compare colim_{x in I} colim M|_{F(x)} with colim M|_{union F(x)}.
-
-    `family[x]` must be monotone in x and each value a downset of the union.
-    The report carries the canonical comparison map, whether it is an
-    isomorphism, and per point q of the union the connectivity of
-    {x in I : q in F(x)} (the finality criterion's index sets).
-    """
-    P = m.poset
-    I = tuple(sorted(index_subset))
-    F = {x: sorted(set(family[x])) for x in I}
-    union = sorted(set().union(*[set(F[x]) for x in I]) if I else set())
-    for x in I:
-        for y in I:
-            if P.leq[x, y] and not set(F[x]) <= set(F[y]):
-                raise ValueError(f"family not monotone between {P.elements[x]!r} and {P.elements[y]!r}")
-    for x in I:
-        fx = set(F[x])
-        for q in F[x]:
-            for p_ in union:
-                if P.leq[p_, q] and p_ not in fx:
-                    raise ValueError(f"family value at {P.elements[x]!r} is not a downset of the union")
-    col_union = colim_over(m, union)
-    inner = {x: colim_over(m, F[x]) for x in I}
-    outer_diag = _Diagram(
-        fieldspec=m.field,
-        nodes=I,
-        dims={x: inner[x].dim for x in I},
-        leq=_order(P, I),
-        mat=lambda x, y: induced(inner[x], inner[y]),
-    )
-    outer = _colim_diagram(outer_diag)
-    to_union = {x: induced(inner[x], col_union) for x in I}
-    comparison = factor_from_colim(outer, to_union, col_union.dim)
-    iso = outer.dim == col_union.dim and rref(comparison).rank == col_union.dim
-    connected = {}
-    for q in union:
-        iq = [x for x in I if q in set(F[x])]
-        connected[q] = _is_connected_idx(P, iq)
-    all_conn = all(v != Connectivity.DISCONNECTED for v in connected.values())
-    return FubiniReport(
-        comparison=comparison,
-        iso=iso,
-        iterated_dim=outer.dim,
-        union_dim=col_union.dim,
-        connected_per_point=connected,
-        all_connected=all_conn,
-    )

@@ -239,9 +239,6 @@ class ModuleMorphism:
                 bad.append((P.elements[a], P.elements[b]))
         return bad
 
-    def component(self, e: str) -> Mat:
-        return self.components[self.source.poset.idx(e)]
-
     def compose(self, other: "ModuleMorphism") -> "ModuleMorphism":
         """self after other."""
         if not other.target.same(self.source):

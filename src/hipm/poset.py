@@ -20,7 +20,6 @@ __all__ = [
     "OrderMap",
     "PosetError",
     "Connectivity",
-    "is_connected",
     "check_order_map",
     "check_galois_insertion",
 ]
@@ -232,16 +231,6 @@ def _transitive_reduction(lt: np.ndarray) -> np.ndarray:
     return lt & ~via
 
 
-def is_connected(poset: FinitePoset, subset: Iterable[str]) -> str:
-    """Connectivity of the comparability graph of the full subposet on `subset`.
-
-    Returns one of Connectivity.EMPTY / CONNECTED / DISCONNECTED; the empty set
-    is reported as its own state so callers can treat it as passing.
-    """
-    ix = sorted(poset.idx(e) for e in subset)
-    return _is_connected_idx(poset, ix)
-
-
 def _is_connected_idx(poset: FinitePoset, ix: Sequence[int]) -> str:
     ix = list(ix)
     if not ix:
@@ -293,31 +282,18 @@ class OrderMap:
 @dataclass
 class OrderMapReport:
     preserving: bool
-    embedding: Optional[bool]
     preservation_violations: List[Tuple[str, str]] = field(default_factory=list)
-    embedding_violations: List[Tuple[str, str]] = field(default_factory=list)
 
 
-def check_order_map(f: OrderMap, require_embedding: bool = False) -> OrderMapReport:
-    """Verify order preservation (always) and optionally the embedding property."""
+def check_order_map(f: OrderMap) -> OrderMapReport:
+    """Verify order preservation."""
     pres_bad: List[Tuple[str, str]] = []
-    emb_bad: List[Tuple[str, str]] = []
     src, tgt = f.source, f.target
     for i in range(len(src)):
         for j in range(len(src)):
             if src.leq[i, j] and not tgt.leq[f.apply_idx(i), f.apply_idx(j)]:
                 pres_bad.append((src.elements[i], src.elements[j]))
-    if require_embedding:
-        for i in range(len(src)):
-            for j in range(len(src)):
-                if tgt.leq[f.apply_idx(i), f.apply_idx(j)] and not src.leq[i, j]:
-                    emb_bad.append((src.elements[i], src.elements[j]))
-    return OrderMapReport(
-        preserving=not pres_bad,
-        embedding=(not emb_bad) if require_embedding else None,
-        preservation_violations=pres_bad,
-        embedding_violations=emb_bad,
-    )
+    return OrderMapReport(preserving=not pres_bad, preservation_violations=pres_bad)
 
 
 @dataclass
@@ -332,20 +308,24 @@ def check_galois_insertion(iota: OrderMap, pi: OrderMap) -> GaloisReport:
     """Check that iota -| pi and iota is an order-embedding.
 
     The adjunction condition iota(a) <= x  <=>  a <= pi(x) is verified over all
-    pairs (a, x); every failing pair is listed.
+    pairs (a, x), and the embedding condition iota(a) <= iota(b)  =>  a <= b
+    over all pairs (a, b) in the same pass; every failing pair is listed.
     """
     if iota.target.key() != pi.source.key() or pi.target.key() != iota.source.key():
         raise PosetError("iota and pi must connect the same pair of posets")
     P, Pp = iota.source, iota.target
     pres = check_order_map(iota).preservation_violations + check_order_map(pi).preservation_violations
     adj_bad: List[Tuple[str, str]] = []
+    emb: List[Tuple[str, str]] = []
     for a_i in range(len(P)):
         for x_i in range(len(Pp)):
             lhs = Pp.leq[iota.apply_idx(a_i), x_i]
             rhs = P.leq[a_i, pi.apply_idx(x_i)]
             if bool(lhs) != bool(rhs):
                 adj_bad.append((P.elements[a_i], Pp.elements[x_i]))
-    emb = check_order_map(iota, require_embedding=True).embedding_violations
+        for b_i in range(len(P)):
+            if Pp.leq[iota.apply_idx(a_i), iota.apply_idx(b_i)] and not P.leq[a_i, b_i]:
+                emb.append((P.elements[a_i], P.elements[b_i]))
     return GaloisReport(
         valid=not (adj_bad or emb or pres),
         adjunction_violations=adj_bad,

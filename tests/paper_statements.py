@@ -2,32 +2,227 @@
 
 Each function builds one side of an identity the paper proves, from the
 engine's functors and (co)limit legs, so that a test can compare it with what
-the engine builds directly: functoriality of L_r and R_r on morphisms, the
-unit and counit of L_r -| R_r (the triangle identities), the mates of eta_L
-and mu_L (which must equal eta_R and mu_R), the interleaving between a module
-and each of its erosion neighborhoods, the composition of erosion
-neighborhoods through preimages, and their mediation.  `src/hipm` keeps only
-what a command runs.
+the engine builds directly: the universal property of a (co)limit, the Fubini
+comparison of an iterated colimit with the colimit over the union, the
+neighborhoods of the strict height difference, iterated neighborhoods and
+diagonal domination on grids, the transpose flat of L_r -| R_r and
+functoriality of L_r and R_r on morphisms, the unit and counit (the triangle
+identities), the mates of eta_L and mu_L (which must equal eta_R and mu_R), the
+erosion-neighborhood conditions and the canonical neighborhood of an
+interleaving, the interleaving between a module and each of its erosion
+neighborhoods, the composition of erosion neighborhoods through preimages, and
+their mediation.  `src/hipm` keeps only what a command runs.
 """
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from hipm.erosion import ErosionNeighborhoodError, en_construct
-from hipm.exactlin import Mat, factor_at, kernel_basis, quotient_map, solve
-from hipm.functors import (_functor, apply_L, apply_R, eta_L, eta_L_to_id, eta_R_from_id, flat,
-                           mu_L, sharp)
-from hipm.height import HeightDiff
-from hipm.interleave import Certificate
-from hipm.kan import factor
+from hipm.exactlin import (Mat, factor_at, hstack, kernel_basis, quotient_map, rref, solve,
+                           vstack)
+from hipm.functors import (_functor, apply_L, apply_R, erosion_subquotient, eta_L, eta_L_to_id,
+                           eta_R_from_id, im_r, ker_r, mu_L, sharp)
+from hipm.height import INF, HeightDiff, nbhd_down_idx, nbhd_iterated_idx, nbhd_up_idx
+from hipm.interleave import Certificate, check_certificate
+from hipm.kan import (_colim_diagram, _Diagram, _module_diagram, _offsets, _order, colim_over,
+                      factor, factor_from_colim, factor_into_lim, induced)
 from hipm.pmod import (ModuleMorphism, PersistenceModule, Submodule, SubmoduleError, Subquotient,
-                       submodule_from_bases, submodule_intersection, submodule_sum)
+                       quotient_by_submodule, submodule_from_bases, submodule_intersection,
+                       submodule_sum)
+from hipm.poset import Connectivity, FinitePoset, PosetError, _is_connected_idx
+
+# ---------------------------------------------------------------------------
+# (co)limits: the universal property and the Fubini comparison
+# ---------------------------------------------------------------------------
+
+
+UNIVERSAL_SIZE_CAP = 6
+
+
+def check_universal(m: PersistenceModule, subset: Sequence[int], candidate) -> bool:
+    """Brute-force universal-property oracle for a claimed (co)limit.
+
+    For colimits: the legs must form a cocone, factor uniquely (joint
+    surjectivity), and every test cocone built from the standard basis
+    functionals must factor.  Dual checks for limits.  Deliberately independent
+    of how the candidate was constructed.
+    """
+    subset = sorted(subset)
+    if len(subset) > UNIVERSAL_SIZE_CAP:
+        raise ValueError(f"universal-property oracle capped at {UNIVERSAL_SIZE_CAP} elements")
+    diag, covers = _module_diagram(m, subset), m.poset.subposet_covers(subset)
+    F = diag.fieldspec
+    offs, total = _offsets(diag)
+    if candidate.latching:
+        for (x, y) in covers:
+            if candidate.legs[y] @ diag.mat(x, y) != candidate.legs[x]:
+                return False
+        stacked = hstack(F, [candidate.legs[x] for x in diag.nodes], rows=candidate.dim)
+        if rref(stacked).rank != candidate.dim:
+            return False  # factorizations would not be unique
+        rel_cols = []
+        for (x, y) in covers:
+            mxy = diag.mat(x, y)
+            for k in range(diag.dims[x]):
+                col = Mat.zeros(F, total, 1)
+                for r in range(mxy.rows):
+                    col.a[offs[y] + r, 0] = mxy.a[r, k]
+                col.a[offs[x] + k, 0] -= F.one()
+                if F.is_prime_field:
+                    col.a %= F.p
+                rel_cols.append(col)
+        rel = hstack(F, rel_cols, rows=total)
+        test_cocones = kernel_basis(rel.T)  # functionals vanishing on the relations
+        for j in range(test_cocones.cols):
+            delta = test_cocones.take_cols([j])
+            if solve(stacked.T, delta) is None:
+                return False
+        return True
+    for (x, y) in covers:
+        if diag.mat(x, y) @ candidate.legs[x] != candidate.legs[y]:
+            return False
+    stacked = vstack(F, [candidate.legs[x] for x in diag.nodes], cols=candidate.dim)
+    if rref(stacked).rank != candidate.dim:
+        return False
+    rows = []
+    for (x, y) in covers:
+        mxy = diag.mat(x, y)
+        block = Mat.zeros(F, mxy.rows, total)
+        block.a[:, offs[x] : offs[x] + mxy.cols] = mxy.a
+        for r in range(mxy.rows):
+            block.a[r, offs[y] + r] -= F.one()
+        if F.is_prime_field:
+            block.a %= F.p
+        rows.append(block)
+    eq = vstack(F, rows, cols=total)
+    test_cones = kernel_basis(eq)
+    for j in range(test_cones.cols):
+        if solve(stacked, test_cones.take_cols([j])) is None:
+            return False
+    return True
+
+
+@dataclass
+class FubiniReport:
+    comparison: Mat  # iterated colimit -> colim over the union
+    iso: bool
+    iterated_dim: int
+    union_dim: int
+    connected_per_point: Dict[int, str]
+    all_connected: bool
+
+
+def fubini_compare(m: PersistenceModule, index_subset: Sequence[int],
+                   family: Dict[int, Sequence[int]]) -> FubiniReport:
+    """Compare colim_{x in I} colim M|_{F(x)} with colim M|_{union F(x)}.
+
+    `family[x]` must be monotone in x and each value a downset of the union.
+    The report carries the canonical comparison map, whether it is an
+    isomorphism, and per point q of the union the connectivity of
+    {x in I : q in F(x)} (the finality criterion's index sets).
+    """
+    P = m.poset
+    I = tuple(sorted(index_subset))
+    F = {x: sorted(set(family[x])) for x in I}
+    union = sorted(set().union(*[set(F[x]) for x in I]) if I else set())
+    for x in I:
+        for y in I:
+            if P.leq[x, y] and not set(F[x]) <= set(F[y]):
+                raise ValueError(f"family not monotone between {P.elements[x]!r} and {P.elements[y]!r}")
+    for x in I:
+        fx = set(F[x])
+        for q in F[x]:
+            for p_ in union:
+                if P.leq[p_, q] and p_ not in fx:
+                    raise ValueError(f"family value at {P.elements[x]!r} is not a downset of the union")
+    col_union = colim_over(m, union)
+    inner = {x: colim_over(m, F[x]) for x in I}
+    outer_diag = _Diagram(
+        fieldspec=m.field,
+        nodes=I,
+        dims={x: inner[x].dim for x in I},
+        leq=_order(P, I),
+        mat=lambda x, y: induced(inner[x], inner[y]),
+    )
+    outer = _colim_diagram(outer_diag)
+    to_union = {x: induced(inner[x], col_union) for x in I}
+    comparison = factor_from_colim(outer, to_union, col_union.dim)
+    iso = outer.dim == col_union.dim and rref(comparison).rank == col_union.dim
+    connected = {}
+    for q in union:
+        iq = [x for x in I if q in set(F[x])]
+        connected[q] = _is_connected_idx(P, iq)
+    all_conn = all(v != Connectivity.DISCONNECTED for v in connected.values())
+    return FubiniReport(
+        comparison=comparison,
+        iso=iso,
+        iterated_dim=outer.dim,
+        union_dim=col_union.dim,
+        connected_per_point=connected,
+        all_connected=all_conn,
+    )
+
+
+# ---------------------------------------------------------------------------
+# neighborhoods
+# ---------------------------------------------------------------------------
+
+
+def rho_strict(poset: FinitePoset) -> HeightDiff:
+    """0 on the diagonal and oo on every strict pair; r-neighborhoods for r > 0
+    are then the strict down/up sets (the classical latching/matching index sets)."""
+    return HeightDiff(poset, {(i, j): Fraction(0) if i == j else INF
+                              for i, j in poset.comparable_pairs()})
+
+
+def nbhd_iterated(rho: HeightDiff, a: str, s, r, direction: str = "down") -> frozenset:
+    """Iterated neighborhood: union of x-neighborhoods over the first hop.
+
+    down: union over x in a^{down_s} of x^{down_r}; always inside a^{down_{s+r}}
+    (asserted, a superadditivity consequence).  up dually.
+    """
+    s, r = Fraction(s), Fraction(r)
+    P = rho.poset
+    i = P.idx(a)
+    out = nbhd_iterated_idx(rho, i, s, r, direction)
+    outer = nbhd_down_idx(rho, i, s + r) if direction == "down" else nbhd_up_idx(rho, i, s + r)
+    assert set(out) <= set(outer), "iterated neighborhood escaped the (s+r)-neighborhood"
+    return frozenset(P.elements[x] for x in out)
+
+
+def dominates_diagonal(rho: HeightDiff, grid: FinitePoset) -> bool:
+    """rho(a, a + k*diag) >= k for every grid point a and every step k >= 1
+    that stays on the grid."""
+    if rho.poset.key() != grid.key():
+        raise PosetError("rho must live on the given grid")
+    for k in itertools.count(1):
+        tops = grid.diagonal(k)
+        if all(b is None for b in tops):
+            return True
+        if any(b is not None and rho.values[(a, b)] < k for a, b in enumerate(tops)):
+            return False
+
 
 # ---------------------------------------------------------------------------
 # functoriality, the adjunction L_r -| R_r and its mates
 # ---------------------------------------------------------------------------
+
+
+def flat(rho: HeightDiff, r, m: PersistenceModule, f: ModuleMorphism) -> ModuleMorphism:
+    """Transpose a morphism L_r M -> N to its adjoint M -> R_r N."""
+    n = f.target
+    app_l = apply_L(rho, r, m)
+    app_r = apply_R(rho, r, n)
+    if not f.source.same(app_l.module):
+        raise ValueError("source of f is not the r-latching module of m")
+    comps = []
+    for a in range(len(m.poset)):
+        blocks = {y: f.components[y] @ app_l.data[y].legs[a] for y in app_r.data[a].nodes}
+        comps.append(factor_into_lim(app_r.data[a], blocks, m.dims[a]))
+    return ModuleMorphism(m, app_r.module, comps)
 
 
 def _apply_mor(direction: str, rho: HeightDiff, r, f: ModuleMorphism) -> ModuleMorphism:
@@ -105,6 +300,49 @@ def mate_of_mu_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism:
 # ---------------------------------------------------------------------------
 # erosion neighborhoods
 # ---------------------------------------------------------------------------
+
+
+class ErosionNeighborhoodError(ValueError):
+    pass
+
+
+def en_construct(rho: HeightDiff, r, m: PersistenceModule,
+                 m1: Submodule, m2: Submodule) -> Subquotient:
+    """Validate the erosion-neighborhood conditions and form the quotient.
+
+    Needs: m2 <= m1 pointwise, image of the r-latching counit inside m1, and m2
+    inside the kernel of the r-matching unit.  Violations name the element.
+    """
+    P = m.poset
+    imr = im_r(rho, r, m)
+    kerr = ker_r(rho, r, m)
+    for i in range(len(P)):
+        if solve(m1.bases[i], m2.bases[i]) is None:
+            raise ErosionNeighborhoodError(
+                f"M2 is not inside M1 at {P.elements[i]!r}")
+        if solve(m1.bases[i], imr.bases[i]) is None:
+            raise ErosionNeighborhoodError(
+                f"latching image not inside M1 at {P.elements[i]!r}")
+        if solve(kerr.bases[i], m2.bases[i]) is None:
+            raise ErosionNeighborhoodError(
+                f"M2 not inside the matching kernel at {P.elements[i]!r}")
+    return quotient_by_submodule(m1, m2)
+
+
+def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
+                   p: ModuleMorphism, q: ModuleMorphism) -> Tuple[Subquotient, Subquotient]:
+    """The canonical shared neighborhood built from an interleaving (p, q).
+
+    Realized twice by `functors.erosion_subquotient`: as a subquotient of m
+    (M1 = im[eta_L, q#] and M2 = M1 & ker[eta_R; p]) and symmetrically of n,
+    with no `en_construct` check.  The pair must be an interleaving
+    (`check_certificate`), so the two quotients are the same isomorphism class.
+    """
+    if not check_certificate(rho, r, m, n, p, q):
+        raise ErosionNeighborhoodError(
+            "certificate identities fail; the supplied pair is not an interleaving")
+    return (erosion_subquotient(rho, r, m, sharp(rho, r, m, q), p),
+            erosion_subquotient(rho, r, n, sharp(rho, r, n, p), q))
 
 
 def morphism_preimage(f: ModuleMorphism, target_sub: Submodule) -> Submodule:

@@ -15,7 +15,6 @@ from hipm.functors import (
     e_r,
     erosion_E,
     eta_R,
-    flat,
     kappa,
     sharp,
 )
@@ -33,11 +32,11 @@ from hipm.height import (
     strata,
 )
 from hipm.interleave import check_certificate, distance, find_interleaving, shift_oracle_distance
-from hipm.kan import check_universal, colim_over, lim_over
+from hipm.kan import colim_over, lim_over
 from hipm.pmod import direct_sum, hom_basis, interval_module, is_isomorphic, pullback_module
 from hipm.poset import FinitePoset, OrderMap, check_galois_insertion
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
-from paper_statements import en_interleaving_certificate, mate_of_eta_L
+from paper_statements import check_universal, en_interleaving_certificate, flat, mate_of_eta_L
 
 
 def _report(number: int, description: str):

@@ -365,6 +365,17 @@ def test_cli_repro_commands(capsys):
     assert rep["L1_at_v22_is_zero"]
 
 
+def test_cli_repro_exits_2_when_what_it_judges_is_undecided(capsys):
+    """An undecided verdict is exit 2, as for every other command; exit 1 is a
+    decided value that contradicts the paper."""
+    code, rep = _run(capsys, ["--budget", "2", "--field", "gf3", "repro", "grid"])
+    assert code == 2
+    assert rep["L1_decomposition_iso"] == "unknown" and rep["L1_matches_printed"]
+    code, rep = _run(capsys, ["--budget", "1", "--field", "gf3", "repro", "chain"])
+    assert code == 2
+    assert not rep["d_M_X"]["decided"] and rep["d_M_N"]["distance"] == "2"
+
+
 def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "hipm.cli", "repro", "chain", "--C", "3"],
                          capture_output=True, text=True)

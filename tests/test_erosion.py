@@ -2,13 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hipm.erosion import (
-    ErosionNeighborhoodError,
-    d_en,
-    en_canonical_Q,
-    en_construct,
-    en_enumerate,
-)
+from hipm.erosion import d_en, en_enumerate
 from hipm.exactlin import GF2
 from hipm.fixtures import chain_example
 from hipm.functors import erosion_E, erosion_subquotient, im_r, ker_r
@@ -25,7 +19,8 @@ from hipm.pmod import (
 )
 from hipm.poset import FinitePoset
 from hipm.randgen import random_forest_poset, random_module, random_phi
-from paper_statements import en_interleaving_certificate, en_mediate, morphism_preimage
+from paper_statements import (ErosionNeighborhoodError, en_canonical_Q, en_construct,
+                              en_interleaving_certificate, en_mediate, morphism_preimage)
 
 
 @pytest.fixture

@@ -385,7 +385,7 @@ def test_unnormalised_ops_return_canonical_arrays(pair):
             Mat._canonical(F, factor_at(q.a, free, zeros(F, (0, a.rows)), F)),
             Mat._canonical(F, factor_at(q.a, free, zeros(F, (2, 0, a.rows)), F)[1])]
     outs += [rref(a, pivot_limit=k).matrix for k in range(a.cols + 1)]
-    outs += [a.col(j) for j in range(a.cols)]
+    outs += [a.take_cols([j]) for j in range(a.cols)]
     assert all(_canonical(m) for m in outs)
 
 

@@ -19,7 +19,6 @@ from hipm.functors import (
     eta_L_to_id,
     eta_R,
     eta_R_from_id,
-    flat,
     im_r,
     kappa,
     ker_r,
@@ -33,7 +32,7 @@ from hipm.functors import (
 )
 from hipm.height import (HeightDiff, HeightFunction, from_phi, level, nbhd_down_idx, nbhd_up_idx,
                          rho_diag)
-from hipm.kan import _colim_diagram, _lim_diagram, _module_diagram, factor, fubini_compare, induced
+from hipm.kan import _colim_diagram, _lim_diagram, _module_diagram, factor, induced
 from hipm.pmod import (
     ModuleMorphism,
     PersistenceModule,
@@ -46,7 +45,8 @@ from hipm.pmod import (
 )
 from hipm.poset import FinitePoset, OrderMap
 from hipm.randgen import random_forest_poset, random_module, random_phi
-from paper_statements import apply_L_mor, apply_R_mor, counit, mate_of_eta_L, mate_of_mu_L, unit
+from paper_statements import (apply_L_mor, apply_R_mor, counit, flat, fubini_compare, mate_of_eta_L,
+                              mate_of_mu_L, nbhd_iterated, unit)
 
 
 def test_apply_L_R_grid_printed_dims():
@@ -115,7 +115,7 @@ def test_eta_to_id_factorization(chain4_rho, rng):
 def test_e_r_chain_nonzero_at_c():
     ce = chain_example(2)
     e2 = e_r(ce.rho, ce.C, ce.M)
-    comp = e2.component("c")
+    comp = e2.components[e2.source.poset.idx("c")]
     assert (comp.rows, comp.cols) == (1, 1) and not comp.is_zero()
 
 
@@ -510,12 +510,10 @@ def test_strata_with_equal_neighborhoods_share_maps(name, direction):
 def test_scales_are_exact_numbers_at_least_zero():
     """`height.level` rejects r < 0 for every function that takes a scale, and
     the functions that add or compare scales read "1/2" as the number 1/2."""
-    from hipm.height import nbhd_down, nbhd_iterated
-
     ce = chain_example(2, GF2)
     rho, m, half = ce.rho, ce.M, Fraction(1, 2)
     for call in (lambda: apply_L(rho, -half, m), lambda: apply_T(rho, 1, -1, m, "L"),
-                 lambda: eta_L(rho, 1, -half, m), lambda: nbhd_down(rho, rho.poset.elements[0], -1),
+                 lambda: eta_L(rho, 1, -half, m), lambda: nbhd_down_idx(rho, 0, -1),
                  lambda: nbhd_iterated(rho, rho.poset.elements[0], -1, 2)):
         with pytest.raises(ValueError, match="scale parameter must be >= 0"):
             call()

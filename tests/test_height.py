@@ -21,23 +21,19 @@ from hipm.height import (
     check_ivc,
     critical_values,
     distortion,
-    dominates_diagonal,
     ext_add,
     from_phi,
-    nbhd_down,
     nbhd_down_idx,
-    nbhd_iterated,
-    nbhd_up,
     nbhd_up_idx,
     parse_ext,
     pullback_rho,
     rho_diag,
-    rho_strict,
     strata,
     validate_rho,
 )
 from hipm.poset import Connectivity, FinitePoset, OrderMap, PosetError, _is_connected_idx
 from hipm.randgen import random_forest_poset, random_phi, random_poset
+from paper_statements import dominates_diagonal, nbhd_iterated, rho_strict
 
 
 def test_ext_value_conventions():
@@ -119,24 +115,27 @@ def test_rho_diag_values():
 def test_rho_strict_neighborhoods():
     p = FinitePoset.chain(["a", "b"])
     rho = rho_strict(p)
-    assert nbhd_down(rho, "b", 1) == {"a"}
-    assert nbhd_down(rho, "a", 1) == frozenset()
+    assert {p.elements[x] for x in nbhd_down_idx(rho, p.idx("b"), 1)} == {"a"}
+    assert {p.elements[x] for x in nbhd_down_idx(rho, p.idx("a"), 1)} == frozenset()
     assert validate_rho(p, {(x, y): rho.value(x, y)
                             for x in p.elements for y in p.elements
                             if p.leq[p.idx(x), p.idx(y)]}).ok
 
 
 def test_nbhd_chain_values(chain4_rho):
-    assert nbhd_up(chain4_rho, "a", 1) == {"b", "c", "d"}
-    assert nbhd_up(chain4_rho, "a", Fraction(1, 2)) == {"b", "c", "d"}
-    assert nbhd_down(chain4_rho, "a", 0) == {"a"}
-    assert nbhd_down(chain4_rho, "c", 2) == {"a", "b"}
-    assert nbhd_down(chain4_rho, "c", 3) == {"a"}
+    P = chain4_rho.poset
+    assert {P.elements[y] for y in nbhd_up_idx(chain4_rho, P.idx("a"), 1)} == {"b", "c", "d"}
+    assert ({P.elements[y] for y in nbhd_up_idx(chain4_rho, P.idx("a"), Fraction(1, 2))}
+            == {"b", "c", "d"})
+    assert {P.elements[x] for x in nbhd_down_idx(chain4_rho, P.idx("a"), 0)} == {"a"}
+    assert {P.elements[x] for x in nbhd_down_idx(chain4_rho, P.idx("c"), 2)} == {"a", "b"}
+    assert {P.elements[x] for x in nbhd_down_idx(chain4_rho, P.idx("c"), 3)} == {"a"}
 
 
 def test_nbhd_iterated(chain4_rho):
     assert nbhd_iterated(chain4_rho, "d", 2, 1, "down") == {"a", "b"}
-    full_down = nbhd_down(chain4_rho, "d", 0)
+    P = chain4_rho.poset
+    full_down = {P.elements[x] for x in nbhd_down_idx(chain4_rho, P.idx("d"), 0)}
     assert nbhd_iterated(chain4_rho, "d", 0, 0, "down") == full_down
 
 
@@ -339,15 +338,16 @@ def test_nbhd_monotonicity_and_duality(rng):
         p = random_poset(rng, 6)
         rho = from_phi(random_phi(rng, p))
         for e in p.elements:
-            assert nbhd_down(rho, e, 2) <= nbhd_down(rho, e, 1)
-            assert nbhd_down(rho, e, 0) == frozenset(p.elements[j]
-                                                     for j in np.flatnonzero(p.leq[:, p.idx(e)]))
+            assert (set(nbhd_down_idx(rho, p.idx(e), 2))
+                    <= set(nbhd_down_idx(rho, p.idx(e), 1)))
+            assert ({p.elements[x] for x in nbhd_down_idx(rho, p.idx(e), 0)}
+                    == frozenset(p.elements[j] for j in np.flatnonzero(p.leq[:, p.idx(e)])))
         for i, j in p.comparable_pairs():
-            a, b = p.elements[i], p.elements[j]
-            assert nbhd_down(rho, a, 1) <= nbhd_down(rho, b, 1)
+            assert set(nbhd_down_idx(rho, i, 1)) <= set(nbhd_down_idx(rho, j, 1))
         for x in p.elements:
             for y in p.elements:
-                assert (y in nbhd_down(rho, x, 1)) == (x in nbhd_up(rho, y, 1))
+                assert ((p.idx(y) in nbhd_down_idx(rho, p.idx(x), 1))
+                        == (p.idx(x) in nbhd_up_idx(rho, p.idx(y), 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hipm.exactlin import GF2, QQ, Mat
 from hipm.fixtures import chain_example
-from hipm.functors import apply_L, apply_R, e_r, flat
+from hipm.functors import apply_L, apply_R, e_r
 from hipm.height import (
     INF,
     HeightDiff,
@@ -20,6 +20,7 @@ from hipm.interleave import check_certificate, distance, find_interleaving, shif
 from hipm.pmod import ModuleMorphism, interval_module, pullback_module, zero_module
 from hipm.poset import FinitePoset, OrderMap
 from hipm.randgen import random_forest_poset, random_module, random_phi
+from paper_statements import dominates_diagonal, flat, rho_strict
 
 
 def test_certificate_zero_pair(chain4_rho, rng):
@@ -118,8 +119,6 @@ def test_distance_symmetry(chain4_rho, rng):
 def test_distance_infinite():
     # strict heights: no finite scale ever merges distinct interval supports
     p = FinitePoset.chain(["a", "b"])
-    from hipm.height import rho_strict
-
     rho = rho_strict(p)
     m = interval_module(p, ["a", "b"], GF2)
     n = interval_module(p, ["a"], GF2)
@@ -242,8 +241,6 @@ def test_galois_sandwich(rng):
 def test_diagonal_domination(rng):
     g = FinitePoset.grid([3, 2])
     rho2 = HeightDiff(g, {k: 2 * v for k, v in rho_diag(g).values.items()})
-    from hipm.height import dominates_diagonal
-
     assert dominates_diagonal(rho2, g)
     for _ in range(4):
         m = random_module(rng, g, GF2, 2)

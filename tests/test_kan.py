@@ -14,17 +14,16 @@ from hipm.kan import (
     _lim_diagram,
     _module_diagram,
     _offsets,
-    check_universal,
     colim_over,
     factor_from_colim,
     factor_into_lim,
-    fubini_compare,
     induced,
     lim_over,
 )
 from hipm.pmod import PersistenceModule, interval_module, zero_module
 from hipm.poset import Connectivity, FinitePoset
 from hipm.randgen import random_module, random_poset
+from paper_statements import check_universal, fubini_compare
 
 GF3 = FieldSpec("gfp", 3)
 

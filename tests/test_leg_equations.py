@@ -19,11 +19,12 @@ from hypothesis import given, settings, strategies as st
 from hipm import functors, interleave
 from hipm.exactlin import FieldSpec
 from hipm.functors import apply_R, e_r, sharp
-from hipm.height import from_phi, rho_strict, strata
+from hipm.height import from_phi, strata
 from hipm.interleave import check_certificate, distance, find_interleaving
 from hipm.pmod import hom_basis, search_pair
 from hipm.randgen import (random_conjugate, random_forest_poset, random_module, random_phi,
                           random_poset)
+from paper_statements import rho_strict
 
 BUDGET = 300  # keeps the rational lattice walk short; "unknown" must match too
 

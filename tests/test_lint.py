@@ -33,16 +33,21 @@ Every field of a dataclass in `src/hipm` is read as an attribute somewhere in
 carried for no one.
 
 `src/hipm` holds only what a command runs.  Every function and method is
-imported by `hipm/__init__.py`, read by code reachable from the modules' top
-level or from an exported function, or on the allow-list: `KEPT_BY_HAND`,
-each entry with its reason, and what `perfbench` traces, reads off a traced
-result or imports, derived from its files.  A hand-typed entry must exist and
-have no caller in that reachable code.  Every `__all__` entry is bound in its
-module, and every function of `tests/paper_statements.py`, the oracles that
-check the paper's statements against the engine, is called by a test.
+read by code reachable from the modules' top level or from `cli.main`, or is
+on the allow-list: `KEPT_BY_HAND`, each entry with its reason, and what
+`perfbench` traces, reads off a traced result or imports, derived from its
+files.  An export of `hipm/__init__.py` is not a root: every exported
+function must be reached the same way.  A bare name counts as a read only
+where the scope reading it does not bind it, so a local variable named like a
+module-level function does not keep that function.  A hand-typed entry must
+exist and have no caller in that reachable code.  Every `__all__` entry is
+bound in its module, and every function of `tests/paper_statements.py`, the
+oracles that check the paper's statements against the engine, is called by a
+test.
 """
 
 import ast
+import symtable
 import sys
 from pathlib import Path
 
@@ -373,6 +378,28 @@ def _top_refs(path: Path) -> set:
     return out
 
 
+def _tables(table: symtable.SymbolTable):
+    """The symbol table and every table nested in it."""
+    yield table
+    for child in table.get_children():
+        yield from _tables(child)
+
+
+def _scopes(path: Path) -> dict:
+    """{(name, line): symbol table} of every scope in the module."""
+    return {(t.get_name(), t.get_lineno()): t
+            for t in _tables(symtable.symtable(path.read_text(), str(path), "exec"))}
+
+
+def _body_reads(node: ast.AST, table: symtable.SymbolTable) -> set:
+    """What a function reads: every attribute name, and every bare name that
+    the function, or a scope nested in it, reads without binding it.  A local
+    variable that shares a module-level function's name is not a read of it."""
+    return ({n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            | {s.get_name() for t in _tables(table) for s in t.get_symbols()
+               if s.is_referenced() and s.is_global()})
+
+
 def exported(package: Path) -> set:
     """`module.name` for every name the package's `__init__.py` imports from a module."""
     tree = ast.parse((package / "__init__.py").read_text())
@@ -381,31 +408,39 @@ def exported(package: Path) -> set:
             for a in node.names}
 
 
-def uncalled(package: Path, kept) -> list:
-    """(file, line, name) of every function and method of `package` that its
-    `__init__.py` does not export, that `kept` does not name, and that no
-    reachable code in the package reads.  Reachable is a fixed point: the
-    modules' top-level code, the exported and kept functions and every dunder
-    method, then each function whose name a reachable body reads.  Names are
-    matched bare, so a read of a method's name on any object counts."""
+def uncalled(package: Path, roots) -> list:
+    """(file, line, name) of every function and method of `package` that no
+    code reachable from `roots` reads.  Reachable is a fixed point: the
+    modules' top-level code, the roots and every dunder method, then each
+    function whose name a reachable body reads (`_body_reads`).  Attribute
+    names are matched bare, so a read of a method's name on any object counts.
+    An export is not a root."""
     modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
     defs = [(p, *d) for p in modules for d in _defs(p)]
-    roots = exported(package) | set(kept)
+    scopes = {p: _scopes(p) for p in modules}
     live, read = set(), set().union(*(_top_refs(p) for p in modules))
     grew = True
     while grew:
         grew = False
-        for _, _, q, name, node in defs:
+        for p, _, q, name, node in defs:
             if q not in live and (q in roots or name in read
                                   or name.startswith("__") and name.endswith("__")):
                 live.add(q)
-                read |= _refs(node) - {name}
+                read |= _body_reads(node, scopes[p][name, node.lineno]) - {name}
                 grew = True
     return [(p.name, line, q) for p, line, q, _, _ in defs if q not in live]
 
 
+def unreached_exports(package: Path, roots) -> list:
+    """Every function the package's `__init__.py` exports that no code
+    reachable from `roots` reads."""
+    return [q for _, _, q in uncalled(package, roots) if q in exported(package)]
+
+
 PACKAGE = ROOT / "src" / "hipm"
 BENCH = ROOT / "perfbench"
+# what every command runs through
+COMMAND = "cli.main"
 # kept although nothing a command runs calls them, each for the reason given
 KEPT_BY_HAND = {
     "cli._Parser.error": "argparse calls it on every usage error",
@@ -442,13 +477,12 @@ def kept_for_perfbench(bench: Path) -> dict:
 def kept() -> dict:
     """The allow-list: the hand-typed entries, and the benchmark's names that
     nothing a command runs reaches."""
-    unreached = {q for _, _, q in uncalled(PACKAGE, KEPT_BY_HAND)}
+    unreached = {q for _, _, q in uncalled(PACKAGE, {COMMAND, *KEPT_BY_HAND})}
     return {**KEPT_BY_HAND, **{q: why for q, why in kept_for_perfbench(BENCH).items()
                                if q in unreached}}
 
 
 def test_scanner_sees_an_uncalled_function(tmp_path):
-    (tmp_path / "__init__.py").write_text("from .a import run\n")
     (tmp_path / "a.py").write_text(
         "from .b import helper\n\n\ndef run(x):\n    return helper(x) + Box(x).size()\n\n\n"
         "def planted(x):\n    return _only_planted(x)\n\n\ndef _only_planted(x):\n    return x\n\n\n"
@@ -456,19 +490,46 @@ def test_scanner_sees_an_uncalled_function(tmp_path):
         "        return self.x\n\n    def unused(self):\n        return self.size()\n")
     (tmp_path / "b.py").write_text("def helper(x):\n    return x\n\n\ndef kept_one(x):\n"
                                    "    return _under_kept(x)\n\n\ndef _under_kept(x):\n    return x\n")
-    assert uncalled(tmp_path, {"b.kept_one"}) == [
+    assert uncalled(tmp_path, {"a.run", "b.kept_one"}) == [
         ("a.py", 8, "a.planted"), ("a.py", 12, "a._only_planted"), ("a.py", 23, "a.Box.unused")]
-    assert uncalled(tmp_path, set())[-2:] == [("b.py", 5, "b.kept_one"), ("b.py", 9, "b._under_kept")]
+    assert uncalled(tmp_path, {"a.run"})[-2:] == [("b.py", 5, "b.kept_one"),
+                                                  ("b.py", 9, "b._under_kept")]
 
 
-def test_every_function_in_src_is_exported_called_or_kept():
-    assert uncalled(PACKAGE, kept()) == []
+def test_scanner_does_not_count_a_local_of_the_same_name(tmp_path):
+    """A parameter, a local variable, a loop target or a nested function named
+    like a module-level function is not a read of it; a nested scope's read of
+    the module-level name is."""
+    (tmp_path / "cli.py").write_text(
+        "def main(xs, shape):\n    flat = [x for x in xs]\n    for part in flat:\n        pass\n"
+        "    def stack(y):\n        return y\n    return stack(flat), shape, lambda: wrap(xs)\n\n\n"
+        "def flat(m):\n    return m\n\n\ndef part(m):\n    return m\n\n\ndef stack(m):\n"
+        "    return m\n\n\ndef shape(m):\n    return m\n\n\ndef wrap(m):\n    return m\n")
+    assert uncalled(tmp_path, {COMMAND}) == [("cli.py", 10, "cli.flat"), ("cli.py", 14, "cli.part"),
+                                             ("cli.py", 18, "cli.stack"),
+                                             ("cli.py", 22, "cli.shape")]
+
+
+def test_scanner_sees_an_export_no_command_reaches(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .cli import main\nfrom .a import oracle, used\n")
+    (tmp_path / "cli.py").write_text("from .a import used\n\n\ndef main():\n    return used()\n")
+    (tmp_path / "a.py").write_text("def used():\n    return 1\n\n\ndef oracle():\n    return 2\n")
+    assert unreached_exports(tmp_path, {COMMAND}) == ["a.oracle"]
+    assert unreached_exports(tmp_path, {COMMAND, "a.oracle"}) == []
+
+
+def test_every_function_in_src_is_reached_from_a_command_or_kept():
+    assert uncalled(PACKAGE, {COMMAND, *kept()}) == []
+
+
+def test_every_exported_function_is_reached_from_a_command_or_kept():
+    assert unreached_exports(PACKAGE, {COMMAND, *kept()}) == []
 
 
 def test_every_hand_kept_entry_exists_and_has_no_caller():
     """An entry that is gone, or that code a command runs now calls, is stale."""
     defined = {q for p in SOURCES for _, q, _, _ in _defs(p)}
-    unreached = {q for _, _, q in uncalled(PACKAGE, {})}
+    unreached = {q for _, _, q in uncalled(PACKAGE, {COMMAND})}
     assert set(KEPT_BY_HAND) <= defined & unreached
 
 

@@ -10,7 +10,6 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from hipm.erosion import en_construct
 from hipm.exactlin import GF2, QQ, FieldSpec
 from hipm.functors import (
     apply_L,
@@ -20,7 +19,6 @@ from hipm.functors import (
     eta_L_to_id,
     eta_R,
     eta_R_from_id,
-    flat,
     im_r,
     kappa,
     ker_r,
@@ -38,7 +36,8 @@ from hipm.pmod import (
     submodule_intersection,
 )
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
-from paper_statements import apply_L_mor, apply_R_mor, en_interleaving_certificate
+from paper_statements import (apply_L_mor, apply_R_mor, en_construct, en_interleaving_certificate,
+                              flat)
 
 GF3 = FieldSpec("gfp", 3)
 

@@ -20,11 +20,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hipm.exactlin import FieldSpec, Mat
-from hipm.height import (INF, critical_values, from_phi, level, nbhd_tops, nbhds, rho_diag,
-                         rho_strict, strata, validate_rho)
+from hipm.height import (INF, critical_values, from_phi, level, nbhd_tops, nbhds, rho_diag, strata,
+                         validate_rho)
 from hipm.pmod import PersistenceModule, validate_module
 from hipm.poset import FinitePoset
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
+from paper_statements import rho_strict
 
 FIELDS = [FieldSpec("gfp", 2), FieldSpec("gfp", 3), FieldSpec("rational")]
 

@@ -12,7 +12,6 @@ from hipm.poset import (
     _is_connected_idx,
     check_galois_insertion,
     check_order_map,
-    is_connected,
     is_diamond_free,
 )
 
@@ -77,10 +76,10 @@ def test_down_up_sets(chain4):
 
 
 def test_connectivity_states(diamond, chain4):
-    assert is_connected(diamond, ["b", "c"]) == Connectivity.DISCONNECTED
-    assert is_connected(diamond, ["b"]) == Connectivity.CONNECTED
-    assert is_connected(chain4, ["a", "c"]) == Connectivity.CONNECTED
-    assert is_connected(chain4, []) == Connectivity.EMPTY
+    assert _is_connected_idx(diamond, [diamond.idx("b"), diamond.idx("c")]) == Connectivity.DISCONNECTED
+    assert _is_connected_idx(diamond, [diamond.idx("b")]) == Connectivity.CONNECTED
+    assert _is_connected_idx(chain4, [chain4.idx("a"), chain4.idx("c")]) == Connectivity.CONNECTED
+    assert _is_connected_idx(chain4, []) == Connectivity.EMPTY
 
 
 def test_diamond_free(diamond, chain4):
@@ -93,12 +92,16 @@ def test_diamond_free(diamond, chain4):
 def test_order_map_reports():
     c2 = FinitePoset.chain(["a", "b"])
     ident = OrderMap(c2, c2, {e: e for e in c2.elements})
-    rep = check_order_map(ident, require_embedding=True)
-    assert rep.preserving and rep.embedding
+    assert check_order_map(ident).preserving
     const = OrderMap(c2, c2, {"a": "a", "b": "a"})
-    rep = check_order_map(const, require_embedding=True)
-    assert rep.preserving and rep.embedding is False
-    assert ("b", "a") in rep.embedding_violations
+    assert check_order_map(const).preserving
+
+
+def test_galois_insertion_lists_where_iota_is_no_embedding():
+    c2 = FinitePoset.chain(["a", "b"])
+    const = OrderMap(c2, c2, {"a": "a", "b": "a"})
+    rep = check_galois_insertion(const, OrderMap(c2, c2, {e: e for e in c2.elements}))
+    assert not rep.valid and rep.embedding_violations == [("b", "a")]
 
 
 def test_order_map_bipath_fold():
@@ -159,8 +162,8 @@ def test_diamond_free_intervals_connected(p):
     if not is_diamond_free(p):
         return
     for a, b in p.comparable_pairs():
-        interval = [p.elements[z] for z in p.interval_idx(a, b)]
-        assert is_connected(p, interval) in (Connectivity.CONNECTED, Connectivity.EMPTY)
+        assert (_is_connected_idx(p, p.interval_idx(a, b))
+                in (Connectivity.CONNECTED, Connectivity.EMPTY))
 
 
 @given(random_posets())
@@ -194,7 +197,7 @@ def test_connectivity_matches_a_search_over_comparable_pairs(p, data):
     for ix in subsets:
         want = connectivity_by_search(leq, ix)
         assert _is_connected_idx(p, ix) == want
-        assert is_connected(p, [p.elements[i] for i in reversed(ix)]) == want
+        assert _is_connected_idx(p, ix[::-1]) == want
 
 
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(-3, 3))
