@@ -221,10 +221,12 @@ def stress_commands():
 
 def extra_commands(inst):
     """Paths the instances never take: `distortion` between inst's height and a
-    second one on its poset, `galois` for a chain and its refinement, and an
+    second one on its poset, `galois` for a chain and its refinement, an
     `en-distance` whose strata reach the enumeration stage's cross test (the
     instance of `tests/test_en_buckets.py` at seed 1: a 3-element forest and a
-    twin module)."""
+    twin module), two whose enumeration decides a stratum (seed 1068: one "yes";
+    seed 276: a "no" and a "yes"), and a height with infinite values (the chain
+    a < b < c plus a < d, with rho(b, c) = rho(a, c) = inf)."""
     sys.path.insert(0, str(HERE.parent))
     from test_en_buckets import instance
 
@@ -249,6 +251,27 @@ def extra_commands(inst):
     out.append(["--budget", str(budget), "--field", "gf2", "en-distance",
                 *[x for flag, f in zip(("--poset", "--height", "--module", "--module2"), files)
                   for x in (flag, f)]])
+
+    GF2 = FieldSpec("gfp", 2)
+    for seed in (1068, 276):
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        P = random_poset(rng, n, 0.4)
+        phi = random_phi(rng, P)
+        m, m2 = (random_module(rng, P, GF2, max_dim=2, summands=2 * n) for _ in range(2))
+        enum = Instance(f"enum{seed}", P, {"phi": {e: str(v) for e, v in phi.phi.items()}},
+                        m, m2, GF2)
+        out.append(enum.base("en-distance") + ["--module2", enum.files["N"]])
+
+    P = FinitePoset.from_covers(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "d")])
+    rng = random.Random(4000)
+    inf = Instance("infchain", P, {"rho": [["a", "b", "1"], ["b", "c", "inf"], ["a", "c", "inf"],
+                                           ["a", "d", "2"]]},
+                   random_module(rng, P, GF2, max_dim=2), random_module(rng, P, GF2, max_dim=2), GF2)
+    pair = ["--module2", inf.files["N"]]
+    out += [inf.base("validate"), inf.on_height("cip"), inf.on_height("c-rho"),
+            inf.on_height("ivc") + ["--c", "0"], inf.on_height("ivc") + ["--c", "1"],
+            inf.base("distance") + pair, inf.base("en-distance") + pair]
     return out
 
 

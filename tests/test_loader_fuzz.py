@@ -196,8 +196,9 @@ BAD_BUDGETS = ["0", "-1", "1/0", "1e9", "\u0663"]
 UNKNOWN = "--ghost"
 ARGV_CASES = 400
 # its draws include `repro bipath --G 10**12`, which listed 2 * 10**12 element
-# names before the element cap was checked
-ARGV_SEED = 0
+# names before the element cap was checked; the draws take their values from
+# the golden corpus, so a corpus that grows can need the next such seed
+ARGV_SEED = 2
 
 
 def golden_values():
