@@ -251,9 +251,9 @@ def _cmd_functor(args, cfg: RunConfig) -> int:
         out = _app_to_json(apply_T(rho, _scale(args.s, "--s"), r, m, args.direction))
     elif kind == "E":
         res = erosion_E(rho, r, m)
-        out = {"module": module_to_json(res.module),
+        out = {"module": module_to_json(res.sub.module),
                "projection": morphism_to_json(res.proj),
-               "inclusion": morphism_to_json(res.incl)}
+               "inclusion": morphism_to_json(res.sub.incl)}
     elif kind == "Im":
         sub = im_r(rho, r, m)
         out = {"module": module_to_json(sub.module),
@@ -440,7 +440,9 @@ def _cmd_oracle_grid(args, cfg: RunConfig) -> int:
         return EXIT_UNDECIDED
     out.update(oracle_distance=format_ext(oracle), agree=rep.distance == oracle)
     _emit(cfg, out)
-    return EXIT_OK if rep.decided else EXIT_UNDECIDED
+    if not rep.decided:
+        return EXIT_UNDECIDED
+    return EXIT_OK if out["agree"] else EXIT_INVALID
 
 
 def _cmd_repro(args, cfg: RunConfig) -> int:

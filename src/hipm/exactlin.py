@@ -188,25 +188,12 @@ class Mat:
     def cols(self) -> int:
         return self.a.shape[1]
 
-    def copy(self) -> "Mat":
-        return Mat._canonical(self.field, self.a.copy())
-
     # -- arithmetic ---------------------------------------------------
 
-    def _check(self, other: "Mat") -> None:
+    def __matmul__(self, other: "Mat") -> "Mat":
         if self.field is not other.field and self.field != other.field:
             raise ValueError("field mismatch")
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        self._check(other)
         return Mat._canonical(self.field, stacked_matmul(self.field, self.a, other.a))
-
-    def __add__(self, other: "Mat") -> "Mat":
-        self._check(other)
-        c = self.a + other.a
-        if self.field.is_prime_field:
-            c = c % self.field.p
-        return Mat(self.field, c)
 
     def __neg__(self) -> "Mat":
         c = -self.a
@@ -222,9 +209,6 @@ class Mat:
             and self.a.shape == other.a.shape
             and bool(np.all(self.a == other.a))
         )
-
-    def __hash__(self):
-        raise TypeError("Mat is mutable; use entries() for a hashable key")
 
     def is_zero(self) -> bool:
         return self.a.size == 0 or bool(np.all(self.a == self.field.zero()))

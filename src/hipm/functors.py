@@ -508,10 +508,8 @@ class ErosionResult:
     """The erosion subquotient: image of L_r M -> R_r M with its factorization
     retained, plus the verified identification with im/(im & ker)."""
 
-    module: PersistenceModule
     sub: Submodule  # inside R_r M
     proj: ModuleMorphism  # L_r M ->> erosion
-    incl: ModuleMorphism  # erosion -> R_r M
 
 
 def erosion_E(rho: HeightDiff, r, m: PersistenceModule) -> ErosionResult:
@@ -541,7 +539,7 @@ def erosion_E(rho: HeightDiff, r, m: PersistenceModule) -> ErosionResult:
                 f"erosion is not isomorphic to the canonical subquotient at "
                 f"{m.poset.elements[a]!r}"
             )
-    return ErosionResult(sub.module, sub, ModuleMorphism(e.source, sub.module, comps), sub.incl)
+    return ErosionResult(sub, ModuleMorphism(e.source, sub.module, comps))
 
 
 # ---------------------------------------------------------------------------

@@ -151,9 +151,6 @@ class HeightDiff(Memo):
         self.poset = poset
         self.values = values
 
-    def value(self, a: str, b: str) -> ExtVal:
-        return self.values[(self.poset.idx(a), self.poset.idx(b))]
-
     def value_idx(self, i: int, j: int) -> ExtVal:
         return self.values[(i, j)]
 

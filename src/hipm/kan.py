@@ -83,21 +83,15 @@ class UniversalCone:
     """colim (`latching`) or lim of a diagram: its dimension, `proj` from the
     block sum, and one leg per node, M(x) -> object for a colimit and
     object -> M(x) for a limit.  A colimit's `proj` is its projection; a
-    limit's is its inclusion transposed, and `incl` is the view back."""
+    limit's is its inclusion transposed."""
 
     fieldspec: FieldSpec
     latching: bool
     nodes: Tuple[int, ...]
-    offsets: Dict[int, int]
-    total: int
     dim: int
-    proj: Mat  # dim x total, surjective
+    proj: Mat  # dim x (sum of the node dims), surjective
     legs: Dict[int, Mat]
     free: Tuple[int, ...]  # proj[:, free] is the identity
-
-    @property
-    def incl(self) -> Mat:
-        return Mat._canonical(self.fieldspec, self.proj.a.T)
 
 
 def _offsets(diag: _Diagram) -> Tuple[Dict[int, int], int]:
@@ -126,7 +120,7 @@ def _lim_diagram(diag: _Diagram) -> UniversalCone:
     offs, total = _offsets(diag)
     if total == 0:  # every space is zero: the zero cone, with no equation and no rref
         incl = zeros(F, (0, 0))
-        return UniversalCone(F, False, nodes, offs, 0, 0, Mat._canonical(F, incl.T),
+        return UniversalCone(F, False, nodes, 0, Mat._canonical(F, incl.T),
                              {x: Mat._canonical(F, incl) for x in nodes}, ())
     minima = [j for j, under in enumerate(diag.leq.sum(axis=0).tolist()) if under == 1]  # itself only
     if len(minima) == 1:  # no equations: the legs are M(b <= y)
@@ -153,8 +147,7 @@ def _lim_diagram(diag: _Diagram) -> UniversalCone:
     incl = np.ascontiguousarray(res.matrix.a[::-1, ::-1].T)
     free = tuple(total - 1 - j for j in reversed(res.pivots))
     legs = {x: Mat._canonical(F, incl[offs[x]: offs[x] + dims[x]]) for x in nodes}  # read-only views
-    return UniversalCone(F, False, nodes, offs, total, len(free), Mat._canonical(F, incl.T), legs,
-                         free)
+    return UniversalCone(F, False, nodes, len(free), Mat._canonical(F, incl.T), legs, free)
 
 
 def _colim_diagram(diag: _Diagram) -> UniversalCone:

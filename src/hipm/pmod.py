@@ -246,20 +246,10 @@ class ModuleMorphism:
         comps = [self.components[i] @ other.components[i] for i in range(len(self.components))]
         return ModuleMorphism(other.source, self.target, comps)
 
-    def __add__(self, other: "ModuleMorphism") -> "ModuleMorphism":
-        comps = [a + b for a, b in zip(self.components, other.components)]
-        return ModuleMorphism(self.source, self.target, comps)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleMorphism):
             return NotImplemented
         return all(a == b for a, b in zip(self.components, other.components))
-
-    def __hash__(self):
-        raise TypeError("unhashable")
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
 
     def is_iso(self) -> bool:
         return all(c.rows == c.cols and rref(c).rank == c.rows for c in self.components)

@@ -200,8 +200,8 @@ def morphism_from_coeffs(basis, coeffs):
     F = basis[0].source.field
     out = ModuleMorphism.zero(basis[0].source, basis[0].target)
     for b, x in zip(basis, coeffs):
-        out = out + ModuleMorphism(b.source, b.target,
-                                   [Mat(F, c.a * F.coerce(x)) for c in b.components])
+        out = ModuleMorphism(b.source, b.target, [Mat(F, o.a + c.a * F.coerce(x))
+                                                  for o, c in zip(out.components, b.components)])
     return out
 
 

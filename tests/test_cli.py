@@ -114,7 +114,7 @@ def test_grid_shorthand_and_diag():
     p = load_poset({"grid": [3, 2]})
     assert len(p) == 6 and p.coords is not None
     rho = load_height({"diag": True}, p)
-    assert rho.value("v_0_0", "v_2_1") == 1
+    assert rho.value_idx(p.idx("v_0_0"), p.idx("v_2_1")) == 1
 
 
 def test_rho_table_document(chain_files):
@@ -122,7 +122,7 @@ def test_rho_table_document(chain_files):
     doc = {"rho": [["a", "b", "1"], ["b", "c", "2"], ["c", "d", "2"],
                    ["a", "c", "3"], ["b", "d", "4"], ["a", "d", "5"]]}
     rho = load_height(doc, p)
-    assert rho.value("a", "d") == 5
+    assert rho.value_idx(p.idx("a"), p.idx("d")) == 5
 
 
 def test_decimal_strings_parse_exactly(chain_files):
@@ -130,15 +130,15 @@ def test_decimal_strings_parse_exactly(chain_files):
 
     p = load_poset(json.loads(chain_files["poset"].read_text()))
     rho = load_height({"phi": {"a": "0", "b": "0.5", "c": "1.25", "d": "2"}}, p)
-    assert rho.value("a", "b") == Fraction(1, 2)
-    assert rho.value("b", "c") == Fraction(3, 4)  # never a float
+    assert rho.value_idx(p.idx("a"), p.idx("b")) == Fraction(1, 2)
+    assert rho.value_idx(p.idx("b"), p.idx("c")) == Fraction(3, 4)  # never a float
     doc = {"rho": [["a", "b", "0.5"], ["b", "c", "1"], ["c", "d", "inf"],
                    ["a", "c", "1.5"], ["b", "d", "inf"], ["a", "d", "inf"]]}
     rho2 = load_height(doc, p)
-    assert rho2.value("a", "b") == Fraction(1, 2)
+    assert rho2.value_idx(p.idx("a"), p.idx("b")) == Fraction(1, 2)
     from hipm.height import INF
 
-    assert rho2.value("a", "d") is INF
+    assert rho2.value_idx(p.idx("a"), p.idx("d")) is INF
 
 
 def test_cli_distance(capsys, chain_files):
@@ -318,6 +318,23 @@ def test_cli_oracle_grid(capsys, tmp_path):
                               "--module", str(m), "--module2", str(z)])
     assert code == 0
     assert rep["agree"] and rep["distance"] == "1"
+
+
+def test_cli_oracle_grid_exits_1_when_both_decide_and_disagree(capsys, tmp_path, monkeypatch):
+    from fractions import Fraction
+
+    import hipm.cli
+
+    poset = tmp_path / "grid.json"
+    poset.write_text(json.dumps({"grid": [2]}))
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"field": "gf2", "dims": {"v_0": 1, "v_1": 1},
+                             "maps": {"v_0|v_1": [[1]]}}))
+    monkeypatch.setattr(hipm.cli, "shift_oracle_distance", lambda m, n, budget: Fraction(100))
+    code, rep = _run(capsys, ["oracle-grid", "--poset", str(poset),
+                              "--module", str(m), "--module2", str(m)])
+    assert code == 1
+    assert rep == {"distance": "0", "oracle_distance": "100", "agree": False}
 
 
 def test_certificate_round_trip(capsys, chain_files):

@@ -45,7 +45,7 @@ def test_en_construct_erosion_member(unit_chain, rng):
     kerr = ker_r(rho, 1, m)
     sq = en_construct(rho, 1, m, imr, submodule_intersection(imr, kerr))
     er = erosion_E(rho, 1, m)
-    assert is_isomorphic(sq.quotient, er.module).verdict == "yes"
+    assert is_isomorphic(sq.quotient, er.sub.module).verdict == "yes"
 
 
 def test_en_construct_containment_violation(unit_chain):

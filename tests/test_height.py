@@ -84,7 +84,7 @@ def test_from_phi_grid_value():
     g = FinitePoset.grid([4, 3])
     phi = HeightFunction(g, {e: Fraction(sum(g.coords[g.idx(e)])) for e in g.elements})
     rho = from_phi(phi)
-    assert rho.value("v_0_0", "v_3_2") == 5
+    assert rho.value_idx(g.idx("v_0_0"), g.idx("v_3_2")) == 5
 
 
 def test_from_phi_constant_and_violation(chain4):
@@ -98,14 +98,15 @@ def test_from_phi_constant_and_violation(chain4):
 
 
 def test_chain_heights_value(chain4_rho):
-    assert chain4_rho.value("b", "c") == 2  # C = 2 family
+    P = chain4_rho.poset
+    assert chain4_rho.value_idx(P.idx("b"), P.idx("c")) == 2  # C = 2 family
 
 
 def test_rho_diag_values():
     g = FinitePoset.grid([4, 3])
     rho = rho_diag(g)
-    assert rho.value("v_0_0", "v_3_2") == 2
-    assert rho.value("v_1_1", "v_1_1") == 0
+    assert rho.value_idx(g.idx("v_0_0"), g.idx("v_3_2")) == 2
+    assert rho.value_idx(g.idx("v_1_1"), g.idx("v_1_1")) == 0
     g1 = FinitePoset.grid([5])
     r1 = rho_diag(g1)
     phi = HeightFunction(g1, {e: Fraction(g1.coords[g1.idx(e)][0]) for e in g1.elements})
@@ -117,7 +118,7 @@ def test_rho_strict_neighborhoods():
     rho = rho_strict(p)
     assert {p.elements[x] for x in nbhd_down_idx(rho, p.idx("b"), 1)} == {"a"}
     assert {p.elements[x] for x in nbhd_down_idx(rho, p.idx("a"), 1)} == frozenset()
-    assert validate_rho(p, {(x, y): rho.value(x, y)
+    assert validate_rho(p, {(x, y): rho.value_idx(p.idx(x), p.idx(y))
                             for x in p.elements for y in p.elements
                             if p.leq[p.idx(x), p.idx(y)]}).ok
 
@@ -278,7 +279,7 @@ def test_pullback_rho(chain4, chain4_rho):
     sub = FinitePoset.from_covers(["a", "c"], [("a", "c")])
     incl = OrderMap(sub, chain4, {"a": "a", "c": "c"})
     pulled = pullback_rho(incl, chain4_rho)
-    assert pulled.value("a", "c") == 3
+    assert pulled.value_idx(sub.idx("a"), sub.idx("c")) == 3
     const = OrderMap(chain4, chain4, {e: "a" for e in chain4.elements})
     assert all(v == 0 for v in pullback_rho(const, chain4_rho).values.values())
 

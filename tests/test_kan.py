@@ -106,7 +106,7 @@ def test_check_universal_accepts_and_rejects(chain4, rng):
     col = colim_over(m, [0, 1])
     if col.dim > 0:
         truncated = UniversalCone(
-            col.fieldspec, True, col.nodes, col.offsets, col.total, col.dim + 1,
+            col.fieldspec, True, col.nodes, col.dim + 1,
             Mat(GF2, __import__("numpy").vstack([col.proj.a, col.proj.a[:1] * 0])),
             {x: Mat(GF2, __import__("numpy").vstack([col.legs[x].a, col.legs[x].a[:1] * 0]))
              for x in col.nodes},
@@ -114,8 +114,8 @@ def test_check_universal_accepts_and_rejects(chain4, rng):
         )
         assert not check_universal(m, [0, 1], truncated)
         zero_cand = UniversalCone(
-            col.fieldspec, True, col.nodes, col.offsets, col.total, 0,
-            Mat.zeros(GF2, 0, col.total),
+            col.fieldspec, True, col.nodes, 0,
+            Mat.zeros(GF2, 0, sum(m.dims[x] for x in col.nodes)),
             {x: Mat.zeros(GF2, 0, m.dims[x]) for x in col.nodes},
             (),
         )
@@ -253,7 +253,7 @@ def test_factor_into_lim_agrees_with_solve(case, cone, cols):
         blocks = {x: lim.legs[x] @ g for x in lim.nodes}
     else:
         blocks = {x: _random_matrix(rng, m.field, m.dims[x], cols) for x in lim.nodes}
-    old = solve(lim.incl, vstack(m.field, [blocks[x] for x in lim.nodes], cols=cols))
+    old = solve(lim.proj.T, vstack(m.field, [blocks[x] for x in lim.nodes], cols=cols))
     if old is None:
         assert not cone
         with pytest.raises(ValueError, match="not a cone"):
@@ -288,8 +288,7 @@ def test_factor_rejects_a_non_cocone_and_a_non_cone(field):
 
 
 def _same_result(a, b) -> bool:
-    return (a.latching == b.latching and a.nodes == b.nodes and a.offsets == b.offsets
-            and a.total == b.total and a.dim == b.dim and a.free == b.free
+    return (a.latching == b.latching and a.nodes == b.nodes and a.dim == b.dim and a.free == b.free
             and a.legs.keys() == b.legs.keys() and all(a.legs[x] == b.legs[x] for x in a.legs)
             and a.proj == b.proj)
 
@@ -370,7 +369,7 @@ def reference_lim(diag, covers):
 def assert_lim_matches_reference(m, subset):
     lim = lim_over(m, subset)
     incl, legs, free = reference_lim(_module_diagram(m, subset), m.poset.subposet_covers(subset))
-    assert lim.incl == incl and lim.free == free and lim.dim == len(free) == incl.cols
+    assert lim.proj.T == incl and lim.free == free and lim.dim == len(free) == incl.cols
     assert lim.legs.keys() == legs.keys() and all(lim.legs[x] == legs[x] for x in legs)
 
 

@@ -29,8 +29,8 @@ test `batch_consistent` that the search runs on.  Every other module calls
 certificate.
 
 Every field of a dataclass in `src/hipm` is read as an attribute somewhere in
-`src/hipm`, `tests` or `perfbench`: a field nothing reads is computed and
-carried for no one.
+`src/hipm` or `perfbench`: a field that nothing reads, or that only tests
+read, is computed and carried for no command.
 
 `src/hipm` holds only what a command runs.  Every function and method is
 read by code reachable from the modules' top level or from `cli.main`, or is
@@ -55,8 +55,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "hipm").rglob("*.py"))
-READERS = sorted(p for d in ("src/hipm", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
-                 if "_work" not in p.parts)
 FILES = sorted(
     p for p in [*SOURCES, *(ROOT / "tests").rglob("*.py")] if p.name != "__init__.py"
 )
@@ -282,6 +280,13 @@ def _dataclass_fields(tree: ast.Module):
                 yield node.lineno, cls.name, node.target.id
 
 
+def readers(root: Path) -> list:
+    """The files whose attribute reads count as reads of a field: the package
+    and the benchmark under `root`, never its tests."""
+    return sorted(p for d in ("src/hipm", "perfbench") for p in (root / d).rglob("*.py")
+                  if "_work" not in p.parts)
+
+
 def unread_fields(sources, readers) -> list:
     """(file, line, "Class.field") of every dataclass field in `sources` that no
     file in `readers` reads as an attribute (`x.field` in a load context).
@@ -303,8 +308,19 @@ def test_scanner_sees_unread_fields(tmp_path):
     assert unread_fields([src], [src]) == [("mod.py", 6, "A.y"), ("mod.py", 11, "B.w")]
 
 
+def test_scanner_does_not_count_a_read_in_the_tests(tmp_path):
+    for d in ("src/hipm", "tests", "perfbench"):
+        (tmp_path / d).mkdir(parents=True)
+    src = tmp_path / "src" / "hipm" / "mod.py"
+    src.write_text("from dataclasses import dataclass\n\n@dataclass\nclass A:\n    x: int\n"
+                   "    y: int\n    z: int\n\n\ndef f(a):\n    return a.x\n")
+    (tmp_path / "tests" / "test_mod.py").write_text("def test_y(a):\n    assert a.y == 1\n")
+    (tmp_path / "perfbench" / "run.py").write_text("def g(a):\n    return a.z\n")
+    assert unread_fields([src], readers(tmp_path)) == [("mod.py", 6, "A.y")]
+
+
 def test_no_unread_dataclass_fields():
-    assert unread_fields(SOURCES, READERS) == []
+    assert unread_fields(SOURCES, readers(ROOT)) == []
 
 
 BILINEAR_INTERNALS = ("_bilinear_search", "solve_candidate", "compressed_family",

@@ -78,7 +78,7 @@ def perturbed(rng: random.Random, m: PersistenceModule) -> PersistenceModule:
     bump = Mat.zeros(m.field, m.dims[cover[1]], m.dims[cover[0]])
     bump.a[rng.randrange(bump.rows), rng.randrange(bump.cols)] = m.field.one()
     maps = dict(m.maps)
-    maps[cover] = maps[cover] + bump
+    maps[cover] = Mat(m.field, maps[cover].a + bump.a)
     return PersistenceModule(m.poset, m.field, m.dims, maps)
 
 

@@ -109,6 +109,16 @@ def test_pullback_module_examples(chain4):
     assert all(m == Mat.eye(GF2, 2) for m in cm.maps.values())
 
 
+def test_matrices_and_morphisms_do_not_hash(chain4):
+    """Both compare by value and are mutable, so neither hashes; `Mat.entries()`
+    and `PersistenceModule.key()` are the hashable content keys."""
+    m = interval_module(chain4, ["b", "c"], GF2)
+    with pytest.raises(TypeError):
+        hash(Mat.eye(GF2, 1))
+    with pytest.raises(TypeError):
+        hash(ModuleMorphism.zero(m, m))
+
+
 def test_hom_endomorphisms_of_interval(chain4):
     kj = interval_module(chain4, ["b", "c"], GF2)
     assert len(hom_basis(kj, kj)) == 1

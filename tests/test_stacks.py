@@ -9,6 +9,7 @@ own factorization through the colimit; they share no stacked code.
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -128,8 +129,11 @@ def test_stacked_factor_raises_exactly_when_a_family_is_not_a_cocone(case, data)
     F = m.field
     # r = 0 gives whole down-sets, whose colimits have the most relations
     app = apply_L(rho, data.draw(st.sampled_from((0, r))), m)
-    related = [a for a in range(len(m.poset)) if app.data[a].dim < app.data[a].total]
+    related = [a for a in range(len(m.poset))
+               if app.data[a].dim < sum(m.dims[x] for x in app.data[a].nodes)]
     col = app.data[data.draw(st.sampled_from(related or range(len(m.poset))))]
+    sizes = [m.dims[x] for x in col.nodes]
+    total, offsets = sum(sizes), dict(zip(col.nodes, accumulate([0, *sizes])))
     h = data.draw(st.integers(0, 3))
     rows = data.draw(st.integers(0, 2))
     values = st.integers(0, F.p - 1) if F.is_prime_field else st.integers(-2, 2).map(Fraction)
@@ -138,18 +142,18 @@ def test_stacked_factor_raises_exactly_when_a_family_is_not_a_cocone(case, data)
     for _ in range(h):
         f = np.array([[data.draw(values) for _ in range(col.dim)] for _ in range(rows)],
                      dtype=np.int64 if F.is_prime_field else object).reshape(rows, col.dim)
-        fam = (Mat._canonical(F, f) @ col.proj) if col.dim else Mat.zeros(F, rows, col.total)
+        fam = (Mat._canonical(F, f) @ col.proj) if col.dim else Mat.zeros(F, rows, total)
         if data.draw(st.booleans()):
-            noise = [[data.draw(values) for _ in range(col.total)] for _ in range(rows)]
-            fam = fam + Mat.from_rows(F, noise, cols=col.total)
+            noise = [[data.draw(values) for _ in range(total)] for _ in range(rows)]
+            fam = Mat(F, fam.a + Mat.from_rows(F, noise, cols=total).a)
         families.append(fam)
-    blocks = [{x: fam.take_cols(range(col.offsets[x], col.offsets[x] + m.dims[x]))
+    blocks = [{x: fam.take_cols(range(offsets[x], offsets[x] + m.dims[x]))
                for x in col.nodes} for fam in families]
     try:
         want = [reference_factor(col, b, rows) for b in blocks]
     except ValueError:
         want = None
-    stacked = np.stack([fam.a for fam in families]) if families else zeros(F, (0, rows, col.total))
+    stacked = np.stack([fam.a for fam in families]) if families else zeros(F, (0, rows, total))
     if want is None:
         with pytest.raises(ValueError, match="not a cocone"):
             factor_stack_from_colim(col, stacked)
@@ -197,8 +201,8 @@ def test_morphism_stack_sequence():
         coeffs = [F.coerce(rng.randint(-2, 2)) for _ in range(h)]
         want = ModuleMorphism.zero(m, m)
         for f, c in zip(basis, coeffs):
-            want = want + ModuleMorphism(f.source, f.target,
-                                         [Mat(F, x.a * F.coerce(c)) for x in f.components])
+            want = ModuleMorphism(m, m, [Mat(F, w.a + x.a * F.coerce(c))
+                                         for w, x in zip(want.components, f.components)])
         assert basis.combine(coeffs) == want
         zero = MorphismStack(m, m, 0, [np.zeros((0, d, d), dtype=s.dtype)
                                        for d, s in zip(m.dims, basis.stacks)])

@@ -65,5 +65,5 @@ def test_e_r_vanishes_agrees_with_the_transpose_and_leg_routes(case):
         assert nbhd_bottoms(rho, k) == brute_bottoms(rho, k)
         assert nbhd_pairs(rho, k) == brute_pairs(rho, k)
         vanishes = e_r_vanishes(rho, r, m)
-        assert vanishes == e_r(rho, r, m).is_zero()
+        assert vanishes == all(c.is_zero() for c in e_r(rho, r, m).components)
         assert vanishes == (not any(block.any() for block in e_r_legs(rho, r, m)))
