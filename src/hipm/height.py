@@ -331,23 +331,25 @@ def nbhds(rho: HeightDiff, direction: str, k: int) -> Tuple[Tuple[int, ...], ...
     return rho.cached((direction, k), build)
 
 
+def _extremes(rho: HeightDiff, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The masks of the neighborhoods' extremes at level k, made once per level
+    on rho: tops[x, a] when x is maximal in a's lower neighborhood, and
+    bottoms[a, y] when y is minimal in a's upper neighborhood."""
+    def build():
+        P = rho.poset
+        inside = levels(rho) >= k  # [x, a]: x in a's lower neighborhood, a in x's upper
+        strict = P.leq & ~np.eye(len(P), dtype=bool)
+        return inside & ~(strict @ inside), inside & ~(inside @ strict)  # nothing above / below
+
+    return rho.cached(("extremes", k), build)
+
+
 def nbhd_tops(rho: HeightDiff, k: int) -> Tuple[Tuple[int, ...], ...]:
     """The maximal elements of every lower neighborhood at level k, memoized
     like `nbhds`: the x in a's neighborhood with no element of it strictly
     above x.  Every element of a neighborhood lies below one of them, so the
     colimit legs from these elements are jointly epimorphic."""
-    def build():
-        return _rows(_tops_mask(rho, k).T)
-
-    return rho.cached(("tops", k), build)
-
-
-def _tops_mask(rho: HeightDiff, k: int) -> np.ndarray:
-    """[x, a]: x is maximal in a's lower neighborhood at level k."""
-    P = rho.poset
-    inside = levels(rho) >= k  # [x, a]: x in a's lower neighborhood
-    above = (P.leq & ~np.eye(len(P), dtype=bool)) @ inside  # [x, a]: some y > x in it
-    return inside & ~above
+    return rho.cached(("tops", k), lambda: _rows(_extremes(rho, k)[0].T))
 
 
 def nbhd_bottoms(rho: HeightDiff, k: int) -> Tuple[Tuple[int, ...], ...]:
@@ -355,15 +357,7 @@ def nbhd_bottoms(rho: HeightDiff, k: int) -> Tuple[Tuple[int, ...], ...]:
     like `nbhds`: the y in a's neighborhood with no element of it strictly
     below y.  Every element of a neighborhood lies above one of them, so the
     limit legs to these elements are jointly monomorphic."""
-    return rho.cached(("bottoms", k), lambda: _rows(_bottoms_mask(rho, k)))
-
-
-def _bottoms_mask(rho: HeightDiff, k: int) -> np.ndarray:
-    """[a, y]: y is minimal in a's upper neighborhood at level k."""
-    P = rho.poset
-    inside = levels(rho) >= k  # [a, y]: y in a's upper neighborhood
-    below = inside @ (P.leq & ~np.eye(len(P), dtype=bool))  # [a, y]: some z < y in it
-    return inside & ~below
+    return rho.cached(("bottoms", k), lambda: _rows(_extremes(rho, k)[1]))
 
 
 def nbhd_pairs(rho: HeightDiff, k: int) -> Tuple[Tuple[int, int], ...]:
@@ -374,7 +368,8 @@ def nbhd_pairs(rho: HeightDiff, k: int) -> Tuple[Tuple[int, int], ...]:
     One boolean product of the tops of the lower neighborhoods with the
     bottoms of the upper ones (`nbhd_tops`, `nbhd_bottoms`)."""
     def build():
-        return tuple(map(tuple, np.argwhere(_tops_mask(rho, k) @ _bottoms_mask(rho, k)).tolist()))
+        tops, bottoms = _extremes(rho, k)
+        return tuple(map(tuple, np.argwhere(tops @ bottoms).tolist()))
 
     return rho.cached(("pairs", k), build)
 

@@ -1,31 +1,31 @@
-"""Finite limits of module restrictions over subposets; colimits as transposed
-limits; the induced map between them.
+"""Finite limits and colimits of module restrictions over subposets, from one
+builder; the induced map between them.
 
-A limit is built from the subposet's minimal nodes: a cone is fixed by its
-values there, so only the consistency equations at the nodes above two or more
-minima are solved (none with one minimum, whose M(b) is the limit).  Its basis
-is the equalizer kernel's in the block direct sum over the subposet: one rref
-of the stacked legs with the coordinates reversed finds the same free
-coordinates (matroid duality, see `_lim_diagram`).  A colimit is the
-transposed limit of the transposed diagram: the order reversed, every map
-transposed.  Both are one `UniversalCone`, told apart by its `latching` flag,
-whose `proj` (a colimit's projection, a limit's inclusion transposed) is the
-identity on its free coordinates of the block sum.  So `factor`, the unique
-map out of a colimit or into a limit with given leg composites, reads those
-coordinates off the stacked family (`exactlin.factor_at`), and `induced` is
-`factor` on the legs of a bigger (co)limit; no system is solved.  `colim_over`
-/ `lim_over` build each (co)limit once per module object and node set.
+`_cone` builds a limit from the subposet's minimal nodes: a cone is fixed by
+its values there, so only the consistency equations at the nodes above two or
+more minima are solved (none with one minimum, whose M(b) is the limit).  Its
+basis is the equalizer kernel's in the block direct sum over the subposet: one
+rref of the stacked legs with the coordinates reversed finds the same free
+coordinates (matroid duality, see `_cone`).  A colimit is the transposed limit
+of the transposed diagram, read as the limit is built: the order reversed and
+every map a transposed view of the module's own.  Both are one
+`UniversalCone`, told apart by its `latching` flag, whose `proj` (a colimit's
+projection, a limit's inclusion transposed) is the identity on its free
+coordinates of the block sum.  So `factor`, the unique map out of a colimit or
+into a limit with given leg composites, reads those coordinates off the
+stacked family (`exactlin.factor_at`), and `induced` is `factor` on the legs of
+a bigger (co)limit; no system is solved.  `colim_over` / `lim_over` build each
+(co)limit once per module object and node set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .exactlin import (
-    FieldSpec,
     Mat,
     factor_at,
     hstack,
@@ -50,42 +50,12 @@ __all__ = [
 
 
 @dataclass
-class _Diagram:
-    """A finite diagram of vector spaces indexed by a subposet: nodes in ambient
-    index order, the order among them (`leq[i, j]` iff nodes[i] <= nodes[j]),
-    and the matrix mat(x, y) along every comparable pair x <= y."""
-
-    fieldspec: FieldSpec
-    nodes: Tuple[int, ...]
-    dims: Dict[int, int]
-    leq: np.ndarray
-    mat: Callable[[int, int], Mat]
-
-
-def _order(poset, nodes: Tuple[int, ...]) -> np.ndarray:
-    ix = np.array(nodes, dtype=np.intp)
-    return poset.leq[np.ix_(ix, ix)]
-
-
-def _module_diagram(m: PersistenceModule, subset: Sequence[int]) -> _Diagram:
-    nodes = tuple(sorted(subset))
-    return _Diagram(
-        fieldspec=m.field,
-        nodes=nodes,
-        dims={x: m.dims[x] for x in nodes},
-        leq=_order(m.poset, nodes),
-        mat=m.map_for_idx,
-    )
-
-
-@dataclass
 class UniversalCone:
-    """colim (`latching`) or lim of a diagram: its dimension, `proj` from the
-    block sum, and one leg per node, M(x) -> object for a colimit and
+    """colim (`latching`) or lim of a module restriction: its dimension, `proj`
+    from the block sum, and one leg per node, M(x) -> object for a colimit and
     object -> M(x) for a limit.  A colimit's `proj` is its projection; a
-    limit's is its inclusion transposed."""
+    limit's is its inclusion transposed.  `proj.field` is the field."""
 
-    fieldspec: FieldSpec
     latching: bool
     nodes: Tuple[int, ...]
     dim: int
@@ -94,16 +64,9 @@ class UniversalCone:
     free: Tuple[int, ...]  # proj[:, free] is the identity
 
 
-def _offsets(diag: _Diagram) -> Tuple[Dict[int, int], int]:
-    offs, pos = {}, 0
-    for x in diag.nodes:
-        offs[x] = pos
-        pos += diag.dims[x]
-    return offs, pos
-
-
-def _lim_diagram(diag: _Diagram) -> UniversalCone:
-    """The cones over the diagram, in the equalizer's canonical basis.
+def _cone(m: PersistenceModule, nodes: Tuple[int, ...], latching: bool) -> UniversalCone:
+    """The limit of M over the sorted `nodes`, or with `latching` its colimit:
+    the transposed limit of the transposed diagram.
 
     A cone is fixed by its values at the minimal nodes, v_y = M(b <= y) v_b for
     any minimum b <= y.  So the cones are the solutions of M(b <= y) v_b =
@@ -115,19 +78,28 @@ def _lim_diagram(diag: _Diagram) -> UniversalCone:
     non-pivot columns of the leftmost-pivot rref of the cover equations.  So
     incl[free, :] is the identity, coordinate for coordinate the equalizer's
     kernel basis (`exactlin._null_space`).  The legs are row slices of the
-    C-contiguous inclusion, and `proj` is its transposed view."""
-    F, nodes, dims, mat = diag.fieldspec, diag.nodes, diag.dims, diag.mat
-    offs, total = _offsets(diag)
+    C-contiguous inclusion (transposed for a colimit), and `proj` is its
+    transposed view."""
+    F, dims = m.field, m.dims
+    ix = np.array(nodes, dtype=np.intp)
+    leq = m.poset.leq[np.ix_(ix, ix)]
+    if latching:  # the transposed diagram: the order reversed, each map a transposed view
+        leq, mat = leq.T, lambda x, y: m.map_for_idx(y, x).a.T
+    else:
+        mat = lambda x, y: m.map_for_idx(x, y).a
+    offs, total = {}, 0
+    for x in nodes:
+        offs[x], total = total, total + dims[x]
     if total == 0:  # every space is zero: the zero cone, with no equation and no rref
         incl = zeros(F, (0, 0))
-        return UniversalCone(F, False, nodes, 0, Mat._canonical(F, incl.T),
+        return UniversalCone(latching, nodes, 0, Mat._canonical(F, incl.T),
                              {x: Mat._canonical(F, incl) for x in nodes}, ())
-    minima = [j for j, under in enumerate(diag.leq.sum(axis=0).tolist()) if under == 1]  # itself only
+    minima = [j for j, under in enumerate(leq.sum(axis=0).tolist()) if under == 1]  # itself only
     if len(minima) == 1:  # no equations: the legs are M(b <= y)
         b = nodes[minima[0]]
-        stacked = [mat(b, y).a for y in nodes]
+        stacked = [mat(b, y) for y in nodes]
     else:
-        order = diag.leq.tolist()
+        order = leq.tolist()
         below = [[nodes[i] for i in minima if order[i][j]] for j in range(len(nodes))]
         moffs, mtot = {}, 0
         for i in minima:
@@ -136,28 +108,18 @@ def _lim_diagram(diag: _Diagram) -> UniversalCone:
         for y, bs in zip(nodes, below):
             for b, c in zip(bs, bs[1:]):
                 eq = zeros(F, (dims[y], mtot))
-                eq[:, moffs[b]: moffs[b] + dims[b]] = mat(b, y).a
-                eq[:, moffs[c]: moffs[c] + dims[c]] = -mat(c, y).a
+                eq[:, moffs[b]: moffs[b] + dims[b]] = mat(b, y)
+                eq[:, moffs[c]: moffs[c] + dims[c]] = -mat(c, y)
                 rows.append(eq % F.p if F.is_prime_field else eq)
         cones = kernel_basis(Mat._canonical(F, np.concatenate(rows) if rows else zeros(F, (0, mtot)))).a
-        stacked = [stacked_matmul(F, mat(bs[0], y).a, cones[moffs[bs[0]]: moffs[bs[0]] + dims[bs[0]]])
+        stacked = [stacked_matmul(F, mat(bs[0], y), cones[moffs[bs[0]]: moffs[bs[0]] + dims[bs[0]]])
                    for y, bs in zip(nodes, below)]
-    basis = np.concatenate(stacked) if stacked else zeros(F, (0, 0))  # total x dim
-    res = rref(Mat._canonical(F, basis.T[:, ::-1]))
+    res = rref(Mat._canonical(F, np.concatenate(stacked).T[:, ::-1]))  # stacked is total x dim
     incl = np.ascontiguousarray(res.matrix.a[::-1, ::-1].T)
     free = tuple(total - 1 - j for j in reversed(res.pivots))
-    legs = {x: Mat._canonical(F, incl[offs[x]: offs[x] + dims[x]]) for x in nodes}  # read-only views
-    return UniversalCone(F, False, nodes, len(free), Mat._canonical(F, incl.T), legs, free)
-
-
-def _colim_diagram(diag: _Diagram) -> UniversalCone:
-    """The transposed limit of the transposed diagram (the order reversed, every
-    map transposed): the same proj, legs transposed."""
-    F, mat = diag.fieldspec, diag.mat
-    lim = _lim_diagram(_Diagram(F, diag.nodes, diag.dims, diag.leq.T,
-                                lambda y, x: Mat._canonical(F, mat(x, y).a.T)))
-    legs = {x: Mat._canonical(F, leg.a.T) for x, leg in lim.legs.items()}  # read-only views
-    return replace(lim, latching=True, legs=legs)
+    blocks = (incl[offs[x]: offs[x] + dims[x]] for x in nodes)
+    legs = {x: Mat._canonical(F, a.T if latching else a) for x, a in zip(nodes, blocks)}  # read-only views
+    return UniversalCone(latching, nodes, len(free), Mat._canonical(F, incl.T), legs, free)
 
 
 def colim_over(m: PersistenceModule, subset: Sequence[int]) -> UniversalCone:
@@ -168,20 +130,20 @@ def colim_over(m: PersistenceModule, subset: Sequence[int]) -> UniversalCone:
     by every later call; treat it as read-only.
     """
     nodes = tuple(sorted(subset))
-    return m.cached(("colim", nodes), lambda: _colim_diagram(_module_diagram(m, nodes)))
+    return m.cached(("colim", nodes), lambda: _cone(m, nodes, True))
 
 
 def lim_over(m: PersistenceModule, subset: Sequence[int]) -> UniversalCone:
     """lim of M restricted to the full subposet on `subset`; shared like colim_over."""
     nodes = tuple(sorted(subset))
-    return m.cached(("lim", nodes), lambda: _lim_diagram(_module_diagram(m, nodes)))
+    return m.cached(("lim", nodes), lambda: _cone(m, nodes, False))
 
 
 def factor_from_colim(col: UniversalCone, blocks: Dict[int, Mat], target_rows: int) -> Mat:
     """The unique map out of the colimit whose composites with the legs are
     `blocks`: the stacked family at the free coordinates.  Raises ValueError
     unless `blocks` is a cocone."""
-    F = col.fieldspec
+    F = col.proj.field
     stacked = hstack(F, [blocks[x] for x in col.nodes], rows=target_rows)
     return Mat._canonical(F, factor_stack_from_colim(col, stacked.a))
 
@@ -190,7 +152,7 @@ def factor_stack_from_colim(col: UniversalCone, stacked: np.ndarray) -> np.ndarr
     """factor_from_colim for an (h, rows, total) stack of families, each one's
     blocks side by side in node order: the (h, rows, dim) factors, checked by
     one batched matmul (ValueError if a family is not a cocone)."""
-    f = factor_at(col.proj.a, col.free, stacked, col.fieldspec)
+    f = factor_at(col.proj.a, col.free, stacked, col.proj.field)
     if f is None:
         raise ValueError("family is not a cocone: no factorization through the colimit")
     return f
@@ -199,7 +161,7 @@ def factor_stack_from_colim(col: UniversalCone, stacked: np.ndarray) -> np.ndarr
 def factor_into_lim(lim: UniversalCone, blocks: Dict[int, Mat], source_cols: int) -> Mat:
     """The unique map into the limit whose composites with the legs are
     `blocks`: factor_from_colim transposed, the stacked family at the free rows."""
-    F = lim.fieldspec
+    F = lim.proj.field
     stacked = vstack(F, [blocks[x] for x in lim.nodes], cols=source_cols)
     f = factor_at(lim.proj.a, lim.free, stacked.a.T, F)
     if f is None:

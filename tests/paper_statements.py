@@ -2,16 +2,16 @@
 
 Each function builds one side of an identity the paper proves, from the
 engine's functors and (co)limit legs, so that a test can compare it with what
-the engine builds directly: the universal property of a (co)limit, the Fubini
-comparison of an iterated colimit with the colimit over the union, the
-neighborhoods of the strict height difference, iterated neighborhoods and
-diagonal domination on grids, the transpose flat of L_r -| R_r and
-functoriality of L_r and R_r on morphisms, the unit and counit (the triangle
-identities), the mates of eta_L and mu_L (which must equal eta_R and mu_R), the
-erosion-neighborhood conditions and the canonical neighborhood of an
-interleaving, the interleaving between a module and each of its erosion
-neighborhoods, the composition of erosion neighborhoods through preimages, and
-their mediation.  `src/hipm` keeps only what a command runs.
+the engine builds directly: the colimit of any diagram as a relation quotient,
+the universal property of a (co)limit, the Fubini comparison of an iterated
+colimit with the colimit over the union, the neighborhoods of the strict
+height difference, iterated neighborhoods and diagonal domination on grids,
+the transpose flat of L_r -| R_r and functoriality of L_r and R_r on
+morphisms, the unit and counit (the triangle identities), the mates of eta_L
+and mu_L (which must equal eta_R and mu_R), the erosion-neighborhood
+conditions and the canonical neighborhood of an interleaving, the
+interleaving between a module and each of its erosion neighborhoods, the
+composition of erosion neighborhoods through preimages, and their mediation.  `src/hipm` keeps only what a command runs.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from hipm.functors import (_functor, apply_L, apply_R, erosion_subquotient, eta_
                            eta_R_from_id, im_r, ker_r, mu_L, sharp)
 from hipm.height import INF, HeightDiff, nbhd_down_idx, nbhd_iterated_idx, nbhd_up_idx
 from hipm.interleave import Certificate, check_certificate
-from hipm.kan import (_colim_diagram, _Diagram, _module_diagram, _offsets, _order, colim_over,
-                      factor, factor_from_colim, factor_into_lim, induced)
+from hipm.kan import (UniversalCone, colim_over, factor, factor_from_colim, factor_into_lim,
+                      induced)
 from hipm.pmod import (ModuleMorphism, PersistenceModule, Submodule, SubmoduleError, Subquotient,
                        quotient_by_submodule, submodule_from_bases, submodule_intersection,
                        submodule_sum)
@@ -42,6 +42,37 @@ from hipm.poset import Connectivity, FinitePoset, PosetError, _is_connected_idx
 UNIVERSAL_SIZE_CAP = 6
 
 
+def _relations(F, nodes, dims, covers, mat) -> Tuple[Mat, Dict[int, int]]:
+    """The relations of a colimit in the block sum of the spaces at `nodes`:
+    one column per cover (x, y) and basis vector k of the space at x,
+    mat(x, y) e_k - e_k; and each node's block offset."""
+    offs, total = {}, 0
+    for x in nodes:
+        offs[x], total = total, total + dims[x]
+    cols = []
+    for (x, y) in covers:
+        mxy = mat(x, y)
+        for k in range(dims[x]):
+            col = Mat.zeros(F, total, 1)
+            for r in range(mxy.rows):
+                col.a[offs[y] + r, 0] = mxy.a[r, k]
+            col.a[offs[x] + k, 0] -= F.one()
+            if F.is_prime_field:
+                col.a %= F.p
+            cols.append(col)
+    return hstack(F, cols, rows=total), offs
+
+
+def relation_colimit(F, nodes, dims, covers, mat) -> UniversalCone:
+    """The colimit of any diagram, built directly as a quotient: the block sum
+    over the sorted `nodes` (spaces of dimension `dims[x]`, a map mat(x, y)
+    along each cover) modulo the span of its relation columns."""
+    rel, offs = _relations(F, nodes, dims, covers, mat)
+    proj, free = quotient_map(F, rel.rows, rel)
+    legs = {x: proj.take_cols(range(offs[x], offs[x] + dims[x])) for x in nodes}
+    return UniversalCone(True, tuple(nodes), len(free), proj, legs, free)
+
+
 def check_universal(m: PersistenceModule, subset: Sequence[int], candidate) -> bool:
     """Brute-force universal-property oracle for a claimed (co)limit.
 
@@ -53,28 +84,16 @@ def check_universal(m: PersistenceModule, subset: Sequence[int], candidate) -> b
     subset = sorted(subset)
     if len(subset) > UNIVERSAL_SIZE_CAP:
         raise ValueError(f"universal-property oracle capped at {UNIVERSAL_SIZE_CAP} elements")
-    diag, covers = _module_diagram(m, subset), m.poset.subposet_covers(subset)
-    F = diag.fieldspec
-    offs, total = _offsets(diag)
+    F, covers, mat = m.field, m.poset.subposet_covers(subset), m.map_for_idx
+    rel, offs = _relations(F, subset, m.dims, covers, mat)
+    total = rel.rows
     if candidate.latching:
         for (x, y) in covers:
-            if candidate.legs[y] @ diag.mat(x, y) != candidate.legs[x]:
+            if candidate.legs[y] @ mat(x, y) != candidate.legs[x]:
                 return False
-        stacked = hstack(F, [candidate.legs[x] for x in diag.nodes], rows=candidate.dim)
+        stacked = hstack(F, [candidate.legs[x] for x in subset], rows=candidate.dim)
         if rref(stacked).rank != candidate.dim:
             return False  # factorizations would not be unique
-        rel_cols = []
-        for (x, y) in covers:
-            mxy = diag.mat(x, y)
-            for k in range(diag.dims[x]):
-                col = Mat.zeros(F, total, 1)
-                for r in range(mxy.rows):
-                    col.a[offs[y] + r, 0] = mxy.a[r, k]
-                col.a[offs[x] + k, 0] -= F.one()
-                if F.is_prime_field:
-                    col.a %= F.p
-                rel_cols.append(col)
-        rel = hstack(F, rel_cols, rows=total)
         test_cocones = kernel_basis(rel.T)  # functionals vanishing on the relations
         for j in range(test_cocones.cols):
             delta = test_cocones.take_cols([j])
@@ -82,14 +101,14 @@ def check_universal(m: PersistenceModule, subset: Sequence[int], candidate) -> b
                 return False
         return True
     for (x, y) in covers:
-        if diag.mat(x, y) @ candidate.legs[x] != candidate.legs[y]:
+        if mat(x, y) @ candidate.legs[x] != candidate.legs[y]:
             return False
-    stacked = vstack(F, [candidate.legs[x] for x in diag.nodes], cols=candidate.dim)
+    stacked = vstack(F, [candidate.legs[x] for x in subset], cols=candidate.dim)
     if rref(stacked).rank != candidate.dim:
         return False
     rows = []
     for (x, y) in covers:
-        mxy = diag.mat(x, y)
+        mxy = mat(x, y)
         block = Mat.zeros(F, mxy.rows, total)
         block.a[:, offs[x] : offs[x] + mxy.cols] = mxy.a
         for r in range(mxy.rows):
@@ -140,14 +159,8 @@ def fubini_compare(m: PersistenceModule, index_subset: Sequence[int],
                     raise ValueError(f"family value at {P.elements[x]!r} is not a downset of the union")
     col_union = colim_over(m, union)
     inner = {x: colim_over(m, F[x]) for x in I}
-    outer_diag = _Diagram(
-        fieldspec=m.field,
-        nodes=I,
-        dims={x: inner[x].dim for x in I},
-        leq=_order(P, I),
-        mat=lambda x, y: induced(inner[x], inner[y]),
-    )
-    outer = _colim_diagram(outer_diag)
+    outer = relation_colimit(m.field, I, {x: inner[x].dim for x in I}, P.subposet_covers(I),
+                             lambda x, y: induced(inner[x], inner[y]))
     to_union = {x: induced(inner[x], col_union) for x in I}
     comparison = factor_from_colim(outer, to_union, col_union.dim)
     iso = outer.dim == col_union.dim and rref(comparison).rank == col_union.dim

@@ -32,7 +32,7 @@ from hipm.functors import (
 )
 from hipm.height import (HeightDiff, HeightFunction, from_phi, level, nbhd_down_idx, nbhd_up_idx,
                          rho_diag)
-from hipm.kan import _colim_diagram, _lim_diagram, _module_diagram, factor, induced
+from hipm.kan import _cone, factor, induced
 from hipm.pmod import (
     ModuleMorphism,
     PersistenceModule,
@@ -488,12 +488,12 @@ def test_strata_with_equal_neighborhoods_share_maps(name, direction):
     equal a fresh factorization."""
     rho, m, r, s = _strata_sharing_a_cover(name)
     assert level(rho, r) != level(rho, s)
-    nbhd, build = (nbhd_down_idx, _colim_diagram) if direction == "L" else (nbhd_up_idx, _lim_diagram)
+    nbhd = nbhd_down_idx if direction == "L" else nbhd_up_idx
     apply, eta = (apply_L, eta_L_to_id) if direction == "L" else (apply_R, eta_R_from_id)
     a, b = next((a, b) for a, b in m.poset.covers
                 if all(nbhd(rho, x, r) == nbhd(rho, x, s) for x in (a, b))
                 and (name == "grid" or nbhd(rho, a, r) and nbhd(rho, b, r)))
-    fresh = {x: build(_module_diagram(m, nbhd(rho, x, r))) for x in (a, b)}
+    fresh = {x: _cone(m, nbhd(rho, x, r), direction == "L") for x in (a, b)}
     at_r, at_s = apply(rho, r, m).module.maps[(a, b)], apply(rho, s, m).module.maps[(a, b)]
     assert at_s is at_r
     assert at_r == (induced(fresh[a], fresh[b]) if direction == "L" else induced(fresh[b], fresh[a]))

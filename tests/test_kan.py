@@ -2,18 +2,16 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hipm.exactlin import GF2, QQ, FieldSpec, Mat, hstack, kernel_basis, quotient_map, rref, solve, vstack
+from hipm.exactlin import GF2, QQ, FieldSpec, Mat, hstack, kernel_basis, rref, solve, vstack
 from hipm.fixtures import chain_example, grid_example
 from hipm.height import nbhd_down_idx
 from hipm.kan import (
     UniversalCone,
-    _colim_diagram,
-    _lim_diagram,
-    _module_diagram,
-    _offsets,
+    _cone,
     colim_over,
     factor_from_colim,
     factor_into_lim,
@@ -23,7 +21,7 @@ from hipm.kan import (
 from hipm.pmod import PersistenceModule, interval_module, zero_module
 from hipm.poset import Connectivity, FinitePoset
 from hipm.randgen import random_module, random_poset
-from paper_statements import check_universal, fubini_compare
+from paper_statements import check_universal, fubini_compare, relation_colimit
 
 GF3 = FieldSpec("gfp", 3)
 
@@ -106,15 +104,15 @@ def test_check_universal_accepts_and_rejects(chain4, rng):
     col = colim_over(m, [0, 1])
     if col.dim > 0:
         truncated = UniversalCone(
-            col.fieldspec, True, col.nodes, col.dim + 1,
-            Mat(GF2, __import__("numpy").vstack([col.proj.a, col.proj.a[:1] * 0])),
-            {x: Mat(GF2, __import__("numpy").vstack([col.legs[x].a, col.legs[x].a[:1] * 0]))
+            True, col.nodes, col.dim + 1,
+            Mat(GF2, np.vstack([col.proj.a, col.proj.a[:1] * 0])),
+            {x: Mat(GF2, np.vstack([col.legs[x].a, col.legs[x].a[:1] * 0]))
              for x in col.nodes},
             col.free,
         )
         assert not check_universal(m, [0, 1], truncated)
         zero_cand = UniversalCone(
-            col.fieldspec, True, col.nodes, 0,
+            True, col.nodes, 0,
             Mat.zeros(GF2, 0, sum(m.dims[x] for x in col.nodes)),
             {x: Mat.zeros(GF2, 0, m.dims[x]) for x in col.nodes},
             (),
@@ -297,33 +295,10 @@ def _same_result(a, b) -> bool:
 @settings(max_examples=100, deadline=None)
 def test_memoized_limits_equal_a_fresh_build(case):
     m, subset, _ = case
-    for over, build in ((colim_over, _colim_diagram), (lim_over, _lim_diagram)):
+    for over, latching in ((colim_over, True), (lim_over, False)):
         first = over(m, subset)
         assert over(m, list(reversed(subset))) is first  # one build per node set
-        assert _same_result(first, build(_module_diagram(m, subset)))
-
-
-def reference_colim(diag, covers):
-    """A colimit built directly as a quotient: one relation column per cover
-    (x, y) of the subposet and basis vector k of M(x), M(x<=y) e_k - e_k, and
-    the projection onto the block sum modulo their span."""
-    F = diag.fieldspec
-    offs, total = _offsets(diag)
-    cols = []
-    for (x, y) in covers:
-        mxy = diag.mat(x, y)
-        for k in range(diag.dims[x]):
-            col = Mat.zeros(F, total, 1)
-            for r in range(mxy.rows):
-                col.a[offs[y] + r, 0] = mxy.a[r, k]
-            col.a[offs[x] + k, 0] -= F.one()
-            if F.is_prime_field:
-                col.a %= F.p
-            cols.append(col)
-    rel = hstack(F, cols, rows=total)
-    proj, free = quotient_map(F, total, rel)
-    legs = {x: proj.take_cols(range(offs[x], offs[x] + diag.dims[x])) for x in diag.nodes}
-    return proj, legs, free
+        assert _same_result(first, _cone(m, tuple(sorted(subset)), latching))
 
 
 @given(restrictions())
@@ -337,21 +312,23 @@ def test_colimit_as_transposed_limit_equals_the_relation_quotient(case):
 
 def assert_colim_matches_reference(m, subset):
     col = colim_over(m, subset)
-    proj, legs, free = reference_colim(_module_diagram(m, subset), m.poset.subposet_covers(subset))
-    assert col.proj == proj and col.free == free and col.dim == len(free) == proj.rows
-    assert col.legs.keys() == legs.keys() and all(col.legs[x] == legs[x] for x in legs)
+    ref = relation_colimit(m.field, col.nodes, m.dims, m.poset.subposet_covers(subset), m.map_for_idx)
+    assert col.dim == len(col.free) == col.proj.rows
+    assert _same_result(col, ref)
 
 
-def reference_lim(diag, covers):
+def reference_lim(m, subset, covers):
     """A limit built directly as the equalizer: one block of equations
     M(x<=y) v_x - v_y = 0 per cover (x, y) of the subposet, and the canonical
     kernel basis of the stacked equations, the identity at their non-pivot
     columns."""
-    F = diag.fieldspec
-    offs, total = _offsets(diag)
+    F, nodes = m.field, sorted(subset)
+    offs, total = {}, 0
+    for x in nodes:
+        offs[x], total = total, total + m.dims[x]
     rows = []
     for (x, y) in covers:
-        mxy = diag.mat(x, y)
+        mxy = m.map_for_idx(x, y)
         block = Mat.zeros(F, mxy.rows, total)
         block.a[:, offs[x] : offs[x] + mxy.cols] = mxy.a
         for r in range(mxy.rows):
@@ -362,13 +339,13 @@ def reference_lim(diag, covers):
     eq = vstack(F, rows, cols=total)
     incl, pivots = kernel_basis(eq), rref(eq).pivots
     free = tuple(j for j in range(total) if j not in pivots)
-    legs = {x: incl.take_rows(range(offs[x], offs[x] + diag.dims[x])) for x in diag.nodes}
+    legs = {x: incl.take_rows(range(offs[x], offs[x] + m.dims[x])) for x in nodes}
     return incl, legs, free
 
 
 def assert_lim_matches_reference(m, subset):
     lim = lim_over(m, subset)
-    incl, legs, free = reference_lim(_module_diagram(m, subset), m.poset.subposet_covers(subset))
+    incl, legs, free = reference_lim(m, subset, m.poset.subposet_covers(subset))
     assert lim.proj.T == incl and lim.free == free and lim.dim == len(free) == incl.cols
     assert lim.legs.keys() == legs.keys() and all(lim.legs[x] == legs[x] for x in legs)
 
@@ -399,3 +376,14 @@ def test_limits_and_colimits_on_shaped_node_sets(field, names):
               interval_module(W, "bdef", field), zero_module(W, field)):
         assert_lim_matches_reference(m, subset)
         assert_colim_matches_reference(m, subset)
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=["GF2", "QQ"])
+@pytest.mark.parametrize("names", ["abcdefg", "bdef"])
+def test_cone_legs_are_views_of_proj(field, names):
+    """Every leg of a limit and of a colimit, at a nonzero space, is a view
+    into the cone's `proj`, not a copy: several minima (maxima) and one."""
+    m, subset = interval_module(W, W.elements, field), [W.idx(e) for e in names]
+    for cone in (colim_over(m, subset), lim_over(m, subset)):
+        assert cone.dim > 0
+        assert all(np.shares_memory(cone.legs[x].a, cone.proj.a) for x in cone.nodes)

@@ -66,7 +66,7 @@ def reference_hom_basis(m, n):
 def reference_factor(col, blocks, rows):
     """The factor out of a colimit, one family at a time: the stacked family at
     the free coordinates, checked by one Mat product."""
-    stacked = hstack(col.fieldspec, [blocks[x] for x in col.nodes], rows=rows)
+    stacked = hstack(col.proj.field, [blocks[x] for x in col.nodes], rows=rows)
     f = stacked.take_cols(col.free)
     if f @ col.proj != stacked:
         raise ValueError("family is not a cocone: no factorization through the colimit")
