@@ -308,10 +308,8 @@ def _cmd_nat(args, cfg: RunConfig) -> int:
         raise SchemaError(f"unknown transformation {name!r}", "--name")
     _emit(cfg, {
         "name": name,
-        "source_dims": {poset.elements[i] if name != "xi" else str(i): d
-                        for i, d in enumerate(mor.source.dims)},
-        "target_dims": {poset.elements[i] if name != "xi" else str(i): d
-                        for i, d in enumerate(mor.target.dims)},
+        "source_dims": dict(zip(mor.source.poset.elements, mor.source.dims)),
+        "target_dims": dict(zip(mor.target.poset.elements, mor.target.dims)),
         "morphism": morphism_to_json(mor),
         "is_iso_pointwise": mor.is_iso(),
     })

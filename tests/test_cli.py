@@ -515,6 +515,21 @@ def test_cli_xi_needs_poset2_and_map(capsys, chain_files):
     assert code == 1 and "--poset2" in err
 
 
+def test_cli_xi_keys_its_dims_by_the_elements_of_poset2(capsys, chain_files, tmp_path):
+    """xi pulls back along f: P2 -> P, so its source and target live on P2 and
+    its dimensions are keyed by P2's elements, as its components are."""
+    poset2, fmap = tmp_path / "sub.json", tmp_path / "incl.json"
+    poset2.write_text(json.dumps({"elements": ["y", "x"], "covers": [["y", "x"]]}))
+    fmap.write_text(json.dumps({"map": {"y": "b", "x": "d"}}))
+    code, out = _run(capsys, [
+        "nat", "--poset", str(chain_files["poset"]), "--height", str(chain_files["phi"]),
+        "--module", str(chain_files["M"]), "--name", "xi", "--r", "1",
+        "--poset2", str(poset2), "--map", str(fmap)])
+    assert code == 0
+    assert list(out["source_dims"]) == list(out["target_dims"]) == ["x", "y"]  # sorted keys
+    assert set(out["morphism"]["components"]) <= set(out["source_dims"])
+
+
 @pytest.mark.parametrize("name, direction, needle", [
     ("theta", "L", "intermediate-value"),  # IV_c fails on the grid at c = 0
     ("sigma", "L", "iterated-colimit comparison not invertible"),
