@@ -78,6 +78,7 @@ from .serde import (
     module_to_json,
     morphism_to_json,
     numeral,
+    pair_to_json,
     parse_field,
     strata_report_to_json,
 )
@@ -252,16 +253,16 @@ def _cmd_functor(args, cfg: RunConfig) -> int:
     elif kind == "E":
         res = erosion_E(rho, r, m)
         out = {"module": module_to_json(res.sub.module),
-               "projection": morphism_to_json(res.proj),
-               "inclusion": morphism_to_json(res.sub.incl)}
+               "projection": morphism_to_json(res.proj.source, res.proj.components),
+               "inclusion": morphism_to_json(res.sub.incl.source, res.sub.incl.components)}
     elif kind == "Im":
         sub = im_r(rho, r, m)
         out = {"module": module_to_json(sub.module),
-               "inclusion": morphism_to_json(sub.incl)}
+               "inclusion": morphism_to_json(sub.incl.source, sub.incl.components)}
     elif kind == "Ker":
         sub = ker_r(rho, r, m)
         out = {"module": module_to_json(sub.module),
-               "inclusion": morphism_to_json(sub.incl)}
+               "inclusion": morphism_to_json(sub.incl.source, sub.incl.components)}
     else:
         raise SchemaError(f"unknown functor kind {kind!r}", "--kind")
     _emit(cfg, out)
@@ -310,7 +311,7 @@ def _cmd_nat(args, cfg: RunConfig) -> int:
         "name": name,
         "source_dims": dict(zip(mor.source.poset.elements, mor.source.dims)),
         "target_dims": dict(zip(mor.target.poset.elements, mor.target.dims)),
-        "morphism": morphism_to_json(mor),
+        "morphism": morphism_to_json(mor.source, mor.components),
         "is_iso_pointwise": mor.is_iso(),
     })
     return EXIT_OK
@@ -323,7 +324,7 @@ def _cmd_interleave(args, cfg: RunConfig) -> int:
     out: Dict[str, Any] = {"r": args.r, "verdict": res.verdict,
                            "candidates_tried": res.candidates_tried}
     if res.verdict == "yes":
-        out["certificate"] = {"p": morphism_to_json(res.p), "q": morphism_to_json(res.q)}
+        out["certificate"] = pair_to_json(res)
     _emit(cfg, out)
     return EXIT_OK if res.verdict != "unknown" else EXIT_UNDECIDED
 

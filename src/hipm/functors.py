@@ -20,7 +20,8 @@ import numpy as np
 from .exactlin import Mat, factor_at, hstack, kernel_basis, rref, solve, stacked_matmul, vstack, zeros
 from .height import (HeightDiff, check_ivc, level, nbhd_bottoms, nbhd_iterated_idx, nbhd_pairs,
                      nbhd_tops, nbhds, pullback_rho)
-from .kan import UniversalCone, colim_over, factor, factor_stack_from_colim, induced, lim_over
+from .kan import (UniversalCone, colim_over, factor, factor_stack_from_colim, induced, lim_dim,
+                  lim_over)
 from .pmod import (
     ModuleMorphism,
     MorphismStack,
@@ -40,6 +41,7 @@ __all__ = [
     "FunctorApplication",
     "apply_L",
     "apply_R",
+    "R_dims",
     "apply_T",
     "eta_L",
     "eta_R",
@@ -173,6 +175,13 @@ def apply_R(rho: HeightDiff, r, m: PersistenceModule) -> FunctorApplication:
     r-neighborhoods."""
     k = level(rho, r)
     return _apply("R", (k,), rho, m, lambda: nbhds(rho, "up", k))
+
+
+def R_dims(rho: HeightDiff, r, m: PersistenceModule) -> tuple:
+    """The dimension vector of R_r M, with no limit built (`kan.lim_dim` over
+    each upper r-neighborhood); memoized on m under the scale's level."""
+    k = level(rho, r)
+    return m.cached(("R_dims", rho, k), lambda: tuple(lim_dim(m, s) for s in nbhds(rho, "up", k)))
 
 
 def apply_T(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> FunctorApplication:

@@ -29,8 +29,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .exactlin import DEFAULT_BUDGET, zeros
 from .height import INF, ExtVal, HeightDiff, Stratum, format_ext, rho_diag, strata
-from .functors import (apply_R, e_r, e_r_legs, e_r_rank_obstruction, e_r_vanishes, sharp,
-                       sharp_legs)
+from .functors import (R_dims, apply_R, e_r, e_r_legs, e_r_rank_obstruction, e_r_vanishes,
+                       sharp, sharp_legs)
 from .pmod import (ModuleMorphism, MorphismStack, PersistenceModule, SearchResult, hom_basis,
                    is_isomorphic, search_pair)
 from .poset import PosetError
@@ -52,12 +52,20 @@ __all__ = [
 
 @dataclass
 class Certificate:
-    """An interleaving witness at scale r: p: M -> R_r N and q: N -> R_r M with
-    both transpose identities holding exactly."""
+    """An interleaving witness at scale r: the "yes" `search` there, whose
+    p: M -> R_r N and q: N -> R_r M satisfy both transpose identities exactly.
+    Each of p and q is built on its first read."""
 
     r: Fraction
-    p: ModuleMorphism
-    q: ModuleMorphism
+    search: SearchResult
+
+    @property
+    def p(self) -> ModuleMorphism:
+        return self.search.p
+
+    @property
+    def q(self) -> ModuleMorphism:
+        return self.search.q
 
 
 def check_certificate(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
@@ -118,12 +126,15 @@ def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     result: "yes", the zero pair and `candidates_tried` 1 (a budget of 0 still
     gets "unknown").  The zero pair lands in R_r, so each map of it is built,
     with its R_r value, only when it is first read; so is each map of any
-    other "yes".
+    other "yes".  Writing the zero pair takes only the dimensions of R_r n
+    and R_r m, one rank per upper neighborhood (`SearchResult.zero_pair`,
+    `functors.R_dims`), so a writer builds no R_r value at all.
     """
     r = Fraction(r)
     if budget >= 1 and e_r_vanishes(rho, r, m, n):
         return SearchResult("yes", 1, lambda: ModuleMorphism.zero(m, apply_R(rho, r, n).module),
-                            lambda: ModuleMorphism.zero(n, apply_R(rho, r, m).module))
+                            lambda: ModuleMorphism.zero(n, apply_R(rho, r, m).module),
+                            lambda: ((m, R_dims(rho, r, n)), (n, R_dims(rho, r, m))))
     p_basis = hom_basis(m, apply_R(rho, r, n).module)
     q_basis = hom_basis(n, apply_R(rho, r, m).module)
     return search_pair(p_basis, q_basis, sharp_legs(rho, r, n, p_basis),
@@ -244,7 +255,9 @@ def distance(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
     basis or search built.  Over GF(p) an exhaustive search ends in the same
     "no"; over Q it is the only "no" there is.  Otherwise the exhaustive
     search at the representative decides.  The witness is the certificate of
-    the earliest yes, the only one built.
+    the earliest yes, the only one built, and its maps are built only when
+    read: a report writes a zero pair from `SearchResult.zero_pair`, so a
+    vanishing stratum builds no R_r value.
     """
     def evaluate(st: Stratum) -> Evaluation:
         if st.kind == "zero":
@@ -252,7 +265,7 @@ def distance(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
         if budget >= 1 and e_r_rank_obstruction(rho, st.rep, m, n) is not None:
             return "no", None, None
         res = find_interleaving(rho, st.rep, m, n, budget)
-        return res.verdict, None, lambda: Certificate(st.rep, res.p, res.q)
+        return res.verdict, None, lambda: Certificate(st.rep, res)
 
     return stratified_report(rho, evaluate)
 

@@ -15,13 +15,15 @@ coordinates of the block sum.  So `factor`, the unique map out of a colimit or
 into a limit with given leg composites, reads those coordinates off the
 stacked family (`exactlin.factor_at`), and `induced` is `factor` on the legs of
 a bigger (co)limit; no system is solved.  `colim_over` / `lim_over` build each
-(co)limit once per module object and node set.
+(co)limit once per module object and node set.  `lim_dim` gives a limit's
+dimension alone, with no cone: the minima's coordinates less the rank of the
+same equations (`_minima_equations`, which both assemble).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +43,7 @@ __all__ = [
     "UniversalCone",
     "colim_over",
     "lim_over",
+    "lim_dim",
     "factor",
     "induced",
     "factor_from_colim",
@@ -62,6 +65,35 @@ class UniversalCone:
     proj: Mat  # dim x (sum of the node dims), surjective
     legs: Dict[int, Mat]
     free: Tuple[int, ...]  # proj[:, free] is the identity
+
+
+def _minima(leq: np.ndarray) -> List[int]:
+    """The positions of the minimal nodes of a subposet, given its order matrix."""
+    return [j for j, under in enumerate(leq.sum(axis=0).tolist()) if under == 1]  # itself only
+
+
+def _minima_equations(m: PersistenceModule, nodes: Tuple[int, ...], leq: np.ndarray,
+                      minima: List[int], mat) -> Tuple[list, Dict[int, int], Mat]:
+    """The equations a cone's values at the `minima` solve: M(b <= y) v_b =
+    M(c <= y) v_c for consecutive minima b, c below each node y, with `mat`
+    giving M(x <= y) under the order `leq`.  Returns, per node, the minima
+    below it; each minimum's offset among the minima's coordinates; and the
+    stacked equations, a matrix over those coordinates (no rows when no node
+    lies above two minima)."""
+    F, dims = m.field, m.dims
+    order = leq.tolist()
+    below = [[nodes[i] for i in minima if order[i][j]] for j in range(len(nodes))]
+    moffs, mtot = {}, 0
+    for i in minima:
+        moffs[nodes[i]], mtot = mtot, mtot + dims[nodes[i]]
+    rows = []
+    for y, bs in zip(nodes, below):
+        for b, c in zip(bs, bs[1:]):
+            eq = zeros(F, (dims[y], mtot))
+            eq[:, moffs[b]: moffs[b] + dims[b]] = mat(b, y)
+            eq[:, moffs[c]: moffs[c] + dims[c]] = -mat(c, y)
+            rows.append(eq % F.p if F.is_prime_field else eq)
+    return below, moffs, Mat._canonical(F, np.concatenate(rows) if rows else zeros(F, (0, mtot)))
 
 
 def _cone(m: PersistenceModule, nodes: Tuple[int, ...], latching: bool) -> UniversalCone:
@@ -94,24 +126,13 @@ def _cone(m: PersistenceModule, nodes: Tuple[int, ...], latching: bool) -> Unive
         incl = zeros(F, (0, 0))
         return UniversalCone(latching, nodes, 0, Mat._canonical(F, incl.T),
                              {x: Mat._canonical(F, incl) for x in nodes}, ())
-    minima = [j for j, under in enumerate(leq.sum(axis=0).tolist()) if under == 1]  # itself only
+    minima = _minima(leq)
     if len(minima) == 1:  # no equations: the legs are M(b <= y)
         b = nodes[minima[0]]
         stacked = [mat(b, y) for y in nodes]
     else:
-        order = leq.tolist()
-        below = [[nodes[i] for i in minima if order[i][j]] for j in range(len(nodes))]
-        moffs, mtot = {}, 0
-        for i in minima:
-            moffs[nodes[i]], mtot = mtot, mtot + dims[nodes[i]]
-        rows = []
-        for y, bs in zip(nodes, below):
-            for b, c in zip(bs, bs[1:]):
-                eq = zeros(F, (dims[y], mtot))
-                eq[:, moffs[b]: moffs[b] + dims[b]] = mat(b, y)
-                eq[:, moffs[c]: moffs[c] + dims[c]] = -mat(c, y)
-                rows.append(eq % F.p if F.is_prime_field else eq)
-        cones = kernel_basis(Mat._canonical(F, np.concatenate(rows) if rows else zeros(F, (0, mtot)))).a
+        below, moffs, eqs = _minima_equations(m, nodes, leq, minima, mat)
+        cones = kernel_basis(eqs).a
         stacked = [stacked_matmul(F, mat(bs[0], y), cones[moffs[bs[0]]: moffs[bs[0]] + dims[bs[0]]])
                    for y, bs in zip(nodes, below)]
     res = rref(Mat._canonical(F, np.concatenate(stacked).T[:, ::-1]))  # stacked is total x dim
@@ -137,6 +158,26 @@ def lim_over(m: PersistenceModule, subset: Sequence[int]) -> UniversalCone:
     """lim of M restricted to the full subposet on `subset`; shared like colim_over."""
     nodes = tuple(sorted(subset))
     return m.cached(("lim", nodes), lambda: _cone(m, nodes, False))
+
+
+def lim_dim(m: PersistenceModule, subset: Sequence[int]) -> int:
+    """dim lim of M restricted to the full subposet on `subset`, with no cone
+    built: 0 when every space is zero, dim M(b) with one minimum b, and
+    otherwise the dimension of the minima's coordinates less the rank of the
+    equations `_cone` solves on them.  A memoized limit gives its `dim`."""
+    nodes = tuple(sorted(subset))
+    done = m.memo.get(("lim", nodes))
+    if done is not None:
+        return done.dim
+    if not any(m.dims[x] for x in nodes):
+        return 0
+    ix = np.array(nodes, dtype=np.intp)
+    leq = m.poset.leq[np.ix_(ix, ix)]
+    minima = _minima(leq)
+    if len(minima) == 1:
+        return m.dims[nodes[minima[0]]]
+    eqs = _minima_equations(m, nodes, leq, minima, lambda x, y: m.map_for_idx(x, y).a)[2]
+    return eqs.cols - rref(eqs).rank
 
 
 def factor_from_colim(col: UniversalCone, blocks: Dict[int, Mat], target_rows: int) -> Mat:

@@ -330,13 +330,17 @@ class SearchResult:
     """A bilinear search's verdict ("yes" | "no" | "unknown"), the candidates it
     tried, and for a "yes" the witness pair p, q.  Each of p and q is built by
     its builder on its first read, so a witness nobody reads is never built;
-    both are None unless the verdict is "yes"."""
+    both are None unless the verdict is "yes".  When the witness is the zero
+    pair, `zero_pair` returns each map's source and its target's dimension
+    vector, which is all it takes to write the pair; it is None otherwise."""
 
     def __init__(self, verdict: str, candidates_tried: int = 0,
                  build_p: Optional[Callable[[], ModuleMorphism]] = None,
-                 build_q: Optional[Callable[[], ModuleMorphism]] = None):
+                 build_q: Optional[Callable[[], ModuleMorphism]] = None,
+                 zero_pair: Optional[Callable[[], tuple]] = None):
         self.verdict, self.candidates_tried = verdict, candidates_tried
         self._build_p, self._build_q = build_p, build_q
+        self.zero_pair = zero_pair
 
     @cached_property
     def p(self) -> Optional[ModuleMorphism]:

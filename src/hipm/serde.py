@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .exactlin import _MAX_INNER, GF2, QQ, FieldSpec, Mat
 from .height import (
@@ -23,7 +23,7 @@ from .height import (
     validate_rho,
 )
 from .interleave import StrataReport
-from .pmod import ModuleMorphism, PersistenceModule, Subquotient
+from .pmod import ModuleMorphism, PersistenceModule, SearchResult, Subquotient
 from .poset import FinitePoset, OrderMap
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "module_to_json",
     "load_morphism",
     "morphism_to_json",
+    "pair_to_json",
     "strata_report_to_json",
     "en_report_to_json",
     "load_order_map",
@@ -296,15 +297,25 @@ def load_morphism(doc: Dict[str, Any], source: PersistenceModule,
     return mor
 
 
-def morphism_to_json(f: ModuleMorphism) -> Dict[str, Any]:
-    P = f.source.poset
+def morphism_to_json(source: PersistenceModule, components: Sequence[Mat]) -> Dict[str, Any]:
+    """A morphism out of `source` with the given components, keyed by element."""
     return {
         "components": {
-            e: f.components[i].tolists()
-            for i, e in enumerate(P.elements)
-            if f.components[i].rows and f.components[i].cols
+            e: c.tolists() for e, c in zip(source.poset.elements, components) if c.rows and c.cols
         }
     }
+
+
+def pair_to_json(res: SearchResult) -> Dict[str, Any]:
+    """The witness pair p, q of a "yes".  A zero pair is written from its
+    sources and its targets' dimensions (`SearchResult.zero_pair`), as zero
+    matrices of the same shapes, so its R_r targets are never built."""
+    if res.zero_pair is None:
+        maps = [(f.source, f.components) for f in (res.p, res.q)]
+    else:
+        maps = [(s, [Mat.zeros(s.field, dt, ds) for ds, dt in zip(s.dims, dims)])
+                for s, dims in res.zero_pair()]
+    return {name: morphism_to_json(*f) for name, f in zip("pq", maps)}
 
 
 def _stratum_interval(st) -> List[str]:
@@ -339,11 +350,7 @@ def strata_report_to_json(rep: StrataReport) -> Dict[str, Any]:
     out["attained"] = rep.attained
     if rep.witness is not None:
         cert = rep.witness
-        out["certificate"] = {
-            "r": format_ext(cert.r),
-            "p": morphism_to_json(cert.p),
-            "q": morphism_to_json(cert.q),
-        }
+        out["certificate"] = {"r": format_ext(cert.r), **pair_to_json(cert.search)}
     return out
 
 

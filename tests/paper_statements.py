@@ -29,8 +29,8 @@ from hipm.height import INF, HeightDiff, nbhd_down_idx, nbhd_iterated_idx, nbhd_
 from hipm.interleave import Certificate, check_certificate
 from hipm.kan import (UniversalCone, colim_over, factor, factor_from_colim, factor_into_lim,
                       induced)
-from hipm.pmod import (ModuleMorphism, PersistenceModule, Submodule, SubmoduleError, Subquotient,
-                       quotient_by_submodule, submodule_from_bases, submodule_intersection,
+from hipm.pmod import (ModuleMorphism, PersistenceModule, SearchResult, Submodule, SubmoduleError,
+                       Subquotient, quotient_by_submodule, submodule_from_bases, submodule_intersection,
                        submodule_sum)
 from hipm.poset import Connectivity, FinitePoset, PosetError, _is_connected_idx
 
@@ -401,7 +401,7 @@ def en_interleaving_certificate(rho: HeightDiff, r, m: PersistenceModule,
     alpha = ModuleMorphism(etaL.source, sq.quotient, alpha_comps)
     beta = ModuleMorphism(sq.quotient, etaR.target, beta_comps)
     p = flat(rho, r, m, alpha)
-    return Certificate(r, p, beta)
+    return Certificate(r, SearchResult("yes", build_p=lambda: p, build_q=lambda: beta))
 
 
 def en_mediate(rho: HeightDiff, s, r,

@@ -5,11 +5,12 @@ whole operation: the composites `validate_module` forms, the content keys
 `distance` builds, the critical-value bisections under `distance`, the
 isomorphism tests and quotients of `d_en`'s enumeration stage, the search
 that a stratum where e_r vanishes on both modules never starts, the R_r
-value such a stratum never builds unless its witness is reported, the Hom
+value such a stratum never builds, not even to write its certificate, the Hom
 bases a stratum ruled out by the rank obstruction never builds, the
 isomorphism and its inverse that `is_isomorphic` builds only when read, and
 the one erosion subquotient per module that `d_en`'s erosion test builds and
-reports.
+reports.  Beside the guard on R_r, one test checks that the certificate such
+a stratum writes is still the zero pair into the built R_r values.
 """
 
 import bisect
@@ -20,18 +21,19 @@ from pathlib import Path
 
 import pytest
 
-from hipm import erosion, functors, interleave, pmod
+from hipm import cli, erosion, functors, interleave, pmod
 from hipm.erosion import _en_stratum_test, d_en
 from hipm.exactlin import FieldSpec, Mat
-from hipm.functors import e_r_rank_obstruction, e_r_vanishes
-from hipm.height import HeightFunction, from_phi, level, rho_diag, strata
+from hipm.functors import apply_R, e_r_rank_obstruction, e_r_vanishes
+from hipm.height import HeightFunction, format_ext, from_phi, level, rho_diag, strata
 from hipm.interleave import check_certificate, distance, find_interleaving
-from hipm.pmod import (MorphismStack, PersistenceModule, direct_sum, interval_module,
-                       is_isomorphic, validate_module)
+from hipm.pmod import (ModuleMorphism, MorphismStack, PersistenceModule, direct_sum,
+                       interval_module, is_isomorphic, validate_module)
 from hipm.poset import FinitePoset
 from hipm.randgen import (random_conjugate, random_forest_poset, random_module, random_phi,
                           random_poset)
-from hipm.serde import load_height, load_module, load_poset
+from hipm.serde import (load_height, load_module, load_poset, module_to_json, morphism_to_json,
+                        poset_to_json, strata_report_to_json)
 
 GF2, GF3, QQ = FieldSpec("gfp", 2), FieldSpec("gfp", 3), FieldSpec("rational")
 
@@ -216,10 +218,9 @@ def test_budget_zero_is_unknown_on_a_vanishing_stratum():
         assert (res.verdict, res.p, res.q, res.candidates_tried) == ("unknown", None, None, 0)
 
 
-def test_distance_builds_no_matching_value_at_an_unreported_vanishing_stratum(monkeypatch):
-    """Only the reported stratum's witness is built: an evaluated stratum where
-    e_r vanishes on both modules, and which is not the first yes, never builds
-    R_r, not even to type its zero certificate."""
+def recording_functor_builds(monkeypatch):
+    """Patch `functors._apply` to record the (kind, levels) of every functor
+    value it is asked for; returns the record."""
     original = functors._apply
     built = []
 
@@ -228,10 +229,18 @@ def test_distance_builds_no_matching_value_at_an_unreported_vanishing_stratum(mo
         return original(kind, levels, *args)
 
     monkeypatch.setattr(functors, "_apply", recording)
-    unreported = 0
+    return built
+
+
+def test_distance_builds_no_matching_value_at_a_vanishing_stratum(monkeypatch):
+    """No evaluated stratum where e_r vanishes on both modules builds R_r, not
+    even the reported one, whose zero certificate is written from dim R_r."""
+    built = recording_functor_builds(monkeypatch)
+    reported = unreported = 0
     for rho, m, n in [stress_pair()] + pairs():
         del built[:]
         rep = distance(rho, m, n, budget=4096)
+        json.dumps(strata_report_to_json(rep))
         evaluated = [i for i, sv in enumerate(rep.strata)
                      if sv.verdict in ("yes", "no") and sv.stratum.kind != "zero"]
         first_yes = next((i for i, sv in enumerate(rep.strata) if sv.verdict == "yes"), None)
@@ -239,9 +248,87 @@ def test_distance_builds_no_matching_value_at_an_unreported_vanishing_stratum(mo
             r = rep.strata[i].stratum.rep
             if e_r_vanishes(rho, r, m, n):
                 made = ("R", (level(rho, r),)) in built
-                assert made == (i == first_yes), (i, first_yes)
+                assert not made, (i, first_yes)
+                reported += i == first_yes
                 unreported += i != first_yes
-    assert unreported  # the guard is not vacuous
+    assert reported and unreported  # the guard is not vacuous
+
+
+def write_inputs(tmp_path, rho, m, n) -> list:
+    """--poset, --height (rho as a table), --module and --module2 files for
+    `cli.main`."""
+    P = m.poset
+    docs = {"poset": poset_to_json(P), "height": {"rho": [
+                [P.elements[i], P.elements[j], format_ext(v)] for (i, j), v in rho.values.items()]},
+            "module": module_to_json(m), "module2": module_to_json(n)}
+    argv = []
+    for key, doc in docs.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{key}", str(path)]
+    return argv
+
+
+def test_the_interleave_command_builds_no_matching_value_at_a_vanishing_scale(
+        monkeypatch, tmp_path, capsys):
+    """`hipm interleave` at a scale where e_r vanishes on both modules writes
+    its zero certificate with no R_r value built."""
+    built = recording_functor_builds(monkeypatch)
+    cases = vanishing_strata()
+    for rho, m, n, st in cases:
+        files = write_inputs(tmp_path, rho, m, n)
+        del built[:]
+        assert cli.main(["interleave", *files, "--r", format_ext(st.rep)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["verdict"] == "yes" and "certificate" in rep
+        assert not any(kind == "R" for kind, _ in built), built
+    assert len(cases) >= 8  # the guard is not vacuous
+
+
+def rational_vanishing_strata():
+    """`vanishing_strata` over Q: a random module on a DAG, a forest and a 3x3
+    grid, each against a random module and against a twisted copy of itself."""
+    rng = random.Random(23)
+    out = []
+    for kind in ("dag", "forest", "grid"):
+        if kind == "grid":
+            P = FinitePoset.grid([3, 3])
+            rho = rho_diag(P)
+        else:
+            P = random_poset(rng, 7, 0.4) if kind == "dag" else random_forest_poset(rng, 7)
+            rho = from_phi(random_phi(rng, P))
+        m = random_module(rng, P, QQ, 2)
+        for n in (random_module(rng, P, QQ, 2), random_conjugate(rng, m)):
+            out += [(rho, m, n, st) for st in strata(rho)[1:] if e_r_vanishes(rho, st.rep, m, n)]
+    return out
+
+
+def test_a_vanishing_stratum_writes_the_zero_maps_into_the_matching_values(tmp_path, capsys):
+    """The certificate `interleave` writes at every vanishing stratum, and the
+    one `distance` writes when its first yes is such a stratum, is the zero
+    pair into the built R_r values, over GF(p) and over Q."""
+    def zero_pair(rho, r, m, n):
+        maps = (("p", ModuleMorphism.zero(m, apply_R(rho, r, n).module)),
+                ("q", ModuleMorphism.zero(n, apply_R(rho, r, m).module)))
+        return json.loads(json.dumps({name: morphism_to_json(f.source, f.components)
+                                      for name, f in maps}))
+
+    nonzero, reported, reports = set(), set(), {}
+    for rho, m, n, st in vanishing_strata() + rational_vanishing_strata():
+        files = write_inputs(tmp_path, rho, m, n)
+        assert cli.main(["interleave", *files, "--r", format_ext(st.rep)]) == 0
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert == zero_pair(rho, st.rep, m, n)
+        if cert["p"]["components"] and cert["q"]["components"]:
+            nonzero.add(m.field.is_prime_field)
+        if (rho, m, n) not in reports:
+            assert cli.main(["--budget", "4096", "distance", *files]) in (0, 2)  # 2: undecided
+            reports[rho, m, n] = json.loads(capsys.readouterr().out).get("certificate")
+        cert = reports[rho, m, n]
+        if cert is not None and cert["r"] == format_ext(st.rep):
+            assert cert == {"r": cert["r"], **zero_pair(rho, st.rep, m, n)}
+            reported.add(m.field.is_prime_field)
+    assert nonzero == reported == {True, False}  # both fields, and maps that are not empty
 
 
 def obstructed_pairs():

@@ -6,21 +6,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hipm import kan
 from hipm.exactlin import GF2, QQ, FieldSpec, Mat, hstack, kernel_basis, rref, solve, vstack
 from hipm.fixtures import chain_example, grid_example
-from hipm.height import nbhd_down_idx
+from hipm.functors import R_dims, apply_R
+from hipm.height import critical_values, from_phi, nbhd_down_idx, nbhds, rho_diag, strata
 from hipm.kan import (
     UniversalCone,
     _cone,
+    _minima,
     colim_over,
     factor_from_colim,
     factor_into_lim,
     induced,
+    lim_dim,
     lim_over,
 )
 from hipm.pmod import PersistenceModule, interval_module, zero_module
 from hipm.poset import Connectivity, FinitePoset
-from hipm.randgen import random_module, random_poset
+from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
 from paper_statements import check_universal, fubini_compare, relation_colimit
 
 GF3 = FieldSpec("gfp", 3)
@@ -387,3 +391,39 @@ def test_cone_legs_are_views_of_proj(field, names):
     for cone in (colim_over(m, subset), lim_over(m, subset)):
         assert cone.dim > 0
         assert all(np.shares_memory(cone.legs[x].a, cone.proj.a) for x in cone.nodes)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=["GF2", "GF3", "QQ"])
+@pytest.mark.parametrize("seed", range(3))
+def test_lim_dim_and_R_dims_equal_the_built_limits(monkeypatch, field, seed):
+    """`lim_dim` against a fresh limit build, then against the memoized one,
+    which it must read, not recompute; `R_dims` against apply_R's module.  Node
+    sets: W's shaped ones (empty, one minimum, minima with and without a node
+    above two of them) and every upper neighborhood of every level of a random
+    height on a DAG, a forest and a grid.  Modules: random, constant and
+    zero."""
+    rng = random.Random(seed)
+    heights = [from_phi(random_phi(rng, P)) for P in (W, random_poset(rng, 8, 0.4),
+                                                      random_forest_poset(rng, 8))]
+    heights.append(rho_diag(FinitePoset.grid([3, 3])))
+    several = 0
+    for rho in heights:
+        P = rho.poset
+        shaped = [tuple(W.idx(e) for e in names) for names in ("", "d", "abd", "abcdef", "acg")]
+        sets = {s for k in range(len(critical_values(rho)) + 1) for s in nbhds(rho, "up", k)}
+        sets |= set(shaped) if P is W else set()
+        for m in (random_module(rng, P, field, 3), interval_module(P, P.elements, field),
+                  zero_module(P, field)):
+            with monkeypatch.context() as mp:
+                for s in sorted(sets):
+                    assert lim_dim(m, s) == _cone(m, s, False).dim, s
+                    assert ("lim", s) not in m.memo  # lim_dim builds no cone
+                    lim_over(m, s)
+                    mp.setattr(kan, "_minima_equations", None)  # a memoized limit is read
+                    assert lim_dim(m, s) == lim_over(m, s).dim
+                    mp.undo()
+                    several += len(_minima(P.leq[np.ix_(s, s)])) > 1 if s else 0
+            fresh = random_module(rng, P, field, 3)
+            for st in strata(rho):
+                assert R_dims(rho, st.rep, fresh) == apply_R(rho, st.rep, fresh).module.dims
+    assert several  # some node sets have two or more minima

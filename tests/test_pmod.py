@@ -180,7 +180,7 @@ def test_morphism_naturality_enforced(chain4, chain4_rho):
                                Mat.zeros(GF2, 0, 1), Mat.zeros(GF2, 0, 1)])
     assert p.naturality_violations() == [("a", "b")]
     with pytest.raises(SchemaError, match=r"\$\.components: naturality fails on cover \('a', 'b'\)"):
-        load_morphism(morphism_to_json(p), m, rn)
+        load_morphism(morphism_to_json(p.source, p.components), m, rn)
     q = ModuleMorphism.zero(n, apply_R(chain4_rho, 0, m).module)
     assert not check_certificate(chain4_rho, 0, m, n, p, q)
 
