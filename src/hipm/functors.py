@@ -178,10 +178,9 @@ def apply_R(rho: HeightDiff, r, m: PersistenceModule) -> FunctorApplication:
 
 
 def R_dims(rho: HeightDiff, r, m: PersistenceModule) -> tuple:
-    """The dimension vector of R_r M, with no limit built (`kan.lim_dim` over
-    each upper r-neighborhood); memoized on m under the scale's level."""
-    k = level(rho, r)
-    return m.cached(("R_dims", rho, k), lambda: tuple(lim_dim(m, s) for s in nbhds(rho, "up", k)))
+    """The dimension vector of R_r M, with no limit built: `kan.lim_dim` over
+    each upper r-neighborhood."""
+    return tuple(lim_dim(m, s) for s in nbhds(rho, "up", level(rho, r)))
 
 
 def apply_T(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> FunctorApplication:

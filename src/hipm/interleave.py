@@ -59,14 +59,6 @@ class Certificate:
     r: Fraction
     search: SearchResult
 
-    @property
-    def p(self) -> ModuleMorphism:
-        return self.search.p
-
-    @property
-    def q(self) -> ModuleMorphism:
-        return self.search.q
-
 
 def check_certificate(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
                       p: ModuleMorphism, q: ModuleMorphism) -> bool:

@@ -164,11 +164,8 @@ def lim_dim(m: PersistenceModule, subset: Sequence[int]) -> int:
     """dim lim of M restricted to the full subposet on `subset`, with no cone
     built: 0 when every space is zero, dim M(b) with one minimum b, and
     otherwise the dimension of the minima's coordinates less the rank of the
-    equations `_cone` solves on them.  A memoized limit gives its `dim`."""
+    equations `_cone` solves on them."""
     nodes = tuple(sorted(subset))
-    done = m.memo.get(("lim", nodes))
-    if done is not None:
-        return done.dim
     if not any(m.dims[x] for x in nodes):
         return 0
     ix = np.array(nodes, dtype=np.intp)

@@ -26,11 +26,11 @@ from hipm.exactlin import (Mat, factor_at, hstack, kernel_basis, quotient_map, r
 from hipm.functors import (_functor, apply_L, apply_R, erosion_subquotient, eta_L, eta_L_to_id,
                            eta_R_from_id, im_r, ker_r, mu_L, sharp)
 from hipm.height import INF, HeightDiff, nbhd_down_idx, nbhd_iterated_idx, nbhd_up_idx
-from hipm.interleave import Certificate, check_certificate
+from hipm.interleave import check_certificate
 from hipm.kan import (UniversalCone, colim_over, factor, factor_from_colim, factor_into_lim,
                       induced)
-from hipm.pmod import (ModuleMorphism, PersistenceModule, SearchResult, Submodule, SubmoduleError,
-                       Subquotient, quotient_by_submodule, submodule_from_bases, submodule_intersection,
+from hipm.pmod import (ModuleMorphism, PersistenceModule, Submodule, SubmoduleError, Subquotient,
+                       quotient_by_submodule, submodule_from_bases, submodule_intersection,
                        submodule_sum)
 from hipm.poset import Connectivity, FinitePoset, PosetError, _is_connected_idx
 
@@ -381,8 +381,8 @@ def _push(sq: Subquotient, cols: Sequence[Mat], escape: str) -> List[Mat]:
 
 
 def en_interleaving_certificate(rho: HeightDiff, r, m: PersistenceModule,
-                                sq: Subquotient) -> Certificate:
-    """The explicit interleaving between m and one of its erosion neighborhoods:
+                                sq: Subquotient) -> Tuple[ModuleMorphism, ModuleMorphism]:
+    """The explicit interleaving p, q between m and one of its erosion neighborhoods:
     alpha: L_r m ->> im -> M1 -> Q transposed on one side, and the factorization
     of the matching unit through the quotient on the other."""
     r = Fraction(r)
@@ -401,7 +401,7 @@ def en_interleaving_certificate(rho: HeightDiff, r, m: PersistenceModule,
     alpha = ModuleMorphism(etaL.source, sq.quotient, alpha_comps)
     beta = ModuleMorphism(sq.quotient, etaR.target, beta_comps)
     p = flat(rho, r, m, alpha)
-    return Certificate(r, SearchResult("yes", build_p=lambda: p, build_q=lambda: beta))
+    return p, beta
 
 
 def en_mediate(rho: HeightDiff, s, r,

@@ -282,8 +282,8 @@ def test_criterion_10_erosion():
         m = random_module(rng, p, GF2, 2)
         enum = en_enumerate(rho, 1, m, budget=4000)
         for sq in enum.members_with(enum.vectors):
-            cert = en_interleaving_certificate(rho, 1, m, sq)
-            assert check_certificate(rho, 1, m, sq.quotient, cert.p, cert.q)
+            en_p, en_q = en_interleaving_certificate(rho, 1, m, sq)
+            assert check_certificate(rho, 1, m, sq.quotient, en_p, en_q)
             assert find_interleaving(rho, 1, m, sq.quotient).verdict == "yes"
     decided = 0
     trials = 0

@@ -85,5 +85,5 @@ def test_built_morphisms_are_natural(case):
     _assert_natural(image_incl=submodule_image(e_r(rho, r, m)).incl, quotient_proj=proj)
     # the erosion itself (im / im & ker) and the widest neighborhood (M / ker)
     for m1, m2 in ((imr, inter), (submodule_full(m), kerr)):
-        cert = en_interleaving_certificate(rho, r, m, en_construct(rho, r, m, m1, m2))
-        _assert_natural(en_p=cert.p, en_q=cert.q)
+        en_p, en_q = en_interleaving_certificate(rho, r, m, en_construct(rho, r, m, m1, m2))
+        _assert_natural(en_p=en_p, en_q=en_q)
