@@ -11,8 +11,9 @@ Isomorphic modules have equal dimension vectors, and a neighborhood's vector
 dim M1(a) - dim M2(a) is known before its quotient is formed.  So the
 enumeration keys each (M1, M2) pair by that vector, and `d_en` forms,
 deduplicates and compares quotients only in the vectors both modules reach.
-Every other neighborhood `d_en` tests or reports is built by
-`functors.erosion_subquotient`.
+Where e_r vanishes on both modules, the erosion `d_en` reports is written
+from M's own maps as a `ZeroNeighborhood`; every other neighborhood `d_en`
+tests or reports is built by `functors.erosion_subquotient`.
 """
 
 from __future__ import annotations
@@ -23,17 +24,20 @@ from functools import partial
 from fractions import Fraction
 from typing import Dict, Iterator, List, Set, Tuple
 
-from .exactlin import FieldSpec, Mat, hstack, quotient_map, solve
-from .height import HeightDiff
+from .exactlin import (FieldSpec, Mat, hstack, image_basis, kernel_basis, quotient_map, solve,
+                       vstack)
+from .height import HeightDiff, level, nbhd_bottoms, nbhds
 from .functors import e_r_rank_obstruction, e_r_vanishes, erosion_subquotient, im_r, ker_r, sharp
 from .interleave import (DEFAULT_BUDGET, Evaluation, StrataReport, find_interleaving,
                          stratified_report)
+from .kan import colim_over
 from .pmod import (
     PersistenceModule,
     Submodule,
     Subquotient,
     is_isomorphic,
     quotient_by_submodule,
+    span_intersection,
     submodule_from_bases,
     submodule_intersection,
 )
@@ -41,6 +45,7 @@ from .pmod import (
 __all__ = [
     "en_enumerate",
     "EnEnumeration",
+    "ZeroNeighborhood",
     "d_en",
 ]
 
@@ -203,6 +208,46 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class ZeroNeighborhood:
+    """The erosion M1/M2 of M at a scale where e_{r,M} = 0, held as the bases
+    of M1 and M2 in `parent` and the zero `quotient`: the bases and quotient
+    of `functors.erosion_subquotient`, with no submodule or projection built."""
+
+    parent: PersistenceModule
+    m1: Tuple[Mat, ...]
+    m2: Tuple[Mat, ...]
+    quotient: PersistenceModule
+
+
+def _vanishing_erosion(rho: HeightDiff, r, m: PersistenceModule) -> ZeroNeighborhood:
+    """`erosion_subquotient(rho, r, m)` where e_{r,M} = 0, from M's own maps.
+
+    At a, M1 is the pivot columns of eta_L(a), which is the family
+    [M(x <= a)] over a's lower neighborhood read at the colimit's free
+    coordinates (`kan.factor`), so only the memoized colimit cone is built.
+    ker_r(a) is the kernel of eta_R(a), whose rows span those of [M(a <= y)]
+    over the minimal y of a's upper neighborhood (the limit legs to them are
+    jointly monomorphic): the same rref, so the same canonical kernel basis.
+    M2 = M1 & ker_r is then formed as `pmod.submodule_intersection` forms it
+    (`pmod.span_intersection`).  e_r = 0 puts im_r in ker_r, so M2 spans M1
+    and the quotient is zero; no L_r, R_r, eta, submodule closure or quotient
+    is built."""
+    k = level(rho, r)
+    F = m.field
+    downs, bottoms = nbhds(rho, "down", k), nbhd_bottoms(rho, k)
+    m1, m2 = [], []
+    for a, d in enumerate(m.dims):
+        col = colim_over(m, downs[a])
+        legs = hstack(F, [m.map_for_idx(x, a) for x in col.nodes], rows=d)
+        v1 = image_basis(legs.take_cols(col.free))
+        v2 = kernel_basis(vstack(F, [m.map_for_idx(a, y) for y in bottoms[a]], cols=d))
+        m1.append(v1)
+        m2.append(image_basis(span_intersection(v1, v2)))
+    zero = PersistenceModule(m.poset, F, [0] * len(m.dims), {})
+    return ZeroNeighborhood(m, tuple(m1), tuple(m2), zero)
+
+
 def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule, n: PersistenceModule,
                      budget: int) -> Evaluation:
     """(verdict, via, build) at one scale, `build` returning the witness or
@@ -210,8 +255,11 @@ def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule, n: Pe
 
     When e_r vanishes on both modules, both erosions are zero modules, which
     the isomorphism test calls isomorphic at any budget; so the stratum is an
-    "erosion-iso" yes with no erosion, eta or search built.  When the rank
-    obstruction holds (`functors.e_r_rank_obstruction`), say
+    "erosion-iso" yes with no erosion, eta or search built, and its witness,
+    m's erosion, is written from m's own maps and the colimits over its lower
+    neighborhoods (`_vanishing_erosion`): no R_r, eta, submodule closure or
+    quotient is built.  When the rank obstruction holds
+    (`functors.e_r_rank_obstruction`), say
     rank e_{r,M}(a) > dim N(a), the stratum is an "obstruction" no over any
     field and at any budget, with nothing built or enumerated.  For an erosion
     neighborhood M1/M2 of M, the unit M -> R_r M kills M2, so M1/M2 maps to
@@ -221,9 +269,9 @@ def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule, n: Pe
     the erosions (`erosion_subquotient`) are built once each and compared, m's
     the witness of a "yes"; then the search's (p, q) gives the neighborhood
     with q# and p added; then the enumeration."""
-    neighborhood = partial(erosion_subquotient, rho, rep, m)
     if e_r_vanishes(rho, rep, m, n):
-        return "yes", "erosion-iso", neighborhood
+        return "yes", "erosion-iso", partial(_vanishing_erosion, rho, rep, m)
+    neighborhood = partial(erosion_subquotient, rho, rep, m)
     if e_r_rank_obstruction(rho, rep, m, n) is not None:
         return "no", "obstruction", None
     em, en_ = neighborhood(), erosion_subquotient(rho, rep, n)
@@ -259,10 +307,13 @@ def d_en(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
     """The erosion-neighborhood distance by stratified search.
 
     Stratum verdict: do the r-erosion-neighborhood classes of m and n intersect?
-    A stratum the rank obstruction rules out is a "no" with nothing enumerated;
-    elsewhere canonical candidates (the erosions themselves, then the
-    certificate-derived neighborhood, both `erosion_subquotient`) are tried
-    before full cross-enumeration; an erosion-iso witness is the one compared.
+    A stratum where e_r vanishes on both modules is an erosion-iso "yes" whose
+    witness, m's erosion with its zero quotient, is written from m's own maps
+    (`_vanishing_erosion`).  A stratum the rank obstruction rules out is a
+    "no" with nothing enumerated; elsewhere canonical candidates (the erosions
+    themselves, then the certificate-derived neighborhood, both
+    `erosion_subquotient`) are tried before full cross-enumeration; an
+    erosion-iso witness is the one compared.
     The cross test enumerates both modules' (M1, M2) pairs, then forms and
     deduplicates the quotients only in the dimension vectors both sides reach
     and compares each m-member, in member order, with the n-members of its

@@ -384,7 +384,10 @@ def kernel_basis(m: Mat) -> Mat:
 
 
 def image_basis(m: Mat) -> Mat:
-    """Basis of the column space: the pivot columns of `m` itself."""
+    """Basis of the column space: the pivot columns of `m` itself.  An empty
+    shape spans nothing: its basis is empty, found without an rref."""
+    if m.rows == 0 or m.cols == 0:
+        return Mat.zeros(m.field, m.rows, 0)
     return m.take_cols(rref(m).pivots)
 
 

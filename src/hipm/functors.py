@@ -179,8 +179,10 @@ def apply_R(rho: HeightDiff, r, m: PersistenceModule) -> FunctorApplication:
 
 def R_dims(rho: HeightDiff, r, m: PersistenceModule) -> tuple:
     """The dimension vector of R_r M, with no limit built: `kan.lim_dim` over
-    each upper r-neighborhood."""
-    return tuple(lim_dim(m, s) for s in nbhds(rho, "up", level(rho, r)))
+    each upper r-neighborhood and its minima (`height.nbhd_bottoms`), which is
+    dim M(b) with one minimum b."""
+    k = level(rho, r)
+    return tuple(lim_dim(m, s, b) for s, b in zip(nbhds(rho, "up", k), nbhd_bottoms(rho, k)))
 
 
 def apply_T(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> FunctorApplication:

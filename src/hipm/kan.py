@@ -16,8 +16,9 @@ into a limit with given leg composites, reads those coordinates off the
 stacked family (`exactlin.factor_at`), and `induced` is `factor` on the legs of
 a bigger (co)limit; no system is solved.  `colim_over` / `lim_over` build each
 (co)limit once per module object and node set.  `lim_dim` gives a limit's
-dimension alone, with no cone: the minima's coordinates less the rank of the
-same equations (`_minima_equations`, which both assemble).
+dimension alone, with no cone, from minima its caller already knows: the
+minima's coordinates less the rank of the same equations (`_minima_equations`,
+which both assemble).
 """
 
 from __future__ import annotations
@@ -72,20 +73,20 @@ def _minima(leq: np.ndarray) -> List[int]:
     return [j for j, under in enumerate(leq.sum(axis=0).tolist()) if under == 1]  # itself only
 
 
-def _minima_equations(m: PersistenceModule, nodes: Tuple[int, ...], leq: np.ndarray,
-                      minima: List[int], mat) -> Tuple[list, Dict[int, int], Mat]:
-    """The equations a cone's values at the `minima` solve: M(b <= y) v_b =
-    M(c <= y) v_c for consecutive minima b, c below each node y, with `mat`
-    giving M(x <= y) under the order `leq`.  Returns, per node, the minima
-    below it; each minimum's offset among the minima's coordinates; and the
-    stacked equations, a matrix over those coordinates (no rows when no node
-    lies above two minima)."""
+def _minima_equations(m: PersistenceModule, nodes: Tuple[int, ...], minima: Sequence[int],
+                      under: np.ndarray, mat) -> Tuple[list, Dict[int, int], Mat]:
+    """The equations a cone's values at the `minima` (ambient indices, in node
+    order) solve: M(b <= y) v_b = M(c <= y) v_c for consecutive minima b, c
+    below each node y, where `under[i, j]` says whether minima[i] lies below
+    nodes[j] and `mat` gives M(x <= y).  Returns, per node, the minima below
+    it; each minimum's offset among the minima's coordinates; and the stacked
+    equations, a matrix over those coordinates (no rows when no node lies
+    above two minima)."""
     F, dims = m.field, m.dims
-    order = leq.tolist()
-    below = [[nodes[i] for i in minima if order[i][j]] for j in range(len(nodes))]
+    below = [[b for b, inside in zip(minima, col) if inside] for col in under.T.tolist()]
     moffs, mtot = {}, 0
-    for i in minima:
-        moffs[nodes[i]], mtot = mtot, mtot + dims[nodes[i]]
+    for b in minima:
+        moffs[b], mtot = mtot, mtot + dims[b]
     rows = []
     for y, bs in zip(nodes, below):
         for b, c in zip(bs, bs[1:]):
@@ -131,7 +132,8 @@ def _cone(m: PersistenceModule, nodes: Tuple[int, ...], latching: bool) -> Unive
         b = nodes[minima[0]]
         stacked = [mat(b, y) for y in nodes]
     else:
-        below, moffs, eqs = _minima_equations(m, nodes, leq, minima, mat)
+        ends = [nodes[i] for i in minima]
+        below, moffs, eqs = _minima_equations(m, nodes, ends, leq[minima], mat)
         cones = kernel_basis(eqs).a
         stacked = [stacked_matmul(F, mat(bs[0], y), cones[moffs[bs[0]]: moffs[bs[0]] + dims[bs[0]]])
                    for y, bs in zip(nodes, below)]
@@ -160,20 +162,18 @@ def lim_over(m: PersistenceModule, subset: Sequence[int]) -> UniversalCone:
     return m.cached(("lim", nodes), lambda: _cone(m, nodes, False))
 
 
-def lim_dim(m: PersistenceModule, subset: Sequence[int]) -> int:
-    """dim lim of M restricted to the full subposet on `subset`, with no cone
-    built: 0 when every space is zero, dim M(b) with one minimum b, and
-    otherwise the dimension of the minima's coordinates less the rank of the
-    equations `_cone` solves on them."""
-    nodes = tuple(sorted(subset))
+def lim_dim(m: PersistenceModule, nodes: Sequence[int], minima: Sequence[int]) -> int:
+    """dim lim of M restricted to the full subposet on `nodes`, whose minimal
+    nodes are `minima` (both ascending ambient indices), with no cone built:
+    dim M(b) with one minimum b, 0 when every space is zero, and otherwise the
+    dimension of the minima's coordinates less the rank of the equations
+    `_cone` solves on them."""
+    if len(minima) == 1:
+        return m.dims[minima[0]]
     if not any(m.dims[x] for x in nodes):
         return 0
-    ix = np.array(nodes, dtype=np.intp)
-    leq = m.poset.leq[np.ix_(ix, ix)]
-    minima = _minima(leq)
-    if len(minima) == 1:
-        return m.dims[nodes[minima[0]]]
-    eqs = _minima_equations(m, nodes, leq, minima, lambda x, y: m.map_for_idx(x, y).a)[2]
+    under = m.poset.leq[np.ix_(minima, nodes)]
+    eqs = _minima_equations(m, nodes, minima, under, lambda x, y: m.map_for_idx(x, y).a)[2]
     return eqs.cols - rref(eqs).rank
 
 

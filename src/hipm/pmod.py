@@ -446,8 +446,7 @@ def submodule_from_bases(parent: PersistenceModule, bases: Sequence[Mat]) -> Sub
     """Build the submodule spanned pointwise by `bases`; raises if the spans are
     not closed under the structure maps.  Bases are canonicalized (pivot columns)."""
     P, F = parent.poset, parent.field
-    # an empty shape spans nothing: its basis is empty, found without an rref
-    canon = [image_basis(b) if b.rows and b.cols else Mat.zeros(F, b.rows, 0) for b in bases]
+    canon = [image_basis(b) for b in bases]
     maps = {}
     for (a, b) in P.covers:
         ca, cb = canon[a], canon[b]
@@ -494,15 +493,17 @@ def submodule_sum(s1: Submodule, s2: Submodule) -> Submodule:
     return submodule_from_bases(s1.parent, bases)
 
 
+def span_intersection(v1: Mat, v2: Mat) -> Mat:
+    """Columns spanning span(v1) & span(v2) for independent columns v1 and
+    v2: v1 times the v1 coordinates of the kernel basis of [v1 | -v2]."""
+    paired = hstack(v1.field, [v1, -v2], rows=v1.rows)
+    return v1 @ kernel_basis(paired).take_rows(range(v1.cols))
+
+
 def submodule_intersection(s1: Submodule, s2: Submodule) -> Submodule:
     """Pointwise intersection of spans (closed whenever both inputs are)."""
-    F = s1.parent.field
-    bases = []
-    for i in range(len(s1.bases)):
-        v1, v2 = s1.bases[i], s2.bases[i]
-        paired = hstack(F, [v1, -v2], rows=s1.parent.dims[i])
-        bases.append(v1 @ kernel_basis(paired).take_rows(range(v1.cols)))
-    return submodule_from_bases(s1.parent, bases)
+    return submodule_from_bases(s1.parent, [span_intersection(v1, v2)
+                                            for v1, v2 in zip(s1.bases, s2.bases)])
 
 
 @dataclass

@@ -9,8 +9,10 @@ value such a stratum never builds, not even to write its certificate, the Hom
 bases a stratum ruled out by the rank obstruction never builds, the
 isomorphism and its inverse that `is_isomorphic` builds only when read, and
 the one erosion subquotient per module that `d_en`'s erosion test builds and
-reports.  Beside the guard on R_r, one test checks that the certificate such
-a stratum writes is still the zero pair into the built R_r values.
+reports, and the R_r, limit, eta_R, submodule and quotient that `d_en`'s
+witness at such a stratum never builds.  Beside the guard on R_r, one test
+checks that the certificate such a stratum writes is still the zero pair into
+the built R_r values.
 """
 
 import bisect
@@ -21,19 +23,19 @@ from pathlib import Path
 
 import pytest
 
-from hipm import cli, erosion, functors, interleave, pmod
+from hipm import cli, erosion, functors, interleave, kan, pmod, serde
 from hipm.erosion import _en_stratum_test, d_en
 from hipm.exactlin import FieldSpec, Mat
 from hipm.functors import apply_R, e_r_rank_obstruction, e_r_vanishes
-from hipm.height import HeightFunction, format_ext, from_phi, level, rho_diag, strata
+from hipm.height import HeightFunction, format_ext, from_phi, level, nbhds, rho_diag, strata
 from hipm.interleave import check_certificate, distance, find_interleaving
 from hipm.pmod import (ModuleMorphism, MorphismStack, PersistenceModule, direct_sum,
                        interval_module, is_isomorphic, validate_module)
 from hipm.poset import FinitePoset
 from hipm.randgen import (random_conjugate, random_forest_poset, random_module, random_phi,
                           random_poset)
-from hipm.serde import (load_height, load_module, load_poset, module_to_json, morphism_to_json,
-                        poset_to_json, strata_report_to_json)
+from hipm.serde import (_subquotient_to_json, load_height, load_module, load_poset, module_to_json,
+                        morphism_to_json, poset_to_json, strata_report_to_json)
 
 GF2, GF3, QQ = FieldSpec("gfp", 2), FieldSpec("gfp", 3), FieldSpec("rational")
 
@@ -329,6 +331,85 @@ def test_a_vanishing_stratum_writes_the_zero_maps_into_the_matching_values(tmp_p
             assert cert == {"r": cert["r"], **zero_pair(rho, st.rep, m, n)}
             reported.add(m.field.is_prime_field)
     assert nonzero == reported == {True, False}  # both fields, and maps that are not empty
+
+
+def counting_everywhere(monkeypatch, name):
+    """Patch `name` in every hipm module that binds it to count its calls, one
+    count for all of them; returns the one-item count list."""
+    calls = [0]
+    for owner in (cli, erosion, functors, interleave, kan, pmod, serde):
+        original = getattr(owner, name, None)
+        if original is None:
+            continue
+
+        def counted(*args, _original=original, **kwargs):
+            calls[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_vanishing_d_en_witness_builds_no_matching_value_submodule_or_quotient(
+        monkeypatch, tmp_path, capsys):
+    """At every stratum where e_r vanishes on both modules, over GF(p) and
+    over Q, the witness `d_en` builds calls no apply_R, lim_over, eta_R_from_id,
+    submodule_from_bases or quotient_by_submodule, and the only cones it
+    builds are colimits over the lower neighborhoods at its level; the same
+    holds for the witness `hipm en-distance` builds and writes.  Built by
+    `erosion_subquotient`, the same witness calls every one of them."""
+    names = ("apply_R", "lim_over", "eta_R_from_id", "submodule_from_bases",
+             "quotient_by_submodule")
+    counts = {name: counting_everywhere(monkeypatch, name) for name in names}
+    original_cone = kan._cone
+    cones = []
+
+    def recording(m, nodes, latching):
+        cones.append((latching, nodes))
+        return original_cone(m, nodes, latching)
+
+    monkeypatch.setattr(kan, "_cone", recording)
+
+    def built():
+        return {name: c[0] for name, c in counts.items()}
+
+    cases = vanishing_strata() + rational_vanishing_strata()
+    for rho, m, n, st in cases:
+        fresh = PersistenceModule(m.poset, m.field, m.dims, m.maps)  # no memoized cone
+        verdict, via, build = _en_stratum_test(rho, st.rep, fresh, n, 4096)
+        assert (verdict, via) == ("yes", "erosion-iso")
+        before = built()
+        del cones[:]
+        json.dumps(_subquotient_to_json(build()))
+        assert built() == before
+        downs = set(nbhds(rho, "down", level(rho, st.rep)))
+        assert cones and all(latching and nodes in downs for latching, nodes in cones)
+        functors.erosion_subquotient(rho, st.rep, PersistenceModule(m.poset, m.field, m.dims,
+                                                                    m.maps))
+        assert all(after > before[name] for name, after in built().items())  # not vacuous
+    assert len(cases) >= 8 and {m.field.is_prime_field for _, m, _, _ in cases} == {True, False}
+
+    written, deltas = [], []
+
+    def measured(owner, name, log):
+        original = getattr(owner, name)
+
+        def wrapped(*args):
+            before = built()
+            out = original(*args)
+            log.append({k: v - before[k] for k, v in built().items()})
+            return out
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    measured(erosion, "_vanishing_erosion", written)
+    measured(cli, "en_report_to_json", deltas)
+    for rho, m, n in dict.fromkeys((rho, m, n) for rho, m, n, _ in cases):
+        assert cli.main(["--budget", "4096", "en-distance",
+                         *write_inputs(tmp_path, rho, m, n)]) in (0, 2)  # 2: undecided
+        json.loads(capsys.readouterr().out)
+    assert all(d == dict.fromkeys(names, 0) for d in written + deltas), written + deltas
+    assert len(written) >= 3  # the guard is not vacuous
 
 
 def obstructed_pairs():

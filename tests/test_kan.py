@@ -414,10 +414,11 @@ def test_lim_dim_and_R_dims_equal_the_built_limits(field, seed):
         for m in (random_module(rng, P, field, 3), interval_module(P, P.elements, field),
                   zero_module(P, field)):
             for s in sorted(sets):
-                assert lim_dim(m, s) == _cone(m, s, False).dim, s
+                minima = [s[i] for i in _minima(P.leq[np.ix_(s, s)])] if s else []
+                assert lim_dim(m, s, minima) == _cone(m, s, False).dim, s
                 assert ("lim", s) not in m.memo  # lim_dim builds no cone
-                assert lim_over(m, s).dim == lim_dim(m, s)  # also once the limit is memoized
-                several += len(_minima(P.leq[np.ix_(s, s)])) > 1 if s else 0
+                assert lim_over(m, s).dim == lim_dim(m, s, minima)  # also once memoized
+                several += len(minima) > 1
             fresh = random_module(rng, P, field, 3)
             for st in strata(rho):
                 assert R_dims(rho, st.rep, fresh) == apply_R(rho, st.rep, fresh).module.dims

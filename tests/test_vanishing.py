@@ -6,19 +6,25 @@ same a's upper one.  That must agree with the transpose route (`e_r`, through
 L_r and R_r) and with the colimit-leg blocks the search uses (`e_r_legs`), at
 every level including the zero and top strata; and `nbhd_bottoms` and the pair
 list must be the ones built element by element from `nbhd_tops` and the minima
-of `nbhds`.
+of `nbhds`.  Where e_r vanishes, the erosion that `d_en` reports is written
+from M's own maps and the lower neighborhoods' colimit cones; it must equal
+`functors.erosion_subquotient`, which builds L_r, R_r, both etas, the
+submodules and the quotient.
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
+from hipm.erosion import _vanishing_erosion
 from hipm.exactlin import FieldSpec
-from hipm.functors import e_r, e_r_legs, e_r_vanishes
+from hipm.functors import e_r, e_r_legs, e_r_vanishes, erosion_subquotient, ker_r
 from hipm.height import (from_phi, level, nbhd_bottoms, nbhd_pairs, nbhd_tops, nbhds, rho_diag,
                          strata)
+from hipm.kan import colim_over
 from hipm.poset import FinitePoset
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
+from hipm.serde import _subquotient_to_json
 
 FIELDS = [FieldSpec("gfp", 2), FieldSpec("gfp", 3), FieldSpec("rational")]
 
@@ -67,3 +73,60 @@ def test_e_r_vanishes_agrees_with_the_transpose_and_leg_routes(case):
         vanishes = e_r_vanishes(rho, r, m)
         assert vanishes == all(c.is_zero() for c in e_r(rho, r, m).components)
         assert vanishes == (not any(block.any() for block in e_r_legs(rho, r, m)))
+
+
+def vanishing_instance(seed: int):
+    """(rho, m) from one seed: a random module of dimension at most 3 on a
+    random DAG or forest (2-8 elements, random height) or a 3x3 grid (the
+    diagonal difference or a random height), over GF(2), GF(3) or Q."""
+    rng = random.Random(seed)
+    kind = rng.choice(["dag", "forest", "grid"])
+    if kind == "grid":
+        P = FinitePoset.grid([3, 3])
+        rho = rho_diag(P) if rng.random() < 0.5 else from_phi(random_phi(rng, P))
+    else:
+        n = rng.randint(2, 8)
+        P = random_poset(rng, n, 0.45) if kind == "dag" else random_forest_poset(rng, n)
+        rho = from_phi(random_phi(rng, P, denominator=rng.choice([1, 2])))
+    return rho, random_module(rng, P, rng.choice(FIELDS), 3, summands=rng.randint(1, 8))
+
+
+def vanishing_witnesses_agree(rho, m) -> set:
+    """Check the written witness against `erosion_subquotient` at every
+    stratum where e_{r,M} = 0; return the shapes met there: an empty lower
+    neighborhood, a colimit read at fewer coordinates than its legs (several
+    maxima), and a nonzero ker_r under a nonzero M1."""
+    met = set()
+    for st_ in strata(rho):
+        r = st_.rep
+        if not e_r_vanishes(rho, r, m):
+            continue
+        got = _vanishing_erosion(rho, r, m)
+        want = erosion_subquotient(rho, r, m)
+        assert _subquotient_to_json(got) == _subquotient_to_json(want)
+        assert got.quotient.dims == want.quotient.dims == (0,) * len(m.dims)
+        k = level(rho, r)
+        kern = ker_r(rho, r, m).bases
+        for a, down in enumerate(nbhds(rho, "down", k)):
+            col = colim_over(m, down)
+            met |= {"empty"} if not down else set()
+            met |= {"maxima"} if len(col.free) < sum(m.dims[x] for x in down) else set()
+            met |= {"ker"} if kern[a].cols and got.m1[a].cols else set()
+    return met
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_vanishing_erosion_is_written_as_erosion_subquotient_writes_it(seed):
+    vanishing_witnesses_agree(*vanishing_instance(seed))
+
+
+def test_the_vanishing_erosion_check_meets_every_shape():
+    """The same check on fixed seeds, which meet all three shapes over all
+    three fields."""
+    met = set()
+    for seed in range(40):
+        rho, m = vanishing_instance(seed)
+        shapes = vanishing_witnesses_agree(rho, m)
+        met |= shapes | ({FIELDS.index(m.field)} if shapes else set())
+    assert met == {"empty", "maxima", "ker", 0, 1, 2}
