@@ -275,6 +275,34 @@ def extra_commands(inst):
     return out
 
 
+def escaped_id_commands():
+    """A poset whose ids hold non-ASCII characters, quotes and backslashes, so
+    the reports write them as escaped JSON strings: `validate`, `c-rho`, `cip`
+    and `distance`."""
+    GF2 = FieldSpec("gfp", 2)
+    els = ["café", 'q"t', "b\\s", "日本", "zü\"\\"]
+    P = FinitePoset.from_covers(els, [(els[0], els[1]), (els[0], els[2]), (els[1], els[3]),
+                                      (els[2], els[3]), (els[2], els[4])])
+    rng = random.Random(5000)
+    phi = random_phi(rng, P, max_step=2, denominator=2)
+    inst = Instance("escaped", P, {"phi": {e: str(v) for e, v in phi.phi.items()}},
+                    random_module(rng, P, GF2, max_dim=2), random_module(rng, P, GF2, max_dim=2),
+                    GF2)
+    return [inst.base("validate"), inst.on_height("c-rho"), inst.on_height("cip"),
+            inst.base("distance") + ["--module2", inst.files["N"]]]
+
+
+def empty_poset_commands():
+    """The empty poset: `cip`, `c-rho`, `ivc`, `distance` and `en-distance`."""
+    files = {key: write_input(f"empty_{key}", doc)
+             for key, doc in (("poset", {"elements": [], "covers": []}), ("height", {"phi": {}}),
+                              ("M", {"field": {"kind": "gfp", "p": 2}, "dims": {}, "maps": {}}))}
+    on_height = ["--poset", files["poset"], "--height", files["height"]]
+    pair = ["--module", files["M"], "--module2", files["M"]]
+    return [["cip"] + on_height, ["c-rho"] + on_height, ["ivc"] + on_height + ["--c", "1"],
+            ["distance"] + on_height + pair, ["en-distance"] + on_height + pair]
+
+
 def build():
     INPUTS.mkdir(exist_ok=True)
     for old in INPUTS.glob("*.json"):
@@ -282,7 +310,8 @@ def build():
     insts = instances()
     commands = ([c for inst in insts for c in inst.commands()] + repro_commands()
                 + stress_commands()
-                + extra_commands(next(i for i in insts if i.name == "rand0")))
+                + extra_commands(next(i for i in insts if i.name == "rand0"))
+                + escaped_id_commands() + empty_poset_commands())
     corpus, dropped = [], []
     for argv in commands:
         res = run(resolve(argv))
