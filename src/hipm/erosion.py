@@ -24,13 +24,12 @@ from functools import partial
 from fractions import Fraction
 from typing import Dict, Iterator, List, Set, Tuple
 
-from .exactlin import (FieldSpec, Mat, hstack, image_basis, kernel_basis, quotient_map, solve,
-                       vstack)
-from .height import HeightDiff, level, nbhd_bottoms, nbhds
-from .functors import e_r_rank_obstruction, e_r_vanishes, erosion_subquotient, im_r, ker_r, sharp
+from .exactlin import FieldSpec, Mat, hstack, image_basis, quotient_map, solve
+from .height import HeightDiff
+from .functors import (e_r_rank_obstruction, e_r_vanishes, erosion_bases, erosion_subquotient,
+                       sharp)
 from .interleave import (DEFAULT_BUDGET, Evaluation, StrataReport, find_interleaving,
                          stratified_report)
-from .kan import colim_over
 from .pmod import (
     PersistenceModule,
     Submodule,
@@ -39,7 +38,6 @@ from .pmod import (
     quotient_by_submodule,
     span_intersection,
     submodule_from_bases,
-    submodule_intersection,
 )
 
 __all__ = [
@@ -177,24 +175,18 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
     """
     if not m.field.is_prime_field:
         raise ValueError("erosion-neighborhood enumeration needs a finite field")
-    P = m.poset
-    imr = im_r(rho, r, m)
-    kerr = ker_r(rho, r, m)
-    full = [Mat.eye(m.field, d) for d in m.dims]
-    m1_choices = [
-        _subspaces_between(m.field, imr.bases[i], full[i]) for i in range(len(P))
-    ]
+    gens, kerns = erosion_bases(rho, r, m)
+    m1_choices = [_subspaces_between(m.field, image_basis(g), Mat.eye(m.field, d))
+                  for g, d in zip(gens, m.dims)]
     left = max(budget, 0)  # islice takes no negative stop
     m1_families = list(itertools.islice(_closed_families(m, m1_choices), left))
     left -= len(m1_families)
     pairs = []
     for fam1 in m1_families:
         m1 = submodule_from_bases(m, fam1)
-        ceiling = submodule_intersection(m1, kerr)
-        m2_choices = [
-            _subspaces_between(m.field, Mat.zeros(m.field, m.dims[i], 0), ceiling.bases[i])
-            for i in range(len(P))
-        ]
+        ceiling = [image_basis(span_intersection(v1, v2)) for v1, v2 in zip(m1.bases, kerns)]
+        m2_choices = [_subspaces_between(m.field, Mat.zeros(m.field, d, 0), c)
+                      for c, d in zip(ceiling, m.dims)]
         # choices live in ceiling coordinates already mapped to ambient
         m2_families = list(itertools.islice(_closed_families(m, m2_choices), left))
         left -= len(m2_families)
@@ -223,28 +215,15 @@ class ZeroNeighborhood:
 def _vanishing_erosion(rho: HeightDiff, r, m: PersistenceModule) -> ZeroNeighborhood:
     """`erosion_subquotient(rho, r, m)` where e_{r,M} = 0, from M's own maps.
 
-    At a, M1 is the pivot columns of eta_L(a), which is the family
-    [M(x <= a)] over a's lower neighborhood read at the colimit's free
-    coordinates (`kan.factor`), so only the memoized colimit cone is built.
-    ker_r(a) is the kernel of eta_R(a), whose rows span those of [M(a <= y)]
-    over the minimal y of a's upper neighborhood (the limit legs to them are
-    jointly monomorphic): the same rref, so the same canonical kernel basis.
-    M2 = M1 & ker_r is then formed as `pmod.submodule_intersection` forms it
-    (`pmod.span_intersection`).  e_r = 0 puts im_r in ker_r, so M2 spans M1
-    and the quotient is zero; no L_r, R_r, eta, submodule closure or quotient
-    is built."""
-    k = level(rho, r)
-    F = m.field
-    downs, bottoms = nbhds(rho, "down", k), nbhd_bottoms(rho, k)
-    m1, m2 = [], []
-    for a, d in enumerate(m.dims):
-        col = colim_over(m, downs[a])
-        legs = hstack(F, [m.map_for_idx(x, a) for x in col.nodes], rows=d)
-        v1 = image_basis(legs.take_cols(col.free))
-        v2 = kernel_basis(vstack(F, [m.map_for_idx(a, y) for y in bottoms[a]], cols=d))
-        m1.append(v1)
-        m2.append(image_basis(span_intersection(v1, v2)))
-    zero = PersistenceModule(m.poset, F, [0] * len(m.dims), {})
+    M1 is the pivot columns of eta_L and ker_r the kernel of eta_R, both read
+    off M's maps (`functors.erosion_bases`).  M2 = M1 & ker_r is then formed
+    as `pmod.submodule_intersection` forms it (`pmod.span_intersection`).
+    e_r = 0 puts im_r in ker_r, so M2 spans M1 and the quotient is zero; no
+    L_r, R_r, eta, submodule closure or quotient is built."""
+    gens, kerns = erosion_bases(rho, r, m)
+    m1 = [image_basis(g) for g in gens]
+    m2 = [image_basis(span_intersection(v1, v2)) for v1, v2 in zip(m1, kerns)]
+    zero = PersistenceModule(m.poset, m.field, [0] * len(m.dims), {})
     return ZeroNeighborhood(m, tuple(m1), tuple(m2), zero)
 
 

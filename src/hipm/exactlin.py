@@ -168,15 +168,20 @@ class Mat:
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence], cols: Optional[int] = None) -> "Mat":
+        """The matrix with these rows, each entry taken through `field.coerce`;
+        `cols` gives the width when there are no rows."""
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else (cols if cols is not None else 0)
-        m = cls.zeros(field, nrows, ncols)
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, x in enumerate(row):
-                m.a[i, j] = field.coerce(x)
-        return m
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows")
+        if not field.is_prime_field:
+            a = np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
+        else:
+            try:  # int64 takes int(x) of each entry, as coerce does
+                a = np.array(rows, dtype=np.int64) % field.p
+            except (OverflowError, TypeError, ValueError):  # past int64, say
+                a = np.array([[field.coerce(x) for x in row] for row in rows], dtype=np.int64)
+        return cls._canonical(field, a.reshape(nrows, ncols))
 
     # -- shape --------------------------------------------------------
 

@@ -30,10 +30,9 @@ from .pmod import (
     Subquotient,
     pullback_module,
     quotient_by_submodule,
+    span_intersection,
     submodule_from_bases,
     submodule_image,
-    submodule_intersection,
-    submodule_kernel,
 )
 from .poset import OrderMap, PosetError
 
@@ -60,6 +59,7 @@ __all__ = [
     "tau",
     "theta",
     "sigma",
+    "erosion_bases",
     "im_r",
     "ker_r",
     "erosion_subquotient",
@@ -487,14 +487,43 @@ def sigma(rho: HeightDiff, s, r, c, m: PersistenceModule, direction: str) -> Mod
 # ---------------------------------------------------------------------------
 
 
+def erosion_bases(rho: HeightDiff, r, m: PersistenceModule,
+                  incoming: Optional[ModuleMorphism] = None,
+                  outgoing: Optional[ModuleMorphism] = None) -> Tuple[list, list]:
+    """Per element a, the generators of im[eta_L, incoming](a) and the basis of
+    ker[eta_R; outgoing](a) in M(a), from M's own maps.
+
+    eta_L(a) is the family [M(x <= a)] over a's lower neighborhood read at the
+    colimit's free coordinates (`kan.factor`), so only the memoized colimit
+    cone is built.  The rows of eta_R(a) span those of [M(a <= y)] over the
+    minimal y of a's upper neighborhood (the limit legs to them are jointly
+    monomorphic), so with `outgoing` stacked under either the rref, and the
+    canonical kernel basis, is the same; no R_r or eta is built."""
+    k = level(rho, r)
+    F = m.field
+    downs, bottoms = nbhds(rho, "down", k), nbhd_bottoms(rho, k)
+    gens, kerns = [], []
+    for a, d in enumerate(m.dims):
+        col = colim_over(m, downs[a])
+        ins = [hstack(F, [m.map_for_idx(x, a) for x in col.nodes], rows=d).take_cols(col.free)]
+        outs = [m.map_for_idx(a, y) for y in bottoms[a]]
+        if incoming is not None:
+            ins.append(incoming.components[a])
+        if outgoing is not None:
+            outs.append(outgoing.components[a])
+        gens.append(hstack(F, ins, rows=d))
+        kerns.append(kernel_basis(vstack(F, outs, cols=d)))
+    return gens, kerns
+
+
 def im_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
     """The image of L_r M -> M, as a submodule of M."""
-    return submodule_image(eta_L_to_id(rho, r, m))
+    return submodule_from_bases(m, erosion_bases(rho, r, m)[0])
 
 
 def ker_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
     """The kernel of M -> R_r M, as a submodule of M."""
-    return submodule_kernel(eta_R_from_id(rho, r, m))
+    return submodule_from_bases(m, erosion_bases(rho, r, m)[1])
 
 
 def erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule,
@@ -502,15 +531,11 @@ def erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule,
                         outgoing: Optional[ModuleMorphism] = None) -> Subquotient:
     """M1 / (M1 & ker[eta_R; outgoing]) in M with M1 = im[eta_L, incoming]: the erosion
     im_r / (im_r & ker_r) with neither map, and the canonical neighborhood of an
-    interleaving (p, q) with q# and p."""
-    F = m.field
-    ins = [f for f in (eta_L_to_id(rho, r, m), incoming) if f is not None]
-    outs = [g for g in (eta_R_from_id(rho, r, m), outgoing) if g is not None]
-    m1 = submodule_from_bases(m, [hstack(F, [f.components[a] for f in ins], rows=d)
-                                  for a, d in enumerate(m.dims)])
-    kern = submodule_from_bases(m, [kernel_basis(vstack(F, [g.components[a] for g in outs], cols=d))
-                                    for a, d in enumerate(m.dims)])
-    return quotient_by_submodule(m1, submodule_intersection(m1, kern))
+    interleaving (p, q) with q# and p.  Built from M's own maps (`erosion_bases`)."""
+    gens, kerns = erosion_bases(rho, r, m, incoming, outgoing)
+    m1 = submodule_from_bases(m, gens)
+    m2 = submodule_from_bases(m, [span_intersection(v1, v2) for v1, v2 in zip(m1.bases, kerns)])
+    return quotient_by_submodule(m1, m2)
 
 
 @dataclass

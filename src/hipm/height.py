@@ -12,6 +12,7 @@ All values are exact: `fractions.Fraction` or the INF sentinel.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -131,14 +132,6 @@ class HeightFunction:
             if e not in self.phi:
                 raise PosetError(f"height value missing for {e!r}")
 
-    def order_violations(self) -> List[Tuple[str, str]]:
-        bad = []
-        P = self.poset
-        for i, j in P.comparable_pairs():
-            if i != j and self.phi[P.elements[i]] > self.phi[P.elements[j]]:
-                bad.append((P.elements[i], P.elements[j]))
-        return bad
-
 
 class HeightDiff(Memo):
     """A validated height-difference function; values indexed by element indices.
@@ -217,21 +210,42 @@ def validate_rho(poset: FinitePoset, table: Dict[Tuple[str, str], ExtVal]) -> Rh
 
 
 def from_phi(phi: HeightFunction) -> HeightDiff:
-    """The height-difference rho(a, b) = phi(b) - phi(a); superadditivity holds with equality."""
-    bad = phi.order_violations()
-    if bad:
-        raise PosetError(f"height function not order-preserving, e.g. on pair {bad[0]}")
+    """The height-difference rho(a, b) = phi(b) - phi(a); superadditivity holds with equality.
+
+    Every phi(a) is written over the common denominator L, so the differences
+    over the comparable pairs are one subtraction of integer numerators; a
+    negative one is an order violation, and the first in comparable-pair order
+    is reported."""
     P = phi.poset
-    return HeightDiff(P, {(i, j): phi.phi[P.elements[j]] - phi.phi[P.elements[i]]
-                          for i, j in P.comparable_pairs()})
+    values = [phi.phi[e] for e in P.elements]
+    L = math.lcm(*(v.denominator for v in values))
+    num = np.array([v.numerator * (L // v.denominator) for v in values], dtype=object)
+    i, j = np.nonzero(P.leq)
+    diff = num[j] - num[i]
+    bad = np.flatnonzero(diff < 0)
+    if bad.size:
+        k = bad[0]
+        raise PosetError(f"height function not order-preserving, e.g. on pair "
+                         f"{(P.elements[i[k]], P.elements[j[k]])}")
+    return HeightDiff(P, _fractions(i, j, diff.tolist(), L))
+
+
+def _fractions(i: np.ndarray, j: np.ndarray, nums: List[int], L: int) -> Dict[Tuple[int, int], Fraction]:
+    """{(i, j): num / L} over the zipped pairs and numerators, one Fraction
+    made per distinct numerator."""
+    made = {x: Fraction(x, L) for x in set(nums)}
+    return dict(zip(zip(i.tolist(), j.tolist()), map(made.__getitem__, nums)))
 
 
 def rho_diag(grid: FinitePoset) -> HeightDiff:
     """The coordinatewise-minimum difference on a product grid: min_i (b_i - a_i)."""
     if grid.coords is None:
         raise PosetError("poset carries no grid coordinates")
-    return HeightDiff(grid, {(i, j): Fraction(min(b - a for a, b in zip(grid.coords[i], grid.coords[j])))
-                             for i, j in grid.comparable_pairs()})
+    c = np.array([grid.coords[a] for a in range(len(grid))], dtype=np.int64)
+    i, j = np.nonzero(grid.leq)
+    # one axis at a time, so a shape with many axes of side 1 needs no pairs x axes array
+    low = functools.reduce(np.minimum, (c[j, x] - c[i, x] for x in range(c.shape[1])))
+    return HeightDiff(grid, _fractions(i, j, low.tolist(), 1))
 
 
 def pullback_rho(f: OrderMap, rho: HeightDiff) -> HeightDiff:

@@ -112,33 +112,32 @@ class FinitePoset:
         if cyc.any():
             i, j = map(int, np.argwhere(cyc)[0])
             raise PosetError(f"cycle detected through {elements[i]!r} and {elements[j]!r}")
-        leq = lt | np.eye(n, dtype=bool)
-        red = _transitive_reduction(lt)
-        cov = tuple(sorted((int(i), int(j)) for i, j in np.argwhere(red)))
         idx_coords = None
         if coords is not None:
             idx_coords = {index[e]: tuple(c) for e, c in coords.items()}
-        return FinitePoset(elements, leq, cov, idx_coords)
+        return FinitePoset(elements, lt | np.eye(n, dtype=bool),
+                           _pairs(_transitive_reduction(lt)), idx_coords)
 
     @staticmethod
     def grid(shape: Sequence[int]) -> "FinitePoset":
-        """Product-order grid {0..s1-1} x ... with elements named v_i_j_... and coords attached."""
+        """Product-order grid {0..s1-1} x ... with elements named v_i_j_... and coords attached.
+
+        Points are listed in row-major order; a <= b when every coordinate of a
+        is at most b's, and b covers a when they differ by one unit step."""
         shape = tuple(int(s) for s in shape)
         if not shape or any(s < 1 for s in shape):
             raise PosetError("grid shape must be a non-empty list of entries >= 1")
         if math.prod(shape) > MAX_ELEMENTS:  # before listing the points
             raise PosetError(f"grid has {math.prod(shape)} elements, configured cap is {MAX_ELEMENTS}")
         points = list(itertools.product(*[range(s) for s in shape]))
-        name = lambda pt: "v_" + "_".join(str(c) for c in pt)
-        elements = [name(pt) for pt in points]
-        covers = []
-        for pt in points:
-            for d in range(len(shape)):
-                if pt[d] + 1 < shape[d]:
-                    nxt = list(pt)
-                    nxt[d] += 1
-                    covers.append((name(pt), name(tuple(nxt))))
-        return FinitePoset.from_covers(elements, covers, coords={name(pt): pt for pt in points})
+        elements = tuple("v_" + "_".join(map(str, pt)) for pt in points)
+        # the axes of side 1 never differ: leaving them out bounds the arrays
+        # by n x n x log2(n) entries, whatever the shape's length
+        c = np.array(points, dtype=np.int16).reshape(len(points), len(shape))[:, np.array(shape) > 1]
+        step = c[None, :, :] - c[:, None, :]  # [i, j]: point j less point i
+        leq = (step >= 0).all(axis=2)
+        return FinitePoset(elements, leq, _pairs(leq & (step.sum(axis=2) == 1)),
+                           dict(enumerate(points)))
 
     @staticmethod
     def chain(elements: Sequence[str]) -> "FinitePoset":
@@ -212,15 +211,22 @@ def _diagonal_steps(coords: Dict[int, Tuple[int, ...]], n: int) -> Tuple[Tuple[O
 
 
 def _transitive_closure(adj: np.ndarray) -> np.ndarray:
-    n = adj.shape[0]
+    """Every pair joined by a path of one or more steps.  Each squaring doubles
+    the path length covered, so a longest path of L steps takes ceil(log2 L)
+    products and one more to see nothing change."""
     reach = adj.copy()
-    if n == 0:
+    if adj.shape[0] == 0:
         return reach
     while True:
-        nxt = reach | (reach @ adj)  # a bool matmul is an OR of ANDs: no count to wrap
+        nxt = reach | (reach @ reach)  # a bool matmul is an OR of ANDs: no count to wrap
         if (nxt == reach).all():
             return reach
         reach = nxt
+
+
+def _pairs(mask: np.ndarray) -> Tuple[Tuple[int, int], ...]:
+    """The (i, j) with mask[i, j], ascending: `nonzero` lists them in row-major order."""
+    return tuple(zip(*(ix.tolist() for ix in np.nonzero(mask))))
 
 
 def _transitive_reduction(lt: np.ndarray) -> np.ndarray:

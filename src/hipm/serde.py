@@ -224,8 +224,9 @@ def _matrix(fieldspec: FieldSpec, rows: Any, want_rows: int, want_cols: int, loc
             or any(not isinstance(r, list) or len(r) != want_cols for r in rows)):
         raise SchemaError(f"matrix must be {want_rows}x{want_cols}", location)
     parse = int if fieldspec.is_prime_field else Fraction
-    return Mat.from_rows(fieldspec, [[_exact(parse, v, location) for v in r] for r in rows],
-                         cols=want_cols)
+    # a plain int (no bool) is its own value: from_rows coerces it
+    return Mat.from_rows(fieldspec, [[v if type(v) is int else _exact(parse, v, location)
+                                      for v in r] for r in rows], cols=want_cols)
 
 
 def load_module(doc: Dict[str, Any], poset: FinitePoset,
@@ -244,16 +245,18 @@ def load_module(doc: Dict[str, Any], poset: FinitePoset,
     dims = []
     for e in poset.elements:
         d = dims_doc.get(e, 0)
-        text = str(d) if type(d) is int else d  # no bool or float
-        if not (isinstance(text, str) and NUMERAL.fullmatch(text) and text.isdigit()):
+        if type(d) is not int:  # a bool or a float is no dimension
+            if not (isinstance(d, str) and NUMERAL.fullmatch(d) and d.isdigit()):
+                raise SchemaError(f"dimension must be an integer >= 0, got {d!r}", f"$.dims[{e!r}]")
+            # int() refuses a string of more than 4300 digits: one that long is past the bound
+            digits = d.lstrip("0") or "0"
+            d = int(digits) if len(digits) <= len(str(_MAX_INNER)) else _MAX_INNER + 1
+        elif d < 0:
             raise SchemaError(f"dimension must be an integer >= 0, got {d!r}", f"$.dims[{e!r}]")
-        # before any matrix of that size is allocated; the length test first,
-        # since int() refuses a string of more than 4300 digits
-        digits = text.lstrip("0") or "0"
-        if len(digits) > len(str(_MAX_INNER)) or int(digits) > _MAX_INNER:
+        if d > _MAX_INNER:  # before any matrix of that size is allocated
             raise SchemaError(f"dimension exceeds the supported bound {_MAX_INNER}",
                               f"$.dims[{e!r}]")
-        dims.append(int(digits))
+        dims.append(d)
     maps = {}
     covers = set(poset.covers)
     for key, rows in _object(doc.get("maps", {}), "maps", "$.maps").items():

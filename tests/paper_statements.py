@@ -4,7 +4,8 @@ Each function builds one side of an identity the paper proves, from the
 engine's functors and (co)limit legs, so that a test can compare it with what
 the engine builds directly: the colimit of any diagram as a relation quotient,
 the universal property of a (co)limit, the Fubini comparison of an iterated
-colimit with the colimit over the union, the neighborhoods of the strict
+colimit with the colimit over the union, the order violations of a height
+function (what `height.from_phi` rejects), the neighborhoods of the strict
 height difference, iterated neighborhoods and diagonal domination on grids,
 the transpose flat of L_r -| R_r and functoriality of L_r and R_r on
 morphisms, the unit and counit (the triangle identities), the mates of eta_L
@@ -25,7 +26,8 @@ from hipm.exactlin import (Mat, factor_at, hstack, kernel_basis, quotient_map, r
                            vstack)
 from hipm.functors import (_functor, apply_L, apply_R, erosion_subquotient, eta_L, eta_L_to_id,
                            eta_R_from_id, im_r, ker_r, mu_L, sharp)
-from hipm.height import INF, HeightDiff, nbhd_down_idx, nbhd_iterated_idx, nbhd_up_idx
+from hipm.height import (INF, HeightDiff, HeightFunction, nbhd_down_idx, nbhd_iterated_idx,
+                         nbhd_up_idx)
 from hipm.interleave import check_certificate
 from hipm.kan import (UniversalCone, colim_over, factor, factor_from_colim, factor_into_lim,
                       induced)
@@ -180,8 +182,16 @@ def fubini_compare(m: PersistenceModule, index_subset: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# neighborhoods
+# height functions and neighborhoods
 # ---------------------------------------------------------------------------
+
+
+def order_violations(phi: HeightFunction) -> List[Tuple[str, str]]:
+    """Every comparable pair a < b with phi(a) > phi(b), in comparable-pair
+    order, one Fraction comparison per pair."""
+    P = phi.poset
+    return [(P.elements[i], P.elements[j]) for i, j in P.comparable_pairs()
+            if i != j and phi.phi[P.elements[i]] > phi.phi[P.elements[j]]]
 
 
 def rho_strict(poset: FinitePoset) -> HeightDiff:

@@ -17,13 +17,15 @@ the built R_r values.
 
 import bisect
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hipm import cli, erosion, functors, interleave, kan, pmod, serde
+from hipm import cli, erosion, functors, interleave, kan, pmod, poset, serde
 from hipm.erosion import _en_stratum_test, d_en
 from hipm.exactlin import FieldSpec, Mat
 from hipm.functors import apply_R, e_r_rank_obstruction, e_r_vanishes
@@ -79,6 +81,42 @@ def test_validate_module_forms_two_composites_per_square(monkeypatch):
     calls = counting(monkeypatch, Mat, "__matmul__")
     assert validate_module(m).valid
     assert calls[0] <= 2 * 4 * 4  # a 5x5 grid has 16 squares
+
+
+def test_load_module_coerces_no_entry_one_at_a_time(monkeypatch):
+    """`load_module` turns plain int dimensions and entries, and exact strings
+    over Q, into matrices with no `FieldSpec.coerce` call."""
+    rng = random.Random(5)
+    calls = counting(monkeypatch, FieldSpec, "coerce")
+    for field in (GF2, GF3, QQ):
+        P = random_poset(rng, 8, 0.4)
+        m = random_module(rng, P, field, 3)
+        assert load_module(module_to_json(m), P).maps == m.maps
+        assert any(not f.is_zero() for f in m.maps.values())  # entries were read
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 64, 200])
+def test_from_covers_squares_its_way_to_the_closure(monkeypatch, n):
+    """At most ceil(log2 n) + 1 closure products on the n-chain, whose path
+    of n - 1 steps is the longest there is, and on random DAGs."""
+    products = [0]
+    original = poset._transitive_closure
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products[0] += 1
+            return super().__matmul__(other)
+
+    monkeypatch.setattr(poset, "_transitive_closure",
+                        lambda adj: np.asarray(original(adj.view(Counted))))
+    bound = math.ceil(math.log2(n)) + 1
+    FinitePoset.chain([str(i) for i in range(n)])
+    assert 1 <= products[0] <= bound
+    for seed in range(3):
+        products[0] = 0
+        random_poset(random.Random(seed), n, 0.3)
+        assert 1 <= products[0] <= bound
 
 
 @pytest.mark.parametrize("case", range(5))
@@ -356,8 +394,8 @@ def test_a_vanishing_d_en_witness_builds_no_matching_value_submodule_or_quotient
     over Q, the witness `d_en` builds calls no apply_R, lim_over, eta_R_from_id,
     submodule_from_bases or quotient_by_submodule, and the only cones it
     builds are colimits over the lower neighborhoods at its level; the same
-    holds for the witness `hipm en-distance` builds and writes.  Built by
-    `erosion_subquotient`, the same witness calls every one of them."""
+    holds for the witness `hipm en-distance` builds and writes.  The erosion
+    `functors.erosion_E` builds calls every one of them."""
     names = ("apply_R", "lim_over", "eta_R_from_id", "submodule_from_bases",
              "quotient_by_submodule")
     counts = {name: counting_everywhere(monkeypatch, name) for name in names}
@@ -384,8 +422,7 @@ def test_a_vanishing_d_en_witness_builds_no_matching_value_submodule_or_quotient
         assert built() == before
         downs = set(nbhds(rho, "down", level(rho, st.rep)))
         assert cones and all(latching and nodes in downs for latching, nodes in cones)
-        functors.erosion_subquotient(rho, st.rep, PersistenceModule(m.poset, m.field, m.dims,
-                                                                    m.maps))
+        functors.erosion_E(rho, st.rep, PersistenceModule(m.poset, m.field, m.dims, m.maps))
         assert all(after > before[name] for name, after in built().items())  # not vacuous
     assert len(cases) >= 8 and {m.field.is_prime_field for _, m, _, _ in cases} == {True, False}
 

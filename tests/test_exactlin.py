@@ -576,3 +576,34 @@ def test_rref_matches_the_scalar_loop_on_a_relaxation_transform():
     m = hstack(GF3, [blocks, Mat.eye(GF3, 31)])
     assert (m.rows, m.cols) == (31, 287)
     _assert_matches_the_scalar_loop(m, pivot_limit=256)
+
+
+def from_rows_by_entry(field, rows, cols):
+    """`Mat.from_rows` as one `field.coerce` per entry into a zero matrix."""
+    m = Mat.zeros(field, len(rows), len(rows[0]) if rows else cols)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            m.a[i, j] = field.coerce(x)
+    return m
+
+
+ENTRIES = (st.integers(-5, 5) | st.integers(-(1 << 80), 1 << 80)
+           | st.fractions(max_denominator=1 << 70))
+
+
+@given(st.sampled_from([GF2, GF3, FieldSpec("gfp", 1000003), QQ]), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_from_rows_equals_coercing_each_entry(field, rows, cols, data):
+    """Negative entries, entries past int64 and Fractions (which GF(p) truncates
+    as int() does), and the 0 x k and k x 0 shapes."""
+    entries = [[data.draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    got, want = Mat.from_rows(field, entries, cols=cols), from_rows_by_entry(field, entries, cols)
+    assert got == want and got.a.shape == (rows, cols) and got.a.dtype == want.a.dtype
+    assert all(type(x) is (int if field.is_prime_field else Fraction) for x in got.a.ravel().tolist())
+
+
+def test_from_rows_rejects_ragged_rows():
+    for field in (GF2, QQ):
+        with pytest.raises(ValueError, match="ragged rows"):
+            Mat.from_rows(field, [[1, 2], [3]])

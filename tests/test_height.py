@@ -33,7 +33,7 @@ from hipm.height import (
 )
 from hipm.poset import Connectivity, FinitePoset, OrderMap, PosetError, _is_connected_idx
 from hipm.randgen import random_forest_poset, random_phi, random_poset
-from paper_statements import dominates_diagonal, nbhd_iterated, rho_strict
+from paper_statements import dominates_diagonal, nbhd_iterated, order_violations, rho_strict
 
 
 def test_ext_value_conventions():
@@ -111,6 +111,54 @@ def test_rho_diag_values():
     r1 = rho_diag(g1)
     phi = HeightFunction(g1, {e: Fraction(g1.coords[g1.idx(e)][0]) for e in g1.elements})
     assert r1.values == from_phi(phi).values  # one dimension: plain height difference
+
+
+BIG = 1 << 64  # numerators and denominators past int64
+
+
+@st.composite
+def height_functions(draw):
+    """A random poset with phi of mixed denominators, some numerators past
+    2^63, and either order-preserving (values sorted by the size of each
+    element's down-set) or drawn freely, which mostly violates the order."""
+    P = random_poset(random.Random(draw(st.integers(0, 10 ** 6))), draw(st.integers(0, 8)))
+    values = [Fraction(draw(st.integers(-6, 6) | st.integers(-3 * BIG, 3 * BIG)),
+                       draw(st.integers(1, 12) | st.just(BIG + 1))) for _ in P.elements]
+    if draw(st.booleans()):
+        below = P.leq.sum(axis=0)
+        rank = sorted(range(len(P)), key=lambda i: below[i])
+        values = dict(zip(rank, sorted(values)))
+    return HeightFunction(P, {e: values[i] for i, e in enumerate(P.elements)})
+
+
+@given(height_functions())
+@settings(max_examples=150, deadline=None)
+def test_from_phi_matches_the_per_pair_differences(phi):
+    """Each value is the Fraction phi(b) - phi(a), keyed in comparable-pair
+    order; an order violation raises naming the first violating pair."""
+    P = phi.poset
+    bad = order_violations(phi)
+    if bad:
+        with pytest.raises(PosetError) as info:
+            from_phi(phi)
+        assert str(info.value) == f"height function not order-preserving, e.g. on pair {bad[0]}"
+        return
+    want = {(i, j): phi.phi[P.elements[j]] - phi.phi[P.elements[i]]
+            for i, j in P.comparable_pairs()}
+    got = from_phi(phi).values
+    assert list(got.items()) == list(want.items())
+    assert all(type(v) is Fraction for v in got.values())
+
+
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_rho_diag_matches_the_per_pair_minimum(shape):
+    g = FinitePoset.grid(shape)
+    want = {(i, j): Fraction(min(b - a for a, b in zip(g.coords[i], g.coords[j])))
+            for i, j in g.comparable_pairs()}
+    got = rho_diag(g).values
+    assert list(got.items()) == list(want.items())
+    assert all(type(v) is Fraction for v in got.values())
 
 
 def test_rho_strict_neighborhoods():

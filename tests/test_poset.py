@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from hipm.poset import (
     OrderMap,
     PosetError,
     _is_connected_idx,
+    _transitive_closure,
     check_galois_insertion,
     check_order_map,
     is_diamond_free,
@@ -265,3 +267,54 @@ def test_diamond_with_many_common_lower_bounds(width):
     p = FinitePoset.from_covers(["u", "v", "t"] + lows, covers)
     assert not is_diamond_free(p)
     assert is_diamond_free(FinitePoset.from_covers(["u", "v"] + lows, covers[:-2]))
+
+
+def grid_from_covers(shape):
+    """The grid as `from_covers` builds it from its unit steps and coordinates."""
+    points = list(itertools.product(*[range(s) for s in shape]))
+    name = {pt: "v_" + "_".join(str(c) for c in pt) for pt in points}
+    covers = [(name[pt], name[pt[:d] + (pt[d] + 1,) + pt[d + 1:]])
+              for pt in points for d in range(len(shape)) if pt[d] + 1 < shape[d]]
+    return FinitePoset.from_covers([name[pt] for pt in points], covers,
+                                   coords={name[pt]: pt for pt in points})
+
+
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_grid_equals_from_covers_over_its_unit_steps(shape):
+    g, want = FinitePoset.grid(shape), grid_from_covers(shape)
+    assert (g.elements, g.covers, g.ups, g.downs, g.coords) == (
+        want.elements, want.covers, want.ups, want.downs, want.coords)
+    assert g.leq.dtype == want.leq.dtype and np.array_equal(g.leq, want.leq)
+    assert [g.diagonal(k) for k in (-2, -1, 1, 2)] == [want.diagonal(k) for k in (-2, -1, 1, 2)]
+
+
+def warshall(adj):
+    """Reachability by one or more steps, one intermediate element at a time."""
+    reach = adj.copy()
+    for k in range(len(reach)):
+        reach |= np.outer(reach[:, k], reach[k, :])
+    return reach
+
+
+@given(st.integers(0, 12), st.floats(0, 0.6), st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_the_closure_equals_warshall(n, density, acyclic, rnd):
+    """On random digraphs, acyclic or not, and then through `from_covers` on
+    the DAGs: its order is the closure and its covers the sorted reduction."""
+    adj = np.array([[i != j and (i < j or not acyclic) and rnd.random() < density
+                     for j in range(n)] for i in range(n)], dtype=bool).reshape(n, n)
+    want = warshall(adj)
+    assert np.array_equal(_transitive_closure(adj), want)
+    if acyclic:
+        P = FinitePoset.from_covers([str(i) for i in range(n)],
+                                    [(str(i), str(j)) for i, j in np.argwhere(adj).tolist()])
+        assert np.array_equal(P.leq, want | np.eye(n, dtype=bool))
+        reduced = want & ~(want.astype(int) @ want.astype(int)).astype(bool)
+        assert P.covers == tuple(sorted(map(tuple, np.argwhere(reduced).tolist())))
+
+
+def test_the_closure_of_a_200_element_chain():
+    adj = np.eye(200, k=1, dtype=bool)
+    assert np.array_equal(_transitive_closure(adj), warshall(adj))
+    assert np.array_equal(_transitive_closure(adj), np.triu(np.ones((200, 200), dtype=bool), 1))
