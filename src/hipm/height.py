@@ -230,7 +230,8 @@ def from_phi(phi: HeightFunction) -> HeightDiff:
     return HeightDiff(P, _fractions(i, j, diff.tolist(), L))
 
 
-def _fractions(i: np.ndarray, j: np.ndarray, nums: List[int], L: int) -> Dict[Tuple[int, int], Fraction]:
+def _fractions(i: np.ndarray, j: np.ndarray, nums: List[int],
+               L: int) -> Dict[Tuple[int, int], Fraction]:
     """{(i, j): num / L} over the zipped pairs and numerators, one Fraction
     made per distinct numerator."""
     made = {x: Fraction(x, L) for x in set(nums)}

@@ -112,11 +112,12 @@ class FinitePoset:
         if cyc.any():
             i, j = map(int, np.argwhere(cyc)[0])
             raise PosetError(f"cycle detected through {elements[i]!r} and {elements[j]!r}")
+        leq = lt | np.eye(n, dtype=bool)
+        cov = _pairs(_transitive_reduction(lt))
         idx_coords = None
         if coords is not None:
             idx_coords = {index[e]: tuple(c) for e, c in coords.items()}
-        return FinitePoset(elements, lt | np.eye(n, dtype=bool),
-                           _pairs(_transitive_reduction(lt)), idx_coords)
+        return FinitePoset(elements, leq, cov, idx_coords)
 
     @staticmethod
     def grid(shape: Sequence[int]) -> "FinitePoset":
@@ -133,7 +134,7 @@ class FinitePoset:
         elements = tuple("v_" + "_".join(map(str, pt)) for pt in points)
         # the axes of side 1 never differ: leaving them out bounds the arrays
         # by n x n x log2(n) entries, whatever the shape's length
-        c = np.array(points, dtype=np.int16).reshape(len(points), len(shape))[:, np.array(shape) > 1]
+        c = np.array(points, dtype=np.int16)[:, np.array(shape) > 1]
         step = c[None, :, :] - c[:, None, :]  # [i, j]: point j less point i
         leq = (step >= 0).all(axis=2)
         return FinitePoset(elements, leq, _pairs(leq & (step.sum(axis=2) == 1)),
@@ -214,8 +215,9 @@ def _transitive_closure(adj: np.ndarray) -> np.ndarray:
     """Every pair joined by a path of one or more steps.  Each squaring doubles
     the path length covered, so a longest path of L steps takes ceil(log2 L)
     products and one more to see nothing change."""
+    n = adj.shape[0]
     reach = adj.copy()
-    if adj.shape[0] == 0:
+    if n == 0:
         return reach
     while True:
         nxt = reach | (reach @ reach)  # a bool matmul is an OR of ANDs: no count to wrap
