@@ -168,7 +168,7 @@ class Mat:
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence], cols: Optional[int] = None) -> "Mat":
-        """The matrix with these rows, each entry taken through `field.coerce`;
+        """The matrix with these rows, each entry as `field.coerce` takes it;
         `cols` gives the width when there are no rows."""
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else (cols if cols is not None else 0)

@@ -5,7 +5,6 @@ import sys
 import time
 
 import pytest
-
 from hypothesis import given, settings, strategies as st
 
 from hipm.cli import _config, _json, _load_inputs, main, parse_args

@@ -1,7 +1,9 @@
 """Counts of the work that timing noise hides.
 
 Each guard patches one primitive to count its calls and bounds the count of a
-whole operation: the composites `validate_module` forms, the content keys
+whole operation: the composites `validate_module` forms, the per-entry
+`FieldSpec.coerce` calls `load_module` never makes, the closure products of
+`FinitePoset.from_covers`, the content keys
 `distance` builds, the critical-value bisections under `distance`, the
 isomorphism tests and quotients of `d_en`'s enumeration stage, the search
 that a stratum where e_r vanishes on both modules never starts, the R_r
