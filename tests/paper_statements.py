@@ -9,8 +9,8 @@ function (what `height.from_phi` rejects), the neighborhoods of the strict
 height difference, iterated neighborhoods and diagonal domination on grids,
 the transpose flat of L_r -| R_r and functoriality of L_r and R_r on
 morphisms, the unit and counit (the triangle identities), the mates of eta_L
-and mu_L (which must equal eta_R and mu_R), the erosion-neighborhood
-conditions and the canonical neighborhood of an interleaving, the
+and mu_L (which must equal eta_R and mu_R), im_r, ker_r and the erosion
+built from L_r, R_r and both etas, the erosion-neighborhood conditions and the canonical neighborhood of an interleaving, the
 interleaving between a module and each of its erosion neighborhoods, the
 composition of erosion neighborhoods through preimages, and their mediation.  `src/hipm` keeps only what a command runs.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from hipm.exactlin import (Mat, factor_at, hstack, kernel_basis, quotient_map, rref, solve,
                            vstack)
@@ -32,8 +32,8 @@ from hipm.interleave import check_certificate
 from hipm.kan import (UniversalCone, colim_over, factor, factor_from_colim, factor_into_lim,
                       induced)
 from hipm.pmod import (ModuleMorphism, PersistenceModule, Submodule, SubmoduleError, Subquotient,
-                       quotient_by_submodule, submodule_from_bases, submodule_intersection,
-                       submodule_sum)
+                       quotient_by_submodule, submodule_from_bases, submodule_image,
+                       submodule_intersection, submodule_kernel, submodule_sum)
 from hipm.poset import Connectivity, FinitePoset, PosetError, _is_connected_idx
 
 # ---------------------------------------------------------------------------
@@ -323,6 +323,34 @@ def mate_of_mu_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism:
 # ---------------------------------------------------------------------------
 # erosion neighborhoods
 # ---------------------------------------------------------------------------
+
+
+def im_r_from_eta(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
+    """im_r as the paper defines it: the image of eta_L: L_r M -> M."""
+    return submodule_image(eta_L_to_id(rho, r, m))
+
+
+def ker_r_from_eta(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
+    """ker_r as the paper defines it: the kernel of eta_R: M -> R_r M."""
+    return submodule_kernel(eta_R_from_id(rho, r, m))
+
+
+def erosion_from_etas(rho: HeightDiff, r, m: PersistenceModule,
+                      incoming: Optional[ModuleMorphism] = None,
+                      outgoing: Optional[ModuleMorphism] = None) -> Subquotient:
+    """M1 / (M1 & ker[eta_R; outgoing]) in M with M1 = im[eta_L, incoming],
+    built from L_r M, R_r M and both etas: per element, M1 is spanned by the
+    columns of eta_L(a) beside incoming(a), and the kernel is that of eta_R(a)
+    stacked over outgoing(a).  `functors.erosion_subquotient` must write the
+    same subquotient from M's own maps."""
+    F = m.field
+    ins = [f for f in (eta_L_to_id(rho, r, m), incoming) if f is not None]
+    outs = [g for g in (eta_R_from_id(rho, r, m), outgoing) if g is not None]
+    m1 = submodule_from_bases(m, [hstack(F, [f.components[a] for f in ins], rows=d)
+                                  for a, d in enumerate(m.dims)])
+    kern = submodule_from_bases(m, [kernel_basis(vstack(F, [g.components[a] for g in outs], cols=d))
+                                    for a, d in enumerate(m.dims)])
+    return quotient_by_submodule(m1, submodule_intersection(m1, kern))
 
 
 class ErosionNeighborhoodError(ValueError):

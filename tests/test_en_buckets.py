@@ -8,7 +8,9 @@ must agree with it exactly: same verdict, via and witness at every stratum,
 and the same members in the same order.  That holds for any isomorphism test
 that says "no" on different dimension vectors, so it is also checked with a
 coarse stand-in whose "yes" and "unknown" are common enough to reach every
-branch of the cross test.
+branch of the cross test.  The oracle's im_r, ker_r and witnesses are built
+from L_r, R_r and both etas (`paper_statements.erosion_from_etas`), not from
+the module's own maps as `d_en` builds them.
 """
 
 import itertools
@@ -25,9 +27,8 @@ from hipm.erosion import (
     _subspaces_between,
     en_enumerate,
 )
-from hipm.exactlin import GF2, FieldSpec, Mat, hstack, kernel_basis, solve, vstack
-from hipm.functors import (e_r, e_r_rank_obstruction, erosion_subquotient, eta_L_to_id,
-                           eta_R_from_id, im_r, ker_r, sharp)
+from hipm.exactlin import GF2, FieldSpec, Mat, solve
+from hipm.functors import e_r, e_r_rank_obstruction, im_r, ker_r, sharp
 from hipm.height import from_phi, strata
 from hipm.pmod import (
     PersistenceModule,
@@ -40,6 +41,8 @@ from hipm.pmod import (
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
 from hipm.serde import _subquotient_to_json
 
+from paper_statements import erosion_from_etas, im_r_from_eta, ker_r_from_eta
+
 GF3 = FieldSpec("gfp", 3)
 
 
@@ -47,7 +50,7 @@ def oracle_enumerate(rho, r, m, budget):
     """(members, complete): every quotient formed, each deduplicated against
     all members before it."""
     P = m.poset
-    imr, kerr = im_r(rho, r, m), ker_r(rho, r, m)
+    imr, kerr = im_r_from_eta(rho, r, m), ker_r_from_eta(rho, r, m)
     m1_choices = [_subspaces_between(m.field, imr.bases[i], Mat.eye(m.field, m.dims[i]))
                   for i in range(len(P))]
     left = max(budget, 0)
@@ -69,22 +72,6 @@ def oracle_enumerate(rho, r, m, budget):
     return members, left > 0
 
 
-def canonical_side(rho, r, base, incoming, outgoing):
-    """M1/M2 with M1 = im[eta, incoming] and M2 = M1 & ker[eta; outgoing],
-    built directly from the per-element blocks."""
-    F = base.field
-    eta_l, eta_r = eta_L_to_id(rho, r, base), eta_R_from_id(rho, r, base)
-    m1 = submodule_from_bases(base, [
-        hstack(F, [eta_l.components[i], incoming.components[i]], rows=base.dims[i])
-        for i in range(len(base.poset))
-    ])
-    kerb = submodule_from_bases(base, [
-        kernel_basis(vstack(F, [eta_r.components[i], outgoing.components[i]], cols=base.dims[i]))
-        for i in range(len(base.poset))
-    ])
-    return quotient_by_submodule(m1, submodule_intersection(m1, kerb))
-
-
 def oracle_stratum_test(rho, rep, m, n, budget, enumerations):
     """(verdict, via, witness) with a cross test over all pairs of members;
     `enumerations` holds `oracle_enumerate`'s value for m and for n."""
@@ -93,10 +80,10 @@ def oracle_stratum_test(rho, rep, m, n, budget, enumerations):
     em = submodule_image(e_r(rho, rep, m)).module
     en_ = submodule_image(e_r(rho, rep, n)).module
     if erosion.is_isomorphic(em, en_, budget=budget).verdict == "yes":
-        return "yes", "erosion-iso", erosion_subquotient(rho, rep, m)
+        return "yes", "erosion-iso", erosion_from_etas(rho, rep, m)
     res = erosion.find_interleaving(rho, rep, m, n, budget)
     if res.verdict == "yes":
-        return "yes", "certificate", canonical_side(rho, rep, m, sharp(rho, rep, m, res.q), res.p)
+        return "yes", "certificate", erosion_from_etas(rho, rep, m, sharp(rho, rep, m, res.q), res.p)
     (members_m, complete_m), (members_n, complete_n) = enumerations
     undecided = False
     for sm in members_m:

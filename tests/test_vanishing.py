@@ -6,10 +6,12 @@ same a's upper one.  That must agree with the transpose route (`e_r`, through
 L_r and R_r) and with the colimit-leg blocks the search uses (`e_r_legs`), at
 every level including the zero and top strata; and `nbhd_bottoms` and the pair
 list must be the ones built element by element from `nbhd_tops` and the minima
-of `nbhds`.  Where e_r vanishes, the erosion that `d_en` reports is written
-from M's own maps and the lower neighborhoods' colimit cones; it must equal
-`functors.erosion_subquotient`, which builds L_r, R_r, both etas, the
-submodules and the quotient.
+of `nbhds`.  `functors.erosion_bases` reads im_r and ker_r off M's own maps
+and the lower neighborhoods' colimit cones; `im_r`, `ker_r`,
+`erosion_subquotient` (with and without the maps an interleaving adds) and,
+where e_r vanishes, the erosion that `d_en` reports must each equal the oracle
+`paper_statements.erosion_from_etas` or its halves, which build L_r, R_r,
+both etas, the submodules and the quotient.
 """
 
 import random
@@ -18,13 +20,16 @@ from hypothesis import given, settings, strategies as st
 
 from hipm.erosion import _vanishing_erosion
 from hipm.exactlin import FieldSpec
-from hipm.functors import e_r, e_r_legs, e_r_vanishes, erosion_subquotient, ker_r
+from hipm.functors import (e_r, e_r_legs, e_r_vanishes, erosion_subquotient, eta_L_to_id,
+                           eta_R_from_id, im_r, ker_r)
 from hipm.height import (from_phi, level, nbhd_bottoms, nbhd_pairs, nbhd_tops, nbhds, rho_diag,
                          strata)
 from hipm.kan import colim_over
 from hipm.poset import FinitePoset
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
 from hipm.serde import _subquotient_to_json
+
+from paper_statements import erosion_from_etas, im_r_from_eta, ker_r_from_eta
 
 FIELDS = [FieldSpec("gfp", 2), FieldSpec("gfp", 3), FieldSpec("rational")]
 
@@ -92,8 +97,9 @@ def vanishing_instance(seed: int):
 
 
 def vanishing_witnesses_agree(rho, m) -> set:
-    """Check the written witness against `erosion_subquotient` at every
-    stratum where e_{r,M} = 0; return the shapes met there: an empty lower
+    """Check the written witness against the eta-built erosion
+    (`erosion_from_etas`) and against `erosion_subquotient` at every stratum
+    where e_{r,M} = 0; return the shapes met there: an empty lower
     neighborhood, a colimit read at fewer coordinates than its legs (several
     maxima), and a nonzero ker_r under a nonzero M1."""
     met = set()
@@ -102,11 +108,12 @@ def vanishing_witnesses_agree(rho, m) -> set:
         if not e_r_vanishes(rho, r, m):
             continue
         got = _vanishing_erosion(rho, r, m)
-        want = erosion_subquotient(rho, r, m)
+        want = erosion_from_etas(rho, r, m)
         assert _subquotient_to_json(got) == _subquotient_to_json(want)
+        assert _subquotient_to_json(erosion_subquotient(rho, r, m)) == _subquotient_to_json(want)
         assert got.quotient.dims == want.quotient.dims == (0,) * len(m.dims)
         k = level(rho, r)
-        kern = ker_r(rho, r, m).bases
+        kern = ker_r_from_eta(rho, r, m).bases
         for a, down in enumerate(nbhds(rho, "down", k)):
             col = colim_over(m, down)
             met |= {"empty"} if not down else set()
@@ -130,3 +137,48 @@ def test_the_vanishing_erosion_check_meets_every_shape():
         shapes = vanishing_witnesses_agree(rho, m)
         met |= shapes | ({FIELDS.index(m.field)} if shapes else set())
     assert met == {"empty", "maxima", "ker", 0, 1, 2}
+
+
+def erosion_bases_agree(rho, m) -> set:
+    """At every stratum, check `im_r`, `ker_r` and `erosion_subquotient`
+    against the eta-built oracle, the last also with the previous stratum's
+    eta_L as `incoming` and its eta_R as `outgoing` (natural maps into and out
+    of M, as an interleaving's q# and p are); return the shapes met: a nonzero
+    quotient, an `incoming` that enlarges M1 and an `outgoing` that shrinks
+    the kernel."""
+    met = set()
+    previous = previous_kern = None
+    for st_ in strata(rho):
+        r = st_.rep
+        kern = ker_r_from_eta(rho, r, m).bases
+        assert im_r(rho, r, m).bases == im_r_from_eta(rho, r, m).bases
+        assert ker_r(rho, r, m).bases == kern
+        plain = erosion_from_etas(rho, r, m)
+        assert _subquotient_to_json(erosion_subquotient(rho, r, m)) == _subquotient_to_json(plain)
+        met |= {"quotient"} if any(plain.quotient.dims) else set()
+        if previous is not None:
+            incoming, outgoing = eta_L_to_id(rho, previous, m), eta_R_from_id(rho, previous, m)
+            want = erosion_from_etas(rho, r, m, incoming, outgoing)
+            got = erosion_subquotient(rho, r, m, incoming, outgoing)
+            assert _subquotient_to_json(got) == _subquotient_to_json(want)
+            met |= {"incoming"} if want.sub1.bases != plain.sub1.bases else set()
+            met |= {"outgoing"} if previous_kern != kern else set()
+        previous, previous_kern = r, kern
+    return met
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_erosion_bases_read_off_the_maps_equal_the_eta_built_oracle(seed):
+    erosion_bases_agree(*vanishing_instance(seed))
+
+
+def test_the_eta_oracle_check_meets_every_shape():
+    """The same check on fixed seeds, which meet all three shapes over all
+    three fields."""
+    met = set()
+    for seed in range(30):
+        rho, m = vanishing_instance(seed)
+        shapes = erosion_bases_agree(rho, m)
+        met |= shapes | ({FIELDS.index(m.field)} if shapes else set())
+    assert met == {"quotient", "incoming", "outgoing", 0, 1, 2}
