@@ -158,8 +158,7 @@ class FinitePoset:
 
     def comparable_pairs(self) -> List[Tuple[int, int]]:
         """All (i, j) with element i <= element j, including i == j, in index order."""
-        i, j = np.nonzero(self.leq)
-        return list(zip(i.tolist(), j.tolist()))
+        return list(_pairs(self.leq))
 
     def down_idx(self, i: int) -> List[int]:
         return [int(j) for j in np.flatnonzero(self.leq[:, i])]
@@ -183,7 +182,7 @@ class FinitePoset:
         sub = self.leq[np.ix_(ix, ix)].copy()
         np.fill_diagonal(sub, False)
         red = _transitive_reduction(sub)
-        return [(ix[int(i)], ix[int(j)]) for i, j in sorted(map(tuple, np.argwhere(red)))]
+        return [(ix[i], ix[j]) for i, j in _pairs(red)]
 
     def diagonal(self, k: int) -> List[Optional[int]]:
         """Per element a, the element at a + k*(1, ..., 1) on the grid (k < 0
