@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, Optional, Tuple
 
 from . import fixtures
@@ -112,53 +111,8 @@ def _read_json(path: str) -> Any:
         raise SchemaError(f"malformed JSON: {e}", path)
 
 
-def _json(value: Any, newline: str, out: list) -> None:
-    """Append to `out` the text `json.dumps(value, indent=2, sort_keys=True)`
-    writes for `value` nested at the indent `newline` opens: a dict with str
-    keys, a list or tuple, a str, an int, a bool or None.  Anything else, a
-    float included, raises TypeError."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _json(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json(value[key], inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not written in a report")
-
-
 def _emit(cfg: RunConfig, payload: Dict[str, Any]) -> None:
-    out: list = []
-    _json(payload, "\n", out)
-    text = "".join(out)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if cfg.output and cfg.output != "-":
         try:
             with open(cfg.output, "w") as fh:

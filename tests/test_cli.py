@@ -5,9 +5,8 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from hipm.cli import _config, _json, _load_inputs, main, parse_args
+from hipm.cli import _config, _load_inputs, main, parse_args
 from hipm.exactlin import DEFAULT_BUDGET, GF2, QQ
 from hipm.fixtures import grid_example
 from hipm.serde import (
@@ -899,31 +898,3 @@ def test_cli_rejects_a_grid_over_the_size_cap_at_once(capsys, chain_files, tmp_p
                                 "--height", str(chain_files["phi"])])
     assert time.perf_counter() - start < 1
     assert code == 1 and err == "grid has 10000000000 elements, configured cap is 512"
-
-
-def report_text(payload):
-    out = []
-    _json(payload, "\n", out)
-    return "".join(out)
-
-
-SCALARS = (st.text() | st.characters(max_codepoint=0x1f).map(lambda c: f'a"\\{c}é\u2028')
-           | st.integers() | st.integers(-(1 << 80), 1 << 80) | st.booleans() | st.none())
-PAYLOADS = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
-                        | st.lists(inner, max_size=4).map(tuple)
-                        | st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=30)
-
-
-@given(PAYLOADS)
-@settings(max_examples=300, deadline=None)
-def test_the_report_writer_writes_what_json_dumps_writes(payload):
-    """Nested dicts, lists and tuples; strings with non-ASCII characters,
-    quotes, backslashes and control characters; ints past 2^63, bools, None."""
-    assert report_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("payload", [1.5, {"x": [0.0]}, {1, 2}, [{"a": frozenset()}],
-                                     {1: "one"}, {"a": 1, None: 2}, {"a": {(1, 2): 3}}])
-def test_the_report_writer_refuses_floats_sets_and_keys_that_are_not_str(payload):
-    with pytest.raises(TypeError):
-        report_text(payload)
