@@ -18,6 +18,7 @@ import io
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -303,6 +304,25 @@ def empty_poset_commands():
             ["distance"] + on_height + pair, ["en-distance"] + on_height + pair]
 
 
+def budget_and_big_value_commands(insts):
+    """`cip` runs that stop at the budget and a `c-rho` on big numbers: on
+    grid2, whose witness is test 681, budgets 1 and 680 stop short of it
+    (exit 2) and 681 finds it exactly at the budget (exit 0); bipath stops at
+    budget 5.  The `c-rho` height is a diamond whose values, written over their
+    common denominator 21, pass 2**63."""
+    by_name = {i.name: i for i in insts}
+    out = [["--budget", str(b)] + by_name["grid2"].on_height("cip") for b in (1, 680, 681)]
+    out.append(["--budget", "5"] + by_name["bipath"].on_height("cip"))
+    poset = write_input("bigvalue_poset", {"elements": ["a", "b", "c", "d"],
+                                           "covers": [["a", "b"], ["a", "c"], ["b", "d"],
+                                                      ["c", "d"]]})
+    table = [["a", "b", 2**64], ["b", "d", 2**63 + Fraction(1, 3)], ["a", "c", 3 * 2**62],
+             ["c", "d", 2**62 + Fraction(2, 7)], ["a", "d", 2**65 + 5]]
+    height = write_input("bigvalue_height", {"rho": [[a, b, str(v)] for a, b, v in table]})
+    out.append(["c-rho", "--poset", poset, "--height", height])
+    return out
+
+
 def build():
     INPUTS.mkdir(exist_ok=True)
     for old in INPUTS.glob("*.json"):
@@ -311,7 +331,8 @@ def build():
     commands = ([c for inst in insts for c in inst.commands()] + repro_commands()
                 + stress_commands()
                 + extra_commands(next(i for i in insts if i.name == "rand0"))
-                + escaped_id_commands() + empty_poset_commands())
+                + escaped_id_commands() + empty_poset_commands()
+                + budget_and_big_value_commands(insts))
     corpus, dropped = [], []
     for argv in commands:
         res = run(resolve(argv))
