@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .exactlin import exact_str
-from .poset import Connectivity, FinitePoset, Memo, OrderMap, PosetError, _is_connected_idx
+from .poset import FinitePoset, Memo, OrderMap, PosetError
 
 __all__ = [
     "INF",
@@ -483,44 +483,94 @@ class CipReport:
     budget_exceeded: bool = False
 
 
+def _bitsets(mask: np.ndarray) -> List[int]:
+    """Each row of a boolean matrix as one int, bit x set where the row holds
+    True in column x: one `packbits` over the whole matrix, cut into rows."""
+    width = (mask.shape[1] + 7) // 8
+    packed = np.packbits(mask, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[i * width:(i + 1) * width], "little")
+            for i in range(mask.shape[0])]
+
+
+def _connected(inter: int, comparable: List[int]) -> bool:
+    """Whether the elements of the nonempty bitset `inter` form a connected
+    subposet: a breadth-first search from its lowest element, one step along
+    the comparability bitsets of a whole frontier at a time, kept inside
+    `inter`."""
+    seen = frontier = inter & -inter
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= comparable[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & inter & ~seen
+        seen |= frontier
+    return seen == inter
+
+
 def check_cip(rho: HeightDiff, budget: int = 4_000_000) -> CipReport:
     """Check that every I_{s,r}(a, q) = a^{down_s} & q^{up_r} is empty or connected.
 
     (s, r) ranges over the critical stratum representatives, which is exhaustive
     because each neighborhood is constant per stratum: the levels 0..K of the
-    K critical values, reps[k] being the representative of level k.  Aborts
-    with budget_exceeded rather than sampling.
+    K critical values, reps[k] being the representative of level k.  The tests
+    run in the order a, q, s, r, one per (a, q, s, r) whose lower neighborhood
+    a^{down_s} is nonempty, and `tests_run` counts them up to the first
+    disconnected intersection; a run that would pass `budget` stops with
+    budget_exceeded and tests_run = budget, rather than sampling.
+
+    Neighborhoods are bitsets, one int per element and level, packed from the
+    level matrix (`levels`).  Runs of empty intersections are counted at once:
+    when q is not below a every intersection is empty, and for fixed (a, q, s)
+    the upper neighborhoods shrink as r grows, so the first empty intersection
+    ends the run.  Each distinct nonempty intersection is decided once
+    (`_connected`).
     """
     P = rho.poset
-    reps = [st.rep for st in strata(rho)]
     n = len(P)
+    if n == 0:  # no element, no test, and no level matrix to take a maximum of
+        return CipReport(holds=True)
+    reps = [st.rep for st in strata(rho)]
+    K = len(reps)
+    lev = levels(rho)
+    # per element, its neighborhoods by level; a's lower one is nonempty
+    # exactly at the levels below depth[a]
+    depth = (lev.max(axis=0) + 1).tolist()
+    down = list(zip(*(_bitsets(lev.T >= k) for k in range(max(depth)))))
+    up = list(zip(*(_bitsets(lev >= k) for k in range(K))))
+    comparable = _bitsets(P.leq | P.leq.T)
+    below = P.leq.T.tolist()  # below[a][q]: q <= a
+    exceeded = CipReport(holds=None, tests_run=budget, budget_exceeded=True)
     total = 0
-    verdicts = {}  # by intersection: each distinct one is decided once
-    # neighborhoods by element, then by level
-    downs = [nbhds(rho, "down", k) for k in range(len(reps))]
-    ups = [nbhds(rho, "up", k) for k in range(len(reps))]
-    down = [[frozenset(nb[a]) for nb in downs] for a in range(n)]
-    up = [[frozenset(nb[q]) for nb in ups] for q in range(n)]
+    verdicts: Dict[int, bool] = {}  # by intersection: each distinct one is decided once
     for a in range(n):
+        down_a = down[a][:depth[a]]
         for q in range(n):
-            up_q = up[q]
-            for s, da in zip(reps, down[a]):
-                if not da:
-                    continue
-                for r, uq in zip(reps, up_q):
+            if not below[a][q]:  # nothing lies between q and a
+                total += len(down_a) * K
+                if total > budget:
+                    return exceeded
+                continue
+            for k, da in enumerate(down_a):
+                for j, uq in enumerate(up[q]):
+                    inter = da & uq
+                    if not inter:  # and so are the rest of the run
+                        total += K - j
+                        if total > budget:
+                            return exceeded
+                        break
                     total += 1
                     if total > budget:
-                        return CipReport(holds=None, tests_run=total - 1, budget_exceeded=True)
-                    inter = da & uq
-                    if not inter:
-                        continue
-                    if inter not in verdicts:
-                        verdicts[inter] = _is_connected_idx(P, sorted(inter))
-                    if verdicts[inter] == Connectivity.DISCONNECTED:
+                        return exceeded
+                    ok = verdicts.get(inter)
+                    if ok is None:
+                        ok = verdicts[inter] = _connected(inter, comparable)
+                    if not ok:
                         return CipReport(
                             holds=False,
-                            witness=(P.elements[a], P.elements[q], s, r),
-                            witness_set=tuple(P.elements[x] for x in sorted(inter)),
+                            witness=(P.elements[a], P.elements[q], reps[k], reps[j]),
+                            witness_set=tuple(P.elements[x] for x in range(n) if inter >> x & 1),
                             tests_run=total,
                         )
     return CipReport(holds=True, tests_run=total)
@@ -529,6 +579,9 @@ def check_cip(rho: HeightDiff, budget: int = 4_000_000) -> CipReport:
 # ---------------------------------------------------------------------------
 # approximate intermediate-value property and its constant
 # ---------------------------------------------------------------------------
+
+
+_C_RHO_CHUNK = 1 << 18  # points per chunk of c_rho's (pairs x n) arrays
 
 
 @dataclass
@@ -607,26 +660,36 @@ def c_rho(rho: HeightDiff) -> CRhoResult:
     no finite c can pass and the result is oo (not attained: the infimum is over
     an empty set of finite tolerances).  `check_ivc` decides the same property
     pair by pair and serves as the oracle for this formula.
+
+    The arithmetic is exact on integers: every value times the common
+    denominator L, read off the critical values through the level matrix
+    (`levels`) into one n x n array, int64 while the values stay below 2**61
+    and Python ints (dtype object) from there.  Each strict pair is one row of
+    n points, those outside [a, b] padded with (0, 0), which z = a already
+    gives; the rows are sorted by (x, y) and taken in chunks of about
+    `_C_RHO_CHUNK` points, so the arrays stay small at any poset size.
     """
     P = rho.poset
-    pairs = [(i, j) for i, j in P.comparable_pairs() if i != j]
-    if any(rho.values[p] is INF for p in pairs):
+    crit = critical_values(rho)
+    lev = levels(rho)
+    if (lev == len(crit)).any():  # the level of oo: a strict pair with rho = oo
         return CRhoResult(value=INF, attained=False)
-    # exact integer arithmetic: every value times the common denominator L
-    L = math.lcm(*(v.denominator for v in rho.values.values()))
-    vals = {k: v.numerator * (L // v.denominator) for k, v in rho.values.items()}
+    L = math.lcm(*(v.denominator for v in crit))
+    scaled = [v.numerator * (L // v.denominator) for v in crit]  # ascending
+    dtype = np.int64 if scaled[-1] < 2**61 else object
+    vals = np.array(scaled, dtype=dtype)[np.maximum(lev, 0)]  # 0 off the order, unread
+    pa, pb = np.nonzero(P.leq & ~np.eye(len(P), dtype=bool))
     best = 0
-    for ia, ib in pairs:
-        R = vals[(ia, ib)]
-        points = []
-        for z in P.interval_idx(ia, ib):
-            A, B = vals[(ia, z)], R - vals[(z, ib)]
-            points.append((B, A) if A <= B else (A, B))
-        points.sort()
-        reach = 0  # the y of z = a, whose x = 0 sorts first
-        for x, y in points:
-            if x - reach > best:
-                best = x - reach
-            if y > reach:
-                reach = y
+    step = max(1, _C_RHO_CHUNK // max(len(P), 1))
+    for lo in range(0, len(pa), step):
+        ia, ib = pa[lo:lo + step], pb[lo:lo + step]
+        inside = P.leq[ia] & P.leq[:, ib].T  # row: the interval [a, b]
+        A = np.where(inside, vals[ia], 0)
+        B = np.where(inside, vals[ia, ib][:, None] - vals[:, ib].T, 0)
+        x, y = np.maximum(A, B), np.minimum(A, B)
+        order = np.lexsort((y, x), axis=-1)
+        x, y = np.take_along_axis(x, order, -1), np.take_along_axis(y, order, -1)
+        reach = np.maximum.accumulate(y, axis=-1)
+        # a row's first point is a (0, 0): x >= y >= 0 on every point
+        best = max(best, int((x[:, 1:] - reach[:, :-1]).max()))
     return CRhoResult(value=Fraction(best, L), attained=True)

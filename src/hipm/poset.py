@@ -1,4 +1,4 @@
-"""Finite posets as index categories: order queries, connectivity, diamond-freeness,
+"""Finite posets as index categories: order queries, diamond-freeness,
 order-preserving maps, and Galois insertions.
 
 Elements are opaque string ids; internal dense indices follow input order, so
@@ -19,7 +19,6 @@ __all__ = [
     "FinitePoset",
     "OrderMap",
     "PosetError",
-    "Connectivity",
     "check_order_map",
     "check_galois_insertion",
 ]
@@ -29,12 +28,6 @@ MAX_ELEMENTS = 512
 
 class PosetError(ValueError):
     pass
-
-
-class Connectivity:
-    EMPTY = "empty"
-    CONNECTED = "connected"
-    DISCONNECTED = "disconnected"
 
 
 class Memo:
@@ -236,15 +229,6 @@ def _transitive_reduction(lt: np.ndarray) -> np.ndarray:
         return lt.copy()
     via = lt @ lt  # bool: an OR of ANDs, no count to wrap
     return lt & ~via
-
-
-def _is_connected_idx(poset: FinitePoset, ix: Sequence[int]) -> str:
-    ix = list(ix)
-    if not ix:
-        return Connectivity.EMPTY
-    sub = poset.leq[np.ix_(ix, ix)]
-    reach = _transitive_closure(sub | sub.T)
-    return Connectivity.CONNECTED if reach[0].all() else Connectivity.DISCONNECTED
 
 
 def is_diamond_free(poset: FinitePoset) -> bool:

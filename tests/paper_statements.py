@@ -4,8 +4,10 @@ Each function builds one side of an identity the paper proves, from the
 engine's functors and (co)limit legs, so that a test can compare it with what
 the engine builds directly: the colimit of any diagram as a relation quotient,
 the universal property of a (co)limit, the Fubini comparison of an iterated
-colimit with the colimit over the union, the order violations of a height
-function (what `height.from_phi` rejects), the neighborhoods of the strict
+colimit with the colimit over the union and the connectivity of a subposet
+(which `height.check_cip` decides on bitsets), the order violations of a
+height function (what `height.from_phi` rejects), c(rho) one pair at a time
+(what `height.c_rho` computes on whole arrays), the neighborhoods of the strict
 height difference, iterated neighborhoods and diagonal domination on grids,
 the transpose flat of L_r -| R_r and functoriality of L_r and R_r on
 morphisms, the unit and counit (the triangle identities), the mates of eta_L
@@ -18,23 +20,26 @@ composition of erosion neighborhoods through preimages, and their mediation.  `s
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from hipm.exactlin import (Mat, factor_at, hstack, kernel_basis, quotient_map, rref, solve,
                            vstack)
 from hipm.functors import (_functor, apply_L, apply_R, erosion_subquotient, eta_L, eta_L_to_id,
                            eta_R_from_id, im_r, ker_r, mu_L, sharp)
-from hipm.height import (INF, HeightDiff, HeightFunction, nbhd_down_idx, nbhd_iterated_idx,
-                         nbhd_up_idx)
+from hipm.height import (INF, CipReport, CRhoResult, HeightDiff, HeightFunction, nbhd_down_idx,
+                         nbhd_iterated_idx, nbhd_up_idx, strata)
 from hipm.interleave import check_certificate
 from hipm.kan import (UniversalCone, colim_over, factor, factor_from_colim, factor_into_lim,
                       induced)
 from hipm.pmod import (ModuleMorphism, PersistenceModule, Submodule, SubmoduleError, Subquotient,
                        quotient_by_submodule, submodule_from_bases, submodule_image,
                        submodule_intersection, submodule_kernel, submodule_sum)
-from hipm.poset import Connectivity, FinitePoset, PosetError, _is_connected_idx
+from hipm.poset import FinitePoset, PosetError, _transitive_closure
 
 # ---------------------------------------------------------------------------
 # (co)limits: the universal property and the Fubini comparison
@@ -126,6 +131,23 @@ def check_universal(m: PersistenceModule, subset: Sequence[int], candidate) -> b
     return True
 
 
+class Connectivity:
+    EMPTY = "empty"
+    CONNECTED = "connected"
+    DISCONNECTED = "disconnected"
+
+
+def is_connected_idx(poset: FinitePoset, ix: Sequence[int]) -> str:
+    """Whether the full subposet on `ix` is empty, connected or disconnected:
+    the transitive closure of its comparabilities, read from the first element."""
+    ix = list(ix)
+    if not ix:
+        return Connectivity.EMPTY
+    sub = poset.leq[np.ix_(ix, ix)]
+    reach = _transitive_closure(sub | sub.T)
+    return Connectivity.CONNECTED if reach[0].all() else Connectivity.DISCONNECTED
+
+
 @dataclass
 class FubiniReport:
     comparison: Mat  # iterated colimit -> colim over the union
@@ -169,7 +191,7 @@ def fubini_compare(m: PersistenceModule, index_subset: Sequence[int],
     connected = {}
     for q in union:
         iq = [x for x in I if q in set(F[x])]
-        connected[q] = _is_connected_idx(P, iq)
+        connected[q] = is_connected_idx(P, iq)
     all_conn = all(v != Connectivity.DISCONNECTED for v in connected.values())
     return FubiniReport(
         comparison=comparison,
@@ -214,6 +236,76 @@ def nbhd_iterated(rho: HeightDiff, a: str, s, r, direction: str = "down") -> fro
     outer = nbhd_down_idx(rho, i, s + r) if direction == "down" else nbhd_up_idx(rho, i, s + r)
     assert set(out) <= set(outer), "iterated neighborhood escaped the (s+r)-neighborhood"
     return frozenset(P.elements[x] for x in out)
+
+
+def c_rho_by_pairs(rho: HeightDiff) -> CRhoResult:
+    """c(rho) one strict pair at a time (the formula of `height.c_rho`): every
+    value times the common denominator L, then per pair the points (x, y) of
+    its interval sorted, and the largest gap between an x and the running
+    maximum of the y before it."""
+    P = rho.poset
+    pairs = [(i, j) for i, j in P.comparable_pairs() if i != j]
+    if any(rho.values[p] is INF for p in pairs):
+        return CRhoResult(value=INF, attained=False)
+    L = math.lcm(*(v.denominator for v in rho.values.values()))
+    vals = {k: v.numerator * (L // v.denominator) for k, v in rho.values.items()}
+    best = 0
+    for ia, ib in pairs:
+        R = vals[(ia, ib)]
+        points = []
+        for z in P.interval_idx(ia, ib):
+            A, B = vals[(ia, z)], R - vals[(z, ib)]
+            points.append((B, A) if A <= B else (A, B))
+        points.sort()
+        reach = 0  # the y of z = a, whose x = 0 sorts first
+        for x, y in points:
+            if x - reach > best:
+                best = x - reach
+            if y > reach:
+                reach = y
+    return CRhoResult(value=Fraction(best, L), attained=True)
+
+
+def check_cip_keyed(rho: HeightDiff, budget: int = 4_000_000,
+                    visited: Optional[list] = None) -> CipReport:
+    """CIP test by test (what `height.check_cip` decides on bitsets): every
+    (a, q, s, r) over the stratum representatives whose a^{down_s} is
+    nonempty, in that order, with the neighborhoods cached by (element, scale).
+    It decides every nonempty intersection it meets, and appends each to
+    `visited`."""
+    P = rho.poset
+    reps = [s.rep for s in strata(rho)]
+    n = len(P)
+    total = 0
+    down_cache, up_cache = {}, {}
+    for s in reps:
+        for a in range(n):
+            down_cache[(a, s)] = set(nbhd_down_idx(rho, a, s))
+        for q in range(n):
+            up_cache[(q, s)] = set(nbhd_up_idx(rho, q, s))
+    for a in range(n):
+        for q in range(n):
+            for s in reps:
+                da = down_cache[(a, s)]
+                if not da:
+                    continue
+                for r in reps:
+                    total += 1
+                    if total > budget:
+                        return CipReport(holds=None, tests_run=total - 1, budget_exceeded=True)
+                    inter = da & up_cache[(q, r)]
+                    if not inter:
+                        continue
+                    if visited is not None:
+                        visited.append(tuple(sorted(inter)))
+                    if is_connected_idx(P, sorted(inter)) == Connectivity.DISCONNECTED:
+                        return CipReport(
+                            holds=False,
+                            witness=(P.elements[a], P.elements[q], s, r),
+                            witness_set=tuple(P.elements[x] for x in sorted(inter)),
+                            tests_run=total,
+                        )
+    return CipReport(holds=True, tests_run=total)
 
 
 def dominates_diagonal(rho: HeightDiff, grid: FinitePoset) -> bool:

@@ -11,8 +11,10 @@ value such a stratum never builds, not even to write its certificate, the Hom
 bases a stratum ruled out by the rank obstruction never builds, the
 isomorphism and its inverse that `is_isomorphic` builds only when read, and
 the one erosion subquotient per module that `d_en`'s erosion test builds and
-reports, and the R_r, limit, eta_R, submodule and quotient that `d_en`'s
-witness at such a stratum never builds.  Beside the guard on R_r, one test
+reports, the R_r, limit, eta_R, submodule and quotient that `d_en`'s
+witness at such a stratum never builds, and the intervals and subposet
+closures that `check_cip` and `c_rho` never build, with one connectivity
+decision per distinct intersection.  Beside the guard on R_r, one test
 checks that the certificate such a stratum writes is still the zero pair into
 the built R_r values.
 """
@@ -27,11 +29,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hipm import cli, erosion, functors, interleave, kan, pmod, poset, serde
+from hipm import cli, erosion, functors, height, interleave, kan, pmod, poset, serde
 from hipm.erosion import _en_stratum_test, d_en
 from hipm.exactlin import FieldSpec, Mat
 from hipm.functors import apply_R, e_r_rank_obstruction, e_r_vanishes
-from hipm.height import HeightFunction, format_ext, from_phi, level, nbhds, rho_diag, strata
+from hipm.height import (HeightDiff, HeightFunction, c_rho, check_cip, format_ext, from_phi, level, nbhds,
+                         rho_diag, strata)
 from hipm.interleave import check_certificate, distance, find_interleaving
 from hipm.pmod import (ModuleMorphism, MorphismStack, PersistenceModule, direct_sum,
                        interval_module, is_isomorphic, validate_module)
@@ -40,6 +43,7 @@ from hipm.randgen import (random_conjugate, random_forest_poset, random_module, 
                           random_poset)
 from hipm.serde import (_subquotient_to_json, load_height, load_module, load_poset, module_to_json,
                         morphism_to_json, poset_to_json, strata_report_to_json)
+from paper_statements import check_cip_keyed
 
 GF2, GF3, QQ = FieldSpec("gfp", 2), FieldSpec("gfp", 3), FieldSpec("rational")
 
@@ -552,3 +556,34 @@ def test_an_erosion_iso_stratum_builds_each_erosion_once_and_reports_it(monkeypa
     assert (rep.strata[0].via, rep.distance) == ("erosion-iso", 0)
     assert [id(mod) for mod, _ in built] == [id(m), id(n)] * (len(built) // 2)
     assert any(rep.witness is sq for _, sq in built[::2])
+
+
+def erosion_heights():
+    """Heights the size of the erosion workload's `cip` and `c-rho` inputs:
+    random DAGs of 12-14 elements drawn as `perfbench/make_data.py` draws
+    them, and the 4x4 and 5x5 diagonal grids."""
+    out = []
+    for seed in range(1000, 1008):
+        rng = random.Random(seed)
+        P = random_poset(rng, 12 + seed % 3)
+        out.append(from_phi(random_phi(rng, P)))
+    return out + [rho_diag(FinitePoset.grid([s, s])) for s in (4, 5)]
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_cip_and_c_rho_list_no_interval_and_decide_each_intersection_once(monkeypatch, case):
+    """`check_cip` and `c_rho` list no interval (`FinitePoset.interval_idx`)
+    and close no subposet's comparabilities (`poset._transitive_closure`, which
+    the per-intersection connectivity test ran); `check_cip` makes one
+    connectivity decision per distinct nonempty intersection it meets."""
+    rho = erosion_heights()[case]
+    visited = []
+    want = check_cip_keyed(rho, visited=visited)
+    rho = HeightDiff(rho.poset, rho.values)  # a fresh memo
+    intervals = counting(monkeypatch, FinitePoset, "interval_idx")
+    closures = counting(monkeypatch, poset, "_transitive_closure")
+    decisions = counting(monkeypatch, height, "_connected")
+    assert check_cip(rho) == want
+    c_rho(rho)
+    assert intervals[0] == closures[0] == 0
+    assert decisions[0] == len(set(visited)) > 0

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hipm import height
 from hipm.height import (
     INF,
-    CipReport,
     HeightDiff,
     HeightFunction,
     abs_diff_inf,
@@ -31,9 +30,10 @@ from hipm.height import (
     strata,
     validate_rho,
 )
-from hipm.poset import Connectivity, FinitePoset, OrderMap, PosetError, _is_connected_idx
+from hipm.poset import FinitePoset, OrderMap, PosetError
 from hipm.randgen import random_forest_poset, random_phi, random_poset
-from paper_statements import dominates_diagonal, nbhd_iterated, order_violations, rho_strict
+from paper_statements import (c_rho_by_pairs, check_cip_keyed, dominates_diagonal, nbhd_iterated,
+                              order_violations, rho_strict)
 
 
 def test_ext_value_conventions():
@@ -444,16 +444,20 @@ def _c_rho_bisection(rho):
 
 @st.composite
 def heights(draw):
-    """Heights on random DAGs and forests, sums and maxima of two such tables,
-    diagonal grids, single points and tables with infinite strict pairs."""
+    """Heights on random DAGs and forests of up to 12 elements, sums and maxima
+    of two such tables, diagonal grids, single points, the empty poset and
+    tables with infinite strict pairs."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["dag", "forest", "sum", "max", "grid", "point", "strict"]))
+    kind = draw(st.sampled_from(["dag", "forest", "sum", "max", "grid", "point", "empty",
+                                 "strict"]))
     if kind == "grid":
         return rho_diag(FinitePoset.grid([rng.randint(1, 4), rng.randint(1, 3)]))
     if kind == "point":
         return from_phi(HeightFunction(FinitePoset.chain(["a"]), {"a": Fraction(0)}))
+    if kind == "empty":
+        return from_phi(HeightFunction(FinitePoset.from_covers([], []), {}))
     gen = random_forest_poset if kind == "forest" else random_poset
-    p = gen(rng, rng.randint(1, 8))
+    p = gen(rng, rng.randint(1, 12))
     if kind == "strict":
         return rho_strict(p)
 
@@ -480,6 +484,28 @@ def test_c_rho_matches_the_breakpoint_bisection(rho):
     below = [c for c in _ivc_breakpoints(rho) if c < res.value]
     if below:
         assert not check_ivc(rho, below[-1]).holds
+
+
+@given(st.one_of(heights(), st.builds(lambda rho, f: HeightDiff(rho.poset, {
+    k: v if v is INF else v * f for k, v in rho.values.items()}), heights(),
+    st.fractions(2**60, 2**70, max_denominator=30))))
+@settings(max_examples=200, deadline=None)
+def test_c_rho_matches_the_pair_by_pair_loop(rho):
+    """On the heights above, and on them times a factor whose numerator and
+    denominator pass 2**60, so that the values over their common denominator
+    pass 2**63 and `c_rho` works on Python ints (dtype object)."""
+    assert c_rho(rho) == c_rho_by_pairs(rho)
+
+
+def test_c_rho_on_values_past_int64():
+    P = FinitePoset.from_covers(["a", "b", "c", "d"],
+                                [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    phi = {"a": Fraction(0), "b": Fraction(2**64, 3), "c": Fraction(2**63 + 1, 7),
+           "d": Fraction(2**66 + 5, 11)}
+    rho = from_phi(HeightFunction(P, phi))
+    assert max(v * 231 for v in rho.values.values()) > 2**63
+    got = c_rho(rho)  # the largest gap is the longest cover, a < b
+    assert got == c_rho_by_pairs(rho) and got.value == phi["b"]
 
 
 @given(heights())
@@ -539,73 +565,66 @@ def test_c_rho_gap_needs_the_reach_of_every_lower_point():
     assert c_rho(rho).value == 2
 
 
-def _check_cip_keyed(rho, budget=4_000_000, visited=None):
-    """check_cip with its neighborhoods cached by (element, scale); it decides
-    every nonempty intersection it meets, and appends each to `visited`."""
-    P = rho.poset
-    reps = [s.rep for s in strata(rho)]
-    n = len(P)
-    total = 0
-    down_cache, up_cache = {}, {}
-    for s in reps:
-        for a in range(n):
-            down_cache[(a, s)] = set(nbhd_down_idx(rho, a, s))
-        for q in range(n):
-            up_cache[(q, s)] = set(nbhd_up_idx(rho, q, s))
-    for a in range(n):
-        for q in range(n):
-            for s in reps:
-                da = down_cache[(a, s)]
-                if not da:
-                    continue
-                for r in reps:
-                    total += 1
-                    if total > budget:
-                        return CipReport(holds=None, tests_run=total - 1, budget_exceeded=True)
-                    inter = da & up_cache[(q, r)]
-                    if not inter:
-                        continue
-                    if visited is not None:
-                        visited.append(tuple(sorted(inter)))
-                    if _is_connected_idx(P, sorted(inter)) == Connectivity.DISCONNECTED:
-                        return CipReport(
-                            holds=False,
-                            witness=(P.elements[a], P.elements[q], s, r),
-                            witness_set=tuple(P.elements[x] for x in sorted(inter)),
-                            tests_run=total,
-                        )
-    return CipReport(holds=True, tests_run=total)
-
-
 @given(heights(), st.one_of(st.none(), st.integers(1, 60)))
 @settings(max_examples=150, deadline=None)
 def test_check_cip_matches_the_keyed_loop(rho, budget):
     kw = {} if budget is None else {"budget": budget}
-    got, want = check_cip(rho, **kw), _check_cip_keyed(rho, **kw)
+    got, want = check_cip(rho, **kw), check_cip_keyed(rho, **kw)
     for name in ("holds", "witness", "witness_set", "tests_run", "budget_exceeded"):
         assert getattr(got, name) == getattr(want, name), name
 
 
 def test_check_cip_tiny_budget_matches_the_keyed_loop(diamond_rho):
     for budget in (1, 2, 3):
-        got, want = check_cip(diamond_rho, budget), _check_cip_keyed(diamond_rho, budget)
+        got, want = check_cip(diamond_rho, budget), check_cip_keyed(diamond_rho, budget)
         assert got == want and got.budget_exceeded and got.tests_run == budget
+
+
+def cip_budget_cases():
+    """The diamond (a witness after an incomparable pair), the 2x3 grid (CIP
+    holds), a 6-element DAG whose witness is test 261, and a three-element
+    tree with an incomparable pair.  Their tests run in both kinds of run
+    `check_cip` counts at once: every (a, q) with q not below a, and the tail
+    of each r-run after its first empty intersection."""
+    diamond = FinitePoset.from_covers(["a", "b", "c", "d"],
+                                      [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    rng = random.Random(28)
+    dag = random_poset(rng, 6)
+    tree = FinitePoset.from_covers(["r", "x", "y"], [("r", "x"), ("r", "y")])
+    return [
+        from_phi(HeightFunction(diamond, dict(zip("abcd", map(Fraction, (0, 1, 1, 2)))))),
+        rho_diag(FinitePoset.grid([2, 3])),
+        from_phi(random_phi(rng, dag)),
+        from_phi(HeightFunction(tree, {"r": Fraction(0), "x": Fraction(1), "y": Fraction(2)})),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_check_cip_matches_the_keyed_loop_at_every_budget(case):
+    """Every budget from 0 to one past the tests a full run makes, so that the
+    budget falls inside every run counted at once, and at its last test."""
+    rho = cip_budget_cases()[case]
+    full = check_cip_keyed(rho)
+    assert full.tests_run > 0 and (case in (1, 3)) == full.holds
+    for budget in range(full.tests_run + 2):
+        assert check_cip(rho, budget) == check_cip_keyed(rho, budget), budget
 
 
 @given(heights())
 @settings(max_examples=150, deadline=None)
 def test_check_cip_decides_each_distinct_intersection_once(rho):
     """Against the keyed loop, which decides every intersection: the same report,
-    and one connectivity test per distinct intersection that loop meets."""
+    and one connectivity decision per distinct intersection that loop meets."""
     decided = []
+    decide = height._connected
 
-    def counting(P, ix):
-        decided.append(tuple(ix))
-        return _is_connected_idx(P, ix)
+    def counting(inter, comparable):
+        decided.append(tuple(x for x in range(len(rho.poset)) if inter >> x & 1))
+        return decide(inter, comparable)
 
-    with mock.patch.object(height, "_is_connected_idx", counting):
+    with mock.patch.object(height, "_connected", counting):
         got = check_cip(rho)
     visited = []
-    assert got == _check_cip_keyed(rho, visited=visited)
+    assert got == check_cip_keyed(rho, visited=visited)
     assert len(decided) == len(set(decided))
     assert set(decided) == set(visited)

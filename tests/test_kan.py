@@ -22,9 +22,9 @@ from hipm.kan import (
     lim_over,
 )
 from hipm.pmod import PersistenceModule, interval_module, zero_module
-from hipm.poset import Connectivity, FinitePoset
+from hipm.poset import FinitePoset
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
-from paper_statements import check_universal, fubini_compare, relation_colimit
+from paper_statements import Connectivity, check_universal, fubini_compare, relation_colimit
 
 GF3 = FieldSpec("gfp", 3)
 

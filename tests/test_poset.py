@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hipm.height import _bitsets, _connected
 from hipm.poset import (
-    Connectivity,
     FinitePoset,
     OrderMap,
     PosetError,
-    _is_connected_idx,
     _transitive_closure,
     check_galois_insertion,
     check_order_map,
     is_diamond_free,
 )
+from paper_statements import Connectivity, is_connected_idx
 
 
 def test_chain_closure(chain4):
@@ -78,10 +78,10 @@ def test_down_up_sets(chain4):
 
 
 def test_connectivity_states(diamond, chain4):
-    assert _is_connected_idx(diamond, [diamond.idx("b"), diamond.idx("c")]) == Connectivity.DISCONNECTED
-    assert _is_connected_idx(diamond, [diamond.idx("b")]) == Connectivity.CONNECTED
-    assert _is_connected_idx(chain4, [chain4.idx("a"), chain4.idx("c")]) == Connectivity.CONNECTED
-    assert _is_connected_idx(chain4, []) == Connectivity.EMPTY
+    assert is_connected_idx(diamond, [diamond.idx("b"), diamond.idx("c")]) == Connectivity.DISCONNECTED
+    assert is_connected_idx(diamond, [diamond.idx("b")]) == Connectivity.CONNECTED
+    assert is_connected_idx(chain4, [chain4.idx("a"), chain4.idx("c")]) == Connectivity.CONNECTED
+    assert is_connected_idx(chain4, []) == Connectivity.EMPTY
 
 
 def test_diamond_free(diamond, chain4):
@@ -164,7 +164,7 @@ def test_diamond_free_intervals_connected(p):
     if not is_diamond_free(p):
         return
     for a, b in p.comparable_pairs():
-        assert (_is_connected_idx(p, p.interval_idx(a, b))
+        assert (is_connected_idx(p, p.interval_idx(a, b))
                 in (Connectivity.CONNECTED, Connectivity.EMPTY))
 
 
@@ -196,10 +196,13 @@ def test_connectivity_matches_a_search_over_comparable_pairs(p, data):
     leq = p.leq.tolist()
     mask = data.draw(st.lists(st.booleans(), min_size=len(p), max_size=len(p)))
     subsets = [[i for i in range(len(p)) if mask[i]], []] + [[i] for i in range(len(p))]
+    comparable = _bitsets(p.leq | p.leq.T)
     for ix in subsets:
         want = connectivity_by_search(leq, ix)
-        assert _is_connected_idx(p, ix) == want
-        assert _is_connected_idx(p, ix[::-1]) == want
+        assert is_connected_idx(p, ix) == want
+        assert is_connected_idx(p, ix[::-1]) == want
+        if ix:  # the bitset decider of `height.check_cip`
+            assert _connected(sum(1 << x for x in ix), comparable) == (want == Connectivity.CONNECTED)
 
 
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(-3, 3))
