@@ -491,9 +491,9 @@ def test_c_rho_matches_the_breakpoint_bisection(rho):
     st.fractions(2**60, 2**70, max_denominator=30))))
 @settings(max_examples=200, deadline=None)
 def test_c_rho_matches_the_pair_by_pair_loop(rho):
-    """On the heights above, and on them times a factor whose numerator and
-    denominator pass 2**60, so that the values over their common denominator
-    pass 2**63 and `c_rho` works on Python ints (dtype object)."""
+    """On the heights above, and on them times a factor between 2**60 and
+    2**70 with a denominator up to 30, so that the values over their common
+    denominator pass 2**61 and `c_rho` works on Python ints (dtype object)."""
     assert c_rho(rho) == c_rho_by_pairs(rho)
 
 
