@@ -6,9 +6,11 @@ Each command runs in process through `hipm.cli.main`.  It loads its own modules,
 and every functor value is memoized on the module it was applied to, so each
 command starts from nothing, as a fresh `hipm` process would.  Commands that
 exit 0 (computed) or 2 (undecided) are kept with their exact stdout; the rest
-are dropped, since their output is an error message rather than a report.  `tests/test_golden.py`
-replays the corpus and requires byte-identical reports, so rerun this script
-only when a change of report is intended.
+are dropped, since their output is an error message rather than a report,
+except the few that `rejection_commands` lists on purpose, which are kept with
+exit 1 and their stderr too.  `tests/test_golden.py` replays the corpus and
+requires byte-identical reports, so rerun this script only when a change of
+report is intended.
 """
 
 from __future__ import annotations
@@ -51,14 +53,14 @@ def write_input(name, doc):
 
 
 def run(argv):
-    """(exit code, stdout) of one in-process CLI call, or None if it raised."""
+    """(exit code, stdout, stderr) of one in-process CLI call, or None if it raised."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     except Exception:  # a traceback at this commit: not a report
         return None
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def resolve(argv):
@@ -222,7 +224,9 @@ def stress_commands():
 
 def extra_commands(inst):
     """Paths the instances never take: `distortion` between inst's height and a
-    second one on its poset, `galois` for a chain and its refinement, an
+    second one on its poset, `galois` for a chain and its refinement (once a
+Galois insertion, once with an iota that is neither an embedding nor a left
+adjoint), an
     `en-distance` whose strata reach the enumeration stage's cross test (the
     instance of `tests/test_en_buckets.py` at seed 1: a 3-element forest and a
     twin module), two whose enumeration decides a stratum (seed 1068: one "yes";
@@ -241,6 +245,9 @@ def extra_commands(inst):
     iota = write_input("galois_iota", {"map": {"0": "0", "1": "1"}})
     pi = write_input("galois_pi", {"map": {"0": "0", "h": "0", "1": "1"}})
     out.append(["galois", "--poset", p1, "--poset2", p2, "--iota", iota, "--pi", pi])
+    # iota collapses the chain, so it is neither an embedding nor left adjoint to pi
+    collapse = write_input("galois_collapse", {"map": {"0": "0", "1": "0"}})
+    out.append(["galois", "--poset", p1, "--poset2", p2, "--iota", collapse, "--pi", pi])
 
     rho, m, n, budget = instance(1, 3, True, FieldSpec("gfp", 2), True, 65536)
     els = rho.poset.elements
@@ -323,6 +330,18 @@ def budget_and_big_value_commands(insts):
     return out
 
 
+def rejection_commands(insts):
+    """Commands that exit 1 on purpose, on a map that reverses grid2's order
+    (the chain lo < hi sent to its top and bottom): `pullback` reports the
+    violation, and `nat --name xi` refuses to pull back along it."""
+    grid = next(i for i in insts if i.name == "grid2")
+    chain = write_input("reverse_P", {"elements": ["lo", "hi"], "covers": [["lo", "hi"]]})
+    f = write_input("reverse_map", {"map": {"lo": "v_3_2", "hi": "v_0_0"}})
+    along = ["--poset2", chain, "--map", f]
+    return [grid.base("pullback") + along,
+            grid.base("nat") + ["--name", "xi", "--r", "1", "--direction", "L"] + along]
+
+
 def build():
     INPUTS.mkdir(exist_ok=True)
     for old in INPUTS.glob("*.json"):
@@ -340,6 +359,10 @@ def build():
             dropped.append(argv)
             continue
         corpus.append({"argv": argv, "exit": res[0], "stdout": res[1]})
+    for argv in rejection_commands(insts):
+        code, out, err = run(resolve(argv))
+        assert code == 1, (argv, code)
+        corpus.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
     EXPECTED.write_text(json.dumps(corpus, indent=0, sort_keys=True) + "\n")
     print(f"{len(corpus)} of {len(commands)} commands kept")
     for argv in dropped:

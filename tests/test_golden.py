@@ -1,4 +1,6 @@
 """Replay the golden CLI corpus (`tests/golden/`) and require byte-identical reports.
+A case stored with its stderr (a command rejected on purpose) must write the same
+error; every other case must write nothing to stderr.
 
 Every command loads its own modules, and functor values are memoized on the
 module they were applied to, so a report cannot lean on values a previous
@@ -24,7 +26,7 @@ def test_golden_reports_are_byte_identical():
     bad = []
     for case in corpus:
         got = run(resolve(case["argv"]))
-        if got != (case["exit"], case["stdout"]):
+        if got != (case["exit"], case["stdout"], case.get("stderr", "")):
             bad.append((case, got))
     if bad:
         cases = "".join(f"  {' '.join(case['argv'])}: exit {case['exit']} -> "
