@@ -16,13 +16,12 @@ from .functors import (
     apply_T,
     e_r,
     erosion_E,
-    eta_L,
-    eta_R,
+    eta,
+    eta_id,
     im_r,
     kappa,
     ker_r,
-    mu_L,
-    mu_R,
+    mu,
     sharp,
     sigma,
     tau,

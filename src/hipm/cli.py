@@ -28,13 +28,11 @@ from .functors import (
     e_r,
     e_r_vanishes,
     erosion_E,
-    eta_L,
-    eta_R,
+    eta,
     im_r,
     kappa,
     ker_r,
-    mu_L,
-    mu_R,
+    mu,
     sigma,
     tau,
     theta,
@@ -278,14 +276,10 @@ def _cmd_nat(args, cfg: RunConfig) -> int:
     c = _scale(args.c, "--c")
     if name == "e":
         mor = e_r(rho, r, m)
-    elif name == "etaL":
-        mor = eta_L(rho, s if s is not None else r, r, m)
-    elif name == "etaR":
-        mor = eta_R(rho, r, s if s is not None else r, m)
-    elif name == "muL":
-        mor = mu_L(rho, s or 0, r, m)
-    elif name == "muR":
-        mor = mu_R(rho, r, s or 0, m)
+    elif name in ("etaL", "etaR"):
+        mor = eta(rho, s if s is not None else r, r, m, name[-1])
+    elif name in ("muL", "muR"):
+        mor = mu(rho, s or 0, r, m, name[-1])
     elif name == "kappa":
         mor = kappa(rho, s or 0, r, m, args.direction)
     elif name == "tau":
@@ -321,7 +315,7 @@ def _cmd_interleave(args, cfg: RunConfig) -> int:
     r = _scale(args.r, "--r")
     poset, rho, m, n = _load_inputs(args, cfg)
     res = find_interleaving(rho, r, m, n, budget=cfg.budget)
-    out: Dict[str, Any] = {"r": args.r, "verdict": res.verdict,
+    out: Dict[str, Any] = {"r": format_ext(r), "verdict": res.verdict,
                            "candidates_tried": res.candidates_tried}
     if res.verdict == "yes":
         out["certificate"] = pair_to_json(res)
@@ -360,7 +354,7 @@ def _cmd_ivc(args, cfg: RunConfig) -> int:
     c = _scale(args.c, "--c")
     poset, rho, _, _ = _load_inputs(args, cfg)
     rep = check_ivc(rho, c)
-    out: Dict[str, Any] = {"c": args.c, "holds": rep.holds}
+    out: Dict[str, Any] = {"c": format_ext(c), "holds": rep.holds}
     if rep.witness:
         a, b, t = rep.witness
         out["witness"] = {"a": a, "b": b, "t": format_ext(t)}

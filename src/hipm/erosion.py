@@ -215,8 +215,8 @@ class ZeroNeighborhood:
 def _vanishing_erosion(rho: HeightDiff, r, m: PersistenceModule) -> ZeroNeighborhood:
     """`erosion_subquotient(rho, r, m)` where e_{r,M} = 0, from M's own maps.
 
-    M1 is the pivot columns of eta_L and ker_r the kernel of eta_R, both read
-    off M's maps (`functors.erosion_bases`).  M2 = M1 & ker_r is then formed
+    M1 is the pivot columns of L_r M -> M and ker_r the kernel of M -> R_r M,
+    both read off M's maps (`functors.erosion_bases`).  M2 = M1 & ker_r is then formed
     as `pmod.submodule_intersection` forms it (`pmod.span_intersection`).
     e_r = 0 puts im_r in ker_r, so M2 spans M1 and the quotient is zero; no
     L_r, R_r, eta, submodule closure or quotient is built."""

@@ -7,6 +7,9 @@ Every transformation is assembled directly from the retained (co)cone legs of
 the functor applications, so outputs are deterministic matrix computations, and
 each claimed factorization identity is verified as an exact matrix identity at
 construction time.
+
+Each construction that comes once per side is one function whose last
+argument, `direction`, picks the latching side 'L' or the matching side 'R'.
 """
 
 from __future__ import annotations
@@ -42,16 +45,13 @@ __all__ = [
     "apply_R",
     "R_dims",
     "apply_T",
-    "eta_L",
-    "eta_R",
-    "eta_L_to_id",
-    "eta_R_from_id",
+    "eta",
+    "eta_id",
     "e_r",
     "e_r_vanishes",
     "e_r_rank",
     "e_r_rank_obstruction",
-    "mu_L",
-    "mu_R",
+    "mu",
     "sharp",
     "sharp_legs",
     "e_r_legs",
@@ -199,26 +199,18 @@ def apply_T(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> Func
 # ---------------------------------------------------------------------------
 
 
-def _eta(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
-    """L_s M -> L_r M, or R_r M -> R_s M, for s >= r."""
+def eta(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> ModuleMorphism:
+    """The comparison induced by shrinking neighborhoods, for s >= r:
+    L_s M -> L_r M (direction 'L'), or R_r M -> R_s M ('R')."""
     if Fraction(s) < Fraction(r):
-        raise ValueError(f"eta_{direction} needs s >= r")
+        raise ValueError(f"eta needs s >= r, got s = {s} < r = {r}")
     apply = _functor(direction)
     return _between(m, apply(rho, s, m), apply(rho, r, m))
 
 
-def eta_L(rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
-    """The comparison L_s M -> L_r M induced by shrinking neighborhoods (s >= r)."""
-    return _eta("L", rho, s, r, m)
-
-
-def eta_R(rho: HeightDiff, r, s, m: PersistenceModule) -> ModuleMorphism:
-    """The comparison R_r M -> R_s M (s >= r)."""
-    return _eta("R", rho, s, r, m)
-
-
-def _eta_id(direction: str, rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
-    """L_r M -> M or M -> R_r M, assembled from the structure maps of M."""
+def eta_id(rho: HeightDiff, r, m: PersistenceModule, direction: str) -> ModuleMorphism:
+    """The counit-style map L_r M -> M (direction 'L'), or the unit-style map
+    M -> R_r M ('R'), assembled from the structure maps of M."""
 
     def component(res: UniversalCone, a: int) -> Mat:
         return factor(res, {x: m.map_for_idx(x, a) if direction == "L" else m.map_for_idx(a, x)
@@ -231,19 +223,9 @@ def _eta_id(direction: str, rho: HeightDiff, r, m: PersistenceModule) -> ModuleM
     return m.cached((f"eta{direction}-id", rho, level(rho, r)), build)
 
 
-def eta_L_to_id(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
-    """The counit-style map L_r M -> M, assembled from the structure-map cocone."""
-    return _eta_id("L", rho, r, m)
-
-
-def eta_R_from_id(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
-    """The unit-style map M -> R_r M."""
-    return _eta_id("R", rho, r, m)
-
-
 def e_r(rho: HeightDiff, r, m: PersistenceModule) -> ModuleMorphism:
     """The canonical composite L_r M -> M -> R_r M whose image is the erosion."""
-    return eta_R_from_id(rho, r, m).compose(eta_L_to_id(rho, r, m))
+    return eta_id(rho, r, m, "R").compose(eta_id(rho, r, m, "L"))
 
 
 def e_r_vanishes(rho: HeightDiff, r, *modules: PersistenceModule) -> bool:
@@ -317,21 +299,12 @@ def _iterated(direction: str, rho: HeightDiff, s, r,
     return apply(rho, y, inner.module), inner
 
 
-def _mu(direction: str, rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
-    """L_s L_r M -> L_{s+r} M, or R_{s+r} M -> R_r R_s M."""
+def mu(rho: HeightDiff, s, r, m: PersistenceModule, direction: str) -> ModuleMorphism:
+    """The canonical composition map L_s(L_r M) -> L_{s+r} M (direction 'L'),
+    or R_{s+r} M -> R_r(R_s M) ('R')."""
     s, r = Fraction(s), Fraction(r)
     outer, inner = _iterated(direction, rho, s, r, m)
     return _nested(m, outer, inner, _functor(direction)(rho, s + r, m))
-
-
-def mu_L(rho: HeightDiff, s, r, m: PersistenceModule) -> ModuleMorphism:
-    """The canonical L_s(L_r M) -> L_{s+r} M."""
-    return _mu("L", rho, s, r, m)
-
-
-def mu_R(rho: HeightDiff, r, s, m: PersistenceModule) -> ModuleMorphism:
-    """The canonical R_{s+r} M -> R_r(R_s M)."""
-    return _mu("R", rho, s, r, m)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +366,14 @@ def sharp_legs(rho: HeightDiff, r, n: PersistenceModule, g: MorphismStack) -> li
 
 def e_r_legs(rho: HeightDiff, r, m: PersistenceModule) -> list:
     """e_{r,M} on the same legs as `sharp_legs`: per element a, the
-    (R_r M(a), w_a) blocks eta_R(a) M(x <= a) side by side, where eta_R is
-    M -> R_r M; built without L_r M."""
+    (R_r M(a), w_a) blocks unit(a) M(x <= a) side by side, where the unit is
+    M -> R_r M (`eta_id` on the 'R' side); built without L_r M."""
     tops = nbhd_tops(rho, level(rho, r))
-    eta = eta_R_from_id(rho, r, m).components
+    unit = eta_id(rho, r, m, "R").components
     out = []
     for a, xs in enumerate(tops):
         legs = hstack(m.field, [m.map_for_idx(x, a) for x in xs], rows=m.dims[a])
-        out.append((eta[a] @ legs).a)
+        out.append((unit[a] @ legs).a)
     return out
 
 
@@ -446,7 +419,7 @@ def theta(rho: HeightDiff, s, r, c, m: PersistenceModule, direction: str) -> Mod
             raise IntermediateValueError(f"neighborhood inclusion fails at {name!r}")
     out = _between(m, big, t)
     assert (_after(direction, tau(rho, s, r, m, direction), out)
-            == _eta(direction, rho, s + r + c, s + r, m))
+            == eta(rho, s + r + c, s + r, m, direction))
     return out
 
 
@@ -477,8 +450,8 @@ def sigma(rho: HeightDiff, s, r, c, m: PersistenceModule, direction: str) -> Mod
                      else solve(ka.T, th.components[a].T).T)
     out = (ModuleMorphism(th.source, k.source, comps) if lat
            else ModuleMorphism(k.target, th.target, comps))
-    assert (_after(direction, _mu(direction, rho, s, r, m), out)
-            == _eta(direction, rho, s + r + c, s + r, m))
+    assert (_after(direction, mu(rho, s, r, m, direction), out)
+            == eta(rho, s + r + c, s + r, m, direction))
     return out
 
 
@@ -490,12 +463,14 @@ def sigma(rho: HeightDiff, s, r, c, m: PersistenceModule, direction: str) -> Mod
 def erosion_bases(rho: HeightDiff, r, m: PersistenceModule,
                   incoming: Optional[ModuleMorphism] = None,
                   outgoing: Optional[ModuleMorphism] = None) -> Tuple[list, list]:
-    """Per element a, the generators of im[eta_L, incoming](a) and the basis of
-    ker[eta_R; outgoing](a) in M(a), from M's own maps.
+    """Per element a, the generators of im[L_r M -> M, incoming](a) and the
+    basis of ker[M -> R_r M; outgoing](a) in M(a), from M's own maps (the two
+    maps are `eta_id` on the 'L' and the 'R' side).
 
-    eta_L(a) is the family [M(x <= a)] over a's lower neighborhood read at the
-    colimit's free coordinates (`kan.factor`), so only the memoized colimit
-    cone is built.  The rows of eta_R(a) span those of [M(a <= y)] over the
+    L_r M(a) -> M(a) is the family [M(x <= a)] over a's lower neighborhood read
+    at the colimit's free coordinates (`kan.factor`), so only the memoized
+    colimit cone is built.  The rows of M(a) -> R_r M(a) span those of
+    [M(a <= y)] over the
     minimal y of a's upper neighborhood (the limit legs to them are jointly
     monomorphic), so with `outgoing` stacked under either the rref, and the
     canonical kernel basis, is the same; no R_r or eta is built."""
@@ -529,7 +504,7 @@ def ker_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
 def erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule,
                         incoming: Optional[ModuleMorphism] = None,
                         outgoing: Optional[ModuleMorphism] = None) -> Subquotient:
-    """M1 / (M1 & ker[eta_R; outgoing]) in M with M1 = im[eta_L, incoming]: the erosion
+    """M1 / (M1 & ker[M -> R_r M; outgoing]) in M with M1 = im[L_r M -> M, incoming]: the erosion
     im_r / (im_r & ker_r) with neither map, and the canonical neighborhood of an
     interleaving (p, q) with q# and p.  Built from M's own maps (`erosion_bases`)."""
     gens, kerns = erosion_bases(rho, r, m, incoming, outgoing)
@@ -559,10 +534,10 @@ def erosion_E(rho: HeightDiff, r, m: PersistenceModule) -> ErosionResult:
     if any(c is None for c in comps):
         raise AssertionError("erosion image must factor its own defining map")
     sq = erosion_subquotient(rho, r, m)
-    eta_r_mor = eta_R_from_id(rho, r, m)
+    unit = eta_id(rho, r, m, "R")
     for a in range(len(m.poset)):
         # canonical map im_r -> erosion: push the image generators through M -> R_rM
-        phi = solve(sub.bases[a], eta_r_mor.components[a] @ sq.sub1.bases[a])
+        phi = solve(sub.bases[a], unit.components[a] @ sq.sub1.bases[a])
         if phi is None:
             raise AssertionError("image of im_r must land in the erosion")
         # the map descends to the quotient and the induced map must be an iso

@@ -90,7 +90,7 @@ def find_interleaving(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceMo
     Both sides of q o p# = e_{r,m} are maps out of the colimit L_r m(a), and
     the colimit legs from the maximal elements x of a's lower r-neighborhood
     are jointly epimorphic.  So the identity holds exactly when, for every a
-    and every such x, q(a) leg_a(R_r n at x) p(x) = eta_R(a) m(x <= a); the
+    and every such x, q(a) leg_a(R_r n at x) p(x) = unit(a) m(x <= a); the
     other identity is the same with m and n swapped (`functors.sharp_legs`,
     `functors.e_r_legs`).  The search solves these equations and builds no L_r
     value, no colimit, no transpose and no e_r.  They are an injective image

@@ -10,9 +10,9 @@ height function (what `height.from_phi` rejects), c(rho) one pair at a time
 (what `height.c_rho` computes on whole arrays), the neighborhoods of the strict
 height difference, iterated neighborhoods and diagonal domination on grids,
 the transpose flat of L_r -| R_r and functoriality of L_r and R_r on
-morphisms, the unit and counit (the triangle identities), the mates of eta_L
-and mu_L (which must equal eta_R and mu_R), im_r, ker_r and the erosion
-built from L_r, R_r and both etas, the erosion-neighborhood conditions and the canonical neighborhood of an interleaving, the
+morphisms, the unit and counit (the triangle identities), the mates of eta
+and mu on the L side (which must equal eta and mu on the R side), im_r, ker_r
+and the erosion built from L_r, R_r and `eta_id` on both sides, the erosion-neighborhood conditions and the canonical neighborhood of an interleaving, the
 interleaving between a module and each of its erosion neighborhoods, the
 composition of erosion neighborhoods through preimages, and their mediation.  `src/hipm` keeps only what a command runs.
 """
@@ -29,8 +29,8 @@ import numpy as np
 
 from hipm.exactlin import (Mat, factor_at, hstack, kernel_basis, quotient_map, rref, solve,
                            vstack)
-from hipm.functors import (_functor, apply_L, apply_R, erosion_subquotient, eta_L, eta_L_to_id,
-                           eta_R_from_id, im_r, ker_r, mu_L, sharp)
+from hipm.functors import (_functor, apply_L, apply_R, erosion_subquotient, eta, eta_id, im_r,
+                           ker_r, mu, sharp)
 from hipm.height import (INF, CipReport, CRhoResult, HeightDiff, HeightFunction, nbhd_down_idx,
                          nbhd_iterated_idx, nbhd_up_idx, strata)
 from hipm.interleave import check_certificate
@@ -378,24 +378,25 @@ def counit(rho: HeightDiff, r, n: PersistenceModule) -> ModuleMorphism:
 
 
 def mate_of_eta_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism:
-    """The two-adjunction mate of eta_L(s, r) evaluated at n: a map R_r N -> R_s N.
+    """The two-adjunction mate of eta(s, r) on the L side evaluated at n: a map
+    R_r N -> R_s N.
 
-    Built as R_s(counit_r) o R_s(eta_L at R_r N) o unit_s, the composite of the
+    Built as R_s(counit_r) o R_s(eta at R_r N) o unit_s, the composite of the
     two one-adjunction transpositions.
     """
     x = apply_R(rho, r, n).module
     u = unit(rho, s, x)  # R_rN -> R_s L_s R_rN
-    e = eta_L(rho, s, r, x)  # L_s R_rN -> L_r R_rN
+    e = eta(rho, s, r, x, "L")  # L_s R_rN -> L_r R_rN
     c = counit(rho, r, n)  # L_r R_rN -> N
     return apply_R_mor(rho, s, c.compose(e)).compose(u)
 
 
 def mate_of_mu_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism:
-    """The mate of mu_L(s, r) under the composite adjunction
+    """The mate of mu(s, r) on the L side under the composite adjunction
     L_s L_r -| R_r R_s, evaluated at n: a map R_{s+r} N -> R_r(R_s N).
 
     The composition maps are constructed independently from neighborhood
-    inclusions; agreement of this mate with mu_R is verified by the tests as an
+    inclusions; agreement of this mate with mu on the R side is verified by the tests as an
     exact identity rather than assumed.
     """
     s, r = Fraction(s), Fraction(r)
@@ -405,8 +406,8 @@ def mate_of_mu_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism:
     unit_r_x = unit(rho, r, x)  # x -> R_r L_r x
     unit_s_inner = unit(rho, s, app_lr_x.module)  # L_r x -> R_s L_s L_r x
     comp_unit = apply_R_mor(rho, r, unit_s_inner).compose(unit_r_x)
-    # mu_L at x then the counit of L_{s+r} -| R_{s+r} at n, both pushed through R_r R_s
-    mu_x = mu_L(rho, s, r, x)  # L_s L_r x -> L_{s+r} x
+    # mu at x then the counit of L_{s+r} -| R_{s+r} at n, both pushed through R_r R_s
+    mu_x = mu(rho, s, r, x, "L")  # L_s L_r x -> L_{s+r} x
     eps = counit(rho, s + r, n)  # L_{s+r} R_{s+r} N -> N
     pushed = apply_R_mor(rho, r, apply_R_mor(rho, s, eps.compose(mu_x)))
     return pushed.compose(comp_unit)
@@ -418,26 +419,27 @@ def mate_of_mu_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism:
 
 
 def im_r_from_eta(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
-    """im_r as the paper defines it: the image of eta_L: L_r M -> M."""
-    return submodule_image(eta_L_to_id(rho, r, m))
+    """im_r as the paper defines it: the image of L_r M -> M (`eta_id`, 'L')."""
+    return submodule_image(eta_id(rho, r, m, "L"))
 
 
 def ker_r_from_eta(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
-    """ker_r as the paper defines it: the kernel of eta_R: M -> R_r M."""
-    return submodule_kernel(eta_R_from_id(rho, r, m))
+    """ker_r as the paper defines it: the kernel of M -> R_r M (`eta_id`, 'R')."""
+    return submodule_kernel(eta_id(rho, r, m, "R"))
 
 
 def erosion_from_etas(rho: HeightDiff, r, m: PersistenceModule,
                       incoming: Optional[ModuleMorphism] = None,
                       outgoing: Optional[ModuleMorphism] = None) -> Subquotient:
     """M1 / (M1 & ker[eta_R; outgoing]) in M with M1 = im[eta_L, incoming],
-    built from L_r M, R_r M and both etas: per element, M1 is spanned by the
+    where eta_L: L_r M -> M and eta_R: M -> R_r M are `eta_id` on the two
+    sides, built from L_r M, R_r M and both: per element, M1 is spanned by the
     columns of eta_L(a) beside incoming(a), and the kernel is that of eta_R(a)
     stacked over outgoing(a).  `functors.erosion_subquotient` must write the
     same subquotient from M's own maps."""
     F = m.field
-    ins = [f for f in (eta_L_to_id(rho, r, m), incoming) if f is not None]
-    outs = [g for g in (eta_R_from_id(rho, r, m), outgoing) if g is not None]
+    ins = [f for f in (eta_id(rho, r, m, "L"), incoming) if f is not None]
+    outs = [g for g in (eta_id(rho, r, m, "R"), outgoing) if g is not None]
     m1 = submodule_from_bases(m, [hstack(F, [f.components[a] for f in ins], rows=d)
                                   for a, d in enumerate(m.dims)])
     kern = submodule_from_bases(m, [kernel_basis(vstack(F, [g.components[a] for g in outs], cols=d))
@@ -477,7 +479,7 @@ def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModul
     """The canonical shared neighborhood built from an interleaving (p, q).
 
     Realized twice by `functors.erosion_subquotient`: as a subquotient of m
-    (M1 = im[eta_L, q#] and M2 = M1 & ker[eta_R; p]) and symmetrically of n,
+    (M1 = im[L_r m -> m, q#] and M2 = M1 & ker[m -> R_r m; p]) and symmetrically of n,
     with no `en_construct` check.  The pair must be an interleaving
     (`check_certificate`), so the two quotients are the same isomorphism class.
     """
@@ -517,8 +519,8 @@ def en_interleaving_certificate(rho: HeightDiff, r, m: PersistenceModule,
     of the matching unit through the quotient on the other."""
     r = Fraction(r)
     F = m.field
-    etaL = eta_L_to_id(rho, r, m)
-    etaR = eta_R_from_id(rho, r, m)
+    etaL = eta_id(rho, r, m, "L")
+    etaR = eta_id(rho, r, m, "R")
     alpha_comps = _push(sq, etaL.components, "latching image escapes M1")
     beta_comps = []
     for i in range(len(m.poset)):

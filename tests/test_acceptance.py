@@ -14,7 +14,7 @@ from hipm.functors import (
     apply_R,
     e_r,
     erosion_E,
-    eta_R,
+    eta,
     kappa,
     sharp,
 )
@@ -145,7 +145,7 @@ def test_criterion_05_adjunction():
         app_l = apply_L(rho, r, a)
         for f in hom_basis(app_l.module, b):
             assert sharp(rho, r, b, flat(rho, r, a, f)) == f
-        assert mate_of_eta_L(rho, r + 1, r, b) == eta_R(rho, r, r + 1, b)
+        assert mate_of_eta_L(rho, r + 1, r, b) == eta(rho, r + 1, r, b, "R")
 
 
 @_report(6, "connected intersections: kappa iso on diamond-free, explicit diamond failure")

@@ -23,7 +23,7 @@ from hipm import exactlin
 from hipm.exactlin import (DEFAULT_BUDGET, FieldSpec, Mat, _bilinear_search, batch_consistent,
                            compressed_family, hstack, rref, solve, solve_candidate)
 from hipm.fixtures import bipath_example, chain_example, grid_example
-from hipm.functors import apply_R, e_r, e_r_legs, eta_R_from_id, sharp, sharp_legs
+from hipm.functors import apply_R, e_r, e_r_legs, eta_id, sharp, sharp_legs
 from hipm.height import level, nbhd_tops, rho_diag
 from hipm.interleave import check_certificate, distance, find_interleaving
 from hipm.pmod import ModuleMorphism, direct_sum, hom_basis, interval_module, is_isomorphic, search_pair
@@ -235,8 +235,8 @@ def reference_interleaving(rho, r, m, n, budget):
         return on_legs(rho, r, m.field, f.target.dims,
                        lambda a, x: f.components[a] @ app.data[x].legs[a] @ g.components[x])
 
-    def e_blocks(mod):  # eta_R(a) o mod(x <= a)
-        eta = eta_R_from_id(rho, r, mod)
+    def e_blocks(mod):  # eta(a) o mod(x <= a), eta the unit mod -> R_r mod
+        eta = eta_id(rho, r, mod, "R")
         return on_legs(rho, r, m.field, eta.target.dims,
                        lambda a, x: eta.components[a] @ mod.map_for_idx(x, a))
 

@@ -11,7 +11,7 @@ value such a stratum never builds, not even to write its certificate, the Hom
 bases a stratum ruled out by the rank obstruction never builds, the
 isomorphism and its inverse that `is_isomorphic` builds only when read, and
 the one erosion subquotient per module that `d_en`'s erosion test builds and
-reports, the R_r, limit, eta_R, submodule and quotient that `d_en`'s
+reports, the R_r, limit, `eta_id`, submodule and quotient that `d_en`'s
 witness at such a stratum never builds, and the intervals and subposet
 closures that `check_cip` and `c_rho` never build, with one connectivity
 decision per distinct intersection.  Beside the guard on R_r, one test
@@ -397,12 +397,12 @@ def counting_everywhere(monkeypatch, name):
 def test_a_vanishing_d_en_witness_builds_no_matching_value_submodule_or_quotient(
         monkeypatch, tmp_path, capsys):
     """At every stratum where e_r vanishes on both modules, over GF(p) and
-    over Q, the witness `d_en` builds calls no apply_R, lim_over, eta_R_from_id,
+    over Q, the witness `d_en` builds calls no apply_R, lim_over, eta_id,
     submodule_from_bases or quotient_by_submodule, and the only cones it
     builds are colimits over the lower neighborhoods at its level; the same
     holds for the witness `hipm en-distance` builds and writes.  The erosion
     `functors.erosion_E` builds calls every one of them."""
-    names = ("apply_R", "lim_over", "eta_R_from_id", "submodule_from_bases",
+    names = ("apply_R", "lim_over", "eta_id", "submodule_from_bases",
              "quotient_by_submodule")
     counts = {name: counting_everywhere(monkeypatch, name) for name in names}
     original_cone = kan._cone

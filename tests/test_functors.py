@@ -15,15 +15,12 @@ from hipm.functors import (
     apply_T,
     e_r,
     erosion_E,
-    eta_L,
-    eta_L_to_id,
-    eta_R,
-    eta_R_from_id,
+    eta,
+    eta_id,
     im_r,
     kappa,
     ker_r,
-    mu_L,
-    mu_R,
+    mu,
     sharp,
     sigma,
     tau,
@@ -41,6 +38,7 @@ from hipm.pmod import (
     interval_module,
     is_isomorphic,
     submodule_image,
+    submodule_kernel,
     validate_module,
 )
 from hipm.poset import FinitePoset, OrderMap
@@ -76,8 +74,8 @@ def test_L0_R0_identity(chain4_rho, rng):
     m = __import__("hipm.randgen", fromlist=["random_module"]).random_module(
         rng, chain4_rho.poset, GF2, 2
     )
-    assert eta_L_to_id(chain4_rho, 0, m).is_iso()
-    assert eta_R_from_id(chain4_rho, 0, m).is_iso()
+    assert eta_id(chain4_rho, 0, m, "L").is_iso()
+    assert eta_id(chain4_rho, 0, m, "R").is_iso()
     assert e_r(chain4_rho, 0, m).is_iso()
 
 
@@ -95,21 +93,28 @@ def test_grid_diag_latching_is_shift(rng):
 
 def test_eta_composition_law(chain4_rho, rng):
     m = random_module(rng, chain4_rho.poset, GF2, 2)
-    assert eta_L(chain4_rho, 2, 2, m).is_iso()  # s = r gives the identity comparison
-    comp = eta_L(chain4_rho, 2, 1, m).compose(eta_L(chain4_rho, 4, 2, m))
-    assert comp == eta_L(chain4_rho, 4, 1, m)
-    comp_r = eta_R(chain4_rho, 2, 4, m).compose(eta_R(chain4_rho, 1, 2, m))
-    assert comp_r == eta_R(chain4_rho, 1, 4, m)
+    assert eta(chain4_rho, 2, 2, m, "L").is_iso()  # s = r gives the identity comparison
+    comp = eta(chain4_rho, 2, 1, m, "L").compose(eta(chain4_rho, 4, 2, m, "L"))
+    assert comp == eta(chain4_rho, 4, 1, m, "L")
+    comp_r = eta(chain4_rho, 4, 2, m, "R").compose(eta(chain4_rho, 2, 1, m, "R"))
+    assert comp_r == eta(chain4_rho, 4, 1, m, "R")
 
 
-def test_eta_to_id_factorization(chain4_rho, rng):
-    # the counit-style map factors through the zero-scale identification
+@pytest.mark.parametrize("direction", ["L", "R"])
+def test_eta_to_id_factorization(chain4_rho, rng, direction):
+    # the counit-style map L_2 M -> M factors as L_2 M -> L_0 M -> M, and the
+    # unit-style map M -> R_2 M as M -> R_0 M -> R_2 M; the first has image
+    # im_r, the second kernel ker_r
     m = random_module(rng, chain4_rho.poset, GF2, 2)
-    via_zero = eta_L_to_id(chain4_rho, 0, m).compose(eta_L(chain4_rho, 2, 0, m))
-    assert via_zero == eta_L_to_id(chain4_rho, 2, m)
-    img = submodule_image(eta_L_to_id(chain4_rho, 2, m))
-    imr = im_r(chain4_rho, 2, m)
-    assert all(img.bases[i] == imr.bases[i] for i in range(4))
+    to_zero, via = eta_id(chain4_rho, 0, m, direction), eta(chain4_rho, 2, 0, m, direction)
+    via_zero = to_zero.compose(via) if direction == "L" else via.compose(to_zero)
+    at_two = eta_id(chain4_rho, 2, m, direction)
+    assert via_zero == at_two
+    if direction == "L":
+        got, want = submodule_image(at_two), im_r(chain4_rho, 2, m)
+    else:
+        got, want = submodule_kernel(at_two), ker_r(chain4_rho, 2, m)
+    assert all(got.bases[i] == want.bases[i] for i in range(4))
 
 
 def test_e_r_chain_nonzero_at_c():
@@ -132,8 +137,8 @@ def test_functoriality_on_morphisms(chain4_rho, rng):
         lf = apply_L_mor(chain4_rho, 1, f)
         rf = apply_R_mor(chain4_rho, 1, f)
         # naturality against the eta family
-        assert eta_L_to_id(chain4_rho, 1, n).compose(lf) == f.compose(eta_L_to_id(chain4_rho, 1, m))
-        assert rf.compose(eta_R_from_id(chain4_rho, 1, m)) == eta_R_from_id(chain4_rho, 1, n).compose(f)
+        assert eta_id(chain4_rho, 1, n, "L").compose(lf) == f.compose(eta_id(chain4_rho, 1, m, "L"))
+        assert rf.compose(eta_id(chain4_rho, 1, m, "R")) == eta_id(chain4_rho, 1, n, "R").compose(f)
 
 
 def test_sharp_flat_round_trip(rng):
@@ -197,7 +202,7 @@ def test_mate_of_eta_is_eta_R(rng):
         p = random_forest_poset(rng, 5)
         rho = from_phi(random_phi(rng, p))
         n = random_module(rng, p, GF2, 2)
-        assert mate_of_eta_L(rho, 2, 1, n) == eta_R(rho, 1, 2, n)
+        assert mate_of_eta_L(rho, 2, 1, n) == eta(rho, 2, 1, n, "R")
 
 
 def test_mate_of_mu_is_mu_R(rng):
@@ -206,33 +211,48 @@ def test_mate_of_mu_is_mu_R(rng):
         rho = from_phi(random_phi(rng, p))
         n = random_module(rng, p, GF2, 2)
         for s, r in [(1, 1), (2, 1)]:
-            assert mate_of_mu_L(rho, s, r, n) == mu_R(rho, r, s, n)
+            assert mate_of_mu_L(rho, s, r, n) == mu(rho, s, r, n, "R")
 
 
 def test_mu_factorization(chain4_rho, rng):
     m = random_module(rng, chain4_rho.poset, GF2, 2)
     for s, r in [(1, 1), (2, 1), (0, 2)]:
-        assert tau(chain4_rho, s, r, m, "L").compose(kappa(chain4_rho, s, r, m, "L")) == mu_L(chain4_rho, s, r, m)
-        assert kappa(chain4_rho, s, r, m, "R").compose(tau(chain4_rho, s, r, m, "R")) == mu_R(chain4_rho, r, s, m)
+        assert tau(chain4_rho, s, r, m, "L").compose(kappa(chain4_rho, s, r, m, "L")) == mu(chain4_rho, s, r, m, "L")
+        assert kappa(chain4_rho, s, r, m, "R").compose(tau(chain4_rho, s, r, m, "R")) == mu(chain4_rho, s, r, m, "R")
 
 
-def test_mu_zero_scale_reduces(chain4_rho, rng):
+@pytest.mark.parametrize("direction", ["L", "R"])
+def test_mu_zero_scale_reduces(chain4_rho, rng, direction):
     m = random_module(rng, chain4_rho.poset, GF2, 2)
-    mu = mu_L(chain4_rho, 0, 2, m)
-    # L_0 applied on top of L_2 collapses along the iso to L_2
-    assert mu.is_iso()
+    # L_0 applied on top of L_2 collapses along the iso to L_2; dually R_2
+    # applied on top of R_0
+    assert mu(chain4_rho, 0, 2, m, direction).is_iso()
+
+
+@pytest.mark.parametrize("direction", ["L", "R"])
+def test_eta_eta_id_and_mu_reject_a_bad_scale_order_or_side(chain4_rho, rng, direction):
+    """eta needs s >= r on both sides, and eta, eta_id and mu know only the
+    sides 'L' and 'R'."""
+    m = random_module(rng, chain4_rho.poset, GF2, 2)
+    with pytest.raises(ValueError, match="eta needs s >= r"):
+        eta(chain4_rho, 1, 2, m, direction)
+    other = direction.lower()  # 'l' or 'r': not a side
+    for call in (lambda: eta(chain4_rho, 2, 1, m, other), lambda: eta_id(chain4_rho, 1, m, other),
+                 lambda: mu(chain4_rho, 1, 1, m, other)):
+        with pytest.raises(ValueError, match="direction must be 'L' or 'R'"):
+            call()
 
 
 def test_mu_rank_against_fubini(chain4_rho):
     ce = chain_example(2)
     m = ce.M
-    mu = mu_L(ce.rho, 1, 1, m)
+    mu_11 = mu(ce.rho, 1, 1, m, "L")
     d = ce.poset.idx("d")
     I = nbhd_down_idx(ce.rho, d, Fraction(1))
     fam = {x: nbhd_down_idx(ce.rho, x, Fraction(1)) for x in I}
     rep = fubini_compare(m, I, fam)
     assert rep.iso  # chain: iterated colimit agrees with the union colimit
-    comp = mu.components[d]
+    comp = mu_11.components[d]
     assert rref(comp).rank == rref(rep.comparison).rank
 
 
@@ -371,11 +391,11 @@ def test_erosion_subquotient_chain(rng):
     rho = from_phi(random_phi(rng, p))
     m = random_module(rng, p, GF2, 2)
     s, r = 2, 1
-    gamma = e_r(rho, r, m).compose(eta_L(rho, s, r, m))  # L_s M -> R_r M
+    gamma = e_r(rho, r, m).compose(eta(rho, s, r, m, "L"))  # L_s M -> R_r M
     h = submodule_image(gamma)
     es = erosion_E(rho, s, m)
     er = erosion_E(rho, r, m)
-    comparison = eta_R(rho, r, s, m)  # R_r M -> R_s M
+    comparison = eta(rho, s, r, m, "R")  # R_r M -> R_s M
     for i in range(len(p)):
         # mono: H sits inside E_r pointwise
         assert solve(er.sub.bases[i], h.bases[i]) is not None
@@ -489,7 +509,7 @@ def test_strata_with_equal_neighborhoods_share_maps(name, direction):
     rho, m, r, s = _strata_sharing_a_cover(name)
     assert level(rho, r) != level(rho, s)
     nbhd = nbhd_down_idx if direction == "L" else nbhd_up_idx
-    apply, eta = (apply_L, eta_L_to_id) if direction == "L" else (apply_R, eta_R_from_id)
+    apply = apply_L if direction == "L" else apply_R
     a, b = next((a, b) for a, b in m.poset.covers
                 if all(nbhd(rho, x, r) == nbhd(rho, x, s) for x in (a, b))
                 and (name == "grid" or nbhd(rho, a, r) and nbhd(rho, b, r)))
@@ -497,7 +517,7 @@ def test_strata_with_equal_neighborhoods_share_maps(name, direction):
     at_r, at_s = apply(rho, r, m).module.maps[(a, b)], apply(rho, s, m).module.maps[(a, b)]
     assert at_s is at_r
     assert at_r == (induced(fresh[a], fresh[b]) if direction == "L" else induced(fresh[b], fresh[a]))
-    comp_r, comp_s = eta(rho, r, m).components[a], eta(rho, s, m).components[a]
+    comp_r, comp_s = (eta_id(rho, x, m, direction).components[a] for x in (r, s))
     legs = {x: m.map_for_idx(x, a) if direction == "L" else m.map_for_idx(a, x)
             for x in fresh[a].nodes}
     assert comp_r == comp_s == factor(fresh[a], legs, m.dims[a])
@@ -513,10 +533,10 @@ def test_scales_are_exact_numbers_at_least_zero():
     ce = chain_example(2, GF2)
     rho, m, half = ce.rho, ce.M, Fraction(1, 2)
     for call in (lambda: apply_L(rho, -half, m), lambda: apply_T(rho, 1, -1, m, "L"),
-                 lambda: eta_L(rho, 1, -half, m), lambda: nbhd_down_idx(rho, 0, -1),
+                 lambda: eta(rho, 1, -half, m, "L"), lambda: nbhd_down_idx(rho, 0, -1),
                  lambda: nbhd_iterated(rho, rho.poset.elements[0], -1, 2)):
         with pytest.raises(ValueError, match="scale parameter must be >= 0"):
             call()
-    assert eta_L(rho, "1", "1/2", m) == eta_L(rho, 1, half, m)
-    assert mu_L(rho, "1", "1/2", m) == mu_L(rho, 1, half, m)
+    assert eta(rho, "1", "1/2", m, "L") == eta(rho, 1, half, m, "L")
+    assert mu(rho, "1", "1/2", m, "L") == mu(rho, 1, half, m, "L")
     assert tau(rho, "1", "1/2", m, "R") == tau(rho, 1, half, m, "R")

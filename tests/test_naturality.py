@@ -15,15 +15,12 @@ from hipm.functors import (
     apply_L,
     apply_R,
     e_r,
-    eta_L,
-    eta_L_to_id,
-    eta_R,
-    eta_R_from_id,
+    eta,
+    eta_id,
     im_r,
     kappa,
     ker_r,
-    mu_L,
-    mu_R,
+    mu,
     sharp,
     tau,
 )
@@ -73,9 +70,9 @@ def test_built_morphisms_are_natural(case):
     for f in hom_basis(apply_L(rho, r, m).module, n):
         _assert_natural(hom=f, flat=flat(rho, r, m, f))
     _assert_natural(
-        eta_L=eta_L(rho, s, r, m), eta_R=eta_R(rho, r, s, m),
-        eta_L_to_id=eta_L_to_id(rho, r, m), eta_R_from_id=eta_R_from_id(rho, r, m),
-        e_r=e_r(rho, r, m), mu_L=mu_L(rho, s, r, m), mu_R=mu_R(rho, r, s, m),
+        eta_L=eta(rho, s, r, m, "L"), eta_R=eta(rho, s, r, m, "R"),
+        eta_id_L=eta_id(rho, r, m, "L"), eta_id_R=eta_id(rho, r, m, "R"),
+        e_r=e_r(rho, r, m), mu_L=mu(rho, s, r, m, "L"), mu_R=mu(rho, s, r, m, "R"),
         kappa_L=kappa(rho, s, r, m, "L"), kappa_R=kappa(rho, s, r, m, "R"),
         tau_L=tau(rho, s, r, m, "L"), tau_R=tau(rho, s, r, m, "R"),
     )

@@ -20,8 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from hipm.erosion import _vanishing_erosion
 from hipm.exactlin import FieldSpec
-from hipm.functors import (e_r, e_r_legs, e_r_vanishes, erosion_subquotient, eta_L_to_id,
-                           eta_R_from_id, im_r, ker_r)
+from hipm.functors import e_r, e_r_legs, e_r_vanishes, erosion_subquotient, eta_id, im_r, ker_r
 from hipm.height import (from_phi, level, nbhd_bottoms, nbhd_pairs, nbhd_tops, nbhds, rho_diag,
                          strata)
 from hipm.kan import colim_over
@@ -142,10 +141,10 @@ def test_the_vanishing_erosion_check_meets_every_shape():
 def erosion_bases_agree(rho, m) -> set:
     """At every stratum, check `im_r`, `ker_r` and `erosion_subquotient`
     against the eta-built oracle, the last also with the previous stratum's
-    eta_L as `incoming` and its eta_R as `outgoing` (natural maps into and out
-    of M, as an interleaving's q# and p are); return the shapes met: a nonzero
-    quotient, an `incoming` that enlarges M1 and an `outgoing` that shrinks
-    the kernel."""
+    L_r M -> M as `incoming` and its M -> R_r M as `outgoing` (natural maps
+    into and out of M, as an interleaving's q# and p are); return the shapes
+    met: a nonzero quotient, an `incoming` that enlarges M1 and an `outgoing`
+    that shrinks the kernel."""
     met = set()
     previous = previous_kern = None
     for st_ in strata(rho):
@@ -157,7 +156,7 @@ def erosion_bases_agree(rho, m) -> set:
         assert _subquotient_to_json(erosion_subquotient(rho, r, m)) == _subquotient_to_json(plain)
         met |= {"quotient"} if any(plain.quotient.dims) else set()
         if previous is not None:
-            incoming, outgoing = eta_L_to_id(rho, previous, m), eta_R_from_id(rho, previous, m)
+            incoming, outgoing = eta_id(rho, previous, m, "L"), eta_id(rho, previous, m, "R")
             want = erosion_from_etas(rho, r, m, incoming, outgoing)
             got = erosion_subquotient(rho, r, m, incoming, outgoing)
             assert _subquotient_to_json(got) == _subquotient_to_json(want)
