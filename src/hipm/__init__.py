@@ -17,7 +17,6 @@ from .functors import (
     e_r,
     erosion_E,
     eta,
-    eta_id,
     im_r,
     kappa,
     ker_r,

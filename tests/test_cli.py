@@ -751,22 +751,15 @@ def test_cli_ivc_rejects_a_bad_tolerance(capsys, chain_files, c, needle):
     assert code == 1 and err.startswith("--c:") and needle in err
 
 
-def test_cli_ivc_reports_the_exact_tolerance(capsys, chain_files):
-    """The report writes the tolerance as the exact value it was read as, not
-    the text it was typed as."""
-    for typed, exact in (("2/1", "2"), ("0.5", "1/2"), ("+1", "1")):
-        code, rep = _run(capsys, ["ivc", "--poset", str(chain_files["poset"]),
-                                  "--height", str(chain_files["phi"]), "--c", typed])
+def test_cli_ivc_and_interleave_report_the_exact_scale(capsys, chain_files):
+    """`ivc --c` and `interleave --r` are written as the exact value read, not
+    as the text typed: "2/1" as "2", "2/4" and "0.5" as "1/2"."""
+    on_height = ["--poset", str(chain_files["poset"]), "--height", str(chain_files["phi"])]
+    pair = ["--module", str(chain_files["M"]), "--module2", str(chain_files["N"])]
+    for typed, exact in (("2/1", "2"), ("2/4", "1/2"), ("0.5", "1/2"), ("+1", "1"), ("01", "1")):
+        code, rep = _run(capsys, ["ivc", *on_height, "--c", typed])
         assert code == 0 and rep["c"] == exact
-
-
-def test_cli_interleave_reports_the_exact_scale(capsys, chain_files):
-    """As `ivc` writes its tolerance: --r 2/4 is reported as "1/2"."""
-    for typed, exact in (("2/4", "1/2"), ("+1", "1"), ("01", "1"), ("0.5", "1/2")):
-        code, rep = _run(capsys, ["interleave", "--poset", str(chain_files["poset"]),
-                                  "--height", str(chain_files["phi"]),
-                                  "--module", str(chain_files["M"]),
-                                  "--module2", str(chain_files["N"]), "--r", typed])
+        code, rep = _run(capsys, ["interleave", *on_height, *pair, "--r", typed])
         assert code == 0 and rep["r"] == exact
 
 
