@@ -11,9 +11,11 @@ Isomorphic modules have equal dimension vectors, and a neighborhood's vector
 dim M1(a) - dim M2(a) is known before its quotient is formed.  So the
 enumeration keys each (M1, M2) pair by that vector, and `d_en` forms,
 deduplicates and compares quotients only in the vectors both modules reach.
-Where e_r vanishes on both modules, the erosion `d_en` reports is written
-from M's own maps as a `ZeroNeighborhood`; every other neighborhood `d_en`
-tests or reports is built by `functors.erosion_subquotient`.
+Every neighborhood is held as the column bases of M1 and M2 in M plus the
+quotient (`pmod.Subquotient`), built by `pmod.quotient_by_submodule`, which
+solves nothing where the quotient is zero: the erosions and the canonical
+neighborhood of an interleaving come from `functors.erosion_subquotient`, the
+enumerated members from `EnEnumeration.members_with`.
 """
 
 from __future__ import annotations
@@ -30,20 +32,11 @@ from .functors import (e_r_rank_obstruction, e_r_vanishes, erosion_bases, erosio
                        sharp)
 from .interleave import (DEFAULT_BUDGET, Evaluation, StrataReport, find_interleaving,
                          stratified_report)
-from .pmod import (
-    PersistenceModule,
-    Submodule,
-    Subquotient,
-    is_isomorphic,
-    quotient_by_submodule,
-    span_intersection,
-    submodule_from_bases,
-)
+from .pmod import PersistenceModule, Subquotient, is_isomorphic, quotient_by_submodule, span_intersection
 
 __all__ = [
     "en_enumerate",
     "EnEnumeration",
-    "ZeroNeighborhood",
     "d_en",
 ]
 
@@ -100,17 +93,20 @@ Vector = Tuple[int, ...]
 
 @dataclass
 class EnEnumeration:
-    """The closed (M1, M2) families of one enumeration, in enumeration order.
+    """The closed (M1, M2) families of one enumeration of `module`, in
+    enumeration order.
 
-    Each pair is (M1, the bases of M2 in M1's parent, the dimension vector of
-    M1/M2), the vector read off the bases as dim M1(a) - dim M2(a).  Nothing is
-    formed until asked for: `members_with(vectors)` forms the quotients whose
-    vector is listed and deduplicates each against the members with the same
-    vector.  Each deduplicating isomorphism test runs under the enumeration's
-    own `budget`.
+    Each pair is (the bases of M1, the bases of M2, the dimension vector of
+    M1/M2), all bases in `module`, the vector read off them as dim M1(a) -
+    dim M2(a); the pairs of one M1 family share its bases.  Nothing is formed
+    until asked for: `members_with(vectors)` forms the quotients whose vector
+    is listed and deduplicates each against the members with the same vector.
+    Each deduplicating isomorphism test runs under the enumeration's own
+    `budget`.
     """
 
-    pairs: List[Tuple[Submodule, List[Mat], Vector]]
+    module: PersistenceModule
+    pairs: List[Tuple[Tuple[Mat, ...], List[Mat], Vector]]
     complete: bool
     budget: int
 
@@ -133,7 +129,7 @@ class EnEnumeration:
             if vec not in vectors:
                 continue
             # no neighborhood checks: M1 >= im_r and M2 <= M1 & ker_r by construction
-            sq = quotient_by_submodule(m1, submodule_from_bases(m1.parent, bases2))
+            sq = quotient_by_submodule(self.module, m1, bases2)
             bucket = seen.setdefault(vec, [])
             if not any(is_isomorphic(sq.quotient, s.quotient, budget=self.budget).verdict == "yes"
                        for s in bucket):
@@ -183,48 +179,21 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
     left -= len(m1_families)
     pairs = []
     for fam1 in m1_families:
-        m1 = submodule_from_bases(m, fam1)
-        ceiling = [image_basis(span_intersection(v1, v2)) for v1, v2 in zip(m1.bases, kerns)]
+        m1 = tuple(fam1)
+        ceiling = [image_basis(span_intersection(v1, v2)) for v1, v2 in zip(m1, kerns)]
         m2_choices = [_subspaces_between(m.field, Mat.zeros(m.field, d, 0), c)
                       for c, d in zip(ceiling, m.dims)]
         # choices live in ceiling coordinates already mapped to ambient
         m2_families = list(itertools.islice(_closed_families(m, m2_choices), left))
         left -= len(m2_families)
-        pairs.extend((m1, fam2, tuple(b1.cols - b2.cols for b1, b2 in zip(m1.bases, fam2)))
+        pairs.extend((m1, fam2, tuple(b1.cols - b2.cols for b1, b2 in zip(m1, fam2)))
                      for fam2 in m2_families)
-    return EnEnumeration(pairs, left > 0, budget)
+    return EnEnumeration(m, pairs, left > 0, budget)
 
 
 # ---------------------------------------------------------------------------
 # the erosion-neighborhood distance
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ZeroNeighborhood:
-    """The erosion M1/M2 of M at a scale where e_{r,M} = 0, held as the bases
-    of M1 and M2 in `parent` and the zero `quotient`: the bases and quotient
-    of `functors.erosion_subquotient`, with no submodule or projection built."""
-
-    parent: PersistenceModule
-    m1: Tuple[Mat, ...]
-    m2: Tuple[Mat, ...]
-    quotient: PersistenceModule
-
-
-def _vanishing_erosion(rho: HeightDiff, r, m: PersistenceModule) -> ZeroNeighborhood:
-    """`erosion_subquotient(rho, r, m)` where e_{r,M} = 0, from M's own maps.
-
-    M1 is the pivot columns of L_r M -> M and ker_r the kernel of M -> R_r M,
-    both read off M's maps (`functors.erosion_bases`).  M2 = M1 & ker_r is then formed
-    as `pmod.submodule_intersection` forms it (`pmod.span_intersection`).
-    e_r = 0 puts im_r in ker_r, so M2 spans M1 and the quotient is zero; no
-    L_r, R_r, eta, submodule closure or quotient is built."""
-    gens, kerns = erosion_bases(rho, r, m)
-    m1 = [image_basis(g) for g in gens]
-    m2 = [image_basis(span_intersection(v1, v2)) for v1, v2 in zip(m1, kerns)]
-    zero = PersistenceModule(m.poset, m.field, [0] * len(m.dims), {})
-    return ZeroNeighborhood(m, tuple(m1), tuple(m2), zero)
 
 
 def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule, n: PersistenceModule,
@@ -234,10 +203,10 @@ def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule, n: Pe
 
     When e_r vanishes on both modules, both erosions are zero modules, which
     the isomorphism test calls isomorphic at any budget; so the stratum is an
-    "erosion-iso" yes with no erosion, eta or search built, and its witness,
-    m's erosion, is written from m's own maps and the colimits over its lower
-    neighborhoods (`_vanishing_erosion`): no R_r, eta, submodule closure or
-    quotient is built.  When the rank obstruction holds
+    "erosion-iso" yes with no erosion, eta or search built, and its witness
+    is m's erosion (`erosion_subquotient`), whose bases are read off m's own
+    maps and whose quotient, zero everywhere, is formed with nothing solved.
+    When the rank obstruction holds
     (`functors.e_r_rank_obstruction`), say
     rank e_{r,M}(a) > dim N(a), the stratum is an "obstruction" no over any
     field and at any budget, with nothing built or enumerated.  For an erosion
@@ -248,9 +217,9 @@ def _en_stratum_test(rho: HeightDiff, rep: Fraction, m: PersistenceModule, n: Pe
     the erosions (`erosion_subquotient`) are built once each and compared, m's
     the witness of a "yes"; then the search's (p, q) gives the neighborhood
     with q# and p added; then the enumeration."""
-    if e_r_vanishes(rho, rep, m, n):
-        return "yes", "erosion-iso", partial(_vanishing_erosion, rho, rep, m)
     neighborhood = partial(erosion_subquotient, rho, rep, m)
+    if e_r_vanishes(rho, rep, m, n):
+        return "yes", "erosion-iso", neighborhood
     if e_r_rank_obstruction(rho, rep, m, n) is not None:
         return "no", "obstruction", None
     em, en_ = neighborhood(), erosion_subquotient(rho, rep, n)
@@ -287,12 +256,12 @@ def d_en(rho: HeightDiff, m: PersistenceModule, n: PersistenceModule,
 
     Stratum verdict: do the r-erosion-neighborhood classes of m and n intersect?
     A stratum where e_r vanishes on both modules is an erosion-iso "yes" whose
-    witness, m's erosion with its zero quotient, is written from m's own maps
-    (`_vanishing_erosion`).  A stratum the rank obstruction rules out is a
-    "no" with nothing enumerated; elsewhere canonical candidates (the erosions
-    themselves, then the certificate-derived neighborhood, both
-    `erosion_subquotient`) are tried before full cross-enumeration; an
-    erosion-iso witness is the one compared.
+    witness is m's erosion, with its zero quotient.  A stratum the rank
+    obstruction rules out is a "no" with nothing enumerated; elsewhere
+    canonical candidates (the erosions themselves, then the
+    certificate-derived neighborhood) are tried before full cross-enumeration;
+    an erosion-iso witness is the one compared.  Every witness is a
+    `pmod.Subquotient`: the bases of M1 and M2 in m and the quotient.
     The cross test enumerates both modules' (M1, M2) pairs, then forms and
     deduplicates the quotients only in the dimension vectors both sides reach
     and compares each m-member, in member order, with the n-members of its

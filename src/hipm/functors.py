@@ -20,7 +20,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .exactlin import Mat, factor_at, hstack, kernel_basis, rref, solve, stacked_matmul, vstack, zeros
+from .exactlin import (Mat, factor_at, hstack, image_basis, kernel_basis, rref, solve, stacked_matmul,
+                       vstack, zeros)
 from .height import (HeightDiff, check_ivc, level, nbhd_bottoms, nbhd_iterated_idx, nbhd_pairs,
                      nbhd_tops, nbhds, pullback_rho)
 from .kan import (UniversalCone, colim_over, factor, factor_stack_from_colim, induced, lim_dim,
@@ -508,9 +509,9 @@ def erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule,
     im_r / (im_r & ker_r) with neither map, and the canonical neighborhood of an
     interleaving (p, q) with q# and p.  Built from M's own maps (`erosion_bases`)."""
     gens, kerns = erosion_bases(rho, r, m, incoming, outgoing)
-    m1 = submodule_from_bases(m, gens)
-    m2 = submodule_from_bases(m, [span_intersection(v1, v2) for v1, v2 in zip(m1.bases, kerns)])
-    return quotient_by_submodule(m1, m2)
+    m1 = [image_basis(g) for g in gens]
+    m2 = [image_basis(span_intersection(v1, v2)) for v1, v2 in zip(m1, kerns)]
+    return quotient_by_submodule(m, m1, m2)
 
 
 @dataclass
@@ -537,11 +538,11 @@ def erosion_E(rho: HeightDiff, r, m: PersistenceModule) -> ErosionResult:
     unit = eta_id(rho, r, m, "R")
     for a in range(len(m.poset)):
         # canonical map im_r -> erosion: push the image generators through M -> R_rM
-        phi = solve(sub.bases[a], unit.components[a] @ sq.sub1.bases[a])
+        phi = solve(sub.bases[a], unit.components[a] @ sq.m1[a])
         if phi is None:
             raise AssertionError("image of im_r must land in the erosion")
         # the map descends to the quotient and the induced map must be an iso
-        psi = factor_at(sq.proj.components[a].a, sq.free[a], phi.a, m.field)
+        psi = factor_at(sq.proj[a].a, sq.free[a], phi.a, m.field)
         if psi is None:
             raise AssertionError("canonical map does not descend to the subquotient")
         if psi.shape[0] != psi.shape[1] or rref(Mat._canonical(m.field, psi)).rank != psi.shape[0]:

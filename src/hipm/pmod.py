@@ -449,13 +449,7 @@ def submodule_from_bases(parent: PersistenceModule, bases: Sequence[Mat]) -> Sub
     canon = [image_basis(b) for b in bases]
     maps = {}
     for (a, b) in P.covers:
-        ca, cb = canon[a], canon[b]
-        if ca.cols and cb.cols:
-            w = solve(cb, parent.maps[(a, b)] @ ca)
-        else:  # the zero map, closed unless a nonzero span is pushed off a zero one
-            w = Mat.zeros(F, cb.cols, ca.cols)
-            if ca.cols and cb.rows and not (parent.maps[(a, b)] @ ca).is_zero():
-                w = None
+        w = solve(canon[b], parent.maps[(a, b)] @ canon[a])
         if w is None:
             raise SubmoduleError(
                 f"span not closed under the structure map on cover "
@@ -508,43 +502,54 @@ def submodule_intersection(s1: Submodule, s2: Submodule) -> Submodule:
 
 @dataclass
 class Subquotient:
-    """sub1/sub2 for submodules sub2 <= sub1 of one parent: the quotient module,
-    the projection sub1.module -> quotient and, per element, the coordinates
-    where the projection is the identity (`quotient_map`'s free coordinates)."""
+    """M1/M2 for submodules M2 <= M1 of `parent`, held as their column bases
+    `m1` and `m2` in `parent`: the quotient module and, per element, the
+    projection of M1's coordinates onto the quotient and the coordinates where
+    it is the identity (`quotient_map`'s free coordinates).  Where M1 and M2
+    agree the projection has no rows and no coordinate is free."""
 
     parent: PersistenceModule
-    sub1: Submodule
-    sub2: Submodule
+    m1: Tuple[Mat, ...]
+    m2: Tuple[Mat, ...]
     quotient: PersistenceModule
-    proj: ModuleMorphism
+    proj: Tuple[Mat, ...]
     free: Tuple[Tuple[int, ...], ...]
 
 
-def quotient_by_submodule(big: Submodule, small: Submodule) -> Subquotient:
-    """The subquotient big/small; raises `SubmoduleError` unless small sits
-    inside big."""
-    F = big.parent.field
-    P = big.parent.poset
+def quotient_by_submodule(parent: PersistenceModule, m1: Sequence[Mat],
+                          m2: Sequence[Mat]) -> Subquotient:
+    """The subquotient M1/M2 from the canonical column bases of submodules
+    M1 >= M2 of `parent`, which the caller vouches for.  Nothing is solved
+    where the quotient is zero: at an element where the bases have equal
+    column counts the projection is empty, and a cover with a zero end
+    carries the zero map.  Elsewhere M1's structure map is solved and
+    factored through the quotient; raises `SubmoduleError` where that fails."""
+    P, F = parent.poset, parent.field
     projs = []
     frees = []
-    for i in range(len(P)):
-        inside = solve(big.bases[i], small.bases[i])
+    for i, (b1, b2) in enumerate(zip(m1, m2)):
+        if b1.cols == b2.cols:
+            projs.append(Mat.zeros(F, 0, b1.cols))
+            frees.append(())
+            continue
+        inside = solve(b1, b2)
         if inside is None:
-            raise SubmoduleError(
-                f"submodule containment fails at {P.elements[i]!r}"
-            )
-        q, free = quotient_map(F, big.bases[i].cols, inside)
+            raise SubmoduleError(f"submodule containment fails at {P.elements[i]!r}")
+        q, free = quotient_map(F, b1.cols, inside)
         projs.append(q)
         frees.append(free)
     maps = {}
     for (a, b) in P.covers:
-        x = factor_at(projs[a].a, frees[a], (projs[b] @ big.module.maps[(a, b)]).a, F)
+        if not (frees[a] and frees[b]):
+            maps[(a, b)] = Mat.zeros(F, len(frees[b]), len(frees[a]))
+            continue
+        w = solve(m1[b], parent.maps[(a, b)] @ m1[a])
+        x = None if w is None else factor_at(projs[a].a, frees[a], (projs[b] @ w).a, F)
         if x is None:
             raise SubmoduleError("map does not factor through the quotient")
         maps[(a, b)] = Mat._canonical(F, x)
     quot = PersistenceModule(P, F, [len(free) for free in frees], maps)
-    return Subquotient(big.parent, big, small, quot, ModuleMorphism(big.module, quot, projs),
-                       tuple(frees))
+    return Subquotient(parent, tuple(m1), tuple(m2), quot, tuple(projs), tuple(frees))
 
 
 def is_isomorphic(m: PersistenceModule, n: PersistenceModule,

@@ -78,8 +78,7 @@ class FinitePoset:
     # -- construction ---------------------------------------------------
 
     @staticmethod
-    def from_covers(elements: Sequence[str], covers: Iterable[Tuple[str, str]],
-                    coords: Optional[Dict[str, Tuple[int, ...]]] = None) -> "FinitePoset":
+    def from_covers(elements: Sequence[str], covers: Iterable[Tuple[str, str]]) -> "FinitePoset":
         elements = tuple(elements)
         n = len(elements)
         if n > MAX_ELEMENTS:
@@ -106,11 +105,7 @@ class FinitePoset:
             i, j = map(int, np.argwhere(cyc)[0])
             raise PosetError(f"cycle detected through {elements[i]!r} and {elements[j]!r}")
         leq = lt | np.eye(n, dtype=bool)
-        cov = _pairs(_transitive_reduction(lt))
-        idx_coords = None
-        if coords is not None:
-            idx_coords = {index[e]: tuple(c) for e, c in coords.items()}
-        return FinitePoset(elements, leq, cov, idx_coords)
+        return FinitePoset(elements, leq, _pairs(_transitive_reduction(lt)))
 
     @staticmethod
     def grid(shape: Sequence[int]) -> "FinitePoset":

@@ -12,7 +12,6 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .erosion import ZeroNeighborhood
 from .exactlin import _MAX_INNER, GF2, QQ, FieldSpec, Mat
 from .height import (
     HeightDiff,
@@ -358,20 +357,18 @@ def strata_report_to_json(rep: StrataReport) -> Dict[str, Any]:
     return out
 
 
-def _subquotient_to_json(sq: Subquotient | ZeroNeighborhood) -> Dict[str, Any]:
+def _subquotient_to_json(sq: Subquotient) -> Dict[str, Any]:
     """The bases of M1 and M2 in M, by element, and the quotient module."""
     P = sq.parent.poset
-    m1, m2 = (sq.m1, sq.m2) if isinstance(sq, ZeroNeighborhood) else (sq.sub1.bases, sq.sub2.bases)
     return {
-        "M1": {e: b.tolists() for e, b in zip(P.elements, m1) if b.cols},
-        "M2": {e: b.tolists() for e, b in zip(P.elements, m2) if b.cols},
+        "M1": {e: b.tolists() for e, b in zip(P.elements, sq.m1) if b.cols},
+        "M2": {e: b.tolists() for e, b in zip(P.elements, sq.m2) if b.cols},
         "quotient": module_to_json(sq.quotient),
     }
 
 
 def en_report_to_json(rep: StrataReport) -> Dict[str, Any]:
-    """An `erosion.d_en` report: its witness is a Subquotient, or a
-    ZeroNeighborhood at a stratum where e_r vanishes on both modules."""
+    """An `erosion.d_en` report: its witness is a Subquotient."""
     out = _strata_to_json(rep)
     if rep.witness is not None:
         out["witness"] = _subquotient_to_json(rep.witness)

@@ -12,7 +12,7 @@ height difference, iterated neighborhoods and diagonal domination on grids,
 the transpose flat of L_r -| R_r and functoriality of L_r and R_r on
 morphisms, the unit and counit (the triangle identities), the mates of eta
 and mu on the L side (which must equal eta and mu on the R side), im_r, ker_r
-and the erosion built from L_r, R_r and `eta_id` on both sides, the erosion-neighborhood conditions and the canonical neighborhood of an interleaving, the
+and the erosion built from L_r, R_r and `eta_id` on both sides, the subquotient of two built submodules solved at every element and cover, the erosion-neighborhood conditions and the canonical neighborhood of an interleaving, the
 interleaving between a module and each of its erosion neighborhoods, the
 composition of erosion neighborhoods through preimages, and their mediation.  `src/hipm` keeps only what a command runs.
 """
@@ -37,8 +37,8 @@ from hipm.interleave import check_certificate
 from hipm.kan import (UniversalCone, colim_over, factor, factor_from_colim, factor_into_lim,
                       induced)
 from hipm.pmod import (ModuleMorphism, PersistenceModule, Submodule, SubmoduleError, Subquotient,
-                       quotient_by_submodule, submodule_from_bases, submodule_image,
-                       submodule_intersection, submodule_kernel, submodule_sum)
+                       submodule_from_bases, submodule_image, submodule_intersection,
+                       submodule_kernel, submodule_sum)
 from hipm.poset import FinitePoset, PosetError, _transitive_closure
 
 # ---------------------------------------------------------------------------
@@ -444,7 +444,35 @@ def erosion_from_etas(rho: HeightDiff, r, m: PersistenceModule,
                                   for a, d in enumerate(m.dims)])
     kern = submodule_from_bases(m, [kernel_basis(vstack(F, [g.components[a] for g in outs], cols=d))
                                     for a, d in enumerate(m.dims)])
-    return quotient_by_submodule(m1, submodule_intersection(m1, kern))
+    return quotient_of_submodules(m1, submodule_intersection(m1, kern))
+
+
+def quotient_of_submodules(big: Submodule, small: Submodule) -> Subquotient:
+    """The subquotient big/small from two built submodules, solved at every
+    element and cover: `pmod.quotient_by_submodule` must build the same record
+    from their bases alone.  Raises `SubmoduleError` unless small sits inside
+    big."""
+    F = big.parent.field
+    P = big.parent.poset
+    projs = []
+    frees = []
+    for i in range(len(P)):
+        inside = solve(big.bases[i], small.bases[i])
+        if inside is None:
+            raise SubmoduleError(
+                f"submodule containment fails at {P.elements[i]!r}"
+            )
+        q, free = quotient_map(F, big.bases[i].cols, inside)
+        projs.append(q)
+        frees.append(free)
+    maps = {}
+    for (a, b) in P.covers:
+        x = factor_at(projs[a].a, frees[a], (projs[b] @ big.module.maps[(a, b)]).a, F)
+        if x is None:
+            raise SubmoduleError("map does not factor through the quotient")
+        maps[(a, b)] = Mat._canonical(F, x)
+    quot = PersistenceModule(P, F, [len(free) for free in frees], maps)
+    return Subquotient(big.parent, big.bases, small.bases, quot, tuple(projs), tuple(frees))
 
 
 class ErosionNeighborhoodError(ValueError):
@@ -471,7 +499,7 @@ def en_construct(rho: HeightDiff, r, m: PersistenceModule,
         if solve(kerr.bases[i], m2.bases[i]) is None:
             raise ErosionNeighborhoodError(
                 f"M2 not inside the matching kernel at {P.elements[i]!r}")
-    return quotient_by_submodule(m1, m2)
+    return quotient_of_submodules(m1, m2)
 
 
 def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModule,
@@ -501,14 +529,14 @@ def morphism_preimage(f: ModuleMorphism, target_sub: Submodule) -> Submodule:
 
 
 def _push(sq: Subquotient, cols: Sequence[Mat], escape: str) -> List[Mat]:
-    """Per element, columns of the parent that lie in sq.sub1, pushed into the
-    quotient; raises `escape` at the first element where they leave sub1."""
+    """Per element, columns of the parent that lie in M1, pushed into the
+    quotient; raises `escape` at the first element where they leave M1."""
     out = []
     for i, c in enumerate(cols):
-        inside = solve(sq.sub1.bases[i], c)
+        inside = solve(sq.m1[i], c)
         if inside is None:
             raise ErosionNeighborhoodError(f"{escape} at {sq.parent.poset.elements[i]!r}")
-        out.append(sq.proj.components[i] @ inside)
+        out.append(sq.proj[i] @ inside)
     return out
 
 
@@ -525,8 +553,7 @@ def en_interleaving_certificate(rho: HeightDiff, r, m: PersistenceModule,
     beta_comps = []
     for i in range(len(m.poset)):
         # the matching unit on M1 factors through the projection onto Q
-        beta = factor_at(sq.proj.components[i].a, sq.free[i],
-                         (etaR.components[i] @ sq.sub1.bases[i]).a, F)
+        beta = factor_at(sq.proj[i].a, sq.free[i], (etaR.components[i] @ sq.m1[i]).a, F)
         if beta is None:
             raise SubmoduleError("map does not factor through the quotient")
         beta_comps.append(Mat._canonical(F, beta))
@@ -542,8 +569,10 @@ def en_mediate(rho: HeightDiff, s, r,
     middle module X, produce Q3 = (X1 & X2)/((X1' + X2') & X1 & X2) realized both
     as an s-erosion neighborhood of Q1 and an r-erosion neighborhood of Q2."""
     s, r = Fraction(s), Fraction(r)
-    x3 = submodule_intersection(q1.sub1, q2.sub1)
-    x3p = submodule_intersection(submodule_sum(q1.sub2, q2.sub2), x3)
+    x1, x1p, x2, x2p = (submodule_from_bases(q.parent, bases)
+                        for q in (q1, q2) for bases in (q.m1, q.m2))
+    x3 = submodule_intersection(x1, x2)
+    x3p = submodule_intersection(submodule_sum(x1p, x2p), x3)
 
     def realize(carrier: Subquotient, scale: Fraction) -> Subquotient:
         escape = "mediating submodule escapes the carrier"

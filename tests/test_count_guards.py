@@ -11,8 +11,8 @@ value such a stratum never builds, not even to write its certificate, the Hom
 bases a stratum ruled out by the rank obstruction never builds, the
 isomorphism and its inverse that `is_isomorphic` builds only when read, and
 the one erosion subquotient per module that `d_en`'s erosion test builds and
-reports, the R_r, limit, `eta_id`, submodule and quotient that `d_en`'s
-witness at such a stratum never builds, and the intervals and subposet
+reports, the R_r, limit, `eta_id`, submodule, solve and quotient map that
+`d_en`'s witness at such a stratum never builds, and the intervals and subposet
 closures that `check_cip` and `c_rho` never build, with one connectivity
 decision per distinct intersection.  Beside the guard on R_r, one test
 checks that the certificate such a stratum writes is still the zero pair into
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hipm import cli, erosion, functors, height, interleave, kan, pmod, poset, serde
+from hipm import cli, erosion, exactlin, functors, height, interleave, kan, pmod, poset, serde
 from hipm.erosion import _en_stratum_test, d_en
 from hipm.exactlin import FieldSpec, Mat
 from hipm.functors import apply_R, e_r_rank_obstruction, e_r_vanishes
@@ -43,6 +43,7 @@ from hipm.randgen import (random_conjugate, random_forest_poset, random_module, 
                           random_poset)
 from hipm.serde import (_subquotient_to_json, load_height, load_module, load_poset, module_to_json,
                         morphism_to_json, poset_to_json, strata_report_to_json)
+import paper_statements
 from paper_statements import check_cip_keyed
 
 GF2, GF3, QQ = FieldSpec("gfp", 2), FieldSpec("gfp", 3), FieldSpec("rational")
@@ -378,10 +379,11 @@ def test_a_vanishing_stratum_writes_the_zero_maps_into_the_matching_values(tmp_p
 
 
 def counting_everywhere(monkeypatch, name):
-    """Patch `name` in every hipm module that binds it to count its calls, one
-    count for all of them; returns the one-item count list."""
+    """Patch `name` in every module that binds it, hipm's and the oracles',
+    to count its calls, one count for all of them; returns the one-item
+    count list."""
     calls = [0]
-    for owner in (cli, erosion, functors, interleave, kan, pmod, serde):
+    for owner in (cli, erosion, exactlin, functors, interleave, kan, paper_statements, pmod, serde):
         original = getattr(owner, name, None)
         if original is None:
             continue
@@ -397,13 +399,14 @@ def counting_everywhere(monkeypatch, name):
 def test_a_vanishing_d_en_witness_builds_no_matching_value_submodule_or_quotient(
         monkeypatch, tmp_path, capsys):
     """At every stratum where e_r vanishes on both modules, over GF(p) and
-    over Q, the witness `d_en` builds calls no apply_R, lim_over, eta_id,
-    submodule_from_bases or quotient_by_submodule, and the only cones it
-    builds are colimits over the lower neighborhoods at its level; the same
-    holds for the witness `hipm en-distance` builds and writes.  The erosion
-    `functors.erosion_E` builds calls every one of them."""
-    names = ("apply_R", "lim_over", "eta_id", "submodule_from_bases",
-             "quotient_by_submodule")
+    over Q, building and writing the witness `d_en` returns, m's
+    `erosion_subquotient`, calls no apply_R, lim_over, eta_id,
+    submodule_from_bases, exactlin.solve or quotient_map, and the only cones
+    it builds are colimits over the lower neighborhoods at its level; the
+    same holds for every such witness `hipm en-distance` builds and writes.
+    `functors.erosion_E` and the eta-built oracle `erosion_from_etas` on the
+    same case call every one of them."""
+    names = ("apply_R", "lim_over", "eta_id", "submodule_from_bases", "solve", "quotient_map")
     counts = {name: counting_everywhere(monkeypatch, name) for name in names}
     original_cone = kan._cone
     cones = []
@@ -429,30 +432,46 @@ def test_a_vanishing_d_en_witness_builds_no_matching_value_submodule_or_quotient
         downs = set(nbhds(rho, "down", level(rho, st.rep)))
         assert cones and all(latching and nodes in downs for latching, nodes in cones)
         functors.erosion_E(rho, st.rep, PersistenceModule(m.poset, m.field, m.dims, m.maps))
+        paper_statements.erosion_from_etas(rho, st.rep, m)
         assert all(after > before[name] for name, after in built().items())  # not vacuous
     assert len(cases) >= 8 and {m.field.is_prime_field for _, m, _, _ in cases} == {True, False}
 
     written, deltas = [], []
 
-    def measured(owner, name, log):
-        original = getattr(owner, name)
+    def delta(before):
+        return {k: v - before[k] for k, v in built().items()}
 
-        def wrapped(*args):
+    def logged(build):
+        def wrapped():
             before = built()
-            out = original(*args)
-            log.append({k: v - before[k] for k, v in built().items()})
+            out = build()
+            written.append((delta(before), out.quotient.total_dim()))
             return out
 
-        monkeypatch.setattr(owner, name, wrapped)
+        return wrapped
 
-    measured(erosion, "_vanishing_erosion", written)
-    measured(cli, "en_report_to_json", deltas)
+    original_test = erosion._en_stratum_test
+
+    def stratum_test(*args):
+        verdict, via, build = original_test(*args)
+        return verdict, via, logged(build) if via == "erosion-iso" else build
+
+    def report(rep):
+        before = built()
+        out = original_report(rep)
+        deltas.append(delta(before))
+        return out
+
+    original_report = cli.en_report_to_json
+    monkeypatch.setattr(erosion, "_en_stratum_test", stratum_test)
+    monkeypatch.setattr(cli, "en_report_to_json", report)
     for rho, m, n in dict.fromkeys((rho, m, n) for rho, m, n, _ in cases):
         assert cli.main(["--budget", "4096", "en-distance",
                          *write_inputs(tmp_path, rho, m, n)]) in (0, 2)  # 2: undecided
         json.loads(capsys.readouterr().out)
-    assert all(d == dict.fromkeys(names, 0) for d in written + deltas), written + deltas
-    assert len(written) >= 3  # the guard is not vacuous
+    vanishing = [d for d, dim in written if dim == 0]  # erosion-iso with a zero quotient
+    assert all(d == dict.fromkeys(names, 0) for d in vanishing + deltas), vanishing + deltas
+    assert len(vanishing) >= 3  # the guard is not vacuous
 
 
 def obstructed_pairs():

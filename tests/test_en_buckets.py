@@ -33,7 +33,6 @@ from hipm.height import from_phi, strata
 from hipm.pmod import (
     PersistenceModule,
     SearchResult,
-    quotient_by_submodule,
     submodule_from_bases,
     submodule_image,
     submodule_intersection,
@@ -41,7 +40,8 @@ from hipm.pmod import (
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
 from hipm.serde import _subquotient_to_json
 
-from paper_statements import erosion_from_etas, im_r_from_eta, ker_r_from_eta
+from paper_statements import (erosion_from_etas, im_r_from_eta, ker_r_from_eta,
+                              quotient_of_submodules)
 
 GF3 = FieldSpec("gfp", 3)
 
@@ -65,7 +65,7 @@ def oracle_enumerate(rho, r, m, budget):
         m2_families = list(itertools.islice(_closed_families(m, m2_choices), left))
         left -= len(m2_families)
         for fam2 in m2_families:
-            sq = quotient_by_submodule(m1, submodule_from_bases(m, fam2))
+            sq = quotient_of_submodules(m1, submodule_from_bases(m, fam2))
             if not any(erosion.is_isomorphic(sq.quotient, seen.quotient).verdict == "yes"
                        for seen in members):
                 members.append(sq)
@@ -115,7 +115,7 @@ def same_witness(got, want):
 
 def same_members(got, want):
     return len(got) == len(want) and all(
-        a.sub1.bases == b.sub1.bases and a.sub2.bases == b.sub2.bases
+        a.m1 == b.m1 and a.m2 == b.m2
         and a.quotient.dims == b.quotient.dims and a.quotient.maps == b.quotient.maps
         for a, b in zip(got, want))
 
@@ -157,8 +157,10 @@ def test_bucketed_stage_matches_the_pairwise_oracle(case):
             enum = en_enumerate(rho, rep, mod, budget)
             assert enum.complete == complete
             assert same_members(list(enum.members_with(enum.vectors)), members)
+            assert enum.module is mod
             for m1, bases2, vec in enum.pairs:  # each predicted vector is its quotient's
-                sq = quotient_by_submodule(m1, submodule_from_bases(mod, bases2))
+                sq = quotient_of_submodules(submodule_from_bases(mod, m1),
+                                            submodule_from_bases(mod, bases2))
                 assert sq.quotient.dims == vec
 
 
@@ -223,8 +225,8 @@ def test_closed_families_are_the_closed_choice_families_in_order(case):
 
 
 def same_pairs(got, want):
-    return [(m1.bases, bases2, vec) for m1, bases2, vec in got] == [
-        (m1.bases, bases2, vec) for m1, bases2, vec in want]
+    return [(m1, bases2, vec) for m1, bases2, vec in got] == [
+        (m1, bases2, vec) for m1, bases2, vec in want]
 
 
 @given(instances)

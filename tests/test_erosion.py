@@ -56,10 +56,15 @@ def test_en_construct_containment_violation(unit_chain):
         en_construct(rho, 1, m, submodule_zero(m), submodule_zero(m))
 
 
+def submodules(sq):
+    """M1 and M2 of a subquotient, built as submodules of its parent."""
+    return submodule_from_bases(sq.parent, sq.m1), submodule_from_bases(sq.parent, sq.m2)
+
+
 def assert_neighborhoods(rho, r, m, n, qm, qn):
     """Both sides of en_canonical_Q pass en_construct's erosion-neighborhood checks."""
     for base, sq in ((m, qm), (n, qn)):
-        en_construct(rho, r, base, sq.sub1, sq.sub2)
+        en_construct(rho, r, base, *submodules(sq))
 
 
 def test_en_canonical_Q_identity(unit_chain, rng):
@@ -146,7 +151,7 @@ def test_en_members_validate(unit_chain, rng):
     m = random_module(rng, p, GF2, 2)
     enum = en_enumerate(rho, 1, m, budget=4000)
     for sq in enum.members_with(enum.vectors):
-        rebuilt = en_construct(rho, 1, m, sq.sub1, sq.sub2)
+        rebuilt = en_construct(rho, 1, m, *submodules(sq))
         assert rebuilt.quotient.dims == sq.quotient.dims
 
 
@@ -170,13 +175,13 @@ def test_en_composition_lemma(unit_chain):
         n = sq_n.quotient
         inner = en_enumerate(rho, 1, n)
         for sq_q in inner.members_with(inner.vectors):
-            f = sq_n.proj
-            n1 = submodule_from_bases(n, sq_q.sub1.bases)
-            n2 = submodule_from_bases(n, sq_q.sub2.bases)
+            f = ModuleMorphism(submodule_from_bases(m, sq_n.m1).module, n, sq_n.proj)
+            n1 = submodule_from_bases(n, sq_q.m1)
+            n2 = submodule_from_bases(n, sq_q.m2)
             pre1 = morphism_preimage(f, n1)
             pre2 = morphism_preimage(f, n2)
-            amb1 = [sq_n.sub1.bases[i] @ pre1.bases[i] for i in range(len(p))]
-            amb2 = [sq_n.sub1.bases[i] @ pre2.bases[i] for i in range(len(p))]
+            amb1 = [sq_n.m1[i] @ pre1.bases[i] for i in range(len(p))]
+            amb2 = [sq_n.m1[i] @ pre2.bases[i] for i in range(len(p))]
             m1p = submodule_from_bases(m, amb1)
             m2p = submodule_from_bases(m, amb2)
             sq_big = en_construct(rho, ext_add(Fraction(2), c), m, m1p, m2p)
@@ -200,8 +205,8 @@ def test_d_en_self_zero(unit_chain, rng):
     assert rep.distance == 0 and rep.decided
     assert rep.strata[0].via == "erosion-iso"
     fresh = erosion_subquotient(rho, rep.strata[0].stratum.rep, m)
-    assert rep.witness.sub1.bases == fresh.sub1.bases
-    assert rep.witness.sub2.bases == fresh.sub2.bases
+    assert rep.witness.m1 == fresh.m1
+    assert rep.witness.m2 == fresh.m2
     assert rep.witness.quotient.key() == fresh.quotient.key()
 
 

@@ -26,6 +26,7 @@ from hipm.functors import (
 )
 from hipm.height import from_phi, strata
 from hipm.pmod import (
+    ModuleMorphism,
     hom_basis,
     quotient_by_submodule,
     submodule_full,
@@ -78,7 +79,8 @@ def test_built_morphisms_are_natural(case):
     )
     imr, kerr = im_r(rho, r, m), ker_r(rho, r, m)
     inter = submodule_intersection(imr, kerr)
-    proj = quotient_by_submodule(imr, inter).proj
+    sq = quotient_by_submodule(m, imr.bases, inter.bases)
+    proj = ModuleMorphism(imr.module, sq.quotient, sq.proj)
     _assert_natural(image_incl=submodule_image(e_r(rho, r, m)).incl, quotient_proj=proj)
     # the erosion itself (im / im & ker) and the widest neighborhood (M / ker)
     for m1, m2 in ((imr, inter), (submodule_full(m), kerr)):

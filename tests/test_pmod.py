@@ -203,9 +203,10 @@ def test_submodule_operations(chain4, rng):
     assert all(b.cols == 0 for b in inter.bases)
     s = submodule_sum(zero, full)
     assert all(s.bases[i].cols == m.dims[i] for i in range(len(chain4)))
-    sq = quotient_by_submodule(full, zero)
-    assert sq.parent is m and sq.sub1 is full and sq.sub2 is zero
-    assert sq.quotient.dims == m.dims and sq.proj.is_iso()
+    sq = quotient_by_submodule(m, full.bases, zero.bases)
+    assert sq.parent is m and sq.m1 == full.bases and sq.m2 == zero.bases
+    assert sq.quotient.dims == m.dims
+    assert ModuleMorphism(full.module, sq.quotient, sq.proj).is_iso()
     assert sq.free == tuple(tuple(range(d)) for d in m.dims)
 
 

@@ -273,13 +273,14 @@ def test_diamond_with_many_common_lower_bounds(width):
 
 
 def grid_from_covers(shape):
-    """The grid as `from_covers` builds it from its unit steps and coordinates."""
+    """The grid as `from_covers` builds it from its unit steps, with its
+    coordinates attached through the constructor."""
     points = list(itertools.product(*[range(s) for s in shape]))
     name = {pt: "v_" + "_".join(str(c) for c in pt) for pt in points}
     covers = [(name[pt], name[pt[:d] + (pt[d] + 1,) + pt[d + 1:]])
               for pt in points for d in range(len(shape)) if pt[d] + 1 < shape[d]]
-    return FinitePoset.from_covers([name[pt] for pt in points], covers,
-                                   coords={name[pt]: pt for pt in points})
+    p = FinitePoset.from_covers([name[pt] for pt in points], covers)
+    return FinitePoset(p.elements, p.leq, p.covers, dict(enumerate(points)))
 
 
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=3))
