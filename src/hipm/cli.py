@@ -250,17 +250,13 @@ def _cmd_functor(args, cfg: RunConfig) -> int:
         out = _app_to_json(apply_T(rho, _scale(args.s, "--s"), r, m, args.direction))
     elif kind == "E":
         res = erosion_E(rho, r, m)
-        out = {"module": module_to_json(res.sub.module),
+        out = {"module": module_to_json(res.sub.quotient),
                "projection": morphism_to_json(res.proj.source, res.proj.components),
-               "inclusion": morphism_to_json(res.sub.incl.source, res.sub.incl.components)}
-    elif kind == "Im":
-        sub = im_r(rho, r, m)
-        out = {"module": module_to_json(sub.module),
-               "inclusion": morphism_to_json(sub.incl.source, sub.incl.components)}
-    elif kind == "Ker":
-        sub = ker_r(rho, r, m)
-        out = {"module": module_to_json(sub.module),
-               "inclusion": morphism_to_json(sub.incl.source, sub.incl.components)}
+               "inclusion": morphism_to_json(res.sub.quotient, res.sub.m1)}
+    elif kind in ("Im", "Ker"):
+        sub = (im_r if kind == "Im" else ker_r)(rho, r, m)
+        out = {"module": module_to_json(sub.quotient),
+               "inclusion": morphism_to_json(sub.quotient, sub.m1)}
     else:
         raise SchemaError(f"unknown functor kind {kind!r}", "--kind")
     _emit(cfg, out)

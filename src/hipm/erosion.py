@@ -167,7 +167,8 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
     pair with the dimension vector of its quotient.  The quotients are formed
     and deduplicated by the isomorphism test, under the same budget, only when
     read (`EnEnumeration.members_with`).  `budget` caps the M1 and
-    M2 families listed together; a listing that reaches it is flagged incomplete.
+    M2 families listed together; a listing is flagged incomplete only when a
+    family lies past the cap, so one that lists exactly `budget` is complete.
     """
     if not m.field.is_prime_field:
         raise ValueError("erosion-neighborhood enumeration needs a finite field")
@@ -175,20 +176,28 @@ def en_enumerate(rho: HeightDiff, r, m: PersistenceModule,
     m1_choices = [_subspaces_between(m.field, image_basis(g), Mat.eye(m.field, d))
                   for g, d in zip(gens, m.dims)]
     left = max(budget, 0)  # islice takes no negative stop
-    m1_families = list(itertools.islice(_closed_families(m, m1_choices), left))
+    m1_families, complete = _take(_closed_families(m, m1_choices), left)
     left -= len(m1_families)
     pairs = []
     for fam1 in m1_families:
+        if not complete:
+            break
         m1 = tuple(fam1)
         ceiling = [image_basis(span_intersection(v1, v2)) for v1, v2 in zip(m1, kerns)]
         m2_choices = [_subspaces_between(m.field, Mat.zeros(m.field, d, 0), c)
                       for c, d in zip(ceiling, m.dims)]
         # choices live in ceiling coordinates already mapped to ambient
-        m2_families = list(itertools.islice(_closed_families(m, m2_choices), left))
+        m2_families, complete = _take(_closed_families(m, m2_choices), left)
         left -= len(m2_families)
         pairs.extend((m1, fam2, tuple(b1.cols - b2.cols for b1, b2 in zip(m1, fam2)))
                      for fam2 in m2_families)
-    return EnEnumeration(m, pairs, left > 0, budget)
+    return EnEnumeration(m, pairs, complete, budget)
+
+
+def _take(families, left: int) -> tuple:
+    """The first `left` families, and whether none lies past them."""
+    head = list(itertools.islice(families, left + 1))
+    return head[:left], len(head) <= left
 
 
 # ---------------------------------------------------------------------------

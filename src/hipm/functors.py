@@ -30,7 +30,6 @@ from .pmod import (
     ModuleMorphism,
     MorphismStack,
     PersistenceModule,
-    Submodule,
     Subquotient,
     pullback_module,
     quotient_by_submodule,
@@ -492,13 +491,13 @@ def erosion_bases(rho: HeightDiff, r, m: PersistenceModule,
     return gens, kerns
 
 
-def im_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
-    """The image of L_r M -> M, as a submodule of M."""
+def im_r(rho: HeightDiff, r, m: PersistenceModule) -> Subquotient:
+    """The image of L_r M -> M, as the submodule im_r/0 of M."""
     return submodule_from_bases(m, erosion_bases(rho, r, m)[0])
 
 
-def ker_r(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
-    """The kernel of M -> R_r M, as a submodule of M."""
+def ker_r(rho: HeightDiff, r, m: PersistenceModule) -> Subquotient:
+    """The kernel of M -> R_r M, as the submodule ker_r/0 of M."""
     return submodule_from_bases(m, erosion_bases(rho, r, m)[1])
 
 
@@ -516,10 +515,10 @@ def erosion_subquotient(rho: HeightDiff, r, m: PersistenceModule,
 
 @dataclass
 class ErosionResult:
-    """The erosion subquotient: image of L_r M -> R_r M with its factorization
-    retained, plus the verified identification with im/(im & ker)."""
+    """The r-erosion E, the image of L_r M -> R_r M, as the submodule E/0 of R_r M
+    with the projection of L_r M onto it; its identification with im/(im & ker) is verified."""
 
-    sub: Submodule  # inside R_r M
+    sub: Subquotient  # E/0 inside R_r M
     proj: ModuleMorphism  # L_r M ->> erosion
 
 
@@ -531,14 +530,14 @@ def erosion_E(rho: HeightDiff, r, m: PersistenceModule) -> ErosionResult:
     """
     e = e_r(rho, r, m)
     sub = submodule_image(e)
-    comps = [solve(sub.bases[a], e.components[a]) for a in range(len(m.poset))]
+    comps = [solve(sub.m1[a], e.components[a]) for a in range(len(m.poset))]
     if any(c is None for c in comps):
         raise AssertionError("erosion image must factor its own defining map")
     sq = erosion_subquotient(rho, r, m)
     unit = eta_id(rho, r, m, "R")
     for a in range(len(m.poset)):
         # canonical map im_r -> erosion: push the image generators through M -> R_rM
-        phi = solve(sub.bases[a], unit.components[a] @ sq.m1[a])
+        phi = solve(sub.m1[a], unit.components[a] @ sq.m1[a])
         if phi is None:
             raise AssertionError("image of im_r must land in the erosion")
         # the map descends to the quotient and the induced map must be an iso
@@ -550,7 +549,7 @@ def erosion_E(rho: HeightDiff, r, m: PersistenceModule) -> ErosionResult:
                 f"erosion is not isomorphic to the canonical subquotient at "
                 f"{m.poset.elements[a]!r}"
             )
-    return ErosionResult(sub, ModuleMorphism(e.source, sub.module, comps))
+    return ErosionResult(sub, ModuleMorphism(e.source, sub.quotient, comps))
 
 
 # ---------------------------------------------------------------------------

@@ -102,12 +102,9 @@ def abs_diff_inf(a: ExtVal, b: ExtVal) -> ExtVal:
 
 
 def parse_ext(s: Union[str, int, Fraction]) -> ExtVal:
-    if isinstance(s, _Infinity):
-        return s
-    if isinstance(s, str) and s.strip().lower() in ("inf", "infinity", "oo"):
+    if s is INF or s == "inf":
         return INF
-    v = Fraction(s)
-    return v
+    return Fraction(s)
 
 
 def format_ext(x: ExtVal) -> str:

@@ -431,58 +431,46 @@ class SubmoduleError(ValueError):
     pass
 
 
-@dataclass
-class Submodule:
-    """A pointwise-spanned submodule: per-element column bases inside the parent,
-    the abstract module they carry, and the inclusion morphism."""
-
-    parent: PersistenceModule
-    bases: Tuple[Mat, ...]
-    module: PersistenceModule
-    incl: ModuleMorphism
+def _not_closed(P: FinitePoset, which: str, a: int, b: int) -> SubmoduleError:
+    return SubmoduleError(f"{which} not closed under the structure map on cover "
+                          f"({P.elements[a]!r}, {P.elements[b]!r})")
 
 
-def submodule_from_bases(parent: PersistenceModule, bases: Sequence[Mat]) -> Submodule:
-    """Build the submodule spanned pointwise by `bases`; raises if the spans are
-    not closed under the structure maps.  Bases are canonicalized (pivot columns)."""
+def submodule_from_bases(parent: PersistenceModule, bases: Sequence[Mat]) -> Subquotient:
+    """The submodule spanned pointwise by `bases` (pivot columns) as M1/0 from
+    `quotient_by_submodule`; raises `SubmoduleError`, naming the cover, where the
+    spans are not closed.  A nonzero span into a zero one, which the builder
+    does not solve, is checked here."""
     P, F = parent.poset, parent.field
-    canon = [image_basis(b) for b in bases]
-    maps = {}
+    m1 = [image_basis(b) for b in bases]
     for (a, b) in P.covers:
-        w = solve(canon[b], parent.maps[(a, b)] @ canon[a])
-        if w is None:
-            raise SubmoduleError(
-                f"span not closed under the structure map on cover "
-                f"({P.elements[a]!r}, {P.elements[b]!r})"
-            )
-        maps[(a, b)] = w
-    module = PersistenceModule(P, F, [c.cols for c in canon], maps)
-    incl = ModuleMorphism(module, parent, list(canon))
-    return Submodule(parent, tuple(canon), module, incl)
+        if m1[a].cols and not m1[b].cols and (parent.maps[(a, b)] @ m1[a]).a.any():
+            raise _not_closed(P, "M1", a, b)
+    return quotient_by_submodule(parent, m1, [Mat.zeros(F, d, 0) for d in parent.dims])
 
 
-def submodule_image(f: ModuleMorphism) -> Submodule:
+def submodule_image(f: ModuleMorphism) -> Subquotient:
     """im(f) as a submodule of the target (always closed)."""
     return submodule_from_bases(f.target, f.components)
 
 
-def submodule_kernel(f: ModuleMorphism) -> Submodule:
+def submodule_kernel(f: ModuleMorphism) -> Subquotient:
     """ker(f) as a submodule of the source (always closed)."""
     return submodule_from_bases(f.source, [kernel_basis(c) for c in f.components])
 
 
-def submodule_full(m: PersistenceModule) -> Submodule:
+def submodule_full(m: PersistenceModule) -> Subquotient:
     return submodule_from_bases(m, [Mat.eye(m.field, d) for d in m.dims])
 
 
-def submodule_zero(m: PersistenceModule) -> Submodule:
+def submodule_zero(m: PersistenceModule) -> Subquotient:
     return submodule_from_bases(m, [Mat.zeros(m.field, d, 0) for d in m.dims])
 
 
-def submodule_sum(s1: Submodule, s2: Submodule) -> Submodule:
+def submodule_sum(s1: Subquotient, s2: Subquotient) -> Subquotient:
     bases = [
-        hstack(s1.parent.field, [s1.bases[i], s2.bases[i]], rows=s1.parent.dims[i])
-        for i in range(len(s1.bases))
+        hstack(s1.parent.field, [s1.m1[i], s2.m1[i]], rows=s1.parent.dims[i])
+        for i in range(len(s1.m1))
     ]
     return submodule_from_bases(s1.parent, bases)
 
@@ -494,10 +482,10 @@ def span_intersection(v1: Mat, v2: Mat) -> Mat:
     return v1 @ kernel_basis(paired).take_rows(range(v1.cols))
 
 
-def submodule_intersection(s1: Submodule, s2: Submodule) -> Submodule:
+def submodule_intersection(s1: Subquotient, s2: Subquotient) -> Subquotient:
     """Pointwise intersection of spans (closed whenever both inputs are)."""
     return submodule_from_bases(s1.parent, [span_intersection(v1, v2)
-                                            for v1, v2 in zip(s1.bases, s2.bases)])
+                                            for v1, v2 in zip(s1.m1, s2.m1)])
 
 
 @dataclass
@@ -506,7 +494,8 @@ class Subquotient:
     `m1` and `m2` in `parent`: the quotient module and, per element, the
     projection of M1's coordinates onto the quotient and the coordinates where
     it is the identity (`quotient_map`'s free coordinates).  Where M1 and M2
-    agree the projection has no rows and no coordinate is free."""
+    agree the projection has no rows and no coordinate is free.  Every sub-object
+    hipm builds is one: a submodule is M1/0, its inclusion's components `m1`."""
 
     parent: PersistenceModule
     m1: Tuple[Mat, ...]
@@ -523,7 +512,8 @@ def quotient_by_submodule(parent: PersistenceModule, m1: Sequence[Mat],
     where the quotient is zero: at an element where the bases have equal
     column counts the projection is empty, and a cover with a zero end
     carries the zero map.  Elsewhere M1's structure map is solved and
-    factored through the quotient; raises `SubmoduleError` where that fails."""
+    factored through the quotient; raises `SubmoduleError`, naming the cover,
+    where M1 or M2 is not closed under it."""
     P, F = parent.poset, parent.field
     projs = []
     frees = []
@@ -544,9 +534,11 @@ def quotient_by_submodule(parent: PersistenceModule, m1: Sequence[Mat],
             maps[(a, b)] = Mat.zeros(F, len(frees[b]), len(frees[a]))
             continue
         w = solve(m1[b], parent.maps[(a, b)] @ m1[a])
-        x = None if w is None else factor_at(projs[a].a, frees[a], (projs[b] @ w).a, F)
+        if w is None:
+            raise _not_closed(P, "M1", a, b)
+        x = factor_at(projs[a].a, frees[a], (projs[b] @ w).a, F)
         if x is None:
-            raise SubmoduleError("map does not factor through the quotient")
+            raise _not_closed(P, "M2", a, b)
         maps[(a, b)] = Mat._canonical(F, x)
     quot = PersistenceModule(P, F, [len(free) for free in frees], maps)
     return Subquotient(parent, tuple(m1), tuple(m2), quot, tuple(projs), tuple(frees))

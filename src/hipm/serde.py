@@ -81,7 +81,7 @@ def parse_field(spec: Any) -> FieldSpec:
         raise SchemaError(f"unknown field spec {spec!r}", "$.field")
     if isinstance(spec, dict):
         kind = spec.get("kind")
-        if kind in ("gfp", "prime-field"):
+        if kind == "gfp":
             return _prime_field(spec.get("p"), "$.field.p")
         if kind == "rational":
             return QQ
@@ -206,9 +206,9 @@ def _json_text(v: Any) -> str:
 
 
 def _exact(parse: Callable[[Any], Any], v: Any, location: str):
-    """parse(v) for an int or a `NUMERAL` string such as "3/2", and for a word
-    such as parse_ext's "inf"; no bool, and no float, which is inexact."""
-    if type(v) is int or isinstance(v, str) and (NUMERAL.fullmatch(v) or v.strip().isalpha()):
+    """parse(v) for an int, a `NUMERAL` string such as "3/2", or parse_ext's
+    "inf"; no bool, and no float, which is inexact."""
+    if type(v) is int or isinstance(v, str) and (NUMERAL.fullmatch(v) or v == "inf"):
         try:
             return parse(v)
         except (ValueError, ZeroDivisionError):

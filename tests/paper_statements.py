@@ -12,7 +12,7 @@ height difference, iterated neighborhoods and diagonal domination on grids,
 the transpose flat of L_r -| R_r and functoriality of L_r and R_r on
 morphisms, the unit and counit (the triangle identities), the mates of eta
 and mu on the L side (which must equal eta and mu on the R side), im_r, ker_r
-and the erosion built from L_r, R_r and `eta_id` on both sides, the subquotient of two built submodules solved at every element and cover, the erosion-neighborhood conditions and the canonical neighborhood of an interleaving, the
+and the erosion built from L_r, R_r and `eta_id` on both sides, a submodule solved cover by cover, the subquotient of two built submodules solved at every element and cover, the erosion-neighborhood conditions and the canonical neighborhood of an interleaving, the
 interleaving between a module and each of its erosion neighborhoods, the
 composition of erosion neighborhoods through preimages, and their mediation.  `src/hipm` keeps only what a command runs.
 """
@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from hipm.exactlin import (Mat, factor_at, hstack, kernel_basis, quotient_map, rref, solve,
-                           vstack)
+from hipm.exactlin import (Mat, factor_at, hstack, image_basis, kernel_basis, quotient_map, rref,
+                           solve, vstack)
 from hipm.functors import (_functor, apply_L, apply_R, erosion_subquotient, eta, eta_id, im_r,
                            ker_r, mu, sharp)
 from hipm.height import (INF, CipReport, CRhoResult, HeightDiff, HeightFunction, nbhd_down_idx,
@@ -36,7 +36,7 @@ from hipm.height import (INF, CipReport, CRhoResult, HeightDiff, HeightFunction,
 from hipm.interleave import check_certificate
 from hipm.kan import (UniversalCone, colim_over, factor, factor_from_colim, factor_into_lim,
                       induced)
-from hipm.pmod import (ModuleMorphism, PersistenceModule, Submodule, SubmoduleError, Subquotient,
+from hipm.pmod import (ModuleMorphism, PersistenceModule, SubmoduleError, Subquotient,
                        submodule_from_bases, submodule_image, submodule_intersection,
                        submodule_kernel, submodule_sum)
 from hipm.poset import FinitePoset, PosetError, _transitive_closure
@@ -418,12 +418,12 @@ def mate_of_mu_L(rho: HeightDiff, s, r, n: PersistenceModule) -> ModuleMorphism:
 # ---------------------------------------------------------------------------
 
 
-def im_r_from_eta(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
+def im_r_from_eta(rho: HeightDiff, r, m: PersistenceModule) -> Subquotient:
     """im_r as the paper defines it: the image of L_r M -> M (`eta_id`, 'L')."""
     return submodule_image(eta_id(rho, r, m, "L"))
 
 
-def ker_r_from_eta(rho: HeightDiff, r, m: PersistenceModule) -> Submodule:
+def ker_r_from_eta(rho: HeightDiff, r, m: PersistenceModule) -> Subquotient:
     """ker_r as the paper defines it: the kernel of M -> R_r M (`eta_id`, 'R')."""
     return submodule_kernel(eta_id(rho, r, m, "R"))
 
@@ -440,39 +440,60 @@ def erosion_from_etas(rho: HeightDiff, r, m: PersistenceModule,
     F = m.field
     ins = [f for f in (eta_id(rho, r, m, "L"), incoming) if f is not None]
     outs = [g for g in (eta_id(rho, r, m, "R"), outgoing) if g is not None]
-    m1 = submodule_from_bases(m, [hstack(F, [f.components[a] for f in ins], rows=d)
-                                  for a, d in enumerate(m.dims)])
-    kern = submodule_from_bases(m, [kernel_basis(vstack(F, [g.components[a] for g in outs], cols=d))
-                                    for a, d in enumerate(m.dims)])
+    m1 = submodule_by_covers(m, [hstack(F, [f.components[a] for f in ins], rows=d)
+                                 for a, d in enumerate(m.dims)])
+    kern = submodule_by_covers(m, [kernel_basis(vstack(F, [g.components[a] for g in outs], cols=d))
+                                   for a, d in enumerate(m.dims)])
     return quotient_of_submodules(m1, submodule_intersection(m1, kern))
 
 
-def quotient_of_submodules(big: Submodule, small: Submodule) -> Subquotient:
-    """The subquotient big/small from two built submodules, solved at every
-    element and cover: `pmod.quotient_by_submodule` must build the same record
-    from their bases alone.  Raises `SubmoduleError` unless small sits inside
-    big."""
+def submodule_by_covers(parent: PersistenceModule, bases: Sequence[Mat]) -> Subquotient:
+    """The submodule spanned pointwise by `bases`, as M1/0, solved cover by
+    cover: canonical bases (pivot columns), one `solve` per cover for its
+    structure map, and `SubmoduleError` naming the first cover whose span is
+    not closed.  `pmod.submodule_from_bases` must build the same record
+    through `quotient_by_submodule`, which solves no cover with a zero end."""
+    P, F = parent.poset, parent.field
+    canon = [image_basis(b) for b in bases]
+    maps = {}
+    for (a, b) in P.covers:
+        w = solve(canon[b], parent.maps[(a, b)] @ canon[a])
+        if w is None:
+            raise SubmoduleError(f"span not closed under the structure map on cover "
+                                 f"({P.elements[a]!r}, {P.elements[b]!r})")
+        maps[(a, b)] = w
+    module = PersistenceModule(P, F, [c.cols for c in canon], maps)
+    return Subquotient(parent, tuple(canon), tuple(Mat.zeros(F, d, 0) for d in parent.dims),
+                       module, tuple(Mat.eye(F, c.cols) for c in canon),
+                       tuple(tuple(range(c.cols)) for c in canon))
+
+
+def quotient_of_submodules(big: Subquotient, small: Subquotient) -> Subquotient:
+    """The subquotient big/small from two built submodules (each M1/0),
+    solved at every element and cover: `pmod.quotient_by_submodule` must
+    build the same record from their bases alone.  Raises `SubmoduleError`
+    unless small sits inside big."""
     F = big.parent.field
     P = big.parent.poset
     projs = []
     frees = []
     for i in range(len(P)):
-        inside = solve(big.bases[i], small.bases[i])
+        inside = solve(big.m1[i], small.m1[i])
         if inside is None:
             raise SubmoduleError(
                 f"submodule containment fails at {P.elements[i]!r}"
             )
-        q, free = quotient_map(F, big.bases[i].cols, inside)
+        q, free = quotient_map(F, big.m1[i].cols, inside)
         projs.append(q)
         frees.append(free)
     maps = {}
     for (a, b) in P.covers:
-        x = factor_at(projs[a].a, frees[a], (projs[b] @ big.module.maps[(a, b)]).a, F)
+        x = factor_at(projs[a].a, frees[a], (projs[b] @ big.quotient.maps[(a, b)]).a, F)
         if x is None:
             raise SubmoduleError("map does not factor through the quotient")
         maps[(a, b)] = Mat._canonical(F, x)
     quot = PersistenceModule(P, F, [len(free) for free in frees], maps)
-    return Subquotient(big.parent, big.bases, small.bases, quot, tuple(projs), tuple(frees))
+    return Subquotient(big.parent, big.m1, small.m1, quot, tuple(projs), tuple(frees))
 
 
 class ErosionNeighborhoodError(ValueError):
@@ -480,7 +501,7 @@ class ErosionNeighborhoodError(ValueError):
 
 
 def en_construct(rho: HeightDiff, r, m: PersistenceModule,
-                 m1: Submodule, m2: Submodule) -> Subquotient:
+                 m1: Subquotient, m2: Subquotient) -> Subquotient:
     """Validate the erosion-neighborhood conditions and form the quotient.
 
     Needs: m2 <= m1 pointwise, image of the r-latching counit inside m1, and m2
@@ -490,13 +511,13 @@ def en_construct(rho: HeightDiff, r, m: PersistenceModule,
     imr = im_r(rho, r, m)
     kerr = ker_r(rho, r, m)
     for i in range(len(P)):
-        if solve(m1.bases[i], m2.bases[i]) is None:
+        if solve(m1.m1[i], m2.m1[i]) is None:
             raise ErosionNeighborhoodError(
                 f"M2 is not inside M1 at {P.elements[i]!r}")
-        if solve(m1.bases[i], imr.bases[i]) is None:
+        if solve(m1.m1[i], imr.m1[i]) is None:
             raise ErosionNeighborhoodError(
                 f"latching image not inside M1 at {P.elements[i]!r}")
-        if solve(kerr.bases[i], m2.bases[i]) is None:
+        if solve(kerr.m1[i], m2.m1[i]) is None:
             raise ErosionNeighborhoodError(
                 f"M2 not inside the matching kernel at {P.elements[i]!r}")
     return quotient_of_submodules(m1, m2)
@@ -518,12 +539,12 @@ def en_canonical_Q(rho: HeightDiff, r, m: PersistenceModule, n: PersistenceModul
             erosion_subquotient(rho, r, n, sharp(rho, r, n, p), q))
 
 
-def morphism_preimage(f: ModuleMorphism, target_sub: Submodule) -> Submodule:
+def morphism_preimage(f: ModuleMorphism, target_sub: Subquotient) -> Subquotient:
     """The preimage f^{-1}(target_sub) as a submodule of f.source (always closed)."""
     F = f.source.field
     bases = []
     for i in range(len(f.source.poset)):
-        q, _ = quotient_map(F, f.target.dims[i], target_sub.bases[i])
+        q, _ = quotient_map(F, f.target.dims[i], target_sub.m1[i])
         bases.append(kernel_basis(q @ f.components[i]))
     return submodule_from_bases(f.source, bases)
 
@@ -576,8 +597,8 @@ def en_mediate(rho: HeightDiff, s, r,
 
     def realize(carrier: Subquotient, scale: Fraction) -> Subquotient:
         escape = "mediating submodule escapes the carrier"
-        m1 = submodule_from_bases(carrier.quotient, _push(carrier, x3.bases, escape))
-        m2 = submodule_from_bases(carrier.quotient, _push(carrier, x3p.bases, escape))
+        m1 = submodule_from_bases(carrier.quotient, _push(carrier, x3.m1, escape))
+        m2 = submodule_from_bases(carrier.quotient, _push(carrier, x3p.m1, escape))
         return en_construct(rho, scale, carrier.quotient, m1, m2)
 
     return realize(q1, s), realize(q2, r)

@@ -651,6 +651,31 @@ def test_cli_rejects_a_float_height(capsys, chain_files, tmp_path, height):
     assert ("$.phi['b']" if "phi" in height else "$.rho[0]") in err
 
 
+@pytest.mark.parametrize("word", ["infinity", "oo", "INF", "Inf", " inf", "inf "])
+def test_cli_rejects_an_infinity_spelled_other_than_inf(capsys, chain_files, tmp_path, word):
+    """The one infinite value in input is "inf"; the same table with it loads."""
+    rho = tmp_path / "rho.json"
+    for value, code_wanted in (("inf", 0), (word, 1)):
+        rho.write_text(json.dumps({"rho": [["a", "b", "1"], ["b", "c", "1"], ["c", "d", value],
+                                           ["a", "c", "2"], ["b", "d", value],
+                                           ["a", "d", value]]}))
+        argv = ["c-rho", "--poset", str(chain_files["poset"]), "--height", str(rho)]
+        if code_wanted == 0:
+            assert _run(capsys, argv)[0] == 0
+        else:
+            code, err = _error(capsys, argv)
+            assert code == 1 and err == f"$.rho[2]: {json.dumps(word)} is not an exact number"
+
+
+def test_cli_rejects_the_prime_field_kind(capsys, chain_files, tmp_path):
+    """A field object's prime kind is spelled "gfp", as in the string form."""
+    chain_files["bad"] = tmp_path / "bad.json"
+    chain_files["bad"].write_text(json.dumps({"field": {"kind": "prime-field", "p": 2},
+                                              "dims": {"a": 1, "b": 1}, "maps": {"a|b": [[1]]}}))
+    code, err = _error(capsys, _distance_argv(chain_files, "bad"))
+    assert code == 1 and err == "$.field.kind: unknown field kind 'prime-field'"
+
+
 @pytest.mark.parametrize("entry, named", [
     (["b", "a", "1"], "not comparable=[('b', 'a')]"),  # the reversed pair
     (["a", "a", "1"], "nonzero diagonal=['a']"),

@@ -45,7 +45,7 @@ def test_en_construct_erosion_member(unit_chain, rng):
     kerr = ker_r(rho, 1, m)
     sq = en_construct(rho, 1, m, imr, submodule_intersection(imr, kerr))
     er = erosion_E(rho, 1, m)
-    assert is_isomorphic(sq.quotient, er.sub.module).verdict == "yes"
+    assert is_isomorphic(sq.quotient, er.sub.quotient).verdict == "yes"
 
 
 def test_en_construct_containment_violation(unit_chain):
@@ -175,13 +175,13 @@ def test_en_composition_lemma(unit_chain):
         n = sq_n.quotient
         inner = en_enumerate(rho, 1, n)
         for sq_q in inner.members_with(inner.vectors):
-            f = ModuleMorphism(submodule_from_bases(m, sq_n.m1).module, n, sq_n.proj)
+            f = ModuleMorphism(submodule_from_bases(m, sq_n.m1).quotient, n, sq_n.proj)
             n1 = submodule_from_bases(n, sq_q.m1)
             n2 = submodule_from_bases(n, sq_q.m2)
             pre1 = morphism_preimage(f, n1)
             pre2 = morphism_preimage(f, n2)
-            amb1 = [sq_n.m1[i] @ pre1.bases[i] for i in range(len(p))]
-            amb2 = [sq_n.m1[i] @ pre2.bases[i] for i in range(len(p))]
+            amb1 = [sq_n.m1[i] @ pre1.m1[i] for i in range(len(p))]
+            amb2 = [sq_n.m1[i] @ pre2.m1[i] for i in range(len(p))]
             m1p = submodule_from_bases(m, amb1)
             m2p = submodule_from_bases(m, amb2)
             sq_big = en_construct(rho, ext_add(Fraction(2), c), m, m1p, m2p)

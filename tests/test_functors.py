@@ -114,7 +114,7 @@ def test_eta_to_id_factorization(chain4_rho, rng, direction):
         got, want = submodule_image(at_two), im_r(chain4_rho, 2, m)
     else:
         got, want = submodule_kernel(at_two), ker_r(chain4_rho, 2, m)
-    assert all(got.bases[i] == want.bases[i] for i in range(4))
+    assert all(got.m1[i] == want.m1[i] for i in range(4))
 
 
 def test_e_r_chain_nonzero_at_c():
@@ -318,13 +318,13 @@ def test_im_ker_duality_and_vanishing(rng):
         for r in [0, 1, 2]:
             kerm = ker_r(rho, r, m)
             imm = im_r(rho, r, m)
-            assert (kerm.module.dims == m.dims) == (sum(imm.module.dims) == 0)
+            assert (kerm.quotient.dims == m.dims) == (sum(imm.quotient.dims) == 0)
 
 
 def test_erosion_zero_scale(chain4_rho, rng):
     m = random_module(rng, chain4_rho.poset, GF2, 2)
     res = erosion_E(chain4_rho, 0, m)
-    assert is_isomorphic(res.sub.module, m).verdict == "yes"
+    assert is_isomorphic(res.sub.quotient, m).verdict == "yes"
 
 
 def test_erosion_grid_dims():
@@ -332,7 +332,7 @@ def test_erosion_grid_dims():
     res = erosion_E(ge.rho, 1, ge.module)
     e = e_r(ge.rho, 1, ge.module)
     for i in range(len(ge.poset)):
-        assert res.sub.module.dims[i] == rref(e.components[i]).rank
+        assert res.sub.quotient.dims[i] == rref(e.components[i]).rank
 
 
 def test_erosion_subquotient_identity(rng):
@@ -374,8 +374,8 @@ def test_erosion_preserves_mono_epi(rng):
             eb = erosion_E(rho, 1, f.target)
             rf = apply_R_mor(rho, 1, f)
             for i in range(len(p)):
-                pushed = rf.components[i] @ ea.sub.bases[i]
-                comp = solve(eb.sub.bases[i], pushed)
+                pushed = rf.components[i] @ ea.sub.m1[i]
+                comp = solve(eb.sub.m1[i], pushed)
                 assert comp is not None
                 if check == "mono":
                     assert rref(comp).rank == comp.cols
@@ -398,12 +398,12 @@ def test_erosion_subquotient_chain(rng):
     comparison = eta(rho, s, r, m, "R")  # R_r M -> R_s M
     for i in range(len(p)):
         # mono: H sits inside E_r pointwise
-        assert solve(er.sub.bases[i], h.bases[i]) is not None
+        assert solve(er.sub.m1[i], h.m1[i]) is not None
         # epi: pushing H along the matching comparison covers E_s exactly
-        pushed = comparison.components[i] @ h.bases[i]
-        into_es = solve(es.sub.bases[i], pushed)
+        pushed = comparison.components[i] @ h.m1[i]
+        into_es = solve(es.sub.m1[i], pushed)
         assert into_es is not None
-        assert rref(into_es).rank == es.sub.module.dims[i]
+        assert rref(into_es).rank == es.sub.quotient.dims[i]
 
 
 def test_im_compose_subfunctor(rng):
@@ -411,11 +411,11 @@ def test_im_compose_subfunctor(rng):
     rho = from_phi(random_phi(rng, p))
     m = random_module(rng, p, GF2, 2)
     im1 = im_r(rho, 1, m)
-    inner = im_r(rho, 1, im1.module)
-    ambient = [im1.bases[i] @ inner.bases[i] for i in range(len(p))]
+    inner = im_r(rho, 1, im1.quotient)
+    ambient = [im1.m1[i] @ inner.m1[i] for i in range(len(p))]
     im2 = im_r(rho, 2, m)
     for i in range(len(p)):
-        assert solve(im2.bases[i], ambient[i]) is not None
+        assert solve(im2.m1[i], ambient[i]) is not None
 
 
 def test_xi_pullback_identity(chain4_rho, rng):
@@ -471,7 +471,7 @@ def test_equal_modules_get_equal_values_but_do_not_share_them():
     for sub in (im_r, ker_r):
         s1, s2 = sub(rho, 1, m1), sub(rho, 1, m2)
         assert s1 is not s2 and s1.parent is m1 and s2.parent is m2
-        assert s1.bases == s2.bases
+        assert s1.m1 == s2.m1
 
     # the same holds for two equal-content height functions on one module:
     # functor values are keyed by the rho object, not its content

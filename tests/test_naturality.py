@@ -79,9 +79,11 @@ def test_built_morphisms_are_natural(case):
     )
     imr, kerr = im_r(rho, r, m), ker_r(rho, r, m)
     inter = submodule_intersection(imr, kerr)
-    sq = quotient_by_submodule(m, imr.bases, inter.bases)
-    proj = ModuleMorphism(imr.module, sq.quotient, sq.proj)
-    _assert_natural(image_incl=submodule_image(e_r(rho, r, m)).incl, quotient_proj=proj)
+    sq = quotient_by_submodule(m, imr.m1, inter.m1)
+    proj = ModuleMorphism(imr.quotient, sq.quotient, sq.proj)
+    image = submodule_image(e_r(rho, r, m))
+    _assert_natural(image_incl=ModuleMorphism(image.quotient, image.parent, image.m1),
+                    quotient_proj=proj)
     # the erosion itself (im / im & ker) and the widest neighborhood (M / ker)
     for m1, m2 in ((imr, inter), (submodule_full(m), kerr)):
         en_p, en_q = en_interleaving_certificate(rho, r, m, en_construct(rho, r, m, m1, m2))

@@ -198,15 +198,15 @@ def test_submodule_operations(chain4, rng):
     m = random_module(rng, chain4, GF2, 2)
     full = submodule_full(m)
     zero = submodule_zero(m)
-    assert all(solve(full.bases[i], zero.bases[i]) is not None for i in range(len(full.bases)))
+    assert all(solve(full.m1[i], zero.m1[i]) is not None for i in range(len(full.m1)))
     inter = submodule_intersection(full, zero)
-    assert all(b.cols == 0 for b in inter.bases)
+    assert all(b.cols == 0 for b in inter.m1)
     s = submodule_sum(zero, full)
-    assert all(s.bases[i].cols == m.dims[i] for i in range(len(chain4)))
-    sq = quotient_by_submodule(m, full.bases, zero.bases)
-    assert sq.parent is m and sq.m1 == full.bases and sq.m2 == zero.bases
+    assert all(s.m1[i].cols == m.dims[i] for i in range(len(chain4)))
+    sq = quotient_by_submodule(m, full.m1, zero.m1)
+    assert sq.parent is m and sq.m1 == full.m1 and sq.m2 == zero.m1
     assert sq.quotient.dims == m.dims
-    assert ModuleMorphism(full.module, sq.quotient, sq.proj).is_iso()
+    assert ModuleMorphism(full.quotient, sq.quotient, sq.proj).is_iso()
     assert sq.free == tuple(tuple(range(d)) for d in m.dims)
 
 
@@ -217,11 +217,11 @@ def test_submodule_image_kernel(chain4):
                               Mat.zeros(GF2, 0, 1), Mat.zeros(GF2, 0, 1)])
     assert f.naturality_violations() == []
     img = submodule_image(f)
-    assert [b.cols for b in img.bases] == [1, 1, 0, 0]
+    assert [b.cols for b in img.m1] == [1, 1, 0, 0]
     ker = submodule_kernel(f)
-    assert [b.cols for b in ker.bases] == [0, 0, 1, 1]
+    assert [b.cols for b in ker.m1] == [0, 0, 1, 1]
     pre = morphism_preimage(f, submodule_zero(n))
-    assert [b.cols for b in pre.bases] == [0, 0, 1, 1]
+    assert [b.cols for b in pre.m1] == [0, 0, 1, 1]
 
 
 def test_submodule_spans_with_an_empty_side(chain4):
@@ -230,14 +230,30 @@ def test_submodule_spans_with_an_empty_side(chain4):
     m = interval_module(chain4, ["a", "b", "c", "d"], GF2)
     one, none = Mat.eye(GF2, 1), Mat.zeros(GF2, 1, 0)
     sub = submodule_from_bases(m, [none, none, one, one])
-    assert [b.cols for b in sub.bases] == [0, 0, 1, 1]
-    assert sub.module.maps[(1, 2)] == Mat.zeros(GF2, 1, 0)
-    assert sub.module.maps[(0, 1)] == Mat.zeros(GF2, 0, 0)
-    with pytest.raises(SubmoduleError, match="'b', 'c'"):
+    assert [b.cols for b in sub.m1] == [0, 0, 1, 1]
+    assert sub.quotient.maps[(1, 2)] == Mat.zeros(GF2, 1, 0)
+    assert sub.quotient.maps[(0, 1)] == Mat.zeros(GF2, 0, 0)
+    with pytest.raises(SubmoduleError, match=r"M1 not closed .* on cover \('b', 'c'\)"):
         submodule_from_bases(m, [one, one, none, none])
     short = interval_module(chain4, ["a", "b"], GF2)  # zero past b: nothing is pushed out
     sub = submodule_from_bases(short, [one, one, Mat.zeros(GF2, 0, 0), Mat.zeros(GF2, 0, 0)])
-    assert sub.module.dims == (1, 1, 0, 0) and validate_module(sub.module).valid
+    assert sub.quotient.dims == (1, 1, 0, 0) and validate_module(sub.quotient).valid
+
+
+@pytest.mark.parametrize("full_m1, which", [(False, "M1"), (True, "M2")])
+def test_quotient_builder_names_the_cover_a_span_is_not_closed_on(chain4, full_m1, which):
+    """On k_[a, d] + k_[a, d] with e1 at a and e2 at b, the identity map of the
+    cover (a, b) leaves the span: as M1 over M2 = 0 the solve fails, as M2
+    under the whole of M the factorization through the quotient does."""
+    line = interval_module(chain4, ["a", "b", "c", "d"], GF2)
+    m = direct_sum(line, line)
+    e1, e2 = Mat.from_rows(GF2, [[1], [0]]), Mat.from_rows(GF2, [[0], [1]])
+    full, zero = Mat.eye(GF2, 2), Mat.zeros(GF2, 2, 0)
+    span = [e1, e2, zero, zero]
+    m1, m2 = ([full] * 4, span) if full_m1 else (span, [zero] * 4)
+    with pytest.raises(SubmoduleError,
+                       match=rf"^{which} not closed under the structure map on cover \('a', 'b'\)$"):
+        quotient_by_submodule(m, m1, m2)
 
 
 def test_canonical_pair_map_deterministic():

@@ -9,21 +9,29 @@ record, the bases, the projections, the free coordinates and the quotient
 module, on the bases `d_en` hands the builder: the erosions, the canonical
 neighborhoods of natural maps into and out of M (`incoming`, `outgoing`), and
 the (M1, M2) pairs of `erosion.en_enumerate`.
+
+A submodule is the subquotient M1/0: `pmod.submodule_from_bases` checks the
+one cover the builder does not solve, a nonzero span into a zero one, and
+hands the rest to `quotient_by_submodule`.  The oracle
+`paper_statements.submodule_by_covers` solves every cover.  They must build the
+same record from the same spans, closed or not, or both raise.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hipm.erosion import en_enumerate
-from hipm.exactlin import FieldSpec
-from hipm.functors import erosion_subquotient, eta_id
+from hipm.exactlin import FieldSpec, Mat, hstack, image_basis, kernel_basis
+from hipm.functors import erosion_bases, erosion_subquotient, eta_id
 from hipm.height import from_phi, rho_diag, strata
-from hipm.pmod import quotient_by_submodule, submodule_from_bases
+from hipm.pmod import (SubmoduleError, hom_basis, quotient_by_submodule, span_intersection,
+                       submodule_from_bases)
 from hipm.poset import FinitePoset
 from hipm.randgen import random_forest_poset, random_module, random_phi, random_poset
 
-from paper_statements import quotient_of_submodules
+from paper_statements import quotient_of_submodules, submodule_by_covers
 
 FIELDS = [FieldSpec("gfp", 2), FieldSpec("gfp", 3), FieldSpec("rational")]
 ENUMERATION_BUDGET = 60
@@ -76,7 +84,7 @@ def builder_agrees_with_the_oracle(rho, m) -> set:
     met = set()
     for source, m1, m2 in neighborhoods(rho, m):
         got = quotient_by_submodule(m, m1, m2)
-        want = quotient_of_submodules(submodule_from_bases(m, m1), submodule_from_bases(m, m2))
+        want = quotient_of_submodules(submodule_by_covers(m, m1), submodule_by_covers(m, m2))
         assert got.parent is want.parent is m
         assert (got.m1, got.m2) == (want.m1, want.m2) == (tuple(m1), tuple(m2))
         assert got.proj == want.proj and got.free == want.free
@@ -104,4 +112,76 @@ def test_the_builder_check_meets_every_shape():
         fields.add(FIELDS.index(m.field))
     assert met == {(source, s) for source in ("erosion", "canonical", "enumeration")
                    for s in ("zero", "partly zero", "nonzero")}
+    assert fields == {0, 1, 2}
+
+
+def spans(seed: int, rho, m):
+    """(kind, bases) for spans of m: the images and kernels of a random
+    endomorphism, im_r and ker_r at a random stratum, and the sums and
+    intersections of two of these (all closed); random columns (mostly not
+    closed); and, for every cover (a, b) with a nonzero map, M with its span
+    at b cut to zero, which a nonzero span at a maps into."""
+    rng = random.Random(seed)
+    F = m.field
+
+    def entry():
+        return rng.randrange(F.p) if F.is_prime_field else rng.randint(-2, 2)
+
+    ends = hom_basis(m, m)
+    f = ends.combine([entry() for _ in ends])
+    gens, kerns = erosion_bases(rho, rng.choice([s.rep for s in strata(rho)]), m)
+    closed = {"image": f.components, "kernel": [kernel_basis(c) for c in f.components],
+              "im_r": gens, "ker_r": kerns}
+    yield from closed.items()
+    canon = {kind: [image_basis(b) for b in bases] for kind, bases in closed.items()}
+    (k1, v1), (k2, v2) = rng.sample(sorted(canon.items()), 2)
+    yield f"{k1} + {k2}", [hstack(F, [a, b], rows=d) for a, b, d in zip(v1, v2, m.dims)]
+    yield f"{k1} & {k2}", [span_intersection(a, b) for a, b in zip(v1, v2)]
+    yield "random", [Mat.from_rows(F, [[entry() for _ in range(k)] for _ in range(d)], cols=k)
+                     for d in m.dims for k in [rng.randint(0, d)]]
+    for (a, b), mat in m.maps.items():
+        if mat.a.any():
+            yield "into zero", [Mat.zeros(F, d, 0) if i == b else Mat.eye(F, d)
+                                for i, d in enumerate(m.dims)]
+
+
+def submodule_agrees_with_the_oracle(seed: int) -> set:
+    """Check every span of one instance; return the (kind, closed) pairs met."""
+    rho, m = instance(seed)
+    met = set()
+    for kind, bases in spans(seed, rho, m):
+        try:
+            want = submodule_by_covers(m, bases)
+        except SubmoduleError:
+            with pytest.raises(SubmoduleError, match="not closed under the structure map on cover"):
+                submodule_from_bases(m, bases)
+            met.add((kind, False))
+            continue
+        got = submodule_from_bases(m, bases)
+        assert got.parent is want.parent is m
+        assert (got.m1, got.m2) == (want.m1, want.m2)
+        assert got.proj == want.proj and got.free == want.free
+        assert got.quotient.dims == want.quotient.dims
+        assert got.quotient.maps == want.quotient.maps
+        met.add((kind, True))
+    return met
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_submodule_from_bases_equals_the_cover_by_cover_oracle(seed):
+    submodule_agrees_with_the_oracle(seed)
+
+
+def test_the_submodule_check_meets_closed_and_unclosed_spans():
+    """On fixed seeds the check meets every closed kind built, random columns
+    both closed and not, and spans mapped into a zero span, over every field."""
+    met, fields = set(), set()
+    for seed in range(30):
+        met |= submodule_agrees_with_the_oracle(seed)
+        fields.add(FIELDS.index(instance(seed)[1].field))
+    kinds = {kind for kind, _ in met}
+    assert {(kind, True) for kind in ("image", "kernel", "im_r", "ker_r")} <= met
+    assert any("+" in kind for kind in kinds) and any("&" in kind for kind in kinds)
+    assert {("random", True), ("random", False), ("into zero", False)} <= met
     assert fields == {0, 1, 2}

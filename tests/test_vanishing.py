@@ -112,7 +112,7 @@ def vanishing_witnesses_agree(rho, m) -> set:
         assert (got.m1, got.m2, got.proj, got.free) == (want.m1, want.m2, want.proj, want.free)
         assert got.quotient.dims == want.quotient.dims == (0,) * len(m.dims)
         k = level(rho, r)
-        kern = ker_r_from_eta(rho, r, m).bases
+        kern = ker_r_from_eta(rho, r, m).m1
         for a, down in enumerate(nbhds(rho, "down", k)):
             col = colim_over(m, down)
             met |= {"empty"} if not down else set()
@@ -149,9 +149,9 @@ def erosion_bases_agree(rho, m) -> set:
     previous = previous_kern = None
     for st_ in strata(rho):
         r = st_.rep
-        kern = ker_r_from_eta(rho, r, m).bases
-        assert im_r(rho, r, m).bases == im_r_from_eta(rho, r, m).bases
-        assert ker_r(rho, r, m).bases == kern
+        kern = ker_r_from_eta(rho, r, m).m1
+        assert im_r(rho, r, m).m1 == im_r_from_eta(rho, r, m).m1
+        assert ker_r(rho, r, m).m1 == kern
         plain = erosion_from_etas(rho, r, m)
         assert _subquotient_to_json(erosion_subquotient(rho, r, m)) == _subquotient_to_json(plain)
         met |= {"quotient"} if any(plain.quotient.dims) else set()
